@@ -6,9 +6,7 @@ import (
 	"fmt"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/obs"
 	"indexlaunch/internal/wire"
-	"indexlaunch/internal/xport"
 )
 
 // Cluster mode: the same runtime pipeline, with the transport's far side in
@@ -29,52 +27,13 @@ import (
 //     local execution, trading locality for progress, and the health
 //     detector handles the node's liveness separately.
 //   - heartbeat probes, MarkDead/MarkAlive and resync broadcasts flow over
-//     the mesh's sockets instead of in-process channels.
+//     the mesh's sockets instead of the in-memory hub.
 //
 // Everything else — dependence analysis, retries, speculation, tracing —
 // is unchanged, which is the point: the paper's index-launch pipeline is
-// transport-agnostic, and the deterministic in-process transport remains
-// the default when Config.Cluster is nil.
-
-// transport is the delivery contract the runtime's centralized path needs.
-// *xport.Transport implements it in-process (deterministic, chaos-capable);
-// meshTransport implements it across processes over a wire.Mesh.
-type transport interface {
-	Broadcast(tag string, items []xport.Item)
-	BroadcastTraced(tc obs.TraceRef, tag string, items []xport.Item)
-	Probe(dst int, maxAttempts int) bool
-	MarkDead(node int)
-	MarkAlive(node int)
-	Recycle()
-	Shape() xport.TreeShape
-}
-
-// meshTransport adapts a wire.Mesh to the transport interface, serializing
-// the runtime's in-process payloads (slice shipments, resync markers) into
-// frame bodies.
-type meshTransport struct{ m *wire.Mesh }
-
-func (mt meshTransport) Broadcast(tag string, items []xport.Item) {
-	mt.m.Broadcast(tag, encodeClusterItems(items))
-}
-
-func (mt meshTransport) BroadcastTraced(tc obs.TraceRef, tag string, items []xport.Item) {
-	mt.m.BroadcastTraced(tc, tag, encodeClusterItems(items))
-}
-
-func (mt meshTransport) Probe(dst int, maxAttempts int) bool { return mt.m.Probe(dst, maxAttempts) }
-func (mt meshTransport) MarkDead(node int)                   { mt.m.MarkDead(node) }
-func (mt meshTransport) MarkAlive(node int)                  { mt.m.MarkAlive(node) }
-func (mt meshTransport) Recycle()                            { mt.m.Recycle() }
-func (mt meshTransport) Shape() xport.TreeShape              { return mt.m.Shape() }
-
-func encodeClusterItems(items []xport.Item) []wire.Item {
-	out := make([]wire.Item, len(items))
-	for i, it := range items {
-		out[i] = wire.Item{Dst: it.Dst, Payload: encodeClusterPayload(it.Payload)}
-	}
-	return out
-}
+// transport-agnostic. The runtime holds node 0's xport.Endpoint either way
+// (the mesh's, or the in-process assembly's when Config.Cluster is nil) and
+// ships the same encoded payloads through it.
 
 // Cluster payload type discriminators (first byte of a broadcast body).
 const (
@@ -96,20 +55,19 @@ type ClusterMsg struct {
 	Epoch int64
 }
 
-// encodeClusterPayload serializes one transport payload for the mesh.
-func encodeClusterPayload(payload any) []byte {
-	switch m := payload.(type) {
-	case sliceMsg:
-		buf := []byte{clusterPayloadSlice}
-		buf = binary.AppendUvarint(buf, uint64(m.idx))
-		buf = binary.AppendUvarint(buf, uint64(m.s.Node))
-		return appendDomain(buf, m.s.Domain)
-	case resyncMsg:
-		buf := []byte{clusterPayloadResync}
-		return binary.AppendVarint(buf, m.epoch)
-	default:
-		panic(fmt.Sprintf("rt: unshippable transport payload %T", payload))
-	}
+// encodeSlicePayload serializes one slice shipment: the slice plus its
+// index in the slicing functor's output, so deliveries reassemble into the
+// original deterministic slice order.
+func encodeSlicePayload(idx int, s Slice) []byte {
+	buf := []byte{clusterPayloadSlice}
+	buf = binary.AppendUvarint(buf, uint64(idx))
+	buf = binary.AppendUvarint(buf, uint64(s.Node))
+	return appendDomain(buf, s.Domain)
+}
+
+// encodeResyncPayload serializes a rejoining node's new resync epoch.
+func encodeResyncPayload(epoch int64) []byte {
+	return binary.AppendVarint([]byte{clusterPayloadResync}, epoch)
 }
 
 // DecodeClusterPayload parses a mesh broadcast body back into its message.
@@ -120,12 +78,12 @@ func DecodeClusterPayload(b []byte) (ClusterMsg, error) {
 	}
 	switch b[0] {
 	case clusterPayloadSlice:
-		d := payloadDecoder{b: b[1:]}
-		idx := int(d.uvarint())
-		node := int(d.uvarint())
-		dom := d.domain()
-		if d.err != nil {
-			return ClusterMsg{}, d.err
+		d := wire.NewCursor(b[1:])
+		idx := d.Int()
+		node := d.Int()
+		dom := decodeDomain(d)
+		if d.Err() != nil {
+			return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", d.Err())
 		}
 		return ClusterMsg{Kind: "slice", Index: idx, Slice: Slice{Domain: dom, Node: node}}, nil
 	case clusterPayloadResync:
@@ -165,68 +123,19 @@ func appendDomain(buf []byte, d domain.Domain) []byte {
 	return buf
 }
 
-// payloadDecoder is a minimal latching cursor for cluster payload bodies
-// (internal/wire's decoder is not importable here without exporting it;
-// the format is three fields deep, so a local cursor costs little).
-type payloadDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *payloadDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("rt: truncated cluster payload")
-	}
-}
-
-func (d *payloadDecoder) u8() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *payloadDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *payloadDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *payloadDecoder) domain() domain.Domain {
-	sparse := d.u8() == 1
-	dim := int(d.u8())
-	if d.err != nil || dim < 1 || dim > domain.MaxDim {
-		d.fail()
+// decodeDomain parses appendDomain's encoding; a malformed field latches
+// the cursor's error and yields the zero domain.
+func decodeDomain(d *wire.Cursor) domain.Domain {
+	sparse := d.U8() == 1
+	dim := int(d.U8())
+	if d.Err() != nil || dim < 1 || dim > domain.MaxDim {
+		d.Fail()
 		return domain.Domain{}
 	}
 	if sparse {
-		n := d.uvarint()
-		if d.err != nil || n > uint64(len(d.b)-d.off) { // >=1 byte per coord
-			d.fail()
+		n := d.Uvarint()
+		if d.Err() != nil || n > uint64(d.Rest()) { // >=1 byte per coord
+			d.Fail()
 			return domain.Domain{}
 		}
 		pts := make([]domain.Point, 0, n)
@@ -234,11 +143,11 @@ func (d *payloadDecoder) domain() domain.Domain {
 			var p domain.Point
 			p.Dim = dim
 			for c := 0; c < dim; c++ {
-				p.C[c] = d.varint()
+				p.C[c] = d.Varint()
 			}
 			pts = append(pts, p)
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			return domain.Domain{}
 		}
 		return domain.FromPoints(pts)
@@ -246,12 +155,12 @@ func (d *payloadDecoder) domain() domain.Domain {
 	var lo, hi domain.Point
 	lo.Dim, hi.Dim = dim, dim
 	for c := 0; c < dim; c++ {
-		lo.C[c] = d.varint()
+		lo.C[c] = d.Varint()
 	}
 	for c := 0; c < dim; c++ {
-		hi.C[c] = d.varint()
+		hi.C[c] = d.Varint()
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return domain.Domain{}
 	}
 	return domain.FromRect(domain.Rect{Lo: lo, Hi: hi})

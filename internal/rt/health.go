@@ -22,8 +22,8 @@ import (
 // Determinism: heartbeat rounds are driven by the issuance counter, not a
 // timer. Every HeartbeatPolicy.Every issued point tasks, the issuing
 // goroutine runs one detector tick under issueMu — probing every node
-// synchronously through xport.Probe, whose outcome is a pure function of
-// the chaos plan and the probe order. For a fixed seed, program and
+// synchronously through the transport endpoint's Probe, whose outcome is a
+// pure function of the chaos plan and the probe order. For a fixed seed, program and
 // policy, the full suspect/rejoin transition log is therefore byte-for-byte
 // identical across runs, which the chaos determinism suite enforces.
 //
@@ -33,7 +33,7 @@ import (
 // centralized path; each later launch re-ships slices to live nodes, so
 // the rejoined node's state refreshes naturally), readmits the node to the
 // mapper's node set, and re-parents the broadcast tree back toward its
-// denser original shape via xport.MarkAlive.
+// denser original shape via the endpoint's MarkAlive.
 
 // HeartbeatPolicy enables and tunes the self-healing failure detector.
 type HeartbeatPolicy struct {
@@ -72,10 +72,6 @@ type healthManager struct {
 	epoch int64
 }
 
-// resyncMsg announces a rejoining node's new resync epoch through the
-// transport on the centralized path.
-type resyncMsg struct{ epoch int64 }
-
 func newHealthManager(cfg Config) *healthManager {
 	if !cfg.Heartbeat.Enabled() {
 		return nil
@@ -108,7 +104,7 @@ func (r *Runtime) healthTick() {
 			// A silenced node's responder is down: the probe route may be
 			// fine, the answer never comes. The transport never sees the
 			// probe, so count it here on the same shared-registry counters
-			// xport.Probe increments for transported probes.
+			// the endpoint's Probe increments for transported probes.
 			r.mx.HealthProbes.Inc()
 			r.mx.HealthProbeFails.Inc()
 			return false
@@ -148,7 +144,7 @@ func (r *Runtime) applyTransition(tr health.Transition) {
 			// Announce the new epoch through the transport; the next
 			// launch's slice broadcast re-ships the node's slices over the
 			// re-parented (denser) tree.
-			r.xp.Broadcast("resync", []xport.Item{{Dst: tr.Node, Payload: resyncMsg{epoch: r.hm.epoch}}})
+			r.xp.Broadcast("resync", []xport.Item{{Dst: tr.Node, Payload: encodeResyncPayload(r.hm.epoch)}})
 		}
 	}
 	if prof := r.cfg.Profile; prof != nil {

@@ -74,10 +74,12 @@ type Config struct {
 	// would race between attempts) and should watch Context.Cancelled.
 	Speculate SpeculationPolicy
 	// Chaos injects deterministic message-level faults (drop, delay,
-	// duplication, reordering, partitions) into the centralized path's
-	// slice transport. Requires DCR == false: the DCR path replicates
-	// control and sends no slice messages. Nil injects none; the transport
-	// still carries slices fault-free when the path is centralized.
+	// duplication, reordering, partitions) into the in-process transport
+	// the runtime builds for the centralized path (every hub port is
+	// wrapped in xport.WithChaos). Requires DCR == false: the DCR path
+	// replicates control and sends no slice messages. Nil injects none; the
+	// transport still carries slices fault-free when the path is
+	// centralized.
 	Chaos *xport.ChaosPlan
 	// Retransmit tunes the transport's per-hop ack-timeout ladder; the
 	// zero value uses the transport defaults.
@@ -87,10 +89,11 @@ type Config struct {
 	// travel over it, and region-free point tasks execute in the worker
 	// process owning their node. The mesh's node 0 must be this process
 	// and its size must equal Nodes. Requires the centralized path
-	// (DCR == false) and excludes Chaos — socket-level chaos is injected
-	// by wire.Proxy, outside the process. Nil (the default) keeps the
-	// deterministic in-process transport; every existing configuration is
-	// byte-identical in that mode.
+	// (DCR == false). Chaos stays nil beside it — that plan is for the
+	// transport the runtime builds itself; a mesh goes under a ChaosPlan
+	// where it is built, by wrapping its fabric in xport.WithChaos (or, on
+	// real sockets, behind a wire.Proxy). Nil (the default) keeps the
+	// deterministic in-process transport.
 	Cluster *wire.Mesh
 	// Profile attaches an observability recorder (internal/obs): pipeline
 	// stage spans (issuance, logical, distribution, physical, execute),
@@ -219,15 +222,17 @@ type Runtime struct {
 	hm     *healthManager
 	specOn bool
 
-	// Message transport for the centralized path; nil in DCR mode. Either
-	// the deterministic in-process *xport.Transport or, in cluster mode, a
-	// meshTransport over Config.Cluster's socket mesh. The per-broadcast
-	// delivery handler is installed by shipSlices under deliverMu
-	// (transport goroutines call it concurrently).
-	xp        transport
+	// Message transport for the centralized path; nil in DCR mode. Node 0's
+	// endpoint of the reliable broadcast tree: of the in-process assembly
+	// the runtime built, or of Config.Cluster's mesh (cluster is then set
+	// too, for remote execution). shipping is the slice array the
+	// broadcast in flight reassembles into, guarded by deliverMu (transport
+	// goroutines deliver concurrently); in cluster mode deliveries land in
+	// the worker processes instead.
+	xp        *xport.Endpoint
 	cluster   *wire.Mesh
 	deliverMu sync.Mutex
-	deliverFn func(node int, payload any)
+	shipping  []Slice
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
@@ -327,7 +332,7 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("rt: Cluster requires the centralized path (DCR == false)")
 		}
 		if cfg.Chaos != nil {
-			return nil, fmt.Errorf("rt: Cluster excludes Chaos: socket-level chaos is injected by wire.Proxy, outside the process")
+			return nil, fmt.Errorf("rt: Cluster excludes Chaos: the runtime cannot apply a plan to a mesh it did not build; wrap the mesh's fabric in xport.WithChaos instead")
 		}
 		if got := cfg.Cluster.Nodes(); got != cfg.Nodes {
 			return nil, fmt.Errorf("rt: Cluster spans %d nodes, config says %d", got, cfg.Nodes)
@@ -336,7 +341,7 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("rt: Cluster node %d cannot host the runtime: only node 0 issues launches", self)
 		}
 		r.cluster = cfg.Cluster
-		r.xp = meshTransport{m: cfg.Cluster}
+		r.xp = cfg.Cluster.Endpoint
 	case !cfg.DCR || cfg.Heartbeat.Enabled():
 		xp, err := xport.New(cfg.Nodes, xport.Options{
 			Chaos:      cfg.Chaos,
@@ -348,7 +353,7 @@ func New(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.xp = xp
+		r.xp = xp.Endpoint
 	}
 	if cfg.Profile != nil {
 		r.profIDs = map[*Event]int64{}
@@ -405,11 +410,15 @@ func (r *Runtime) TaskNamed(name string) (core.TaskID, bool) {
 // Stats returns a snapshot of the pipeline counters. It is a read-through
 // view over the runtime's metrics registry — the same counters /metrics
 // exposes — so every value is an atomic read and snapshots taken while
-// tasks execute concurrently are never torn. The transport registers its
-// counters on the same registry, so the Msg* fields need no transport
-// round-trip (they stay zero in DCR mode, which sends no slice messages).
+// tasks execute concurrently are never torn. The Msg* fields are the
+// transport's own counter snapshot, in-process and cluster mode alike (they
+// stay zero in DCR mode, which sends no slice messages).
 func (r *Runtime) Stats() Stats {
 	mx := r.mx
+	var xs xport.Stats
+	if r.xp != nil {
+		xs = r.xp.Stats()
+	}
 	return Stats{
 		LaunchCalls:       mx.LaunchCalls.Value(),
 		SingleCalls:       mx.SingleCalls.Value(),
@@ -429,12 +438,12 @@ func (r *Runtime) Stats() Stats {
 		TasksSkipped:      mx.TasksSkipped.Value(),
 		NodeFailures:      mx.NodeFailures.Value(),
 		Remapped:          mx.Remapped.Value(),
-		MsgSends:          mx.Sends.Value(),
-		MsgRetransmits:    mx.Retransmits.Value(),
-		MsgDrops:          mx.Drops.Value(),
-		MsgDedups:         mx.Dedups.Value(),
-		Reparents:         mx.Reparents.Value(),
-		DirectBroadcasts:  mx.DirectBroadcasts.Value(),
+		MsgSends:          xs.Sends,
+		MsgRetransmits:    xs.Retransmits,
+		MsgDrops:          xs.Drops,
+		MsgDedups:         xs.Dedups,
+		Reparents:         xs.Reparents,
+		DirectBroadcasts:  xs.DirectBroadcasts,
 		HealthProbes:      mx.HealthProbes.Value(),
 		HealthProbeFails:  mx.HealthProbeFails.Value(),
 		HealthSuspects:    mx.HealthSuspects.Value(),

@@ -1,13 +1,13 @@
 package rt
 
 import (
-	"sync"
+	"fmt"
 
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/xport"
 )
 
-// This file wires the message transport (internal/xport) into the
+// This file wires the message transport (an xport.Endpoint) into the
 // centralized (non-DCR) distribution path. The paper's §5 pipeline ships
 // slices from node 0 through an O(log N) broadcast tree; with a transport
 // attached, the runtime makes those messages explicit: every slice bound
@@ -19,26 +19,22 @@ import (
 // did before the transport existed, which is what keeps chaos runs
 // byte-identical to fault-free runs.
 
-// sliceMsg is the payload of one slice shipment: the slice plus its index
-// in the slicing functor's output, so deliveries — which complete in
-// arbitrary order under chaos — reassemble into the original deterministic
-// slice order.
-type sliceMsg struct {
-	idx int
-	s   Slice
-}
-
-// transportDeliver is the Transport's Deliver callback. The per-broadcast
-// handler is installed by shipSlices; the indirection exists because the
-// transport is built once in New but each broadcast reassembles into its
-// own slice array.
+// transportDeliver is the in-process transport's Deliver callback: decode
+// the cluster payload — the bytes an idxnode worker would get — and, for a
+// slice, slot it into the array the broadcast in flight reassembles
+// (shipSlices installs it; the transport is built once in New but every
+// broadcast has its own).
 func (r *Runtime) transportDeliver(node int, payload any) {
-	r.deliverMu.Lock()
-	fn := r.deliverFn
-	r.deliverMu.Unlock()
-	if fn != nil {
-		fn(node, payload)
+	msg, err := DecodeClusterPayload(payload.([]byte))
+	if err != nil {
+		panic(fmt.Sprintf("rt: node %d received an undecodable payload from this process: %v", node, err))
 	}
+	if msg.Kind != "slice" {
+		return
+	}
+	r.deliverMu.Lock()
+	r.shipping[msg.Index] = msg.Slice
+	r.deliverMu.Unlock()
 }
 
 // shipSlices broadcasts the launch's slices through the transport and
@@ -46,6 +42,13 @@ func (r *Runtime) transportDeliver(node int, payload any) {
 // (which serializes broadcasts and makes the r.dead read safe). Without a
 // transport it is the identity. tc — the launch's distribute span context
 // — rides the message headers so each hop records a child send span.
+//
+// Slices travel as encoded cluster payloads on both paths. In-process the
+// deliveries land back here and are reassembled by slice index (they
+// complete in arbitrary order under chaos). In cluster mode they land in
+// the worker processes — the descriptor is the worker's view of what it
+// owns — and every slice also stays resident: issuance and analysis run on
+// node 0 and drive execution point-by-point through Mesh.Exec.
 func (r *Runtime) shipSlices(tag string, slices []Slice, tc obs.TraceRef) []Slice {
 	if r.xp == nil || len(slices) == 0 {
 		return slices
@@ -54,42 +57,22 @@ func (r *Runtime) shipSlices(tag string, slices []Slice, tc obs.TraceRef) []Slic
 	items := make([]xport.Item, 0, len(slices))
 	for i, s := range slices {
 		node := clampNode(s.Node, r.cfg.Nodes)
-		if node == 0 || r.dead[node] {
+		if node == 0 || r.dead[node] || r.cluster != nil {
 			// Node-0-local slices have nowhere to go; dead-destination
 			// slices stay local so faultCheck re-maps their points.
 			out[i] = s
-			continue
 		}
-		if r.cluster != nil {
-			// Cluster mode: the worker gets the descriptor (its view of
-			// what it owns), but the slice also stays resident here —
-			// issuance and analysis run on node 0 and drive execution
-			// point-by-point through Mesh.Exec.
-			out[i] = s
+		if node != 0 && !r.dead[node] {
+			items = append(items, xport.Item{Dst: node, Payload: encodeSlicePayload(i, s)})
 		}
-		items = append(items, xport.Item{Dst: node, Payload: sliceMsg{idx: i, s: s}})
 	}
 	if len(items) == 0 {
 		return out
 	}
-	if r.cluster != nil {
-		// Delivery lands in the worker processes; nothing to reassemble
-		// locally. The broadcast still blocks until every worker acked.
-		r.xp.BroadcastTraced(tc, tag, items)
-		return out
-	}
-	var mu sync.Mutex
 	r.deliverMu.Lock()
-	r.deliverFn = func(node int, payload any) {
-		m := payload.(sliceMsg)
-		mu.Lock()
-		out[m.idx] = m.s
-		mu.Unlock()
-	}
+	r.shipping = out
 	r.deliverMu.Unlock()
+	// Blocks until every destination delivered (and acked).
 	r.xp.BroadcastTraced(tc, tag, items)
-	r.deliverMu.Lock()
-	r.deliverFn = nil
-	r.deliverMu.Unlock()
 	return out
 }

@@ -506,3 +506,44 @@ func TestSchedHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("unknown job = %d, want 404", r6.StatusCode)
 	}
 }
+
+// TestCentralizedExecutorSurvivesSustainedLoad is the regression test for
+// the crash that kept idxserve's default (non-DCR) path out of the
+// benchmark: one executor whose runtime — and so its slice transport — is
+// reused across jobs via Recycle, two closed-loop submitters, default
+// retransmit policy. A 1ms ack timeout firing under load sends a duplicate;
+// when that duplicate outlived the job it once reached the next job's
+// broadcast state ("sync: negative WaitGroup counter", the process died
+// before 2700 jobs in seven of seven runs). Recycle now quiesces the
+// transport and generation-stamped frames make any straggler a stale
+// duplicate, so the run completes.
+func TestCentralizedExecutorSurvivesSustainedLoad(t *testing.T) {
+	const submitters, jobsEach = 2, 1500
+	s := MustNew(Config{
+		Executors: 1,
+		Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true},
+		Setup:     SyntheticSetup,
+	})
+	defer s.Shutdown()
+	errs := make(chan error, submitters)
+	for c := 0; c < submitters; c++ {
+		go func() {
+			for i := 0; i < jobsEach; i++ {
+				id, err := s.Submit(JobSpec{Tenant: "load", Run: SyntheticRun(8, 1)})
+				if err == nil {
+					err = s.Wait(id)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("job %d: %w", i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < submitters; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -120,65 +120,77 @@ func DecodeFrame(buf []byte) (*Frame, int, error) {
 
 // decodeFramed parses the CRC-verified header+body bytes.
 func decodeFramed(b []byte) (*Frame, error) {
-	d := decoder{b: b}
-	ver := d.u8()
-	kind := Kind(d.u8())
+	d := NewCursor(b)
+	ver := d.U8()
+	kind := Kind(d.U8())
 	var f Frame
 	f.Kind = kind
-	f.Flags = d.u16()
-	f.Src = d.int()
-	f.Dst = d.int()
-	f.Seq = d.uvarint()
-	f.Gen = d.uvarint()
-	f.Key = d.uvarint()
-	f.TC.Trace = d.u64()
-	f.TC.Span = d.u64()
-	f.TC.Parent = d.u64()
-	routeLen := d.uvarint()
+	f.Flags = d.U16()
+	f.Src = d.Int()
+	f.Dst = d.Int()
+	f.Seq = d.Uvarint()
+	f.Gen = d.Uvarint()
+	f.Key = d.Uvarint()
+	f.TC.Trace = d.U64()
+	f.TC.Span = d.U64()
+	f.TC.Parent = d.U64()
+	routeLen := d.Uvarint()
 	if d.err == nil && routeLen > maxRouteLen {
 		return nil, fmt.Errorf("%w: route length %d", ErrCorrupt, routeLen)
 	}
 	if d.err == nil && routeLen > 0 {
 		f.Route = make([]int, routeLen)
 		for i := range f.Route {
-			f.Route[i] = d.int()
+			f.Route[i] = d.Int()
 		}
 	}
-	f.Tag = string(d.bytes())
-	f.Body = d.bytes()
+	f.Tag = string(d.Bytes())
+	f.Body = d.Bytes()
 	if d.err != nil {
 		return nil, d.err
 	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Rest())
 	}
 	if ver != Version {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, ver, Version)
 	}
-	if !kind.valid() {
+	if !kind.Valid() {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
 	return &f, nil
 }
 
-// decoder is a bounds-checked cursor over framed bytes: the first failed
-// read latches err and every later read returns zero, so field parsing
-// reads linearly without per-field error plumbing.
-type decoder struct {
+// Cursor is a bounds-checked reader over encoded bytes: the first failed
+// read latches Err and every later read returns zero, so field parsing
+// reads linearly without per-field error plumbing. It is the one byte
+// cursor of the wire formats — frames, exec bodies, address tables and
+// internal/rt's cluster payloads all parse through it.
+type Cursor struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail() {
+// NewCursor starts a cursor at the front of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
+
+// Err returns the latched error: nil until a read ran past the bytes.
+func (d *Cursor) Err() error { return d.err }
+
+// Rest returns the number of unread bytes.
+func (d *Cursor) Rest() int { return len(d.b) - d.off }
+
+// Fail latches a truncated-field error unless one is latched already.
+func (d *Cursor) Fail() {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: truncated field", ErrCorrupt)
 	}
 }
 
-func (d *decoder) u8() byte {
+func (d *Cursor) U8() byte {
 	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	v := d.b[d.off]
@@ -186,9 +198,9 @@ func (d *decoder) u8() byte {
 	return v
 }
 
-func (d *decoder) u16() uint16 {
+func (d *Cursor) U16() uint16 {
 	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint16(d.b[d.off:])
@@ -196,9 +208,9 @@ func (d *decoder) u16() uint16 {
 	return v
 }
 
-func (d *decoder) u64() uint64 {
+func (d *Cursor) U64() uint64 {
 	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
@@ -206,52 +218,52 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) uvarint() uint64 {
+func (d *Cursor) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-// varint decodes a zigzag-encoded signed value (point coordinates).
-func (d *decoder) varint() int64 {
+// Varint decodes a zigzag-encoded signed value (point coordinates).
+func (d *Cursor) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
 	if n <= 0 {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-// int decodes a uvarint bounded to non-negative int range (node ids).
-func (d *decoder) int() int {
-	v := d.uvarint()
+// Int decodes a uvarint bounded to non-negative int range (node ids).
+func (d *Cursor) Int() int {
+	v := d.Uvarint()
 	if d.err == nil && v > 1<<31 {
-		d.fail()
+		d.Fail()
 		return 0
 	}
 	return int(v)
 }
 
-// bytes decodes a uvarint-prefixed byte field, validated against the
+// Bytes decodes a uvarint-prefixed byte field, validated against the
 // remaining buffer before any allocation.
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
+func (d *Cursor) Bytes() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
+	if n > uint64(d.Rest()) {
+		d.Fail()
 		return nil
 	}
 	if n == 0 {

@@ -13,21 +13,16 @@ import (
 	"indexlaunch/internal/xport"
 )
 
-// Mesh is the out-of-process implementation of the delivery contract
-// xport.Transport provides in-process. Broadcasts from node 0 route
-// through the identical binary broadcast tree (xport.PlanRoutes — the same
-// re-parenting and direct-send degradation decisions), every hop is
-// covered by ack/timeout retransmission on the shared RetransmitPolicy
-// ladder, receivers deduplicate by per-link sequence number, and Broadcast
-// returns only when every payload has been delivered exactly once. On top
-// of the xport contract the mesh adds what only a real network needs:
-// Ping/Pong heartbeats with measured RTT, and Exec/Result remote task
-// execution (what cmd/idxnode serves).
+// Mesh is one process's node of a multi-process broadcast tree: an
+// xport.Endpoint over a Fabric — Broadcast, Probe, MarkDead/MarkAlive,
+// Recycle, Quiesce, Shape, Stats and Close are the endpoint's, the same
+// engine the in-process transport runs — plus what only a real network
+// needs: Exec/Result remote task execution (what cmd/idxnode serves).
 //
 // One Mesh instance runs in every participating process, all over the same
 // Fabric kind: a loopback hub keeps everything deterministic and
-// in-process, a TCP fabric crosses machine boundaries. The mesh does not
-// care which — loss, duplication and reordering are recovered identically.
+// in-process, a TCP fabric crosses machine boundaries. To put a mesh under
+// an xport.ChaosPlan, wrap its fabric: Fabric: xport.WithChaos(fab, plan).
 
 // MeshConfig configures a Mesh.
 type MeshConfig struct {
@@ -62,39 +57,18 @@ type MeshConfig struct {
 // back to local execution on it.
 var ErrUnreachable = errors.New("wire: peer unreachable")
 
-type meshLink struct{ src, dst int }
-
-// Mesh implements reliable tree-routed delivery over a Fabric.
+// Mesh adds remote execution to one node's reliable-tree endpoint.
 type Mesh struct {
-	self  int
-	nodes int
-	fab   Fabric
-	rp    xport.RetransmitPolicy
-	prof  *obs.Recorder
-	mx    *wireMetrics
-	reg   *metrics.Registry
+	*xport.Endpoint
+	mx *wireMetrics
 
+	deliver     func(node int, tag string, payload []byte)
 	execFn      func(task string, point domain.Point, args []byte) ([]byte, error)
 	execTimeout time.Duration
 
 	mu       sync.Mutex
-	alive    []bool
-	gen      uint64 // delivery generation, bumped by Recycle
-	nextSeq  map[meshLink]uint64
-	seen     map[meshLink]map[uint64]struct{}
-	seenGen  map[meshLink]uint64 // generation the link's seen-set belongs to
-	inflight map[meshLink]map[uint64]struct{}
-	ackWait  map[meshLink]map[uint64]chan struct{}
-
-	pingSeq  uint64
-	pingWait map[uint64]chan struct{}
-
 	execSeq  uint64
 	execWait map[uint64]chan execResult
-
-	deliver func(node int, tag string, payload []byte)
-
-	closed chan struct{}
 }
 
 type execResult struct {
@@ -106,427 +80,42 @@ type execResult struct {
 // NewMesh creates a mesh node over the given fabric and installs its frame
 // receiver.
 func NewMesh(cfg MeshConfig) (*Mesh, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("wire: mesh requires >= 1 node, got %d", cfg.Nodes)
-	}
-	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
-		return nil, fmt.Errorf("wire: mesh self %d out of range [0, %d)", cfg.Self, cfg.Nodes)
-	}
-	if cfg.Fabric == nil {
-		return nil, fmt.Errorf("wire: MeshConfig.Fabric is required")
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	m := &Mesh{
-		self:        cfg.Self,
-		nodes:       cfg.Nodes,
-		fab:         cfg.Fabric,
-		rp:          cfg.Retransmit,
-		prof:        cfg.Prof,
 		mx:          newWireMetrics(reg),
-		reg:         reg,
 		execFn:      cfg.Exec,
 		execTimeout: cfg.ExecTimeout,
-		alive:       make([]bool, cfg.Nodes),
-		gen:         1,
-		nextSeq:     map[meshLink]uint64{},
-		seen:        map[meshLink]map[uint64]struct{}{},
-		seenGen:     map[meshLink]uint64{},
-		inflight:    map[meshLink]map[uint64]struct{}{},
-		ackWait:     map[meshLink]map[uint64]chan struct{}{},
-		pingWait:    map[uint64]chan struct{}{},
 		execWait:    map[uint64]chan execResult{},
-		deliver:     cfg.Deliver,
-		closed:      make(chan struct{}),
 	}
 	if m.execTimeout <= 0 {
 		m.execTimeout = 30 * time.Second
 	}
-	for i := range m.alive {
-		m.alive[i] = true
+	m.deliver = cfg.Deliver
+	// The socket fabric records per-peer traffic into the mesh's families;
+	// look for it under any decorators.
+	for fab := cfg.Fabric; fab != nil; {
+		if a, ok := fab.(interface{ attach(*wireMetrics) }); ok {
+			a.attach(m.mx)
+			break
+		}
+		u, ok := fab.(interface{ Unwrap() Fabric })
+		if !ok {
+			break
+		}
+		fab = u.Unwrap()
 	}
-	if a, ok := cfg.Fabric.(interface{ attach(*wireMetrics) }); ok {
-		a.attach(m.mx)
+	ep, err := xport.NewEndpoint(xport.EndpointConfig{
+		Self: cfg.Self, Nodes: cfg.Nodes, Fabric: cfg.Fabric, Retransmit: cfg.Retransmit,
+		Prof: cfg.Prof, Metrics: reg, Family: "wire", Deliver: m.handle,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cfg.Fabric.SetReceiver(m.handleFrame)
+	m.Endpoint = ep
 	return m, nil
-}
-
-// Nodes returns the mesh size.
-func (m *Mesh) Nodes() int { return m.nodes }
-
-// Self returns this process's node id.
-func (m *Mesh) Self() int { return m.self }
-
-// Metrics returns the registry the mesh records the wire_* families into.
-func (m *Mesh) Metrics() *metrics.Registry { return m.reg }
-
-// Peers returns the fabric's peer table for /statusz.
-func (m *Mesh) Peers() []PeerStatus { return m.fab.Peers() }
-
-// MarkDead removes a node from routing (same contract as
-// xport.Transport.MarkDead: the caller serializes against Broadcast).
-func (m *Mesh) MarkDead(node int) {
-	if node < 0 || node >= m.nodes {
-		return
-	}
-	m.mu.Lock()
-	m.alive[node] = false
-	m.mu.Unlock()
-}
-
-// MarkAlive readmits a node to routing.
-func (m *Mesh) MarkAlive(node int) {
-	if node < 0 || node >= m.nodes {
-		return
-	}
-	m.mu.Lock()
-	m.alive[node] = true
-	m.mu.Unlock()
-}
-
-// Shape reports the broadcast tree's current shape — the same computation
-// xport.Transport.Shape performs on its liveness snapshot.
-func (m *Mesh) Shape() xport.TreeShape {
-	m.mu.Lock()
-	alive := make([]bool, len(m.alive))
-	copy(alive, m.alive)
-	m.mu.Unlock()
-	return xport.ShapeOf(alive)
-}
-
-// Stats snapshots the mesh delivery counters in xport's Stats shape, so
-// cluster and in-process callers read the same structure.
-func (m *Mesh) Stats() xport.Stats {
-	return xport.Stats{
-		Sends:            m.mx.sends.Value(),
-		Retransmits:      m.mx.retransmits.Value(),
-		Dedups:           m.mx.dedups.Value(),
-		Reparents:        m.mx.reparents.Value(),
-		DirectBroadcasts: m.mx.directs.Value(),
-	}
-}
-
-// Recycle clears the per-session delivery state by bumping the delivery
-// generation: receivers reset a link's dedup set when they see a frame
-// from a newer generation, so sequence numbers restart cleanly between
-// scheduler jobs without a cross-process round trip. The caller must be
-// quiescent (no Broadcast or Probe in flight), as with xport.
-func (m *Mesh) Recycle() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gen++
-	m.nextSeq = map[meshLink]uint64{}
-	m.seen = map[meshLink]map[uint64]struct{}{}
-	m.seenGen = map[meshLink]uint64{}
-	m.inflight = map[meshLink]map[uint64]struct{}{}
-	m.ackWait = map[meshLink]map[uint64]chan struct{}{}
-}
-
-// Close tears the mesh (and its fabric) down.
-func (m *Mesh) Close() error {
-	select {
-	case <-m.closed:
-	default:
-		close(m.closed)
-	}
-	return m.fab.Close()
-}
-
-// Broadcast ships every item from node 0 through the broadcast tree and
-// blocks until each payload has been delivered (and acked) exactly once.
-// Same contract as xport.Transport.Broadcast: destinations must be live,
-// non-zero nodes; only node 0 broadcasts.
-func (m *Mesh) Broadcast(tag string, items []Item) {
-	m.BroadcastTraced(obs.TraceRef{}, tag, items)
-}
-
-// BroadcastTraced is Broadcast with a span context riding the frame
-// headers; every hop records a send span whose tag carries the frame's
-// payload byte count.
-func (m *Mesh) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
-	if len(items) == 0 {
-		return
-	}
-	m.mu.Lock()
-	alive := make([]bool, len(m.alive))
-	copy(alive, m.alive)
-	gen := m.gen
-	m.mu.Unlock()
-
-	dsts := make([]int, len(items))
-	for i, it := range items {
-		dsts[i] = it.Dst
-	}
-	plan := xport.PlanRoutes(alive, dsts)
-	m.mx.reparents.Add(int64(plan.Reparents))
-	if plan.Direct {
-		m.mx.directs.Inc()
-	}
-	depth := 0
-	for _, route := range plan.Routes {
-		if len(route) > depth {
-			depth = len(route)
-		}
-	}
-	m.mx.treeDepth.Set(int64(depth))
-
-	var wg sync.WaitGroup
-	wg.Add(len(items))
-	for i, it := range items {
-		f := &Frame{
-			Kind: KindData, Gen: gen, Key: uint64(i + 1), TC: tc,
-			Route: plan.Routes[it.Dst], Tag: tag, Body: it.Payload,
-		}
-		go func() {
-			defer wg.Done()
-			m.sendReliable(f.Route[0], f)
-		}()
-	}
-	wg.Wait()
-}
-
-// sendReliable transmits f over the (self, dst) link and blocks until the
-// hop is acked, retransmitting on the capped-backoff ladder. Returns false
-// if the mesh closed before the ack arrived.
-func (m *Mesh) sendReliable(dst int, f *Frame) bool {
-	lk := meshLink{src: m.self, dst: dst}
-	f.Src, f.Dst = m.self, dst
-	m.mu.Lock()
-	f.Seq = m.nextSeq[lk]
-	m.nextSeq[lk] = f.Seq + 1
-	ack := make(chan struct{})
-	aw := m.ackWait[lk]
-	if aw == nil {
-		aw = map[uint64]chan struct{}{}
-		m.ackWait[lk] = aw
-	}
-	aw[f.Seq] = ack
-	m.mu.Unlock()
-
-	m.mx.sends.Inc()
-	var start int64
-	if m.prof != nil {
-		start = m.prof.Now()
-	}
-	htc := f.hopTC()
-	nbytes := len(f.Body)
-	for attempt := 1; ; attempt++ {
-		_ = m.fab.Send(dst, f)
-		timer := time.NewTimer(m.rp.WaitFor(attempt))
-		select {
-		case <-ack:
-			timer.Stop()
-			m.mx.acks.Inc()
-			if m.prof != nil {
-				m.prof.SpanTC(htc, lk.src, obs.StageSend, "wire",
-					fmt.Sprintf("%s#b=%d", f.Tag, nbytes), domain.Point{}, start, m.prof.Now())
-			}
-			return true
-		case <-m.closed:
-			timer.Stop()
-			return false
-		case <-timer.C:
-			m.mx.retransmits.Inc()
-			if m.prof != nil {
-				m.prof.MarkTC(htc.Child(uint64(1+attempt)), lk.src, obs.StageRetransmit, "wire", f.Tag, domain.Point{}, m.prof.Now())
-			}
-		}
-	}
-}
-
-// handleFrame is the fabric's receive callback: the mesh's inbound
-// dispatch. Runs on fabric goroutines; must not block on the mesh's own
-// reliable sends except via goroutines.
-func (m *Mesh) handleFrame(f *Frame) {
-	switch f.Kind {
-	case KindData:
-		m.handleData(f)
-	case KindAck:
-		m.handleAck(f)
-	case KindPing:
-		// Echo. Unreliable by design: a lost pong fails that probe attempt,
-		// which is the signal the failure detector feeds on.
-		_ = m.fab.Send(f.Src, &Frame{Kind: KindPong, Src: m.self, Dst: f.Src, Seq: f.Seq, Gen: f.Gen})
-	case KindPong:
-		m.mu.Lock()
-		ch := m.pingWait[f.Seq]
-		delete(m.pingWait, f.Seq)
-		m.mu.Unlock()
-		if ch != nil {
-			close(ch)
-		}
-	case KindExec:
-		m.handleExec(f)
-	case KindResult:
-		m.handleResult(f)
-	}
-}
-
-// dedupState classifies an inbound reliable frame against the link's
-// delivery history.
-type dedupState int
-
-const (
-	frameFresh      dedupState = iota // first sighting: process it
-	frameDupDone                      // processed before: just re-ack
-	frameDupPending                   // original still being processed: stay silent
-)
-
-// dedup records (link, gen, seq) and classifies the frame. A frame from a
-// newer generation resets the link's seen-set (the sender recycled); an
-// older generation's frame is a completed duplicate. A fresh frame is also
-// marked in flight until the caller's dedupDone — re-acking a duplicate
-// before the original finished would let the upstream sender report
-// delivery that hasn't happened yet (the end-to-end guarantee Broadcast
-// makes rides on relay acks being deferred until the downstream hop acked).
-func (m *Mesh) dedup(f *Frame) dedupState {
-	lk := meshLink{src: f.Src, dst: m.self}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f.Gen < m.seenGen[lk] {
-		return frameDupDone
-	}
-	if f.Gen > m.seenGen[lk] {
-		m.seenGen[lk] = f.Gen
-		m.seen[lk] = map[uint64]struct{}{}
-		delete(m.inflight, lk)
-	}
-	sn := m.seen[lk]
-	if sn == nil {
-		sn = map[uint64]struct{}{}
-		m.seen[lk] = sn
-	}
-	if _, dup := sn[f.Seq]; dup {
-		if fl := m.inflight[lk]; fl != nil {
-			if _, pending := fl[f.Seq]; pending {
-				return frameDupPending
-			}
-		}
-		return frameDupDone
-	}
-	sn[f.Seq] = struct{}{}
-	fl := m.inflight[lk]
-	if fl == nil {
-		fl = map[uint64]struct{}{}
-		m.inflight[lk] = fl
-	}
-	fl[f.Seq] = struct{}{}
-	return frameFresh
-}
-
-// dedupDone clears the frame's in-flight mark: later duplicates re-ack.
-func (m *Mesh) dedupDone(f *Frame) {
-	lk := meshLink{src: f.Src, dst: m.self}
-	m.mu.Lock()
-	if fl := m.inflight[lk]; fl != nil {
-		delete(fl, f.Seq)
-	}
-	m.mu.Unlock()
-}
-
-// ack acknowledges f's hop on the reverse link.
-func (m *Mesh) ack(f *Frame) {
-	_ = m.fab.Send(f.Src, &Frame{Kind: KindAck, Src: m.self, Dst: f.Src, Seq: f.Seq, Gen: f.Gen})
-}
-
-// handleData delivers or relays one broadcast payload. The inbound hop is
-// acked only once the payload has actually landed: immediately for a leaf,
-// after the onward hop's ack for a relay. That chains acks leaf-to-root, so
-// Broadcast's return means every destination delivered, over sockets
-// exactly as in-process.
-func (m *Mesh) handleData(f *Frame) {
-	switch m.dedup(f) {
-	case frameDupPending:
-		m.mx.dedups.Inc()
-		return // the original's completion will trigger the ack
-	case frameDupDone:
-		m.mx.dedups.Inc()
-		m.ack(f)
-		return
-	}
-	if m.prof != nil {
-		m.prof.MarkTC(f.hopTC().Child(1), m.self, obs.StageRecv, "wire",
-			fmt.Sprintf("%s#b=%d", f.Tag, len(f.Body)), domain.Point{}, m.prof.Now())
-	}
-	if len(f.Route) <= 1 {
-		if m.deliver != nil {
-			m.deliver(m.self, f.Tag, f.Body)
-		}
-		m.ack(f)
-		m.dedupDone(f)
-		return
-	}
-	// Relay on a fresh goroutine (the onward hop blocks on its own ack and
-	// must not stall the fabric's read loop); our own sequence on the next
-	// link.
-	next := &Frame{Kind: KindData, Gen: f.Gen, Key: f.Key, TC: f.TC,
-		Route: f.Route[1:], Tag: f.Tag, Body: f.Body}
-	go func() {
-		if m.sendReliable(next.Route[0], next) {
-			m.ack(f)
-			m.dedupDone(f)
-		}
-	}()
-}
-
-// handleAck completes the sender's wait for (reverse link, seq).
-func (m *Mesh) handleAck(f *Frame) {
-	lk := meshLink{src: m.self, dst: f.Src}
-	m.mu.Lock()
-	var ack chan struct{}
-	if aw := m.ackWait[lk]; aw != nil {
-		ack = aw[f.Seq]
-		delete(aw, f.Seq)
-	}
-	m.mu.Unlock()
-	if ack != nil {
-		close(ack)
-	}
-}
-
-// Probe sends one heartbeat ping to dst and reports whether a pong arrived
-// within maxAttempts transmissions (the xport.Transport.Probe contract,
-// with real RTT: each success lands in wire_ping_rtt_ns). Probes go direct
-// rather than through the tree — on sockets the question is "does the peer
-// answer", not "does the route relay".
-func (m *Mesh) Probe(dst int, maxAttempts int) bool {
-	if dst == m.self || dst < 0 || dst >= m.nodes {
-		return false
-	}
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	m.mu.Lock()
-	seq := m.pingSeq
-	m.pingSeq++
-	ch := make(chan struct{})
-	m.pingWait[seq] = ch
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.pingWait, seq)
-		m.mu.Unlock()
-	}()
-
-	start := time.Now()
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		_ = m.fab.Send(dst, &Frame{Kind: KindPing, Src: m.self, Dst: dst, Seq: seq})
-		timer := time.NewTimer(m.rp.WaitFor(attempt))
-		select {
-		case <-ch:
-			timer.Stop()
-			m.mx.pingRTT.Observe(time.Since(start).Nanoseconds())
-			return true
-		case <-m.closed:
-			timer.Stop()
-			return false
-		case <-timer.C:
-		}
-	}
-	return false
 }
 
 // Exec runs a registered task body on peer dst and returns its result. The
@@ -534,7 +123,7 @@ func (m *Mesh) Probe(dst int, maxAttempts int) bool {
 // the bound on the whole round trip is ExecTimeout, after which Exec
 // returns ErrUnreachable and the caller may fall back to local execution.
 func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]byte, error) {
-	if dst == m.self || dst < 0 || dst >= m.nodes {
+	if dst == m.Self() || dst < 0 || dst >= m.Nodes() {
 		return nil, fmt.Errorf("%w: exec dst %d out of range", ErrUnreachable, dst)
 	}
 	m.mx.execs.Inc()
@@ -543,7 +132,6 @@ func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]by
 	m.execSeq++
 	ch := make(chan execResult, 1)
 	m.execWait[req] = ch
-	gen := m.gen
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -551,67 +139,69 @@ func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]by
 		m.mu.Unlock()
 	}()
 
-	f := &Frame{Kind: KindExec, Gen: gen, Key: req, Route: []int{dst},
+	// The sender stops retransmitting when Exec returns: once the result is
+	// in (or given up on) the request's hop ack no longer matters, and a
+	// sender left running would hold Quiesce forever on a dead peer.
+	stop := make(chan struct{})
+	defer close(stop)
+	f := &Frame{Kind: KindExec, Key: req, Route: []int{dst},
 		Tag: task, Body: encodeExecReq(req, task, point, args)}
-	done := make(chan bool, 1)
-	go func() { done <- m.sendReliable(dst, f) }()
+	sent := make(chan bool, 1)
+	m.Go(func() { sent <- m.SendReliable(dst, f, stop) })
 
 	timer := time.NewTimer(m.execTimeout)
 	defer timer.Stop()
-	select {
-	case res := <-ch:
-		if !res.ok {
-			m.mx.execErrs.Inc()
-			return nil, fmt.Errorf("wire: remote %s on node %d: %s", task, dst, res.err)
-		}
-		return res.val, nil
-	case <-timer.C:
+	fail := func(err error) ([]byte, error) {
 		m.mx.execErrs.Inc()
-		return nil, fmt.Errorf("%w: exec %s on node %d timed out after %v", ErrUnreachable, task, dst, m.execTimeout)
-	case <-m.closed:
-		m.mx.execErrs.Inc()
-		return nil, fmt.Errorf("%w: mesh closed", ErrUnreachable)
-	case ok := <-done:
-		if !ok {
-			m.mx.execErrs.Inc()
-			return nil, fmt.Errorf("%w: mesh closed mid-send", ErrUnreachable)
-		}
-		// Send acked; keep waiting for the result.
+		return nil, err
+	}
+	for {
 		select {
 		case res := <-ch:
 			if !res.ok {
-				m.mx.execErrs.Inc()
-				return nil, fmt.Errorf("wire: remote %s on node %d: %s", task, dst, res.err)
+				return fail(fmt.Errorf("wire: remote %s on node %d: %s", task, dst, res.err))
 			}
 			return res.val, nil
 		case <-timer.C:
-			m.mx.execErrs.Inc()
-			return nil, fmt.Errorf("%w: exec %s on node %d timed out after %v", ErrUnreachable, task, dst, m.execTimeout)
-		case <-m.closed:
-			m.mx.execErrs.Inc()
-			return nil, fmt.Errorf("%w: mesh closed", ErrUnreachable)
+			return fail(fmt.Errorf("%w: exec %s on node %d timed out after %v", ErrUnreachable, task, dst, m.execTimeout))
+		case <-m.Done():
+			return fail(fmt.Errorf("%w: mesh closed", ErrUnreachable))
+		case <-sent:
+			sent = nil // acked (a close shows on Done); keep waiting for the result
 		}
 	}
 }
 
-// handleExec serves one inbound execution request: run the registered body
-// on a fresh goroutine (bodies may take arbitrarily long; the fabric's
-// read loop must not stall) and send the Result back on the reliable link.
-// The hop was acked by the Data-layer dedup path, so a retransmitted
-// request never runs the body twice.
-func (m *Mesh) handleExec(f *Frame) {
-	// Exec's hop ack carries no end-to-end meaning (completion is the
-	// Result frame), so ack immediately and clear the in-flight mark.
-	state := m.dedup(f)
-	m.ack(f)
-	if state != frameFresh {
-		m.mx.dedups.Inc()
+// handle is the endpoint's delivery callback: it runs once per reliable
+// frame that ends at this node — the endpoint has already deduplicated —
+// on a fabric goroutine. It uses ep, not m.Endpoint: a frame can arrive
+// while NewMesh is still returning.
+func (m *Mesh) handle(ep *xport.Endpoint, f *Frame) {
+	switch f.Kind {
+	case KindData:
+		if m.deliver != nil {
+			m.deliver(f.Dst, f.Tag, f.Body)
+		}
+		return
+	case KindResult:
+		req, res, err := decodeExecRes(f.Body)
+		if err != nil {
+			return
+		}
+		m.mu.Lock()
+		ch := m.execWait[req]
+		delete(m.execWait, req)
+		m.mu.Unlock()
+		if ch != nil {
+			ch <- res
+		}
 		return
 	}
-	m.dedupDone(f)
+	// KindExec: run the registered body on a tracked goroutine (bodies may
+	// take arbitrarily long; the fabric's read loop must not stall) and send
+	// the Result back on the reliable link.
 	req, task, point, args, err := decodeExecReq(f.Body)
-	src := f.Src
-	go func() {
+	ep.Go(func() {
 		var res execResult
 		if err != nil {
 			res = execResult{err: "malformed exec request: " + err.Error()}
@@ -622,32 +212,10 @@ func (m *Mesh) handleExec(f *Frame) {
 		} else {
 			res = execResult{val: val, ok: true}
 		}
-		rf := &Frame{Kind: KindResult, Gen: f.Gen, Key: req, Route: []int{src},
+		rf := &Frame{Kind: KindResult, Gen: f.Gen, Key: req, Route: []int{f.Src},
 			Tag: task, Body: encodeExecRes(req, res)}
-		m.sendReliable(src, rf)
-	}()
-}
-
-// handleResult completes a pending Exec.
-func (m *Mesh) handleResult(f *Frame) {
-	state := m.dedup(f)
-	m.ack(f)
-	if state != frameFresh {
-		m.mx.dedups.Inc()
-		return
-	}
-	m.dedupDone(f)
-	req, res, err := decodeExecRes(f.Body)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	ch := m.execWait[req]
-	delete(m.execWait, req)
-	m.mu.Unlock()
-	if ch != nil {
-		ch <- res
-	}
+		ep.SendReliable(f.Src, rf, nil)
+	})
 }
 
 // encodeExecReq serializes one execution request body.
@@ -665,22 +233,22 @@ func encodeExecReq(req uint64, task string, point domain.Point, args []byte) []b
 
 // decodeExecReq parses one execution request body.
 func decodeExecReq(b []byte) (req uint64, task string, point domain.Point, args []byte, err error) {
-	d := decoder{b: b}
-	req = d.uvarint()
-	task = string(d.bytes())
-	dim := int(d.u8())
-	if d.err == nil && (dim < 0 || dim > len(point.C)) {
+	d := NewCursor(b)
+	req = d.Uvarint()
+	task = string(d.Bytes())
+	dim := int(d.U8())
+	if d.Err() == nil && (dim < 0 || dim > len(point.C)) {
 		return 0, "", point, nil, fmt.Errorf("%w: point dim %d", ErrCorrupt, dim)
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		point.Dim = dim
 		for i := 0; i < dim; i++ {
-			point.C[i] = d.varint()
+			point.C[i] = d.Varint()
 		}
 	}
-	args = d.bytes()
-	if d.err != nil {
-		return 0, "", domain.Point{}, nil, d.err
+	args = d.Bytes()
+	if d.Err() != nil {
+		return 0, "", domain.Point{}, nil, d.Err()
 	}
 	return req, task, point, args, nil
 }
@@ -700,12 +268,12 @@ func encodeExecRes(req uint64, res execResult) []byte {
 
 // decodeExecRes parses one execution result body.
 func decodeExecRes(b []byte) (uint64, execResult, error) {
-	d := decoder{b: b}
-	req := d.uvarint()
-	ok := d.u8() == 1
-	payload := d.bytes()
-	if d.err != nil {
-		return 0, execResult{}, d.err
+	d := NewCursor(b)
+	req := d.Uvarint()
+	ok := d.U8() == 1
+	payload := d.Bytes()
+	if d.Err() != nil {
+		return 0, execResult{}, d.Err()
 	}
 	if ok {
 		return req, execResult{val: payload, ok: true}, nil

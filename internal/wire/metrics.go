@@ -7,22 +7,18 @@ import (
 	"indexlaunch/internal/metrics"
 )
 
-// Wire metrics: the wire_* families. Aggregates mirror the xport_* families
-// (sends, retransmits, dedups) so cluster-mode dashboards read the same
-// shapes, and each peer gets bytes/msgs/reconnect counters (label
-// peer="<node id>") resolved once and cached, keeping the frame path free
-// of label formatting. The histograms time the codec and the ping round
-// trip — serialization cost and socket RTT, the two numbers the in-process
-// transport could never show.
+// Wire metrics: the wire_* families the socket layer adds to the delivery
+// counters the mesh's xport.Endpoint registers under the same prefix
+// (wire_sends_total, wire_retransmits_total, ... — one counter set, see
+// internal/xport/metrics.go). Each peer gets bytes/msgs/reconnect counters
+// (label peer="<node id>") resolved once and cached, keeping the frame path
+// free of label formatting.
 
 type wireMetrics struct {
-	sends, retransmits, acks, dedups *metrics.Counter
-	reparents, directs               *metrics.Counter
-	execs, execErrs                  *metrics.Counter
-	badFrames                        *metrics.Counter
-	treeDepth                        *metrics.Gauge
+	execs, execErrs *metrics.Counter
+	badFrames       *metrics.Counter
 
-	encodeNS, decodeNS, pingRTT *metrics.Histogram
+	encodeNS, decodeNS *metrics.Histogram
 
 	peerBytesSent, peerBytesRecv *metrics.CounterVec
 	peerMsgsSent, peerMsgsRecv   *metrics.CounterVec
@@ -38,24 +34,13 @@ type peerCounters struct {
 }
 
 func newWireMetrics(reg *metrics.Registry) *wireMetrics {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	return &wireMetrics{
-		sends:       reg.Counter("wire_sends_total", "hop-level frame first transmissions"),
-		retransmits: reg.Counter("wire_retransmits_total", "ack-timeout-driven frame re-sends"),
-		acks:        reg.Counter("wire_acks_total", "effective acks received"),
-		dedups:      reg.Counter("wire_dedups_total", "received duplicate frames suppressed by sequence numbers"),
-		reparents:   reg.Counter("wire_reparents_total", "broadcast-tree orphan adoptions"),
-		directs:     reg.Counter("wire_direct_broadcasts_total", "broadcasts that abandoned a degraded tree for direct sends"),
-		execs:       reg.Counter("wire_execs_total", "remote task executions requested"),
-		execErrs:    reg.Counter("wire_exec_errors_total", "remote executions that failed (transport or task error)"),
-		badFrames:   reg.Counter("wire_bad_frames_total", "inbound frames rejected by the codec (corrupt, torn, wrong version)"),
-		treeDepth:   reg.Gauge("wire_tree_depth", "fan-out depth (max hops) of the last planned broadcast"),
+		execs:     reg.Counter("wire_execs_total", "remote task executions requested"),
+		execErrs:  reg.Counter("wire_exec_errors_total", "remote executions that failed (transport or task error)"),
+		badFrames: reg.Counter("wire_bad_frames_total", "inbound frames rejected by the codec (corrupt, torn, wrong version)"),
 
 		encodeNS: reg.Histogram("wire_encode_ns", "frame encode latency"),
 		decodeNS: reg.Histogram("wire_decode_ns", "frame decode latency"),
-		pingRTT:  reg.Histogram("wire_ping_rtt_ns", "heartbeat ping round-trip time over the fabric"),
 
 		peerBytesSent:  reg.CounterVec("wire_peer_bytes_sent_total", "frame bytes sent per peer", "peer"),
 		peerBytesRecv:  reg.CounterVec("wire_peer_bytes_recv_total", "frame bytes received per peer", "peer"),

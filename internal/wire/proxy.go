@@ -13,7 +13,8 @@ import (
 
 // Proxy is the socket-level chaos injector: a TCP forwarder that decodes
 // frames off the stream and applies an xport.ChaosPlan's pure per-frame
-// decisions to real traffic. Place one in front of an idxnode listener and
+// decisions — ChaosPlan.Decide, the function the in-process chaos fabric
+// (xport.WithChaos) calls — to real traffic. Place one in front of an idxnode listener and
 // the mesh's retransmission/re-parenting machinery is exercised by genuine
 // loss between processes:
 //
@@ -21,10 +22,13 @@ import (
 //	          fires and the hop retransmits
 //	delay     forwarding pauses, preserving order (TCP semantics) but
 //	          stretching the hop's latency into retransmission territory
-//	partition FrameCut windows on the directed pair's lifetime frame
-//	          count, so a partition starves data AND probe traffic between
-//	          the pair for a bounded frame window, then heals — exactly
-//	          the in-process cut semantics
+//	partition cut windows on the directed pair's lifetime frame count, so
+//	          a partition starves data AND probe traffic between the pair
+//	          for a bounded frame window, then heals — exactly the
+//	          in-process cut semantics
+//
+// A duplicate verdict is ignored: the stream between two sockets has no
+// way to repeat a frame that the dedup layer would not see anyway.
 //
 // The proxy cannot see the sender's attempt counter (that is private to
 // the mesh), so it feeds the pair's lifetime frame count as the decision's
@@ -111,14 +115,14 @@ func (p *Proxy) pump(dst io.Writer, src *bufio.Reader) {
 			return
 		}
 		n := p.bump(f.Src, f.Dst)
-		attempt := int(n%1021) + 1
-		if p.plan.FrameCut(f.Src, f.Dst, n) || p.plan.FrameDrop(f.Src, f.Dst, f.Seq, attempt) {
+		fate := p.plan.Decide(f.Src, f.Dst, xport.ClassOf(f.Kind), f.Seq, int(n%1021)+1, n)
+		if fate.Drop {
 			p.dropped.Add(1)
 			continue
 		}
-		if d := p.plan.FrameDelay(f.Src, f.Dst, f.Seq, attempt); d > 0 {
+		if fate.Delay > 0 {
 			select {
-			case <-time.After(d):
+			case <-time.After(fate.Delay):
 			case <-p.done:
 				return
 			}

@@ -544,15 +544,15 @@ func encodeAddrTable(t map[int]string) []byte {
 
 // decodeAddrTable parses a Hello body; malformed tables yield nil.
 func decodeAddrTable(b []byte) map[int]string {
-	d := decoder{b: b}
-	n := d.uvarint()
+	d := NewCursor(b)
+	n := d.Uvarint()
 	if d.err != nil || n > 1<<16 {
 		return nil
 	}
 	out := make(map[int]string, n)
 	for i := uint64(0); i < n; i++ {
-		id := d.int()
-		addr := string(d.bytes())
+		id := d.Int()
+		addr := string(d.Bytes())
 		if d.err != nil {
 			return nil
 		}

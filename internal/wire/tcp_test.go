@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -9,12 +8,15 @@ import (
 	"indexlaunch/internal/xport"
 )
 
-// tcpCluster builds an n-node mesh over real localhost sockets. Node 0 gets
-// the full address table (the launcher role); workers know only their own
+// tcpRetransmit keeps spurious ack timeouts rare on a loaded test box.
+var tcpRetransmit = xport.RetransmitPolicy{Timeout: 20 * time.Millisecond, MaxBackoff: 160 * time.Millisecond}
+
+// tcpFabrics opens n fabrics over real localhost sockets. Node 0 gets the
+// full address table (the launcher role); workers know only their own
 // listener and learn the rest from node 0's Hello.
-func tcpCluster(t *testing.T, n int) ([]*Mesh, []*sink, []*TCPFabric) {
+func tcpFabrics(t *testing.T, n int) []Fabric {
 	t.Helper()
-	fabs := make([]*TCPFabric, n)
+	fabs := make([]Fabric, n)
 	addrs := map[int]string{}
 	for i := 1; i < n; i++ {
 		f, err := NewTCP(TCPConfig{Self: i, Listen: "127.0.0.1:0", DialBackoff: 5 * time.Millisecond})
@@ -29,49 +31,19 @@ func tcpCluster(t *testing.T, n int) ([]*Mesh, []*sink, []*TCPFabric) {
 		t.Fatal(err)
 	}
 	fabs[0] = f0
-
-	meshes := make([]*Mesh, n)
-	sinks := make([]*sink, n)
-	rp := xport.RetransmitPolicy{Timeout: 20 * time.Millisecond, MaxBackoff: 160 * time.Millisecond}
-	for i := 0; i < n; i++ {
-		sinks[i] = newSink()
-		m, err := NewMesh(MeshConfig{
-			Self: i, Nodes: n, Fabric: fabs[i], Retransmit: rp,
-			Deliver: sinks[i].deliver,
-			Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
-				return []byte(fmt.Sprintf("%s@%d", task, point.X())), nil
-			},
-			ExecTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		meshes[i] = m
-		t.Cleanup(func() { _ = m.Close() })
-	}
-	return meshes, sinks, fabs
+	return fabs
 }
 
-func TestTCPBroadcastAcrossSockets(t *testing.T) {
-	meshes, sinks, _ := tcpCluster(t, 4)
-	items := []Item{
-		{Dst: 1, Payload: []byte("one")},
-		{Dst: 2, Payload: []byte("two")},
-		{Dst: 3, Payload: []byte("three")},
+// tcpCluster builds an n-node mesh over tcpFabrics.
+func tcpCluster(t *testing.T, n int) ([]*Mesh, []*sink, []*TCPFabric) {
+	t.Helper()
+	fabs := tcpFabrics(t, n)
+	meshes, sinks := meshesOver(t, fabs, tcpRetransmit)
+	tcp := make([]*TCPFabric, n)
+	for i, f := range fabs {
+		tcp[i] = f.(*TCPFabric)
 	}
-	done := make(chan struct{})
-	go func() { meshes[0].Broadcast("tcp", items); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("broadcast over TCP never completed")
-	}
-	wants := []string{"", "tcp:one", "tcp:two", "tcp:three"}
-	for d := 1; d < 4; d++ {
-		if sinks[d].count("tcp") != 1 || sinks[d].got[0] != wants[d] {
-			t.Fatalf("node %d: %v", d, sinks[d].got)
-		}
-	}
+	return meshes, sinks, tcp
 }
 
 // Node 3's route in a 4-node tree is 0→1→3: node 1 must relay, which means

@@ -1,9 +1,7 @@
-// Package wire takes the index-launch transport out of the process: a
-// length-prefixed binary codec plus a peer mesh that moves the same
-// broadcast-tree traffic internal/xport models in-process over real
-// connections.
-//
-// The package splits into three layers:
+// Package wire takes the index-launch transport out of the process. The
+// delivery engine itself — tree routing, per-link sequencing and dedup,
+// ack/timeout retransmission, generations, probes — is xport.Endpoint; this
+// package supplies what only a real network needs:
 //
 //   - codec.go: the frame format — varint length prefix, versioned header
 //     (kind, hop endpoints, sequence, delivery generation, span context,
@@ -11,128 +9,64 @@
 //     Castagnoli polynomial internal/wal frames with). Decoding never
 //     panics on torn or corrupt input; the fuzz harness enforces that.
 //
-//   - fabric: how encoded frames reach a peer. The Loopback fabric is a
-//     deterministic in-memory hub — frames are encoded, decoded and handed
-//     to the destination synchronously in the sender's goroutine, so a
-//     loopback mesh is as reproducible as the channel transport and every
-//     frame still round-trips the codec. The TCP fabric is the real thing:
-//     one listener per process, per-peer dialers with capped-backoff
-//     reconnect, a handshake exchanging node ID + serving epoch + the peer
-//     address table, and write-coalescing send loops (frames queued while a
-//     write was in flight flush in one syscall).
+//   - tcp.go: the socket Fabric — one listener per process, per-peer
+//     dialers with capped-backoff reconnect, a handshake exchanging node ID
 //
-//   - mesh.go: Mesh, the delivery contract xport.Transport implements
-//     in-process, over a fabric. Broadcasts route through the identical
-//     binary tree (xport.PlanRoutes — re-parenting and the direct-send
-//     degradation are byte-for-byte the same decisions), every hop is
-//     covered by ack/timeout retransmission with the shared
-//     RetransmitPolicy ladder, receivers dedup by per-link sequence, and
-//     heartbeat probes become real Ping/Pong round trips whose RTT lands in
-//     a wire_ping_rtt_ns histogram. Exec/Result frames let node 0 run a
-//     registered task body on a remote peer — the primitive cmd/idxnode
-//     serves.
+//   - serving epoch + the peer address table, and write-coalescing send
+//     loops (frames queued while a write was in flight flush in one
+//     syscall). NewHub is the in-memory xport.Hub with the codec in the
+//     loop: every frame is encoded and decoded on its way through, so the
+//     deterministic tests exercise the format too.
 //
-// Chaos against sockets does not re-enter the mesh: a socket-level Proxy
-// (proxy.go) decodes frames off a real TCP stream and applies an
-// xport.ChaosPlan's pure per-frame decisions — drop, delay, partition
-// windows — so the retransmission and re-parenting machinery is exercised
-// by genuine loss between processes.
+//   - mesh.go: Mesh, one process's Endpoint plus Exec/Result remote task
+//     execution — the primitive cmd/idxnode serves.
+//
+//   - proxy.go: Proxy, a frame-decoding TCP forwarder that applies an
+//     xport.ChaosPlan's per-frame decisions (the same Decide function the
+//     in-process chaos fabric calls) to real traffic between processes.
 package wire
 
 import (
-	"indexlaunch/internal/obs"
+	"fmt"
+
+	"indexlaunch/internal/xport"
 )
 
 // Version is the frame-format version stamped into every header; decoders
 // reject frames from a different major format.
 const Version = 1
 
-// Kind discriminates the frame types the mesh exchanges.
-type Kind uint8
-
-const (
-	// KindHello opens a connection: the dialer introduces its node ID,
-	// serving epoch and (from node 0) the full peer address table.
-	KindHello Kind = 1 + iota
-	// KindWelcome answers a Hello with the accepter's ID and epoch.
-	KindWelcome
-	// KindData carries one broadcast payload hop-by-hop along Route.
-	KindData
-	// KindAck acknowledges one Data/Exec/Result sequence on the reverse
-	// link.
-	KindAck
-	// KindPing is a heartbeat probe; KindPong echoes its sequence.
-	KindPing
-	KindPong
-	// KindExec asks the destination to run a registered task body;
-	// KindResult returns the body's value or error.
-	KindExec
-	KindResult
+// The frame, fabric and item types are the engine's.
+type (
+	Kind       = xport.Kind
+	Frame      = xport.Frame
+	Fabric     = xport.Fabric
+	PeerStatus = xport.PeerStatus
+	Item       = xport.Item
+	Hub        = xport.Hub
 )
 
-// String names a kind for logs and errors.
-func (k Kind) String() string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindWelcome:
-		return "welcome"
-	case KindData:
-		return "data"
-	case KindAck:
-		return "ack"
-	case KindPing:
-		return "ping"
-	case KindPong:
-		return "pong"
-	case KindExec:
-		return "exec"
-	case KindResult:
-		return "result"
+const (
+	KindHello   = xport.KindHello
+	KindWelcome = xport.KindWelcome
+	KindData    = xport.KindData
+	KindAck     = xport.KindAck
+	KindPing    = xport.KindPing
+	KindPong    = xport.KindPong
+	KindExec    = xport.KindExec
+	KindResult  = xport.KindResult
+)
+
+// NewHub creates an in-memory hub whose every frame round-trips the codec.
+func NewHub() *Hub {
+	h := xport.NewHub()
+	h.Codec = func(f *Frame) (*Frame, int, error) {
+		buf := EncodeFrame(f)
+		df, _, err := DecodeFrame(buf)
+		if err != nil {
+			return nil, 0, fmt.Errorf("wire: loopback self-decode: %w", err)
+		}
+		return df, len(buf), nil
 	}
-	return "invalid"
-}
-
-// valid reports whether k is a defined frame kind.
-func (k Kind) valid() bool { return k >= KindHello && k <= KindResult }
-
-// Frame is one decoded wire message. Src and Dst are the endpoints of the
-// hop the frame is traversing (not the broadcast origin/final destination —
-// those are implied by Route), Seq sequences the (Src, Dst) link, and Gen
-// is the sender's delivery generation: Mesh.Recycle bumps it so a receiver
-// can discard its per-link dedup state between scheduler jobs without a
-// second round trip.
-type Frame struct {
-	Kind  Kind
-	Flags uint16
-	Src   int
-	Dst   int
-	Seq   uint64
-	Gen   uint64
-	// Key disambiguates the items of one broadcast so every hop of every
-	// item derives a distinct span (the same itemKey scheme xport uses).
-	Key uint64
-	// TC is the broadcast's span context; zero when untraced.
-	TC obs.TraceRef
-	// Route is the remaining relay chain for Data frames; the last entry
-	// is the final destination.
-	Route []int
-	// Tag labels the launch the payload belongs to.
-	Tag string
-	// Body is the opaque payload (slice bytes, exec request, ...).
-	Body []byte
-}
-
-// hopTC derives the span context for this frame's current hop — the same
-// pure (header, link) function xport's messages use, so loopback and TCP
-// runs of one traced job stamp identical transport spans.
-func (f *Frame) hopTC() obs.TraceRef {
-	return f.TC.Child(f.Key<<16 | uint64(f.Dst) + 1)
-}
-
-// Item is one broadcast payload addressed to a destination node, the
-// []byte analog of xport.Item.
-type Item struct {
-	Dst     int
-	Payload []byte
+	return h
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// ChaosPlan injects deterministic message-level faults into a Transport.
-// Every decision — drop this transmission, delay it, duplicate it, let a
+// ChaosPlan injects deterministic message-level faults into a fabric
+// (WithChaos in-process, internal/wire.Proxy on a socket). Every decision — drop this transmission, delay it, duplicate it, let a
 // later message overtake it — derives from a seeded hash of the link, the
 // message sequence number and the transmission attempt, never from shared
 // RNG state or goroutine interleaving. Two transmissions with the same
@@ -73,7 +73,7 @@ const (
 	saltDelay
 	saltReorder
 	saltAck
-	saltJitter
+	_ // retired: retransmission jitter
 	saltProbe
 	saltProbeAck
 )
@@ -95,37 +95,74 @@ func (c *ChaosPlan) roll(salt uint64, lk link, seq uint64, attempt int) float64 
 	return float64(h>>11) / (1 << 53)
 }
 
-// Frame-level decision surface. The socket-level chaos proxy
-// (internal/wire.Proxy) applies the same plan to real TCP traffic: it
-// decodes frames off the stream and asks the plan for each frame's fate,
-// keyed on the frame's (src, dst, seq, attempt) identity exactly like the
-// in-process transport keys its transmissions. The salts are shared, so a
-// plan describes one fault schedule regardless of which fabric carries it.
+// FrameClass is a frame's role in the delivery protocol — the granularity
+// at which the plan rolls independent fates. Everything sequenced on a
+// reliable link (Data, Exec, Result, handshakes) is ClassData.
+type FrameClass uint8
 
-// FrameCut reports whether the directed pair's n-th forwarded frame falls
-// inside a partition window (n is the proxy's lifetime frame count for the
-// pair, the same clock cut runs on in-process).
-func (c *ChaosPlan) FrameCut(src, dst int, n int64) bool {
-	return c.cut(link{src: src, dst: dst}, n)
+const (
+	ClassData FrameClass = iota
+	ClassAck
+	ClassPing
+	ClassPong
+)
+
+// ClassOf maps a frame kind to its chaos class.
+func ClassOf(k Kind) FrameClass {
+	switch k {
+	case KindAck:
+		return ClassAck
+	case KindPing:
+		return ClassPing
+	case KindPong:
+		return ClassPong
+	}
+	return ClassData
 }
 
-// FrameDrop reports whether the frame with the given identity is lost.
-func (c *ChaosPlan) FrameDrop(src, dst int, seq uint64, attempt int) bool {
-	return c.drop(link{src: src, dst: dst}, seq, attempt)
+// Fate is the plan's verdict on one transmission.
+type Fate struct {
+	// Drop loses the transmission (partition window or drop roll).
+	Drop bool
+	// Dup delivers it twice; the receiver deduplicates the copy.
+	Dup bool
+	// Delay holds it back (reorder rolls add a full extra DelayMax).
+	Delay time.Duration
 }
 
-// FrameDelay returns the forwarding delay for the frame with the given
-// identity (reorder rolls add a full extra DelayMax, as in-process).
-func (c *ChaosPlan) FrameDelay(src, dst int, seq uint64, attempt int) time.Duration {
-	return c.delay(link{src: src, dst: dst}, seq, attempt)
+// Decide is the plan's whole per-frame decision surface, shared by the
+// in-process chaos fabric (WithChaos) and the socket-level proxy
+// (internal/wire.Proxy): a pure function of the seed, the directed link,
+// the frame class, the frame's sequence number, the caller's count of
+// transmissions of that frame (attempt, 1-based) and the link's lifetime
+// transmission count on the class's partition clock (n). Data and acks
+// share one clock per directed link; probe traffic runs on its own, ticked
+// by pings only — a partition window is symmetric, so a pong shares the
+// verdict of the ping it answers and is never cut separately. Probe frames
+// are dropped or delivered, never duplicated or delayed: a heartbeat's fate
+// must not depend on timing.
+func (c *ChaosPlan) Decide(src, dst int, class FrameClass, seq uint64, attempt int, n int64) Fate {
+	if c == nil {
+		return Fate{}
+	}
+	lk := link{src: src, dst: dst}
+	// One drop salt per class, so the fates of a data frame, its ack and a
+	// probe that share a (link, seq, attempt) identity never correlate.
+	salt := [...]uint64{ClassData: saltDrop, ClassAck: saltAck, ClassPing: saltProbe, ClassPong: saltProbeAck}[class]
+	fate := Fate{Drop: class != ClassPong && c.cut(lk, n) ||
+		c.Drop > 0 && c.roll(salt, lk, seq, attempt) < c.Drop}
+	if class == ClassData {
+		fate.Dup = c.Dup > 0 && c.roll(saltDup, lk, seq, attempt) < c.Dup
+	}
+	if class == ClassData || class == ClassAck {
+		fate.Delay = c.delay(lk, seq, attempt)
+	}
+	return fate
 }
 
 // cut reports whether the link's n-th lifetime transmission falls inside a
 // partition window.
 func (c *ChaosPlan) cut(lk link, n int64) bool {
-	if c == nil {
-		return false
-	}
 	for _, p := range c.Partitions {
 		if (p.A == lk.src && p.B == lk.dst) || (p.A == lk.dst && p.B == lk.src) {
 			if n >= p.AfterSends && n < p.AfterSends+p.Sends {
@@ -136,34 +173,11 @@ func (c *ChaosPlan) cut(lk link, n int64) bool {
 	return false
 }
 
-func (c *ChaosPlan) drop(lk link, seq uint64, attempt int) bool {
-	return c != nil && c.Drop > 0 && c.roll(saltDrop, lk, seq, attempt) < c.Drop
-}
-
-func (c *ChaosPlan) dropAck(lk link, seq uint64, attempt int) bool {
-	return c != nil && c.Drop > 0 && c.roll(saltAck, lk, seq, attempt) < c.Drop
-}
-
-// dropProbe / dropProbeAck are the heartbeat-traffic analogs of drop and
-// dropAck, salted independently so probe fates never correlate with the
-// data messages that happen to share a (link, seq, attempt) identity.
-func (c *ChaosPlan) dropProbe(lk link, seq uint64, attempt int) bool {
-	return c != nil && c.Drop > 0 && c.roll(saltProbe, lk, seq, attempt) < c.Drop
-}
-
-func (c *ChaosPlan) dropProbeAck(lk link, seq uint64, attempt int) bool {
-	return c != nil && c.Drop > 0 && c.roll(saltProbeAck, lk, seq, attempt) < c.Drop
-}
-
-func (c *ChaosPlan) dup(lk link, seq uint64, attempt int) bool {
-	return c != nil && c.Dup > 0 && c.roll(saltDup, lk, seq, attempt) < c.Dup
-}
-
 // delay returns the link delay for one transmission: a uniform draw up to
 // DelayMax, plus a full extra DelayMax when the reorder roll fires, so
 // later transmissions on the link can overtake this one.
 func (c *ChaosPlan) delay(lk link, seq uint64, attempt int) time.Duration {
-	if c == nil || c.DelayMax <= 0 {
+	if c.DelayMax <= 0 {
 		return 0
 	}
 	d := time.Duration(c.roll(saltDelay, lk, seq, attempt) * float64(c.DelayMax))
@@ -171,13 +185,4 @@ func (c *ChaosPlan) delay(lk link, seq uint64, attempt int) time.Duration {
 		d += c.DelayMax
 	}
 	return d
-}
-
-// jitter derives the deterministic retransmission jitter for an attempt:
-// up to half the base timeout, keyed like every other decision.
-func (c *ChaosPlan) jitter(base time.Duration, lk link, seq uint64, attempt int) time.Duration {
-	if c == nil || base <= 0 {
-		return 0
-	}
-	return time.Duration(c.roll(saltJitter, lk, seq, attempt) * float64(base) / 2)
 }

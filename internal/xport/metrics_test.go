@@ -49,90 +49,130 @@ func TestSharedRegistryServesTransportCounters(t *testing.T) {
 	}
 }
 
-func TestPerLinkCounters(t *testing.T) {
-	const nodes = 4
-	reg := metrics.NewRegistry()
-	c := newCollector()
-	tr := mustNew(t, nodes, Options{Deliver: c.deliver, Metrics: reg})
-	tr.Broadcast("b", allItems(nodes))
-	checkDelivered(t, c, nodes)
+// The per-link tests run once per family prefix: xport_* is what the
+// in-process assembly records, wire_* what internal/wire's mesh does — the
+// same counter set either way.
+var families = []string{"xport", "wire"}
 
-	// Binary tree over nodes 0..3: link 0->1 carries node 1's payload plus
-	// the relay hop for node 3 (two sends), 0->2 and 1->3 one each; per-link
-	// counts must sum to the aggregate, with acks matching sends hop for hop.
-	linkVals := func(family string) map[string]int64 {
-		out := map[string]int64{}
-		for _, f := range reg.Gather().Families {
-			if f.Name != family {
-				continue
+func assembleFamily(t *testing.T, nodes int, opts Options, family string) *Transport {
+	t.Helper()
+	tr, err := assemble(nodes, opts, family)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	return tr
+}
+
+// linkVals reads one labeled family as label value → count.
+func linkVals(reg *metrics.Registry, family string) map[string]int64 {
+	out := map[string]int64{}
+	for _, f := range reg.Gather().Families {
+		if f.Name != family {
+			continue
+		}
+		for _, s := range f.Series {
+			out[s.Labels[0].Value] = s.Value
+		}
+	}
+	return out
+}
+
+func TestPerLinkCounters(t *testing.T) {
+	for _, family := range families {
+		t.Run(family, func(t *testing.T) {
+			const nodes = 4
+			reg := metrics.NewRegistry()
+			c := newCollector()
+			tr := assembleFamily(t, nodes, Options{Deliver: c.deliver, Metrics: reg}, family)
+			tr.Broadcast("b", allItems(nodes))
+			checkDelivered(t, c, nodes)
+
+			// Binary tree over nodes 0..3: link 0->1 carries node 1's payload
+			// plus the relay hop for node 3 (two sends), 0->2 and 1->3 one
+			// each; per-link counts must sum to the aggregate, with acks
+			// matching sends hop for hop.
+			sends := linkVals(reg, family+"_link_sends_total")
+			acks := linkVals(reg, family+"_link_acks_total")
+			var total int64
+			for link, n := range sends {
+				if !strings.Contains(link, "->") {
+					t.Errorf("malformed link label %q", link)
+				}
+				total += n
 			}
-			for _, s := range f.Series {
-				out[s.Labels[0].Value] = s.Value
+			st := tr.Stats()
+			if total != st.Sends {
+				t.Errorf("per-link sends sum to %d, aggregate says %d", total, st.Sends)
 			}
-		}
-		return out
-	}
-	sends := linkVals("xport_link_sends_total")
-	acks := linkVals("xport_link_acks_total")
-	var total int64
-	for link, n := range sends {
-		if !strings.Contains(link, "->") {
-			t.Errorf("malformed link label %q", link)
-		}
-		total += n
-	}
-	if total != tr.Stats().Sends {
-		t.Errorf("per-link sends sum to %d, aggregate says %d", total, tr.Stats().Sends)
-	}
-	for link, want := range map[string]int64{"0->1": 2, "0->2": 1, "1->3": 1} {
-		if sends[link] != want {
-			t.Errorf("link %s sends = %d, want %d", link, sends[link], want)
-		}
-		if acks[link] != want {
-			t.Errorf("link %s acks = %d, want %d", link, acks[link], want)
-		}
+			for link, want := range map[string]int64{"0->1": 2, "0->2": 1, "1->3": 1} {
+				if sends[link] != want {
+					t.Errorf("link %s sends = %d, want %d", link, sends[link], want)
+				}
+				if acks[link] != want {
+					t.Errorf("link %s acks = %d, want %d", link, acks[link], want)
+				}
+				if st.PerLink[link].Sends != want {
+					t.Errorf("Stats.PerLink[%s].Sends = %d, want %d", link, st.PerLink[link].Sends, want)
+				}
+			}
+		})
 	}
 }
 
 func TestPerLinkRetransmitsAndDropsUnderChaos(t *testing.T) {
-	const nodes = 8
-	reg := metrics.NewRegistry()
-	c := newCollector()
-	tr := mustNew(t, nodes, Options{
-		Deliver: c.deliver,
-		Metrics: reg,
-		Chaos:   &ChaosPlan{Seed: 7, Drop: 0.4},
-		Retransmit: RetransmitPolicy{
-			Timeout: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond,
-		},
-	})
-	for round := 0; round < 4; round++ {
-		tr.Broadcast("b", allItems(nodes))
-	}
-	st := tr.Stats()
-	if st.Drops == 0 || st.Retransmits == 0 {
-		t.Fatalf("40%% drop produced no faults: %+v", st)
-	}
-	sum := func(family string) int64 {
-		var n int64
-		for _, f := range reg.Gather().Families {
-			if f.Name != family {
-				continue
+	for _, family := range families {
+		t.Run(family, func(t *testing.T) {
+			const nodes = 8
+			reg := metrics.NewRegistry()
+			c := newCollector()
+			tr := assembleFamily(t, nodes, Options{
+				Deliver: c.deliver,
+				Metrics: reg,
+				// Duplicates and delays leave deliveries in flight after
+				// Broadcast returns: exactly what Quiesce is for.
+				Chaos: &ChaosPlan{Seed: 7, Drop: 0.4, Dup: 0.3, DelayMax: 50 * time.Microsecond},
+				Retransmit: RetransmitPolicy{
+					Timeout: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond,
+				},
+			}, family)
+			for round := 0; round < 4; round++ {
+				tr.Broadcast("b", allItems(nodes))
 			}
-			for _, s := range f.Series {
-				n += s.Value
+			// Nothing may still be counting between the reads below.
+			tr.Quiesce()
+			st := tr.Stats()
+			if st.Drops == 0 || st.Retransmits == 0 {
+				t.Fatalf("40%% drop produced no faults: %+v", st)
 			}
-		}
-		return n
-	}
-	if got := sum("xport_link_retransmits_total"); got != st.Retransmits {
-		t.Errorf("per-link retransmits sum to %d, aggregate says %d", got, st.Retransmits)
-	}
-	if got := sum("xport_link_drops_total"); got != st.Drops {
-		t.Errorf("per-link drops sum to %d, aggregate says %d", got, st.Drops)
-	}
-	if got := sum("xport_link_sends_total"); got != st.Sends {
-		t.Errorf("per-link sends sum to %d, aggregate says %d", got, st.Sends)
+			sum := func(vals map[string]int64) (n int64) {
+				for _, v := range vals {
+					n += v
+				}
+				return n
+			}
+			var perLink LinkStats
+			for _, ls := range st.PerLink {
+				perLink.Sends += ls.Sends
+				perLink.Retransmits += ls.Retransmits
+				perLink.Drops += ls.Drops
+			}
+			for _, c := range []struct {
+				name             string
+				aggregate, stats int64
+			}{
+				{"retransmits", st.Retransmits, perLink.Retransmits},
+				{"drops", st.Drops, perLink.Drops},
+				{"sends", st.Sends, perLink.Sends},
+			} {
+				if got := sum(linkVals(reg, family+"_link_"+c.name+"_total")); got != c.aggregate {
+					t.Errorf("per-link %s sum to %d, aggregate says %d", c.name, got, c.aggregate)
+				}
+				if c.stats != c.aggregate {
+					t.Errorf("Stats.PerLink %s sum to %d, aggregate says %d", c.name, c.stats, c.aggregate)
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ func probeTransport(t *testing.T, nodes int, chaos *ChaosPlan) *Transport {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	t.Cleanup(func() { _ = tr.Close() })
 	return tr
 }
 

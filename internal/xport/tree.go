@@ -1,6 +1,6 @@
 package xport
 
-// Broadcast-tree routing. The transport ships payloads from node 0 (the
+// Broadcast-tree routing. An endpoint ships payloads from node 0 (the
 // issuing node of the paper's non-DCR pipeline, §5) through the same binary
 // broadcast tree internal/machine charges for: node i's children are 2i+1
 // and 2i+2, so every route is O(log N) hops.
@@ -26,20 +26,6 @@ func liveParent(n int, alive []bool) int {
 	return p
 }
 
-// routePlan is one broadcast's routing decision, computed from a liveness
-// snapshot before any message moves so that every hop targets a node known
-// live at plan time.
-type routePlan struct {
-	// routes maps each destination to its relay chain from node 0: every
-	// interior entry is a live relay, the final entry is the destination.
-	routes map[int][]int
-	// reparents counts live non-root nodes whose original parent is dead —
-	// the orphan adoptions this plan performs.
-	reparents int
-	// direct reports that the tree was abandoned for direct node-0 sends.
-	direct bool
-}
-
 // TreeShape is a point-in-time view of the broadcast tree for live
 // introspection (/statusz): each node's effective parent under the current
 // liveness snapshot, the resulting relay depth, and whether the next
@@ -57,19 +43,7 @@ type TreeShape struct {
 	Live int `json:"live"`
 }
 
-// Shape reports the broadcast tree's current shape under the transport's
-// liveness snapshot.
-func (t *Transport) Shape() TreeShape {
-	t.mu.Lock()
-	alive := make([]bool, len(t.alive))
-	copy(alive, t.alive)
-	t.mu.Unlock()
-	return ShapeOf(alive)
-}
-
-// ShapeOf computes the broadcast tree's shape for a liveness snapshot. It is
-// the pure core of Transport.Shape, shared with internal/wire's mesh so the
-// socket transport reports the same /statusz tree the in-process one does.
+// ShapeOf computes the broadcast tree's shape for a liveness snapshot.
 func ShapeOf(alive []bool) TreeShape {
 	sh := TreeShape{Parents: make([]int, len(alive))}
 	for _, a := range alive {
@@ -100,32 +74,24 @@ func ShapeOf(alive []bool) TreeShape {
 	return sh
 }
 
-// RoutePlan is the exported form of one broadcast's routing decision — what
-// PlanRoutes hands to out-of-package transports (internal/wire's mesh) so
-// sockets and channels route payloads through the identical tree.
+// RoutePlan is one broadcast's routing decision, computed from a liveness
+// snapshot before any message moves so that every hop targets a node known
+// live at plan time.
 type RoutePlan struct {
 	// Routes maps each destination to its relay chain from node 0: every
 	// interior entry is a live relay, the final entry is the destination.
 	Routes map[int][]int
-	// Reparents counts live non-root nodes whose original parent is dead.
+	// Reparents counts live non-root nodes whose original parent is dead —
+	// the orphan adoptions this plan performs.
 	Reparents int
 	// Direct reports that the tree was abandoned for direct node-0 sends.
 	Direct bool
 }
 
-// PlanRoutes computes broadcast-tree routing for one broadcast over a
-// liveness snapshot. Destinations must be live, non-zero node ids. The
-// decision logic is exactly Transport's own — a wire.Mesh built on it
-// re-parents and degrades to direct sends identically.
-func PlanRoutes(alive []bool, dsts []int) RoutePlan {
-	p := planRoutes(alive, dsts)
-	return RoutePlan{Routes: p.routes, Reparents: p.reparents, Direct: p.direct}
-}
-
-// planRoutes computes the routing for one broadcast over the given liveness
+// PlanRoutes computes the routing for one broadcast over the given liveness
 // snapshot. Destinations must be live, non-zero node ids.
-func planRoutes(alive []bool, dsts []int) routePlan {
-	plan := routePlan{routes: make(map[int][]int, len(dsts))}
+func PlanRoutes(alive []bool, dsts []int) RoutePlan {
+	plan := RoutePlan{Routes: make(map[int][]int, len(dsts))}
 	live := 0
 	for _, a := range alive {
 		if a {
@@ -134,15 +100,15 @@ func planRoutes(alive []bool, dsts []int) routePlan {
 	}
 	for n := 1; n < len(alive); n++ {
 		if alive[n] && !alive[origParent(n)] {
-			plan.reparents++
+			plan.Reparents++
 		}
 	}
 	// Fewer than half the nodes surviving: the tree is too degraded —
 	// route every payload straight from node 0.
-	plan.direct = live*2 < len(alive)
+	plan.Direct = live*2 < len(alive)
 	for _, d := range dsts {
-		if plan.direct {
-			plan.routes[d] = []int{d}
+		if plan.Direct {
+			plan.Routes[d] = []int{d}
 			continue
 		}
 		var rev []int
@@ -153,7 +119,7 @@ func planRoutes(alive []bool, dsts []int) routePlan {
 		for i, n := range rev {
 			route[len(rev)-1-i] = n
 		}
-		plan.routes[d] = route
+		plan.Routes[d] = route
 	}
 	return plan
 }

@@ -1,21 +1,23 @@
-// Package xport is an in-process, deterministic message transport for the
-// runtime's centralized (non-DCR) distribution path. The paper's §5
-// pipeline ships slices from node 0 through an O(log N) broadcast tree;
-// internal/rt previously modeled that as a direct in-process assignment —
-// there were no messages, so no message could be lost. This package makes
-// the messages explicit so they can fail:
+// Package xport is the runtime's message transport for the centralized
+// (non-DCR) distribution path: the paper's §5 pipeline ships slices from
+// node 0 through an O(log N) broadcast tree, and this package makes those
+// messages explicit so they can fail.
 //
-//   - a seeded ChaosPlan injects per-link drop, delay, duplication,
-//     reordering and bounded partitions, every decision a pure function of
-//     (seed, link, sequence, attempt) — never of goroutine interleaving;
-//   - every hop is covered by ack/timeout-driven retransmission with capped
-//     exponential backoff plus deterministic jitter;
-//   - receivers deduplicate by per-link sequence number, so chaos-injected
-//     duplicates and timeout-raced retransmissions deliver exactly once;
-//   - routing degrades gracefully under node death: the orphaned subtree of
-//     a killed interior relay re-parents onto its nearest surviving
-//     ancestor, and when fewer than half the nodes survive the tree is
-//     abandoned for direct node-0 sends (tree.go).
+// There is one engine, Endpoint (endpoint.go): per-link sequence numbers
+// and delivery generations, tri-state dedup, ack/timeout retransmission on
+// a capped-backoff ladder, tree routing that re-parents around dead relays
+// and degrades to direct sends (tree.go), acks chained leaf-to-root, and
+// tree-routed heartbeat probes. It runs over any Fabric. Two assemblies use
+// it:
+//
+//   - New, here: N endpoints in one process over the in-memory Hub. It is
+//     deterministic, and with Options.Chaos every hub port is wrapped in
+//     the chaos fabric (WithChaos), which applies a seeded ChaosPlan —
+//     per-link drop, delay, duplication, reordering and bounded partitions,
+//     every decision a pure function of (seed, link, class, sequence,
+//     attempt), never of goroutine interleaving.
+//   - internal/wire.NewMesh: one endpoint per OS process over TCP (or the
+//     hub with the frame codec in the loop), plus remote task execution.
 //
 // The net guarantee the chaos property suite leans on: as long as the plan
 // admits eventual delivery (Drop < 1, partitions bounded — enforced by
@@ -26,10 +28,8 @@ package xport
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 )
@@ -52,7 +52,6 @@ const (
 )
 
 // WaitFor returns the capped ack timeout for the given 1-based attempt.
-// Exported so internal/wire's mesh retransmits on the identical ladder.
 func (rp RetransmitPolicy) WaitFor(attempt int) time.Duration {
 	base := rp.Timeout
 	if base <= 0 {
@@ -107,7 +106,7 @@ type LinkStats struct {
 	Drops       int64
 }
 
-// Options configures a Transport.
+// Options configures the in-process assembly.
 type Options struct {
 	// Chaos injects message faults; nil runs fault-free.
 	Chaos *ChaosPlan
@@ -128,62 +127,32 @@ type Options struct {
 	Deliver func(node int, payload any)
 }
 
-// Item is one payload addressed to a destination node.
+// Item is one payload addressed to a destination node. A []byte payload
+// travels as the frame body and crosses any fabric; any other value stays
+// in memory and so only survives the in-process assembly.
 type Item struct {
 	Dst     int
 	Payload any
 }
 
-// msg is one in-flight payload with its remaining relay route. tc and
-// itemKey are the message header's span context: tc is the broadcast
-// parent span (the launch's distribute span) and itemKey disambiguates
-// the items of one broadcast, so every hop of every item derives a
-// distinct child span. A zero tc is an untraced message.
-type msg struct {
-	tag     string
-	route   []int // remaining hops; the last entry is the destination
-	payload any
-	done    func()
-	tc      obs.TraceRef
-	itemKey uint64
-}
-
-// hopTC derives the span context for one hop of this message — a pure
-// function of (header, link), so sender and receiver agree on the hop
-// span without coordination.
-func (m *msg) hopTC(lk link) obs.TraceRef {
-	return m.tc.Child(m.itemKey<<16 | uint64(lk.dst) + 1)
-}
-
-// Transport is the in-process message fabric. One Transport belongs to one
-// runtime; Broadcast may only be called by one goroutine at a time (the
-// runtime's issuance lock provides that), but the internal machinery —
-// relays, retransmission timers, chaos delays — is fully concurrent.
+// Transport is the in-process assembly: one Endpoint per node over an
+// in-memory hub, all sharing one counter set and one quiescence barrier.
+// The embedded Endpoint is node 0's — the broadcast and probe origin — so
+// Broadcast, Probe, MarkDead/MarkAlive, Recycle, Shape, Stats and Quiesce
+// are its methods; recycling node 0 is enough, the other endpoints follow
+// the generation stamped on its frames.
 type Transport struct {
-	nodes int
-	chaos *ChaosPlan
-	rp    RetransmitPolicy
-	prof  *obs.Recorder
-	hand  func(node int, payload any)
-
-	mu        sync.Mutex
-	alive     []bool
-	nextSeq   map[link]uint64
-	sendCount map[link]int64
-	seen      map[link]map[uint64]struct{}
-	ackWait   map[link]map[uint64]chan struct{}
-
-	// Probe traffic keeps its own per-link sequence numbers and
-	// partition-window clocks (probe.go), so heartbeat fates never depend
-	// on how data traffic interleaved.
-	probeSeq   map[link]uint64
-	probeCount map[link]int64
-
-	mx *xportMetrics
+	*Endpoint
+	eps []*Endpoint
 }
 
 // New creates a transport over nodes nodes, all initially alive.
 func New(nodes int, opts Options) (*Transport, error) {
+	return assemble(nodes, opts, "xport")
+}
+
+// assemble builds the in-process assembly under a metric family prefix.
+func assemble(nodes int, opts Options, family string) (*Transport, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("xport: transport requires >= 1 node, got %d", nodes)
 	}
@@ -193,275 +162,30 @@ func New(nodes int, opts Options) (*Transport, error) {
 	if opts.Deliver == nil {
 		return nil, fmt.Errorf("xport: Options.Deliver is required")
 	}
-	t := &Transport{
-		nodes: nodes, chaos: opts.Chaos, rp: opts.Retransmit,
-		prof: opts.Prof, hand: opts.Deliver,
-		alive:      make([]bool, nodes),
-		nextSeq:    map[link]uint64{},
-		sendCount:  map[link]int64{},
-		seen:       map[link]map[uint64]struct{}{},
-		ackWait:    map[link]map[uint64]chan struct{}{},
-		probeSeq:   map[link]uint64{},
-		probeCount: map[link]int64{},
-		mx:         newXportMetrics(opts.Metrics),
-	}
-	for i := range t.alive {
-		t.alive[i] = true
+	hub := NewHub()
+	t := &Transport{eps: make([]*Endpoint, nodes)}
+	for i := range t.eps {
+		ep, err := NewEndpoint(EndpointConfig{
+			Self: i, Nodes: nodes, Fabric: WithChaos(hub.Fabric(i), opts.Chaos),
+			Retransmit: opts.Retransmit, Prof: opts.Prof, Metrics: opts.Metrics, Family: family,
+			Deliver: func(_ *Endpoint, f *Frame) { opts.Deliver(f.Dst, f.Payload()) },
+			share:   t.Endpoint,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			t.Endpoint = ep
+		}
+		t.eps[i] = ep
 	}
 	return t, nil
 }
 
-// MarkDead removes a node from routing: future broadcasts re-parent its
-// orphaned subtree onto surviving ancestors. In-flight messages are not
-// recalled — the caller serializes MarkDead against Broadcast.
-func (t *Transport) MarkDead(node int) {
-	if node < 0 || node >= t.nodes {
-		return
+// Close closes every endpoint of the assembly.
+func (t *Transport) Close() error {
+	for _, ep := range t.eps {
+		_ = ep.Close() // hub ports cannot fail to close
 	}
-	t.mu.Lock()
-	t.alive[node] = false
-	t.mu.Unlock()
-}
-
-// Recycle clears the transport's per-session delivery state — per-link
-// data sequence numbers, send counts, dedup sets and ack waiters — so a
-// transport reused across many jobs (internal/sched keeps one per executor
-// runtime) does not accumulate a sequence-number history per job forever.
-// Metrics counters, node liveness and probe-traffic clocks persist across
-// the recycle: liveness is a property of the shared machine, not of one
-// job, and heartbeat determinism depends on the probe clocks running
-// uninterrupted. Resetting the data send counts also restarts the chaos
-// plan's per-link decision stream, so every job leased onto the transport
-// sees the same deterministic chaos prefix.
-//
-// The caller must be quiescent: no Broadcast or Probe may be in flight
-// (internal/rt guarantees that by recycling only after a fence, between
-// jobs).
-func (t *Transport) Recycle() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextSeq = map[link]uint64{}
-	t.sendCount = map[link]int64{}
-	t.seen = map[link]map[uint64]struct{}{}
-	t.ackWait = map[link]map[uint64]chan struct{}{}
-}
-
-// Stats snapshots the transport counters. The values are read from the
-// metrics registry the transport records into — there is no second
-// bookkeeping path. The per-link table is deep-copied under the link-cache
-// lock: the snapshot shares no map with the message path, so iterating it
-// while senders run is race-free.
-func (t *Transport) Stats() Stats {
-	return Stats{
-		Sends:            t.mx.sends.Value(),
-		Retransmits:      t.mx.retransmits.Value(),
-		Drops:            t.mx.drops.Value(),
-		Dedups:           t.mx.dedups.Value(),
-		Reparents:        t.mx.reparents.Value(),
-		DirectBroadcasts: t.mx.directs.Value(),
-		PerLink:          t.mx.linkSnapshot(),
-	}
-}
-
-// Broadcast ships every item from node 0 to its destination through the
-// broadcast tree and blocks until each payload has been delivered exactly
-// once. Destinations must be live, non-zero nodes — the caller owns the
-// liveness snapshot (node-0-local and dead-node payloads never enter the
-// transport).
-func (t *Transport) Broadcast(tag string, items []Item) {
-	t.BroadcastTraced(obs.TraceRef{}, tag, items)
-}
-
-// BroadcastTraced is Broadcast with a span context riding the message
-// headers: every hop of item i becomes a send span parented on tc (with
-// recv and retransmit children), so a traced job's broadcast fan-out
-// shows up in its span tree hop by hop. A zero tc is plain Broadcast.
-func (t *Transport) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
-	if len(items) == 0 {
-		return
-	}
-	t.mu.Lock()
-	alive := make([]bool, len(t.alive))
-	copy(alive, t.alive)
-	t.mu.Unlock()
-
-	dsts := make([]int, len(items))
-	for i, it := range items {
-		dsts[i] = it.Dst
-	}
-	plan := planRoutes(alive, dsts)
-	t.mx.reparents.Add(int64(plan.reparents))
-	if plan.direct {
-		t.mx.directs.Inc()
-	}
-	depth := 0
-	for _, route := range plan.routes {
-		if len(route) > depth {
-			depth = len(route)
-		}
-	}
-	t.mx.treeDepth.Set(int64(depth))
-
-	var wg sync.WaitGroup
-	wg.Add(len(items))
-	for i, it := range items {
-		m := &msg{tag: tag, route: plan.routes[it.Dst], payload: it.Payload, done: wg.Done,
-			tc: tc, itemKey: uint64(i + 1)}
-		go t.ship(0, m)
-	}
-	wg.Wait()
-}
-
-// ship moves m one hop from `from` toward its destination, reliably.
-func (t *Transport) ship(from int, m *msg) {
-	t.sendReliable(link{src: from, dst: m.route[0]}, m)
-}
-
-// sendReliable transmits m over one link and blocks until the hop is
-// acked, retransmitting on a capped exponential backoff with deterministic
-// jitter.
-func (t *Transport) sendReliable(lk link, m *msg) {
-	lc := t.mx.link(lk)
-	t.mx.sends.Inc()
-	lc.sends.Inc()
-	t.mu.Lock()
-	seq := t.nextSeq[lk]
-	t.nextSeq[lk] = seq + 1
-	ack := make(chan struct{})
-	aw := t.ackWait[lk]
-	if aw == nil {
-		aw = map[uint64]chan struct{}{}
-		t.ackWait[lk] = aw
-	}
-	aw[seq] = ack
-	t.mu.Unlock()
-
-	var start int64
-	if t.prof != nil {
-		start = t.prof.Now()
-	}
-	htc := m.hopTC(lk)
-	for attempt := 1; ; attempt++ {
-		t.transmit(lk, seq, attempt, m)
-		wait := t.rp.WaitFor(attempt) + t.chaos.jitter(t.rp.WaitFor(attempt), lk, seq, attempt)
-		timer := time.NewTimer(wait)
-		select {
-		case <-ack:
-			timer.Stop()
-			if t.prof != nil {
-				t.prof.SpanTC(htc, lk.src, obs.StageSend, "xfer", m.tag, domain.Point{}, start, t.prof.Now())
-			}
-			return
-		case <-timer.C:
-			t.mx.retransmits.Inc()
-			lc.retransmits.Inc()
-			if t.prof != nil {
-				t.prof.MarkTC(htc.Child(uint64(1+attempt)), lk.src, obs.StageRetransmit, "xfer", m.tag, domain.Point{}, t.prof.Now())
-			}
-		}
-	}
-}
-
-// transmit performs one transmission attempt, applying the chaos plan.
-func (t *Transport) transmit(lk link, seq uint64, attempt int, m *msg) {
-	if t.chaos.cut(lk, t.bumpSendCount(lk)) || t.chaos.drop(lk, seq, attempt) {
-		t.mx.drops.Inc()
-		t.mx.link(lk).drops.Inc()
-		return
-	}
-	copies := 1
-	if t.chaos.dup(lk, seq, attempt) {
-		copies = 2
-	}
-	delay := t.chaos.delay(lk, seq, attempt)
-	for i := 0; i < copies; i++ {
-		if delay > 0 || i > 0 {
-			go func() {
-				time.Sleep(delay)
-				t.receive(lk, seq, attempt, m)
-			}()
-			continue
-		}
-		t.receive(lk, seq, attempt, m)
-	}
-}
-
-// receive handles one arriving transmission at lk.dst: deduplicate,
-// deliver or relay on first receipt, and ack (acks are chaos-subjected
-// too — a lost ack triggers a retransmission the dedup layer absorbs).
-func (t *Transport) receive(lk link, seq uint64, attempt int, m *msg) {
-	t.mu.Lock()
-	sn := t.seen[lk]
-	if sn == nil {
-		sn = map[uint64]struct{}{}
-		t.seen[lk] = sn
-	}
-	_, dup := sn[seq]
-	if !dup {
-		sn[seq] = struct{}{}
-	}
-	t.mu.Unlock()
-
-	if dup {
-		t.mx.dedups.Inc()
-	} else {
-		if t.prof != nil {
-			t.prof.MarkTC(m.hopTC(lk).Child(1), lk.dst, obs.StageRecv, "xfer", m.tag, domain.Point{}, t.prof.Now())
-		}
-		if len(m.route) == 1 {
-			t.hand(lk.dst, m.payload)
-			m.done()
-		} else {
-			next := &msg{tag: m.tag, route: m.route[1:], payload: m.payload, done: m.done,
-				tc: m.tc, itemKey: m.itemKey}
-			go t.ship(lk.dst, next)
-		}
-	}
-	t.sendAck(lk, seq, attempt)
-}
-
-// sendAck returns an ack to the sender over the reverse link. The ack
-// decision is keyed on the data attempt number so a seq whose first ack is
-// doomed is not doomed forever.
-func (t *Transport) sendAck(lk link, seq uint64, attempt int) {
-	rk := link{src: lk.dst, dst: lk.src}
-	if t.chaos.cut(rk, t.bumpSendCount(rk)) || t.chaos.dropAck(rk, seq, attempt) {
-		t.mx.drops.Inc()
-		t.mx.link(rk).drops.Inc()
-		return
-	}
-	if delay := t.chaos.delay(rk, seq, attempt); delay > 0 {
-		go func() {
-			time.Sleep(delay)
-			t.signalAck(lk, seq)
-		}()
-		return
-	}
-	t.signalAck(lk, seq)
-}
-
-// signalAck completes the sender's wait for (lk, seq); late or duplicate
-// acks for an already-acked sequence are ignored.
-func (t *Transport) signalAck(lk link, seq uint64) {
-	t.mu.Lock()
-	var ack chan struct{}
-	if aw := t.ackWait[lk]; aw != nil {
-		ack = aw[seq]
-		delete(aw, seq)
-	}
-	t.mu.Unlock()
-	if ack != nil {
-		t.mx.link(lk).acks.Inc()
-		close(ack)
-	}
-}
-
-// bumpSendCount advances the link's lifetime transmission counter and
-// returns its pre-increment value — the clock partition windows run on.
-func (t *Transport) bumpSendCount(lk link) int64 {
-	t.mu.Lock()
-	n := t.sendCount[lk]
-	t.sendCount[lk] = n + 1
-	t.mu.Unlock()
-	return n
+	return nil
 }
