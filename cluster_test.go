@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -19,9 +20,10 @@ import (
 // Multi-process cluster smoke test: three idxnode worker daemons and one
 // idxserve -cluster launcher, each a separate OS process, talking over real
 // localhost TCP sockets. A traced synthetic job must run to completion with
-// launch points executing on every worker, and its trace.LaunchShape must
-// be identical to the same job run on the in-process loopback path — the
-// cluster changes where bodies run, never the launch structure.
+// launch points executing on every worker — shipped as one Exec request per
+// (launch, worker), not per point — and its trace.LaunchShape must be
+// identical to the same job run on the in-process loopback path: the cluster
+// changes where bodies run, never the launch structure.
 
 // buildBinary compiles one cmd/ package into the test's temp dir.
 func buildBinary(t *testing.T, name string) string {
@@ -153,6 +155,31 @@ func runTracedJob(t *testing.T, base string) string {
 	return trace.LaunchShape(tr.Spans)
 }
 
+// scrapeCounter reads one unlabeled sample from base's /metrics exposition.
+func scrapeCounter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s not in /metrics", name)
+	return 0
+}
+
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -183,6 +210,16 @@ func TestClusterSmoke(t *testing.T) {
 	clusterShape := runTracedJob(t, base)
 	if !strings.Contains(clusterShape, "issue:"+syntheticTag+" execute=24") {
 		t.Fatalf("cluster launch shape: %q", clusterShape)
+	}
+
+	// The job's two launches shipped as slices: at most one Exec request per
+	// (launch, worker), none of them failed.
+	const launches = 2
+	if got := scrapeCounter(t, base, "wire_execs_total"); got == 0 || got > launches*(nodes-1) {
+		t.Fatalf("wire_execs_total = %v, want 1..%d (one per launch and worker)", got, launches*(nodes-1))
+	}
+	if got := scrapeCounter(t, base, "wire_exec_errors_total"); got != 0 {
+		t.Fatalf("wire_exec_errors_total = %v, want 0", got)
 	}
 
 	// Every worker process must have executed launch points: the job's

@@ -1,7 +1,9 @@
 // Command idxnode is the cluster worker daemon: one process per mesh node.
 // It opens a TCP wire fabric, joins the mesh rooted at the launcher
 // (idxserve -cluster), registers the task kinds it can execute, and serves
-// remote point executions and slice-descriptor deliveries until signalled.
+// the slices the launcher ships it — each Exec request carries a slice's
+// descriptor and arguments, the mesh expands it and calls the registered
+// body once per point — plus descriptor broadcasts, until signalled.
 //
 //	idxnode -node 1 -nodes 3 -listen 127.0.0.1:7101
 //	idxnode -node 2 -nodes 3 -listen 127.0.0.1:7102
@@ -19,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"indexlaunch/internal/domain"
@@ -75,7 +78,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Printf("idxnode: node %d stopping: %d points executed, %d slices received\n",
-		*node, w.executedCount(), w.sliceCount())
+		*node, w.executed.Load(), w.sliceCount())
 	_ = m.Close()
 }
 
@@ -90,10 +93,13 @@ type worker struct {
 	self int
 	mesh *wire.Mesh
 
-	mu       sync.Mutex
-	executed int64
-	slices   []rt.ClusterMsg
-	epoch    int64
+	// executed counts points, not frames: the mesh calls exec once per
+	// point of every slice it expands, from several goroutines.
+	executed atomic.Int64
+
+	mu     sync.Mutex
+	slices []rt.ClusterMsg
+	epoch  int64
 }
 
 // exec serves one remote point execution. The kind registry is static: the
@@ -103,17 +109,17 @@ type worker struct {
 func (w *worker) exec(task string, point domain.Point, args []byte) ([]byte, error) {
 	switch task {
 	case sched.SyntheticTaskName:
-		w.mu.Lock()
-		w.executed++
-		w.mu.Unlock()
+		w.executed.Add(1)
 		return sched.SyntheticEval(point.X()), nil
 	default:
 		return nil, fmt.Errorf("idxnode: node %d has no task kind %q", w.self, task)
 	}
 }
 
-// deliver receives broadcast payloads: slice descriptors telling this
-// worker what it owns, and resync epochs after a rejoin.
+// deliver receives slice descriptors telling this worker what it owns —
+// the one inside each Exec request it serves, or broadcast ahead of a
+// launch whose bodies stay on the launcher — and resync epochs after a
+// rejoin.
 func (w *worker) deliver(node int, tag string, payload []byte) {
 	msg, err := rt.DecodeClusterPayload(payload)
 	if err != nil {
@@ -133,12 +139,6 @@ func (w *worker) deliver(node int, tag string, payload []byte) {
 	}
 }
 
-func (w *worker) executedCount() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.executed
-}
-
 func (w *worker) sliceCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -149,7 +149,7 @@ func (w *worker) sliceCount() int {
 // table with its socket byte counts.
 func (w *worker) status() any {
 	w.mu.Lock()
-	executed, slices, epoch := w.executed, len(w.slices), w.epoch
+	slices, epoch := len(w.slices), w.epoch
 	w.mu.Unlock()
 	return struct {
 		Node     int               `json:"node"`
@@ -158,5 +158,5 @@ func (w *worker) status() any {
 		Slices   int               `json:"slices"`
 		Epoch    int64             `json:"epoch,omitempty"`
 		Peers    []wire.PeerStatus `json:"peers,omitempty"`
-	}{w.self, w.mesh.Nodes(), executed, slices, epoch, w.mesh.Peers()}
+	}{w.self, w.mesh.Nodes(), w.executed.Load(), slices, epoch, w.mesh.Peers()}
 }

@@ -5,11 +5,11 @@
 // exactly as they are between the real idxserve -cluster and idxnode
 // daemons.
 //
-// Node 0 hosts the runtime: it ships slice descriptors to the workers over
-// the mesh broadcast tree, then drives each remote point through a
-// request/response Exec round trip. Worker nodes never see the runtime —
-// they serve the task kind from their own registry, exactly like
-// cmd/idxnode.
+// Node 0 hosts the runtime: it ships each worker its slice of the launch as
+// one Exec request — descriptor plus arguments — and the worker expands the
+// slice into point tasks and answers with one result per point. Worker
+// nodes never see the runtime — they serve the task kind from their own
+// registry, exactly like cmd/idxnode.
 //
 //	go run ./examples/cluster
 package main
@@ -47,7 +47,8 @@ func main() {
 		meshes[n], err = wire.NewMesh(wire.MeshConfig{
 			Self: n, Nodes: nodes, Fabric: fab, Exec: square,
 			Deliver: func(node int, tag string, payload []byte) {
-				// Slice descriptors arrive here; cmd/idxnode records them.
+				// The descriptor of every slice this worker is sent
+				// arrives here; cmd/idxnode records them.
 			},
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/wire"
@@ -15,16 +16,22 @@ import (
 // nodes are idxnode worker daemons. Three things change, none of them
 // semantics:
 //
-//   - shipSlices broadcasts slice descriptors to the owning workers over
-//     the mesh (same broadcast tree, same delivery guarantee) but keeps
-//     every slice resident locally too: execution is driven point-by-point
-//     from node 0, so the descriptors are the workers' view of what they
-//     own, not the execution trigger.
-//   - runAttempt executes a region-free point task's body on its owning
-//     node via Mesh.Exec — the body actually runs in the worker process.
-//     Tasks touching physical regions keep executing locally (region state
-//     lives in this process); a transport-unreachable worker falls back to
-//     local execution, trading locality for progress, and the health
+//   - A region-free index launch ships as slices, not points (paper §5,
+//     distribution stage): issuance groups the launch's points by the node
+//     they were assigned and sends each worker one Exec request — the slice
+//     descriptor plus the arguments — so the shipment is the execution
+//     trigger. The worker expands its slice into point tasks, runs the
+//     bodies and answers with one result per point (shipRemote, runSlice).
+//     ExecuteIndex does not wait for the network. Per-point semantics are
+//     untouched: every point keeps its future, its counters, its execute
+//     span, its retry ladder and its speculation watchdog; a point whose
+//     body fails on the worker retries alone, through the single-point
+//     Mesh.Exec the ladder, speculation backups and ExecuteSingle use.
+//   - Tasks touching physical regions keep executing locally (region state
+//     lives in this process); their launches' slice descriptors are
+//     broadcast to the owning workers ahead of issuance (shipSlices) as the
+//     workers' view of what they own. A worker the transport cannot reach
+//     costs placement, not progress: its points run locally, and the health
 //     detector handles the node's liveness separately.
 //   - heartbeat probes, MarkDead/MarkAlive and resync broadcasts flow over
 //     the mesh's sockets instead of the in-memory hub.
@@ -36,8 +43,10 @@ import (
 // ships the same encoded payloads through it.
 
 // Cluster payload type discriminators (first byte of a broadcast body).
+// The slice descriptor's layout lives in internal/wire, which embeds it in
+// Exec requests.
 const (
-	clusterPayloadSlice  = 1
+	clusterPayloadSlice  = wire.PayloadSlice
 	clusterPayloadResync = 2
 )
 
@@ -59,10 +68,7 @@ type ClusterMsg struct {
 // index in the slicing functor's output, so deliveries reassemble into the
 // original deterministic slice order.
 func encodeSlicePayload(idx int, s Slice) []byte {
-	buf := []byte{clusterPayloadSlice}
-	buf = binary.AppendUvarint(buf, uint64(idx))
-	buf = binary.AppendUvarint(buf, uint64(s.Node))
-	return appendDomain(buf, s.Domain)
+	return wire.AppendSlicePayload(nil, idx, s.Node, s.Domain)
 }
 
 // encodeResyncPayload serializes a rejoining node's new resync epoch.
@@ -78,12 +84,9 @@ func DecodeClusterPayload(b []byte) (ClusterMsg, error) {
 	}
 	switch b[0] {
 	case clusterPayloadSlice:
-		d := wire.NewCursor(b[1:])
-		idx := d.Int()
-		node := d.Int()
-		dom := decodeDomain(d)
-		if d.Err() != nil {
-			return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", d.Err())
+		idx, node, dom, err := wire.DecodeSlicePayload(b)
+		if err != nil {
+			return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", err)
 		}
 		return ClusterMsg{Kind: "slice", Index: idx, Slice: Slice{Domain: dom, Node: node}}, nil
 	case clusterPayloadResync:
@@ -97,83 +100,15 @@ func DecodeClusterPayload(b []byte) (ClusterMsg, error) {
 	}
 }
 
-// appendDomain serializes a domain losslessly: dense domains as their rect,
-// sparse domains as their explicit point list.
-func appendDomain(buf []byte, d domain.Domain) []byte {
-	dim := d.Dim()
-	if d.Sparse() {
-		pts := d.Points()
-		buf = append(buf, 1, byte(dim))
-		buf = binary.AppendUvarint(buf, uint64(len(pts)))
-		for _, p := range pts {
-			for i := 0; i < dim; i++ {
-				buf = binary.AppendVarint(buf, p.C[i])
-			}
-		}
-		return buf
-	}
-	r := d.Bounds()
-	buf = append(buf, 0, byte(dim))
-	for i := 0; i < dim; i++ {
-		buf = binary.AppendVarint(buf, r.Lo.C[i])
-	}
-	for i := 0; i < dim; i++ {
-		buf = binary.AppendVarint(buf, r.Hi.C[i])
-	}
-	return buf
-}
-
-// decodeDomain parses appendDomain's encoding; a malformed field latches
-// the cursor's error and yields the zero domain.
-func decodeDomain(d *wire.Cursor) domain.Domain {
-	sparse := d.U8() == 1
-	dim := int(d.U8())
-	if d.Err() != nil || dim < 1 || dim > domain.MaxDim {
-		d.Fail()
-		return domain.Domain{}
-	}
-	if sparse {
-		n := d.Uvarint()
-		if d.Err() != nil || n > uint64(d.Rest()) { // >=1 byte per coord
-			d.Fail()
-			return domain.Domain{}
-		}
-		pts := make([]domain.Point, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var p domain.Point
-			p.Dim = dim
-			for c := 0; c < dim; c++ {
-				p.C[c] = d.Varint()
-			}
-			pts = append(pts, p)
-		}
-		if d.Err() != nil {
-			return domain.Domain{}
-		}
-		return domain.FromPoints(pts)
-	}
-	var lo, hi domain.Point
-	lo.Dim, hi.Dim = dim, dim
-	for c := 0; c < dim; c++ {
-		lo.C[c] = d.Varint()
-	}
-	for c := 0; c < dim; c++ {
-		hi.C[c] = d.Varint()
-	}
-	if d.Err() != nil {
-		return domain.Domain{}
-	}
-	return domain.FromRect(domain.Rect{Lo: lo, Hi: hi})
-}
-
 // execBody runs one attempt of tr's body: locally by default, or — in
 // cluster mode, for region-free tasks owned by a worker node — remotely in
 // the owning idxnode process via Mesh.Exec. Remote task errors come back as
 // errors and feed the normal retry ladder; a transport-level failure
-// (ErrUnreachable) falls back to local execution so an unreachable worker
-// degrades placement, not progress.
-func (r *Runtime) execBody(tr *taskRun, ctx *Context, node int) ([]byte, error) {
-	if r.cluster == nil || node == r.cluster.Self() || len(tr.prs) > 0 {
+// (ErrUnreachable), now or — local set — of the slice that carried the
+// point, falls back to local execution so an unreachable worker degrades
+// placement, not progress.
+func (r *Runtime) execBody(tr *taskRun, ctx *Context, node int, local bool) ([]byte, error) {
+	if local || r.cluster == nil || node == r.cluster.Self() || len(tr.prs) > 0 {
 		return r.runBody(tr.fn, ctx)
 	}
 	val, err := r.cluster.Exec(node, tr.name, tr.point, tr.args)
@@ -181,4 +116,122 @@ func (r *Runtime) execBody(tr *taskRun, ctx *Context, node int) ([]byte, error) 
 		return r.runBody(tr.fn, ctx)
 	}
 	return val, err
+}
+
+// shipment collects, during issuance, the points of one region-free launch
+// that belong to worker nodes: one sliceRun per node, indexed by node.
+type shipment []*sliceRun
+
+// sliceRun is the part of one launch that one worker runs: the unit that
+// crosses the network.
+type sliceRun struct {
+	node int
+	// index is the slicing functor's slice the first point came from; whole
+	// stays true while every point came from that slice unmoved, so a run
+	// that ends up with all of the slice's points ships the slice's own
+	// domain (a dense rect stays a rect) instead of a point list.
+	index int
+	whole bool
+	// trs are the points' run states in launch order — which is the
+	// iteration order of any domain over them (all are lexicographic).
+	trs []*taskRun
+	// deps are the launch-wide preconditions some modes give region-free
+	// points (trace and bulk-trace replay); the slice waits for them once.
+	deps []*Event
+}
+
+// add files one analyzed point under the node issuance assigned it. si is
+// the slice the point came from and unmoved whether faultCheck left it on
+// that slice's node.
+func (sh shipment) add(node, si int, unmoved bool, tr *taskRun, deps []*Event) {
+	s := sh[node]
+	if s == nil {
+		s = &sliceRun{node: node, index: max(si, 0), whole: true}
+		sh[node] = s
+	}
+	s.whole = s.whole && unmoved && si == s.index
+	s.trs = append(s.trs, tr)
+	for _, d := range deps {
+		if !slices.Contains(s.deps, d) {
+			s.deps = append(s.deps, d)
+		}
+	}
+}
+
+// shipRemote starts every collected slice, in node order. It only spawns:
+// issuance never waits for the network.
+func (r *Runtime) shipRemote(sh shipment, launch []Slice, pointArgs bool) {
+	for _, s := range sh {
+		if s == nil {
+			continue
+		}
+		req := wire.ExecRequest{Task: s.trs[0].name, Index: s.index}
+		if s.whole && launch[s.index].Domain.Volume() == int64(len(s.trs)) {
+			req.Domain = launch[s.index].Domain
+		} else {
+			pts := make([]domain.Point, len(s.trs))
+			for i, tr := range s.trs {
+				pts[i] = tr.point
+			}
+			req.Domain = domain.FromPoints(pts)
+		}
+		if pointArgs {
+			req.PointArgs = make([][]byte, len(s.trs))
+			for i, tr := range s.trs {
+				req.PointArgs[i] = tr.args
+			}
+		} else {
+			req.Args = s.trs[0].args
+		}
+		r.mx.InflightTasks.Add(int64(len(s.trs)))
+		go r.runSlice(s, req)
+	}
+}
+
+// runSlice drives one slice: wait for the launch-wide preconditions, arm
+// each point's straggler watchdog, send the slice as one Exec request and
+// settle every point from the answer. A point that ran commits; a point
+// whose body failed on the worker enters its own retry ladder at attempt 2;
+// a slice the transport could not deliver (ErrUnreachable) runs its points
+// here instead. All points share the execute clock's start: the moment the
+// slice is handed to the mesh.
+func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
+	defer r.mx.InflightTasks.Add(-int64(len(s.trs)))
+	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+		for _, tr := range s.trs {
+			r.skipPoint(tr, s.node, cause)
+		}
+		return
+	}
+	if r.specOn {
+		for _, tr := range s.trs {
+			tr.spec = &specState{cancel: make(chan struct{})}
+			r.armSpeculation(tr, s.node)
+		}
+	}
+	timedExec := s.trs[0].timed || r.specOn
+	var tExec int64
+	if timedExec {
+		tExec = r.nowNS()
+	}
+	results, err := r.cluster.ExecSlice(s.node, req)
+	for i, tr := range s.trs {
+		perr := err
+		if err == nil {
+			perr = results[i].Err
+		}
+		if perr == nil {
+			r.commitAttempt(tr, nil, s.node, false, results[i].Val, nil, 1, tExec, timedExec)
+			continue
+		}
+		from := resume{attempts: 1, err: perr, tExec: tExec}
+		if errors.Is(perr, wire.ErrUnreachable) {
+			from = resume{tExec: tExec, local: true}
+		}
+		r.mx.InflightTasks.Add(1)
+		go func() {
+			defer r.mx.InflightTasks.Add(-1)
+			r.runAttempt(tr, s.node, false, from)
+		}()
+	}
 }

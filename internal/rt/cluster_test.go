@@ -1,7 +1,11 @@
 package rt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"sync"
@@ -11,6 +15,7 @@ import (
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
+	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
 )
@@ -28,7 +33,7 @@ type testCluster struct {
 	slices map[int][]ClusterMsg // node -> received slice messages
 }
 
-func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error), plan *xport.ChaosPlan) *testCluster {
+func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error), plan *xport.ChaosPlan, tweak ...func(node int, cfg *wire.MeshConfig)) *testCluster {
 	t.Helper()
 	hub := wire.NewHub()
 	tc := &testCluster{
@@ -37,7 +42,7 @@ func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point
 		slices:   map[int][]ClusterMsg{},
 	}
 	for i := 0; i < n; i++ {
-		m, err := wire.NewMesh(wire.MeshConfig{
+		cfg := wire.MeshConfig{
 			Self: i, Nodes: n, Fabric: xport.WithChaos(hub.Fabric(i), plan),
 			Retransmit: fastRetransmit,
 			Deliver: func(node int, tag string, payload []byte) {
@@ -54,7 +59,11 @@ func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point
 				tc.executed[i].Add(1)
 				return fn(task, point, args)
 			},
-		})
+		}
+		for _, tw := range tweak {
+			tw(i, &cfg)
+		}
+		m, err := wire.NewMesh(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +197,390 @@ func TestClusterRemoteTaskErrorFeedsRetryLadder(t *testing.T) {
 	}
 	if r.Stats().Retries == 0 {
 		t.Fatal("remote failures did not drive the retry ladder")
+	}
+}
+
+// squareBody is the worker-side body most slice tests run: x².
+func squareBody(task string, point domain.Point, args []byte) ([]byte, error) {
+	return EncodeF64(float64(point.X() * point.X())), nil
+}
+
+// registerSquare registers the node-0-local twin of squareBody.
+func registerSquare(r *Runtime) core.TaskID {
+	return r.MustRegisterTask("square", func(ctx *Context) ([]byte, error) {
+		return EncodeF64(float64(ctx.Point.X() * ctx.Point.X())), nil
+	})
+}
+
+// wantSquares checks every point of fm against x².
+func wantSquares(t *testing.T, fm *FutureMap, d domain.Domain) {
+	t.Helper()
+	for _, p := range d.Points() {
+		f, err := fm.At(p)
+		if err != nil {
+			t.Fatalf("no future for %v: %v", p, err)
+		}
+		if v, err := f.GetF64(); err != nil || v != float64(p.X()*p.X()) {
+			t.Fatalf("point %v = %v, %v; want %d", p, v, err, p.X()*p.X())
+		}
+	}
+}
+
+// A fault-free job of L region-free launches over W workers costs exactly
+// L·W Exec frames and L·W Result frames — one per (launch, worker) — while
+// every point still runs where the per-point path ran it.
+func TestClusterSliceIsOneFramePerLaunchAndWorker(t *testing.T) {
+	const nodes, launches, points = 4, 5, 64
+	reg := metrics.NewRegistry()
+	tc := newTestCluster(t, nodes, squareBody, nil, func(node int, cfg *wire.MeshConfig) {
+		// Retransmissions are not first transmissions, but keep the ladder
+		// out of a -race run's way anyway.
+		cfg.Retransmit = xport.RetransmitPolicy{Timeout: time.Second, MaxBackoff: time.Second}
+		if node == 0 {
+			cfg.Metrics = reg
+		}
+	})
+	r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	defer r.Shutdown()
+	id := registerSquare(r)
+	d := domain.Range1(0, points-1)
+	for l := 0; l < launches; l++ {
+		fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "sq", Domain: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSquares(t, fm, d)
+	}
+	if err := r.FenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	const workers = nodes - 1
+	if got := tc.meshes[0].Stats().Sends; got != launches*workers {
+		t.Errorf("node 0 sent %d reliable frames, want %d Exec frames", got, launches*workers)
+	}
+	if got := reg.Counter("wire_execs_total", "").Value(); got != launches*workers {
+		t.Errorf("wire_execs_total = %d, want %d", got, launches*workers)
+	}
+	if got := reg.Counter("wire_exec_errors_total", "").Value(); got != 0 {
+		t.Errorf("wire_exec_errors_total = %d, want 0", got)
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for n := 1; n < nodes; n++ {
+		if got := tc.meshes[n].Stats().Sends; got != launches {
+			t.Errorf("worker %d sent %d reliable frames, want %d Result frames", n, got, launches)
+		}
+		// Block mapping: 16 points per node per launch, as on the per-point path.
+		if got := tc.executed[n].Load(); got != launches*points/nodes {
+			t.Errorf("worker %d executed %d points, want %d", n, got, launches*points/nodes)
+		}
+		// One descriptor per slice frame: the mapper's own dense slice.
+		if len(tc.slices[n]) != launches {
+			t.Fatalf("worker %d got %d descriptors, want %d", n, len(tc.slices[n]), launches)
+		}
+		want := domain.Range1(int64(n*points/nodes), int64((n+1)*points/nodes-1))
+		for _, m := range tc.slices[n] {
+			if m.Kind != "slice" || m.Index != n || m.Slice.Node != n || m.Slice.Domain.Sparse() || !m.Slice.Domain.Eq(want) {
+				t.Errorf("worker %d descriptor %+v, want slice %d = %v", n, m, n, want)
+			}
+		}
+	}
+	if st := r.Stats(); st.TasksExecuted != launches*points || st.TasksFailed != 0 || st.Retries != 0 {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+// One failing point inside a slice retries alone: the rest of the slice
+// commits from the one answer, and the ladder's numbers are the per-point
+// path's.
+func TestClusterSliceFailingPointRetriesAlone(t *testing.T) {
+	var failed atomic.Bool
+	body := func(task string, point domain.Point, args []byte) ([]byte, error) {
+		if point.X() == 17 && failed.CompareAndSwap(false, true) {
+			return nil, errors.New("transient failure of point 17")
+		}
+		return squareBody(task, point, args)
+	}
+	reg := metrics.NewRegistry()
+	tc := newTestCluster(t, 2, body, nil, func(node int, cfg *wire.MeshConfig) {
+		if node == 0 {
+			cfg.Metrics = reg
+		}
+	})
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, IndexLaunches: true,
+		Cluster: tc.meshes[0], Retry: RetryPolicy{Max: 2}})
+	defer r.Shutdown()
+	id := registerSquare(r)
+	d := domain.Range1(0, 31) // points 16..31 are node 1's slice
+	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "sq", Domain: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSquares(t, fm, d)
+	if err := r.FenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Retries != 1 || st.TasksExecuted != 32 || st.TasksFailed != 0 {
+		t.Errorf("Retries %d TasksExecuted %d TasksFailed %d, want 1/32/0", st.Retries, st.TasksExecuted, st.TasksFailed)
+	}
+	// The slice's 16 points plus the one retried alone.
+	if got := tc.executed[1].Load(); got != 17 {
+		t.Errorf("worker executed %d points, want 16 + 1 retry", got)
+	}
+	// One slice frame and one single-point retry; the body error inside the
+	// answered slice is a task error, not a wire error.
+	if got := reg.Counter("wire_execs_total", "").Value(); got != 2 {
+		t.Errorf("wire_execs_total = %d, want 2", got)
+	}
+	if got := reg.Counter("wire_exec_errors_total", "").Value(); got != 0 {
+		t.Errorf("wire_exec_errors_total = %d, want 0", got)
+	}
+}
+
+// dropExec is a fabric that loses every Exec frame: a worker that never
+// answers.
+type dropExec struct{ wire.Fabric }
+
+func (f dropExec) Send(dst int, fr *wire.Frame) error {
+	if fr.Kind == wire.KindExec {
+		return nil
+	}
+	return f.Fabric.Send(dst, fr)
+}
+
+// A slice the transport cannot deliver falls back to local execution, every
+// point of it, and the job completes.
+func TestClusterSliceUnreachableWorkerFallsBackLocally(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tc := newTestCluster(t, 3, squareBody, nil, func(node int, cfg *wire.MeshConfig) {
+		if node == 0 {
+			cfg.Fabric = dropExec{cfg.Fabric}
+			cfg.ExecTimeout = 50 * time.Millisecond
+			cfg.Metrics = reg
+		}
+	})
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	defer r.Shutdown()
+	id := registerSquare(r)
+	d := domain.Range1(0, 29)
+	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "sq", Domain: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSquares(t, fm, d)
+	if err := r.FenceTimeout(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.executed[1].Load() + tc.executed[2].Load(); got != 0 {
+		t.Errorf("workers executed %d points behind a fabric that drops Exec frames", got)
+	}
+	if st := r.Stats(); st.TasksExecuted != 30 || st.TasksFailed != 0 || st.Retries != 0 {
+		t.Errorf("stats %+v", st)
+	}
+	// Two slices went unanswered: two failed Exec calls, not twenty.
+	if got := reg.Counter("wire_exec_errors_total", "").Value(); got != 2 {
+		t.Errorf("wire_exec_errors_total = %d, want 2", got)
+	}
+}
+
+// Issuance never waits for the network: with the workers' bodies parked,
+// back-to-back launches still return.
+func TestClusterIssuanceDoesNotBlockOnTheNetwork(t *testing.T) {
+	release := make(chan struct{})
+	body := func(task string, point domain.Point, args []byte) ([]byte, error) {
+		<-release
+		return squareBody(task, point, args)
+	}
+	tc := newTestCluster(t, 3, body, nil)
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	defer r.Shutdown()
+	id := registerSquare(r)
+	d := domain.Range1(0, 29)
+	var fms []*FutureMap
+	issued := make(chan error, 1)
+	go func() {
+		for l := 0; l < 4; l++ {
+			fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "sq", Domain: d})
+			if err != nil {
+				issued <- err
+				return
+			}
+			fms = append(fms, fm)
+		}
+		issued <- nil
+	}()
+	select {
+	case err := <-issued:
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("ExecuteIndex blocked on workers whose bodies are parked")
+	}
+	for _, fm := range fms {
+		if fm.Len() != 30 {
+			t.Errorf("launch returned %d futures", fm.Len())
+		}
+	}
+	close(release)
+	for _, fm := range fms {
+		wantSquares(t, fm, d)
+	}
+	r.Fence()
+}
+
+// Per-point payloads and sparse (cyclic) slices cross the wire in slice
+// order: every point gets its own payload back.
+func TestClusterSlicePointArgsAndSparseSlices(t *testing.T) {
+	body := func(task string, point domain.Point, args []byte) ([]byte, error) {
+		if len(args) != 8 {
+			return nil, fmt.Errorf("point %v got a %d-byte payload", point, len(args))
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(args))
+		return EncodeF64(v + float64(point.X())), nil
+	}
+	tc := newTestCluster(t, 3, body, nil)
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
+		Cluster: tc.meshes[0], Mapper: CyclicMapper{}})
+	defer r.Shutdown()
+	id := r.MustRegisterTask("add", func(ctx *Context) ([]byte, error) {
+		return body("add", ctx.Point, ctx.Args)
+	})
+	d := domain.Range1(0, 20)
+	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "pp", Domain: d,
+		PointArgs: func(p domain.Point) []byte { return EncodeF64(float64(1000 * p.X())) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range d.Points() {
+		f, err := fm.At(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := f.GetF64(); err != nil || v != float64(1001*p.X()) {
+			t.Fatalf("point %v = %v, %v; want %d", p, v, err, 1001*p.X())
+		}
+	}
+	r.Fence()
+	// Cyclic over 3 nodes: each worker owns 7 points, shipped as a sparse
+	// point list in one frame.
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for n := 1; n <= 2; n++ {
+		if got := tc.executed[n].Load(); got != 7 {
+			t.Errorf("worker %d executed %d points, want 7", n, got)
+		}
+		if len(tc.slices[n]) != 1 || !tc.slices[n][0].Slice.Domain.Sparse() || tc.slices[n][0].Slice.Domain.Volume() != 7 {
+			t.Errorf("worker %d descriptors %+v, want one sparse 7-point slice", n, tc.slices[n])
+		}
+	}
+}
+
+// A slice whose answer adds up to just over MaxFrameSize comes back in two
+// Result frames and completes.
+func TestClusterSliceOverFrameSizeSplits(t *testing.T) {
+	const points, each = 33, 32 << 10 // 33 × 32 KiB > wire.MaxFrameSize
+	if points*each <= wire.MaxFrameSize {
+		t.Fatal("test no longer exceeds MaxFrameSize")
+	}
+	fat := func(x int64) []byte { return bytes.Repeat([]byte{byte(x)}, each) }
+	tc := newTestCluster(t, 2, func(task string, point domain.Point, args []byte) ([]byte, error) {
+		return fat(point.X()), nil
+	}, nil)
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, IndexLaunches: true,
+		Cluster: tc.meshes[0], Mapper: PinnedMapper{Node: 1}})
+	defer r.Shutdown()
+	id := r.MustRegisterTask("fat", func(ctx *Context) ([]byte, error) { return fat(ctx.Point.X()), nil })
+	d := domain.Range1(0, points-1)
+	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "fat", Domain: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range d.Points() {
+		f, _ := fm.At(p)
+		if v, err := f.Get(); err != nil || !bytes.Equal(v, fat(p.X())) {
+			t.Fatalf("point %v: %d bytes, %v", p, len(v), err)
+		}
+	}
+	r.Fence()
+	if got := tc.executed[1].Load(); got != points {
+		t.Errorf("worker executed %d points, want %d (a split answer must not re-run bodies)", got, points)
+	}
+	if got := tc.meshes[0].Stats().Sends; got != 1 {
+		t.Errorf("node 0 sent %d Exec frames, want 1", got)
+	}
+	if got := tc.meshes[1].Stats().Sends; got != 2 {
+		t.Errorf("worker sent %d Result frames, want 2", got)
+	}
+}
+
+// Speculation and slices compose: a stalled worker's points get backups on
+// other nodes, and every point commits exactly once — also after the
+// stalled slice finally answers.
+func TestClusterSpeculationBacksUpStalledSlice(t *testing.T) {
+	stall := make(chan struct{})
+	var stalling atomic.Bool
+	// Node 1 is the straggler: once stalling is set its bodies park.
+	tc := newTestCluster(t, 3, nil, nil, func(node int, cfg *wire.MeshConfig) {
+		cfg.Exec = func(task string, point domain.Point, args []byte) ([]byte, error) {
+			if node == 1 && stalling.Load() {
+				<-stall
+			}
+			return squareBody(task, point, args)
+		}
+	})
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
+		Cluster: tc.meshes[0], Speculate: testSpeculation})
+	defer r.Shutdown()
+	id := registerSquare(r)
+
+	// Warm the latency baseline past MinSamples.
+	warm := domain.Range1(0, 47)
+	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "warm", Domain: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSquares(t, fm, warm)
+	r.Fence()
+
+	stalling.Store(true)
+	d := domain.Range1(0, 11) // node 1 owns points 4..7
+	fm, err = r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "stalled", Domain: d})
+	if err != nil {
+		close(stall)
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wantSquares(t, fm, d)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(stall)
+		t.Fatal("stalled slice's points were never rescued by backups")
+	}
+	st := r.Stats()
+	if st.SpecLaunched < 4 || st.SpecWon < 4 {
+		t.Errorf("SpecLaunched %d SpecWon %d, want >= 4 each (node 1's four points)", st.SpecLaunched, st.SpecWon)
+	}
+	// Let the stalled slice answer: its four results lose the commit race.
+	close(stall)
+	r.Fence()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Stats().SpecWasted < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st = r.Stats()
+	if st.SpecWasted < 4 {
+		t.Errorf("SpecWasted = %d, want >= 4: the stalled slice's late results were not discarded", st.SpecWasted)
+	}
+	if want := int64(48 + 12); st.TasksExecuted != want || st.TasksFailed != 0 {
+		t.Errorf("TasksExecuted %d TasksFailed %d, want %d/0: a point committed twice or not at all", st.TasksExecuted, st.TasksFailed, want)
 	}
 }
 

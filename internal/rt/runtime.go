@@ -653,7 +653,13 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	if timed {
 		tDist = r.nowNS()
 	}
-	assign := r.assignNodes(l.Domain, l.Tag, ltc.Child(tcDistribute))
+	// In cluster mode a region-free launch's slices are not broadcast ahead
+	// of issuance: they ship afterwards as Exec requests (shipment below).
+	var ship shipment
+	if r.cluster != nil && len(l.Requirements) == 0 {
+		ship = make(shipment, r.cfg.Nodes)
+	}
+	slices, assign := r.assignNodes(l.Domain, l.Tag, ltc.Child(tcDistribute), ship == nil)
 	if timed {
 		distNS = r.nowNS() - tDist
 	}
@@ -674,9 +680,16 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 		if timed {
 			tShard = r.nowNS()
 		}
-		node := r.faultCheck(l.Domain, pt.Point, assign(pt.Point))
+		owner, si := assign(pt.Point)
+		node := r.faultCheck(l.Domain, pt.Point, owner)
 		if timed {
 			distNS += r.nowNS() - tShard
+		}
+		if ship != nil && node != 0 {
+			tr, deps := r.analyzePoint(l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
+			ship.add(node, si, node == owner, tr, deps)
+			fm.add(pt.Point, tr.fut)
+			return true
 		}
 		fut := r.issuePoint(l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
 		fm.add(pt.Point, fut)
@@ -684,6 +697,9 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if ship != nil {
+		r.shipRemote(ship, slices, l.PointArgs != nil)
 	}
 	switch {
 	case r.trace != nil:
@@ -795,25 +811,31 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 	return fut, nil
 }
 
-// assignNodes returns the point → node assignment for a launch domain. On
-// the centralized path the slices are first shipped from node 0 through the
-// message transport's broadcast tree; the assignment is built from the
-// delivered slices, reassembled into the slicing functor's original order.
-func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef) func(domain.Point) int {
+// assignNodes returns the launch's slices and its point → (node, slice
+// index) assignment. With DCR the sharding functor is the assignment and
+// there are no slices (index -1). On the centralized path the slicing
+// functor's slices are the assignment; with broadcast set they are first
+// shipped from node 0 through the message transport's broadcast tree and
+// the assignment is built from the delivered slices, reassembled into the
+// functor's original order.
+func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef, broadcast bool) ([]Slice, func(domain.Point) (node, slice int)) {
 	if r.cfg.DCR {
-		return func(p domain.Point) int {
+		return nil, func(p domain.Point) (int, int) {
 			n := r.mapper.ShardPoint(d, p, r.cfg.Nodes)
-			return clampNode(n, r.cfg.Nodes)
+			return clampNode(n, r.cfg.Nodes), -1
 		}
 	}
-	slices := r.shipSlices(tag, r.mapper.Slice(d, r.cfg.Nodes), tc)
-	return func(p domain.Point) int {
-		for _, s := range slices {
+	slices := r.mapper.Slice(d, r.cfg.Nodes)
+	if broadcast {
+		slices = r.shipSlices(tag, slices, tc)
+	}
+	return slices, func(p domain.Point) (int, int) {
+		for i, s := range slices {
 			if s.Domain.Contains(p) {
-				return clampNode(s.Node, r.cfg.Nodes)
+				return clampNode(s.Node, r.cfg.Nodes), i
 			}
 		}
-		return 0
+		return 0, -1
 	}
 }
 
@@ -831,6 +853,45 @@ func clampNode(n, nodes int) int {
 // hands the task to the executor. Caller holds issueMu.
 func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node int,
 	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) *Future {
+
+	tr, deps := r.analyzePoint(task, tag, p, node, prs, args, ltc)
+	r.mx.InflightTasks.Add(1)
+	go func() {
+		defer r.mx.InflightTasks.Add(-1)
+		if cause := WaitAllErr(deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+			r.skipPoint(tr, node, cause)
+			return
+		}
+		if r.specOn {
+			// Arm the straggler watchdog only once the task is runnable:
+			// dependence waits are ordering, not straggling.
+			tr.spec = &specState{cancel: make(chan struct{})}
+			r.armSpeculation(tr, node)
+		}
+		r.runAttempt(tr, node, false, resume{})
+	}()
+	return tr.fut
+}
+
+// skipPoint completes tr without running its body because a precondition is
+// poisoned, cascading the failure downstream through the task's own event.
+func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
+	r.mx.TasksSkipped.Inc()
+	if prof := r.cfg.Profile; prof != nil {
+		prof.MarkTC(tr.tc.Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
+	}
+	tr.fut.complete(nil, &TaskError{
+		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,
+		Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
+	})
+}
+
+// analyzePoint is issuance for one point: dependence analysis (or trace
+// replay), span identity and fence bookkeeping. It returns the point's run
+// state and the events it must wait for; the caller starts it. Caller holds
+// issueMu.
+func (r *Runtime) analyzePoint(task core.TaskID, tag string, p domain.Point, node int,
+	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) (*taskRun, []*Event) {
 
 	fut := newFuture()
 	ev := fut.ev
@@ -904,36 +965,10 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 	r.outstanding = append(r.outstanding, pendingTask{ev: ev, name: name, tag: tag, point: p})
 	r.pruneOutstanding()
 
-	tr := &taskRun{
+	return &taskRun{
 		fn: r.tasks[task].fn, task: task, name: name, tag: tag, point: p,
 		args: args, prs: prs, fut: fut, spanID: spanID, timed: timed, tc: ptc,
-	}
-	skipOnFailure := r.cfg.OnUpstreamFailure == SkipDependents
-	r.mx.InflightTasks.Add(1)
-	go func() {
-		defer r.mx.InflightTasks.Add(-1)
-		if cause := WaitAllErr(deps); cause != nil && skipOnFailure {
-			// A precondition is poisoned: skip the body and cascade the
-			// failure downstream through this task's own event.
-			r.mx.TasksSkipped.Inc()
-			if prof != nil {
-				prof.MarkTC(ptc.Child(tcFaultSkip), node, obs.StageFault, name, tag, p, prof.Now())
-			}
-			fut.complete(nil, &TaskError{
-				Task: name, Tag: tag, Point: p, Node: node,
-				Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
-			})
-			return
-		}
-		if r.specOn {
-			// Arm the straggler watchdog only once the task is runnable:
-			// dependence waits are ordering, not straggling.
-			tr.spec = &specState{cancel: make(chan struct{})}
-			r.armSpeculation(tr, node)
-		}
-		r.runAttempt(tr, node, false)
-	}()
-	return fut
+	}, deps
 }
 
 // profIDCap bounds the event → span-ID map; beyond it, entries for

@@ -170,7 +170,7 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 		}
 		r.mx.InflightTasks.Add(1)
 		defer r.mx.InflightTasks.Add(-1)
-		r.runAttempt(tr, backup, true)
+		r.runAttempt(tr, backup, true, resume{})
 	}()
 }
 
@@ -183,10 +183,26 @@ func (r *Runtime) specLost(tr *taskRun, node int) {
 	}
 }
 
-// runAttempt executes one attempt (original or backup) of tr on node: slot
-// acquisition, the retry ladder, and the commit race. Exactly one attempt
-// per task reaches commitAttempt's critical section.
-func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
+// resume says where an attempt chain picks up when it does not start
+// fresh: what a slice's remote run (cluster mode) already established for
+// one of its points. The zero value starts a fresh chain.
+type resume struct {
+	// attempts counts the attempts already made — remotely, as part of the
+	// slice — and err is the last one's failure.
+	attempts int
+	err      error
+	// tExec is when the chain started executing (the slice was handed to the
+	// mesh); zero starts the clock once a slot is held.
+	tExec int64
+	// local runs the bodies in this process: the point's node did not
+	// answer.
+	local bool
+}
+
+// runAttempt executes one attempt chain (original or backup) of tr on node:
+// slot acquisition, the retry ladder, and the commit race. Exactly one
+// chain per task reaches commitAttempt's critical section.
+func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool, from resume) {
 	slot := r.slots[node]
 	slot <- struct{}{}
 	r.mx.BusyProcs.Add(1)
@@ -200,44 +216,43 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
 		return
 	}
 	timedExec := tr.timed || r.specOn
-	var tExec int64
-	if timedExec {
+	tExec := from.tExec
+	if timedExec && tExec == 0 {
 		tExec = r.nowNS()
 	}
 	var val []byte
-	var err error
-	attempts := 0
+	attempts, err := from.attempts, from.err
 	retry := r.cfg.Retry
 	for {
-		// A fresh Context per attempt: a failed attempt must not leak
-		// buffered reductions or accessor state into its retry.
-		ctx := &Context{Point: tr.point, Node: node, Task: tr.task, Args: tr.args,
-			regions: tr.prs, cancel: tr.cancelCh()}
-		val, err = r.execBody(tr, ctx, node)
-		if err == nil {
-			attempts++
-			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec, timedExec)
-			return
-		}
-		attempts++
-		if attempts > retry.Max {
-			break
-		}
-		if tr.lost() {
-			// No point retrying a race already lost.
-			r.specLost(tr, node)
-			return
-		}
-		r.mx.Retries.Inc()
-		if prof := r.cfg.Profile; prof != nil {
-			prof.MarkTC(tr.tc.Child(uint64(tcRetryBase+attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
-		}
-		if d := retry.backoffFor(attempts); d > 0 {
-			if !r.sleepBackoff(d) {
+		if attempts > 0 {
+			// The previous attempt failed: climb the ladder or give up.
+			if attempts > retry.Max {
+				break
+			}
+			if tr.lost() {
+				// No point retrying a race already lost.
+				r.specLost(tr, node)
+				return
+			}
+			r.mx.Retries.Inc()
+			if prof := r.cfg.Profile; prof != nil {
+				prof.MarkTC(tr.tc.Child(uint64(tcRetryBase+attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
+			}
+			if d := retry.backoffFor(attempts); d > 0 && !r.sleepBackoff(d) {
 				// Shutdown mid-ladder: give up on the retry and fail the
 				// task with its last error now.
 				break
 			}
+		}
+		// A fresh Context per attempt: a failed attempt must not leak
+		// buffered reductions or accessor state into its retry.
+		ctx := &Context{Point: tr.point, Node: node, Task: tr.task, Args: tr.args,
+			regions: tr.prs, cancel: tr.cancelCh()}
+		val, err = r.execBody(tr, ctx, node, from.local)
+		attempts++
+		if err == nil {
+			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec, timedExec)
+			return
 		}
 	}
 	r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec, timedExec)

@@ -45,10 +45,11 @@ func (r *Runtime) transportDeliver(node int, payload any) {
 //
 // Slices travel as encoded cluster payloads on both paths. In-process the
 // deliveries land back here and are reassembled by slice index (they
-// complete in arbitrary order under chaos). In cluster mode they land in
-// the worker processes — the descriptor is the worker's view of what it
-// owns — and every slice also stays resident: issuance and analysis run on
-// node 0 and drive execution point-by-point through Mesh.Exec.
+// complete in arbitrary order under chaos). In cluster mode only launches
+// with region requirements come through here: their bodies run on node 0,
+// so every slice stays resident and the broadcast tells each worker what it
+// owns. A region-free cluster launch skips the broadcast — its slices ship
+// after issuance as Exec requests, descriptor included (cluster.go).
 func (r *Runtime) shipSlices(tag string, slices []Slice, tc obs.TraceRef) []Slice {
 	if r.xp == nil || len(slices) == 0 {
 		return slices

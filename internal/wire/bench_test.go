@@ -69,6 +69,34 @@ func BenchmarkLoopbackExecRTT(b *testing.B) {
 	}
 }
 
+// BenchmarkLoopbackExecSlice256 is the same round trip carrying a 256-point
+// slice: one Exec frame, 256 bodies on the peer, one Result frame. ns/op
+// divided by 256 is the amortised per-point wire cost.
+func BenchmarkLoopbackExecSlice256(b *testing.B) {
+	hub := NewHub()
+	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: hub.Fabric(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m0.Close()
+	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: hub.Fabric(1),
+		Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
+			return args, nil
+		}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m1.Close()
+	slice := ExecRequest{Task: "echo", Domain: domain.Range1(0, 255), Args: make([]byte, 64)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m0.ExecSlice(1, slice); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTCPExecRTT(b *testing.B) {
 	worker, err := NewTCP(TCPConfig{Self: 1, Listen: "127.0.0.1:0"})
 	if err != nil {

@@ -256,8 +256,19 @@ func (d *Cursor) Int() int {
 }
 
 // Bytes decodes a uvarint-prefixed byte field, validated against the
-// remaining buffer before any allocation.
+// remaining buffer before any allocation, into a fresh copy.
 func (d *Cursor) Bytes() []byte {
+	v := d.View()
+	if v == nil {
+		return nil
+	}
+	return append([]byte(nil), v...)
+}
+
+// View is Bytes without the copy: the field as a sub-slice of the cursor's
+// buffer — for decoders whose input is already private and immutable (a
+// delivered frame's body).
+func (d *Cursor) View() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -269,8 +280,7 @@ func (d *Cursor) Bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:])
+	out := d.b[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return out
 }

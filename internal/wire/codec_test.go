@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"indexlaunch/internal/domain"
 	"indexlaunch/internal/obs"
 )
 
@@ -183,27 +182,5 @@ func TestReadFrameMidFrameEOF(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(enc[:len(enc)-3]))
 	if _, err := ReadFrame(br); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn stream: got %v, want io.ErrUnexpectedEOF", err)
-	}
-}
-
-func TestExecReqRoundTrip(t *testing.T) {
-	pt := domain.Pt3(4, -7, 123456789)
-	enc := encodeExecReq(99, "stencil", pt, []byte("args"))
-	req, task, point, args, err := decodeExecReq(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req != 99 || task != "stencil" || point != pt || string(args) != "args" {
-		t.Fatalf("got (%d, %q, %+v, %q)", req, task, point, args)
-	}
-	res := execResult{val: []byte("result"), ok: true}
-	rr, got, err := decodeExecRes(encodeExecRes(99, res))
-	if err != nil || rr != 99 || !got.ok || string(got.val) != "result" {
-		t.Fatalf("result round trip: %v %d %+v", err, rr, got)
-	}
-	fail := execResult{err: "task exploded"}
-	_, got, err = decodeExecRes(encodeExecRes(7, fail))
-	if err != nil || got.ok || got.err != "task exploded" {
-		t.Fatalf("error round trip: %v %+v", err, got)
 	}
 }

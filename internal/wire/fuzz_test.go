@@ -48,3 +48,64 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeExecSlice locks in the same contract for the two Exec bodies —
+// the slice request a worker expands into point tasks and the result it
+// answers with: neither decoder panics or sizes an allocation by a count
+// the remaining bytes cannot back, a decode error yields nothing, and an
+// accepted body re-encodes to bytes that decode equal. Every input is fed
+// to both decoders. The committed corpus under
+// testdata/fuzz/FuzzDecodeExecSlice seeds dense 1-D/2-D and sparse 3-D
+// slices, per-point payloads, mixed ok/error results, torn tails and forged
+// counts.
+func FuzzDecodeExecSlice(f *testing.F) {
+	for _, r := range sampleExecRequests() {
+		f.Add(encodeExecReq(2, &r))
+	}
+	for _, body := range sampleExecResults() {
+		f.Add(encodeExecRes(&body))
+	}
+	req := encodeExecReq(2, &sampleExecRequests()[3])
+	f.Add(req[:len(req)-2])
+	res := encodeExecRes(&sampleExecResults()[1])
+	f.Add(res[:len(res)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if r, desc, err := decodeExecReq(data); err != nil {
+			if desc != nil || r.Task != "" || !r.Domain.Empty() || r.Args != nil || r.PointArgs != nil {
+				t.Fatalf("error %v returned request %+v", err, r)
+			}
+		} else {
+			if n := r.Domain.Volume(); n < 1 || n > maxSlicePoints || (r.PointArgs != nil && int64(len(r.PointArgs)) != n) {
+				t.Fatalf("accepted a slice of %d points with %d payloads", n, len(r.PointArgs))
+			}
+			_, node, _, derr := DecodeSlicePayload(desc)
+			if derr != nil {
+				t.Fatalf("accepted request carries an undecodable descriptor: %v", derr)
+			}
+			r2, _, err := decodeExecReq(encodeExecReq(node, &r))
+			if err != nil {
+				t.Fatalf("re-decode of accepted request failed: %v", err)
+			}
+			if !sameRequest(r, r2) {
+				t.Fatalf("request re-encode not canonical:\n got %+v\nwant %+v", r2, r)
+			}
+		}
+		body, err := decodeExecRes(data)
+		if err != nil {
+			if !reflect.DeepEqual(body, execResBody{}) {
+				t.Fatalf("error %v returned result %+v", err, body)
+			}
+			return
+		}
+		body2, err := decodeExecRes(encodeExecRes(&body))
+		if err != nil {
+			t.Fatalf("re-decode of accepted result failed: %v", err)
+		}
+		if !reflect.DeepEqual(body, body2) {
+			t.Fatalf("result re-encode not canonical:\n got %+v\nwant %+v", body2, body)
+		}
+	})
+}

@@ -1,10 +1,11 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indexlaunch/internal/domain"
@@ -42,10 +43,13 @@ type MeshConfig struct {
 	// registry so Stats always works.
 	Metrics *metrics.Registry
 	// Deliver receives each broadcast payload exactly once at its
-	// destination node. May be called from fabric goroutines.
+	// destination node, and the slice descriptor of each Exec request the
+	// node serves, before the slice's first point runs. May be called from
+	// fabric goroutines.
 	Deliver func(node int, tag string, payload []byte)
 	// Exec serves inbound remote-execution requests (idxnode's task
-	// registry); nil rejects them.
+	// registry), once per point of each slice received and from up to
+	// GOMAXPROCS goroutines at a time; nil rejects them.
 	Exec func(task string, point domain.Point, args []byte) ([]byte, error)
 	// ExecTimeout bounds one remote execution round trip; zero defaults
 	// to 30s.
@@ -66,15 +70,13 @@ type Mesh struct {
 	execFn      func(task string, point domain.Point, args []byte) ([]byte, error)
 	execTimeout time.Duration
 
+	// execSlots bounds the task bodies this node runs at once, across all
+	// the slices it is serving: one token per processor.
+	execSlots chan struct{}
+
 	mu       sync.Mutex
 	execSeq  uint64
-	execWait map[uint64]chan execResult
-}
-
-type execResult struct {
-	val []byte
-	err string
-	ok  bool
+	execWait map[uint64]*execWaiter
 }
 
 // NewMesh creates a mesh node over the given fabric and installs its frame
@@ -88,7 +90,8 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		mx:          newWireMetrics(reg),
 		execFn:      cfg.Exec,
 		execTimeout: cfg.ExecTimeout,
-		execWait:    map[uint64]chan execResult{},
+		execSlots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
+		execWait:    map[uint64]*execWaiter{},
 	}
 	if m.execTimeout <= 0 {
 		m.execTimeout = 30 * time.Second
@@ -118,20 +121,80 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	return m, nil
 }
 
-// Exec runs a registered task body on peer dst and returns its result. The
-// request travels on the reliable link (acked, deduped, retransmitted);
-// the bound on the whole round trip is ExecTimeout, after which Exec
-// returns ErrUnreachable and the caller may fall back to local execution.
+// Exec runs a registered task body for one point on peer dst and returns
+// its result: the single-point case of ExecSlice, for the callers that own
+// one point (retries, speculation backups, single launches). A body error
+// comes back as an error, like any other failed call.
 func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]byte, error) {
+	res, err := m.ExecSlice(dst, ExecRequest{
+		Task: task, Domain: domain.FromRect(domain.Rect{Lo: point, Hi: point}), Args: args})
+	if err != nil {
+		return nil, err
+	}
+	if res[0].Err != nil {
+		m.mx.execErrs.Inc()
+		return nil, res[0].Err
+	}
+	return res[0].Val, nil
+}
+
+// ExecSlice ships one slice to peer dst — descriptor and arguments in a
+// single reliable frame (acked, deduped, retransmitted) — and returns the
+// outcome of every point in the domain's iteration order. The peer hands
+// the descriptor to its Deliver callback, expands the domain and runs the
+// task body per point; a body that fails there fails only its own point
+// (PointResult.Err). The returned error is the request's: ErrUnreachable
+// when the peer did not answer within ExecTimeout per frame, the mesh
+// closed, or a point's payload cannot fit a frame — the caller may run the
+// slice locally — and the peer's reason when it rejected the request. A
+// request, or an answer, too large for one frame travels as consecutive
+// sub-slices cut by byte budget.
+func (m *Mesh) ExecSlice(dst int, r ExecRequest) ([]PointResult, error) {
 	if dst == m.Self() || dst < 0 || dst >= m.Nodes() {
 		return nil, fmt.Errorf("%w: exec dst %d out of range", ErrUnreachable, dst)
 	}
+	res, err := m.execSlice(dst, &r)
+	if err != nil {
+		m.mx.execErrs.Inc()
+	}
+	return res, err
+}
+
+func (m *Mesh) execSlice(dst int, r *ExecRequest) ([]PointResult, error) {
+	n := r.Domain.Volume()
+	if n == 0 {
+		return nil, nil
+	}
+	budget := execBodyBudget(r.Task)
+	if n <= maxSlicePoints {
+		if body := encodeExecReq(dst, r); len(body) <= budget {
+			return m.roundTrip(dst, r.Task, int(n), body)
+		}
+	}
+	parts, err := r.split(budget)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PointResult, 0, n)
+	for i := range parts {
+		res, err := m.roundTrip(dst, r.Task, int(parts[i].Domain.Volume()), encodeExecReq(dst, &parts[i]))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res...)
+	}
+	return out, nil
+}
+
+// roundTrip sends one Exec frame and collects the n point results its
+// Result frames carry.
+func (m *Mesh) roundTrip(dst int, task string, n int, body []byte) ([]PointResult, error) {
 	m.mx.execs.Inc()
+	w := &execWaiter{task: task, res: make([]PointResult, n), done: make(chan struct{})}
 	m.mu.Lock()
 	req := m.execSeq
 	m.execSeq++
-	ch := make(chan execResult, 1)
-	m.execWait[req] = ch
+	m.execWait[req] = w
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -139,37 +202,43 @@ func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]by
 		m.mu.Unlock()
 	}()
 
-	// The sender stops retransmitting when Exec returns: once the result is
-	// in (or given up on) the request's hop ack no longer matters, and a
-	// sender left running would hold Quiesce forever on a dead peer.
+	// The sender stops retransmitting when the round trip ends: once the
+	// result is in (or given up on) the request's hop ack no longer matters,
+	// and a sender left running would hold Quiesce forever on a dead peer.
 	stop := make(chan struct{})
 	defer close(stop)
-	f := &Frame{Kind: KindExec, Key: req, Route: []int{dst},
-		Tag: task, Body: encodeExecReq(req, task, point, args)}
+	f := &Frame{Kind: KindExec, Key: req, Route: []int{dst}, Tag: task, Body: body}
 	sent := make(chan bool, 1)
 	m.Go(func() { sent <- m.SendReliable(dst, f, stop) })
 
 	timer := time.NewTimer(m.execTimeout)
 	defer timer.Stop()
-	fail := func(err error) ([]byte, error) {
-		m.mx.execErrs.Inc()
-		return nil, err
-	}
 	for {
 		select {
-		case res := <-ch:
-			if !res.ok {
-				return fail(fmt.Errorf("wire: remote %s on node %d: %s", task, dst, res.err))
+		case <-w.done:
+			if w.rejected {
+				return nil, fmt.Errorf("wire: remote %s on node %d: %s", task, dst, w.reason)
 			}
-			return res.val, nil
+			return w.res, nil
 		case <-timer.C:
-			return fail(fmt.Errorf("%w: exec %s on node %d timed out after %v", ErrUnreachable, task, dst, m.execTimeout))
+			return nil, fmt.Errorf("%w: exec %s on node %d timed out after %v", ErrUnreachable, task, dst, m.execTimeout)
 		case <-m.Done():
-			return fail(fmt.Errorf("%w: mesh closed", ErrUnreachable))
+			return nil, fmt.Errorf("%w: mesh closed", ErrUnreachable)
 		case <-sent:
 			sent = nil // acked (a close shows on Done); keep waiting for the result
 		}
 	}
+}
+
+// execWaiter collects one request's Result frames. handle fills it under
+// m.mu and closes done after the last write.
+type execWaiter struct {
+	task     string
+	res      []PointResult
+	got      int // points answered so far: the next frame's first
+	rejected bool
+	reason   string
+	done     chan struct{}
 }
 
 // handle is the endpoint's delivery callback: it runs once per reliable
@@ -182,101 +251,111 @@ func (m *Mesh) handle(ep *xport.Endpoint, f *Frame) {
 		if m.deliver != nil {
 			m.deliver(f.Dst, f.Tag, f.Body)
 		}
-		return
 	case KindResult:
-		req, res, err := decodeExecRes(f.Body)
-		if err != nil {
+		m.collect(f)
+	case KindExec:
+		// Bodies may take arbitrarily long and the fabric's read loop must
+		// not stall: decode, expand and run on a tracked goroutine.
+		ep.Go(func() { m.serveExec(ep, f) })
+	}
+}
+
+// collect files one Result frame under its request. A peer sends a
+// request's frames in slice order, each after the previous was acked; a
+// frame that is not the next one expected is dropped like any other
+// malformed body (the request then times out).
+func (m *Mesh) collect(f *Frame) {
+	body, err := decodeExecRes(f.Body)
+	if err != nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w := m.execWait[f.Key]
+	if w == nil {
+		return
+	}
+	switch {
+	case body.rejected:
+		w.rejected, w.reason = true, body.reason
+	case body.first != w.got || len(body.results) > len(w.res)-w.got:
+		return
+	default:
+		for i, res := range body.results {
+			if res.ok {
+				w.res[w.got+i].Val = res.val
+			} else {
+				w.res[w.got+i].Err = fmt.Errorf("wire: remote %s on node %d: %s", w.task, f.Src, res.err)
+			}
+		}
+		if w.got += len(body.results); w.got < len(w.res) {
 			return
 		}
-		m.mu.Lock()
-		ch := m.execWait[req]
-		delete(m.execWait, req)
-		m.mu.Unlock()
-		if ch != nil {
-			ch <- res
-		}
+	}
+	delete(m.execWait, f.Key)
+	close(w.done)
+}
+
+// serveExec answers one Exec request: hand the slice descriptor to Deliver,
+// run the registered body over the slice's points, send the outcomes back
+// on the reliable link in as many Result frames as their bytes need.
+func (m *Mesh) serveExec(ep *xport.Endpoint, f *Frame) {
+	reply := func(body execResBody) bool {
+		return ep.SendReliable(f.Src, &Frame{Kind: KindResult, Gen: f.Gen, Key: f.Key,
+			Route: []int{f.Src}, Tag: f.Tag, Body: encodeExecRes(&body)}, nil)
+	}
+	r, desc, err := decodeExecReq(f.Body)
+	switch {
+	case err != nil:
+		reply(execResBody{rejected: true, reason: "malformed exec request: " + err.Error()})
+		return
+	case m.execFn == nil:
+		reply(execResBody{rejected: true, reason: "node serves no tasks"})
 		return
 	}
-	// KindExec: run the registered body on a tracked goroutine (bodies may
-	// take arbitrarily long; the fabric's read loop must not stall) and send
-	// the Result back on the reliable link.
-	req, task, point, args, err := decodeExecReq(f.Body)
-	ep.Go(func() {
-		var res execResult
-		if err != nil {
-			res = execResult{err: "malformed exec request: " + err.Error()}
-		} else if m.execFn == nil {
-			res = execResult{err: "node serves no tasks"}
-		} else if val, execErr := m.execFn(task, point, args); execErr != nil {
-			res = execResult{err: execErr.Error()}
-		} else {
-			res = execResult{val: val, ok: true}
-		}
-		rf := &Frame{Kind: KindResult, Gen: f.Gen, Key: req, Route: []int{f.Src},
-			Tag: task, Body: encodeExecRes(req, res)}
-		ep.SendReliable(f.Src, rf, nil)
-	})
-}
-
-// encodeExecReq serializes one execution request body.
-func encodeExecReq(req uint64, task string, point domain.Point, args []byte) []byte {
-	buf := binary.AppendUvarint(nil, req)
-	buf = binary.AppendUvarint(buf, uint64(len(task)))
-	buf = append(buf, task...)
-	buf = append(buf, byte(point.Dim))
-	for i := 0; i < point.Dim; i++ {
-		buf = binary.AppendVarint(buf, point.C[i])
+	if m.deliver != nil {
+		m.deliver(f.Dst, f.Tag, desc)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(args)))
-	return append(buf, args...)
-}
-
-// decodeExecReq parses one execution request body.
-func decodeExecReq(b []byte) (req uint64, task string, point domain.Point, args []byte, err error) {
-	d := NewCursor(b)
-	req = d.Uvarint()
-	task = string(d.Bytes())
-	dim := int(d.U8())
-	if d.Err() == nil && (dim < 0 || dim > len(point.C)) {
-		return 0, "", point, nil, fmt.Errorf("%w: point dim %d", ErrCorrupt, dim)
-	}
-	if d.Err() == nil {
-		point.Dim = dim
-		for i := 0; i < dim; i++ {
-			point.C[i] = d.Varint()
+	for _, part := range splitResults(m.runSlice(ep, &r), execBodyBudget(f.Tag)) {
+		if !reply(part) {
+			return // the endpoint closed
 		}
 	}
-	args = d.Bytes()
-	if d.Err() != nil {
-		return 0, "", domain.Point{}, nil, d.Err()
-	}
-	return req, task, point, args, nil
 }
 
-// encodeExecRes serializes one execution result body.
-func encodeExecRes(req uint64, res execResult) []byte {
-	buf := binary.AppendUvarint(nil, req)
-	if res.ok {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(res.val)))
-		return append(buf, res.val...)
+// runSlice expands r's domain into point tasks and runs the registered body
+// for each, in any order, on at most GOMAXPROCS goroutines mesh-wide (this
+// one included): however many slices arrive, the bodies in flight never
+// outnumber the processors. Outcomes come back in the domain's iteration
+// order.
+func (m *Mesh) runSlice(ep *xport.Endpoint, r *ExecRequest) []execResult {
+	n := int(r.Domain.Volume())
+	out := make([]execResult, n)
+	var next atomic.Int64
+	work := func() {
+		select {
+		case m.execSlots <- struct{}{}:
+		case <-ep.Done():
+			return
+		}
+		defer func() { <-m.execSlots }()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if val, err := m.execFn(r.Task, r.Domain.PointAt(int64(i)), r.argsAt(i)); err != nil {
+				out[i] = execResult{err: err.Error()}
+			} else {
+				out[i] = execResult{val: val, ok: true}
+			}
+		}
 	}
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(res.err)))
-	return append(buf, res.err...)
-}
-
-// decodeExecRes parses one execution result body.
-func decodeExecRes(b []byte) (uint64, execResult, error) {
-	d := NewCursor(b)
-	req := d.Uvarint()
-	ok := d.U8() == 1
-	payload := d.Bytes()
-	if d.Err() != nil {
-		return 0, execResult{}, d.Err()
+	var wg sync.WaitGroup
+	for k := min(cap(m.execSlots), n); k > 1; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	if ok {
-		return req, execResult{val: payload, ok: true}, nil
-	}
-	return req, execResult{err: string(payload)}, nil
+	work()
+	wg.Wait()
+	return out
 }
