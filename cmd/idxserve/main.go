@@ -26,9 +26,11 @@
 // CI scheduler seed matrix locks in.
 //
 // With -data DIR the scheduler is durable: every admission decision is
-// journaled to a write-ahead log before it is acknowledged, and a restart
-// recovers queue, quota and terminal-job state from the directory. -fsync
-// picks the sync policy (always | interval | never). Durable trace mode
+// journaled to a write-ahead log and durable per the sync policy before it
+// is acknowledged, and a restart recovers queue, quota and terminal-job
+// state from the directory. -fsync picks the policy (always | interval |
+// never); always is power-loss safe and group-committed, not one fsync per
+// record. Durable trace mode
 // (-trace -data DIR) resumes a killed run and still prints the byte-exact
 // crash-free decision log — the property the CI crash-recovery matrix
 // SIGKILLs the process mid-run to verify; -op-delay paces it so the kill
@@ -404,7 +406,10 @@ func runBench(jsonDir string) error {
 	if err := runTraceOverheadBench(jsonDir); err != nil {
 		return err
 	}
-	return runWireBench(jsonDir)
+	if err := runWireBench(jsonDir); err != nil {
+		return err
+	}
+	return runWALBench(jsonDir)
 }
 
 // runTraceOverheadBench measures the end-to-end tracing layer's marginal

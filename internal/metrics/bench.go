@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -42,11 +43,24 @@ func (b BenchSnapshot) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadBenchFile parses a BENCH_<name>.json file.
+// ReadBenchFile parses a BENCH_<name>.json file: either one snapshot or an
+// append-only trajectory — a JSON array of snapshots, oldest first, one entry
+// per change that moved the numbers — whose newest entry is the baseline a
+// diff compares against.
 func ReadBenchFile(path string) (BenchSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return BenchSnapshot{}, err
+	}
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
+		var traj []BenchSnapshot
+		if err := json.Unmarshal(data, &traj); err != nil {
+			return BenchSnapshot{}, fmt.Errorf("metrics: parsing bench trajectory %s: %w", path, err)
+		}
+		if len(traj) == 0 {
+			return BenchSnapshot{}, fmt.Errorf("metrics: bench trajectory %s is empty", path)
+		}
+		return traj[len(traj)-1], nil
 	}
 	var b BenchSnapshot
 	if err := json.Unmarshal(data, &b); err != nil {

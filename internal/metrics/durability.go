@@ -10,10 +10,18 @@ package metrics
 // startup-replay outcomes; `_total` on counters, `_ns` on nanosecond
 // histograms.
 type Durability struct {
-	// AppendNS is the per-record journal append latency (framing + write +
-	// any policy-driven fsync). Only observed when the scheduler is timed
-	// (a caller registry or profiler is attached), like every histogram.
+	// AppendNS is how long the journal delayed each record's op: framing +
+	// write for records nothing waits on, write through the end of the
+	// commit wait for records an acknowledgement waits on. Only observed
+	// when the scheduler is timed (a caller registry or profiler is
+	// attached), like every timing histogram.
 	AppendNS *Histogram
+	// CommitWaitNS is how long each acknowledgement waited for its record
+	// to become durable (its own or a shared group-commit fsync).
+	CommitWaitNS *Histogram
+	// CommitRecords is the number of records each group-commit fsync made
+	// durable: the batch size the previous fsync's duration accumulated.
+	CommitRecords *Histogram
 
 	// Journal write activity.
 	Appends       *Counter // records appended
@@ -44,7 +52,9 @@ func NewDurability(r *Registry) *Durability {
 		return nil
 	}
 	return &Durability{
-		AppendNS: r.Histogram("wal_append_ns", "journal record append latency in nanoseconds"),
+		AppendNS:      r.Histogram("wal_append_ns", "time the journal delayed a record's op (write, plus the commit wait when acknowledged) in nanoseconds"),
+		CommitWaitNS:  r.Histogram("wal_commit_wait_ns", "time an acknowledgement waited for its journal record to be durable in nanoseconds"),
+		CommitRecords: r.Histogram("wal_commit_records", "journal records made durable per group-commit fsync"),
 
 		Appends:       r.Counter("wal_appends_total", "journal records appended"),
 		AppendedBytes: r.Counter("wal_appended_bytes_total", "journal payload bytes appended"),

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -323,5 +325,31 @@ func TestPipelineRegistersCanonicalSchema(t *testing.T) {
 				t.Errorf("histogram %s does not end in _ns", f.Name)
 			}
 		}
+	}
+}
+
+// A BENCH file is one snapshot or an append-only trajectory of them; the
+// newest trajectory entry is the baseline.
+func TestReadBenchFileTrajectory(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	one, err := ReadBenchFile(write("one.json", `{"name":"wal","values":[{"name":"v","value":1}]}`))
+	if err != nil || one.Name != "wal" || one.Values[0].Value != 1 {
+		t.Fatalf("single snapshot = %+v, %v", one, err)
+	}
+	last, err := ReadBenchFile(write("traj.json", `
+[{"name":"wal","values":[{"name":"v","value":1}]},
+ {"name":"wal","values":[{"name":"v","value":2}]}]`))
+	if err != nil || len(last.Values) != 1 || last.Values[0].Value != 2 {
+		t.Fatalf("trajectory baseline = %+v, %v; want its newest entry", last, err)
+	}
+	if _, err := ReadBenchFile(write("empty.json", `[]`)); err == nil {
+		t.Fatal("an empty trajectory was accepted")
 	}
 }

@@ -84,8 +84,7 @@ func openDurable(o DurableOptions, timed bool, q Queue, adm *admission, slots in
 		o.Prof.Span(0, obs.StageRecover, "",
 			fmt.Sprintf("replayed:%d", rc.report.ReplayedOps), domain.Point{}, start, o.Prof.Now())
 	}
-	jn := newJournal(log, o.SnapshotEvery, o.Metrics, timed, o.Prof, nowNS)
-	return jn, rc, nil
+	return newJournal(log, o, timed, nowNS), rc, nil
 }
 
 // DurableTraceResult is RunTraceDurable's outcome: the trace result (every
@@ -110,7 +109,10 @@ type traceAux struct {
 }
 
 // RunTraceDurable is RunTrace with a write-ahead journal underneath: every
-// core op is journaled before the virtual clock moves past it, and on start
+// core op is written as it is decided and the tick's ops are committed
+// together before the virtual clock moves past them (the driver's one
+// acknowledgement point: the same logOp/commit pair the live scheduler uses,
+// with one committer), and on start
 // the run resumes from whatever consistent prefix the journal holds. Killing
 // the process at any point and re-running with the same (trace, config, dir)
 // converges on a decision log byte-identical to the crash-free run — the
@@ -160,10 +162,13 @@ func RunTraceDurable(tr Trace, cfg TraceConfig, o DurableOptions) (*DurableTrace
 		inFlight++
 	}
 
+	var tail uint64 // seq of the newest op written this tick; committed once per tick
 	logOp := func(op op) error {
-		if err := jn.logOp(op); err != nil {
+		a, err := jn.logOp(op, false)
+		if err != nil {
 			return err
 		}
+		tail = a.seq
 		out.Ops++
 		if o.OpDelay > 0 {
 			time.Sleep(o.OpDelay)
@@ -260,6 +265,12 @@ func RunTraceDurable(tr Trace, cfg TraceConfig, o DurableOptions) (*DurableTrace
 			if err := snapshot(); err != nil {
 				return nil, err
 			}
+		}
+		if tail != 0 {
+			if err := jn.commit(tail); err != nil {
+				return nil, err
+			}
+			tail = 0
 		}
 		if next >= len(tr.Jobs) && inFlight == 0 && c.q.Len() == 0 {
 			out.Done = true

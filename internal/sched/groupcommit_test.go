@@ -1,0 +1,209 @@
+package sched
+
+import (
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"indexlaunch/internal/wal"
+	"indexlaunch/internal/wal/waltest"
+)
+
+// Group commit on the live scheduler: acknowledgements wait for durability
+// outside Scheduler.mu, and nothing acknowledged is lost to a power cut.
+
+func alwaysCfg(dir string) Config {
+	cfg := durableCfg(dir)
+	cfg.Durable.Fsync = wal.SyncAlways
+	return cfg
+}
+
+// TestPowerCutKeepsAcknowledged runs two submitters against a journaling
+// scheduler (snapshots landing mid-run), cuts the journal back to what fsync
+// had covered — once in mid-flight, once at the end — and recovers from each
+// cut: every job whose Submit had returned must exist, and every job whose
+// Wait had returned must be done.
+func TestPowerCutKeepsAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	cfg := alwaysCfg(dir)
+	cfg.Durable.SnapshotEvery = 24
+	s := MustNew(cfg)
+	defer s.Shutdown()
+	var cut waltest.Offsets
+	s.jn.log.SetSyncHook(cut.Hook)
+
+	const submitters, each = 2, 40
+	var mu sync.Mutex
+	var submitted, finished []JobID
+	var half, all sync.WaitGroup
+	half.Add(submitters)
+	for g := 0; g < submitters; g++ {
+		all.Add(1)
+		go func() {
+			defer all.Done()
+			for i := 0; i < each; i++ {
+				id, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				submitted = append(submitted, id)
+				mu.Unlock()
+				if err := s.Wait(id); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				finished = append(finished, id)
+				mu.Unlock()
+				if i == each/2 {
+					half.Done()
+				}
+			}
+		}()
+	}
+
+	// cutNow takes the acknowledged sets first and the fsynced offsets after,
+	// so every acknowledgement in the sets precedes the cut. Holding s.mu
+	// keeps the directory still (no write, rotation or snapshot) while it is
+	// copied; commits go on.
+	cutNow := func() (string, []JobID, []JobID) {
+		mu.Lock()
+		sub := append([]JobID(nil), submitted...)
+		fin := append([]JobID(nil), finished...)
+		mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return cut.Cut(t, dir), sub, fin
+	}
+	check := func(when, cutDir string, sub, fin []JobID) {
+		s2, err := New(alwaysCfg(cutDir))
+		if err != nil {
+			t.Fatalf("%s: recovery from the cut failed: %v", when, err)
+		}
+		defer s2.Shutdown()
+		for _, id := range sub {
+			if _, res := s2.Lookup(id); res != LookupFound {
+				t.Errorf("%s: job %d was acknowledged by Submit and is %v after the cut", when, id, res)
+			}
+		}
+		for _, id := range fin {
+			if info, _ := s2.Lookup(id); info.State != "done" {
+				t.Errorf("%s: job %d was acknowledged done and is %q after the cut", when, id, info.State)
+			}
+		}
+	}
+
+	half.Wait()
+	midDir, midSub, midFin := cutNow()
+	all.Wait()
+	endDir, endSub, endFin := cutNow()
+	if len(endFin) != submitters*each {
+		t.Fatalf("%d jobs finished, want %d", len(endFin), submitters*each)
+	}
+	if st := s.Status().Durability; st.Snapshots == 0 {
+		t.Fatalf("no snapshot landed during the run: %+v", st)
+	}
+	check("mid-flight", midDir, midSub, midFin)
+	check("at the end", endDir, endSub, endFin)
+}
+
+// TestNoFsyncUnderSchedulerLock holds a commit fsync in flight and requires
+// everything that takes Scheduler.mu to go through meanwhile — while the
+// submit that waits on that fsync stays unacknowledged.
+func TestNoFsyncUnderSchedulerLock(t *testing.T) {
+	s := MustNew(alwaysCfg(t.TempDir()))
+	defer s.Shutdown()
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	var first, unblock sync.Once
+	defer unblock.Do(func() { close(release) }) // before Shutdown, which commits
+	s.jn.log.SetSyncHook(func(string, int64) {
+		first.Do(func() { close(inFlight); <-release })
+	})
+
+	acked := make(chan JobID, 1)
+	go func() {
+		id, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun})
+		if err != nil {
+			t.Error(err)
+		}
+		acked <- id
+	}()
+	<-inFlight
+
+	through := make(chan struct{})
+	go func() {
+		defer close(through)
+		s.Lookup(1)
+		s.Status()
+		s.Log()
+		s.SetCapacityFactor(0.5) // a journal write, under mu, beside the fsync
+	}()
+	select {
+	case <-through:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Scheduler.mu was held across an in-flight journal fsync")
+	}
+	select {
+	case id := <-acked:
+		t.Fatalf("Submit returned job %d before its record was durable", id)
+	default:
+	}
+
+	unblock.Do(func() { close(release) })
+	if err := s.Wait(<-acked); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntervalSyncsIdleTail: under -fsync interval a log that goes idle still
+// gets its tail synced, by the scheduler tick, once Interval has passed — the
+// bound the policy promises does not depend on a next op arriving.
+func TestIntervalSyncsIdleTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.TickEvery = time.Millisecond
+	cfg.Durable.Fsync = wal.SyncInterval
+	cfg.Durable.FsyncInterval = 20 * time.Millisecond
+	s := MustNew(cfg)
+	defer s.Shutdown()
+	synced := make(chan int64, 256) // every fsync of a short test; the hook drops rather than block
+	s.jn.log.SetSyncHook(func(_ string, offset int64) {
+		select {
+		case synced <- offset:
+		default:
+		}
+	})
+
+	id, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	// Idle from here: ticks coalesce in memory, so the segment has its final
+	// size, and no op will arrive to carry a sync.
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v, want one", segs)
+	}
+	st, err := os.Stat(segs[0])
+	if err != nil || st.Size() == 0 {
+		t.Fatalf("stat %s: %v, %v", segs[0], st, err)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case offset := <-synced:
+			if offset == st.Size() {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("idle tail (%d bytes) never synced under SyncInterval", st.Size())
+		}
+	}
+}

@@ -136,6 +136,10 @@ type Job struct {
 	done             chan struct{}
 	pctx             *JobContext
 	preemptRequested bool
+	// submitSeq is the journal seq of the job's submit record (0 when not
+	// durable): what an idempotency-key hit waits on before re-acknowledging
+	// the ID.
+	submitSeq uint64
 
 	// tc is the job's root span context (zero when tracing is off);
 	// preempted records that at least one attempt yielded, for the tail

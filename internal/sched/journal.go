@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"indexlaunch/internal/domain"
@@ -25,12 +26,21 @@ import (
 // table) so replay cost is bounded by snapshot cadence, and wal compaction
 // bounds disk.
 //
-// Ops are appended under the owner's serialization after the core applied
-// them but before the effect is acknowledged (the HTTP response, the
-// executor launch). A crash between apply and append loses only
-// unacknowledged work, and the deterministic continuation redoes it
-// identically — the property the crash-injection harness locks in byte for
-// byte.
+// Journaling an op is two steps. The owner writes the record under its own
+// serialization, right after the core applied the op, so journal order is
+// core order (logOp: frame + write(2), no fsync). Whoever acknowledges an
+// effect of that op — the submit's returned ID, a job's terminal state —
+// first waits, outside the owner's lock, for the record's seq to be durable
+// per the fsync policy (commit). Ops that acknowledge nothing (dispatch,
+// preempt, capacity, advance, a rejected submit) are never waited on; they
+// ride the next commit. That is safe because the log is prefix-durable:
+//
+//	acked ⇒ durable ≥ its seq; recovered state = a prefix of the journal;
+//	therefore acked effects ⊆ recovered state.
+//
+// A crash loses only unacknowledged work, and the deterministic continuation
+// redoes it identically — the property the crash-injection harness locks in
+// byte for byte.
 //
 // Empty ticks are coalesced: the tick loop only counts advances, and the
 // next journaled op flushes them as a single opAdvance{N}. Ticks that
@@ -263,26 +273,31 @@ type snapshotState struct {
 
 // journal owns the wal.Log plus the scheduler-side bookkeeping around it:
 // op encoding, coalesced tick advances, snapshot cadence, and the metrics /
-// obs instrumentation. Callers serialize access (the scheduler under its
-// mutex, the trace driver single-threaded).
+// obs instrumentation. The owner serializes logOp, tick and snapshot (the
+// scheduler under its mutex, the trace driver single-threaded); commit and
+// syncStats run concurrently with them, outside the owner's lock.
 type journal struct {
 	log       *wal.Log
+	fsync     wal.SyncPolicy
 	snapEvery int
 
 	pendingTicks int64
 	sinceSnap    int
 
 	mx    *metrics.Durability
-	last  wal.Stats // last wal stats seen, for counter deltas
 	timed bool
 	prof  *obs.Recorder
 	nowNS func() int64
+
+	statMu sync.Mutex
+	last   wal.Stats // last wal stats folded into mx; guarded by statMu
 }
 
 // defaultSnapshotEvery is the snapshot cadence in journaled ops.
 const defaultSnapshotEvery = 4096
 
-func newJournal(log *wal.Log, snapEvery int, mx *metrics.Durability, timed bool, prof *obs.Recorder, nowNS func() int64) *journal {
+func newJournal(log *wal.Log, o DurableOptions, timed bool, nowNS func() int64) *journal {
+	snapEvery := o.SnapshotEvery
 	if snapEvery < 1 {
 		snapEvery = defaultSnapshotEvery
 	}
@@ -290,52 +305,112 @@ func newJournal(log *wal.Log, snapEvery int, mx *metrics.Durability, timed bool,
 		epoch := time.Now()
 		nowNS = func() int64 { return time.Since(epoch).Nanoseconds() }
 	}
-	return &journal{log: log, snapEvery: snapEvery, mx: mx, timed: timed, prof: prof, nowNS: nowNS}
+	return &journal{log: log, fsync: o.Fsync, snapEvery: snapEvery, mx: o.Metrics, timed: timed, prof: o.Prof, nowNS: nowNS}
 }
 
 // tick counts one empty-tick advance; the next logOp flushes the backlog as
 // a single coalesced advance record.
 func (jn *journal) tick() { jn.pendingTicks++ }
 
-// logOp appends one op (flushing any coalesced advances first) and returns
-// once the record is in the journal per the fsync policy. The caller
-// acknowledges the operation only after logOp returns.
-func (jn *journal) logOp(o op) error {
+// ack is what an acknowledgement holds between its op's write and the commit
+// it waits for: the record's seq and, when the journal's delay of this op is
+// still to be observed (acked), the clock at the start of the write.
+type ack struct {
+	seq   uint64
+	start int64
+	timed bool
+}
+
+// logOp writes one op, after any coalesced advance, without syncing: the
+// advance and the op are one write burst that a single fsync covers. wait
+// says an acknowledgement will commit the returned ack; its wal_append_ns
+// sample is then taken by acked once durable, and at once otherwise.
+func (jn *journal) logOp(o op, wait bool) (ack, error) {
 	if jn.pendingTicks > 0 {
 		n := jn.pendingTicks
 		jn.pendingTicks = 0
-		if err := jn.append(op{K: opAdvance, N: n}); err != nil {
-			return err
+		if _, err := jn.write(op{K: opAdvance, N: n}, false); err != nil {
+			return ack{}, err
 		}
 	}
-	return jn.append(o)
+	return jn.write(o, wait)
 }
 
-func (jn *journal) append(o op) error {
+func (jn *journal) write(o op, wait bool) (ack, error) {
 	payload, err := json.Marshal(o)
 	if err != nil {
-		return fmt.Errorf("sched: journal encode: %w", err)
+		return ack{}, fmt.Errorf("sched: journal encode: %w", err)
 	}
 	var start int64
 	if jn.timed {
 		start = jn.nowNS()
 	}
-	if _, err := jn.log.Append(payload); err != nil {
-		return fmt.Errorf("sched: journal: %w", err)
+	seq, err := jn.log.Write(payload)
+	if err != nil {
+		return ack{}, fmt.Errorf("sched: journal: %w", err)
 	}
+	a := ack{seq: seq}
 	jn.sinceSnap++
 	if jn.mx != nil {
 		jn.mx.Appends.Inc()
 		jn.mx.AppendedBytes.Add(int64(len(payload)))
 		jn.mx.SnapshotAgeOps.Set(int64(jn.sinceSnap))
 		if jn.timed {
-			jn.mx.AppendNS.Observe(jn.nowNS() - start)
+			if wait {
+				a.start, a.timed = start, true
+			} else {
+				jn.mx.AppendNS.Observe(jn.nowNS() - start)
+			}
 		}
-		jn.syncStats()
 	}
 	if jn.prof != nil {
 		jn.prof.Mark(0, obs.StageJournal, "", opNames[o.K], domain.Point{}, jn.nowNS())
 	}
+	return a, nil
+}
+
+// commit returns once record seq is durable per the fsync policy, sharing
+// the fsync with every concurrent committer. Called without the owner's lock.
+func (jn *journal) commit(seq uint64) error {
+	var start int64
+	if jn.timed {
+		start = jn.nowNS()
+	}
+	if err := jn.log.Commit(seq); err != nil {
+		return fmt.Errorf("sched: journal commit: %w", err)
+	}
+	if jn.mx != nil {
+		if jn.timed {
+			jn.mx.CommitWaitNS.Observe(jn.nowNS() - start)
+		}
+		jn.syncStats()
+	}
+	return nil
+}
+
+// acked observes how long the journal delayed an acknowledged op: from the
+// start of its write to now, when its commit has returned.
+func (jn *journal) acked(a ack) {
+	if a.timed {
+		jn.mx.AppendNS.Observe(jn.nowNS() - a.start)
+	}
+}
+
+// syncIdle bounds what SyncInterval can lose on an idle log: called once per
+// owner tick, it syncs a tail that has sat unsynced for Interval. The other
+// policies need no help — always commits per acknowledgement, never never.
+func (jn *journal) syncIdle() error {
+	if jn.fsync != wal.SyncInterval {
+		return nil
+	}
+	seq := jn.log.LastSeq()
+	if seq == 0 {
+		return nil
+	}
+	if err := jn.log.Commit(seq); err != nil {
+		return fmt.Errorf("sched: journal idle sync: %w", err)
+	}
+	jn.syncStats()
 	return nil
 }
 
@@ -371,15 +446,32 @@ func (jn *journal) snapshot(st *snapshotState) error {
 }
 
 // syncStats folds the wal's cumulative stats into the metric families:
-// deltas onto the fsync/rotation counters, the segment count onto its gauge.
+// deltas onto the fsync/rotation counters, the segment count onto its gauge,
+// and the records each new commit fsync covered onto wal_commit_records. It
+// runs after each commit and snapshot — where fsyncs happen; a rotation
+// inside a write is folded in by the next — from committers concurrently, so
+// the delta base has its own lock. Several commit fsyncs between two calls
+// (rare: every committer calls this as its commit returns) are observed as
+// that many samples sharing the records evenly, which keeps the histogram's
+// count and sum exact.
 func (jn *journal) syncStats() {
 	if jn.mx == nil {
 		return
 	}
+	jn.statMu.Lock()
+	defer jn.statMu.Unlock()
 	st := jn.log.Stats()
-	jn.mx.Fsyncs.Add(int64(st.Fsyncs - jn.last.Fsyncs))
-	jn.mx.Rotations.Add(int64(st.Rotations - jn.last.Rotations))
+	jn.mx.Fsyncs.Add(st.Fsyncs - jn.last.Fsyncs)
+	jn.mx.Rotations.Add(st.Rotations - jn.last.Rotations)
 	jn.mx.Segments.Set(int64(st.Segments))
+	if n := st.CommitFsyncs - jn.last.CommitFsyncs; n > 0 {
+		records := st.CommitRecords - jn.last.CommitRecords
+		for ; n > 0; n-- {
+			share := records / n
+			jn.mx.CommitRecords.Observe(share)
+			records -= share
+		}
+	}
 	jn.last = st
 }
 

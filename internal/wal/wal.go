@@ -16,10 +16,21 @@
 //     owner's full state as of record seq. Writing one compacts the log:
 //     every segment it covers is deleted and a fresh segment starts, so disk
 //     usage is bounded by snapshot cadence rather than history length.
-//   - Fsync policy is configurable: SyncAlways pays one fsync per append
-//     (acknowledged writes survive power loss), SyncInterval batches fsyncs
-//     on a timer (acknowledged writes survive SIGKILL, up to Interval lost
-//     on power cut), SyncNever leaves flushing to the kernel entirely.
+//   - Fsync policy is configurable: under SyncAlways a record is durable
+//     once Commit (or Append) returns, so acknowledged writes survive power
+//     loss; SyncInterval syncs at most once per Interval, when a Commit or
+//     Append finds the last sync that old (acknowledged writes survive
+//     SIGKILL; a power cut loses up to Interval provided the owner calls
+//     Commit at least that often — the scheduler does so from its tick);
+//     SyncNever leaves flushing to the kernel entirely.
+//   - Appending is two steps, so an owner can order records under its own
+//     lock and wait for durability outside it: Write frames a record and
+//     write(2)s it, Commit(seq) returns once an fsync that began after seq
+//     was written has finished. At most one commit fsync is in flight; it
+//     covers every record written before it began, and callers that arrive
+//     meanwhile share the next one (group commit: the batch is whatever
+//     accumulated during the previous fsync — no timer, no threshold).
+//     Append is Write followed by Commit.
 //
 // Open returns both the writable log and a Recovered view of everything
 // durable: the newest valid snapshot (corrupt snapshots fall back to older
@@ -27,12 +38,14 @@
 // truncated and counted. Recovery is deterministic: two Opens of the same
 // directory yield byte-identical state.
 //
-// The log is safe for use by one goroutine at a time; owners (the scheduler
-// journal) already serialize under their own mutex.
+// The log is safe for concurrent use. Its mutex is held across write(2),
+// rotation and Snapshot, but never across a commit fsync: writers and readers
+// of Stats proceed while one is in flight.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -40,6 +53,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -47,10 +61,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval batches fsyncs: an append syncs only when Interval has
+	// SyncInterval batches fsyncs: a commit syncs only when Interval has
 	// passed since the last sync. The default.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs every append before it returns.
+	// SyncAlways makes every record durable before its Commit returns.
 	SyncAlways
 	// SyncNever never fsyncs; the kernel flushes on its own schedule.
 	SyncNever
@@ -119,7 +133,9 @@ func (r *Recovered) Empty() bool { return r.Snapshot == nil && len(r.Records) ==
 type Stats struct {
 	Appends       int64  // records appended this process
 	AppendedBytes int64  // payload bytes appended this process
-	Fsyncs        int64  // fsync calls this process
+	Fsyncs        int64  // fsync calls this process (commits, rotations, snapshots, directory)
+	CommitFsyncs  int64  // of those, group-commit fsyncs led by Commit
+	CommitRecords int64  // records those commit fsyncs made durable
 	Rotations     int64  // segment rotations this process
 	Snapshots     int64  // snapshots written this process
 	Segments      int    // live segment files
@@ -132,13 +148,26 @@ type Log struct {
 	dir string
 	opt Options
 
+	// mu guards every field below. A commit leader drops it for the
+	// duration of its fsync, leaving syncing set.
+	mu sync.Mutex
+
 	f        *os.File // active segment
 	segBytes int64    // active segment size
 	segments []string // live segment paths, oldest first (incl. active)
 
-	next     uint64 // seq the next Append assigns
+	next     uint64 // seq the next Write assigns
 	snapSeq  uint64
 	lastSync time.Time
+
+	durable uint64     // every record with seq <= durable has been fsynced
+	syncing bool       // a commit fsync is in flight outside mu
+	synced  *sync.Cond // on mu; broadcast when syncing clears and on Close
+
+	// syncHook, when set, is called after each completed fsync of a segment
+	// with the byte offset the fsync covers, before the log counts those
+	// bytes durable.
+	syncHook func(segment string, offset int64)
 
 	stats Stats
 }
@@ -157,6 +186,7 @@ func Open(dir string, opt Options) (*Log, *Recovered, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, opt: opt, lastSync: time.Now()}
+	l.synced = sync.NewCond(&l.mu)
 	rec, err := l.recover()
 	if err != nil {
 		return nil, nil, err
@@ -279,7 +309,16 @@ func (l *Log) recover() (*Recovered, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f, l.segBytes = f, st.Size()
+		// The recovered tail may be bytes a killed process wrote but never
+		// synced. The owner is about to act on them (and acknowledge what it
+		// derives), so make them durable before counting them so.
+		if l.opt.Fsync != SyncNever && l.segBytes > 0 {
+			if err := l.sync(); err != nil {
+				return nil, err
+			}
+		}
 	}
+	l.durable = l.next - 1
 	l.stats.Segments = len(l.segments)
 	l.stats.LastSeq = l.next - 1
 	l.stats.SnapshotSeq = l.snapSeq
@@ -351,20 +390,27 @@ func frame(payload []byte) []byte {
 	return buf
 }
 
-// Append writes one record, honoring the fsync policy, and returns its seq.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	if l.f == nil {
-		return 0, fmt.Errorf("wal: log closed")
-	}
+// errClosed is returned by operations on a closed log.
+var errClosed = errors.New("wal: log closed")
+
+// Write frames payload and writes it to the active segment without syncing,
+// returning the record's seq. The record survives a process kill at once; it
+// survives a power cut once Commit(seq) has returned under SyncAlways.
+func (l *Log) Write(payload []byte) (uint64, error) {
 	if len(payload) > maxRecordBytes {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordBytes)
+	}
+	buf := frame(payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return 0, errClosed
 	}
 	if l.segBytes >= l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	buf := frame(payload)
 	if _, err := l.f.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -374,36 +420,119 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.stats.Appends++
 	l.stats.AppendedBytes += int64(len(payload))
 	l.stats.LastSeq = seq
-	switch l.opt.Fsync {
-	case SyncAlways:
-		if err := l.sync(); err != nil {
-			return 0, err
+	return seq, nil
+}
+
+// Commit applies the fsync policy to record seq and everything before it.
+// Under SyncAlways it returns once an fsync that began after seq was written
+// has finished: the caller leads one if none is in flight, otherwise it waits
+// and shares the next, so concurrent committers pay one fsync between them.
+// Under SyncInterval it syncs only when the last sync is at least Interval
+// old, and never waits for another caller's; under SyncNever it does nothing.
+func (l *Log) Commit(seq uint64) error {
+	if l.opt.Fsync == SyncNever {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq >= l.next {
+		return fmt.Errorf("wal: commit of seq %d, newest record is %d", seq, l.next-1)
+	}
+	for l.durable < seq {
+		if l.f == nil {
+			return errClosed
 		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opt.Interval {
-			if err := l.sync(); err != nil {
-				return 0, err
-			}
+		if l.opt.Fsync == SyncInterval && (l.syncing || time.Since(l.lastSync) < l.opt.Interval) {
+			return nil
 		}
+		if l.syncing {
+			l.synced.Wait()
+			continue
+		}
+		if err := l.leadSync(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// leadSync fsyncs the active segment with mu released, then counts every
+// record written before the fsync began as durable. Rotation, Snapshot and
+// Close wait for syncing to clear before they close the file.
+func (l *Log) leadSync() error {
+	f, seg, off, covers, hook := l.f, l.segments[len(l.segments)-1], l.segBytes, l.next-1, l.syncHook
+	l.syncing = true
+	l.mu.Unlock()
+	err := f.Sync()
+	if err == nil && hook != nil {
+		hook(seg, off)
+	}
+	l.mu.Lock()
+	l.syncing = false
+	l.synced.Broadcast()
+	if err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	l.stats.Fsyncs++
+	l.stats.CommitFsyncs++
+	l.stats.CommitRecords += int64(covers - l.durable)
+	l.durable = covers
+	l.lastSync = time.Now()
+	return nil
+}
+
+// Append writes one record, honoring the fsync policy, and returns its seq:
+// Write followed by Commit.
+func (l *Log) Append(payload []byte) (uint64, error) {
+	seq, err := l.Write(payload)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Commit(seq); err != nil {
+		return 0, err
 	}
 	return seq, nil
 }
 
 // Sync forces an fsync of the active segment regardless of policy.
 func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f == nil {
-		return fmt.Errorf("wal: log closed")
+		return errClosed
 	}
 	return l.sync()
 }
 
+// sync fsyncs the active segment with mu held (rotation, Close, Sync: the
+// rare paths), after any in-flight commit fsync has finished. Every path that
+// closes the segment file comes through here first, except under SyncNever,
+// where no commit fsync exists to wait for.
 func (l *Log) sync() error {
+	for l.syncing {
+		l.synced.Wait()
+	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	if l.syncHook != nil {
+		l.syncHook(l.segments[len(l.segments)-1], l.segBytes)
+	}
 	l.stats.Fsyncs++
+	l.durable = l.next - 1
 	l.lastSync = time.Now()
 	return nil
+}
+
+// SetSyncHook installs fn to be called after every completed fsync of a
+// segment file, with the segment's path and the byte offset the fsync covers.
+// It is a seam for tests: cutting each segment back to its last reported
+// offset is what a power cut leaves behind, and a hook that blocks holds an
+// fsync in flight.
+func (l *Log) SetSyncHook(fn func(segment string, offset int64)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncHook = fn
 }
 
 // syncDir fsyncs the directory so renames and new files are durable.
@@ -424,7 +553,7 @@ func (l *Log) syncDir() error {
 }
 
 // rotate closes the active segment (syncing it unless SyncNever) and starts
-// a fresh one whose first record will be l.next.
+// a fresh one whose first record will be l.next. Caller holds mu.
 func (l *Log) rotate() error {
 	if l.f != nil {
 		if l.opt.Fsync != SyncNever {
@@ -450,29 +579,20 @@ func (l *Log) rotate() error {
 }
 
 // Snapshot atomically writes state as a snapshot covering every record
-// appended so far, then compacts: covered segments are deleted, older
-// snapshots removed, and a fresh segment started.
+// written so far, then compacts: covered segments are deleted, older
+// snapshots removed, and a fresh segment started. It holds the log's mutex
+// throughout, so no write or commit interleaves.
 func (l *Log) Snapshot(state []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f == nil {
-		return fmt.Errorf("wal: log closed")
+		return errClosed
 	}
 	seq := l.next - 1
 	path := l.snapPath(seq)
 	tmp := path + ".tmp"
-	buf := frame(state)
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := l.writeSnapshotFile(tmp, frame(state)); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if l.opt.Fsync != SyncNever {
-		f, err := os.OpenFile(tmp, os.O_WRONLY, 0o644)
-		if err == nil {
-			serr := f.Sync()
-			f.Close()
-			if serr != nil {
-				return fmt.Errorf("wal: snapshot fsync: %w", serr)
-			}
-			l.stats.Fsyncs++
-		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
@@ -493,10 +613,29 @@ func (l *Log) Snapshot(state []byte) error {
 	}
 	l.compactCovered()
 	if oldSnap > 0 && oldSnap != seq {
-		_ = os.Remove(l.snapPath(oldSnap))
+		_ = os.Remove(l.snapPath(oldSnap)) // a stale snapshot left behind is ignored by recovery
 	}
 	l.stats.Segments = len(l.segments)
 	return nil
+}
+
+// writeSnapshotFile writes buf to path and, unless SyncNever, fsyncs it
+// before closing: the rename that follows must never publish unsynced bytes.
+func (l *Log) writeSnapshotFile(path string, buf []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf)
+	if err == nil && l.opt.Fsync != SyncNever {
+		if err = f.Sync(); err == nil {
+			l.stats.Fsyncs++
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // compactCovered deletes segments every record of which is covered by the
@@ -522,20 +661,34 @@ func (l *Log) compactCovered() {
 }
 
 // Stats returns the log's counter snapshot.
-func (l *Log) Stats() Stats { return l.stats }
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// LastSeq returns the seq of the newest appended record (0 when empty).
-func (l *Log) LastSeq() uint64 { return l.next - 1 }
+// LastSeq returns the seq of the newest written record (0 when empty).
+func (l *Log) LastSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.next - 1
+}
 
 // SnapshotSeq returns the seq covered by the newest snapshot (0 when none).
-func (l *Log) SnapshotSeq() uint64 { return l.snapSeq }
+func (l *Log) SnapshotSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snapSeq
+}
 
 // Close syncs (unless SyncNever) and closes the active segment. The log is
-// unusable afterwards.
+// unusable afterwards; a Commit still waiting returns an error.
 func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
@@ -547,5 +700,6 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	l.f = nil
+	l.synced.Broadcast()
 	return err
 }
