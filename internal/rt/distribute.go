@@ -1,0 +1,242 @@
+package rt
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/wire"
+	"indexlaunch/internal/xport"
+)
+
+// Distribution (paper §5) ends with a point → node assignment. With DCR the
+// sharding functor is the assignment — evaluated per point, memoizable, no
+// communication. On the centralized path the slicing functor cuts the
+// launch into per-node slices and node 0 ships them, which this file makes
+// explicit in two ways:
+//
+//   - In-process, every slice bound for another node travels hop-by-hop
+//     through the reliable broadcast tree (an xport.Endpoint), subject to
+//     the configured ChaosPlan, and the launch proceeds only once every
+//     slice has been delivered exactly once. Slices for node 0 itself, and
+//     slices whose destination is already dead at broadcast time, never
+//     enter the transport: they stay local and the per-point faultCheck
+//     re-maps them exactly as it did before the transport existed, which is
+//     what keeps chaos runs byte-identical to fault-free runs.
+//   - In cluster mode nothing is broadcast ahead of issuance. A region-free
+//     launch's points are filed under the worker that owns them (shipment)
+//     and leave after issuance as one Exec request per worker, descriptor
+//     included; a launch with region requirements runs on node 0, where the
+//     region data lives, so its slices have nowhere to go.
+//
+// The cost difference between the two paths is modeled in internal/sim.
+
+// distribute is the third stage: it fixes how the launch's points map to
+// nodes — by the slicing functor's slices when slice is set (shipped through
+// the in-process transport first), by the sharding functor otherwise — and,
+// with ship set, opens the shipment its remote points are filed into.
+// Caller holds issueMu.
+func (r *Runtime) distribute(l *launch, slice, ship bool) {
+	l.tDist = r.clk.now()
+	if l.sliced = slice; slice {
+		l.slices = r.mapper.Slice(l.dom, r.cfg.Nodes)
+		if r.cluster == nil {
+			r.shipSlices(l)
+		}
+	}
+	if ship {
+		l.ship = make(shipment, r.cfg.Nodes)
+	}
+	l.distNS = r.clk.now() - l.tDist
+}
+
+// nodeOf returns the node distribute assigned p to and the index of the
+// slice it came from (-1 when the launch is sharded, or no slice holds p).
+func (r *Runtime) nodeOf(l *launch, p domain.Point) (node, slice int) {
+	if !l.sliced {
+		return clampNode(r.mapper.ShardPoint(l.dom, p, r.cfg.Nodes), r.cfg.Nodes), -1
+	}
+	for i, s := range l.slices {
+		if s.Domain.Contains(p) {
+			return clampNode(s.Node, r.cfg.Nodes), i
+		}
+	}
+	return 0, -1
+}
+
+func clampNode(n, nodes int) int {
+	if n < 0 {
+		return 0
+	}
+	if n >= nodes {
+		return nodes - 1
+	}
+	return n
+}
+
+// shipSlices broadcasts the launch's slices through the in-process
+// transport and leaves them in l.slices reassembled in the slicing
+// functor's order (deliveries complete in arbitrary order under chaos).
+// Caller holds issueMu, which serializes broadcasts and makes the r.dead
+// read safe. The launch's distribute span context rides the message headers
+// so each hop records a child send span.
+func (r *Runtime) shipSlices(l *launch) {
+	if r.xp == nil {
+		return
+	}
+	sent := l.slices
+	out := make([]Slice, len(sent))
+	items := make([]xport.Item, 0, len(sent))
+	for i, s := range sent {
+		if node := clampNode(s.Node, r.cfg.Nodes); node == 0 || r.dead[node] {
+			// Node-0-local slices have nowhere to go; dead-destination
+			// slices stay local so faultCheck re-maps their points.
+			out[i] = s
+		} else {
+			items = append(items, xport.Item{Dst: node, Payload: encodeSlicePayload(i, s)})
+		}
+	}
+	if len(items) == 0 {
+		return
+	}
+	r.deliverMu.Lock()
+	l.slices, r.shipping = out, l
+	r.deliverMu.Unlock()
+	// Blocks until every destination delivered (and acked).
+	r.xp.BroadcastTraced(l.tc.Child(tcDistribute), l.tag, items)
+	r.deliverMu.Lock()
+	r.shipping = nil
+	r.deliverMu.Unlock()
+}
+
+// transportDeliver is the in-process transport's Deliver callback: decode
+// the cluster payload — the bytes an idxnode worker would get — and, for a
+// slice, slot it into the launch whose broadcast is in flight (the
+// transport is built once in New, every broadcast has its own launch).
+func (r *Runtime) transportDeliver(node int, payload any) {
+	msg, err := DecodeClusterPayload(payload.([]byte))
+	if err != nil {
+		panic(fmt.Sprintf("rt: node %d received an undecodable payload from this process: %v", node, err))
+	}
+	if msg.Kind != "slice" {
+		return
+	}
+	r.deliverMu.Lock()
+	r.shipping.slices[msg.Index] = msg.Slice
+	r.deliverMu.Unlock()
+}
+
+// shipment collects, during issuance, the points of one region-free launch
+// that belong to worker nodes: one sliceRun per node, indexed by node.
+type shipment []*sliceRun
+
+// sliceRun is the part of one launch that one worker runs: the unit that
+// crosses the network.
+type sliceRun struct {
+	node int
+	// index is the slicing functor's slice the first point came from; whole
+	// stays true while every point came from that slice unmoved, so a run
+	// that ends up with all of the slice's points ships the slice's own
+	// domain (a dense rect stays a rect) instead of a point list.
+	index int
+	whole bool
+	// trs are the points' run states in launch order — which is the
+	// iteration order of any domain over them (all are lexicographic).
+	trs []*taskRun
+	// deps are the launch-wide preconditions some modes give region-free
+	// points (trace and bulk-trace replay); the slice waits for them once.
+	deps []*Event
+}
+
+// add files one analyzed point under the node issuance assigned it. si is
+// the slice the point came from and unmoved whether faultCheck left it on
+// that slice's node.
+func (sh shipment) add(node, si int, unmoved bool, tr *taskRun, deps []*Event) {
+	s := sh[node]
+	if s == nil {
+		s = &sliceRun{node: node, index: max(si, 0), whole: true}
+		sh[node] = s
+	}
+	s.whole = s.whole && unmoved && si == s.index
+	s.trs = append(s.trs, tr)
+	for _, d := range deps {
+		if !slices.Contains(s.deps, d) {
+			s.deps = append(s.deps, d)
+		}
+	}
+}
+
+// shipRemote starts every slice the launch collected, in node order. It only
+// spawns: issuance never waits for the network.
+func (r *Runtime) shipRemote(l *launch) {
+	for _, s := range l.ship {
+		if s == nil {
+			continue
+		}
+		req := wire.ExecRequest{Task: l.entry.name, Index: s.index}
+		if s.whole && l.slices[s.index].Domain.Volume() == int64(len(s.trs)) {
+			req.Domain = l.slices[s.index].Domain
+		} else {
+			pts := make([]domain.Point, len(s.trs))
+			for i, tr := range s.trs {
+				pts[i] = tr.point
+			}
+			req.Domain = domain.FromPoints(pts)
+		}
+		if l.pointArgs {
+			req.PointArgs = make([][]byte, len(s.trs))
+			for i, tr := range s.trs {
+				req.PointArgs[i] = tr.args
+			}
+		} else {
+			req.Args = s.trs[0].args
+		}
+		r.mx.InflightTasks.Add(int64(len(s.trs)))
+		go r.runSlice(s, req)
+	}
+}
+
+// runSlice drives one slice: wait for the launch-wide preconditions, arm
+// each point's straggler watchdog, send the slice as one Exec request and
+// settle every point from the answer. A point that ran commits; a point
+// whose body failed on the worker enters its own retry ladder at attempt 2;
+// a slice the transport could not deliver (ErrUnreachable) runs its points
+// here instead. All points share the execute clock's start: the moment the
+// slice is handed to the mesh.
+func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
+	defer r.mx.InflightTasks.Add(-int64(len(s.trs)))
+	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+		for _, tr := range s.trs {
+			r.skipPoint(tr, s.node, cause)
+		}
+		return
+	}
+	if r.specOn {
+		for _, tr := range s.trs {
+			tr.spec = &specState{cancel: make(chan struct{})}
+			r.armSpeculation(tr, s.node)
+		}
+	}
+	tExec := r.execNow()
+	results, err := r.cluster.ExecSlice(s.node, req)
+	for i, tr := range s.trs {
+		perr := err
+		if err == nil {
+			perr = results[i].Err
+		}
+		if perr == nil {
+			r.commitAttempt(tr, nil, s.node, false, results[i].Val, nil, 1, tExec)
+			continue
+		}
+		from := resume{attempts: 1, err: perr, tExec: tExec}
+		if errors.Is(perr, wire.ErrUnreachable) {
+			from = resume{tExec: tExec, local: true}
+		}
+		r.mx.InflightTasks.Add(1)
+		go func() {
+			defer r.mx.InflightTasks.Add(-1)
+			r.runAttempt(tr, s.node, false, from)
+		}()
+	}
+}

@@ -298,3 +298,33 @@ func (r *Runtime) AliveNodes() []int {
 	}
 	return alive
 }
+
+// sleepBackoff waits out one retry backoff, returning false if Shutdown
+// cancelled the wait.
+func (r *Runtime) sleepBackoff(d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-r.stop:
+		return false
+	}
+}
+
+// panicError carries a recovered task-body panic out of runBody.
+type panicError struct{ value any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
+
+// runBody executes one attempt of a task body, converting a panic into an
+// error so a faulty task cannot take down the process.
+func (r *Runtime) runBody(fn TaskFn, ctx *Context) (val []byte, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.mx.Panics.Inc()
+			err = &panicError{value: rec}
+		}
+	}()
+	return fn(ctx)
+}

@@ -1,0 +1,204 @@
+package rt
+
+import (
+	"fmt"
+
+	"indexlaunch/internal/core"
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
+	"indexlaunch/internal/privilege"
+	"indexlaunch/internal/region"
+)
+
+// launch is one Execute call in flight — the O(1) object the paper's §5
+// hands from stage to stage (issue → logical → distribute → physical, one
+// file each). It lives while issueMu is held; the task runs it starts
+// outlive it.
+type launch struct {
+	task   core.TaskID
+	entry  taskEntry
+	tag    string
+	dom    domain.Domain
+	points int          // declared point count
+	tc     obs.TraceRef // launch span context; zero when the job is untraced
+	fm     *FutureMap   // where point futures land; nil for a single launch
+
+	// Distribution: whether the slicing functor (else the sharding functor)
+	// places the points, its slices, and, in cluster mode, the region-free
+	// points leaving for worker nodes.
+	sliced    bool
+	slices    []Slice
+	ship      shipment
+	pointArgs bool
+
+	// Replay at launch granularity: the preconditions every point shares
+	// and the points' completion events. issued counts analyzed points.
+	deps   []*Event
+	evs    []*Event
+	issued int
+
+	// Stage clock readings: launch and distribute start, and the time spent
+	// per stage, so the four issuance-side stages partition the time under
+	// issueMu.
+	t0, tDist                 int64
+	logicalNS, distNS, physNS int64
+}
+
+// ExecuteIndex issues an index launch and returns its future map. The
+// launch is analyzed, distributed and executed asynchronously; Wait on the
+// future map (or a fence) to observe completion.
+func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
+	r.issueMu.Lock()
+	defer r.issueMu.Unlock()
+	r.mx.LaunchCalls.Inc()
+	l, err := r.issue(il.Task, il.Tag, il.Domain, int(il.Parallelism()))
+	if err != nil {
+		return nil, err
+	}
+	l.fm, l.pointArgs = newFutureMap(), il.PointArgs != nil
+	r.logical(l, il)
+	// In cluster mode a region-free launch's points leave for the workers
+	// that own them, one slice per worker.
+	r.distribute(l, !r.cfg.DCR, r.cluster != nil && len(il.Requirements) == 0)
+	err = il.Each(func(pt core.PointTask) bool {
+		r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.launchDone(l)
+	return l.fm, nil
+}
+
+// pointRegions pairs one point's projected regions with the privileges the
+// launch requested them under.
+func pointRegions(il *core.IndexLaunch, pt core.PointTask) []PhysicalRegion {
+	prs := make([]PhysicalRegion, len(pt.Regions))
+	for i, reg := range pt.Regions {
+		req := il.Requirements[i]
+		prs[i] = PhysicalRegion{Region: reg, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+	}
+	return prs
+}
+
+// SingleReq is a region requirement of a single-task launch: a concrete
+// region rather than a ⟨partition, functor⟩ pair.
+type SingleReq struct {
+	Region *region.Region
+	Priv   privilege.Privilege
+	RedOp  privilege.OpID
+	Fields []region.FieldID
+}
+
+// ExecuteSingle issues one task: a launch over a singleton domain, placed
+// by the sharding functor on both paths, with no logical stage (there is no
+// launch-wide analysis to do).
+func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, args []byte) (*Future, error) {
+	r.issueMu.Lock()
+	defer r.issueMu.Unlock()
+	r.mx.SingleCalls.Inc()
+	l, err := r.issue(task, tag, domain.Range1(0, 0), 1)
+	if err != nil {
+		return nil, err
+	}
+	prs := make([]PhysicalRegion, len(reqs))
+	for i, req := range reqs {
+		if req.Region == nil {
+			return nil, fmt.Errorf("rt: single launch %q requirement %d has nil region", tag, i)
+		}
+		prs[i] = PhysicalRegion{Region: req.Region, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+	}
+	r.distribute(l, false, false)
+	fut := r.issuePoint(l, domain.Pt1(0), prs, args)
+	r.launchDone(l)
+	return fut, nil
+}
+
+// issue is the first stage: it opens the launch — the value the other
+// stages are handed — under the next launch span context, starts its clock
+// and enters it into the open capture/replay episode. Caller holds issueMu.
+func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points int) (*launch, error) {
+	if int(task) >= len(r.tasks) {
+		return nil, fmt.Errorf("rt: launch %q names unregistered task %d", tag, task)
+	}
+	l := &launch{task: task, entry: r.tasks[task], tag: tag, dom: d, points: points,
+		tc: r.nextLaunchTC(), t0: r.clk.now()}
+	if r.ep != nil {
+		r.ep.launchBegin(l)
+	}
+	return l, nil
+}
+
+// issuePoint takes one point through the per-point half of the pipeline:
+// placement (distribute), dependence analysis (physical), and the hand-off
+// to the executor — or, for a point leaving in a slice, to the shipment.
+// Caller holds issueMu.
+func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, args []byte) *Future {
+	t := r.clk.now()
+	owner, si := r.nodeOf(l, p)
+	node := r.faultCheck(l.dom, p, owner)
+	l.distNS += r.clk.now() - t
+
+	tr, deps := r.physical(l, p, node, prs, args)
+	l.issued++
+	if l.fm != nil {
+		l.fm.add(p, tr.fut)
+	}
+	if l.ship != nil && node != 0 {
+		l.ship.add(node, si, node == owner, tr, deps)
+		return tr.fut
+	}
+	r.mx.InflightTasks.Add(1)
+	go func() {
+		defer r.mx.InflightTasks.Add(-1)
+		if cause := WaitAllErr(deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+			r.skipPoint(tr, node, cause)
+			return
+		}
+		if r.specOn {
+			// Arm the straggler watchdog only once the task is runnable:
+			// dependence waits are ordering, not straggling.
+			tr.spec = &specState{cancel: make(chan struct{})}
+			r.armSpeculation(tr, node)
+		}
+		r.runAttempt(tr, node, false, resume{})
+	}()
+	return tr.fut
+}
+
+// skipPoint completes tr without running its body because a precondition is
+// poisoned, cascading the failure downstream through the task's own event.
+func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
+	r.mx.TasksSkipped.Inc()
+	if prof := r.cfg.Profile; prof != nil {
+		prof.MarkTC(tr.tc.Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
+	}
+	tr.fut.complete(nil, &TaskError{
+		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,
+		Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
+	})
+}
+
+// launchDone closes the launch: the slices leaving for workers start, the
+// episode seals the launch's unit, the future map seals, and the clock
+// records the two launch-level spans the per-point work accumulated into —
+// distribute (sharding/slicing time over the whole launch) and issue (the
+// residual launch bookkeeping, so the four issuance-side stages partition
+// the time spent under issueMu). Caller holds issueMu.
+func (r *Runtime) launchDone(l *launch) {
+	if l.ship != nil {
+		r.shipRemote(l)
+	}
+	if r.ep != nil {
+		r.ep.launchDone(l)
+	}
+	if l.fm != nil {
+		l.fm.seal()
+	}
+	resid := max(r.clk.now()-l.t0-l.logicalNS-l.distNS-l.physNS, 0)
+	r.clk.done(obs.StageDistribute, r.mx.LatDistribute, l.tc.Child(tcDistribute), 0, 0,
+		l.entry.name, l.tag, domain.Point{}, l.tDist, l.tDist+l.distNS)
+	r.clk.done(obs.StageIssue, r.mx.LatIssue, l.tc, 0, 0,
+		l.entry.name, l.tag, domain.Point{}, l.t0, l.t0+resid)
+}

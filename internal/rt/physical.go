@@ -1,0 +1,86 @@
+package rt
+
+import (
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
+)
+
+// physical is the per-point stage: dependence analysis against the version
+// map — or, in a replay, against the captured template — plus the point's
+// span identity and fence bookkeeping. It returns the point's run state and
+// the events it must wait for; the caller starts it. The stage's span is
+// attributed to the owning node as in DCR, where each node analyzes its
+// local points. Caller holds issueMu.
+func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte) (*taskRun, []*Event) {
+	fut := newFuture()
+	ev := fut.ev
+	name := l.entry.name
+	ptc := l.tc.Child(pointChildKey(p))
+
+	var deps []*Event
+	if r.replaying() {
+		deps = r.ep.replayPoint(l, p, ev)
+		r.mx.AnalysisSkipped.Inc()
+	} else {
+		t0 := r.clk.now()
+		depSet := map[*Event]struct{}{}
+		for _, pr := range prs {
+			ivs := pr.Region.Intervals()
+			for _, f := range pr.Fields {
+				for _, d := range r.vm.access(pr.Region.Tree.ID, f, ivs, pr.Priv, pr.RedOp, ev) {
+					depSet[d] = struct{}{}
+				}
+			}
+		}
+		deps = make([]*Event, 0, len(depSet))
+		for d := range depSet {
+			deps = append(deps, d)
+		}
+		if r.ep != nil {
+			r.ep.capture(l, p, ev, deps, prs)
+		}
+		t1 := r.clk.now()
+		l.physNS += t1 - t0
+		r.clk.done(obs.StagePhysical, r.mx.LatPhysical, ptc, 0, node, name, l.tag, p, t0, t1)
+	}
+
+	// Span identity and dependence edges for the critical-path graph.
+	var spanID int64
+	if prof := r.clk.prof; prof != nil {
+		spanID = prof.NextID()
+		for _, d := range deps {
+			if from, ok := r.profIDs[d]; ok {
+				prof.Edge(from, spanID)
+			}
+		}
+		r.profNote(ev, spanID)
+	}
+
+	r.outstanding = append(r.outstanding, pendingTask{ev: ev, name: name, tag: l.tag, point: p})
+	r.pruneOutstanding()
+
+	return &taskRun{
+		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p,
+		args: args, prs: prs, fut: fut, spanID: spanID, tc: ptc,
+	}, deps
+}
+
+// profIDCap bounds the event → span-ID map; beyond it, entries for
+// completed events are dropped. A completed event can still be a future
+// dependence (the version map keeps last writers), in which case the edge
+// is lost — harmless for critical-path purposes, since a long-completed
+// dependence never bound a start.
+const profIDCap = 1 << 16
+
+// profNote registers ev's span ID for dependence-edge recording. Caller
+// holds issueMu.
+func (r *Runtime) profNote(ev *Event, id int64) {
+	if len(r.profIDs) > profIDCap {
+		for e := range r.profIDs {
+			if e.Done() {
+				delete(r.profIDs, e)
+			}
+		}
+	}
+	r.profIDs[ev] = id
+}

@@ -1,0 +1,298 @@
+package rt
+
+import (
+	"fmt"
+	"slices"
+
+	"indexlaunch/internal/core"
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
+	"indexlaunch/internal/privilege"
+	"indexlaunch/internal/region"
+)
+
+// Capture/replay (paper §6.2.1, citing Lee et al. [20]) memoizes the
+// dependence analysis of a repeated sequence of launches. The first episode
+// with a given id captures, per unit, the dependence edges the version map
+// produced; later episodes replay the captured template, skipping
+// version-map queries entirely.
+//
+// The unit of memoization is the one knob. At point granularity
+// (Config.Tracing) every point task seals its own unit, which forces an
+// index launch to expand before distribution. At launch granularity
+// (Config.BulkTracing — the paper's stated future work: "tracing to work
+// with bulk task launches, such that the benefits of index launches can be
+// enjoyed, even without DCR") a whole launch is one unit: the capture
+// merges its points' edges into "which earlier launches does this launch
+// depend on", and a replay wires every point of the launch to the merged
+// completion events of those launches — one dependence decision per launch,
+// so the compact representation survives replay. The price is precision:
+// points that were independent at point granularity (halo exchanges, say)
+// become launch barriers during replay. Correctness is unaffected.
+//
+// A replayed episode is stitched to the surrounding program with two
+// conservative joints: every replayed unit waits on the merged last-events
+// of all data the template touches (boundary, computed live at replay
+// time), and at the end of a replay the version map is bulk-updated so
+// later un-traced work orders correctly after the episode.
+//
+// Replays must issue exactly the units that were captured (same tasks, same
+// points or point counts, same launch boundaries); a divergent replay is a
+// programming error and panics with a diagnostic.
+
+// unitSig identifies one captured unit for replay validation.
+type unitSig struct {
+	task   core.TaskID
+	point  domain.Point // point granularity: the unit's point
+	points int          // launch granularity: the launch's point count
+	first  bool         // the unit opens a launch: boundaries are part of the signature
+}
+
+// template is a captured episode: what a replay needs instead of the
+// version map.
+type template struct {
+	id     uint64
+	units  []unitSig
+	deps   [][]int // per unit, the earlier units of the episode it depends on
+	writes map[fieldKey][]region.Interval
+	reads  map[fieldKey][]region.Interval
+}
+
+// episode is the capture or replay between one BeginTrace/EndTrace pair.
+// Guarded by issueMu.
+type episode struct {
+	tmpl     *template
+	replay   bool
+	byLaunch bool // unit = launch (Config.BulkTracing), else unit = point
+
+	// Capture: the unit that issued each completion event, and the
+	// dependence indices of the unit still open.
+	unitOf map[*Event]int
+	open   []int
+
+	// Replay: the next unit, every sealed unit's completion event, and the
+	// boundary event the chain roots wait on.
+	cursor int
+	done   []*Event
+	start  *Event
+}
+
+func (r *Runtime) replaying() bool { return r.ep != nil && r.ep.replay }
+
+// BeginTrace starts an episode. The first episode with a given id captures;
+// later episodes replay. Episodes do not nest. Tracing must be enabled in
+// the runtime config.
+func (r *Runtime) BeginTrace(id uint64) error {
+	r.issueMu.Lock()
+	defer r.issueMu.Unlock()
+	if !r.cfg.Tracing {
+		return fmt.Errorf("rt: tracing disabled in config")
+	}
+	if r.ep != nil {
+		return fmt.Errorf("rt: trace %d begun inside another trace", id)
+	}
+	if tmpl, ok := r.templates[id]; ok {
+		r.ep = &episode{tmpl: tmpl, replay: true, byLaunch: r.cfg.BulkTracing,
+			done: make([]*Event, len(tmpl.units)), start: r.boundary(tmpl)}
+		return nil
+	}
+	r.ep = &episode{
+		tmpl: &template{id: id,
+			writes: map[fieldKey][]region.Interval{},
+			reads:  map[fieldKey][]region.Interval{}},
+		byLaunch: r.cfg.BulkTracing,
+		unitOf:   map[*Event]int{},
+	}
+	return nil
+}
+
+// boundary orders a whole replay after the current last users of everything
+// the template touches. Caller holds issueMu.
+func (r *Runtime) boundary(t *template) *Event {
+	var evs []*Event
+	for key, ivs := range t.writes {
+		evs = append(evs, r.vm.lastEvents(key.tree, key.field, ivs)...)
+	}
+	for key, ivs := range t.reads {
+		evs = append(evs, r.vm.lastEvents(key.tree, key.field, ivs)...)
+	}
+	return Merge(evs...)
+}
+
+// EndTrace finishes the current episode. An EndTrace that does not match
+// its BeginTrace, or that ends a replay short of the captured units,
+// returns an error and discards the episode: no template is stored, nothing
+// is counted.
+func (r *Runtime) EndTrace(id uint64) error {
+	r.issueMu.Lock()
+	defer r.issueMu.Unlock()
+	ep := r.ep
+	if ep == nil {
+		return fmt.Errorf("rt: EndTrace(%d) without BeginTrace", id)
+	}
+	r.ep = nil
+	t := ep.tmpl
+	label, stage := "trace", obs.StageCapture
+	if ep.byLaunch {
+		label = "bulk-trace"
+	}
+	var err error
+	switch {
+	case t.id != id:
+		err = fmt.Errorf("rt: EndTrace(%d) does not match BeginTrace(%d)", id, t.id)
+	case ep.replay && ep.cursor != len(t.units):
+		err = fmt.Errorf("rt: %s %d replay issued %d of %d units", label, id, ep.cursor, len(t.units))
+	}
+	if ep.replay {
+		// Restore version state in bulk: the merged terminal event of the
+		// replay becomes the last writer of everything the template wrote
+		// and a reader of everything it read. A discarded replay restores
+		// too — what it issued is in flight, and later work must order
+		// after it — with the boundary merged in, which a complete replay
+		// reaches through its units.
+		evs := ep.done[:ep.cursor:ep.cursor]
+		if err != nil {
+			evs = append(evs, ep.start)
+		}
+		terminal := Merge(evs...)
+		for key, ivs := range t.writes {
+			r.vm.bulkWrite(key.tree, key.field, ivs, terminal)
+		}
+		for key, ivs := range t.reads {
+			r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal)
+		}
+		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: label + "-replay", tag: "trace"})
+		stage = obs.StageReplay
+	}
+	if err != nil {
+		return err
+	}
+	if ep.replay {
+		r.mx.TraceReplays.Inc()
+	} else {
+		if r.templates == nil {
+			r.templates = map[uint64]*template{}
+		}
+		r.templates[id] = t
+		r.mx.TraceCaptures.Inc()
+	}
+	if prof := r.cfg.Profile; prof != nil {
+		prof.Mark(0, stage, label, "trace", domain.Point{}, prof.Now())
+	}
+	return nil
+}
+
+// launchBegin opens l inside the episode. At launch granularity a replayed
+// launch is one unit, so its points' shared preconditions are fixed here.
+func (ep *episode) launchBegin(l *launch) {
+	if ep.byLaunch && ep.replay {
+		l.deps = ep.unitDeps(ep.sig(l, domain.Point{}))
+		l.evs = make([]*Event, 0, l.points)
+	}
+}
+
+// capture records one analyzed point into the open unit: its completion
+// event, its edges to earlier units and the data it touches. At point
+// granularity the point seals its own unit.
+func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, prs []PhysicalRegion) {
+	t := ep.tmpl
+	ep.unitOf[ev] = len(t.units)
+	// Edges to events from outside the episode are dropped: pre-episode
+	// ordering is reconstructed at replay time from the version map
+	// (boundary), never from the capture run, whose timing-dependent view
+	// of pre-episode state (e.g. fresh, never-written regions) says nothing
+	// about what a replay will find.
+	for _, d := range deps {
+		if j, ok := ep.unitOf[d]; ok && !slices.Contains(ep.open, j) {
+			ep.open = append(ep.open, j)
+		}
+	}
+	for _, pr := range prs {
+		ivs := pr.Region.Intervals()
+		for _, f := range pr.Fields {
+			key := fieldKey{tree: pr.Region.Tree.ID, field: f}
+			if pr.Priv.IsWrite() {
+				t.writes[key] = append(t.writes[key], ivs...)
+			} else {
+				t.reads[key] = append(t.reads[key], ivs...)
+			}
+		}
+	}
+	if !ep.byLaunch {
+		ep.seal(ep.sig(l, p), nil)
+	}
+}
+
+// replayPoint returns the preconditions of the next replayed point and
+// registers ev as its completion event.
+func (ep *episode) replayPoint(l *launch, p domain.Point, ev *Event) []*Event {
+	if ep.byLaunch {
+		l.evs = append(l.evs, ev)
+		return l.deps
+	}
+	deps := ep.unitDeps(ep.sig(l, p))
+	ep.seal(unitSig{}, ev)
+	return deps
+}
+
+// launchDone closes l inside the episode: at launch granularity it seals
+// the launch's unit — in a replay, under the merged completion event of the
+// launch's points.
+func (ep *episode) launchDone(l *launch) {
+	if !ep.byLaunch {
+		return
+	}
+	var done *Event
+	if ep.replay {
+		done = Merge(l.evs...)
+	}
+	ep.seal(ep.sig(l, domain.Point{}), done)
+}
+
+// sig is the signature of the unit l's point p belongs to: the launch
+// itself at launch granularity, the point otherwise.
+func (ep *episode) sig(l *launch, p domain.Point) unitSig {
+	if ep.byLaunch {
+		return unitSig{task: l.task, points: l.points, first: true}
+	}
+	return unitSig{task: l.task, point: p, first: l.issued == 0}
+}
+
+// unitDeps validates the next replayed unit against its captured signature
+// and returns its precondition events.
+func (ep *episode) unitDeps(got unitSig) []*Event {
+	t := ep.tmpl
+	if ep.cursor >= len(t.units) {
+		panic(fmt.Sprintf("rt: trace %d replay issued more units than captured (%d)", t.id, len(t.units)))
+	}
+	if want := t.units[ep.cursor]; want != got {
+		panic(fmt.Sprintf("rt: trace %d replay diverged at unit %d: captured %+v, replayed %+v",
+			t.id, ep.cursor, want, got))
+	}
+	// Every replayed unit waits on the episode boundary in addition to its
+	// intra-episode deps. A capture-time "had external deps" flag cannot
+	// stand in for this: a unit that read *fresh* data during capture (no
+	// prior tasks, so no edges) is indistinguishable from one that is
+	// genuinely independent, yet at replay time the same read races with
+	// whatever wrote the region since — typically the previous episode.
+	// Units with intra-episode deps reach the boundary transitively, so
+	// only the chain roots gain an edge.
+	deps := []*Event{ep.start}
+	for _, j := range t.deps[ep.cursor] {
+		deps = append(deps, ep.done[j])
+	}
+	return deps
+}
+
+// seal closes the open unit: a capture appends its signature and edges to
+// the template, a replay records its completion event and moves on.
+func (ep *episode) seal(sig unitSig, done *Event) {
+	if ep.replay {
+		ep.done[ep.cursor] = done
+		ep.cursor++
+		return
+	}
+	ep.tmpl.units = append(ep.tmpl.units, sig)
+	ep.tmpl.deps = append(ep.tmpl.deps, ep.open)
+	ep.open = nil
+}

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,8 +10,6 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
-	"indexlaunch/internal/privilege"
-	"indexlaunch/internal/region"
 	"indexlaunch/internal/safety"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
@@ -202,14 +199,11 @@ type Runtime struct {
 	issueMu     sync.Mutex
 	reduceMu    sync.Mutex
 	outstanding []pendingTask
-	trace       *traceState
-	traceStore  map[uint64]*traceTemplate
-	bulk        *bulkState
-	bulkStore   map[uint64]*bulkTemplate
 
-	// Per-launch bulk-trace scratch, valid while issueMu is held.
-	pendingBulkDeps []*Event
-	pendingPointEvs []*Event
+	// Capture/replay state (replay.go), guarded by issueMu: the open
+	// episode, if any, and the captured templates by trace id.
+	ep        *episode
+	templates map[uint64]*template
 
 	// Fault state, guarded by issueMu: node liveness and the issuance
 	// counter that drives deterministic fault injection.
@@ -225,24 +219,22 @@ type Runtime struct {
 	// Message transport for the centralized path; nil in DCR mode. Node 0's
 	// endpoint of the reliable broadcast tree: of the in-process assembly
 	// the runtime built, or of Config.Cluster's mesh (cluster is then set
-	// too, for remote execution). shipping is the slice array the
-	// broadcast in flight reassembles into, guarded by deliverMu (transport
-	// goroutines deliver concurrently); in cluster mode deliveries land in
-	// the worker processes instead.
+	// too, for remote execution). shipping is the launch whose slice
+	// broadcast the in-process transport is delivering, guarded by
+	// deliverMu (transport goroutines deliver concurrently); in cluster mode
+	// deliveries land in the worker processes instead.
 	xp        *xport.Endpoint
 	cluster   *wire.Mesh
 	deliverMu sync.Mutex
-	shipping  []Slice
+	shipping  *launch
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
 	stopOnce sync.Once
 
 	// Profiling state, guarded by issueMu: span IDs of live completion
-	// events (for dependence-edge recording) and the per-launch physical
-	// analysis accumulator used to carve the issue-span residual.
-	profIDs    map[*Event]int64
-	profPhysNS int64
+	// events (for dependence-edge recording).
+	profIDs map[*Event]int64
 
 	// Distributed-trace state, guarded by issueMu: the current job's span
 	// context (installed per attempt by the scheduler via SetTraceRef) and
@@ -253,24 +245,55 @@ type Runtime struct {
 
 	// Pipeline metrics. The counters live in reg (the caller's registry,
 	// or a private one when Config.Metrics is nil) and Stats reads them
-	// back — there is no second bookkeeping path. mxOn gates the
-	// timing-dependent histogram observations: counting is one atomic add
-	// either way, but latency histograms need clock reads the disabled
-	// state must not pay for. mxEpoch anchors those clock reads when no
-	// profiler supplies a timebase.
-	reg     *metrics.Registry
-	mx      *metrics.Pipeline
-	mxOn    bool
-	mxEpoch time.Time
+	// back — there is no second bookkeeping path. clk gates the
+	// timing-dependent observations: counting is one atomic add either way,
+	// but stage spans and latency histograms need clock reads the disabled
+	// state must not pay for.
+	reg *metrics.Registry
+	mx  *metrics.Pipeline
+	clk stageClock
 }
 
-// pendingTask is an outstanding point task a fence may wait on, with enough
-// identity to name it in timeout errors.
-type pendingTask struct {
-	ev    *Event
-	name  string // registered task name (or a synthetic label)
-	tag   string
-	point domain.Point
+// stageClock times the pipeline stages and the fences: it is the timebase
+// behind every stage span and latency histogram — the profiler's clock when
+// one is attached (so spans and histograms agree), the wall clock otherwise.
+// With neither a profiler nor a metrics registry attached, now reads no
+// clock and done records nothing: one predictable branch each, no closure,
+// no allocation.
+type stageClock struct {
+	prof  *obs.Recorder // stage spans; nil without Config.Profile
+	hist  bool          // latency histograms; false without Config.Metrics
+	epoch time.Time
+}
+
+func (c *stageClock) on() bool { return c.prof != nil || c.hist }
+
+// now reads the clock, or returns 0 when nothing would record the reading.
+func (c *stageClock) now() int64 {
+	if !c.on() {
+		return 0
+	}
+	return c.read()
+}
+
+// read reads the clock unconditionally.
+func (c *stageClock) read() int64 {
+	if c.prof != nil {
+		return c.prof.Now()
+	}
+	return time.Since(c.epoch).Nanoseconds()
+}
+
+// done records one stage interval: a span under tc (with dependence-graph
+// identity id, 0 for none) and an observation in h (nil for none).
+func (c *stageClock) done(st obs.Stage, h *metrics.Histogram, tc obs.TraceRef, id int64, node int,
+	name, tag string, p domain.Point, t0, t1 int64) {
+	if c.prof != nil {
+		c.prof.SpanIDTC(tc, id, node, st, name, tag, p, t0, t1)
+	}
+	if c.hist {
+		h.Observe(t1 - t0)
+	}
 }
 
 type taskEntry struct {
@@ -308,17 +331,16 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	mx := metrics.NewPipeline(reg)
 	r := &Runtime{
-		cfg:     cfg,
-		mapper:  m,
-		byName:  map[string]core.TaskID{},
-		vm:      newVersionMap(mx.VersionQueries, mx.DepEdges),
-		slots:   make([]chan struct{}, cfg.Nodes),
-		dead:    make([]bool, cfg.Nodes),
-		stop:    make(chan struct{}),
-		reg:     reg,
-		mx:      mx,
-		mxOn:    cfg.Metrics != nil,
-		mxEpoch: time.Now(),
+		cfg:    cfg,
+		mapper: m,
+		byName: map[string]core.TaskID{},
+		vm:     newVersionMap(mx.VersionQueries, mx.DepEdges),
+		slots:  make([]chan struct{}, cfg.Nodes),
+		dead:   make([]bool, cfg.Nodes),
+		stop:   make(chan struct{}),
+		reg:    reg,
+		mx:     mx,
+		clk:    stageClock{prof: cfg.Profile, hist: cfg.Metrics != nil, epoch: time.Now()},
 	}
 	r.hm = newHealthManager(cfg)
 	r.specOn = cfg.Speculate.Enabled() && cfg.Nodes > 1
@@ -478,11 +500,13 @@ var ErrBusy = errors.New("rt: tasks still outstanding")
 
 // Recycle prepares a long-lived runtime for its next program: it prunes the
 // completed-task bookkeeping a fence would otherwise walk, clears the
-// profiler's span-identity map, and recycles the message transport's
-// per-session state (sequence numbers, dedup sets) so a runtime reused
-// across many scheduler jobs does not accumulate per-job state forever.
-// The runtime must be idle — fence first; Recycle fails with ErrBusy when
-// any issued task has not completed.
+// profiler's span-identity map, drops the open capture/replay episode and
+// every captured template (trace ids are per program: the next job's
+// BeginTrace(1) must capture, not replay this job's shape), and recycles
+// the message transport's per-session state (sequence numbers, dedup sets)
+// so a runtime reused across many scheduler jobs does not accumulate
+// per-job state forever. The runtime must be idle — fence first; Recycle
+// fails with ErrBusy when any issued task has not completed.
 func (r *Runtime) Recycle() error {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
@@ -492,9 +516,9 @@ func (r *Runtime) Recycle() error {
 		}
 	}
 	r.outstanding = r.outstanding[:0]
-	if r.profIDs != nil {
-		clear(r.profIDs)
-	}
+	clear(r.profIDs)
+	r.ep = nil
+	clear(r.templates)
 	if r.xp != nil {
 		r.xp.Recycle()
 	}
@@ -559,15 +583,6 @@ func pointChildKey(p domain.Point) uint64 {
 	return h
 }
 
-// nowNS reads the runtime's metrics timebase: the profiler's clock when one
-// is attached (so spans and histograms agree), the wall clock otherwise.
-func (r *Runtime) nowNS() int64 {
-	if p := r.cfg.Profile; p != nil {
-		return p.Now()
-	}
-	return time.Since(r.mxEpoch).Nanoseconds()
-}
-
 // ErrShutdown marks a fence wait abandoned because the runtime was shut
 // down while tasks were still outstanding. Errors returned by FenceTimeout
 // and FenceContext match it with errors.Is.
@@ -583,600 +598,4 @@ var ErrShutdown = errors.New("rt: runtime shut down")
 // rejoin.
 func (r *Runtime) Shutdown() {
 	r.stopOnce.Do(func() { close(r.stop) })
-}
-
-// ExecuteIndex issues an index launch and returns its future map. The
-// launch is analyzed, distributed and executed asynchronously; Wait on the
-// future map (or a fence) to observe completion.
-func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
-	r.issueMu.Lock()
-	defer r.issueMu.Unlock()
-	r.mx.LaunchCalls.Inc()
-
-	if int(l.Task) >= len(r.tasks) {
-		return nil, fmt.Errorf("rt: launch %q names unregistered task %d", l.Tag, l.Task)
-	}
-
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
-	name := r.tasks[l.Task].name
-	ltc := r.nextLaunchTC()
-	var tLaunch, tLogical, logicalNS, distNS int64
-	if timed {
-		tLaunch = r.nowNS()
-		tLogical = tLaunch
-		r.profPhysNS = 0
-	}
-
-	useIndex := r.cfg.IndexLaunches
-	if useIndex && r.cfg.VerifyLaunches && !r.replaying() && !r.bulkReplaying() {
-		var tCheck int64
-		if r.mxOn {
-			tCheck = r.nowNS()
-		}
-		res := l.Verify(r.cfg.Checks)
-		if r.mxOn {
-			r.mx.CheckEval.Observe(r.nowNS() - tCheck)
-		}
-		r.mx.DynamicCheckEvals.Add(res.DynamicEvaluations)
-		if !res.Safe {
-			// Listing 3's else-branch: run the original task loop.
-			r.mx.Fallbacks.Inc()
-			useIndex = false
-		}
-	}
-	if timed {
-		// Logical stage: whole-launch analysis including the dynamic safety
-		// check (near-zero duration when VerifyLaunches is off).
-		logicalNS = r.nowNS() - tLogical
-		if prof != nil {
-			prof.SpanTC(ltc.Child(tcLogical), 0, obs.StageLogical, name, l.Tag, domain.Point{}, tLogical, tLogical+logicalNS)
-		}
-		if r.mxOn {
-			r.mx.LatLogical.Observe(logicalNS)
-		}
-	}
-
-	if useIndex {
-		r.mx.IndexLaunched.Inc()
-	} else {
-		r.mx.Expanded.Inc()
-	}
-
-	// Distribution: compute the node for every point. With DCR the
-	// sharding functor is evaluated per point (memoizable, no
-	// communication); without DCR the slicing functor produces per-node
-	// slices. Either way the real runtime ends with a point → node
-	// assignment; the cost difference between the two paths is modeled in
-	// internal/sim.
-	var tDist int64
-	if timed {
-		tDist = r.nowNS()
-	}
-	// In cluster mode a region-free launch's slices are not broadcast ahead
-	// of issuance: they ship afterwards as Exec requests (shipment below).
-	var ship shipment
-	if r.cluster != nil && len(l.Requirements) == 0 {
-		ship = make(shipment, r.cfg.Nodes)
-	}
-	slices, assign := r.assignNodes(l.Domain, l.Tag, ltc.Child(tcDistribute), ship == nil)
-	if timed {
-		distNS = r.nowNS() - tDist
-	}
-
-	if r.bulkReplaying() {
-		r.pendingBulkDeps = r.bulk.replayLaunchDeps(l.Task, int(l.Parallelism()))
-	}
-	r.pendingPointEvs = r.pendingPointEvs[:0]
-
-	fm := newFutureMap()
-	err := l.Each(func(pt core.PointTask) bool {
-		prs := make([]PhysicalRegion, len(pt.Regions))
-		for i, reg := range pt.Regions {
-			req := l.Requirements[i]
-			prs[i] = PhysicalRegion{Region: reg, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
-		}
-		var tShard int64
-		if timed {
-			tShard = r.nowNS()
-		}
-		owner, si := assign(pt.Point)
-		node := r.faultCheck(l.Domain, pt.Point, owner)
-		if timed {
-			distNS += r.nowNS() - tShard
-		}
-		if ship != nil && node != 0 {
-			tr, deps := r.analyzePoint(l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
-			ship.add(node, si, node == owner, tr, deps)
-			fm.add(pt.Point, tr.fut)
-			return true
-		}
-		fut := r.issuePoint(l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
-		fm.add(pt.Point, fut)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ship != nil {
-		r.shipRemote(ship, slices, l.PointArgs != nil)
-	}
-	switch {
-	case r.trace != nil:
-		r.trace.noteLaunch(len(fm.futures))
-	case r.bulkCapturing():
-		r.bulk.captureLaunchDone(l.Task, len(fm.futures))
-	case r.bulkReplaying():
-		r.bulk.replayLaunchDone(r.pendingPointEvs)
-		r.pendingBulkDeps = nil
-	}
-	fm.seal()
-	if timed {
-		// Distribution span: sharding/slicing time aggregated over the
-		// launch; issue span: the residual launch bookkeeping, so the four
-		// issuance-side stages partition the time spent under issueMu.
-		end := r.nowNS()
-		resid := (end - tLaunch) - logicalNS - distNS - r.profPhysNS
-		if resid < 0 {
-			resid = 0
-		}
-		if prof != nil {
-			prof.SpanTC(ltc.Child(tcDistribute), 0, obs.StageDistribute, name, l.Tag, domain.Point{}, tDist, tDist+distNS)
-			prof.SpanTC(ltc, 0, obs.StageIssue, name, l.Tag, domain.Point{}, tLaunch, tLaunch+resid)
-		}
-		if r.mxOn {
-			r.mx.LatDistribute.Observe(distNS)
-			r.mx.LatIssue.Observe(resid)
-		}
-	}
-	return fm, nil
-}
-
-func (r *Runtime) bulkCapturing() bool { return r.bulk != nil && r.bulk.mode == traceCapturing }
-func (r *Runtime) bulkReplaying() bool { return r.bulk != nil && r.bulk.mode == traceReplaying }
-
-// SingleReq is a region requirement of a single-task launch: a concrete
-// region rather than a ⟨partition, functor⟩ pair.
-type SingleReq struct {
-	Region *region.Region
-	Priv   privilege.Privilege
-	RedOp  privilege.OpID
-	Fields []region.FieldID
-}
-
-// ExecuteSingle issues one task. The task is placed on the node selected by
-// the sharding functor for a singleton domain.
-func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, args []byte) (*Future, error) {
-	r.issueMu.Lock()
-	defer r.issueMu.Unlock()
-	r.mx.SingleCalls.Inc()
-	if int(task) >= len(r.tasks) {
-		return nil, fmt.Errorf("rt: single launch %q names unregistered task %d", tag, task)
-	}
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
-	name := r.tasks[task].name
-	ltc := r.nextLaunchTC()
-	var tLaunch, distNS int64
-	if timed {
-		tLaunch = r.nowNS()
-		r.profPhysNS = 0
-	}
-	prs := make([]PhysicalRegion, len(reqs))
-	for i, req := range reqs {
-		if req.Region == nil {
-			return nil, fmt.Errorf("rt: single launch %q requirement %d has nil region", tag, i)
-		}
-		prs[i] = PhysicalRegion{Region: req.Region, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
-	}
-	p := domain.Pt1(0)
-	var tDist int64
-	if timed {
-		tDist = r.nowNS()
-	}
-	node := clampNode(r.mapper.ShardPoint(domain.Range1(0, 0), p, r.cfg.Nodes), r.cfg.Nodes)
-	node = r.faultCheck(domain.Range1(0, 0), p, node)
-	if timed {
-		distNS = r.nowNS() - tDist
-	}
-	if r.bulkReplaying() {
-		r.pendingBulkDeps = r.bulk.replayLaunchDeps(task, 1)
-		r.pendingPointEvs = r.pendingPointEvs[:0]
-	}
-	fut := r.issuePoint(task, tag, p, node, prs, args, ltc)
-	switch {
-	case r.trace != nil:
-		r.trace.noteLaunch(1)
-	case r.bulkCapturing():
-		r.bulk.captureLaunchDone(task, 1)
-	case r.bulkReplaying():
-		r.bulk.replayLaunchDone(r.pendingPointEvs)
-		r.pendingBulkDeps = nil
-	}
-	if timed {
-		end := r.nowNS()
-		resid := (end - tLaunch) - distNS - r.profPhysNS
-		if resid < 0 {
-			resid = 0
-		}
-		if prof != nil {
-			prof.SpanTC(ltc.Child(tcDistribute), 0, obs.StageDistribute, name, tag, domain.Point{}, tDist, tDist+distNS)
-			prof.SpanTC(ltc, 0, obs.StageIssue, name, tag, domain.Point{}, tLaunch, tLaunch+resid)
-		}
-		if r.mxOn {
-			r.mx.LatDistribute.Observe(distNS)
-			r.mx.LatIssue.Observe(resid)
-		}
-	}
-	return fut, nil
-}
-
-// assignNodes returns the launch's slices and its point → (node, slice
-// index) assignment. With DCR the sharding functor is the assignment and
-// there are no slices (index -1). On the centralized path the slicing
-// functor's slices are the assignment; with broadcast set they are first
-// shipped from node 0 through the message transport's broadcast tree and
-// the assignment is built from the delivered slices, reassembled into the
-// functor's original order.
-func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef, broadcast bool) ([]Slice, func(domain.Point) (node, slice int)) {
-	if r.cfg.DCR {
-		return nil, func(p domain.Point) (int, int) {
-			n := r.mapper.ShardPoint(d, p, r.cfg.Nodes)
-			return clampNode(n, r.cfg.Nodes), -1
-		}
-	}
-	slices := r.mapper.Slice(d, r.cfg.Nodes)
-	if broadcast {
-		slices = r.shipSlices(tag, slices, tc)
-	}
-	return slices, func(p domain.Point) (int, int) {
-		for i, s := range slices {
-			if s.Domain.Contains(p) {
-				return clampNode(s.Node, r.cfg.Nodes), i
-			}
-		}
-		return 0, -1
-	}
-}
-
-func clampNode(n, nodes int) int {
-	if n < 0 {
-		return 0
-	}
-	if n >= nodes {
-		return nodes - 1
-	}
-	return n
-}
-
-// issuePoint performs per-point dependence analysis (or trace replay) and
-// hands the task to the executor. Caller holds issueMu.
-func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node int,
-	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) *Future {
-
-	tr, deps := r.analyzePoint(task, tag, p, node, prs, args, ltc)
-	r.mx.InflightTasks.Add(1)
-	go func() {
-		defer r.mx.InflightTasks.Add(-1)
-		if cause := WaitAllErr(deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-			r.skipPoint(tr, node, cause)
-			return
-		}
-		if r.specOn {
-			// Arm the straggler watchdog only once the task is runnable:
-			// dependence waits are ordering, not straggling.
-			tr.spec = &specState{cancel: make(chan struct{})}
-			r.armSpeculation(tr, node)
-		}
-		r.runAttempt(tr, node, false, resume{})
-	}()
-	return tr.fut
-}
-
-// skipPoint completes tr without running its body because a precondition is
-// poisoned, cascading the failure downstream through the task's own event.
-func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
-	r.mx.TasksSkipped.Inc()
-	if prof := r.cfg.Profile; prof != nil {
-		prof.MarkTC(tr.tc.Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
-	}
-	tr.fut.complete(nil, &TaskError{
-		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,
-		Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
-	})
-}
-
-// analyzePoint is issuance for one point: dependence analysis (or trace
-// replay), span identity and fence bookkeeping. It returns the point's run
-// state and the events it must wait for; the caller starts it. Caller holds
-// issueMu.
-func (r *Runtime) analyzePoint(task core.TaskID, tag string, p domain.Point, node int,
-	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) (*taskRun, []*Event) {
-
-	fut := newFuture()
-	ev := fut.ev
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
-	name := r.tasks[task].name
-	ptc := ltc.Child(pointChildKey(p))
-
-	var deps []*Event
-	switch {
-	case r.replaying():
-		deps = r.trace.replayDeps(task, p, ev)
-		r.mx.AnalysisSkipped.Inc()
-	case r.bulkReplaying():
-		deps = r.pendingBulkDeps
-		r.pendingPointEvs = append(r.pendingPointEvs, ev)
-		r.mx.AnalysisSkipped.Inc()
-	default:
-		var tPhys int64
-		if timed {
-			tPhys = r.nowNS()
-		}
-		depSet := map[*Event]struct{}{}
-		for _, pr := range prs {
-			ivs := pr.Region.Intervals()
-			for _, f := range pr.Fields {
-				for _, d := range r.vm.access(pr.Region.Tree.ID, f, ivs, pr.Priv, pr.RedOp, ev) {
-					depSet[d] = struct{}{}
-				}
-			}
-		}
-		deps = make([]*Event, 0, len(depSet))
-		for d := range depSet {
-			deps = append(deps, d)
-		}
-		if r.capturing() {
-			r.trace.recordOp(task, p, ev, deps, prs)
-		}
-		if r.bulkCapturing() {
-			for _, d := range deps {
-				r.bulk.captureDep(d)
-			}
-			r.bulk.capturePoint(ev, prs)
-		}
-		if timed {
-			// Physical stage, attributed to the owning node as in DCR:
-			// each node analyzes its local points.
-			tEnd := r.nowNS()
-			r.profPhysNS += tEnd - tPhys
-			if prof != nil {
-				prof.SpanTC(ptc, node, obs.StagePhysical, name, tag, p, tPhys, tEnd)
-			}
-			if r.mxOn {
-				r.mx.LatPhysical.Observe(tEnd - tPhys)
-			}
-		}
-	}
-
-	// Span identity and dependence edges for the critical-path graph.
-	var spanID int64
-	if prof != nil {
-		spanID = prof.NextID()
-		for _, d := range deps {
-			if from, ok := r.profIDs[d]; ok {
-				prof.Edge(from, spanID)
-			}
-		}
-		r.profNote(ev, spanID)
-	}
-
-	r.outstanding = append(r.outstanding, pendingTask{ev: ev, name: name, tag: tag, point: p})
-	r.pruneOutstanding()
-
-	return &taskRun{
-		fn: r.tasks[task].fn, task: task, name: name, tag: tag, point: p,
-		args: args, prs: prs, fut: fut, spanID: spanID, timed: timed, tc: ptc,
-	}, deps
-}
-
-// profIDCap bounds the event → span-ID map; beyond it, entries for
-// completed events are dropped. A completed event can still be a future
-// dependence (the version map keeps last writers), in which case the edge
-// is lost — harmless for critical-path purposes, since a long-completed
-// dependence never bound a start.
-const profIDCap = 1 << 16
-
-// profNote registers ev's span ID for dependence-edge recording. Caller
-// holds issueMu.
-func (r *Runtime) profNote(ev *Event, id int64) {
-	if len(r.profIDs) > profIDCap {
-		for e := range r.profIDs {
-			if e.Done() {
-				delete(r.profIDs, e)
-			}
-		}
-	}
-	r.profIDs[ev] = id
-}
-
-// sleepBackoff waits out one retry backoff, returning false if Shutdown
-// cancelled the wait.
-func (r *Runtime) sleepBackoff(d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-r.stop:
-		return false
-	}
-}
-
-// panicError carries a recovered task-body panic out of runBody.
-type panicError struct{ value any }
-
-func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
-
-// runBody executes one attempt of a task body, converting a panic into an
-// error so a faulty task cannot take down the process.
-func (r *Runtime) runBody(fn TaskFn, ctx *Context) (val []byte, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.mx.Panics.Inc()
-			err = &panicError{value: rec}
-		}
-	}()
-	return fn(ctx)
-}
-
-func (r *Runtime) pruneOutstanding() {
-	if len(r.outstanding) < 4096 {
-		return
-	}
-	kept := r.outstanding[:0]
-	for _, pt := range r.outstanding {
-		if !pt.ev.Done() {
-			kept = append(kept, pt)
-		}
-	}
-	r.outstanding = kept
-}
-
-// takePending atomically drains the outstanding task list.
-func (r *Runtime) takePending() []pendingTask {
-	r.issueMu.Lock()
-	waiting := make([]pendingTask, len(r.outstanding))
-	copy(waiting, r.outstanding)
-	r.outstanding = r.outstanding[:0]
-	r.issueMu.Unlock()
-	return waiting
-}
-
-// Fence blocks until every previously issued task has completed — an
-// execution fence in Legion terms. Failed tasks are treated as completed;
-// use FenceErr to observe their errors, or FenceTimeout / FenceContext to
-// bound the wait on a hung task.
-func (r *Runtime) Fence() {
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
-	var t0 int64
-	if timed {
-		t0 = r.nowNS()
-	}
-	for _, pt := range r.takePending() {
-		pt.ev.Wait()
-	}
-	if timed {
-		r.fenceDone(t0)
-	}
-}
-
-// fenceDone records one completed fence wait that started at t0.
-func (r *Runtime) fenceDone(t0 int64) {
-	end := r.nowNS()
-	if prof := r.cfg.Profile; prof != nil {
-		r.issueMu.Lock()
-		ftc := r.nextLaunchTC()
-		r.issueMu.Unlock()
-		prof.SpanTC(ftc, 0, obs.StageFence, "", "fence", domain.Point{}, t0, end)
-	}
-	if r.mxOn {
-		r.mx.FenceWait.Observe(end - t0)
-	}
-}
-
-// FenceErr blocks like Fence and returns the joined errors of every task
-// that failed or was skipped since the previous fence, nil if all
-// succeeded.
-func (r *Runtime) FenceErr() error {
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
-	var t0 int64
-	if timed {
-		t0 = r.nowNS()
-	}
-	var errs []error
-	for _, pt := range r.takePending() {
-		if err := pt.ev.WaitErr(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if timed {
-		r.fenceDone(t0)
-	}
-	return r.wrapLiveness(errors.Join(errs...))
-}
-
-// wrapLiveness annotates a non-nil fence error with the node-liveness
-// snapshot when some node is degraded, so a failure report says at a
-// glance whether the cluster was healthy. Wrapping preserves errors.Is/As.
-func (r *Runtime) wrapLiveness(err error) error {
-	if err == nil {
-		return nil
-	}
-	c := r.HealthCounts()
-	if c.Suspect == 0 && c.Dead == 0 && c.Quarantined == 0 {
-		return err
-	}
-	return fmt.Errorf("%w (%s)", err, r.livenessSummary())
-}
-
-// FenceTimeout is FenceErr with a deadline: if some task has not completed
-// within d, it returns an error naming the unfinished tasks (first by task
-// name and point) instead of blocking forever. Unfinished tasks remain
-// outstanding, so a later fence still waits for them.
-func (r *Runtime) FenceTimeout(d time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return r.FenceContext(ctx)
-}
-
-// FenceContext is FenceErr bounded by a context. On cancellation the
-// unfinished tasks are put back on the outstanding list and a descriptive
-// error naming them — and snapshotting node liveness — is returned. A
-// Shutdown during the wait abandons it the same way, with ErrShutdown as
-// the cause instead of the context error.
-func (r *Runtime) FenceContext(ctx context.Context) error {
-	if r.cfg.Profile != nil || r.mxOn {
-		t0 := r.nowNS()
-		defer r.fenceDone(t0)
-	}
-	// Bound the waits by Shutdown too: a runtime being torn down must not
-	// hold fence callers for the full deadline.
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-r.stop:
-			cancel()
-		case <-wctx.Done():
-		}
-	}()
-	pend := r.takePending()
-	var errs []error
-	for i, pt := range pend {
-		if waitErr := pt.ev.WaitContext(wctx); waitErr != nil {
-			if pt.ev.Done() {
-				// The task completed (the wait may have raced with the
-				// cancellation); record its poison error, if any.
-				if err := pt.ev.Err(); err != nil {
-					errs = append(errs, err)
-				}
-				continue
-			}
-			unfinished := pend[i:]
-			r.issueMu.Lock()
-			r.outstanding = append(r.outstanding, unfinished...)
-			r.issueMu.Unlock()
-			cause := ctx.Err()
-			if cause == nil {
-				// The parent context is live: the wait was abandoned by
-				// Shutdown, not by the caller's deadline.
-				cause = ErrShutdown
-			}
-			first := unfinished[0]
-			return fmt.Errorf("rt: fence: %w; %d task(s) unfinished, first: task %q launch %q point %v; %s",
-				cause, len(unfinished), first.name, first.tag, first.point, r.livenessSummary())
-		}
-	}
-	return r.wrapLiveness(errors.Join(errs...))
-}
-
-func (r *Runtime) taskName(id core.TaskID) string {
-	if int(id) < len(r.tasks) {
-		return r.tasks[id].name
-	}
-	return fmt.Sprintf("task%d", id)
 }

@@ -86,7 +86,6 @@ type taskRun struct {
 	fut    *Future
 	spec   *specState // nil when speculation is off for this task
 	spanID int64
-	timed  bool
 	// tc is the point's span context (the physical span); the execute
 	// span and retry/speculate marks are its children. Zero when the job
 	// is untraced.
@@ -199,6 +198,15 @@ type resume struct {
 	local bool
 }
 
+// execNow reads the execute stage's clock: on whenever the stage clock is,
+// and for straggler speculation, whose threshold is an execute latency.
+func (r *Runtime) execNow() int64 {
+	if r.clk.on() || r.specOn {
+		return r.clk.read()
+	}
+	return 0
+}
+
 // runAttempt executes one attempt chain (original or backup) of tr on node:
 // slot acquisition, the retry ladder, and the commit race. Exactly one
 // chain per task reaches commitAttempt's critical section.
@@ -215,10 +223,9 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool, from resume) {
 		r.specLost(tr, node)
 		return
 	}
-	timedExec := tr.timed || r.specOn
 	tExec := from.tExec
-	if timedExec && tExec == 0 {
-		tExec = r.nowNS()
+	if tExec == 0 {
+		tExec = r.execNow()
 	}
 	var val []byte
 	attempts, err := from.attempts, from.err
@@ -251,11 +258,11 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool, from resume) {
 		val, err = r.execBody(tr, ctx, node, from.local)
 		attempts++
 		if err == nil {
-			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec, timedExec)
+			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec)
 			return
 		}
 	}
-	r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec, timedExec)
+	r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec)
 }
 
 // commitAttempt is the single point where an attempt's outcome becomes the
@@ -263,7 +270,7 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool, from resume) {
 // otherwise. Only the winner flushes reductions, records the execute span
 // and completes the future.
 func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool,
-	val []byte, err error, attempts int, tExec int64, timedExec bool) {
+	val []byte, err error, attempts int, tExec int64) {
 
 	if tr.spec != nil {
 		if !tr.spec.committed.CompareAndSwap(false, true) {
@@ -286,17 +293,16 @@ func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool
 		}
 		err = te
 	}
-	if timedExec {
-		tEnd := r.nowNS()
-		if prof := r.cfg.Profile; prof != nil {
-			// Record before completing so a fence-then-snapshot sees the
-			// span of every task it waited on.
-			prof.SpanIDTC(tr.tc.Child(tcExecute), tr.spanID, node, obs.StageExecute, tr.name, tr.tag, tr.point, tExec, tEnd)
-		}
-		if r.mxOn || r.specOn {
-			// Speculation needs the latency baseline even when no metrics
-			// registry is attached. Traced tasks leave their trace ID as
-			// the bucket's exemplar.
+	if r.clk.on() || r.specOn {
+		// Record the execute span before completing, so a
+		// fence-then-snapshot sees the span of every task it waited on.
+		// Its histogram is observed here rather than by the clock:
+		// speculation needs the latency baseline even when no metrics
+		// registry is attached, and traced tasks leave their trace ID as
+		// the bucket's exemplar.
+		tEnd := r.clk.read()
+		r.clk.done(obs.StageExecute, nil, tr.tc.Child(tcExecute), tr.spanID, node, tr.name, tr.tag, tr.point, tExec, tEnd)
+		if r.clk.hist || r.specOn {
 			r.mx.LatExecute.ObserveExemplar(tEnd-tExec, tr.tc.Trace)
 		}
 	}

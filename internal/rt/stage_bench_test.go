@@ -1,0 +1,122 @@
+package rt
+
+import (
+	"fmt"
+	"testing"
+
+	"indexlaunch/internal/core"
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/privilege"
+	"indexlaunch/internal/projection"
+	"indexlaunch/internal/region"
+)
+
+// The stage benchmarks call the four §5 stage methods directly, one launch
+// per op (so ns/op and allocs/op are per launch), at |D| ∈ {64, 1024} for a
+// region-free launch and a launch with one region requirement. Each
+// benchmark runs only its own stage's work — the launch-level method plus
+// the per-point calls issuePoint charges to that stage — on the centralized
+// path with VerifyLaunches on, where every stage has something to do:
+//
+//   - Issue: open the launch, walk its points building their region views
+//     and filing a future per point, close it (seal the future map).
+//   - Logical: the safety verification of the whole launch.
+//   - Distribute: slice the domain, ship the slices through the in-process
+//     transport, then place every point (nodeOf + faultCheck).
+//   - Physical: per-point dependence analysis against the version map.
+//
+// A stage whose cost is flat from 64 to 1024 points is O(1) in the launch;
+// the others are what ROADMAP 1(b) must flatten.
+func benchStages(b *testing.B, stage func(b *testing.B, r *Runtime, il *core.IndexLaunch, prs [][]PhysicalRegion)) {
+	for _, points := range []int64{64, 1024} {
+		for _, reqs := range []int{0, 1} {
+			b.Run(fmt.Sprintf("D=%d/reqs=%d", points, reqs), func(b *testing.B) {
+				r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true, VerifyLaunches: true})
+				defer r.Shutdown()
+				task := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
+				il := core.MustForall("bench", task, domain.Range1(0, points-1))
+				if reqs == 1 {
+					fs := region.MustFieldSpace(region.Field{ID: 0, Name: "v", Kind: region.F64})
+					tree := region.MustNewTree("bench", domain.Range1(0, points-1), fs)
+					part, err := tree.PartitionEqual(tree.Root(), "blocks", int(points))
+					if err != nil {
+						b.Fatal(err)
+					}
+					il = core.MustForall("bench", task, domain.Range1(0, points-1), core.Requirement{
+						Partition: part, Functor: projection.Identity(1),
+						Priv: privilege.ReadWrite, Fields: []region.FieldID{0},
+					})
+				}
+				var prs [][]PhysicalRegion
+				_ = il.Each(func(pt core.PointTask) bool {
+					prs = append(prs, pointRegions(il, pt))
+					return true
+				})
+				r.issueMu.Lock()
+				defer r.issueMu.Unlock()
+				b.ReportAllocs()
+				b.ResetTimer()
+				stage(b, r, il, prs)
+			})
+		}
+	}
+}
+
+func (r *Runtime) benchIssue(b *testing.B, il *core.IndexLaunch) *launch {
+	l, err := r.issue(il.Task, il.Tag, il.Domain, int(il.Parallelism()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+func BenchmarkStageIssue(b *testing.B) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+		fut := newFuture()
+		for i := 0; i < b.N; i++ {
+			l := r.benchIssue(b, il)
+			l.fm = newFutureMap()
+			_ = il.Each(func(pt core.PointTask) bool {
+				_ = pointRegions(il, pt)
+				l.fm.add(pt.Point, fut)
+				return true
+			})
+			r.launchDone(l)
+		}
+	})
+}
+
+func BenchmarkStageLogical(b *testing.B) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+		l := r.benchIssue(b, il)
+		for i := 0; i < b.N; i++ {
+			r.logical(l, il)
+		}
+	})
+}
+
+func BenchmarkStageDistribute(b *testing.B) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+		pts, l := il.Domain.Points(), r.benchIssue(b, il)
+		for i := 0; i < b.N; i++ {
+			r.distribute(l, true, false)
+			for _, p := range pts {
+				owner, _ := r.nodeOf(l, p)
+				r.faultCheck(l.dom, p, owner)
+			}
+		}
+	})
+}
+
+func BenchmarkStagePhysical(b *testing.B) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, prs [][]PhysicalRegion) {
+		pts, l := il.Domain.Points(), r.benchIssue(b, il)
+		for i := 0; i < b.N; i++ {
+			for j, p := range pts {
+				r.physical(l, p, 0, prs[j], nil)
+			}
+			// Nothing runs these points: forget them instead of fencing.
+			r.outstanding = r.outstanding[:0]
+		}
+	})
+}

@@ -3,6 +3,9 @@ package rt
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,11 +16,16 @@ import (
 	"indexlaunch/internal/region"
 )
 
-// The stress test generates random programs — sequences of index launches
-// with randomly chosen privileges, functors and partitions over one shared
-// collection — executes them on the concurrent runtime, and compares the
-// final data against a deterministic sequential model. Any missed
-// dependence edge shows up as a divergence.
+// The stress test generates random programs — sequences of index launches,
+// single-task launches and region-free launches with randomly chosen
+// privileges, functors and partitions over one shared collection — executes
+// them on the concurrent runtime, and compares the final data (and every
+// region-free result) against a deterministic sequential model. Any missed
+// dependence edge shows up as a divergence. The same program runs on every
+// distribution path (DCR, centralized, a cluster hub mesh) × every
+// capture/replay granularity (none, per task, per launch): part of it is a
+// loop body issued three times between BeginTrace/EndTrace, so a traced run
+// is one capture plus two replays with un-traced work in between.
 
 type stressOp struct {
 	priv  privilege.Privilege
@@ -64,118 +72,232 @@ func applySequential(data []float64, blockSize int64, op stressOp, blocks int64)
 	}
 }
 
+// diffSeeds returns the differential harness's seed matrix: RT_DIFF_SEEDS
+// (comma-separated) when set, 1..8 otherwise.
+func diffSeeds(t *testing.T) []int64 {
+	env := os.Getenv("RT_DIFF_SEEDS")
+	if env == "" {
+		return []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	}
+	var seeds []int64
+	for _, f := range strings.Split(env, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			t.Fatalf("RT_DIFF_SEEDS: %v", err)
+		}
+		seeds = append(seeds, v)
+	}
+	return seeds
+}
+
+// Program shape of the differential harness: a prefix, a loop body issued
+// stressEpisodes times (each followed by one un-traced op) and a suffix.
+const (
+	stressPrefix   = 8
+	stressBody     = 8
+	stressEpisodes = 3
+	stressSuffix   = 8
+)
+
 func TestStressRandomProgramsMatchSequentialModel(t *testing.T) {
+	for _, seed := range diffSeeds(t) {
+		for _, path := range []string{"dcr", "central", "cluster"} {
+			for _, trace := range []string{"untraced", "trace", "bulk"} {
+				t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, path, trace), func(t *testing.T) {
+					runStressDifferential(t, seed, path, trace)
+				})
+			}
+		}
+	}
+}
+
+func runStressDifferential(t *testing.T, seed int64, path, trace string) {
 	const (
 		blocks    = 8
 		blockSize = 4
 		elements  = blocks * blockSize
-		opsPerRun = 30
 	)
-	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			ops := randomOps(rng, opsPerRun, blocks)
+	rng := rand.New(rand.NewSource(seed))
+	ops := randomOps(rng, stressPrefix+stressBody+stressEpisodes+stressSuffix, blocks)
+	// kind 0 is an index launch; 1 an ExecuteSingle of the launch's first
+	// point; 2 a region-free launch whose results are checked instead.
+	kinds := make([]int, len(ops))
+	for i := range kinds {
+		if k := rng.Intn(6); k < 3 {
+			kinds[i] = k
+		}
+	}
 
-			// Sequential model.
-			model := make([]float64, elements)
+	cfg := Config{Nodes: 3, ProcsPerNode: 2, DCR: path == "dcr", IndexLaunches: true,
+		Tracing: trace != "untraced", BulkTracing: trace == "bulk"}
+	pure := func(point domain.Point, args []byte) []byte {
+		return EncodeF64(float64(args[0]) * float64(point.X()))
+	}
+	if path == "cluster" {
+		tc := newTestCluster(t, cfg.Nodes, func(task string, point domain.Point, args []byte) ([]byte, error) {
+			return pure(point, args), nil
+		}, nil)
+		cfg.Cluster = tc.meshes[0]
+	}
+	r := MustNew(cfg)
+	defer r.Shutdown()
 
-			// Concurrent runtime execution.
-			r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, DCR: seed%2 == 0, IndexLaunches: true})
-			fs := region.MustFieldSpace(region.Field{ID: 0, Name: "v", Kind: region.F64})
-			tree := region.MustNewTree("stress", domain.Range1(0, elements-1), fs)
-			part, err := tree.PartitionEqual(tree.Root(), "blocks", blocks)
+	fs := region.MustFieldSpace(region.Field{ID: 0, Name: "v", Kind: region.F64})
+	tree := region.MustNewTree("stress", domain.Range1(0, elements-1), fs)
+	part, err := tree.PartitionEqual(tree.Root(), "blocks", blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pureTask := r.MustRegisterTask("pure", func(ctx *Context) ([]byte, error) {
+		return pure(ctx.Point, ctx.Args), nil
+	})
+	task := r.MustRegisterTask("op", func(ctx *Context) ([]byte, error) {
+		scale := float64(ctx.Args[0])
+		pr, _ := ctx.Region(0)
+		switch pr.Priv {
+		case privilege.Read:
+			acc, err := ctx.ReadF64(0, 0)
+			if err != nil {
+				return nil, err
+			}
+			var s float64
+			pr.Region.Domain.Each(func(p domain.Point) bool {
+				s += acc.Get(p)
+				return true
+			})
+			return EncodeF64(s), nil
+		case privilege.Write:
+			acc, err := ctx.WriteF64(0, 0)
+			if err != nil {
+				return nil, err
+			}
+			pr.Region.Domain.Each(func(p domain.Point) bool {
+				acc.Set(p, scale)
+				return true
+			})
+		case privilege.ReadWrite:
+			acc, err := ctx.WriteF64(0, 0)
+			if err != nil {
+				return nil, err
+			}
+			in, err := ctx.ReadF64(0, 0)
+			if err != nil {
+				return nil, err
+			}
+			pr.Region.Domain.Each(func(p domain.Point) bool {
+				acc.Set(p, in.Get(p)*scale+1)
+				return true
+			})
+		case privilege.Reduce:
+			red, err := ctx.ReduceF64(0, 0)
+			if err != nil {
+				return nil, err
+			}
+			pr.Region.Domain.Each(func(p domain.Point) bool {
+				red.Fold(p, scale)
+				return true
+			})
+		}
+		return nil, nil
+	})
+
+	model := make([]float64, elements)
+	var fms []*FutureMap
+	var pureFMs []*FutureMap
+	var pureWant []float64
+	issue := func(i int) {
+		op, args := ops[i], []byte{byte(ops[i].scale)}
+		redOp := privilege.OpNone
+		if op.priv == privilege.Reduce {
+			redOp = privilege.OpSumF64
+		}
+		switch kinds[i] {
+		case 1:
+			op.domHi = op.domLo
+			sub := part.MustSubregion(domain.Pt1((op.domLo + op.shift) % blocks))
+			_, err := r.ExecuteSingle("op", task, []SingleReq{{
+				Region: sub, Priv: op.priv, RedOp: redOp, Fields: []region.FieldID{0},
+			}}, args)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			task := r.MustRegisterTask("op", func(ctx *Context) ([]byte, error) {
-				scale := float64(ctx.Args[0])
-				pr, _ := ctx.Region(0)
-				switch pr.Priv {
-				case privilege.Read:
-					acc, err := ctx.ReadF64(0, 0)
-					if err != nil {
-						return nil, err
-					}
-					var s float64
-					pr.Region.Domain.Each(func(p domain.Point) bool {
-						s += acc.Get(p)
-						return true
-					})
-					return EncodeF64(s), nil
-				case privilege.Write:
-					acc, err := ctx.WriteF64(0, 0)
-					if err != nil {
-						return nil, err
-					}
-					pr.Region.Domain.Each(func(p domain.Point) bool {
-						acc.Set(p, scale)
-						return true
-					})
-				case privilege.ReadWrite:
-					acc, err := ctx.WriteF64(0, 0)
-					if err != nil {
-						return nil, err
-					}
-					in, err := ctx.ReadF64(0, 0)
-					if err != nil {
-						return nil, err
-					}
-					pr.Region.Domain.Each(func(p domain.Point) bool {
-						acc.Set(p, in.Get(p)*scale+1)
-						return true
-					})
-				case privilege.Reduce:
-					red, err := ctx.ReduceF64(0, 0)
-					if err != nil {
-						return nil, err
-					}
-					pr.Region.Domain.Each(func(p domain.Point) bool {
-						red.Fold(p, scale)
-						return true
-					})
-				}
-				return nil, nil
+		case 2:
+			launch := core.MustForall("pure", pureTask, domain.Range1(op.domLo, op.domHi))
+			launch.Args = args
+			fm, err := r.ExecuteIndex(launch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pureFMs = append(pureFMs, fm)
+			pureWant = append(pureWant, op.scale*float64((op.domLo+op.domHi)*(op.domHi-op.domLo+1)/2))
+			return
+		default:
+			launch := core.MustForall("op", task, domain.Range1(op.domLo, op.domHi), core.Requirement{
+				Partition: part,
+				Functor:   projection.Modular1D(1, op.shift, blocks),
+				Priv:      op.priv,
+				RedOp:     redOp,
+				Fields:    []region.FieldID{0},
 			})
-
-			var fms []*FutureMap
-			for _, op := range ops {
-				applySequential(model, blockSize, op, blocks)
-
-				req := core.Requirement{
-					Partition: part,
-					Functor:   projection.Modular1D(1, op.shift, blocks),
-					Priv:      op.priv,
-					Fields:    []region.FieldID{0},
-				}
-				if op.priv == privilege.Reduce {
-					req.RedOp = privilege.OpSumF64
-				}
-				launch := core.MustForall("op", task, domain.Range1(op.domLo, op.domHi), req)
-				launch.Args = []byte{byte(op.scale)}
-				fm, err := r.ExecuteIndex(launch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fms = append(fms, fm)
+			launch.Args = args
+			fm, err := r.ExecuteIndex(launch)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r.Fence()
-			for _, fm := range fms {
-				if err := fm.Wait(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			fms = append(fms, fm)
+		}
+		applySequential(model, blockSize, op, blocks)
+	}
 
-			acc := region.MustFieldF64(tree.Root(), 0)
-			for e := int64(0); e < elements; e++ {
-				got := acc.Get(domain.Pt1(e))
-				if got != model[e] {
-					t.Fatalf("element %d = %v, sequential model says %v (missed dependence?)",
-						e, got, model[e])
-				}
+	next := 0
+	for ; next < stressPrefix; next++ {
+		issue(next)
+	}
+	for ep := 0; ep < stressEpisodes; ep++ {
+		if cfg.Tracing {
+			if err := r.BeginTrace(1); err != nil {
+				t.Fatal(err)
 			}
-		})
+		}
+		for i := 0; i < stressBody; i++ {
+			issue(stressPrefix + i)
+		}
+		if cfg.Tracing {
+			if err := r.EndTrace(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		issue(stressPrefix + stressBody + ep)
+	}
+	for next = stressPrefix + stressBody + stressEpisodes; next < len(ops); next++ {
+		issue(next)
+	}
+	if err := r.FenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fm := range fms {
+		if err := fm.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, fm := range pureFMs {
+		if got, err := fm.SumF64(); err != nil || got != pureWant[i] {
+			t.Fatalf("region-free launch %d sums to %v, %v; want %v", i, got, err, pureWant[i])
+		}
+	}
+	if cfg.Tracing {
+		if st := r.Stats(); st.TraceCaptures != 1 || st.TraceReplays != stressEpisodes-1 {
+			t.Fatalf("captures=%d replays=%d, want 1 and %d", st.TraceCaptures, st.TraceReplays, stressEpisodes-1)
+		}
+	}
+
+	acc := region.MustFieldF64(tree.Root(), 0)
+	for e := int64(0); e < elements; e++ {
+		got := acc.Get(domain.Pt1(e))
+		if got != model[e] {
+			t.Fatalf("element %d = %v, sequential model says %v (missed dependence?)",
+				e, got, model[e])
+		}
 	}
 }
 
