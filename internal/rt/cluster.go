@@ -20,12 +20,14 @@ import (
 //     descriptor plus the arguments — so the shipment is the execution
 //     trigger. The worker expands its slice into point tasks, runs the
 //     bodies and answers with one result per point (shipRemote and runSlice
-//     in distribute.go). ExecuteIndex does not wait for the network.
-//     Per-point semantics are untouched: every point keeps its future, its
+//     in distribute.go). ExecuteIndex does not wait for the network, and
+//     node 0 holds no per-point state for the slice beyond its future-map
+//     slots: the answer settles them in one pass. Per-point semantics are
+//     untouched: every point keeps its future (built when At asks), its
 //     counters, its execute span, its retry ladder and its speculation
-//     watchdog; a point whose body fails on the worker retries alone,
-//     through the single-point Mesh.Exec the ladder, speculation backups
-//     and ExecuteSingle use.
+//     watchdog; a point whose body fails on the worker retries alone —
+//     through its node's run queue and the single-point Mesh.Exec the
+//     ladder, speculation backups and ExecuteSingle use.
 //   - Tasks touching physical regions keep executing locally (region state
 //     lives in this process), and their launches put nothing on the wire:
 //     a worker sees a slice descriptor only inside an Exec request it

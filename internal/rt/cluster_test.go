@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"sync"
@@ -33,7 +34,7 @@ type testCluster struct {
 	slices map[int][]ClusterMsg // node -> received slice messages
 }
 
-func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error), plan *xport.ChaosPlan, tweak ...func(node int, cfg *wire.MeshConfig)) *testCluster {
+func newTestCluster(t testing.TB, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error), plan *xport.ChaosPlan, tweak ...func(node int, cfg *wire.MeshConfig)) *testCluster {
 	t.Helper()
 	hub := wire.NewHub()
 	tc := &testCluster{
@@ -515,6 +516,95 @@ func TestClusterSliceOverFrameSizeSplits(t *testing.T) {
 	if got := tc.meshes[1].Stats().Sends; got != 2 {
 		t.Errorf("worker sent %d Result frames, want 2", got)
 	}
+}
+
+// The i-th result of a slice settles the slice's i-th slot, so the worker's
+// expansion order — Mesh.runSlice walks the request's domain with PointAt,
+// a split request one sub-slice after another — must be node 0's issuance
+// order (il.Each) restricted to the slice. A seeded property test over every
+// shape the Exec codec carries: dense rects of 1–3 dims shipped whole,
+// sparse launch domains, CyclicMapper's sparse slices, point lists left by
+// re-mapping around a killed node, and requests and answers split across
+// frames by payload size. Workers echo their point and payload, so a result
+// in the wrong slot shows.
+func TestClusterSliceOrderMatchesIssuanceOrder(t *testing.T) {
+	echo := func(p domain.Point, args []byte) []byte { return append([]byte(p.String()+"|"), args...) }
+	body := func(task string, p domain.Point, args []byte) ([]byte, error) { return echo(p, args), nil }
+	for _, seed := range diffSeeds(t) {
+		rng := rand.New(rand.NewSource(seed))
+		for c := 0; c < 6; c++ {
+			fat := c == 5 // per-point payloads that split the request and the answer
+			d, mapper := randomShape(rng), []Mapper{BlockMapper{}, CyclicMapper{}, PinnedMapper{Node: 1}}[rng.Intn(3)]
+			if fat {
+				d, mapper = domain.Range1(0, 29+rng.Int63n(10)), PinnedMapper{Node: 1}
+			}
+			argsOf := func(p domain.Point) []byte {
+				if fat {
+					return bytes.Repeat([]byte(p.String()), 16<<10)
+				}
+				return []byte(p.String())
+			}
+			cfg := Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Mapper: mapper}
+			if rng.Intn(3) == 0 {
+				cfg.Fault = NewFaultInjector(seed).KillNode(2, d.Volume()/2)
+			}
+			t.Run(fmt.Sprintf("seed=%d/%d", seed, c), func(t *testing.T) {
+				tc := newTestCluster(t, cfg.Nodes, body, nil)
+				cfg.Cluster = tc.meshes[0]
+				r := MustNew(cfg)
+				defer r.Shutdown()
+				id := r.MustRegisterTask("echo", func(ctx *Context) ([]byte, error) { return echo(ctx.Point, ctx.Args), nil })
+				il := &core.IndexLaunch{Task: id, Tag: "order", Domain: d}
+				if c%2 == 0 || fat {
+					il.PointArgs = argsOf
+				} else {
+					il.Args = []byte("shared")
+				}
+				fm, err := r.ExecuteIndex(il)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range d.Points() {
+					f, err := fm.At(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v, err := f.Get(); err != nil || !bytes.Equal(v, echo(p, il.ArgsAt(p))) {
+						t.Fatalf("point %v of %v (%T) got %.40q, %v", p, d, mapper, v, err)
+					}
+				}
+				if err := r.FenceErr(); err != nil {
+					t.Fatal(err)
+				}
+				if fat && (tc.meshes[0].Stats().Sends < 2 || tc.meshes[1].Stats().Sends < 2) {
+					t.Errorf("fat slice crossed in %d request and %d answer frames, want both split",
+						tc.meshes[0].Stats().Sends, tc.meshes[1].Stats().Sends)
+				}
+			})
+		}
+	}
+}
+
+// randomShape is a dense rect of 1–3 dims or a random subset of one.
+func randomShape(rng *rand.Rand) domain.Domain {
+	dim := 1 + rng.Intn(3)
+	r := domain.Rect{Lo: domain.Point{Dim: dim}, Hi: domain.Point{Dim: dim}}
+	for c := 0; c < dim; c++ {
+		r.Lo.C[c] = rng.Int63n(5) - 2
+		r.Hi.C[c] = r.Lo.C[c] + rng.Int63n([]int64{40, 7, 4}[dim-1])
+	}
+	d := domain.FromRect(r)
+	if rng.Intn(2) == 0 {
+		return d
+	}
+	pts := []domain.Point{r.Lo}
+	d.Each(func(p domain.Point) bool {
+		if rng.Intn(3) > 0 {
+			pts = append(pts, p)
+		}
+		return true
+	})
+	return domain.FromPoints(pts)
 }
 
 // Speculation and slices compose: a stalled worker's points get backups on

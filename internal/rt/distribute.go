@@ -141,30 +141,62 @@ type sliceRun struct {
 	// domain (a dense rect stays a rect) instead of a point list.
 	index int
 	whole bool
-	// trs are the points' run states in launch order — which is the
-	// iteration order of any domain over them (all are lexicographic).
-	trs []*taskRun
+	// slots are the points' future-map slots in launch order — which is the
+	// iteration order of any domain over them (all are lexicographic), so
+	// the worker's i-th result is slots[i]'s. args are their payloads when
+	// the launch has per-point payloads.
+	slots []int
+	args  [][]byte
+	// proto is the launch's share of every point's run state, its tc the
+	// launch's span context. A point gets a run state of its own (run) only
+	// if it must: trs holds them when issuance built them (profiling, a
+	// point-granularity trace episode) or speculation needs them.
+	proto taskRun
+	trs   []*taskRun
 	// deps are the launch-wide preconditions some modes give region-free
 	// points (trace and bulk-trace replay); the slice waits for them once.
 	deps []*Event
 }
 
-// add files one analyzed point under the node issuance assigned it. si is
-// the slice the point came from and unmoved whether faultCheck left it on
-// that slice's node.
-func (sh shipment) add(node, si int, unmoved bool, tr *taskRun, deps []*Event) {
+// add files l's next point under the node issuance assigned it. si is the
+// slice the point came from and unmoved whether faultCheck left it on that
+// slice's node; tr is its run state if issuance built one.
+func (sh shipment) add(l *launch, node, si int, unmoved bool, args []byte, tr *taskRun, deps []*Event) {
 	s := sh[node]
 	if s == nil {
-		s = &sliceRun{node: node, index: max(si, 0), whole: true}
+		s = &sliceRun{node: node, index: max(si, 0), whole: true, proto: taskRun{
+			fn: l.entry.fn, task: l.task, name: l.entry.name, tag: l.tag, args: args, fm: l.fm, tc: l.tc}}
 		sh[node] = s
 	}
 	s.whole = s.whole && unmoved && si == s.index
-	s.trs = append(s.trs, tr)
+	s.slots = append(s.slots, l.issued)
+	if l.pointArgs {
+		s.args = append(s.args, args)
+	}
+	if tr != nil {
+		s.trs = append(s.trs, tr)
+	}
 	for _, d := range deps {
 		if !slices.Contains(s.deps, d) {
 			s.deps = append(s.deps, d)
 		}
 	}
+}
+
+// run returns the run state of the slice's i-th point, building it from the
+// prototype unless it exists.
+func (s *sliceRun) run(i int) *taskRun {
+	if s.trs != nil {
+		return s.trs[i]
+	}
+	tr := s.proto
+	tr.slot = s.slots[i]
+	tr.point = tr.fm.points[tr.slot]
+	if s.args != nil {
+		tr.args = s.args[i]
+	}
+	tr.tc = s.proto.tc.Child(pointChildKey(tr.point))
+	return &tr
 }
 
 // shipRemote starts every slice the launch collected, in node order. It only
@@ -174,25 +206,17 @@ func (r *Runtime) shipRemote(l *launch) {
 		if s == nil {
 			continue
 		}
-		req := wire.ExecRequest{Task: l.entry.name, Index: s.index}
-		if s.whole && l.slices[s.index].Domain.Volume() == int64(len(s.trs)) {
+		req := wire.ExecRequest{Task: l.entry.name, Index: s.index, Args: s.proto.args, PointArgs: s.args}
+		if s.whole && l.slices[s.index].Domain.Volume() == int64(len(s.slots)) {
 			req.Domain = l.slices[s.index].Domain
 		} else {
-			pts := make([]domain.Point, len(s.trs))
-			for i, tr := range s.trs {
-				pts[i] = tr.point
+			pts := make([]domain.Point, len(s.slots))
+			for i, slot := range s.slots {
+				pts[i] = l.fm.points[slot]
 			}
 			req.Domain = domain.FromPoints(pts)
 		}
-		if l.pointArgs {
-			req.PointArgs = make([][]byte, len(s.trs))
-			for i, tr := range s.trs {
-				req.PointArgs[i] = tr.args
-			}
-		} else {
-			req.Args = s.trs[0].args
-		}
-		r.mx.InflightTasks.Add(int64(len(s.trs)))
+		r.mx.InflightTasks.Add(int64(len(s.slots)))
 		go r.runSlice(s, req)
 	}
 }
@@ -200,43 +224,68 @@ func (r *Runtime) shipRemote(l *launch) {
 // runSlice drives one slice: wait for the launch-wide preconditions, arm
 // each point's straggler watchdog, send the slice as one Exec request and
 // settle every point from the answer. A point that ran commits; a point
-// whose body failed on the worker enters its own retry ladder at attempt 2;
-// a slice the transport could not deliver (ErrUnreachable) runs its points
-// here instead. All points share the execute clock's start: the moment the
-// slice is handed to the mesh.
+// whose body failed on the worker enters its own retry ladder at attempt 2,
+// and a slice the transport could not deliver (ErrUnreachable) runs its
+// points here instead — both through the node's run queue. All points share
+// the execute clock's start: the moment the slice is handed to the mesh.
 func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
-	defer r.mx.InflightTasks.Add(-int64(len(s.trs)))
 	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-		for _, tr := range s.trs {
-			r.skipPoint(tr, s.node, cause)
+		for i := range s.slots {
+			r.skipPoint(s.run(i), s.node, cause)
 		}
 		return
 	}
 	if r.specOn {
-		for _, tr := range s.trs {
-			tr.spec = &specState{cancel: make(chan struct{})}
-			r.armSpeculation(tr, s.node)
+		trs := make([]*taskRun, len(s.slots))
+		for i := range trs {
+			trs[i] = s.run(i)
+			r.armSpeculation(trs[i], s.node)
 		}
+		s.trs = trs
 	}
 	tExec := r.execNow()
 	results, err := r.cluster.ExecSlice(s.node, req)
-	for i, tr := range s.trs {
+	var ok int64
+	for i := range s.slots {
 		perr := err
 		if err == nil {
 			perr = results[i].Err
 		}
-		if perr == nil {
-			r.commitAttempt(tr, nil, s.node, false, results[i].Val, nil, 1, tExec)
-			continue
+		switch {
+		case perr == nil && s.trs != nil:
+			r.commitAttempt(s.trs[i], s.node, false, outcome{val: results[i].Val, attempts: 1, tExec: tExec})
+		case perr == nil:
+			ok++
+		case errors.Is(perr, wire.ErrUnreachable):
+			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{tExec: tExec, local: true}})
+		default:
+			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{attempts: 1, err: perr, tExec: tExec}})
 		}
-		from := resume{attempts: 1, err: perr, tExec: tExec}
-		if errors.Is(perr, wire.ErrUnreachable) {
-			from = resume{tExec: tExec, local: true}
-		}
-		r.mx.InflightTasks.Add(1)
-		go func() {
-			defer r.mx.InflightTasks.Add(-1)
-			r.runAttempt(tr, s.node, false, from)
-		}()
 	}
+	if ok > 0 {
+		r.settleSlice(s, results, ok, tExec)
+	}
+}
+
+// settleSlice commits the ok points of a slice without run states in one
+// pass, the way commitAttempt commits one point: counters and gauges once,
+// one execute observation per point against one clock read (no profiler and
+// no speculation here — either would have built run states), each value
+// into its slot, one release of the launch's group.
+func (r *Runtime) settleSlice(s *sliceRun, results []wire.PointResult, ok int64, tExec int64) {
+	r.mx.TasksExecuted.Add(ok)
+	if r.clk.hist {
+		lat := r.clk.read() - tExec
+		for range ok {
+			r.mx.LatExecute.ObserveExemplar(lat, s.proto.tc.Trace)
+		}
+	}
+	r.mx.InflightTasks.Add(-ok)
+	fm := s.proto.fm
+	for i, slot := range s.slots {
+		if results[i].Err == nil {
+			fm.settle(slot, results[i].Val, nil)
+		}
+	}
+	fm.release(ok)
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Event is a one-shot completion signal. Events order task execution: each
@@ -25,12 +26,14 @@ import (
 // same dependence edges as completions. The zero value is not usable;
 // create events with NewEvent or use Completed.
 type Event struct {
-	ch   chan struct{}
-	once sync.Once
-	// err is written at most once, inside the trigger's once.Do before ch
-	// closes; readers must only load it after observing the close, which
-	// gives the necessary happens-before edge.
+	ch chan struct{}
+	mu sync.Mutex
+	// err is written at most once, under mu before ch closes; readers must
+	// only load it after observing the close, which gives the necessary
+	// happens-before edge.
 	err error
+	// then holds the callbacks onFire registered before the event fired.
+	then []func()
 }
 
 // NewEvent returns an untriggered event.
@@ -45,16 +48,57 @@ func Completed() *Event {
 }
 
 // Trigger fires the event. Triggering is idempotent.
-func (e *Event) Trigger() { e.once.Do(func() { close(e.ch) }) }
+func (e *Event) Trigger() { e.Poison(nil) }
 
 // Poison fires the event carrying err, marking the work it represents as
 // failed. Dependents observe the error through Err, WaitErr or WaitAllErr.
 // Poisoning an already-triggered event is a no-op; Poison(nil) is Trigger.
+// Callbacks registered with onFire run on the calling goroutine.
 func (e *Event) Poison(err error) {
-	e.once.Do(func() {
-		e.err = err
-		close(e.ch)
-	})
+	e.mu.Lock()
+	if e.Done() {
+		e.mu.Unlock()
+		return
+	}
+	e.err = err
+	close(e.ch)
+	then := e.then
+	e.then = nil
+	e.mu.Unlock()
+	for _, fn := range then {
+		fn()
+	}
+}
+
+// onFire calls fn once e has fired: at once if it already has, otherwise on
+// the goroutine that fires it. fn must not block — it is how a waiter
+// parks without a goroutine of its own.
+func (e *Event) onFire(fn func()) {
+	e.mu.Lock()
+	if e.Done() {
+		e.mu.Unlock()
+		fn()
+		return
+	}
+	e.then = append(e.then, fn)
+	e.mu.Unlock()
+}
+
+// afterAll calls fn once every event in evs has fired, without a goroutine:
+// immediately when they all have, otherwise on the goroutine that fires the
+// last one.
+func afterAll(evs []*Event, fn func()) {
+	var left atomic.Int64
+	left.Store(int64(len(evs)) + 1)
+	one := func() {
+		if left.Add(-1) == 0 {
+			fn()
+		}
+	}
+	for _, e := range evs {
+		e.onFire(one)
+	}
+	one()
 }
 
 // Err returns the poison error if the event has triggered poisoned, and nil
@@ -120,7 +164,8 @@ func WaitAllErr(evs []*Event) error {
 // Merge returns an event that triggers once all inputs have triggered. If
 // any input triggered poisoned, the merged event is poisoned with the
 // joined errors. Merging zero events yields a completed event; merging one
-// returns it unchanged.
+// returns it unchanged. The merged event costs no goroutine: the last input
+// to fire fires it.
 func Merge(evs ...*Event) *Event {
 	switch len(evs) {
 	case 0:
@@ -129,12 +174,6 @@ func Merge(evs ...*Event) *Event {
 		return evs[0]
 	}
 	out := NewEvent()
-	go func() {
-		if err := WaitAllErr(evs); err != nil {
-			out.Poison(err)
-			return
-		}
-		out.Trigger()
-	}()
+	afterAll(evs, func() { out.Poison(WaitAllErr(evs)) })
 	return out
 }

@@ -10,13 +10,36 @@ import (
 	"indexlaunch/internal/obs"
 )
 
-// pendingTask is an outstanding point task a fence may wait on, with enough
-// identity to name it in timeout errors.
+// pendingTask is one outstanding launch a fence may wait on — an index
+// launch's group, a single task, or a replay's terminal event — with enough
+// identity to name its first unfinished task in timeout errors.
 type pendingTask struct {
 	ev    *Event
-	name  string // registered task name (or a synthetic label)
+	fm    *FutureMap // an index launch's points; nil otherwise
+	name  string     // registered task name (or a synthetic label)
 	tag   string
-	point domain.Point
+	point domain.Point // the task's point when fm is nil
+}
+
+// left counts the entry's unfinished tasks.
+func (pt *pendingTask) left() int64 {
+	switch {
+	case pt.ev.Done():
+		return 0
+	case pt.fm != nil:
+		return pt.fm.left.Load()
+	}
+	return 1
+}
+
+// first names the entry's first unfinished point in issuance order.
+func (pt *pendingTask) first() domain.Point {
+	if pt.fm != nil {
+		if n, p := pt.fm.unfinished(); n > 0 {
+			return p
+		}
+	}
+	return pt.point
 }
 
 func (r *Runtime) pruneOutstanding() {
@@ -33,12 +56,13 @@ func (r *Runtime) pruneOutstanding() {
 }
 
 // fence is the one wait loop behind every Fence* entry point: it drains the
-// outstanding task list and waits for each task in issue order, timing the
-// whole wait as one fence span. A wait is given up when cancel or stop
-// closes — nil channels never do, so Fence and FenceErr wait unconditionally
-// and ignore Shutdown — in which case the tasks not yet waited for go back
-// on the list and are returned as unfinished. errs are the poison errors of
-// the tasks that completed.
+// outstanding list and waits for each launch in issue order — one wake-up
+// per launch, not per point — timing the whole wait as one fence span. A
+// wait is given up when cancel or stop closes — nil channels never do, so
+// Fence and FenceErr wait unconditionally and ignore Shutdown — in which
+// case the launches not yet waited for go back on the list and are returned
+// as unfinished. errs are the poison errors of the launches that completed:
+// each one's failed points joined in canonical point order.
 func (r *Runtime) fence(cancel, stop <-chan struct{}) (errs []error, unfinished []pendingTask) {
 	t0 := r.clk.now()
 	r.issueMu.Lock()
@@ -136,7 +160,11 @@ func (r *Runtime) FenceContext(ctx context.Context) error {
 		// the caller's deadline.
 		cause = ErrShutdown
 	}
-	first := unfinished[0]
+	var n int64
+	for i := range unfinished {
+		n += unfinished[i].left()
+	}
+	first := &unfinished[0]
 	return fmt.Errorf("rt: fence: %w; %d task(s) unfinished, first: task %q launch %q point %v; %s",
-		cause, len(unfinished), first.name, first.tag, first.point, r.livenessSummary())
+		cause, n, first.name, first.tag, first.first(), r.livenessSummary())
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indexlaunch/internal/domain"
@@ -15,25 +16,21 @@ import (
 // Future is the eventual result of a single task: an opaque byte payload or
 // an error. Futures are safe for concurrent use.
 type Future struct {
-	ev  *Event
-	mu  sync.Mutex
+	ev *Event
+	// val and err are written once, before ev fires; readers load them only
+	// after observing it fire.
 	val []byte
 	err error
 }
 
 func newFuture() *Future { return &Future{ev: NewEvent()} }
 
-// complete records the task's result. A failure poisons the completion
-// event so the error propagates along dependence edges.
+// complete records the task's result, at most once per future. A failure
+// poisons the completion event so the error propagates along dependence
+// edges.
 func (f *Future) complete(val []byte, err error) {
-	f.mu.Lock()
 	f.val, f.err = val, err
-	f.mu.Unlock()
-	if err != nil {
-		f.ev.Poison(err)
-		return
-	}
-	f.ev.Trigger()
+	f.ev.Poison(err)
 }
 
 // Event returns the future's completion event.
@@ -42,8 +39,6 @@ func (f *Future) Event() *Event { return f.ev }
 // Get blocks until the task completes and returns its payload.
 func (f *Future) Get() ([]byte, error) {
 	f.ev.Wait()
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.val, f.err
 }
 
@@ -69,6 +64,10 @@ func (f *Future) GetF64() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return decodeF64(b)
+}
+
+func decodeF64(b []byte) (float64, error) {
 	if len(b) != 8 {
 		return 0, fmt.Errorf("rt: future payload is %d bytes, want 8", len(b))
 	}
@@ -83,29 +82,116 @@ func EncodeF64(v float64) []byte {
 }
 
 // FutureMap is the result of an index launch: one future per launch point,
-// in canonical (issuance) point order.
+// in canonical (issuance) point order. It is also the launch's completion
+// group — the one thing a fence, a bulk replay and the caller wait on: the
+// points' outcomes land in dense slots, a countdown of unfinished points
+// fires one event, and a point's Future exists only once At asks for it.
 type FutureMap struct {
-	points  []domain.Point
-	futures map[domain.Point]*Future
-	done    *Event
+	points []domain.Point // issuance order
+	res    []pointResult  // res[i] is points[i]'s outcome
+	// left counts the launch's unfinished points plus one for issuance, which
+	// launchDone releases; done fires when it reaches zero.
+	left atomic.Int64
+	done *Event
+
+	// At's state, built by its first call: the point → slot lookup and the
+	// futures handed out, by slot. watched tells settle to look there.
+	mu      sync.Mutex
+	index   map[domain.Point]int
+	futs    map[int]*Future
+	watched atomic.Bool
 }
 
-func newFutureMap() *FutureMap {
-	return &FutureMap{futures: map[domain.Point]*Future{}}
+// pointResult is one point's slot: its outcome, final once fin is set.
+type pointResult struct {
+	val []byte
+	err error
+	fin atomic.Bool
 }
 
-func (m *FutureMap) add(p domain.Point, f *Future) {
-	if _, dup := m.futures[p]; !dup {
-		m.points = append(m.points, p)
+// newFutureMap sizes the map for a launch of n points, every one of them
+// counted unfinished until issuance releases the ones it did not issue.
+func newFutureMap(n int) *FutureMap {
+	m := &FutureMap{points: make([]domain.Point, 0, n), res: make([]pointResult, n), done: NewEvent()}
+	m.left.Store(int64(n) + 1)
+	return m
+}
+
+// add files the launch's next point; its slot is its issuance index. Called
+// by the issuer only, before the point can finish.
+func (m *FutureMap) add(p domain.Point) { m.points = append(m.points, p) }
+
+// settle records slot i's outcome, completing a future At handed out for
+// it. The slot stays counted in left until release.
+func (m *FutureMap) settle(i int, val []byte, err error) {
+	s := &m.res[i]
+	s.val, s.err = val, err
+	s.fin.Store(true)
+	// At sets watched before it reads fin, settle sets fin before it reads
+	// watched: one of the two sees the other, so no handed-out future misses
+	// its completion.
+	if m.watched.Load() {
+		m.mu.Lock()
+		if f := m.futs[i]; f != nil && !f.ev.Done() {
+			f.complete(val, err)
+		}
+		m.mu.Unlock()
 	}
-	m.futures[p] = f
 }
 
-// At returns the future for launch point p.
+// release counts n settled points (or the issuance) finished. The last
+// release fires done, poisoned with the points' errors joined in canonical
+// order.
+func (m *FutureMap) release(n int64) {
+	if m.left.Add(-n) != 0 {
+		return
+	}
+	var errs []error
+	for i := range m.points {
+		if err := m.res[i].err; err != nil {
+			errs = append(errs, err)
+		}
+	}
+	m.done.Poison(errors.Join(errs...))
+}
+
+// unfinished counts the points not yet settled and names the first of them.
+func (m *FutureMap) unfinished() (n int, first domain.Point) {
+	for i, p := range m.points {
+		if !m.res[i].fin.Load() {
+			if n == 0 {
+				first = p
+			}
+			n++
+		}
+	}
+	return n, first
+}
+
+// At returns the future for launch point p. It completes when p does,
+// independently of p's siblings.
 func (m *FutureMap) At(p domain.Point) (*Future, error) {
-	f, ok := m.futures[p]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.index == nil {
+		m.index = make(map[domain.Point]int, len(m.points))
+		for i, q := range m.points {
+			m.index[q] = i
+		}
+		m.futs = map[int]*Future{}
+		m.watched.Store(true)
+	}
+	i, ok := m.index[p]
 	if !ok {
 		return nil, fmt.Errorf("rt: future map has no point %v", p)
+	}
+	f := m.futs[i]
+	if f == nil {
+		f = newFuture()
+		if s := &m.res[i]; s.fin.Load() {
+			f.complete(s.val, s.err)
+		}
+		m.futs[i] = f
 	}
 	return f, nil
 }
@@ -121,8 +207,8 @@ func (m *FutureMap) Event() *Event { return m.done }
 // encountered (in canonical point order), if any.
 func (m *FutureMap) Wait() error {
 	m.done.Wait()
-	for _, p := range m.points {
-		if _, err := m.futures[p].Get(); err != nil {
+	for i := range m.points {
+		if err := m.res[i].err; err != nil {
 			return err
 		}
 	}
@@ -134,8 +220,8 @@ func (m *FutureMap) Wait() error {
 func (m *FutureMap) WaitErr() error {
 	m.done.Wait()
 	var errs []error
-	for _, p := range m.points {
-		if _, err := m.futures[p].Get(); err != nil {
+	for i := range m.points {
+		if err := m.res[i].err; err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -149,19 +235,9 @@ func (m *FutureMap) WaitTimeout(d time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
 	if err := m.done.WaitContext(ctx); err != nil && !m.done.Done() {
-		unfinished := 0
-		var first domain.Point
-		for _, p := range m.points {
-			if !m.futures[p].ev.Done() {
-				if unfinished == 0 {
-					first = p
-				}
-				unfinished++
-			}
-		}
-		if unfinished > 0 {
+		if n, first := m.unfinished(); n > 0 {
 			return fmt.Errorf("rt: future map: %w; %d point task(s) unfinished, first: point %v",
-				err, unfinished, first)
+				err, n, first)
 		}
 	}
 	return m.Wait()
@@ -174,20 +250,12 @@ func (m *FutureMap) SumF64() (float64, error) {
 		return 0, err
 	}
 	var s float64
-	for _, p := range m.points {
-		v, err := m.futures[p].GetF64()
+	for i := range m.points {
+		v, err := decodeF64(m.res[i].val)
 		if err != nil {
 			return 0, err
 		}
 		s += v
 	}
 	return s, nil
-}
-
-func (m *FutureMap) seal() {
-	evs := make([]*Event, 0, len(m.points))
-	for _, p := range m.points {
-		evs = append(evs, m.futures[p].ev)
-	}
-	m.done = Merge(evs...)
 }

@@ -21,7 +21,13 @@ type launch struct {
 	dom    domain.Domain
 	points int          // declared point count
 	tc     obs.TraceRef // launch span context; zero when the job is untraced
-	fm     *FutureMap   // where point futures land; nil for a single launch
+
+	// Completion: an index launch's points finish into fm, its completion
+	// group; a single launch's one point into fut. done fires once the whole
+	// launch has finished — the one thing fences and bulk replays wait on.
+	fm   *FutureMap
+	fut  *Future
+	done *Event
 
 	// Distribution: whether the slicing functor (else the sharding functor)
 	// places the points, its slices, and, in cluster mode, the region-free
@@ -31,10 +37,9 @@ type launch struct {
 	ship      shipment
 	pointArgs bool
 
-	// Replay at launch granularity: the preconditions every point shares
-	// and the points' completion events. issued counts analyzed points.
+	// Replay at launch granularity: the preconditions every point shares.
+	// issued counts analyzed points; it is the next point's future-map slot.
 	deps   []*Event
-	evs    []*Event
 	issued int
 
 	// Stage clock readings: launch and distribute start, and the time spent
@@ -55,7 +60,8 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.fm, l.pointArgs = newFutureMap(), il.PointArgs != nil
+	l.fm, l.pointArgs = newFutureMap(l.points), il.PointArgs != nil
+	l.done = l.fm.done
 	r.logical(l, il)
 	// In cluster mode a region-free launch's points leave for the workers
 	// that own them, one slice per worker.
@@ -64,10 +70,12 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 		r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
 		return true
 	})
+	// The points issued before a failed expansion are in flight: close the
+	// launch either way, so they ship and a fence can wait for them.
+	r.launchDone(l)
 	if err != nil {
 		return nil, err
 	}
-	r.launchDone(l)
 	return l.fm, nil
 }
 
@@ -109,10 +117,12 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 		}
 		prs[i] = PhysicalRegion{Region: req.Region, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
 	}
+	l.fut = newFuture()
+	l.done = l.fut.ev
 	r.distribute(l, false, false)
-	fut := r.issuePoint(l, domain.Pt1(0), prs, args)
+	r.issuePoint(l, domain.Pt1(0), prs, args)
 	r.launchDone(l)
-	return fut, nil
+	return l.fut, nil
 }
 
 // issue is the first stage: it opens the launch — the value the other
@@ -132,56 +142,44 @@ func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points in
 
 // issuePoint takes one point through the per-point half of the pipeline:
 // placement (distribute), dependence analysis (physical), and the hand-off
-// to the executor — or, for a point leaving in a slice, to the shipment.
-// Caller holds issueMu.
-func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, args []byte) *Future {
+// to its node's run queue once its preconditions fire — or, for a point
+// leaving in a slice, to the shipment. Caller holds issueMu.
+func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, args []byte) {
 	t := r.clk.now()
 	owner, si := r.nodeOf(l, p)
 	node := r.faultCheck(l.dom, p, owner)
 	l.distNS += r.clk.now() - t
 
-	tr, deps := r.physical(l, p, node, prs, args)
-	l.issued++
+	remote := l.ship != nil && node != 0
+	tr, deps := r.physical(l, p, node, prs, args, !remote)
 	if l.fm != nil {
-		l.fm.add(p, tr.fut)
+		l.fm.add(p)
 	}
-	if l.ship != nil && node != 0 {
-		l.ship.add(node, si, node == owner, tr, deps)
-		return tr.fut
+	if remote {
+		l.ship.add(l, node, si, node == owner, args, tr, deps)
+	} else {
+		r.mx.InflightTasks.Add(1)
+		r.ready(runItem{tr: tr, node: node, fresh: true, deps: deps})
 	}
-	r.mx.InflightTasks.Add(1)
-	go func() {
-		defer r.mx.InflightTasks.Add(-1)
-		if cause := WaitAllErr(deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-			r.skipPoint(tr, node, cause)
-			return
-		}
-		if r.specOn {
-			// Arm the straggler watchdog only once the task is runnable:
-			// dependence waits are ordering, not straggling.
-			tr.spec = &specState{cancel: make(chan struct{})}
-			r.armSpeculation(tr, node)
-		}
-		r.runAttempt(tr, node, false, resume{})
-	}()
-	return tr.fut
+	l.issued++
 }
 
-// skipPoint completes tr without running its body because a precondition is
+// skipPoint finishes tr without running its body because a precondition is
 // poisoned, cascading the failure downstream through the task's own event.
 func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
 	r.mx.TasksSkipped.Inc()
 	if prof := r.cfg.Profile; prof != nil {
 		prof.MarkTC(tr.tc.Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
 	}
-	tr.fut.complete(nil, &TaskError{
+	r.finish(tr, nil, &TaskError{
 		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,
 		Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
 	})
 }
 
 // launchDone closes the launch: the slices leaving for workers start, the
-// episode seals the launch's unit, the future map seals, and the clock
+// episode seals the launch's unit, issuance releases its count on the
+// launch's group and the launch becomes one fence entry, and the clock
 // records the two launch-level spans the per-point work accumulated into —
 // distribute (sharding/slicing time over the whole launch) and issue (the
 // residual launch bookkeeping, so the four issuance-side stages partition
@@ -194,8 +192,13 @@ func (r *Runtime) launchDone(l *launch) {
 		r.ep.launchDone(l)
 	}
 	if l.fm != nil {
-		l.fm.seal()
+		// Issuance's count, plus the slots of declared points never issued
+		// (an expansion that failed part-way).
+		l.fm.release(int64(l.points-l.issued) + 1)
 	}
+	r.outstanding = append(r.outstanding, pendingTask{ev: l.done, fm: l.fm,
+		name: l.entry.name, tag: l.tag, point: l.dom.Bounds().Lo})
+	r.pruneOutstanding()
 	resid := max(r.clk.now()-l.t0-l.logicalNS-l.distNS-l.physNS, 0)
 	r.clk.done(obs.StageDistribute, r.mx.LatDistribute, l.tc.Child(tcDistribute), 0, 0,
 		l.entry.name, l.tag, domain.Point{}, l.tDist, l.tDist+l.distNS)

@@ -7,13 +7,26 @@ import (
 
 // physical is the per-point stage: dependence analysis against the version
 // map — or, in a replay, against the captured template — plus the point's
-// span identity and fence bookkeeping. It returns the point's run state and
-// the events it must wait for; the caller starts it. The stage's span is
-// attributed to the owning node as in DCR, where each node analyzes its
-// local points. Caller holds issueMu.
-func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte) (*taskRun, []*Event) {
-	fut := newFuture()
-	ev := fut.ev
+// span identity. It returns the point's run state and the events it must
+// wait for; the caller starts it. The stage's span is attributed to the
+// owning node as in DCR, where each node analyzes its local points. Caller
+// holds issueMu.
+//
+// A point gets a completion event of its own only when something can name
+// it as a dependence: the version map (the point touches regions), a
+// point-granularity trace episode, or a single launch's future. A
+// region-free point of an index launch finishes into its future-map slot
+// instead, and one leaving node 0 in a slice (local false) gets no run state
+// either unless profiling needs its span identity: physical returns nil, and
+// the slice builds the run state only if the point ends up running here.
+func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte, local bool) (*taskRun, []*Event) {
+	var ev *Event
+	switch {
+	case l.fut != nil:
+		ev = l.fut.ev
+	case len(prs) > 0 || (r.ep != nil && !r.ep.byLaunch):
+		ev = NewEvent()
+	}
 	name := l.entry.name
 	ptc := l.tc.Child(pointChildKey(p))
 
@@ -46,22 +59,24 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 
 	// Span identity and dependence edges for the critical-path graph.
 	var spanID int64
-	if prof := r.clk.prof; prof != nil {
+	prof := r.clk.prof
+	if prof != nil {
 		spanID = prof.NextID()
 		for _, d := range deps {
 			if from, ok := r.profIDs[d]; ok {
 				prof.Edge(from, spanID)
 			}
 		}
-		r.profNote(ev, spanID)
+		if ev != nil {
+			r.profNote(ev, spanID)
+		}
 	}
-
-	r.outstanding = append(r.outstanding, pendingTask{ev: ev, name: name, tag: l.tag, point: p})
-	r.pruneOutstanding()
-
+	if !local && ev == nil && prof == nil {
+		return nil, deps
+	}
 	return &taskRun{
-		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p,
-		args: args, prs: prs, fut: fut, spanID: spanID, tc: ptc,
+		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p, args: args, prs: prs,
+		fut: l.fut, fm: l.fm, slot: l.issued, ev: ev, spanID: spanID, tc: ptc,
 	}, deps
 }
 

@@ -187,16 +187,18 @@ func (r *Runtime) EndTrace(id uint64) error {
 func (ep *episode) launchBegin(l *launch) {
 	if ep.byLaunch && ep.replay {
 		l.deps = ep.unitDeps(ep.sig(l, domain.Point{}))
-		l.evs = make([]*Event, 0, l.points)
 	}
 }
 
 // capture records one analyzed point into the open unit: its completion
-// event, its edges to earlier units and the data it touches. At point
-// granularity the point seals its own unit.
+// event (nil for a region-free point, which nothing can name), its edges to
+// earlier units and the data it touches. At point granularity the point
+// seals its own unit.
 func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, prs []PhysicalRegion) {
 	t := ep.tmpl
-	ep.unitOf[ev] = len(t.units)
+	if ev != nil {
+		ep.unitOf[ev] = len(t.units)
+	}
 	// Edges to events from outside the episode are dropped: pre-episode
 	// ordering is reconstructed at replay time from the version map
 	// (boundary), never from the capture run, whose timing-dependent view
@@ -223,11 +225,10 @@ func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, 
 	}
 }
 
-// replayPoint returns the preconditions of the next replayed point and
-// registers ev as its completion event.
+// replayPoint returns the preconditions of the next replayed point; at point
+// granularity it registers ev as the point's unit's completion event.
 func (ep *episode) replayPoint(l *launch, p domain.Point, ev *Event) []*Event {
 	if ep.byLaunch {
-		l.evs = append(l.evs, ev)
 		return l.deps
 	}
 	deps := ep.unitDeps(ep.sig(l, p))
@@ -236,15 +237,14 @@ func (ep *episode) replayPoint(l *launch, p domain.Point, ev *Event) []*Event {
 }
 
 // launchDone closes l inside the episode: at launch granularity it seals
-// the launch's unit — in a replay, under the merged completion event of the
-// launch's points.
+// the launch's unit — in a replay, under the launch's completion event.
 func (ep *episode) launchDone(l *launch) {
 	if !ep.byLaunch {
 		return
 	}
 	var done *Event
 	if ep.replay {
-		done = Merge(l.evs...)
+		done = l.done
 	}
 	ep.seal(ep.sig(l, domain.Point{}), done)
 }

@@ -185,7 +185,7 @@ type Stats struct {
 // pipeline. Methods that issue work (ExecuteIndex, ExecuteSingle, fences and
 // trace markers) must be called from one goroutine, preserving the implicit
 // program order of the sequential-semantics programming model; task bodies
-// themselves run concurrently on the worker pool.
+// themselves run concurrently, on per-node run queues (runq.go).
 type Runtime struct {
 	cfg    Config
 	mapper Mapper
@@ -193,11 +193,13 @@ type Runtime struct {
 	tasks  []taskEntry
 	byName map[string]core.TaskID
 
-	vm    *versionMap
-	slots []chan struct{} // per-node processor slots
+	vm     *versionMap
+	queues []runQueue // per-node run queues (runq.go)
 
-	issueMu     sync.Mutex
-	reduceMu    sync.Mutex
+	issueMu  sync.Mutex
+	reduceMu sync.Mutex
+	// outstanding holds one entry per issued launch a fence has not yet
+	// waited for, guarded by issueMu.
 	outstanding []pendingTask
 
 	// Capture/replay state (replay.go), guarded by issueMu: the open
@@ -335,7 +337,7 @@ func New(cfg Config) (*Runtime, error) {
 		mapper: m,
 		byName: map[string]core.TaskID{},
 		vm:     newVersionMap(mx.VersionQueries, mx.DepEdges),
-		slots:  make([]chan struct{}, cfg.Nodes),
+		queues: make([]runQueue, cfg.Nodes),
 		dead:   make([]bool, cfg.Nodes),
 		stop:   make(chan struct{}),
 		reg:    reg,
@@ -379,9 +381,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Profile != nil {
 		r.profIDs = map[*Event]int64{}
-	}
-	for i := range r.slots {
-		r.slots[i] = make(chan struct{}, cfg.ProcsPerNode)
 	}
 	return r, nil
 }
@@ -510,9 +509,9 @@ var ErrBusy = errors.New("rt: tasks still outstanding")
 func (r *Runtime) Recycle() error {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
-	for _, pt := range r.outstanding {
-		if !pt.ev.Done() {
-			return fmt.Errorf("%w: task %q launch %q point %v", ErrBusy, pt.name, pt.tag, pt.point)
+	for i := range r.outstanding {
+		if pt := &r.outstanding[i]; !pt.ev.Done() {
+			return fmt.Errorf("%w: task %q launch %q point %v", ErrBusy, pt.name, pt.tag, pt.first())
 		}
 	}
 	r.outstanding = r.outstanding[:0]

@@ -71,19 +71,30 @@ type specState struct {
 	// cancel closes when an attempt commits, asking the other attempt's
 	// body to stop (Context.Cancelled).
 	cancel chan struct{}
+	// watchdog is the pending backup launch, stopped by the commit.
+	watchdog atomic.Pointer[time.Timer]
 }
 
 // taskRun bundles everything an execution attempt needs, so the original
-// and the backup attempt run the same code path.
+// and the backup attempt run the same code path. A region-free point of an
+// index launch that leaves node 0 in a slice has none unless it needs one
+// (sliceRun.run): its outcome goes straight into its future-map slot.
 type taskRun struct {
-	fn     TaskFn
-	task   core.TaskID
-	name   string
-	tag    string
-	point  domain.Point
-	args   []byte
-	prs    []PhysicalRegion
+	fn    TaskFn
+	task  core.TaskID
+	name  string
+	tag   string
+	point domain.Point
+	args  []byte
+	prs   []PhysicalRegion
+	// Where the outcome lands: a single launch's future, or the point's
+	// slot in its index launch's future map — plus ev, the point's own
+	// completion event, when something can name it as a dependence (see
+	// physical).
 	fut    *Future
+	fm     *FutureMap
+	slot   int
+	ev     *Event
 	spec   *specState // nil when speculation is off for this task
 	spanID int64
 	// tc is the point's span context (the physical span); the execute
@@ -138,23 +149,22 @@ func (r *Runtime) pickBackupNode(orig int) (int, bool) {
 	return 0, false
 }
 
-// armSpeculation starts the straggler watchdog for tr's original attempt
-// on node orig. If the task is still running once the threshold elapses, a
-// backup attempt launches on another healthy node.
+// armSpeculation makes tr's attempts race and starts the straggler
+// watchdog for its original attempt on node orig: a timer, not a goroutine,
+// that the commit stops. If the task is still uncommitted once the
+// threshold elapses, a backup attempt is enqueued on another healthy node.
 func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
+	spec := &specState{cancel: make(chan struct{})}
+	tr.spec = spec
 	d := r.specDelay()
 	if d <= 0 {
 		return
 	}
-	go func() {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
+	spec.watchdog.Store(time.AfterFunc(d, func() {
 		select {
-		case <-tr.fut.ev.ch:
-			return
 		case <-r.stop:
 			return
-		case <-timer.C:
+		default:
 		}
 		if tr.lost() {
 			return
@@ -167,10 +177,8 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 		if prof := r.cfg.Profile; prof != nil {
 			prof.MarkTC(tr.tc.Child(tcSpecBackup), backup, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
-		r.mx.InflightTasks.Add(1)
-		defer r.mx.InflightTasks.Add(-1)
-		r.runAttempt(tr, backup, true, resume{})
-	}()
+		r.enqueue(runItem{tr: tr, node: backup, backup: true})
+	}))
 }
 
 // specLost accounts one attempt whose result was discarded because the
@@ -191,7 +199,7 @@ type resume struct {
 	attempts int
 	err      error
 	// tExec is when the chain started executing (the slice was handed to the
-	// mesh); zero starts the clock once a slot is held.
+	// mesh); zero starts the clock once a drainer runs the chain.
 	tExec int64
 	// local runs the bodies in this process: the point's node did not
 	// answer.
@@ -207,87 +215,87 @@ func (r *Runtime) execNow() int64 {
 	return 0
 }
 
-// runAttempt executes one attempt chain (original or backup) of tr on node:
-// slot acquisition, the retry ladder, and the commit race. Exactly one
-// chain per task reaches commitAttempt's critical section.
-func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool, from resume) {
-	slot := r.slots[node]
-	slot <- struct{}{}
-	r.mx.BusyProcs.Add(1)
-	defer func() {
-		r.mx.BusyProcs.Add(-1)
-		<-slot
-	}()
+// outcome is what an attempt chain ended with, ready to commit.
+type outcome struct {
+	ctx      *Context // the succeeding attempt's; nil when the chain failed
+	val      []byte
+	err      error
+	attempts int
+	tExec    int64
+}
+
+// runAttempt executes one attempt chain (original or backup) of tr on node —
+// the retry ladder — on the calling drainer. It reports false when the
+// other attempt of a speculated task already committed, so there is nothing
+// to commit.
+func (r *Runtime) runAttempt(tr *taskRun, node int, from resume) (outcome, bool) {
 	if tr.lost() {
-		// The other attempt finished while this one queued for a slot.
-		r.specLost(tr, node)
-		return
+		// The other attempt finished while this one was queued.
+		return outcome{}, false
 	}
-	tExec := from.tExec
-	if tExec == 0 {
-		tExec = r.execNow()
+	o := outcome{attempts: from.attempts, err: from.err, tExec: from.tExec}
+	if o.tExec == 0 {
+		o.tExec = r.execNow()
 	}
-	var val []byte
-	attempts, err := from.attempts, from.err
 	retry := r.cfg.Retry
 	for {
-		if attempts > 0 {
+		if o.attempts > 0 {
 			// The previous attempt failed: climb the ladder or give up.
-			if attempts > retry.Max {
-				break
+			if o.attempts > retry.Max {
+				return o, true
 			}
 			if tr.lost() {
 				// No point retrying a race already lost.
-				r.specLost(tr, node)
-				return
+				return o, false
 			}
 			r.mx.Retries.Inc()
 			if prof := r.cfg.Profile; prof != nil {
-				prof.MarkTC(tr.tc.Child(uint64(tcRetryBase+attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
+				prof.MarkTC(tr.tc.Child(uint64(tcRetryBase+o.attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
 			}
-			if d := retry.backoffFor(attempts); d > 0 && !r.sleepBackoff(d) {
+			if d := retry.backoffFor(o.attempts); d > 0 && !r.sleepBackoff(d) {
 				// Shutdown mid-ladder: give up on the retry and fail the
 				// task with its last error now.
-				break
+				return o, true
 			}
 		}
 		// A fresh Context per attempt: a failed attempt must not leak
 		// buffered reductions or accessor state into its retry.
 		ctx := &Context{Point: tr.point, Node: node, Task: tr.task, Args: tr.args,
 			regions: tr.prs, cancel: tr.cancelCh()}
-		val, err = r.execBody(tr, ctx, node, from.local)
-		attempts++
-		if err == nil {
-			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec)
-			return
+		o.val, o.err = r.execBody(tr, ctx, node, from.local)
+		o.attempts++
+		if o.err == nil {
+			o.ctx = ctx
+			return o, true
 		}
 	}
-	r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec)
 }
 
 // commitAttempt is the single point where an attempt's outcome becomes the
 // task's outcome: winner-takes-all under speculation, unconditional
 // otherwise. Only the winner flushes reductions, records the execute span
-// and completes the future.
-func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool,
-	val []byte, err error, attempts int, tExec int64) {
-
+// and finishes the task.
+func (r *Runtime) commitAttempt(tr *taskRun, node int, backup bool, o outcome) {
 	if tr.spec != nil {
 		if !tr.spec.committed.CompareAndSwap(false, true) {
 			r.specLost(tr, node)
 			return
 		}
 		close(tr.spec.cancel)
+		if t := tr.spec.watchdog.Load(); t != nil {
+			t.Stop()
+		}
 	}
-	if err == nil && ctx != nil && (len(ctx.reducers) > 0 || len(ctx.reducersI64) > 0) {
+	if ctx := o.ctx; ctx != nil && (len(ctx.reducers) > 0 || len(ctx.reducersI64) > 0) {
 		r.reduceMu.Lock()
 		ctx.flushReductions()
 		r.reduceMu.Unlock()
 	}
 	r.mx.TasksExecuted.Inc()
+	err := o.err
 	if err != nil {
 		r.mx.TasksFailed.Inc()
-		te := &TaskError{Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node, Attempts: attempts, Err: err}
+		te := &TaskError{Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node, Attempts: o.attempts, Err: err}
 		if pe, ok := err.(*panicError); ok {
 			te.PanicValue, te.Err = pe.value, nil
 		}
@@ -301,9 +309,9 @@ func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool
 		// registry is attached, and traced tasks leave their trace ID as
 		// the bucket's exemplar.
 		tEnd := r.clk.read()
-		r.clk.done(obs.StageExecute, nil, tr.tc.Child(tcExecute), tr.spanID, node, tr.name, tr.tag, tr.point, tExec, tEnd)
+		r.clk.done(obs.StageExecute, nil, tr.tc.Child(tcExecute), tr.spanID, node, tr.name, tr.tag, tr.point, o.tExec, tEnd)
 		if r.clk.hist || r.specOn {
-			r.mx.LatExecute.ObserveExemplar(tEnd-tExec, tr.tc.Trace)
+			r.mx.LatExecute.ObserveExemplar(tEnd-o.tExec, tr.tc.Trace)
 		}
 	}
 	if backup {
@@ -312,5 +320,22 @@ func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool
 			prof.MarkTC(tr.tc.Child(tcSpecWon), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 	}
-	tr.fut.complete(val, err)
+	r.finish(tr, o.val, err)
+}
+
+// finish makes tr's outcome final. The in-flight gauge drops first, so a
+// fence that observes the completion observes it too; then the point's own
+// event fires (its dependents become runnable) and its future, or its slot
+// in the launch's future map, settles.
+func (r *Runtime) finish(tr *taskRun, val []byte, err error) {
+	r.mx.InflightTasks.Add(-1)
+	if tr.fut != nil {
+		tr.fut.complete(val, err)
+		return
+	}
+	if tr.ev != nil {
+		tr.ev.Poison(err)
+	}
+	tr.fm.settle(tr.slot, val, err)
+	tr.fm.release(1)
 }

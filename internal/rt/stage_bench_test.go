@@ -12,23 +12,25 @@ import (
 )
 
 // The stage benchmarks call the four §5 stage methods directly, one launch
-// per op (so ns/op and allocs/op are per launch), at |D| ∈ {64, 1024} for a
-// region-free launch and a launch with one region requirement. Each
+// per op (so ns/op and allocs/op are per launch), at |D| ∈ {64, 1024, 4096}
+// for a region-free launch and a launch with one region requirement. Each
 // benchmark runs only its own stage's work — the launch-level method plus
 // the per-point calls issuePoint charges to that stage — on the centralized
 // path with VerifyLaunches on, where every stage has something to do:
 //
 //   - Issue: open the launch, walk its points building their region views
-//     and filing a future per point, close it (seal the future map).
+//     and filing each into the future map, close it (release the group,
+//     one fence entry).
 //   - Logical: the safety verification of the whole launch.
 //   - Distribute: slice the domain, ship the slices through the in-process
 //     transport, then place every point (nodeOf + faultCheck).
-//   - Physical: per-point dependence analysis against the version map.
+//   - Physical: per-point dependence analysis against the version map, and
+//     the run state of a point that runs on node 0.
 //
-// A stage whose cost is flat from 64 to 1024 points is O(1) in the launch;
-// the others are what ROADMAP 1(b) must flatten.
+// A stage whose cost is flat from 64 to 4096 points is O(1) in the launch;
+// the others are what ROADMAP item 1 must flatten.
 func benchStages(b *testing.B, stage func(b *testing.B, r *Runtime, il *core.IndexLaunch, prs [][]PhysicalRegion)) {
-	for _, points := range []int64{64, 1024} {
+	for _, points := range []int64{64, 1024, 4096} {
 		for _, reqs := range []int{0, 1} {
 			b.Run(fmt.Sprintf("D=%d/reqs=%d", points, reqs), func(b *testing.B) {
 				r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true, VerifyLaunches: true})
@@ -72,15 +74,16 @@ func (r *Runtime) benchIssue(b *testing.B, il *core.IndexLaunch) *launch {
 
 func BenchmarkStageIssue(b *testing.B) {
 	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
-		fut := newFuture()
 		for i := 0; i < b.N; i++ {
 			l := r.benchIssue(b, il)
-			l.fm = newFutureMap()
+			l.fm = newFutureMap(l.points)
+			l.done = l.fm.done
 			_ = il.Each(func(pt core.PointTask) bool {
 				_ = pointRegions(il, pt)
-				l.fm.add(pt.Point, fut)
+				l.fm.add(pt.Point)
 				return true
 			})
+			// Nothing runs these points: launchDone releases them unissued.
 			r.launchDone(l)
 		}
 	})
@@ -113,10 +116,8 @@ func BenchmarkStagePhysical(b *testing.B) {
 		pts, l := il.Domain.Points(), r.benchIssue(b, il)
 		for i := 0; i < b.N; i++ {
 			for j, p := range pts {
-				r.physical(l, p, 0, prs[j], nil)
+				r.physical(l, p, 0, prs[j], nil, true)
 			}
-			// Nothing runs these points: forget them instead of fencing.
-			r.outstanding = r.outstanding[:0]
 		}
 	})
 }

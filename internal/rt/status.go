@@ -28,8 +28,8 @@ type Status struct {
 	InflightTasks int64 `json:"inflight_tasks"`
 	BusyProcs     int64 `json:"busy_procs"`
 
-	// OutstandingFence counts issued tasks a fence would currently wait on
-	// (completed tasks not yet pruned are excluded).
+	// OutstandingFence counts issued tasks a fence would currently wait on:
+	// the unfinished points of the launches on the fence list.
 	OutstandingFence int `json:"outstanding_fence"`
 
 	// Tree is the broadcast tree's current shape; nil in DCR mode, which
@@ -69,10 +69,8 @@ func (r *Runtime) Status() Status {
 			st.DeadNodes = append(st.DeadNodes, n)
 		}
 	}
-	for _, pt := range r.outstanding {
-		if !pt.ev.Done() {
-			st.OutstandingFence++
-		}
+	for i := range r.outstanding {
+		st.OutstandingFence += int(r.outstanding[i].left())
 	}
 	if r.hm != nil {
 		st.Health = r.hm.det.Snapshot()

@@ -103,15 +103,24 @@ func TestStressRandomProgramsMatchSequentialModel(t *testing.T) {
 	for _, seed := range diffSeeds(t) {
 		for _, path := range []string{"dcr", "central", "cluster"} {
 			for _, trace := range []string{"untraced", "trace", "bulk"} {
-				t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, path, trace), func(t *testing.T) {
-					runStressDifferential(t, seed, path, trace)
-				})
+				// Launch handling: index launches kept compact (the unnamed
+				// default), verified by the hybrid safety analysis, or expanded
+				// at issuance (No-IDX).
+				for _, launches := range []string{"", "verify", "noidx"} {
+					name := fmt.Sprintf("seed=%d/%s/%s", seed, path, trace)
+					if launches != "" {
+						name += "/" + launches
+					}
+					t.Run(name, func(t *testing.T) {
+						runStressDifferential(t, seed, path, trace, launches)
+					})
+				}
 			}
 		}
 	}
 }
 
-func runStressDifferential(t *testing.T, seed int64, path, trace string) {
+func runStressDifferential(t *testing.T, seed int64, path, trace, launches string) {
 	const (
 		blocks    = 8
 		blockSize = 4
@@ -128,7 +137,8 @@ func runStressDifferential(t *testing.T, seed int64, path, trace string) {
 		}
 	}
 
-	cfg := Config{Nodes: 3, ProcsPerNode: 2, DCR: path == "dcr", IndexLaunches: true,
+	cfg := Config{Nodes: 3, ProcsPerNode: 2, DCR: path == "dcr",
+		IndexLaunches: launches != "noidx", VerifyLaunches: launches == "verify",
 		Tracing: trace != "untraced", BulkTracing: trace == "bulk"}
 	pure := func(point domain.Point, args []byte) []byte {
 		return EncodeF64(float64(args[0]) * float64(point.X()))
