@@ -22,7 +22,8 @@ type Tree struct {
 	Domain domain.Domain // the root index space
 	Fields *FieldSpace
 
-	root *Region
+	root   *Region
+	bounds domain.Rect // Domain's bounds, which storage is linearized over
 
 	mu     sync.Mutex
 	dataMu sync.RWMutex
@@ -47,6 +48,7 @@ func NewTree(name string, dom domain.Domain, fields *FieldSpace) (*Tree, error) 
 		Name:   name,
 		Domain: dom,
 		Fields: fields,
+		bounds: dom.Bounds(),
 		f64:    map[FieldID][]float64{},
 		i64:    map[FieldID][]int64{},
 	}

@@ -1,0 +1,86 @@
+//go:build !race
+
+// Allocation gates. The race detector changes what allocates, so they run
+// only without it.
+
+package rt
+
+import (
+	"testing"
+
+	"indexlaunch/internal/core"
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/privilege"
+	"indexlaunch/internal/projection"
+	"indexlaunch/internal/region"
+)
+
+var eventSink *Event
+
+// An event is one object: no channel until a goroutine blocks on it.
+func TestNewEventAllocatesOneObject(t *testing.T) {
+	for name, mk := range map[string]func() *Event{"NewEvent": NewEvent, "Completed": Completed} {
+		if n := testing.AllocsPerRun(1000, func() { eventSink = mk() }); n != 1 {
+			t.Errorf("%s allocates %v objects, want 1", name, n)
+		}
+	}
+}
+
+// TestRegionPointAllocsBounded gates the region point path: the physical
+// stage of a point with one read-write requirement allocates at most its
+// completion event, its dependence slice and its run state, and a warmed
+// reduction instance folds and flushes without allocating.
+func TestRegionPointAllocsBounded(t *testing.T) {
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, DCR: true, IndexLaunches: true})
+	defer r.Shutdown()
+	task := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
+	fs := region.MustFieldSpace(region.Field{ID: 0, Name: "v", Kind: region.F64})
+	const points = 64
+	tree := region.MustNewTree("allocs", domain.Range1(0, points-1), fs)
+	part, err := tree.PartitionEqual(tree.Root(), "blocks", points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	il := core.MustForall("allocs", task, domain.Range1(0, points-1), core.Requirement{
+		Partition: part, Functor: projection.Identity(1),
+		Priv: privilege.ReadWrite, Fields: []region.FieldID{0},
+	})
+	var pts []domain.Point
+	var prs [][]PhysicalRegion
+	_ = il.Each(func(pt core.PointTask) bool {
+		pts, prs = append(pts, pt.Point), append(prs, pointRegions(il, pt))
+		return true
+	})
+
+	r.issueMu.Lock()
+	l, err := r.issue(il.Task, il.Tag, il.Domain, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := 0
+	physical := testing.AllocsPerRun(10*points, func() {
+		r.physical(l, pts[j%points], 0, prs[j%points], nil, true)
+		j++
+	})
+	r.issueMu.Unlock()
+	if physical > 3 {
+		t.Errorf("physical allocates %v objects per one-requirement point, want <= 3", physical)
+	}
+
+	acc := region.MustFieldF64(tree.Root(), 0)
+	red := &ReducerF64{acc: acc, op: privilege.MustOp(privilege.OpSumF64)}
+	ctx, views := &Context{rt: r}, []*ReducerF64{red}
+	fold := testing.AllocsPerRun(100, func() {
+		r.folds.mu.Lock()
+		red.buf = takeFolds(&r.folds.f64)
+		r.folds.mu.Unlock()
+		for i := range int64(points) {
+			red.Fold(domain.Pt1(i), 1)
+		}
+		ctx.reducers = views
+		ctx.flushReductions()
+	})
+	if fold != 0 {
+		t.Errorf("a warmed fold + flush cycle allocates %v objects, want 0", fold)
+	}
+}

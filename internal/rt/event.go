@@ -25,19 +25,26 @@ import (
 // error of the task it represents — so that failures propagate along the
 // same dependence edges as completions. The zero value is not usable;
 // create events with NewEvent or use Completed.
+//
+// Most events are never blocked on: dependents park as onFire callbacks and
+// Done/Err are atomic loads. So an event holds no channel until a goroutine
+// blocks in Wait, WaitErr, WaitContext or a fence; the first such waiter
+// makes it under mu, and Poison closes it only if it exists.
 type Event struct {
+	// fired is set once, under mu, after err is written: loading it true
+	// gives the happens-before edge that makes reading err safe without mu.
+	fired atomic.Bool
+	mu    sync.Mutex
+	err   error
+	// ch is made by the first blocking waiter and closed by Poison; nil
+	// while nobody has blocked.
 	ch chan struct{}
-	mu sync.Mutex
-	// err is written at most once, under mu before ch closes; readers must
-	// only load it after observing the close, which gives the necessary
-	// happens-before edge.
-	err error
 	// then holds the callbacks onFire registered before the event fired.
 	then []func()
 }
 
-// NewEvent returns an untriggered event.
-func NewEvent() *Event { return &Event{ch: make(chan struct{})} }
+// NewEvent returns an untriggered event. It is one allocation.
+func NewEvent() *Event { return &Event{} }
 
 // Completed returns a pre-triggered event; tasks with no preconditions
 // depend on it.
@@ -56,12 +63,15 @@ func (e *Event) Trigger() { e.Poison(nil) }
 // Callbacks registered with onFire run on the calling goroutine.
 func (e *Event) Poison(err error) {
 	e.mu.Lock()
-	if e.Done() {
+	if e.fired.Load() {
 		e.mu.Unlock()
 		return
 	}
 	e.err = err
-	close(e.ch)
+	e.fired.Store(true)
+	if e.ch != nil {
+		close(e.ch)
+	}
 	then := e.then
 	e.then = nil
 	e.mu.Unlock()
@@ -70,12 +80,33 @@ func (e *Event) Poison(err error) {
 	}
 }
 
+// closedCh is what blocking waits select on once an event has fired.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// waitCh returns a channel that is closed once e has fired, making e's
+// channel if this is the first waiter to block.
+func (e *Event) waitCh() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.fired.Load() {
+		return closedCh
+	}
+	if e.ch == nil {
+		e.ch = make(chan struct{})
+	}
+	return e.ch
+}
+
 // onFire calls fn once e has fired: at once if it already has, otherwise on
 // the goroutine that fires it. fn must not block — it is how a waiter
 // parks without a goroutine of its own.
 func (e *Event) onFire(fn func()) {
 	e.mu.Lock()
-	if e.Done() {
+	if e.fired.Load() {
 		e.mu.Unlock()
 		fn()
 		return
@@ -104,38 +135,36 @@ func afterAll(evs []*Event, fn func()) {
 // Err returns the poison error if the event has triggered poisoned, and nil
 // if it triggered cleanly or has not triggered yet.
 func (e *Event) Err() error {
-	select {
-	case <-e.ch:
-		return e.err
-	default:
+	if !e.fired.Load() {
 		return nil
 	}
+	return e.err
 }
 
 // Done reports whether the event has triggered without blocking.
-func (e *Event) Done() bool {
-	select {
-	case <-e.ch:
-		return true
-	default:
-		return false
+func (e *Event) Done() bool { return e.fired.Load() }
+
+// Wait blocks until the event triggers.
+func (e *Event) Wait() {
+	if !e.fired.Load() {
+		<-e.waitCh()
 	}
 }
 
-// Wait blocks until the event triggers.
-func (e *Event) Wait() { <-e.ch }
-
 // WaitErr blocks until the event triggers and returns its poison error.
 func (e *Event) WaitErr() error {
-	<-e.ch
+	e.Wait()
 	return e.err
 }
 
 // WaitContext blocks until the event triggers or ctx is done, returning the
 // poison error or the context's error respectively.
 func (e *Event) WaitContext(ctx context.Context) error {
+	if e.fired.Load() {
+		return e.err
+	}
 	select {
-	case <-e.ch:
+	case <-e.waitCh():
 		return e.err
 	case <-ctx.Done():
 		return ctx.Err()

@@ -72,10 +72,10 @@ func (r *Runtime) fence(cancel, stop <-chan struct{}) (errs []error, unfinished 
 	r.issueMu.Unlock()
 	for i, pt := range pend {
 		if cancel == nil && stop == nil {
-			<-pt.ev.ch // a plain receive parks cheaper than a select does
-		} else {
+			pt.ev.Wait() // a plain receive parks cheaper than a select does
+		} else if !pt.ev.Done() {
 			select {
-			case <-pt.ev.ch:
+			case <-pt.ev.waitCh():
 			case <-cancel:
 			case <-stop:
 			}
@@ -89,7 +89,7 @@ func (r *Runtime) fence(cancel, stop <-chan struct{}) (errs []error, unfinished 
 				break
 			}
 		}
-		if err := pt.ev.err; err != nil {
+		if err := pt.ev.Err(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -36,19 +36,7 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		r.mx.AnalysisSkipped.Inc()
 	} else {
 		t0 := r.clk.now()
-		depSet := map[*Event]struct{}{}
-		for _, pr := range prs {
-			ivs := pr.Region.Intervals()
-			for _, f := range pr.Fields {
-				for _, d := range r.vm.access(pr.Region.Tree.ID, f, ivs, pr.Priv, pr.RedOp, ev) {
-					depSet[d] = struct{}{}
-				}
-			}
-		}
-		deps = make([]*Event, 0, len(depSet))
-		for d := range depSet {
-			deps = append(deps, d)
-		}
+		deps = r.vm.accessPoint(prs, ev, &r.depScratch)
 		if r.ep != nil {
 			r.ep.capture(l, p, ev, deps, prs)
 		}
@@ -87,15 +75,18 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 // dependence never bound a start.
 const profIDCap = 1 << 16
 
-// profNote registers ev's span ID for dependence-edge recording. Caller
-// holds issueMu.
+// profNote registers ev's span ID for dependence-edge recording. Pruning
+// scans the whole map, so it runs again only once the map has doubled past
+// what survived the previous scan: with many live events every note would
+// otherwise rescan them all. Caller holds issueMu.
 func (r *Runtime) profNote(ev *Event, id int64) {
-	if len(r.profIDs) > profIDCap {
+	if len(r.profIDs) > max(r.profPruneAt, profIDCap) {
 		for e := range r.profIDs {
 			if e.Done() {
 				delete(r.profIDs, e)
 			}
 		}
+		r.profPruneAt = 2 * len(r.profIDs)
 	}
 	r.profIDs[ev] = id
 }

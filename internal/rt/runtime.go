@@ -195,9 +195,15 @@ type Runtime struct {
 
 	vm     *versionMap
 	queues []runQueue // per-node run queues (runq.go)
+	// depScratch is physical's reusable dependence dedup state, guarded by
+	// issueMu.
+	depScratch depScratch
 
-	issueMu  sync.Mutex
+	issueMu sync.Mutex
+	// reduceMu serializes reduction flushes; folds holds the idle
+	// reduction-instance buffers under a lock of its own.
 	reduceMu sync.Mutex
+	folds    foldPool
 	// outstanding holds one entry per issued launch a fence has not yet
 	// waited for, guarded by issueMu.
 	outstanding []pendingTask
@@ -235,8 +241,10 @@ type Runtime struct {
 	stopOnce sync.Once
 
 	// Profiling state, guarded by issueMu: span IDs of live completion
-	// events (for dependence-edge recording).
-	profIDs map[*Event]int64
+	// events (for dependence-edge recording), and the size past which
+	// profNote prunes them next.
+	profIDs     map[*Event]int64
+	profPruneAt int
 
 	// Distributed-trace state, guarded by issueMu: the current job's span
 	// context (installed per attempt by the scheduler via SetTraceRef) and
@@ -516,6 +524,7 @@ func (r *Runtime) Recycle() error {
 	}
 	r.outstanding = r.outstanding[:0]
 	clear(r.profIDs)
+	r.profPruneAt = 0
 	r.ep = nil
 	clear(r.templates)
 	if r.xp != nil {

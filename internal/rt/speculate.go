@@ -261,7 +261,7 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, from resume) (outcome, bool)
 		// A fresh Context per attempt: a failed attempt must not leak
 		// buffered reductions or accessor state into its retry.
 		ctx := &Context{Point: tr.point, Node: node, Task: tr.task, Args: tr.args,
-			regions: tr.prs, cancel: tr.cancelCh()}
+			regions: tr.prs, cancel: tr.cancelCh(), rt: r}
 		o.val, o.err = r.execBody(tr, ctx, node, from.local)
 		o.attempts++
 		if o.err == nil {
@@ -286,10 +286,8 @@ func (r *Runtime) commitAttempt(tr *taskRun, node int, backup bool, o outcome) {
 			t.Stop()
 		}
 	}
-	if ctx := o.ctx; ctx != nil && (len(ctx.reducers) > 0 || len(ctx.reducersI64) > 0) {
-		r.reduceMu.Lock()
+	if ctx := o.ctx; ctx != nil {
 		ctx.flushReductions()
-		r.reduceMu.Unlock()
 	}
 	r.mx.TasksExecuted.Inc()
 	err := o.err

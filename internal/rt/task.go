@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"sync"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
@@ -50,6 +51,7 @@ type Context struct {
 	reducers    []*ReducerF64
 	reducersI64 []*ReducerI64
 	cancel      <-chan struct{}
+	rt          *Runtime // lends reduction-instance buffers
 }
 
 // Cancelled returns a channel that closes when a competing speculative
@@ -100,7 +102,8 @@ func (c *Context) WriteF64(i int, field region.FieldID) (region.AccF64, error) {
 // buffer and are applied to the shared collection only after the task body
 // returns, under a runtime-wide fold lock. This is what lets same-operator
 // reductions from parallel tasks commute without racing — the analog of
-// Legion's reduction instances.
+// Legion's reduction instances, and like them the buffers are reused: the
+// runtime lends one per view and takes it back after the flush.
 func (c *Context) ReduceF64(i int, field region.FieldID) (*ReducerF64, error) {
 	pr, err := c.checked(i, field, func(p privilege.Privilege) bool { return p == privilege.Reduce }, "reduce")
 	if err != nil {
@@ -114,7 +117,10 @@ func (c *Context) ReduceF64(i int, field region.FieldID) (*ReducerF64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ReducerF64{acc: acc, op: op}
+	c.rt.folds.mu.Lock()
+	buf := takeFolds(&c.rt.folds.f64)
+	c.rt.folds.mu.Unlock()
+	r := &ReducerF64{acc: acc, op: op, buf: buf}
 	c.reducers = append(c.reducers, r)
 	return r, nil
 }
@@ -170,7 +176,10 @@ func (c *Context) ReduceI64(i int, field region.FieldID) (*ReducerI64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ReducerI64{acc: acc, op: op}
+	c.rt.folds.mu.Lock()
+	buf := takeFolds(&c.rt.folds.i64)
+	c.rt.folds.mu.Unlock()
+	r := &ReducerI64{acc: acc, op: op, buf: buf}
 	c.reducersI64 = append(c.reducersI64, r)
 	return r, nil
 }
@@ -196,7 +205,6 @@ func (r *ReducerI64) flush() {
 	for _, it := range r.buf {
 		r.acc.Reduce(r.op, it.p, it.v)
 	}
-	r.buf = nil
 }
 
 // ReducerF64 is a fold-only view of a float64 field: tasks holding Reduce
@@ -219,22 +227,73 @@ func (r *ReducerF64) Fold(p domain.Point, v float64) {
 }
 
 // flush applies the buffered folds to the shared collection. The caller
-// serializes flushes.
+// holds the runtime's reduceMu.
 func (r *ReducerF64) flush() {
 	for _, it := range r.buf {
 		r.acc.Reduce(r.op, it.p, it.v)
 	}
-	r.buf = nil
 }
 
-// flushReductions applies every reducer's pending folds.
+// flushReductions applies every reducer's pending folds under the runtime's
+// reduceMu, then returns their buffers to the pool under the pool's own
+// lock: a task opening a view never waits behind another task's flush.
 func (c *Context) flushReductions() {
+	if len(c.reducers) == 0 && len(c.reducersI64) == 0 {
+		return
+	}
+	c.rt.reduceMu.Lock()
 	for _, r := range c.reducers {
 		r.flush()
 	}
 	for _, r := range c.reducersI64 {
 		r.flush()
 	}
+	c.rt.reduceMu.Unlock()
+	pool := &c.rt.folds
+	pool.mu.Lock()
+	for _, r := range c.reducers {
+		putFolds(&pool.f64, r.buf)
+		r.buf = nil
+	}
+	for _, r := range c.reducersI64 {
+		putFolds(&pool.i64, r.buf)
+		r.buf = nil
+	}
+	pool.mu.Unlock()
 	c.reducers = nil
 	c.reducersI64 = nil
+}
+
+// foldPool holds the idle buffers of reduction instances. A buffer is taken
+// when a task opens a reduction view and comes back after its folds are
+// flushed; a failed or losing attempt's buffer is never flushed and goes to
+// the garbage collector instead. At most one buffer per running reduction
+// view is out at a time, so the pool never holds more than the runtime's
+// peak number of concurrent views. mu is held only to push or pop a buffer.
+type foldPool struct {
+	mu  sync.Mutex
+	f64 [][]foldItem
+	i64 [][]foldItemI64
+}
+
+// maxPooledFolds caps the buffers the pool keeps: one that grew past it
+// (a task folding unusually many elements) is dropped rather than pinned.
+const maxPooledFolds = 1 << 12
+
+func takeFolds[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	buf := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return buf
+}
+
+func putFolds[T any](free *[][]T, buf []T) {
+	if cap(buf) == 0 || cap(buf) > maxPooledFolds {
+		return
+	}
+	*free = append(*free, buf[:0])
 }

@@ -49,50 +49,147 @@ func newVersionMap(queries, deps *metrics.Counter) *versionMap {
 	return &versionMap{fields: map[fieldKey]*fieldState{}, queries: queries, deps: deps}
 }
 
-// access registers an access to the given intervals with privilege priv and
-// completion event ev, returning the precondition events the access must
-// wait for. Intervals must be sorted and disjoint (as produced by
-// region.IntervalsOf).
+// access registers one access to the given intervals with privilege priv
+// and completion event ev, returning the precondition events the access
+// must wait for. Intervals must be sorted and disjoint (as produced by
+// region.IntervalsOf). Points go through accessPoint; this single-query form
+// serves trace replay's bulk restore.
 func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
 	ivs []region.Interval, priv privilege.Privilege, redOp privilege.OpID, ev *Event) []*Event {
 
-	if priv == privilege.None || len(ivs) == 0 {
+	var s depScratch
+	vm.mu.Lock()
+	vm.query(fieldKey{tree: tree, field: field}, ivs, priv, redOp, ev, &s)
+	vm.mu.Unlock()
+	return s.take()
+}
+
+// accessPoint registers every (requirement, field) access of one point task
+// with completion event ev under a single acquisition of vm.mu, and returns
+// the point's distinct preconditions: nil when there are none, otherwise one
+// slice of exactly that length. Each pair counts as one query with its own
+// distinct edges, exactly as if issued alone. s is the caller's scratch.
+func (vm *versionMap) accessPoint(prs []PhysicalRegion, ev *Event, s *depScratch) []*Event {
+	if len(prs) == 0 {
 		return nil
 	}
 	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.queries.Inc()
+	for _, pr := range prs {
+		ivs := pr.Region.Intervals()
+		for _, f := range pr.Fields {
+			vm.query(fieldKey{tree: pr.Region.Tree.ID, field: f}, ivs, pr.Priv, pr.RedOp, ev, s)
+		}
+	}
+	vm.mu.Unlock()
+	return s.take()
+}
 
-	key := fieldKey{tree: tree, field: field}
+// query applies one access to one field and merges its distinct
+// preconditions, other than ev itself, into s.point. Caller holds vm.mu.
+//
+// Already-done events stay in the dependence set: waiting on a fired event
+// is free, and filtering them would make the edge set depend on execution
+// timing — dropping launch-ordering edges from trace capture and hiding
+// upstream poison from dependents issued after the failure.
+func (vm *versionMap) query(key fieldKey, ivs []region.Interval, priv privilege.Privilege,
+	redOp privilege.OpID, ev *Event, s *depScratch) {
+
+	if priv == privilege.None || len(ivs) == 0 {
+		return
+	}
+	vm.queries.Inc()
 	fs := vm.fields[key]
 	if fs == nil {
 		fs = &fieldState{}
 		vm.fields[key] = fs
 	}
-
-	depSet := map[*Event]struct{}{}
+	s.query.self = ev
 	for _, iv := range ivs {
-		fs.accessInterval(iv.Lo, iv.Hi, priv, redOp, ev, depSet)
+		fs.accessInterval(iv.Lo, iv.Hi, priv, redOp, ev, &s.query)
 	}
-	// Already-done events stay in the dependence set: waiting on a closed
-	// event is free, and filtering them would make the edge set depend on
-	// execution timing — dropping launch-ordering edges from trace capture
-	// and hiding upstream poison from dependents issued after the failure.
-	deps := make([]*Event, 0, len(depSet))
-	for d := range depSet {
-		if d != ev {
-			deps = append(deps, d)
+	vm.deps.Add(int64(len(s.query.list)))
+	for _, d := range s.query.list {
+		s.point.add(d)
+	}
+	s.query.reset()
+}
+
+// depScratch is the reusable dependence-gathering state of one issuer (the
+// Runtime keeps one, guarded by issueMu): the distinct edges of the query in
+// progress and of the point in progress.
+type depScratch struct {
+	query, point depSet
+}
+
+// take returns a copy of the point's edges, nil when there are none, and
+// resets the scratch for the next point.
+func (s *depScratch) take() []*Event {
+	var deps []*Event
+	if len(s.point.list) > 0 {
+		deps = make([]*Event, len(s.point.list))
+		copy(deps, s.point.list)
+	}
+	s.point.reset()
+	return deps
+}
+
+// depSetLinear bounds the linear-scan dedup of a depSet; past it, a map
+// takes over. A circuit point has a handful of edges per query.
+const depSetLinear = 16
+
+// depSet is an insertion-ordered set of events without per-use garbage: a
+// linear scan while small, a map (kept across resets) once it holds more
+// than depSetLinear. nil and self are never added. Adding to a nil set is a
+// no-op.
+type depSet struct {
+	list []*Event
+	self *Event
+	m    map[*Event]struct{}
+}
+
+func (s *depSet) add(e *Event) {
+	if s == nil || e == nil || e == s.self {
+		return
+	}
+	if len(s.list) > depSetLinear {
+		if _, ok := s.m[e]; ok {
+			return
+		}
+		s.m[e] = struct{}{}
+	} else {
+		for _, d := range s.list {
+			if d == e {
+				return
+			}
+		}
+		if len(s.list) == depSetLinear {
+			if s.m == nil {
+				s.m = make(map[*Event]struct{}, 2*depSetLinear)
+			}
+			for _, d := range s.list {
+				s.m[d] = struct{}{}
+			}
+			s.m[e] = struct{}{}
 		}
 	}
-	vm.deps.Add(int64(len(deps)))
-	return deps
+	s.list = append(s.list, e)
+}
+
+// reset empties the set, dropping its references to events.
+func (s *depSet) reset() {
+	if len(s.list) > depSetLinear {
+		clear(s.m)
+	}
+	clear(s.list)
+	s.list = s.list[:0]
+	s.self = nil
 }
 
 // accessInterval walks the segments overlapping [lo, hi], splitting at the
 // boundaries, applies the access to each covered piece, and creates fresh
 // segments for uncovered gaps.
 func (fs *fieldState) accessInterval(lo, hi int64, priv privilege.Privilege,
-	redOp privilege.OpID, ev *Event, deps map[*Event]struct{}) {
+	redOp privilege.OpID, ev *Event, deps *depSet) {
 
 	i := sort.Search(len(fs.segs), func(i int) bool { return fs.segs[i].hi >= lo })
 	cur := lo
@@ -154,21 +251,16 @@ func freshSegment(lo, hi int64, priv privilege.Privilege, redOp privilege.OpID, 
 
 // apply updates the segment's epoch state for an access and records the
 // dependence edges in deps (which may be nil for fresh segments).
-func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Event, deps map[*Event]struct{}) {
-	addDep := func(e *Event) {
-		if deps != nil && e != nil {
-			deps[e] = struct{}{}
-		}
-	}
+func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Event, deps *depSet) {
 	switch {
 	case priv == privilege.Read:
 		// Read-after-write and read-after-reduce.
 		if len(s.reducers) > 0 {
 			for _, r := range s.reducers {
-				addDep(r)
+				deps.add(r)
 			}
 		} else {
-			addDep(s.writer)
+			deps.add(s.writer)
 		}
 		s.readers = append(s.readers, ev)
 
@@ -179,13 +271,13 @@ func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Even
 		// pending reducers (they commute), so dropping the readers here would
 		// leave it unordered against a read it must follow. Only a write
 		// closes the epoch and clears them.
-		addDep(s.writer)
+		deps.add(s.writer)
 		for _, r := range s.readers {
-			addDep(r)
+			deps.add(r)
 		}
 		if len(s.reducers) > 0 && s.redOp != redOp {
 			for _, r := range s.reducers {
-				addDep(r)
+				deps.add(r)
 			}
 			// The displaced reducers keep ordering obligations against
 			// later reducers of the new operator; track them as readers so
@@ -197,16 +289,21 @@ func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Even
 		s.reducers = append(s.reducers, ev)
 
 	default: // Write, ReadWrite
-		addDep(s.writer)
+		deps.add(s.writer)
 		for _, r := range s.readers {
-			addDep(r)
+			deps.add(r)
 		}
 		for _, r := range s.reducers {
-			addDep(r)
+			deps.add(r)
 		}
+		// A write closes the epoch. Its lists are truncated in place, not
+		// dropped: every segment owns its backing arrays (cloneEpoch), so
+		// the next epoch reuses them.
 		s.writer = ev
-		s.readers = nil
-		s.reducers = nil
+		clear(s.readers)
+		s.readers = s.readers[:0]
+		clear(s.reducers)
+		s.reducers = s.reducers[:0]
 		s.redOp = privilege.OpNone
 	}
 }

@@ -2,9 +2,13 @@ package rt
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"indexlaunch/internal/domain"
+	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/privilege"
 	"indexlaunch/internal/region"
 )
@@ -153,48 +157,131 @@ func TestVersionMapOpSwitchKeepsDisplacedReducersOrdered(t *testing.T) {
 }
 
 // TestVersionMapConflictOrderingProperty checks the map's core guarantee on
-// random access sequences: every pair of conflicting accesses (overlapping
-// intervals, not read‖read, not same-operator reduce‖reduce) ends up
-// transitively ordered by the returned dependence edges. Any dropped edge —
-// like the two regressions above — shows up as an unreachable predecessor.
+// random point sequences issued through accessPoint, the single-lock entry
+// the physical stage uses, with one scratch reused across points as the
+// runtime does: each point carries one to three requirements, each on one of
+// two trees, over one to three gapped intervals and one to three fields,
+// with a random privilege. Every pair of conflicting points (a shared tree,
+// field and index, not read‖read, not same-operator reduce‖reduce) must end
+// up transitively ordered by the returned dependence edges — any dropped
+// edge, like the two regressions above, shows up as an unreachable
+// predecessor. The edges a point gets must be distinct and never its own
+// event, and they must be the union of what its (requirement, field) pairs
+// return when issued one at a time, on the same counters.
 func TestVersionMapConflictOrderingProperty(t *testing.T) {
-	type vmOp struct {
-		lo, hi int64
+	type req struct {
+		tree   int
+		ivs    []region.Interval
+		fields []region.FieldID
 		priv   privilege.Privilege
 		redOp  privilege.OpID
 	}
 	privs := []privilege.Privilege{privilege.Read, privilege.Write, privilege.ReadWrite, privilege.Reduce}
 	redOps := []privilege.OpID{privilege.OpSumF64, privilege.OpProdF64}
+	fs := region.MustFieldSpace(
+		region.Field{ID: 0, Name: "a", Kind: region.F64},
+		region.Field{ID: 1, Name: "b", Kind: region.F64},
+		region.Field{ID: 2, Name: "c", Kind: region.F64})
+	const span = 32
+	trees := []*region.Tree{
+		region.MustNewTree("vm-a", domain.Range1(0, span-1), fs),
+		region.MustNewTree("vm-b", domain.Range1(0, span-1), fs),
+	}
+	overlaps := func(a, b req) bool {
+		if a.tree != b.tree || !region.IntervalsOverlap(a.ivs, b.ivs) {
+			return false
+		}
+		for _, f := range a.fields {
+			if slices.Contains(b.fields, f) {
+				return true
+			}
+		}
+		return false
+	}
+	conflict := func(as, bs []req) bool {
+		for _, a := range as {
+			for _, b := range bs {
+				switch {
+				case !overlaps(a, b):
+				case a.priv == privilege.Read && b.priv == privilege.Read:
+				case a.priv == privilege.Reduce && b.priv == privilege.Reduce && a.redOp == b.redOp:
+				default:
+					return true
+				}
+			}
+		}
+		return false
+	}
+	maxDeps := 0
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const n = 30
-		ops := make([]vmOp, n)
+		const n = 40
+		ops := make([][]req, n)
+		prss := make([][]PhysicalRegion, n)
 		for i := range ops {
-			lo := rng.Int63n(32)
-			op := vmOp{lo: lo, hi: lo + rng.Int63n(32-lo), priv: privs[rng.Intn(len(privs))]}
-			if op.priv == privilege.Reduce {
-				op.redOp = redOps[rng.Intn(len(redOps))]
+			for range 1 + rng.Intn(3) {
+				rq := req{tree: rng.Intn(len(trees)), priv: privs[rng.Intn(len(privs))]}
+				if rq.priv == privilege.Reduce {
+					rq.redOp = redOps[rng.Intn(len(redOps))]
+				}
+				// One to three intervals with gaps between them.
+				var pts []domain.Point
+				lo := rng.Int63n(span / 2)
+				for range 1 + rng.Intn(3) {
+					if lo >= span {
+						break
+					}
+					hi := min(lo+rng.Int63n(span/2), span-1)
+					for x := lo; x <= hi; x++ {
+						pts = append(pts, domain.Pt1(x))
+					}
+					lo = hi + 2 + rng.Int63n(4)
+				}
+				for f := range region.FieldID(3) {
+					if len(rq.fields) == 0 || rng.Intn(2) == 0 {
+						rq.fields = append(rq.fields, f)
+					}
+				}
+				reg := &region.Region{Tree: trees[rq.tree], Domain: domain.FromPoints(pts)}
+				rq.ivs = reg.Intervals()
+				ops[i] = append(ops[i], rq)
+				prss[i] = append(prss[i], PhysicalRegion{Region: reg, Priv: rq.priv, RedOp: rq.redOp, Fields: rq.fields})
 			}
-			ops[i] = op
 		}
-		vm := newVersionMap(nil, nil)
+
+		var q1, e1, q2, e2 metrics.Counter
+		vm := newVersionMap(&q1, &e1)
+		alone := newVersionMap(&q2, &e2)
+		var scratch depScratch
 		deps := make([][]*Event, n)
 		idx := map[*Event]int{}
-		for i, op := range ops {
+		for i := range ops {
 			ev := NewEvent()
 			idx[ev] = i
-			deps[i] = vm.access(1, 0, ivs(op.lo, op.hi), op.priv, op.redOp, ev)
-		}
-		conflict := func(a, b vmOp) bool {
-			switch {
-			case a.hi < b.lo || b.hi < a.lo:
-				return false
-			case a.priv == privilege.Read && b.priv == privilege.Read:
-				return false
-			case a.priv == privilege.Reduce && b.priv == privilege.Reduce && a.redOp == b.redOp:
-				return false
+			deps[i] = vm.accessPoint(prss[i], ev, &scratch)
+			maxDeps = max(maxDeps, len(deps[i]))
+			seen := map[*Event]bool{}
+			for _, d := range deps[i] {
+				if d == ev || seen[d] {
+					t.Fatalf("seed %d: op %d deps %v repeat an edge or name the op itself", seed, i, deps[i])
+				}
+				seen[d] = true
 			}
-			return true
+			union := map[*Event]bool{}
+			for _, pr := range prss[i] {
+				for _, f := range pr.Fields {
+					for _, d := range alone.access(pr.Region.Tree.ID, f, pr.Region.Intervals(), pr.Priv, pr.RedOp, ev) {
+						union[d] = true
+					}
+				}
+			}
+			if !maps.Equal(seen, union) {
+				t.Fatalf("seed %d: op %d deps %v, its pairs issued alone %v", seed, i, seen, union)
+			}
+		}
+		if q1.Value() != q2.Value() || e1.Value() != e2.Value() {
+			t.Fatalf("seed %d: accessPoint counted %d queries %d edges, one at a time %d %d",
+				seed, q1.Value(), e1.Value(), q2.Value(), e2.Value())
 		}
 		for j := 0; j < n; j++ {
 			reach := map[int]bool{}
@@ -220,6 +307,9 @@ func TestVersionMapConflictOrderingProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+	if maxDeps <= depSetLinear {
+		t.Errorf("no point gathered more than %d edges: the map-backed dedup went untested", depSetLinear)
 	}
 }
 

@@ -257,8 +257,12 @@ func (e *Endpoint) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
 	}
 	e.mx.treeDepth.Set(int64(depth))
 
-	var wg sync.WaitGroup
-	wg.Add(len(items))
+	// Every item's first transmission leaves from the calling goroutine.
+	// Over the in-memory hub a hop whose receiver delivers or relays at once
+	// is acked before Send returns, so a fault-free broadcast completes here
+	// without starting a goroutine; only hops still unacked wait, each on
+	// its own goroutine.
+	hops := make([]*hop, len(items))
 	for i, it := range items {
 		f := &Frame{Kind: KindData, Key: uint64(i + 1), TC: tc,
 			Route: plan.Routes[it.Dst], Tag: tag}
@@ -267,9 +271,18 @@ func (e *Endpoint) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
 		} else {
 			f.local = it.Payload
 		}
+		hops[i] = e.transmit(f.Route[0], f)
+	}
+	var wg sync.WaitGroup
+	for _, h := range hops {
+		if h.acked() {
+			e.complete(h, nil)
+			continue
+		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.SendReliable(f.Route[0], f, nil)
+			e.complete(h, nil)
 		}()
 	}
 	wg.Wait()
@@ -281,29 +294,64 @@ func (e *Endpoint) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
 // is stamped with the current one. It reports false if the endpoint closed
 // or stop fired first (a nil stop never fires).
 func (e *Endpoint) SendReliable(dst int, f *Frame, stop <-chan struct{}) bool {
+	return e.complete(e.transmit(dst, f), stop)
+}
+
+// hop is one reliable frame between its first transmission and its ack.
+type hop struct {
+	f     *Frame
+	key   waitKey
+	ack   chan struct{}
+	lc    *linkCounters
+	start int64 // profiler clock at the first transmission
+}
+
+// acked reports, without blocking, whether the hop's ack has arrived.
+func (h *hop) acked() bool {
+	select {
+	case <-h.ack:
+		return true
+	default:
+		return false
+	}
+}
+
+// transmit is SendReliable's first half: sequence f on the (self, dst)
+// link, register its ack wait and send it once. The ack may already have
+// arrived when it returns. complete must follow.
+func (e *Endpoint) transmit(dst int, f *Frame) *hop {
 	f.Src, f.Dst = e.self, dst
+	h := &hop{f: f, ack: make(chan struct{})}
 	e.mu.Lock()
 	if f.Gen == 0 {
 		f.Gen = e.gen
 	}
 	f.Seq = e.nextSeq[dst]
 	e.nextSeq[dst] = f.Seq + 1
+	h.key = waitKey{peer: dst, gen: f.Gen, seq: f.Seq}
+	e.ackWait[h.key] = h.ack
 	e.mu.Unlock()
 
-	lc := e.mx.link(link{src: e.self, dst: dst})
+	h.lc = e.mx.link(link{src: e.self, dst: dst})
 	e.mx.sends.Inc()
-	lc.sends.Inc()
-	var start int64
+	h.lc.sends.Inc()
 	if e.prof != nil {
-		start = e.prof.Now()
+		h.start = e.prof.Now()
 	}
-	if !e.await(waitKey{peer: dst, gen: f.Gen, seq: f.Seq}, f, 0, stop) {
+	_ = e.fab.Send(dst, f) // a failed send is a lost frame: the timeout recovers it
+	return h
+}
+
+// complete is SendReliable's second half: wait for h's ack, retransmitting
+// on the ladder, then count the ack and record the send span.
+func (e *Endpoint) complete(h *hop, stop <-chan struct{}) bool {
+	if !e.await(h.key, h.ack, h.f, 0, stop) {
 		return false
 	}
 	e.mx.acks.Inc()
-	lc.acks.Inc()
+	h.lc.acks.Inc()
 	if e.prof != nil {
-		e.prof.SpanTC(f.hopTC(), e.self, obs.StageSend, e.family, e.spanTag(f), domain.Point{}, start, e.prof.Now())
+		e.prof.SpanTC(h.f.hopTC(), e.self, obs.StageSend, e.family, e.spanTag(h.f), domain.Point{}, h.start, e.prof.Now())
 	}
 	return true
 }
@@ -311,22 +359,23 @@ func (e *Endpoint) SendReliable(dst int, f *Frame, stop <-chan struct{}) bool {
 // spanTag labels a hop's spans: the launch tag plus the payload byte count.
 func (e *Endpoint) spanTag(f *Frame) string { return fmt.Sprintf("%s#b=%d", f.Tag, len(f.Body)) }
 
-// await transmits f until key is signalled: without bound for reliable
-// frames (budget 0), at most budget times for a probe. It is the one
-// ack-wait/retransmit loop in the tree. False means closed, stopped or out
-// of budget.
-func (e *Endpoint) await(key waitKey, f *Frame, budget int, stop <-chan struct{}) bool {
-	ack := make(chan struct{})
-	e.mu.Lock()
-	e.ackWait[key] = ack
-	e.mu.Unlock()
+// await waits until key's ack channel closes, retransmitting f (already
+// sent once) on each timeout: without bound for reliable frames (budget 0),
+// at most budget transmissions in all for a probe. It is the one
+// ack-wait/retransmit loop in the tree and clears key's registration on
+// return. False means closed, stopped or out of budget.
+func (e *Endpoint) await(key waitKey, ack <-chan struct{}, f *Frame, budget int, stop <-chan struct{}) bool {
 	defer func() {
 		e.mu.Lock()
 		delete(e.ackWait, key)
 		e.mu.Unlock()
 	}()
 	for attempt := 1; ; attempt++ {
-		_ = e.fab.Send(f.Dst, f) // a failed send is a lost frame: the timeout recovers it
+		select {
+		case <-ack:
+			return true
+		default:
+		}
 		timer := time.NewTimer(e.rp.WaitFor(attempt))
 		select {
 		case <-ack:
@@ -350,6 +399,7 @@ func (e *Endpoint) await(key waitKey, f *Frame, budget int, stop <-chan struct{}
 				e.prof.MarkTC(f.hopTC().Child(uint64(1+attempt)), e.self, obs.StageRetransmit, e.family, f.Tag, domain.Point{}, e.prof.Now())
 			}
 		}
+		_ = e.fab.Send(f.Dst, f)
 	}
 }
 
@@ -459,17 +509,25 @@ func (e *Endpoint) handleReliable(f *Frame) {
 		e.ack(f)
 		return
 	}
-	// Relay on a tracked goroutine (the onward hop blocks on its own ack and
-	// must not stall the fabric's read loop); our own sequence on the next
-	// link.
+	// Relay with our own sequence on the next link. The first transmission
+	// goes out here; if the onward ack is already in (an in-memory hop that
+	// delivered at once) the relay finishes here too, otherwise the wait
+	// moves to a tracked goroutine, since it must not stall the fabric's
+	// read loop.
 	next := &Frame{Kind: f.Kind, Gen: f.Gen, Key: f.Key, TC: f.TC,
 		Route: f.Route[1:], Tag: f.Tag, Body: f.Body, local: f.local}
-	e.track.Go(func() {
-		if e.SendReliable(next.Route[0], next, nil) {
+	h := e.transmit(next.Route[0], next)
+	relay := func() {
+		if e.complete(h, nil) {
 			e.dedupDone(f)
 			e.ack(f)
 		}
-	})
+	}
+	if h.acked() {
+		relay()
+		return
+	}
+	e.track.Go(relay)
 }
 
 // Probe sends one heartbeat from node 0 to dst and reports whether a pong
@@ -499,7 +557,12 @@ func (e *Endpoint) Probe(dst int, maxAttempts int) bool {
 	e.mx.probes.Inc()
 	start := time.Now()
 	ping := &Frame{Kind: KindPing, Src: e.self, Dst: route[1], Seq: seq, Key: 1, Route: route}
-	if !e.await(waitKey{peer: dst, ping: true, seq: seq}, ping, max(maxAttempts, 1), nil) {
+	key, pong := waitKey{peer: dst, ping: true, seq: seq}, make(chan struct{})
+	e.mu.Lock()
+	e.ackWait[key] = pong
+	e.mu.Unlock()
+	_ = e.fab.Send(ping.Dst, ping)
+	if !e.await(key, pong, ping, max(maxAttempts, 1), nil) {
 		e.mx.probeFails.Inc()
 		return false
 	}

@@ -1,6 +1,7 @@
 package xport
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -52,6 +53,34 @@ func checkDelivered(t *testing.T, c *collector, nodes int) {
 	}
 	if len(c.got) != nodes-1 {
 		t.Errorf("deliveries reached %d nodes, want %d", len(c.got), nodes-1)
+	}
+}
+
+// A fault-free broadcast over the in-memory hub runs on the caller: every
+// hop, relays of relays included, is delivered and acked inside the send
+// that started it, so no goroutine exists while the payloads land.
+func TestFaultFreeBroadcastRunsOnCaller(t *testing.T) {
+	const nodes = 8
+	c := newCollector()
+	var base, most int
+	tr := mustNew(t, nodes, Options{Deliver: func(node int, payload any) {
+		most = max(most, runtime.NumGoroutine())
+		c.deliver(node, payload)
+	}})
+	for round := range 3 {
+		base, most = runtime.NumGoroutine(), 0
+		tr.Broadcast("b", []Item{{Dst: nodes - 1, Payload: round}, {Dst: 1, Payload: round}, {Dst: 4, Payload: round}})
+		if most != base {
+			t.Fatalf("round %d: %d goroutines while delivering, %d before the broadcast", round, most, base)
+		}
+	}
+	for _, n := range []int{1, 4, nodes - 1} {
+		if got := c.got[n]; len(got) != 3 {
+			t.Errorf("node %d received %v, want one payload per round", n, got)
+		}
+	}
+	if st := tr.Stats(); st.Retransmits != 0 {
+		t.Errorf("fault-free broadcasts retransmitted: %+v", st)
 	}
 }
 
