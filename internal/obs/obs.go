@@ -189,7 +189,7 @@ type Profile struct {
 	// WallNS is the run's elapsed (or simulated makespan) time in
 	// nanoseconds.
 	WallNS int64
-	// Dropped counts events lost to ring overflow.
+	// Dropped counts events and dependence edges lost to ring overflow.
 	Dropped int64
 	Events  []Event
 	Edges   []Edge
@@ -205,11 +205,27 @@ type ring struct {
 // add appends ev, reporting whether it overwrote an unconsumed event.
 func (rg *ring) add(ev Event) bool {
 	rg.mu.Lock()
+	overwrote := rg.put(ev)
+	rg.mu.Unlock()
+	return overwrote
+}
+
+// put is add with rg.mu held.
+func (rg *ring) put(ev Event) bool {
 	overwrote := rg.next >= uint64(len(rg.buf))
 	rg.buf[rg.next%uint64(len(rg.buf))] = ev
 	rg.next++
-	rg.mu.Unlock()
 	return overwrote
+}
+
+// Sink is the recorder's trace tee: it receives every trace-stamped event,
+// and every traced launch's span record whole, as they are recorded. The
+// rings stay the lossy profile path; the sink sees spans before any
+// overwrite. Implementations must be safe for concurrent calls and cheap:
+// they run inline on the recording path.
+type Sink interface {
+	Record(Event)
+	RecordLaunch(*LaunchSpans)
 }
 
 // Recorder collects spans from concurrent producers. The zero value is not
@@ -220,17 +236,20 @@ type Recorder struct {
 	epoch  time.Time
 	rings  []*ring
 
-	edgeMu sync.Mutex
-	edges  []Edge
+	// edges is a ring of dependence edges as large as all event rings
+	// together; edgeNext counts the edges ever recorded.
+	edgeMu   sync.Mutex
+	edges    []Edge
+	edgeCap  int
+	edgeNext uint64
 
 	nextID  atomic.Int64
 	wallNS  atomic.Int64
 	dropped atomic.Int64
 
-	// sink, when set, receives every trace-stamped event as it is recorded
-	// — the tee internal/trace buffers complete traces from. The rings stay
-	// the lossy profile path; the sink sees events before any overwrite.
-	sink atomic.Pointer[func(Event)]
+	// sink, when set, is the tee internal/trace buffers complete traces
+	// from.
+	sink atomic.Pointer[Sink]
 }
 
 // NewRecorder returns a recorder with one ring of perNode events for each
@@ -242,7 +261,7 @@ func NewRecorder(source string, nodes, perNode int) *Recorder {
 	if perNode < 16 {
 		perNode = 16
 	}
-	r := &Recorder{source: source, epoch: time.Now(), rings: make([]*ring, nodes)}
+	r := &Recorder{source: source, epoch: time.Now(), rings: make([]*ring, nodes), edgeCap: nodes * perNode}
 	for i := range r.rings {
 		r.rings[i] = &ring{buf: make([]Event, perNode)}
 	}
@@ -265,6 +284,16 @@ func (r *Recorder) NextID() int64 {
 		return 0
 	}
 	return r.nextID.Add(1)
+}
+
+// NextIDs allocates a block of n consecutive span IDs and returns the first
+// — one call per launch instead of one NextID per point. Returns 0 on a nil
+// recorder.
+func (r *Recorder) NextIDs(n int) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.nextID.Add(int64(n)) - int64(n) + 1
 }
 
 // Span records a span from start to end on the profile clock. No-op on a
@@ -322,22 +351,56 @@ func (r *Recorder) MarkTC(tc TraceRef, node int, st Stage, task, tag string, poi
 		Trace: tc.Trace, Span: tc.Span, Parent: tc.Parent})
 }
 
-// SetSink installs (or, with nil, removes) the trace tee. The sink must be
-// safe for concurrent calls; it runs inline on the recording path, so it
-// should be cheap.
-func (r *Recorder) SetSink(fn func(Event)) {
+// SetSink installs (or, with nil, removes) the trace tee.
+func (r *Recorder) SetSink(s Sink) {
 	if r == nil {
 		return
 	}
-	if fn == nil {
+	if s == nil {
 		r.sink.Store(nil)
 		return
 	}
-	r.sink.Store(&fn)
+	r.sink.Store(&s)
 }
 
-// Dropped returns the number of events lost to ring overflow so far — the
-// live counterpart of Profile.Dropped, cheap enough to export as a gauge.
+// RecordLaunch records a traced launch's per-point spans: each node's ring
+// receives its spans under one acquisition of its lock, and the sink, if
+// set, receives the record itself. No-op on a nil recorder.
+func (r *Recorder) RecordLaunch(ls *LaunchSpans) {
+	if r == nil {
+		return
+	}
+	for n, rg := range r.rings {
+		var lost int64
+		rg.mu.Lock()
+		for i := range ls.Points {
+			row := &ls.Rows[i]
+			phys := row.PhysNode >= 0 && r.ringOf(row.PhysNode) == n
+			exec := row.ExecNode >= 0 && r.ringOf(row.ExecNode) == n
+			if !phys && !exec {
+				continue
+			}
+			pev, eev := ls.events(i)
+			if phys && rg.put(pev) {
+				lost++
+			}
+			if exec && rg.put(eev) {
+				lost++
+			}
+		}
+		rg.mu.Unlock()
+		if lost > 0 {
+			r.dropped.Add(lost)
+		}
+	}
+	if s := r.sink.Load(); s != nil && ls.TC.Trace != 0 {
+		(*s).RecordLaunch(ls)
+	}
+}
+
+// Dropped returns the number of events and dependence edges lost to ring
+// overflow so far — the live counterpart of Profile.Dropped, cheap enough
+// to export as a gauge.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -346,14 +409,25 @@ func (r *Recorder) Dropped() int64 {
 }
 
 // Edge records a dependence edge between two span IDs; edges with a zero
-// endpoint are dropped. No-op on a nil recorder.
+// endpoint are dropped. The edges form a ring as large as all event rings
+// together: past it, the oldest edge is overwritten and counted as dropped.
+// No-op on a nil recorder.
 func (r *Recorder) Edge(from, to int64) {
 	if r == nil || from == 0 || to == 0 {
 		return
 	}
 	r.edgeMu.Lock()
-	r.edges = append(r.edges, Edge{From: from, To: to})
+	overwrote := r.edgeNext >= uint64(r.edgeCap)
+	if overwrote {
+		r.edges[r.edgeNext%uint64(r.edgeCap)] = Edge{From: from, To: to}
+	} else {
+		r.edges = append(r.edges, Edge{From: from, To: to})
+	}
+	r.edgeNext++
 	r.edgeMu.Unlock()
+	if overwrote {
+		r.dropped.Add(1)
+	}
 }
 
 // SetWall fixes the profile's elapsed time. Without it, Snapshot infers the
@@ -365,19 +439,17 @@ func (r *Recorder) SetWall(ns int64) {
 	r.wallNS.Store(ns)
 }
 
+// ringOf clamps a node attribution to a ring index.
+func (r *Recorder) ringOf(node int32) int {
+	return min(max(int(node), 0), len(r.rings)-1)
+}
+
 func (r *Recorder) record(ev Event) {
-	n := int(ev.Node)
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(r.rings) {
-		n = len(r.rings) - 1
-	}
-	if r.rings[n].add(ev) {
+	if r.rings[r.ringOf(ev.Node)].add(ev) {
 		r.dropped.Add(1)
 	}
 	if s := r.sink.Load(); s != nil && ev.Trace != 0 {
-		(*s)(ev)
+		(*s).Record(ev)
 	}
 }
 
@@ -403,7 +475,14 @@ func (r *Recorder) Snapshot() *Profile {
 		rg.mu.Unlock()
 	}
 	r.edgeMu.Lock()
-	p.Edges = append(p.Edges, r.edges...)
+	if r.edgeNext > uint64(r.edgeCap) {
+		p.Dropped += int64(r.edgeNext - uint64(r.edgeCap))
+		oldest := int(r.edgeNext % uint64(r.edgeCap))
+		p.Edges = append(p.Edges, r.edges[oldest:]...)
+		p.Edges = append(p.Edges, r.edges[:oldest]...)
+	} else {
+		p.Edges = append(p.Edges, r.edges...)
+	}
 	r.edgeMu.Unlock()
 	sortEvents(p.Events)
 	if p.WallNS == 0 {

@@ -82,6 +82,29 @@ func TestRingOverflowCountsDropped(t *testing.T) {
 	}
 }
 
+// Dependence edges are bounded like the event rings: fed ten times their
+// capacity, the recorder keeps the newest edges, oldest first, and counts
+// the rest as dropped.
+func TestEdgesBoundedLikeRing(t *testing.T) {
+	const capacity = 2 * 16 // two rings of 16 events
+	r := NewRecorder("rt", 2, 16)
+	for i := int64(1); i <= 10*capacity; i++ {
+		r.Edge(i, i+1)
+	}
+	p := r.Snapshot()
+	if len(p.Edges) != capacity {
+		t.Fatalf("kept %d edges, want %d", len(p.Edges), capacity)
+	}
+	for j, e := range p.Edges {
+		if from := int64(9*capacity + 1 + j); e != (Edge{From: from, To: from + 1}) {
+			t.Fatalf("edge %d = %+v, want %d → %d", j, e, from, from+1)
+		}
+	}
+	if p.Dropped != 9*capacity || r.Dropped() != 9*capacity {
+		t.Fatalf("dropped = %d (live %d), want %d", p.Dropped, r.Dropped(), 9*capacity)
+	}
+}
+
 func TestConcurrentRecording(t *testing.T) {
 	const perG, gs = 200, 8
 	r := NewRecorder("rt", 4, perG*gs)

@@ -76,10 +76,21 @@ func TestTraceRefDisabledAllocatesNothing(t *testing.T) {
 	}
 }
 
+// funcSink adapts a per-event function to Sink, expanding launch records.
+type funcSink func(Event)
+
+func (f funcSink) Record(ev Event) { f(ev) }
+
+func (f funcSink) RecordLaunch(ls *LaunchSpans) {
+	for _, ev := range ls.AppendEvents(nil, ls.Len()) {
+		f(ev)
+	}
+}
+
 func TestRecorderSinkSeesOnlyTracedEvents(t *testing.T) {
 	r := NewRecorder("test", 1, 64)
 	var got []Event
-	r.SetSink(func(ev Event) { got = append(got, ev) })
+	r.SetSink(funcSink(func(ev Event) { got = append(got, ev) }))
 	tc := NewTraceRef(1)
 	r.SpanTC(tc, 0, StageIssue, "a", "a", domain.Point{}, 0, 5)
 	r.Span(0, StageIssue, "b", "b", domain.Point{}, 0, 5) // untraced: must not reach the sink

@@ -10,9 +10,11 @@ import (
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
 	"indexlaunch/internal/privilege"
 	"indexlaunch/internal/projection"
 	"indexlaunch/internal/region"
+	"indexlaunch/internal/trace"
 )
 
 var eventSink *Event
@@ -83,4 +85,55 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 	if fold != 0 {
 		t.Errorf("a warmed fold + flush cycle allocates %v objects, want 0", fold)
 	}
+}
+
+// TestTracedLaunchAllocsFlat gates the traced launch: tracing a job of one
+// index launch costs the same number of allocations over profiling it
+// untraced at |D| = 64 as at |D| = 1024, because a traced launch's
+// per-point spans travel as one record that the tracer keeps unexpanded.
+func TestTracedLaunchAllocsFlat(t *testing.T) {
+	extra := map[int]float64{}
+	for _, points := range []int{64, 1024} {
+		untraced, traced := launchJobAllocs(t, points, false), launchJobAllocs(t, points, true)
+		extra[points] = traced - untraced
+		t.Logf("|D| = %d: %v allocs profiled, %v traced", points, untraced, traced)
+	}
+	if extra[64] != extra[1024] {
+		t.Errorf("tracing adds %v allocs per launch at |D| = 64 but %v at |D| = 1024", extra[64], extra[1024])
+	}
+}
+
+// launchJobAllocs measures one job of one index launch of points points
+// and a fence on a profiled runtime: traced (head-sampled, so retained)
+// or not.
+func launchJobAllocs(t *testing.T, points int, traced bool) float64 {
+	rec := obs.NewRecorder("rt", 2, 1<<12)
+	var tracer *trace.Tracer
+	if traced {
+		var err error
+		if tracer, err = trace.New(trace.Config{HeadRate: 1}); err != nil {
+			t.Fatal(err)
+		}
+		rec.SetSink(tracer.Sink())
+	}
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, DCR: true, IndexLaunches: true, Profile: rec})
+	defer r.Shutdown()
+	task := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
+	il := core.MustForall("allocs", task, domain.Range1(0, int64(points-1)))
+	job := uint64(0)
+	return testing.AllocsPerRun(50, func() {
+		job++
+		root := obs.NewTraceRef(job)
+		if traced {
+			tracer.Begin(root, job, "t", 0)
+			r.SetTraceRef(root.Child(1))
+		}
+		if _, err := r.ExecuteIndex(il); err != nil {
+			t.Fatal(err)
+		}
+		r.Fence()
+		if traced {
+			tracer.Finish(root, rec.Now(), trace.Outcome{})
+		}
+	})
 }

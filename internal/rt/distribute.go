@@ -147,10 +147,10 @@ type sliceRun struct {
 	// the launch has per-point payloads.
 	slots []int
 	args  [][]byte
-	// proto is the launch's share of every point's run state, its tc the
-	// launch's span context. A point gets a run state of its own (run) only
-	// if it must: trs holds them when issuance built them (profiling, a
-	// point-granularity trace episode) or speculation needs them.
+	// proto is the launch's share of every point's run state. A point gets
+	// a run state of its own (run) only if it must: trs holds them when
+	// issuance built them (profiling, a point-granularity trace episode) or
+	// speculation needs them.
 	proto taskRun
 	trs   []*taskRun
 	// deps are the launch-wide preconditions some modes give region-free
@@ -195,7 +195,6 @@ func (s *sliceRun) run(i int) *taskRun {
 	if s.args != nil {
 		tr.args = s.args[i]
 	}
-	tr.tc = s.proto.tc.Child(pointChildKey(tr.point))
 	return &tr
 }
 

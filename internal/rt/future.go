@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
 )
 
 // Future is the eventual result of a single task: an opaque byte payload or
@@ -100,6 +101,11 @@ type FutureMap struct {
 	index   map[domain.Point]int
 	futs    map[int]*Future
 	watched atomic.Bool
+
+	// spans is the launch's span record while the launch is traced: the
+	// points' span timings, by slot, which the last release hands to prof.
+	spans *obs.LaunchSpans
+	prof  *obs.Recorder
 }
 
 // pointResult is one point's slot: its outcome, final once fin is set.
@@ -139,12 +145,26 @@ func (m *FutureMap) settle(i int, val []byte, err error) {
 	}
 }
 
+// spanRow returns slot i's row of the launch's span record, or nil when the
+// launch is untraced (or not an index launch: m is nil).
+func (m *FutureMap) spanRow(i int) *obs.PointSpans {
+	if m == nil || m.spans == nil {
+		return nil
+	}
+	return &m.spans.Rows[i]
+}
+
 // release counts n settled points (or the issuance) finished. The last
-// release fires done, poisoned with the points' errors joined in canonical
-// order.
+// release records the launch's span record, if any — before done fires, so
+// a fence followed by a snapshot sees every span — then fires done,
+// poisoned with the points' errors joined in canonical order.
 func (m *FutureMap) release(n int64) {
 	if m.left.Add(-n) != 0 {
 		return
+	}
+	if m.spans != nil {
+		m.spans.Points = m.points
+		m.prof.RecordLaunch(m.spans)
 	}
 	var errs []error
 	for i := range m.points {

@@ -21,6 +21,9 @@ type launch struct {
 	dom    domain.Domain
 	points int          // declared point count
 	tc     obs.TraceRef // launch span context; zero when the job is untraced
+	// firstID is the first of the launch's block of execute-span IDs (one
+	// per declared point, slot i's is firstID + i); 0 without a profiler.
+	firstID int64
 
 	// Completion: an index launch's points finish into fm, its completion
 	// group; a single launch's one point into fut. done fires once the whole
@@ -62,6 +65,11 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	}
 	l.fm, l.pointArgs = newFutureMap(l.points), il.PointArgs != nil
 	l.done = l.fm.done
+	if prof := r.clk.prof; prof != nil && l.tc.Valid() {
+		// A traced launch's per-point spans go into one record.
+		l.fm.prof = prof
+		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.entry.name, l.tag, l.points)
+	}
 	r.logical(l, il)
 	// In cluster mode a region-free launch's points leave for the workers
 	// that own them, one slice per worker.
@@ -133,7 +141,7 @@ func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points in
 		return nil, fmt.Errorf("rt: launch %q names unregistered task %d", tag, task)
 	}
 	l := &launch{task: task, entry: r.tasks[task], tag: tag, dom: d, points: points,
-		tc: r.nextLaunchTC(), t0: r.clk.now()}
+		tc: r.nextLaunchTC(), firstID: r.clk.prof.NextIDs(points), t0: r.clk.now()}
 	if r.ep != nil {
 		r.ep.launchBegin(l)
 	}
@@ -169,7 +177,7 @@ func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, ar
 func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
 	r.mx.TasksSkipped.Inc()
 	if prof := r.cfg.Profile; prof != nil {
-		prof.MarkTC(tr.tc.Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
+		prof.MarkTC(tr.pointTC().Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
 	}
 	r.finish(tr, nil, &TaskError{
 		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,

@@ -28,7 +28,6 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		ev = NewEvent()
 	}
 	name := l.entry.name
-	ptc := l.tc.Child(pointChildKey(p))
 
 	var deps []*Event
 	if r.replaying() {
@@ -42,14 +41,19 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		}
 		t1 := r.clk.now()
 		l.physNS += t1 - t0
-		r.clk.done(obs.StagePhysical, r.mx.LatPhysical, ptc, 0, node, name, l.tag, p, t0, t1)
+		if row := l.fm.spanRow(l.issued); row != nil {
+			row.PhysNode, row.PhysStart, row.PhysDur = int32(node), t0, t1-t0
+			r.clk.observe(r.mx.LatPhysical, t1-t0)
+		} else {
+			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, name, l.tag, p, t0, t1)
+		}
 	}
 
 	// Span identity and dependence edges for the critical-path graph.
 	var spanID int64
 	prof := r.clk.prof
 	if prof != nil {
-		spanID = prof.NextID()
+		spanID = l.firstID + int64(l.issued)
 		for _, d := range deps {
 			if from, ok := r.profIDs[d]; ok {
 				prof.Edge(from, spanID)
@@ -64,7 +68,7 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 	}
 	return &taskRun{
 		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p, args: args, prs: prs,
-		fut: l.fut, fm: l.fm, slot: l.issued, ev: ev, spanID: spanID, tc: ptc,
+		fut: l.fut, fm: l.fm, slot: l.issued, ev: ev, spanID: spanID, tc: l.tc,
 	}, deps
 }
 

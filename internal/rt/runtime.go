@@ -301,8 +301,14 @@ func (c *stageClock) done(st obs.Stage, h *metrics.Histogram, tc obs.TraceRef, i
 	if c.prof != nil {
 		c.prof.SpanIDTC(tc, id, node, st, name, tag, p, t0, t1)
 	}
+	c.observe(h, t1-t0)
+}
+
+// observe is done without the span: for a stage interval a launch's span
+// record holds instead.
+func (c *stageClock) observe(h *metrics.Histogram, d int64) {
 	if c.hist {
-		h.Observe(t1 - t0)
+		h.Observe(d)
 	}
 }
 
@@ -558,7 +564,7 @@ func (r *Runtime) nextLaunchTC() obs.TraceRef {
 
 // Reserved child indices under a launch context: the launch (issue) span
 // carries the context itself; stage spans hang off it at fixed indices,
-// and per-point contexts use pointChildKey (≥ 16).
+// and per-point contexts use obs.PointChildKey (≥ 16).
 const (
 	tcLogical    = 1
 	tcDistribute = 2
@@ -568,28 +574,13 @@ const (
 // carries the point context; execute/fault/retry/speculate children use
 // these.
 const (
-	tcExecute    = 1
+	tcExecute    = obs.ChildExecute
 	tcFaultSkip  = 2
 	tcRetryBase  = 0x10 // + attempt number
 	tcSpecBackup = 0x41
 	tcSpecLost   = 0x42
 	tcSpecWon    = 0x43
 )
-
-// pointChildKey derives a stable per-point child index from the point's
-// coordinates — a pure function, so concurrent replays of the same launch
-// produce identical span identities without a counter. Keys below 16 are
-// reserved for launch-level stage spans.
-func pointChildKey(p domain.Point) uint64 {
-	h := uint64(0x706f696e74) // "point"
-	for i := 0; i < p.Dim; i++ {
-		h = obs.Mix64(h ^ uint64(p.C[i]))
-	}
-	if h < 16 {
-		h += 16
-	}
-	return h
-}
 
 // ErrShutdown marks a fence wait abandoned because the runtime was shut
 // down while tasks were still outstanding. Errors returned by FenceTimeout

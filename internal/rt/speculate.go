@@ -97,11 +97,14 @@ type taskRun struct {
 	ev     *Event
 	spec   *specState // nil when speculation is off for this task
 	spanID int64
-	// tc is the point's span context (the physical span); the execute
-	// span and retry/speculate marks are its children. Zero when the job
-	// is untraced.
+	// tc is the launch's span context, zero when the job is untraced. The
+	// point's context (its physical span's) derives from it on demand; the
+	// execute span and retry/speculate marks are children of that.
 	tc obs.TraceRef
 }
+
+// pointTC derives the point's span context.
+func (tr *taskRun) pointTC() obs.TraceRef { return tr.tc.Point(tr.point) }
 
 // cancelCh returns the attempt-cancellation channel handed to task bodies
 // (nil — blocks forever — when the task is not speculated).
@@ -175,7 +178,7 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 		}
 		r.mx.SpecLaunched.Inc()
 		if prof := r.cfg.Profile; prof != nil {
-			prof.MarkTC(tr.tc.Child(tcSpecBackup), backup, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
+			prof.MarkTC(tr.pointTC().Child(tcSpecBackup), backup, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 		r.enqueue(runItem{tr: tr, node: backup, backup: true})
 	}))
@@ -186,7 +189,7 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 func (r *Runtime) specLost(tr *taskRun, node int) {
 	r.mx.SpecWasted.Inc()
 	if prof := r.cfg.Profile; prof != nil {
-		prof.MarkTC(tr.tc.Child(tcSpecLost), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
+		prof.MarkTC(tr.pointTC().Child(tcSpecLost), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 	}
 }
 
@@ -250,7 +253,7 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, from resume) (outcome, bool)
 			}
 			r.mx.Retries.Inc()
 			if prof := r.cfg.Profile; prof != nil {
-				prof.MarkTC(tr.tc.Child(uint64(tcRetryBase+o.attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
+				prof.MarkTC(tr.pointTC().Child(uint64(tcRetryBase+o.attempts)), node, obs.StageRetry, tr.name, tr.tag, tr.point, prof.Now())
 			}
 			if d := retry.backoffFor(o.attempts); d > 0 && !r.sleepBackoff(d) {
 				// Shutdown mid-ladder: give up on the retry and fail the
@@ -300,14 +303,18 @@ func (r *Runtime) commitAttempt(tr *taskRun, node int, backup bool, o outcome) {
 		err = te
 	}
 	if r.clk.on() || r.specOn {
-		// Record the execute span before completing, so a
-		// fence-then-snapshot sees the span of every task it waited on.
-		// Its histogram is observed here rather than by the clock:
-		// speculation needs the latency baseline even when no metrics
-		// registry is attached, and traced tasks leave their trace ID as
-		// the bucket's exemplar.
+		// Record the execute span — into the launch's span record when it
+		// has one — before completing, so a fence-then-snapshot sees the
+		// span of every task it waited on. Its histogram is observed here
+		// rather than by the clock: speculation needs the latency baseline
+		// even when no metrics registry is attached, and traced tasks leave
+		// their trace ID as the bucket's exemplar.
 		tEnd := r.clk.read()
-		r.clk.done(obs.StageExecute, nil, tr.tc.Child(tcExecute), tr.spanID, node, tr.name, tr.tag, tr.point, o.tExec, tEnd)
+		if row := tr.fm.spanRow(tr.slot); row != nil {
+			row.ExecNode, row.ExecStart, row.ExecDur = int32(node), o.tExec, tEnd-o.tExec
+		} else {
+			r.clk.done(obs.StageExecute, nil, tr.pointTC().Child(tcExecute), tr.spanID, node, tr.name, tr.tag, tr.point, o.tExec, tEnd)
+		}
 		if r.clk.hist || r.specOn {
 			r.mx.LatExecute.ObserveExemplar(tEnd-o.tExec, tr.tc.Trace)
 		}
@@ -315,7 +322,7 @@ func (r *Runtime) commitAttempt(tr *taskRun, node int, backup bool, o outcome) {
 	if backup {
 		r.mx.SpecWon.Inc()
 		if prof := r.cfg.Profile; prof != nil {
-			prof.MarkTC(tr.tc.Child(tcSpecWon), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
+			prof.MarkTC(tr.pointTC().Child(tcSpecWon), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 	}
 	r.finish(tr, o.val, err)

@@ -4,12 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"indexlaunch/internal/metrics"
+	"indexlaunch/internal/obs"
 	"indexlaunch/internal/rt"
+	"indexlaunch/internal/trace"
 )
 
 // Scheduler overhead benchmarks: the policy core's per-decision cost, the
-// virtual-time driver's whole-trace cost, and the live front end's
-// submit-to-completion round trip. CI's smoke pass runs these with
+// virtual-time driver's whole-trace cost, the live front end's
+// submit-to-completion round trip, and a traced job end to end. CI's smoke pass runs these with
 // -benchtime=1x, so allocation regressions surface as allocs/op.
 
 func BenchmarkPolicySubmitDispatch(b *testing.B) {
@@ -52,6 +55,39 @@ func BenchmarkLiveSubmitWait(b *testing.B) {
 	s := MustNew(Config{Executors: 2, TickEvery: time.Hour})
 	defer s.Shutdown()
 	run := func(*JobContext, *rt.Runtime) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := s.Submit(JobSpec{Tenant: "bench", Run: run})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Wait(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTracedJob is the in-process shape of idxload's serve.traced
+// workload: idxserve -dcr -trace-sample 1's executors and runtimes, one
+// SyntheticRun(64, 4) job per op, every job traced and retained.
+func BenchmarkTracedJob(b *testing.B) {
+	reg := metrics.NewRegistry()
+	tr, err := trace.New(trace.Config{HeadRate: 1, Registry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := MustNew(Config{
+		Executors: 2,
+		Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true},
+		Setup:     SyntheticSetup,
+		TickEvery: time.Hour,
+		Metrics:   reg,
+		Profile:   obs.NewRecorder("bench", 4, 4096),
+		Trace:     tr,
+	})
+	defer s.Shutdown()
+	run := SyntheticRun(64, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

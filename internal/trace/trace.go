@@ -7,7 +7,9 @@
 // recording path; this package owns trace assembly and retention policy.
 // The scheduler derives a root TraceRef per admitted job, every layer the
 // job passes through stamps its spans with children of that ref, and the
-// obs recorder tees each stamped event into Tracer.Record via its sink.
+// obs recorder tees each stamped event into Tracer.Record, and each traced
+// index launch's per-point span record into Tracer.RecordLaunch, via its
+// sink.
 // When the job finishes, the scheduler reports the outcome and the tracer
 // makes the tail-sampling decision: the complete buffered trace is
 // retained if the job failed, was preempted, was retried, ran slower than
@@ -23,9 +25,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -49,8 +52,9 @@ type Config struct {
 	HeadRate float64
 	// MaxRetained bounds the in-memory retained ring (default 64).
 	MaxRetained int
-	// MaxSpans bounds one trace's span buffer (default 4096); spans past
-	// the cap are dropped and counted in Trace.Truncated.
+	// MaxSpans bounds one trace's span buffer (default 4096), counting
+	// every span of a launch record; spans past the cap are dropped and
+	// counted in Trace.Truncated.
 	MaxSpans int
 	// Dir, when non-empty, persists retained traces in a wal segment
 	// store rooted there.
@@ -92,7 +96,43 @@ type Trace struct {
 	Truncated int64 `json:"truncated,omitempty"`
 	// Spans is the complete span set, root first, sorted by start time.
 	// The root is a synthesized "job" stage span covering the whole job.
+	// Finish leaves it empty: a retained trace keeps its live buffer until
+	// the first read (Get, which the HTTP API uses, or the store) expands
+	// and sorts it, once.
 	Spans []obs.Event `json:"spans"`
+
+	pending *pending // nil for a trace decoded from the store
+	nspans  int      // len(Spans) once expanded, fixed at retain
+}
+
+// pending is the buffer a retained trace keeps until its first read.
+type pending struct {
+	once sync.Once
+	live *live
+}
+
+// expand builds Spans from the buffer Finish left, once: the plain events,
+// every launch record's kept spans, and the synthesized root, sorted. Safe
+// for concurrent readers.
+func (t *Trace) expand() {
+	if t.pending == nil {
+		return
+	}
+	t.pending.once.Do(func() {
+		l := t.pending.live
+		spans := make([]obs.Event, 0, t.nspans)
+		spans = append(spans, l.spans...)
+		for _, p := range l.launches {
+			spans = p.ls.AppendEvents(spans, p.n)
+		}
+		spans = append(spans, obs.Event{
+			ID: int64(l.jobID), Stage: obs.StageJob, Task: "job", Tag: "tenant:" + l.tenant,
+			Start: l.startNS, Dur: t.EndNS - l.startNS,
+			Trace: l.rootTC.Trace, Span: l.rootTC.Span, Parent: l.rootTC.Parent,
+		})
+		sortSpans(spans)
+		t.Spans, t.pending.live = spans, nil
+	})
 }
 
 // LatencyNS returns the root span's duration.
@@ -108,14 +148,24 @@ type Summary struct {
 	Spans   int     `json:"spans"`
 }
 
-// live is one in-flight job's span buffer.
+// live is one in-flight job's span buffer: plain events beside whole
+// launch records, n spans in all.
 type live struct {
-	jobID   uint64
-	tenant  string
-	startNS int64
-	rootTC  obs.TraceRef
-	spans   []obs.Event
-	trunc   int64
+	jobID    uint64
+	tenant   string
+	startNS  int64
+	rootTC   obs.TraceRef
+	spans    []obs.Event
+	launches []launchPart
+	n        int
+	trunc    int64
+}
+
+// launchPart is a buffered launch record of which the first n spans are
+// kept; the rest fell past MaxSpans.
+type launchPart struct {
+	ls *obs.LaunchSpans
+	n  int
 }
 
 // Tracer buffers spans per trace and applies the tail-sampling policy at
@@ -215,7 +265,7 @@ func (t *Tracer) Begin(tc obs.TraceRef, jobID uint64, tenant string, startNS int
 	t.mu.Unlock()
 }
 
-// Record buffers one stamped event — the function installed as the obs
+// Record buffers one stamped event — the tracer's side of the obs
 // recorder's sink. Events for traces the tracer has never seen (or has
 // already decided on) are counted and dropped.
 func (t *Tracer) Record(ev obs.Event) {
@@ -229,23 +279,51 @@ func (t *Tracer) Record(ev obs.Event) {
 		t.mxOrphan.Inc()
 		return
 	}
-	if len(l.spans) >= t.cfg.MaxSpans {
+	if l.n >= t.cfg.MaxSpans {
 		l.trunc++
 		t.mu.Unlock()
 		t.mxTrunc.Inc()
 		return
 	}
 	l.spans = append(l.spans, ev)
+	l.n++
 	t.mu.Unlock()
 }
 
-// Sink returns the Record method as a recorder sink, or nil for a nil
-// tracer (which SetSink treats as "no sink").
-func (t *Tracer) Sink() func(obs.Event) {
+// RecordLaunch buffers a traced launch's span record whole, unexpanded.
+// Its spans count against MaxSpans one by one: a cap falling inside the
+// record keeps its first spans and counts the rest as truncated.
+func (t *Tracer) RecordLaunch(ls *obs.LaunchSpans) {
+	if t == nil || ls.TC.Trace == 0 {
+		return
+	}
+	n := ls.Len()
+	t.mu.Lock()
+	l, ok := t.inflight[ls.TC.Trace]
+	if !ok {
+		t.mu.Unlock()
+		t.mxOrphan.Add(int64(n))
+		return
+	}
+	keep := max(min(n, t.cfg.MaxSpans-l.n), 0)
+	if keep > 0 {
+		l.launches = append(l.launches, launchPart{ls: ls, n: keep})
+		l.n += keep
+	}
+	l.trunc += int64(n - keep)
+	t.mu.Unlock()
+	if n > keep {
+		t.mxTrunc.Add(int64(n - keep))
+	}
+}
+
+// Sink returns the tracer as a recorder sink, or nil for a nil tracer
+// (which SetSink treats as "no sink").
+func (t *Tracer) Sink() obs.Sink {
 	if t == nil {
 		return nil
 	}
-	return t.Record
+	return t
 }
 
 // Finish makes the tail-sampling decision for the trace rooted at tc and
@@ -280,6 +358,8 @@ func (t *Tracer) Finish(tc obs.TraceRef, endNS int64, o Outcome) (retained bool,
 		return false, ""
 	}
 
+	// The trace takes the buffer over as it is: expanding and sorting wait
+	// for a read, which most retained traces never get before eviction.
 	tr := &Trace{
 		TraceID:   strconv.FormatUint(tc.Trace, 16),
 		JobID:     l.jobID,
@@ -289,14 +369,9 @@ func (t *Tracer) Finish(tc obs.TraceRef, endNS int64, o Outcome) (retained bool,
 		StartNS:   l.startNS,
 		EndNS:     endNS,
 		Truncated: l.trunc,
-		Spans:     append([]obs.Event{}, l.spans...),
+		pending:   &pending{live: l},
+		nspans:    l.n + 1,
 	}
-	tr.Spans = append(tr.Spans, obs.Event{
-		ID: int64(l.jobID), Stage: obs.StageJob, Task: "job", Tag: "tenant:" + l.tenant,
-		Start: l.startNS, Dur: endNS - l.startNS,
-		Trace: tc.Trace, Span: tc.Span, Parent: tc.Parent,
-	})
-	sortSpans(tr.Spans)
 	t.mxRetained.With(why).Inc()
 	t.retain(tr, true)
 	return true, why
@@ -343,6 +418,9 @@ func decide(traceID uint64, o Outcome, slowFn func() int64, headRate float64) st
 // MaxRetained, and (when persist is set and a store is open) appends it
 // to the wal, snapshotting the ring every SnapshotEvery retains.
 func (t *Tracer) retain(tr *Trace, persist bool) {
+	if tr.pending == nil {
+		tr.nspans = len(tr.Spans) // decoded from the store, already expanded
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.retained = append(t.retained, tr)
@@ -365,24 +443,34 @@ func (t *Tracer) retain(tr *Trace, persist bool) {
 	}
 }
 
-// Get returns a retained trace by hex trace ID or decimal job ID.
+// Get returns a retained trace by hex trace ID or decimal job ID, its
+// spans expanded.
 func (t *Tracer) Get(key string) (*Trace, bool) {
 	if t == nil {
 		return nil, false
 	}
+	tr := t.lookup(key)
+	if tr == nil {
+		return nil, false
+	}
+	tr.expand()
+	return tr, true
+}
+
+func (t *Tracer) lookup(key string) *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, err := strconv.ParseUint(key, 16, 64); err == nil {
 		if tr, ok := t.byTrace[id]; ok {
-			return tr, true
+			return tr
 		}
 	}
 	if job, err := strconv.ParseUint(key, 10, 64); err == nil {
 		if tr, ok := t.byJob[job]; ok {
-			return tr, true
+			return tr
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Recent returns up to n retained traces, newest first.
@@ -400,7 +488,7 @@ func (t *Tracer) Recent(n int) []Summary {
 		tr := t.retained[i]
 		out = append(out, Summary{
 			TraceID: tr.TraceID, JobID: tr.JobID, Tenant: tr.Tenant, Why: tr.Why,
-			MS: float64(tr.LatencyNS()) / 1e6, Spans: len(tr.Spans),
+			MS: float64(tr.LatencyNS()) / 1e6, Spans: tr.nspans,
 		})
 	}
 	return out
@@ -443,18 +531,9 @@ func (t *Tracer) Close() error {
 // with span identity as the final key so concurrent same-instant spans
 // serialize deterministically.
 func sortSpans(spans []obs.Event) {
-	sort.Slice(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Span < b.Span
+	slices.SortFunc(spans, func(a, b obs.Event) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Node, b.Node),
+			cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Span, b.Span))
 	})
 }
 
@@ -475,6 +554,7 @@ func (t *Trace) Profile() *obs.Profile {
 
 // marshal is the stored form of one trace record.
 func (t *Trace) marshal() ([]byte, error) {
+	t.expand()
 	b, err := json.Marshal(t)
 	if err != nil {
 		return nil, fmt.Errorf("trace: marshal %s: %w", t.TraceID, err)

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"indexlaunch/internal/domain"
@@ -163,6 +165,68 @@ func TestOrphanAndTruncation(t *testing.T) {
 	}
 	if len(got.Spans) != 3 { // 2 kept + root
 		t.Fatalf("spans = %d, want 3", len(got.Spans))
+	}
+}
+
+// launchRecord builds a finished record of points points under ltc, whose
+// point 1 was replayed (no physical span): 2*points-1 spans.
+func launchRecord(ltc obs.TraceRef, points int) *obs.LaunchSpans {
+	ls := obs.NewLaunchSpans(ltc, 100, "t", "l", points)
+	for i := range points {
+		ls.Points = append(ls.Points, domain.Pt1(int64(i)))
+		row := &ls.Rows[i]
+		if i != 1 {
+			row.PhysNode, row.PhysStart, row.PhysDur = 0, int64(10*i+10), 1
+		}
+		row.ExecNode, row.ExecStart, row.ExecDur = 1, int64(10*i+12), 5
+	}
+	return ls
+}
+
+// A MaxSpans cap falling inside a launch record keeps the record's first
+// spans and counts exactly the dropped ones, in Truncated and in
+// trace_truncated_spans_total.
+func TestLaunchRecordTruncationCountsSpans(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := mustNew(t, Config{MaxSpans: 5, Registry: reg})
+	tc := obs.NewTraceRef(5)
+	ltc := tc.Child(1)
+	tr.Begin(tc, 5, "a", 0)
+	tr.Record(obs.Event{Stage: obs.StageIssue, Start: 1, Trace: ltc.Trace, Span: ltc.Span, Parent: ltc.Parent})
+	tr.RecordLaunch(launchRecord(ltc, 4))         // 7 spans, 4 fit
+	tr.RecordLaunch(launchRecord(tc.Child(2), 3)) // 5 spans, none fit
+	tr.Record(obs.Event{Stage: obs.StageFence, Trace: tc.Trace, Span: tc.Child(3).Span, Parent: tc.Span})
+	if retained, _ := tr.Finish(tc, 100, Outcome{Failed: true}); !retained {
+		t.Fatal("not retained")
+	}
+	if sums := tr.Recent(1); len(sums) != 1 || sums[0].Spans != 6 {
+		t.Fatalf("summary = %+v, want 6 spans (5 kept + root)", sums)
+	}
+	got, _ := tr.Get("5")
+	const dropped = 3 + 5 + 1
+	if got.Truncated != dropped {
+		t.Fatalf("Truncated = %d, want %d", got.Truncated, dropped)
+	}
+	var b strings.Builder
+	if err := metrics.WriteProm(&b, reg.Gather()); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("trace_truncated_spans_total %d", dropped); !strings.Contains(b.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, b.String())
+	}
+	// Kept, in start order: the root, the issue span, then the record's
+	// first four spans — point 0's physical and execute spans, point 1's
+	// execute span, point 2's physical span.
+	var kept []string
+	for _, ev := range got.Spans {
+		kept = append(kept, fmt.Sprintf("%s%v", ev.Stage, ev.Point))
+	}
+	if want := "job<> issue<> physical<0> execute<0> execute<1> physical<2>"; strings.Join(kept, " ") != want {
+		t.Fatalf("kept spans = %q, want %q", strings.Join(kept, " "), want)
+	}
+	ptc := ltc.Point(domain.Pt1(0)).Child(obs.ChildExecute)
+	if ex := got.Spans[3]; ex.ID != 100 || ex.Node != 1 || ex.Span != ptc.Span || ex.Parent != ptc.Parent {
+		t.Fatalf("point 0's execute span = %+v, want ID 100 on node 1 under %+v", ex, ptc)
 	}
 }
 
