@@ -7,8 +7,6 @@
 //	idxbench -iters 30               # longer simulated runs
 //	idxbench -max-nodes 128          # cap the node sweep (faster)
 //	idxbench -fig 5 -json out        # also write out/BENCH_fig5.json
-//	idxbench -metrics 127.0.0.1:8080 # serve live /metrics while running
-//	idxbench -fig 5 -heartbeat 2e-4  # self-healing detector overhead on a sweep
 //
 // The BENCH_<fig>.json snapshots feed the `idxprof diff` regression gate:
 // run the same figure twice and diff the two files to see which series
@@ -24,7 +22,6 @@ import (
 	"time"
 
 	"indexlaunch/internal/bench"
-	"indexlaunch/internal/metrics"
 )
 
 func main() {
@@ -36,9 +33,6 @@ func main() {
 	maxNodes := flag.Int("max-nodes", 0, "cap the node sweep (0 = paper's range)")
 	profile := flag.String("profile", "", "with -fig: also profile the figure's DCR+IDX configuration and write a Chrome trace (view with idxprof)")
 	jsonDir := flag.String("json", "", "write machine-readable BENCH_<fig>.json snapshots into this directory (compare runs with: idxprof diff)")
-	metricsAddr := flag.String("metrics", "", "serve live /metrics, /metrics.json and /statusz on this address while figures run (watch with: idxprof watch)")
-	heartbeat := flag.Float64("heartbeat", 0, "enable the self-healing failure detector in every simulation at this heartbeat period in simulated seconds (0 = off)")
-	speculate := flag.Float64("speculate", 0, "enable straggler speculation in every simulation at this latency quantile (0 = off)")
 	flag.Parse()
 
 	render := func(f bench.Figure) string {
@@ -48,18 +42,7 @@ func main() {
 		return f.Render()
 	}
 
-	opts := bench.Options{Iters: *iters, MaxNodes: *maxNodes, Heartbeat: *heartbeat, Speculate: *speculate}
-	if *metricsAddr != "" {
-		reg := metrics.NewRegistry()
-		srv, err := metrics.Serve(*metricsAddr, reg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "idxbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		opts.Metrics = reg
-		fmt.Printf("metrics: serving %s/metrics (watch with: idxprof watch %s)\n", srv.URL(), srv.Addr())
-	}
+	opts := bench.Options{Iters: *iters, MaxNodes: *maxNodes}
 	writeSnap := func(f bench.Figure) {
 		if *jsonDir == "" {
 			return

@@ -4,9 +4,7 @@
 //
 //	idxsim -app circuit -nodes 512 -dcr -idx -tracing
 //	idxsim -app soleil-full -nodes 32 -dcr -idx -checks=false
-//	idxsim -app stencil -metrics 127.0.0.1:8080   # live /metrics + summary
-//	idxsim -app stencil -heartbeat 2e-4 -outage 3:5:6   # detector suspect/rejoin
-//	idxsim -app circuit -speculate 0.9 -straggler-every 40   # straggler rescue
+//	idxsim -app circuit -nodes 16 -profile p.json   # pipeline profile for idxprof
 package main
 
 import (
@@ -19,7 +17,6 @@ import (
 	"indexlaunch/internal/apps/soleil"
 	"indexlaunch/internal/apps/stencil"
 	"indexlaunch/internal/machine"
-	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/sim"
 )
@@ -36,12 +33,6 @@ func main() {
 	overdecompose := flag.Int("overdecompose", 1, "tasks per node (circuit)")
 	breakdown := flag.Bool("breakdown", false, "print per-launch processor-time breakdown")
 	profile := flag.String("profile", "", "write a pipeline profile of the run as Chrome trace JSON (view with idxprof)")
-	metricsAddr := flag.String("metrics", "", "serve live /metrics, /metrics.json and /statusz on this address during the run and print a metrics summary after it")
-	heartbeat := flag.Float64("heartbeat", 0, "self-healing heartbeat period in simulated seconds (0 = detector off)")
-	outage := flag.String("outage", "", "silence one node's heartbeats for a window of detector rounds, as node:from:rounds (requires -heartbeat)")
-	speculate := flag.Float64("speculate", 0, "straggler-speculation latency quantile (0 = off)")
-	stragglerEvery := flag.Int64("straggler-every", 0, "make every Nth point task a straggler (0 = none)")
-	stragglerFactor := flag.Float64("straggler-factor", 10, "straggler slowdown factor")
 	flag.Parse()
 
 	var prog sim.Program
@@ -91,38 +82,10 @@ func main() {
 		Machine: machine.PizDaint(*nodes), Cost: sim.DefaultCosts(),
 		DCR: *dcr, IDX: *idx, Tracing: *tracing, DynChecks: *checks,
 	}
-	cfg.Cost.HeartbeatPeriod = *heartbeat
-	cfg.Cost.SpeculationQuantile = *speculate
-	cfg.Faults.StragglerEvery = *stragglerEvery
-	cfg.Faults.StragglerFactor = *stragglerFactor
-	if *outage != "" {
-		if *heartbeat == 0 {
-			fmt.Fprintln(os.Stderr, "idxsim: -outage requires -heartbeat")
-			os.Exit(2)
-		}
-		var o sim.Outage
-		if _, err := fmt.Sscanf(*outage, "%d:%d:%d", &o.Node, &o.FromRound, &o.Rounds); err != nil {
-			fmt.Fprintf(os.Stderr, "idxsim: bad -outage %q (want node:from:rounds)\n", *outage)
-			os.Exit(2)
-		}
-		cfg.Faults.Outages = []sim.Outage{o}
-	}
 	var rec *obs.Recorder
 	if *profile != "" {
 		rec = obs.NewRecorder("sim", *nodes, 1<<14)
 		cfg.Profile = rec
-	}
-	var reg *metrics.Registry
-	if *metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		cfg.Metrics = reg
-		srv, err := metrics.Serve(*metricsAddr, reg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "idxsim: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics: serving %s/metrics (watch with: idxprof watch %s)\n", srv.URL(), srv.Addr())
 	}
 	res, err := sim.Run(cfg, prog)
 	if err != nil {
@@ -135,14 +98,6 @@ func main() {
 	describe(res)
 	fmt.Printf("runtime cores busy: %.4f s total; processors busy: %.4f s; dynamic checks: %.6f s\n",
 		res.RuntimeBusySec, res.GPUBusySec, res.CheckSec)
-	if *heartbeat > 0 {
-		fmt.Printf("self-healing: %d heartbeat rounds, %d suspects, %d rejoins\n",
-			res.HeartbeatRounds, res.Suspects, res.Rejoins)
-	}
-	if *speculate > 0 {
-		fmt.Printf("speculation: %d backups launched, %d won, %d wasted\n",
-			res.SpecLaunched, res.SpecWon, res.SpecWasted)
-	}
 	if rec != nil {
 		p := rec.Snapshot()
 		if err := p.WriteFile(*profile); err != nil {
@@ -151,10 +106,6 @@ func main() {
 		}
 		fmt.Printf("profile: wrote %s (%d events); inspect with: idxprof %s\n",
 			*profile, len(p.Events), *profile)
-	}
-	if reg != nil {
-		fmt.Println("metrics (simulated clock):")
-		fmt.Print(metrics.RenderDelta(metrics.Snapshot{}, reg.Gather()))
 	}
 	if *breakdown {
 		names := make([]string, 0, len(res.BusyByLaunch))

@@ -144,8 +144,6 @@ func TestCLIsRun(t *testing.T) {
 		{"idxbench-fig10", []string{"run", "./cmd/idxbench", "-fig", "10", "-iters", "3"}, "DCR, IDX (dynamic check)"},
 		{"idxlang-demo", []string{"run", "./cmd/idxlang", "-demo", "-run"}, "index launches"},
 		{"idxsim", []string{"run", "./cmd/idxsim", "-app", "stencil", "-nodes", "16", "-iters", "3"}, "throughput"},
-		{"idxsim-metrics", []string{"run", "./cmd/idxsim", "-app", "stencil", "-nodes", "8", "-iters", "3",
-			"-metrics", "127.0.0.1:0"}, "idx_tasks_executed_total"},
 		{"idxserve-trace", []string{"run", "./cmd/idxserve", "-trace", "-seed", "42", "-jobs", "60",
 			"-queue", "fair", "-weights", "a=1,b=2,c=4"}, "# seed 42:"},
 		{"idxserve-bench", []string{"run", "./cmd/idxserve", "-bench"}, "sched/fair/seed42"},

@@ -37,10 +37,9 @@ func FigBulkTracing(o Options) Figure {
 				Nodes: n, TasksPerNode: 1, WiresPerTask: wiresPerNode, Iters: iters,
 			})
 			res, err := sim.Run(sim.Config{
-				Machine: machine.PizDaint(n), Cost: o.cost(),
+				Machine: machine.PizDaint(n), Cost: sim.DefaultCosts(),
 				DCR: cfg.dcr, IDX: cfg.idx, Tracing: true,
 				BulkTracing: cfg.bulkTrace, DynChecks: true,
-				Metrics: o.Metrics,
 			}, prog)
 			if err != nil {
 				panic(err)

@@ -13,7 +13,6 @@ import (
 	"indexlaunch/internal/apps/soleil"
 	"indexlaunch/internal/apps/stencil"
 	"indexlaunch/internal/machine"
-	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/sim"
 )
 
@@ -66,31 +65,6 @@ type Options struct {
 	Iters int
 	// MaxNodes caps the node sweep (power-of-two points up to the cap).
 	MaxNodes int
-	// Metrics optionally attaches a live metrics registry to every
-	// simulation of the sweep (idxbench -metrics): the cost model's
-	// pipeline counters and stage-latency histograms accumulate across the
-	// whole figure, so a scrape mid-sweep shows progress.
-	Metrics *metrics.Registry
-	// Heartbeat enables the self-healing failure detector in every
-	// simulation of the sweep (idxbench -heartbeat): the cost model
-	// charges heartbeat-probe traffic at this period in simulated seconds,
-	// so the figures show the detector's overhead on the paper's
-	// workloads. 0 disables it.
-	Heartbeat float64
-	// Speculate sets the straggler-speculation quantile of every
-	// simulation (idxbench -speculate). The sweeps inject no stragglers,
-	// so this measures that an armed speculator is free on healthy runs.
-	// 0 disables it.
-	Speculate float64
-}
-
-// cost is the sweep's cost model: the calibrated defaults plus the
-// self-healing knobs.
-func (o Options) cost() sim.CostModel {
-	c := sim.DefaultCosts()
-	c.HeartbeatPeriod = o.Heartbeat
-	c.SpeculationQuantile = o.Speculate
-	return c
 }
 
 func (o Options) iters(def int) int {
@@ -125,9 +99,8 @@ var fourConfigs = []struct {
 
 func runSim(o Options, nodes int, dcr, idx, tracing, checks bool, prog sim.Program) float64 {
 	res, err := sim.Run(sim.Config{
-		Machine: machine.PizDaint(nodes), Cost: o.cost(),
+		Machine: machine.PizDaint(nodes), Cost: sim.DefaultCosts(),
 		DCR: dcr, IDX: idx, Tracing: tracing, DynChecks: checks,
-		Metrics: o.Metrics,
 	}, prog)
 	if err != nil {
 		panic(err) // programs are generated; a failure is a harness bug

@@ -58,9 +58,9 @@ func ProfileFigure(id int, o Options) (*obs.Profile, error) {
 	}
 	rec := obs.NewRecorder("sim", nodes, 1<<14)
 	_, err := sim.Run(sim.Config{
-		Machine: machine.PizDaint(nodes), Cost: o.cost(),
+		Machine: machine.PizDaint(nodes), Cost: sim.DefaultCosts(),
 		DCR: true, IDX: true, Tracing: tracing, DynChecks: true,
-		Profile: rec, Metrics: o.Metrics,
+		Profile: rec,
 	}, prog)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,7 @@
 // Package health is the runtime's failure detector: a deterministic,
-// phi-accrual-style accrual detector over heartbeat probes, shared by the
-// real runtime (internal/rt, probing through the message transport) and the
-// cluster simulator (internal/sim, probing a modeled outage schedule) so
-// the two stacks detect, quarantine and readmit nodes with one state
-// machine.
+// phi-accrual-style accrual detector over heartbeat probes that internal/rt
+// drives through the message transport to detect, quarantine and readmit
+// nodes with one state machine.
 //
 // Unlike wall-clock accrual detectors, the detector has no clock of its
 // own: time is the heartbeat round number, and rounds advance only when the
@@ -361,6 +359,5 @@ func (d *Detector) Log() []Transition {
 }
 
 // DefaultSpecMultiplier scales the execute-latency quantile into the
-// straggler-speculation threshold. It lives here so internal/rt's wall-clock
-// speculation and internal/sim's cost-model mirror use the same constant.
+// straggler-speculation threshold of internal/rt's speculation policy.
 const DefaultSpecMultiplier = 3.0

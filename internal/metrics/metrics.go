@@ -437,8 +437,7 @@ func labelSuffix(labels []Label) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Names returns the sorted metric family names — the vocabulary the rt/sim
-// metric parity test compares.
+// Names returns the sorted metric family names.
 func (r *Registry) Names() []string {
 	if r == nil {
 		return nil

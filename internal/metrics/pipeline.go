@@ -1,12 +1,9 @@
 package metrics
 
-// Pipeline is the canonical metric set of the runtime pipeline, registered
-// identically by internal/rt (measured on the wall clock) and internal/sim
-// (derived from the cost model on the simulated clock) — the metrics face
-// of the rt/sim parity guarantee, mirroring the shared span schema of
-// internal/obs. Both producers register every instrument, even ones they
-// never increment, so the registered name sets are equal by construction;
-// internal/metrics's parity test locks that in.
+// Pipeline is the canonical metric set of the runtime pipeline that
+// internal/rt registers, its stage labels matching the span schema of
+// internal/obs. Every instrument is registered, even ones a run never
+// increments, so the registered name set does not depend on the workload.
 //
 // Naming scheme: `idx_` for the runtime pipeline, `xport_` for the message
 // transport, `_total` suffix on counters, `_ns` on nanosecond histograms.

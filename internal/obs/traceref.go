@@ -3,7 +3,7 @@ package obs
 // TraceRef is the span context that rides with a job through every layer:
 // the trace identity shared by all of the job's spans, the span's own
 // identity, and its parent. It lives in obs — not internal/trace — so the
-// runtime, transport, scheduler and simulator can stamp the events they
+// runtime, transport and scheduler can stamp the events they
 // already emit without a new import edge; internal/trace consumes the
 // stamped events through the recorder's sink.
 //
@@ -13,7 +13,7 @@ package obs
 //
 // Identities derive from splitmix64, the repo's standard deterministic
 // mixer: the same admission seed yields the same span tree on every run,
-// which is what the golden span-tree and rt/sim parity tests lock down.
+// which is what the golden span-tree tests lock down.
 type TraceRef struct {
 	// Trace identifies the whole trace (one per job); 0 means untraced.
 	Trace uint64

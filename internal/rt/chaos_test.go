@@ -17,18 +17,26 @@ import (
 
 var errTransient = errors.New("transient")
 
-// chaosSeeds returns the seed matrix for the chaos property suite. CI
-// overrides the default with a comma-separated CHAOS_SEEDS list.
-func chaosSeeds(t *testing.T) []int64 {
-	env := os.Getenv("CHAOS_SEEDS")
+// Default seed matrices: chaosSeeds for the chaos property suites
+// (CHAOS_SEEDS), diffSeeds for the differential harness (RT_DIFF_SEEDS).
+var (
+	chaosSeeds = []int64{1, 7, 42, 99}
+	diffSeeds  = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+)
+
+// envSeeds returns a seed matrix: the comma-separated list in environment
+// variable name when it is set (CI widens the matrices this way), defaults
+// otherwise.
+func envSeeds(t *testing.T, name string, defaults []int64) []int64 {
+	env := os.Getenv(name)
 	if env == "" {
-		return []int64{1, 7, 42, 99}
+		return defaults
 	}
 	var seeds []int64
 	for _, f := range strings.Split(env, ",") {
 		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
 		if err != nil {
-			t.Fatalf("CHAOS_SEEDS entry %q: %v", f, err)
+			t.Fatalf("%s entry %q: %v", name, f, err)
 		}
 		seeds = append(seeds, s)
 	}
@@ -74,7 +82,7 @@ func chaosRun(t *testing.T, plan *xport.ChaosPlan, fi *FaultInjector, prof *obs.
 // invisible to the program.
 func TestChaosPropertyResultsMatchFaultFree(t *testing.T) {
 	refSum, refSt := chaosRun(t, nil, nil, nil)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range envSeeds(t, "CHAOS_SEEDS", chaosSeeds) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			plan := &xport.ChaosPlan{

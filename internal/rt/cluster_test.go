@@ -150,7 +150,7 @@ func TestClusterLoopbackRemoteExecution(t *testing.T) {
 	// Chaos and cluster compose: the same launch with every mesh fabric
 	// under the chaos property suite's plan is indistinguishable from the
 	// fault-free run — results, task counts and which worker ran what.
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range envSeeds(t, "CHAOS_SEEDS", chaosSeeds) {
 		t.Run("chaos/"+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			sum, st, exec := run(t, &xport.ChaosPlan{
 				Seed: seed, Drop: 0.15, Dup: 0.2, Reorder: 0.3,
@@ -530,7 +530,7 @@ func TestClusterSliceOverFrameSizeSplits(t *testing.T) {
 func TestClusterSliceOrderMatchesIssuanceOrder(t *testing.T) {
 	echo := func(p domain.Point, args []byte) []byte { return append([]byte(p.String()+"|"), args...) }
 	body := func(task string, p domain.Point, args []byte) ([]byte, error) { return echo(p, args), nil }
-	for _, seed := range diffSeeds(t) {
+	for _, seed := range envSeeds(t, "RT_DIFF_SEEDS", diffSeeds) {
 		rng := rand.New(rand.NewSource(seed))
 		for c := 0; c < 6; c++ {
 			fat := c == 5 // per-point payloads that split the request and the answer

@@ -105,7 +105,7 @@ func TestSelfHealPartitionSuspectRejoin(t *testing.T) {
 // byte-identical suspect/rejoin event sequence on every run. The Chaos name
 // prefix keeps this test in CI's seed-matrix runs.
 func TestChaosSelfHealDeterministicLog(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range envSeeds(t, "CHAOS_SEEDS", chaosSeeds) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			_, _, first := selfHealRun(t, selfHealPlan(seed))

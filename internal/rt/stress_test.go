@@ -3,9 +3,6 @@ package rt
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -72,24 +69,6 @@ func applySequential(data []float64, blockSize int64, op stressOp, blocks int64)
 	}
 }
 
-// diffSeeds returns the differential harness's seed matrix: RT_DIFF_SEEDS
-// (comma-separated) when set, 1..8 otherwise.
-func diffSeeds(t *testing.T) []int64 {
-	env := os.Getenv("RT_DIFF_SEEDS")
-	if env == "" {
-		return []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	var seeds []int64
-	for _, f := range strings.Split(env, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("RT_DIFF_SEEDS: %v", err)
-		}
-		seeds = append(seeds, v)
-	}
-	return seeds
-}
-
 // Program shape of the differential harness: a prefix, a loop body issued
 // stressEpisodes times (each followed by one un-traced op) and a suffix.
 const (
@@ -100,7 +79,7 @@ const (
 )
 
 func TestStressRandomProgramsMatchSequentialModel(t *testing.T) {
-	for _, seed := range diffSeeds(t) {
+	for _, seed := range envSeeds(t, "RT_DIFF_SEEDS", diffSeeds) {
 		for _, path := range []string{"dcr", "central", "cluster"} {
 			for _, trace := range []string{"untraced", "trace", "bulk"} {
 				// Launch handling: index launches kept compact (the unnamed

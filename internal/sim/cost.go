@@ -29,7 +29,6 @@ package sim
 
 import (
 	"indexlaunch/internal/machine"
-	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 )
 
@@ -69,14 +68,10 @@ type CostModel struct {
 	// broadcast tree.
 	SliceHandling float64
 	// HopLatency is the message-transport overhead per broadcast-tree hop
-	// (sequence bookkeeping and ack turnaround), on top of the network
-	// latency and SliceHandling — the cost-domain mirror of
-	// internal/xport's reliable hop.
+	// or centralized task send (sequence bookkeeping and ack turnaround), on
+	// top of the network latency and SliceHandling — what internal/xport's
+	// reliable hop costs a fault-free run.
 	HopLatency float64
-	// RetransmitTimeout is the delay a hop pays when its transmission is
-	// dropped (FaultModel.DropEveryHop): the ack timeout that elapses
-	// before the re-send.
-	RetransmitTimeout float64
 	// PhysBase + PhysPerLog·log2(|P|) is the physical (per-task) dependence
 	// analysis cost, the bounding-volume-hierarchy query of §5.
 	PhysBase   float64
@@ -93,28 +88,6 @@ type CostModel struct {
 	// propagation that every stage pays and that grow slowly with machine
 	// size.
 	StageLatency float64
-	// RetryPenalty is the scheduling overhead of re-executing a failed
-	// point task (failure detection + requeue), charged per retry on top
-	// of the repeated kernel launch and compute time.
-	RetryPenalty float64
-	// HeartbeatPeriod is the period, in simulated seconds, of the
-	// self-healing failure detector's heartbeat rounds — the cost-domain
-	// mirror of rt's HeartbeatPolicy. Each round probes every non-observer
-	// node (FaultModel.Outages silence probes) and drives the same
-	// internal/health detector the real runtime uses, so suspect,
-	// quarantine and rejoin transitions appear with identical semantics.
-	// Probe traffic is charged off the critical path: rounds × (N−1)
-	// probes, two HopLatency each. 0 disables detection.
-	HeartbeatPeriod float64
-	// SpeculationQuantile enables straggler speculation when > 0 —
-	// the cost-domain mirror of rt's SpeculationPolicy. The cost model
-	// knows each launch's nominal task time exactly, so the adaptive
-	// quantile threshold collapses to nominal × health.DefaultSpecMultiplier:
-	// an injected straggler (FaultModel.StragglerEvery) gets a backup
-	// launch on an assumed-idle healthy node once the threshold elapses,
-	// and the earlier completion wins, exactly one attempt's work being
-	// discarded.
-	SpeculationQuantile float64
 }
 
 // DefaultCosts returns the calibrated cost model used by the experiments.
@@ -130,51 +103,13 @@ func DefaultCosts() CostModel {
 		CentralPerTask:    150e-6,
 		SliceHandling:     2e-6,
 		HopLatency:        0.5e-6,
-		RetransmitTimeout: 120e-6,
 		PhysBase:          2e-6,
 		PhysPerLog:        0.5e-6,
 		CheckPerPointArg:  2.5e-9,
 		ReplayPerTask:     1.2e-6,
 		GPULaunch:         8e-6,
 		StageLatency:      12e-6,
-		RetryPenalty:      25e-6,
 	}
-}
-
-// FaultModel injects deterministic task failures into the execution stage,
-// mirroring internal/rt's retry machinery in the cost domain: every
-// RetryEvery-th point task (counted runtime-wide in issuance order) fails
-// once and re-executes on its processor, paying RetryPenalty plus a second
-// kernel launch and compute. DropEveryHop does the same for the message
-// transport: every DropEveryHop-th broadcast-tree hop transmission (counted
-// runtime-wide) is dropped and re-sent after RetransmitTimeout, mirroring
-// internal/xport's chaos injection. Zeros disable injection.
-type FaultModel struct {
-	RetryEvery   int64
-	DropEveryHop int64
-	// StragglerEvery makes every StragglerEvery-th point task (counted
-	// runtime-wide in issuance order) run StragglerFactor× slower than
-	// nominal — the straggler injection CostModel.SpeculationQuantile
-	// speculates against. Zero (or a factor <= 1) disables it.
-	StragglerEvery  int64
-	StragglerFactor float64
-	// Outages silence nodes' heartbeat probes for windows of detector
-	// rounds, mirroring chaos partitions starving rt's heartbeats; they
-	// only matter when CostModel.HeartbeatPeriod enables the detector.
-	Outages []Outage
-}
-
-// Outage silences one node's heartbeat probes for a window of detector
-// rounds: probes of Node fail for rounds [FromRound, FromRound+Rounds).
-type Outage struct {
-	Node      int
-	FromRound int64
-	Rounds    int64
-}
-
-// covers reports whether the outage silences node during round.
-func (o Outage) covers(node int, round int64) bool {
-	return o.Node == node && round >= o.FromRound && round < o.FromRound+o.Rounds
 }
 
 // Config selects one simulated execution configuration — one curve of one
@@ -197,26 +132,12 @@ type Config struct {
 	// DynChecks enables the dynamic projection-functor checks for launches
 	// flagged NonTrivialFunctor.
 	DynChecks bool
-	// Faults optionally injects deterministic task re-execution.
-	Faults FaultModel
 	// Profile attaches an observability recorder (internal/obs): the cost
 	// model's per-node charges are decomposed into the same pipeline-stage
 	// spans internal/rt records, on the simulated clock, so simulated and
 	// real runs are viewed with one tool. Nil disables profiling; the
 	// simulated timings are identical either way.
 	Profile *obs.Recorder
-	// Metrics attaches a live metrics registry (internal/metrics): the cost
-	// model's charges are recorded as the same counter and histogram
-	// families internal/rt maintains, on the simulated clock — the metrics
-	// face of the rt/sim parity guarantee. Nil disables metrics; the
-	// simulated timings are identical either way.
-	Metrics *metrics.Registry
-	// TraceSeed, when non-zero and a Profile is attached, stamps every
-	// recorded span with a trace context rooted at NewTraceRef(TraceSeed):
-	// launch i's spans hang off root.Child(i+1), mirroring the span tree an
-	// rt run of the same workload produces — the tracing face of the rt/sim
-	// parity guarantee. 0 records untraced spans as before.
-	TraceSeed uint64
 }
 
 // Label renders the configuration the way the paper's legends do.

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/health"
 	"indexlaunch/internal/machine"
-	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 )
 
@@ -26,26 +24,6 @@ type Result struct {
 	// CheckSec is the total time spent in dynamic projection-functor
 	// checks.
 	CheckSec float64
-	// Retries is the number of injected task re-executions (Config.Faults).
-	Retries int64
-	// HopSends is the number of broadcast-tree hop transmissions charged on
-	// the centralized path; MsgRetransmits counts the injected hop drops
-	// (Config.Faults.DropEveryHop) that were re-sent after the timeout.
-	HopSends       int64
-	MsgRetransmits int64
-	// Self-healing mirror counters (CostModel.HeartbeatPeriod):
-	// HeartbeatRounds detector rounds driven, Suspects transitions into
-	// suspicion, Rejoins quarantined nodes readmitted.
-	HeartbeatRounds int64
-	Suspects        int64
-	Rejoins         int64
-	// Straggler-speculation counters (CostModel.SpeculationQuantile):
-	// backups launched, backups that finished before the straggling
-	// original, and attempts whose work was discarded (exactly one per
-	// speculation).
-	SpecLaunched int64
-	SpecWon      int64
-	SpecWasted   int64
 	// BusyByLaunch is the total processor time per launch name — the
 	// workload profile idxsim prints.
 	BusyByLaunch map[string]float64
@@ -80,11 +58,6 @@ func Run(cfg Config, prog Program) (Result, error) {
 	// edges) and the last span on each processor lane (for the queueing
 	// edges the critical-path walk follows through busy processors).
 	rec := cfg.Profile
-	em := newEmitter(rec, cfg.Metrics, cfg.TraceSeed)
-	var mx *metrics.Pipeline
-	if em != nil {
-		mx = em.mx
-	}
 	var ids [][]int64
 	var gpuLast [][]int64
 	if rec != nil {
@@ -98,13 +71,11 @@ func Run(cfg Config, prog Program) (Result, error) {
 	res := Result{BusyByLaunch: map[string]float64{}}
 	bodySeen := 0
 	firstBodyLen := len(prog.Body)
-	var issuedTotal int64 // drives deterministic fault injection
 
 	for li, l := range stream {
 		if l.Points <= 0 {
 			return Result{}, fmt.Errorf("sim: launch %q has %d points", l.Name, l.Points)
 		}
-		em.beginLaunch(li)
 		// Replay holds for body launches after the first body iteration.
 		replay := false
 		if inBody[li] && cfg.Tracing {
@@ -112,21 +83,6 @@ func Run(cfg Config, prog Program) (Result, error) {
 				replay = true
 			}
 			bodySeen++
-		}
-		if mx != nil {
-			mx.LaunchCalls.Inc()
-			// The launch stays compact exactly when the engine takes a
-			// compact path: IDX everywhere except the centralized
-			// tracing-forced expansion (paper §6.2.1).
-			if cfg.IDX && (cfg.DCR || !cfg.Tracing || cfg.BulkTracing) {
-				mx.IndexLaunched.Inc()
-			} else {
-				mx.Expanded.Inc()
-			}
-			if replay {
-				mx.TraceReplays.Inc()
-				mx.AnalysisSkipped.Add(int64(l.Points))
-			}
 		}
 
 		owner := make([]int, l.Points)
@@ -161,22 +117,18 @@ func Run(cfg Config, prog Program) (Result, error) {
 			}
 			checkCost = float64(l.Points) * float64(args) * cost.CheckPerPointArg
 			res.CheckSec += checkCost
-			if mx != nil {
-				mx.DynamicCheckEvals.Add(int64(l.Points) * int64(args))
-				mx.CheckEval.Observe(profNS(checkCost))
-			}
 		}
 
 		// --- Issuance, logical analysis, distribution, physical analysis.
 		ready := make([]float64, l.Points)
 		rtBefore := sum(rtFree)
 		if cfg.DCR {
-			runDCR(cfg, em, l, replay, phys, checkCost, localCount, rtFree)
+			runDCR(cfg, l, replay, phys, checkCost, localCount, rtFree)
 			for p := 0; p < l.Points; p++ {
 				ready[p] = rtFree[owner[p]]
 			}
 		} else {
-			runCentralized(cfg, em, l, replay, phys, checkCost, owner, localCount, rtFree, ready, net, &res)
+			runCentralized(cfg, l, replay, phys, checkCost, owner, localCount, rtFree, ready, net)
 		}
 		res.RuntimeBusySec += sum(rtFree) - rtBefore
 
@@ -246,80 +198,20 @@ func Run(cfg Config, prog Program) (Result, error) {
 					bindID = gpuLast[node][gi]
 				}
 			}
-			normal := cost.GPULaunch + l.ComputeSec
-			busy := normal
-			issuedTotal++
-			straggler := false
-			if se := cfg.Faults.StragglerEvery; se > 0 && cfg.Faults.StragglerFactor > 1 && issuedTotal%se == 0 {
-				// Injected straggler: the attempt runs slower than nominal.
-				straggler = true
-				busy = normal * cfg.Faults.StragglerFactor
-			}
-			if re := cfg.Faults.RetryEvery; re > 0 && issuedTotal%re == 0 {
-				// Injected failure: the attempt is re-executed on the same
-				// processor after the retry scheduling penalty.
-				busy += normal
-				start += cost.RetryPenalty
-				res.Retries++
-				if mx != nil {
-					mx.Retries.Inc()
-				}
-				if rec != nil {
-					rec.MarkTC(em.segTC(node, obs.StageRetry), node, obs.StageRetry, l.Name, l.Name, domain.Pt1(int64(p)), profNS(start))
-				}
-			}
+			busy := cost.GPULaunch + l.ComputeSec
 			end := start + busy
-			charged := busy
-			if straggler && cost.SpeculationQuantile > 0 {
-				// Straggler speculation, mirroring rt: a backup launches on
-				// an assumed-idle healthy node (off the lane model) once the
-				// adaptive threshold — nominal × DefaultSpecMultiplier, since
-				// the cost model knows the latency distribution exactly —
-				// elapses; the earlier completion wins and the loser's work
-				// is discarded.
-				backupStart := start + normal*health.DefaultSpecMultiplier
-				backupEnd := backupStart + normal
-				res.SpecLaunched++
-				res.SpecWasted++
-				if mx != nil {
-					mx.SpecLaunched.Inc()
-					mx.SpecWasted.Inc()
-				}
-				if rec != nil {
-					rec.MarkTC(em.segTC(node, obs.StageSpeculate), node, obs.StageSpeculate, l.Name, l.Name, domain.Pt1(int64(p)), profNS(backupStart))
-				}
-				if backupEnd < end {
-					// Backup wins; the straggling original is cancelled at
-					// commit, freeing its lane. Charge the cancelled
-					// original's partial run plus the backup's full run.
-					end = backupEnd
-					charged = (end - start) + normal
-					res.SpecWon++
-					if mx != nil {
-						mx.SpecWon.Inc()
-					}
-				} else {
-					// Original finished first; the backup's run is waste.
-					charged = busy + normal
-				}
-			}
-			if mx != nil {
-				mx.LatExecute.Observe(profNS(end - start))
-			}
 			gpuFree[node][gi] = end
 			fin[p] = end
-			res.GPUBusySec += charged
-			res.BusyByLaunch[l.Name] += charged
+			res.GPUBusySec += busy
+			res.BusyByLaunch[l.Name] += busy
 			if end > res.MakespanSec {
 				res.MakespanSec = end
 			}
 			if rec != nil {
 				id := rec.NextID()
 				lids[p] = id
-				if bindID != 0 {
-					rec.Edge(bindID, id)
-				}
-				rec.SpanIDTC(em.segTC(node, obs.StageExecute), id, node, obs.StageExecute, l.Name, l.Name,
+				rec.Edge(bindID, id)
+				rec.SpanID(id, node, obs.StageExecute, l.Name, l.Name,
 					domain.Pt1(int64(p)), profNS(start), profNS(end))
 				gpuLast[node][gi] = id
 			}
@@ -331,87 +223,9 @@ func Run(cfg Config, prog Program) (Result, error) {
 		}
 		res.Tasks += int64(l.Points)
 		res.Launches++
-		if mx != nil {
-			mx.TasksExecuted.Add(int64(l.Points))
-		}
 	}
-	runHeartbeats(cfg, em, &res)
-	if mx != nil {
-		mx.Sends.Add(res.HopSends)
-		mx.Retransmits.Add(res.MsgRetransmits)
-	}
-	if rec != nil {
-		// Every simulated run implicitly ends with an execution fence: the
-		// makespan is its completion time. Recording it keeps the stage set
-		// identical to a fenced internal/rt run of the same workload.
-		rec.SpanTC(em.fenceTC(), 0, obs.StageFence, "", "fence", domain.Point{}, profNS(res.MakespanSec), profNS(res.MakespanSec))
-		rec.SetWall(profNS(res.MakespanSec))
-	}
+	rec.SetWall(profNS(res.MakespanSec))
 	return res, nil
-}
-
-// runHeartbeats drives the failure detector over the simulated run: one
-// round every CostModel.HeartbeatPeriod simulated seconds of makespan,
-// probing every non-observer node, with FaultModel.Outages silencing
-// probes. It is the exact internal/health detector rt runs, so a given
-// outage schedule produces the same transition sequence in both domains.
-// Probe traffic is charged off the critical path — heartbeats ride the
-// broadcast tree concurrently with the pipeline, so they consume runtime
-// cores and network sends without extending the makespan.
-func runHeartbeats(cfg Config, em *emitter, res *Result) {
-	hp := cfg.Cost.HeartbeatPeriod
-	if hp <= 0 {
-		return
-	}
-	n := cfg.Machine.Nodes
-	det := health.New(health.Options{Nodes: n})
-	rounds := int64(res.MakespanSec/hp) + 1
-	var probeFails int64
-	for r := int64(0); r < rounds; r++ {
-		trs := det.Tick(func(node int) bool {
-			for _, o := range cfg.Faults.Outages {
-				if o.covers(node, det.Round()) {
-					probeFails++
-					return false
-				}
-			}
-			return true
-		})
-		for _, tr := range trs {
-			switch tr.To {
-			case health.Suspect:
-				res.Suspects++
-				if em != nil {
-					em.mx.HealthSuspects.Inc()
-				}
-			case health.Dead:
-				if em != nil {
-					em.mx.HealthDeaths.Inc()
-				}
-			case health.Alive:
-				res.Rejoins++
-				if em != nil {
-					em.mx.HealthRejoins.Inc()
-				}
-			}
-			if rec := cfg.Profile; rec != nil {
-				label := tr.To.String()
-				if tr.To == health.Alive {
-					label = "rejoin"
-				}
-				rec.Mark(tr.Node, obs.StageHealth, label, "health", domain.Point{}, profNS(float64(tr.Round)*hp))
-			}
-		}
-	}
-	res.HeartbeatRounds = rounds
-	probes := rounds * int64(n-1)
-	res.HopSends += probes
-	// One probe is a request + response hop pair on the transport.
-	res.RuntimeBusySec += float64(probes) * 2 * cfg.Cost.HopLatency
-	if em != nil {
-		em.mx.HealthProbes.Add(probes)
-		em.mx.HealthProbeFails.Add(probeFails)
-	}
 }
 
 func depPoints(dep DepSpec, p, targetLen int) []int {
@@ -426,7 +240,7 @@ func depPoints(dep DepSpec, p, targetLen int) []int {
 
 // runDCR charges every node's runtime core for its replicated share of the
 // launch.
-func runDCR(cfg Config, em *emitter, l Launch, replay bool, phys, checkCost float64, localCount []int, rtFree []float64) {
+func runDCR(cfg Config, l Launch, replay bool, phys, checkCost float64, localCount []int, rtFree []float64) {
 	cost := cfg.Cost
 	for node := range rtFree {
 		local := float64(localCount[node])
@@ -436,7 +250,6 @@ func runDCR(cfg Config, em *emitter, l Launch, replay bool, phys, checkCost floa
 			// Launch-granularity replay: one memoized dependence decision
 			// per launch, no per-point work.
 			c = cost.LaunchIssue
-			_ = local
 		case cfg.IDX && replay:
 			c = cost.LaunchIssue + local*cost.ReplayPerTask
 		case cfg.IDX:
@@ -449,8 +262,8 @@ func runDCR(cfg Config, em *emitter, l Launch, replay bool, phys, checkCost floa
 		default:
 			c = float64(l.Points)*l.perTaskIssue(cost) + local*phys
 		}
-		if em != nil {
-			profDCRNode(em, cfg, l, replay, phys, checkCost, local, node, rtFree[node])
+		if cfg.Profile != nil {
+			profDCRNode(cfg, l, replay, phys, checkCost, local, node, rtFree[node])
 		}
 		rtFree[node] += c
 	}
@@ -460,10 +273,11 @@ func runDCR(cfg Config, em *emitter, l Launch, replay bool, phys, checkCost floa
 // or with tracing-forced expansion, for per-task processing and sends), the
 // broadcast tree for distribution, and destinations for expansion and
 // physical analysis.
-func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkCost float64,
-	owner []int, localCount []int, rtFree, ready []float64, net machine.Network, res *Result) {
+func runCentralized(cfg Config, l Launch, replay bool, phys, checkCost float64,
+	owner []int, localCount []int, rtFree, ready []float64, net machine.Network) {
 
 	cost := cfg.Cost
+	rec := cfg.Profile
 	if cfg.IDX && (!cfg.Tracing || cfg.BulkTracing) {
 		// Compact slice distribution through the broadcast tree. Bulk
 		// trace replays additionally skip logical analysis and the
@@ -471,27 +285,21 @@ func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkC
 		bulkReplay := replay && cfg.BulkTracing
 		perLocal := cost.ExpandPerTask + phys
 		if bulkReplay {
-			if em != nil {
-				profSeg(em, 0, obs.StageIssue, l.Name, rtFree[0], cost.LaunchIssue)
-			}
+			profSeg(rec, 0, obs.StageIssue, l.Name, rtFree[0], cost.LaunchIssue)
 			rtFree[0] += cost.LaunchIssue
 			perLocal = cost.ExpandPerTask
 		} else {
-			if em != nil {
-				t := profSeg(em, 0, obs.StageIssue, l.Name, rtFree[0], cost.LaunchIssue)
-				profSeg(em, 0, obs.StageLogical, l.Name, t, cost.LogicalLaunch+checkCost)
-			}
+			t := profSeg(rec, 0, obs.StageIssue, l.Name, rtFree[0], cost.LaunchIssue)
+			profSeg(rec, 0, obs.StageLogical, l.Name, t, cost.LogicalLaunch+checkCost)
 			rtFree[0] += cost.LaunchIssue + cost.LogicalLaunch + checkCost
 		}
 		t0 := rtFree[0]
 		// Per-hop walk down the broadcast tree (node i's parent is
 		// (i-1)/2): each hop pays network latency, slice handling and the
-		// transport's reliable-hop overhead, and DropEveryHop injects
-		// deterministic drops that stall the hop for the ack timeout before
-		// the re-send. Only hops on routes to nodes that receive slices are
-		// charged, mirroring the transport's per-destination routing. With
-		// HopLatency = 0 and no drops this reduces to the former closed
-		// form t0 + depth·(latency + handling).
+		// transport's reliable-hop overhead. Only hops on routes to nodes
+		// that receive slices are charged, mirroring the transport's
+		// per-destination routing. With HopLatency = 0 this reduces to the
+		// closed form t0 + depth·(latency + handling).
 		arrival := make([]float64, len(rtFree))
 		arrival[0] = t0
 		need := make([]bool, len(rtFree))
@@ -503,29 +311,14 @@ func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkC
 			}
 		}
 		hopCost := net.LatencySec + cost.SliceHandling + cost.HopLatency
-		rec := cfg.Profile
 		for node := 1; node < len(arrival); node++ {
 			if !need[node] {
 				continue
 			}
 			parent := (node - 1) / 2
-			t := arrival[parent]
-			sendStart := t
-			res.HopSends++
-			if de := cfg.Faults.DropEveryHop; de > 0 && res.HopSends%de == 0 {
-				t += cost.RetransmitTimeout
-				res.MsgRetransmits++
-				res.HopSends++
-				if rec != nil {
-					rec.MarkTC(em.segTC(parent, obs.StageRetransmit), parent, obs.StageRetransmit, l.Name, l.Name, domain.Point{}, profNS(t))
-				}
-			}
-			t += hopCost
-			arrival[node] = t
-			if rec != nil {
-				rec.SpanTC(em.segTC(parent, obs.StageSend), parent, obs.StageSend, l.Name, l.Name, domain.Point{}, profNS(sendStart), profNS(t))
-				rec.MarkTC(em.segTC(node, obs.StageRecv), node, obs.StageRecv, l.Name, l.Name, domain.Point{}, profNS(t))
-			}
+			arrival[node] = arrival[parent] + hopCost
+			rec.Span(parent, obs.StageSend, l.Name, l.Name, domain.Point{}, profNS(arrival[parent]), profNS(arrival[node]))
+			rec.Mark(node, obs.StageRecv, l.Name, l.Name, domain.Point{}, profNS(arrival[node]))
 		}
 		for node := range rtFree {
 			if localCount[node] == 0 {
@@ -535,12 +328,10 @@ func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkC
 			if arrival[node] > start {
 				start = arrival[node]
 			}
-			if em != nil {
-				local := float64(localCount[node])
-				t := profSeg(em, node, obs.StageDistribute, l.Name, start, local*cost.ExpandPerTask)
-				if !bulkReplay {
-					profSeg(em, node, obs.StagePhysical, l.Name, t, local*phys)
-				}
+			local := float64(localCount[node])
+			t := profSeg(rec, node, obs.StageDistribute, l.Name, start, local*cost.ExpandPerTask)
+			if !bulkReplay {
+				profSeg(rec, node, obs.StagePhysical, l.Name, t, local*phys)
 			}
 			rtFree[node] = start + float64(localCount[node])*perLocal
 		}
@@ -553,14 +344,8 @@ func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkC
 	// Per-task path: either no index launches, or tracing has forced the
 	// launch to expand before distribution (paper §6.2.1). Node 0
 	// processes and ships every task serially.
-	if em != nil {
-		remote := 0
-		for node, c := range localCount {
-			if node != 0 {
-				remote += c
-			}
-		}
-		profCentralIssue(em, cfg, l, replay, phys, localCount[0], remote, rtFree[0])
+	if rec != nil {
+		profCentralIssue(cfg, l, replay, phys, localCount, rtFree[0])
 	}
 	t := rtFree[0]
 	if cfg.IDX {
@@ -589,26 +374,12 @@ func runCentralized(cfg Config, em *emitter, l Launch, replay bool, phys, checkC
 			continue
 		}
 		t += cost.SendPerTask
-		res.HopSends++
-		arr := t + net.LatencySec + cost.HopLatency
-		if de := cfg.Faults.DropEveryHop; de > 0 && res.HopSends%de == 0 {
-			// Dropped send: the task's arrival stalls for the ack timeout
-			// before the re-send; node 0's issue loop is not blocked.
-			arr += cost.RetransmitTimeout
-			res.MsgRetransmits++
-			res.HopSends++
-			if rec := cfg.Profile; rec != nil {
-				rec.MarkTC(em.segTC(0, obs.StageRetransmit), 0, obs.StageRetransmit, l.Name, l.Name, domain.Pt1(int64(p)), profNS(arr))
-			}
-		}
 		start := destFree[node]
-		if arr > start {
+		if arr := t + net.LatencySec + cost.HopLatency; arr > start {
 			start = arr
 		}
 		if !replay {
-			if em != nil {
-				profSeg(em, node, obs.StagePhysical, l.Name, start, phys)
-			}
+			profSeg(rec, node, obs.StagePhysical, l.Name, start, phys)
 			start += phys
 		}
 		destFree[node] = start

@@ -317,94 +317,10 @@ func TestCustomOwnerPlacement(t *testing.T) {
 	}
 }
 
-func TestFaultRetryOverhead(t *testing.T) {
-	// A 16-task launch with every 4th task re-executing once: 4 retries,
-	// each costing an extra launch + compute on the GPU clocks, plus the
-	// retry penalty. The model is deterministic: repeated runs agree, and
-	// disabling faults recovers the baseline exactly.
-	cfg := simpleConfig(1, true, true)
-	prog := flatProgram(16, 1e-3, 1)
-
-	base, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Retries != 0 {
-		t.Errorf("baseline retries = %d, want 0", base.Retries)
-	}
-
-	cfg.Faults = FaultModel{RetryEvery: 4}
-	faulty, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulty.Retries != 4 {
-		t.Errorf("retries = %d, want 4", faulty.Retries)
-	}
-	wantExtraBusy := 4 * (cfg.Cost.GPULaunch + 1e-3)
-	if got := faulty.GPUBusySec - base.GPUBusySec; math.Abs(got-wantExtraBusy) > 1e-9 {
-		t.Errorf("extra GPU busy = %v, want %v", got, wantExtraBusy)
-	}
-	if faulty.MakespanSec <= base.MakespanSec {
-		t.Errorf("retries should stretch the makespan: %v <= %v",
-			faulty.MakespanSec, base.MakespanSec)
-	}
-
-	again, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Retries != faulty.Retries || again.MakespanSec != faulty.MakespanSec {
-		t.Errorf("fault model nondeterministic: %+v vs %+v", again, faulty)
-	}
-}
-
-func TestHopDropRetransmitOverhead(t *testing.T) {
-	// Centralized IDX path on 8 nodes: slices travel hop-by-hop through the
-	// broadcast tree. Dropping every 3rd hop transmission stalls those hops
-	// for the ack timeout, stretching the makespan; disabling drops recovers
-	// the baseline, and the injection is deterministic.
-	cfg := simpleConfig(8, false, true)
-	prog := flatProgram(8, 1e-3, 4)
-
-	base, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.HopSends == 0 {
-		t.Error("centralized broadcast should charge hop sends")
-	}
-	if base.MsgRetransmits != 0 {
-		t.Errorf("baseline retransmits = %d, want 0", base.MsgRetransmits)
-	}
-
-	cfg.Faults = FaultModel{DropEveryHop: 3}
-	faulty, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulty.MsgRetransmits == 0 {
-		t.Error("DropEveryHop=3 injected no retransmits")
-	}
-	if faulty.MakespanSec <= base.MakespanSec {
-		t.Errorf("hop drops should stretch the makespan: %v <= %v",
-			faulty.MakespanSec, base.MakespanSec)
-	}
-
-	again, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.MsgRetransmits != faulty.MsgRetransmits || again.MakespanSec != faulty.MakespanSec {
-		t.Errorf("hop-drop injection nondeterministic: %+v vs %+v", again, faulty)
-	}
-}
-
 func TestHopLatencyReducesToClosedFormWhenZero(t *testing.T) {
-	// With HopLatency zeroed and no drops, the per-hop arrival walk must
-	// reproduce the closed form t0 + depth·(latency + handling) the engine
-	// previously used — i.e. adding the transport terms changed nothing for
-	// fault-free runs beyond the calibrated HopLatency itself.
+	// With HopLatency zeroed, the per-hop arrival walk must reproduce the
+	// closed form t0 + depth·(latency + handling) — i.e. the transport term
+	// adds nothing beyond the calibrated HopLatency itself.
 	cfg := simpleConfig(8, false, true)
 	cfg.Cost.HopLatency = 0
 	res, err := Run(cfg, prog8())

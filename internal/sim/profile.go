@@ -16,18 +16,13 @@ import (
 // profNS converts simulated seconds to profile-clock nanoseconds.
 func profNS(sec float64) int64 { return int64(sec * 1e9) }
 
-// profSeg emits one stage segment of dur seconds starting at start seconds
-// of simulated time, attributed to the launch it belongs to: a stage span
-// when a recorder is attached, a stage-latency histogram observation when a
-// metrics pipeline is. Zero-duration segments are suppressed to keep
-// profiles at cost-model scale readable.
-func profSeg(em *emitter, node int, st obs.Stage, launch string, start, dur float64) float64 {
+// profSeg records one stage span of dur seconds starting at start seconds
+// of simulated time, attributed to the launch it belongs to, and returns its
+// end. Zero-duration segments are suppressed to keep profiles at cost-model
+// scale readable. A nil recorder records nothing.
+func profSeg(rec *obs.Recorder, node int, st obs.Stage, launch string, start, dur float64) float64 {
 	if dur > 0 {
-		if em.rec != nil {
-			em.rec.SpanTC(em.segTC(node, st), node, st, launch, launch,
-				domain.Point{}, profNS(start), profNS(start+dur))
-		}
-		em.stageHist(st).Observe(profNS(dur))
+		rec.Span(node, st, launch, launch, domain.Point{}, profNS(start), profNS(start+dur))
 	}
 	return start + dur
 }
@@ -35,38 +30,38 @@ func profSeg(em *emitter, node int, st obs.Stage, launch string, start, dur floa
 // profDCRNode mirrors runDCR's per-node charge c as stage segments laid out
 // back to back from t0 = rtFree[node]. The segment durations are the same
 // cost components runDCR sums into c, so they partition [t0, t0+c].
-func profDCRNode(em *emitter, cfg Config, l Launch, replay bool,
+func profDCRNode(cfg Config, l Launch, replay bool,
 	phys, checkCost, local float64, node int, t0 float64) {
 
-	cost := cfg.Cost
+	rec, cost := cfg.Profile, cfg.Cost
 	t := t0
 	switch {
 	case cfg.IDX && replay && cfg.BulkTracing:
-		profSeg(em, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
+		profSeg(rec, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
 	case cfg.IDX && replay:
-		t = profSeg(em, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
-		profSeg(em, node, obs.StageReplay, l.Name, t, local*cost.ReplayPerTask)
+		t = profSeg(rec, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
+		profSeg(rec, node, obs.StageReplay, l.Name, t, local*cost.ReplayPerTask)
 	case cfg.IDX:
-		t = profSeg(em, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
-		t = profSeg(em, node, obs.StageLogical, l.Name, t, cost.LogicalLaunch+checkCost)
-		t = profSeg(em, node, obs.StageDistribute, l.Name, t, local*cost.ShardPerLocalTask)
-		profSeg(em, node, obs.StagePhysical, l.Name, t, local*phys)
+		t = profSeg(rec, node, obs.StageIssue, l.Name, t, cost.LaunchIssue)
+		t = profSeg(rec, node, obs.StageLogical, l.Name, t, cost.LogicalLaunch+checkCost)
+		t = profSeg(rec, node, obs.StageDistribute, l.Name, t, local*cost.ShardPerLocalTask)
+		profSeg(rec, node, obs.StagePhysical, l.Name, t, local*phys)
 	case replay:
 		if l.PerTaskReplay > 0 {
 			// Application-overridden per-task cost: no decomposition known.
-			profSeg(em, node, obs.StageReplay, l.Name, t, float64(l.Points)*l.PerTaskReplay)
+			profSeg(rec, node, obs.StageReplay, l.Name, t, float64(l.Points)*l.PerTaskReplay)
 			return
 		}
-		t = profSeg(em, node, obs.StageIssue, l.Name, t, float64(l.Points)*cost.TaskIssue)
-		profSeg(em, node, obs.StageReplay, l.Name, t, float64(l.Points)*cost.ReplayPerTask)
+		t = profSeg(rec, node, obs.StageIssue, l.Name, t, float64(l.Points)*cost.TaskIssue)
+		profSeg(rec, node, obs.StageReplay, l.Name, t, float64(l.Points)*cost.ReplayPerTask)
 	default:
 		if l.PerTaskIssue > 0 {
-			t = profSeg(em, node, obs.StageIssue, l.Name, t, float64(l.Points)*l.PerTaskIssue)
+			t = profSeg(rec, node, obs.StageIssue, l.Name, t, float64(l.Points)*l.PerTaskIssue)
 		} else {
-			t = profSeg(em, node, obs.StageIssue, l.Name, t, float64(l.Points)*cost.TaskIssue)
-			t = profSeg(em, node, obs.StageLogical, l.Name, t, float64(l.Points)*cost.LogicalTask)
+			t = profSeg(rec, node, obs.StageIssue, l.Name, t, float64(l.Points)*cost.TaskIssue)
+			t = profSeg(rec, node, obs.StageLogical, l.Name, t, float64(l.Points)*cost.LogicalTask)
 		}
-		profSeg(em, node, obs.StagePhysical, l.Name, t, local*phys)
+		profSeg(rec, node, obs.StagePhysical, l.Name, t, local*phys)
 	}
 }
 
@@ -74,12 +69,10 @@ func profDCRNode(em *emitter, cfg Config, l Launch, replay bool,
 // path: launch build + expansion (distribution work), per-task issuance and
 // logical analysis (or replay), the centralized per-task burden and sends
 // (distribution), and the inline physical analysis of node-0-local points.
-func profCentralIssue(em *emitter, cfg Config, l Launch, replay bool,
-	phys float64, local0, remote int, t0 float64) {
-
-	cost := cfg.Cost
+func profCentralIssue(cfg Config, l Launch, replay bool, phys float64, localCount []int, t0 float64) {
+	rec, cost := cfg.Profile, cfg.Cost
 	points := float64(l.Points)
-	t := t0
+	remote := points - float64(localCount[0])
 	var issue, logical, replayNS float64
 	switch {
 	case replay && l.PerTaskReplay > 0:
@@ -93,19 +86,17 @@ func profCentralIssue(em *emitter, cfg Config, l Launch, replay bool,
 		issue = points * cost.TaskIssue
 		logical = points * cost.LogicalTask
 	}
-	if cfg.IDX {
-		issue += cost.LaunchIssue
-	}
 	dist := points * cost.CentralPerTask
 	if cfg.IDX {
+		issue += cost.LaunchIssue
 		dist += points * cost.ExpandPerTask
 	}
-	dist += float64(remote) * cost.SendPerTask
-	t = profSeg(em, 0, obs.StageIssue, l.Name, t, issue)
-	t = profSeg(em, 0, obs.StageLogical, l.Name, t, logical)
-	t = profSeg(em, 0, obs.StageReplay, l.Name, t, replayNS)
-	t = profSeg(em, 0, obs.StageDistribute, l.Name, t, dist)
+	dist += remote * cost.SendPerTask
+	t := profSeg(rec, 0, obs.StageIssue, l.Name, t0, issue)
+	t = profSeg(rec, 0, obs.StageLogical, l.Name, t, logical)
+	t = profSeg(rec, 0, obs.StageReplay, l.Name, t, replayNS)
+	t = profSeg(rec, 0, obs.StageDistribute, l.Name, t, dist)
 	if !replay {
-		profSeg(em, 0, obs.StagePhysical, l.Name, t, float64(local0)*phys)
+		profSeg(rec, 0, obs.StagePhysical, l.Name, t, float64(localCount[0])*phys)
 	}
 }

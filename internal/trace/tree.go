@@ -98,10 +98,8 @@ func shapeOf(n *Node) string {
 
 // LaunchShape reduces a trace to launch granularity: one line per
 // issue-stage span in start order, "issue:<tag> execute=N", where N
-// counts execute-stage descendants. This is the shape the rt/sim parity
-// test compares — the two producers agree on launches and per-launch
-// execute fan-out even though rt records per-point physical analysis
-// while the simulator aggregates per node.
+// counts execute-stage descendants — launches and their per-launch
+// execute fan-out, independent of how physical analysis was recorded.
 func LaunchShape(spans []obs.Event) string {
 	roots := Tree(spans)
 	var lines []string
