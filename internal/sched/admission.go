@@ -103,7 +103,7 @@ func (a Admission) Weights() map[string]int {
 }
 
 // admission is the live token-bucket state behind an Admission config. Like
-// the rest of the core it has no clock: buckets refill once per owner tick.
+// the rest of the state it has no clock: buckets refill once per advance.
 type admission struct {
 	opt      Admission
 	capacity float64 // live-node fraction in [0, 1]; scales refill
@@ -135,15 +135,10 @@ func (q Quota) burst() float64 {
 	return math.Max(q.Rate, 1)
 }
 
-func (a *admission) setCapacity(f float64) {
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	a.capacity = f
-}
+func (a *admission) setCapacity(f float64) { a.capacity = clampCapacity(f) }
+
+// clampCapacity bounds a capacity factor to [0, 1].
+func clampCapacity(f float64) float64 { return min(max(f, 0), 1) }
 
 // bucketFor returns the tenant's bucket, created full on first use.
 func (a *admission) bucketFor(tenant string) *bucket {

@@ -10,29 +10,29 @@ import (
 	"indexlaunch/internal/trace"
 )
 
-// Scheduler overhead benchmarks: the policy core's per-decision cost, the
+// Scheduler overhead benchmarks: the state machine's per-decision cost, the
 // virtual-time driver's whole-trace cost, the live front end's
 // submit-to-completion round trip, and a traced job end to end. CI's smoke pass runs these with
 // -benchtime=1x, so allocation regressions surface as allocs/op.
 
 func BenchmarkPolicySubmitDispatch(b *testing.B) {
-	p := newPolicy(NewWeightedFair(1, map[string]int{"a": 1, "b": 2}, 1),
-		newAdmission(Admission{MaxQueued: 1 << 30}), 4)
+	st := newState(NewWeightedFair(1, map[string]int{"a": 1, "b": 2}, 1),
+		Admission{MaxQueued: 1 << 30}, 4, 0)
 	tenants := []string{"a", "b", "c"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := &Job{ID: JobID(i + 1), Spec: JobSpec{Tenant: tenants[i%3]}}
-		if _, rej := p.submit(j); rej != nil {
-			b.Fatal(rej)
+		j := &Job{Spec: JobSpec{Tenant: tenants[i%3]}}
+		if fx, _ := st.apply(op{K: opSubmit, Job: JobID(i + 1), job: j}); fx.reject != nil {
+			b.Fatal(fx.reject)
 		}
-		jb, _ := p.dispatch()
-		if jb == nil {
+		fx, _ := st.apply(op{K: opDispatch})
+		if fx.dispatched == nil {
 			b.Fatal("dispatch returned nil with queued work")
 		}
-		p.complete(jb, nil)
+		st.apply(op{K: opComplete, Job: fx.dispatched.ID})
 		if i%16 == 0 {
-			p.advance()
+			st.apply(op{K: opAdvance})
 		}
 	}
 }

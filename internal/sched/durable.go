@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"indexlaunch/internal/domain"
@@ -41,19 +39,16 @@ type DurableOptions struct {
 	Prof    *obs.Recorder
 }
 
-// openDurable opens (or creates) the journal at o.Dir and rebuilds
-// scheduler state from it: torn-tail cleanup, newest-snapshot load, op
-// replay. It reports recovery metrics and the recover span, and returns the
-// ready journal plus the rebuilt core.
-func openDurable(o DurableOptions, timed bool, q Queue, adm *admission, slots int,
-	rebuild func(*SubmitRequest) RunFunc, termCap int) (*journal, *recoveredCore, error) {
+// openDurable opens (or creates) the journal at o.Dir and recovers st, a
+// fresh state, from it: torn-tail cleanup, newest-snapshot load, op replay.
+// It reports recovery metrics and the recover span, and returns the ready
+// journal.
+func openDurable(o DurableOptions, timed bool, st *state) (*journal, RecoveryReport, error) {
 	var nowNS func() int64
+	var start int64
 	if o.Prof != nil {
 		nowNS = o.Prof.Now
-	}
-	start := int64(0)
-	if o.Prof != nil {
-		start = o.Prof.Now()
+		start = nowNS()
 	}
 	log, rec, err := wal.Open(o.Dir, wal.Options{
 		Fsync:        o.Fsync,
@@ -61,30 +56,30 @@ func openDurable(o DurableOptions, timed bool, q Queue, adm *admission, slots in
 		SegmentBytes: o.SegmentBytes,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, RecoveryReport{}, err
 	}
-	rc, err := rebuildCore(rec, q, adm, slots, rebuild, termCap)
+	rep, err := st.recover(rec)
 	if err != nil {
 		log.Close()
-		return nil, nil, err
+		return nil, rep, err
 	}
 	if mx := o.Metrics; mx != nil {
-		if rc.report.Recovered {
+		if rep.Recovered {
 			mx.Recoveries.Inc()
 		}
-		if rc.report.SnapshotLoaded {
+		if rep.SnapshotLoaded {
 			mx.SnapshotLoads.Inc()
 		}
-		mx.ReplayedRecords.Add(int64(rc.report.ReplayedOps))
-		mx.TruncatedBytes.Add(rc.report.TruncatedBytes)
-		mx.RequeuedJobs.Add(int64(rc.report.RequeuedJobs))
-		mx.ResumedJobs.Add(int64(rc.report.ResumedJobs))
+		mx.ReplayedRecords.Add(int64(rep.ReplayedOps))
+		mx.TruncatedBytes.Add(rep.TruncatedBytes)
+		mx.RequeuedJobs.Add(int64(rep.RequeuedJobs))
+		mx.ResumedJobs.Add(int64(rep.ResumedJobs))
 	}
 	if o.Prof != nil {
 		o.Prof.Span(0, obs.StageRecover, "",
-			fmt.Sprintf("replayed:%d", rc.report.ReplayedOps), domain.Point{}, start, o.Prof.Now())
+			fmt.Sprintf("replayed:%d", rep.ReplayedOps), domain.Point{}, start, o.Prof.Now())
 	}
-	return newJournal(log, o, timed, nowNS), rc, nil
+	return newJournal(log, o, timed, nowNS), rep, nil
 }
 
 // DurableTraceResult is RunTraceDurable's outcome: the trace result (every
@@ -102,239 +97,27 @@ type DurableTraceResult struct {
 	Ops int
 }
 
-// traceAux is the trace driver's owner-private snapshot state: the next
-// arrival index.
-type traceAux struct {
-	Next int `json:"next"`
-}
-
 // RunTraceDurable is RunTrace with a write-ahead journal underneath: every
-// core op is written as it is decided and the tick's ops are committed
-// together before the virtual clock moves past them (the driver's one
-// acknowledgement point: the same logOp/commit pair the live scheduler uses,
-// with one committer), and on start
-// the run resumes from whatever consistent prefix the journal holds. Killing
-// the process at any point and re-running with the same (trace, config, dir)
-// converges on a decision log byte-identical to the crash-free run — the
-// determinism contract the crash-injection harness locks in.
+// op is written as it is applied and the tick's ops are committed together
+// before the virtual clock moves past them, and on start the run resumes
+// from whatever consistent prefix the journal holds. Killing the process at
+// any point and re-running with the same (trace, config, dir) converges on a
+// decision log byte-identical to the crash-free run — the determinism
+// contract the crash-injection harness locks in.
 func RunTraceDurable(tr Trace, cfg TraceConfig, o DurableOptions) (*DurableTraceResult, error) {
-	slots := cfg.Executors
-	if slots < 1 {
-		slots = 2
-	}
-	jn, rc, err := openDurable(o, o.Metrics != nil || o.Prof != nil,
-		cfg.Queue, newAdmission(cfg.Admission), slots, nil, 0)
+	st := newTraceState(cfg)
+	jn, rep, err := openDurable(o, o.Metrics != nil || o.Prof != nil, st)
 	if err != nil {
 		return nil, err
 	}
 	defer jn.log.Close()
-
-	c := rc.core
-	jobs := rc.jobs
-	id := rc.nextID
-	capacity := rc.capacity
-	out := &DurableTraceResult{Report: rc.report}
-
-	// Resume the arrival cursor: the snapshot's aux holds it as of the
-	// snapshot; replayed submit ops advance it past that.
-	next := 0
-	if len(rc.aux) > 0 {
-		var aux traceAux
-		if err := json.Unmarshal(rc.aux, &aux); err != nil {
-			return nil, fmt.Errorf("sched: decode trace aux state: %w", err)
-		}
-		next = aux.Next
+	if int(st.nextID) > len(tr.Jobs) {
+		return nil, fmt.Errorf("sched: journal holds %d arrivals, the trace %d", st.nextID, len(tr.Jobs))
 	}
-	if rc.maxArrival+1 > next {
-		next = rc.maxArrival + 1
-	}
-
-	// Rebuild the completion schedule for jobs running at the crash: a
-	// trace job admitted at tick T with service S completes at T+S.
-	finishing := map[int64][]*Job{}
-	inFlight := 0
-	for _, j := range c.running {
-		svc := j.service
-		if svc < 1 {
-			svc = 1
-		}
-		finishing[j.admitTick+svc] = append(finishing[j.admitTick+svc], j)
-		inFlight++
-	}
-
-	var tail uint64 // seq of the newest op written this tick; committed once per tick
-	logOp := func(op op) error {
-		a, err := jn.logOp(op, false)
-		if err != nil {
-			return err
-		}
-		tail = a.seq
-		out.Ops++
-		if o.OpDelay > 0 {
-			time.Sleep(o.OpDelay)
-		}
-		return nil
-	}
-	stopped := func() bool { return o.MaxOps > 0 && out.Ops >= o.MaxOps }
-	snapshot := func() error {
-		aux, err := json.Marshal(traceAux{Next: next})
-		if err != nil {
-			return err
-		}
-		st, err := captureSnapshot(c, jobs, id, capacity, rc.terminal, rc.dedup, aux)
-		if err != nil {
-			return err
-		}
-		return jn.snapshot(st)
-	}
-	finish := func(j *Job, failed bool, msg string) {
-		delete(jobs, j.ID)
-		rc.terminal.add(TerminalJob{
-			ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
-			Failed: failed, Attempts: j.attempts, Error: msg,
-		})
-	}
-
-	for !stopped() {
-		if cfg.CapacityAt != nil {
-			if f := cfg.CapacityAt(c.tick); f != capacity {
-				capacity = f
-				c.adm.setCapacity(f)
-				if err := logOp(op{K: opCapacity, Cap: f}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// 1. Completions due now.
-		if done := finishing[c.tick]; len(done) > 0 {
-			sort.Slice(done, func(i, j int) bool { return done[i].ID < done[j].ID })
-			for _, j := range done {
-				c.complete(j, nil)
-				inFlight--
-				finish(j, false, "")
-				if err := logOp(op{K: opComplete, Job: j.ID}); err != nil {
-					return nil, err
-				}
-			}
-			delete(finishing, c.tick)
-		}
-		// 2. Arrivals due now. Rejected submissions are journaled too:
-		// replay reproduces the reject (and its decision) deterministically.
-		for next < len(tr.Jobs) && tr.Jobs[next].At <= c.tick && !stopped() {
-			a := tr.Jobs[next]
-			arr := next
-			next++
-			id++
-			j := &Job{ID: id, Spec: JobSpec{
-				Tenant: a.Tenant, Priority: a.Priority, Cost: a.Cost, Deadline: a.Deadline,
-			}, service: a.Service}
-			if _, rej := c.submit(j); rej == nil {
-				jobs[id] = j
-			}
-			if err := logOp(op{K: opSubmit, Job: id, Spec: wireFromJob(j), Arr: arr}); err != nil {
-				return nil, err
-			}
-		}
-		// 3. Dispatch onto free slots.
-		for !stopped() {
-			j, expired := c.dispatch()
-			for _, e := range expired {
-				finish(e, true, ErrDeadlineExpired.Error())
-			}
-			if j == nil && len(expired) == 0 {
-				break
-			}
-			var jid JobID
-			if j != nil {
-				jid = j.ID
-				svc := j.service
-				if svc < 1 {
-					svc = 1
-				}
-				finishing[c.tick+svc] = append(finishing[c.tick+svc], j)
-				inFlight++
-			}
-			if err := logOp(op{K: opDispatch, Job: jid}); err != nil {
-				return nil, err
-			}
-			if j == nil {
-				break
-			}
-		}
-		if jn.wantSnapshot() {
-			if err := snapshot(); err != nil {
-				return nil, err
-			}
-		}
-		if tail != 0 {
-			if err := jn.commit(tail); err != nil {
-				return nil, err
-			}
-			tail = 0
-		}
-		if next >= len(tr.Jobs) && inFlight == 0 && c.q.Len() == 0 {
-			out.Done = true
-			break
-		}
-		jn.tick()
-		c.advance()
-	}
-
-	if err := jn.log.Sync(); err != nil {
+	out, err := runTrace(tr, cfg, st, jn, o)
+	if err != nil {
 		return nil, err
 	}
-	out.TraceResult = deriveResult(c.log)
+	out.Report = rep
 	return out, nil
-}
-
-// deriveResult reconstructs a TraceResult purely from the decision log, so
-// a run resumed across any number of crashes reports exactly what one
-// uninterrupted run reports. Costs come from enqueue details, waits from
-// admit details — both part of the canonical rendered form.
-func deriveResult(log []Decision) TraceResult {
-	res := TraceResult{
-		Completed:  map[string]int{},
-		Rejected:   map[string]int{},
-		Expired:    map[string]int{},
-		ServedCost: map[string]int64{},
-		Log:        log,
-	}
-	cost := map[JobID]int64{}
-	for _, d := range log {
-		switch d.Kind {
-		case KindEnqueue:
-			var prio int
-			var c int64
-			if _, err := fmt.Sscanf(d.Detail, "prio=%d cost=%d", &prio, &c); err == nil {
-				cost[d.Job] = c
-			}
-		case KindAdmit:
-			c := cost[d.Job]
-			if c < 1 {
-				c = 1
-			}
-			res.ServedCost[d.Tenant] += c
-			var wait int64
-			if _, err := fmt.Sscanf(d.Detail, "wait=%d", &wait); err == nil {
-				res.Waits = append(res.Waits, wait)
-			}
-		case KindComplete:
-			res.Completed[d.Tenant]++
-		case KindReject:
-			res.Rejected[d.Tenant]++
-		case KindExpire:
-			res.Expired[d.Tenant]++
-		}
-		if d.Tick > res.Makespan {
-			res.Makespan = d.Tick
-		}
-	}
-	var completed int
-	for _, n := range res.Completed {
-		completed += n
-	}
-	if res.Makespan > 0 {
-		res.JobsPerKTick = float64(completed) * 1000 / float64(res.Makespan)
-	}
-	return res
 }

@@ -111,18 +111,42 @@ func TestPowerCutKeepsAcknowledged(t *testing.T) {
 	check("at the end", endDir, endSub, endFin)
 }
 
+// holdFirstFsync holds the journal's first fsync in flight: inFlight closes
+// once it is, and release (idempotent) lets it finish. Nothing is durable
+// until then. Defer release after Shutdown, which commits.
+func holdFirstFsync(s *Scheduler) (inFlight <-chan struct{}, release func()) {
+	in, rel := make(chan struct{}), make(chan struct{})
+	var first, once sync.Once
+	s.jn.log.SetSyncHook(func(string, int64) {
+		first.Do(func() { close(in); <-rel })
+	})
+	return in, func() { once.Do(func() { close(rel) }) }
+}
+
+// await polls cond under Scheduler.mu until it holds.
+func await(t *testing.T, s *Scheduler, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
 // TestNoFsyncUnderSchedulerLock holds a commit fsync in flight and requires
 // everything that takes Scheduler.mu to go through meanwhile — while the
 // submit that waits on that fsync stays unacknowledged.
 func TestNoFsyncUnderSchedulerLock(t *testing.T) {
 	s := MustNew(alwaysCfg(t.TempDir()))
 	defer s.Shutdown()
-	inFlight, release := make(chan struct{}), make(chan struct{})
-	var first, unblock sync.Once
-	defer unblock.Do(func() { close(release) }) // before Shutdown, which commits
-	s.jn.log.SetSyncHook(func(string, int64) {
-		first.Do(func() { close(inFlight); <-release })
-	})
+	inFlight, release := holdFirstFsync(s)
+	defer release()
 
 	acked := make(chan JobID, 1)
 	go func() {
@@ -139,7 +163,6 @@ func TestNoFsyncUnderSchedulerLock(t *testing.T) {
 		defer close(through)
 		s.Lookup(1)
 		s.Status()
-		s.Log()
 		s.SetCapacityFactor(0.5) // a journal write, under mu, beside the fsync
 	}()
 	select {
@@ -153,9 +176,95 @@ func TestNoFsyncUnderSchedulerLock(t *testing.T) {
 	default:
 	}
 
-	unblock.Do(func() { close(release) })
+	release()
 	if err := s.Wait(<-acked); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyHitWaitsForOriginalCommit holds the original submit's fsync while
+// its job runs to completion, then resubmits under the same key: the
+// duplicate hands out the same ID, so it too waits until that ID is durable —
+// though the job has already retired from the scheduler state.
+func TestKeyHitWaitsForOriginalCommit(t *testing.T) {
+	s := MustNew(alwaysCfg(t.TempDir()))
+	defer s.Shutdown()
+	inFlight, release := holdFirstFsync(s)
+	defer release()
+
+	submit := func(out chan<- JobID) {
+		id, err := s.SubmitIdempotent(JobSpec{Tenant: "a", Run: noopRun}, "k")
+		if err != nil {
+			t.Error(err)
+		}
+		out <- id
+	}
+	orig, dup := make(chan JobID, 1), make(chan JobID, 1)
+	go submit(orig)
+	<-inFlight
+	await(t, s, "job 1 retires", func() bool { _, ok := s.st.terminal.get(1); return ok })
+	go submit(dup)
+	select {
+	case id := <-dup:
+		t.Fatalf("duplicate submit returned job %d before the original's record was durable", id)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if a, b := <-orig, <-dup; a != 1 || b != 1 {
+		t.Fatalf("original and duplicate submits returned %d and %d, want 1 and 1", a, b)
+	}
+}
+
+// TestUnpublishedFinishOutlivesRetention finishes more jobs than the
+// terminal ring holds while their records wait for an fsync: a job evicted
+// from the ring before its finish was published is still running to its
+// observers — Lookup finds it, Wait blocks — until the commit publishes it.
+func TestUnpublishedFinishOutlivesRetention(t *testing.T) {
+	const n = 6
+	cfg := alwaysCfg(t.TempDir())
+	cfg.TerminalRetention = 2
+	s := MustNew(cfg)
+	defer s.Shutdown()
+	inFlight, release := holdFirstFsync(s)
+	defer release()
+
+	var submitted sync.WaitGroup
+	for i := 0; i < n; i++ {
+		submitted.Add(1)
+		go func() {
+			defer submitted.Done()
+			if _, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	<-inFlight
+	await(t, s, "every job finishes unpublished", func() bool {
+		return s.st.nextID == n && s.st.idle() && len(s.unacked) == n
+	})
+	// The first job to finish was the first to retire, so the ring has
+	// evicted it.
+	s.mu.Lock()
+	id := s.unacked[0].j.ID
+	_, retained := s.st.terminal.get(id)
+	s.mu.Unlock()
+	if retained {
+		t.Fatalf("job %d is still in the 2-slot terminal ring; the test needs it evicted", id)
+	}
+	if info, res := s.Lookup(id); res != LookupFound || info.State == "done" {
+		t.Fatalf("Lookup(%d) before its finish is durable = %+v, %v; want found, not done", id, info, res)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- s.Wait(id) }()
+	select {
+	case err := <-waited:
+		t.Fatalf("Wait(%d) returned %v before its finish was durable", id, err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	submitted.Wait()
+	if err := <-waited; err != nil {
+		t.Fatalf("Wait(%d) = %v", id, err)
 	}
 }
 

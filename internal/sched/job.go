@@ -7,16 +7,18 @@
 // with deficit counters), and runs them through a bounded pool of
 // rt.Runtime executors over a shared simulated machine.
 //
-// The package is split the same way internal/health splits detection from
-// wiring: a pure, deterministic policy core (core.go, queue.go,
-// admission.go) that has no clock of its own — logical time is the tick
-// counter, advanced only by its owner — and a concurrent front end
-// (sched.go, http.go) that drives the core under a mutex, executes jobs on
-// goroutines, and emits obs events and metrics. Every decision the core
-// takes (enqueue, reject, admit, complete, preempt, expire, drain) is
-// appended to a decision log whose rendered form is canonical: for a fixed
-// seeded arrival trace (trace.go) the log is byte-identical across runs,
-// which is what lets the chaos/soak matrices extend to scheduling.
+// The package is one deterministic state machine (core.go, queue.go,
+// admission.go) with no clock of its own — logical time is the tick
+// counter, moved by an advance op — whose apply(op) is the only way
+// scheduler state changes, and three owners that feed it ops: the concurrent
+// front end (sched.go, http.go), which applies them under a mutex, executes
+// jobs on goroutines and emits obs events and metrics; journal replay
+// (journal.go); and the virtual-time trace driver (trace.go). Every decision
+// the state takes (enqueue, reject, admit, complete, preempt, expire, drain)
+// is counted per tenant or, for the trace driver, appended to a decision log
+// whose rendered form is canonical: for a fixed seeded arrival trace the log
+// is byte-identical across runs, which is what lets the chaos/soak matrices
+// extend to scheduling.
 package sched
 
 import (
@@ -108,14 +110,14 @@ func (s JobSpec) cost() int64 {
 	return s.Cost
 }
 
-// Job is one submitted job's bookkeeping. The core fields (ticks) are
+// Job is one submitted job's bookkeeping. The state fields (ticks) are
 // logical; the live fields (clock, state, done) belong to the concurrent
 // scheduler and are guarded by its mutex.
 type Job struct {
 	ID   JobID
 	Spec JobSpec
 
-	// enqueueTick / admitTick stamp the core's logical clock; waited is
+	// enqueueTick / admitTick stamp the state's logical clock; waited is
 	// their difference at admission.
 	enqueueTick int64
 	admitTick   int64
@@ -129,7 +131,10 @@ type Job struct {
 	// schedule after recovery); 0 for live jobs.
 	service int64
 
-	// Live scheduler state.
+	// Live scheduler state. apply moves state through queued and running;
+	// the live scheduler makes it terminal when it publishes the finish.
+	// done is nil for a job no live scheduler waits on (the trace driver's,
+	// or one retired during recovery).
 	enqueueNS        int64
 	state            JobState
 	err              error

@@ -16,24 +16,23 @@ import (
 
 // The job journal: scheduler durability as re-playable values.
 //
-// Every mutation of the policy core — submit, dispatch, complete, preempt,
-// tick advance, capacity change, drain, shutdown-abandon — is one journaled
-// op. The core is deterministic, so replaying the op stream through a fresh
-// core rebuilds byte-identical state: the same decision log (seq for seq),
-// the same queue order, the same token-bucket levels, the same running set.
-// A periodic snapshot captures the whole state (queue + tenant quotas +
-// token buckets + live jobs + decision history + terminal ring + dedup
-// table) so replay cost is bounded by snapshot cadence, and wal compaction
-// bounds disk.
+// Every change to the scheduler state — submit, dispatch, complete, preempt,
+// tick advance, capacity change, drain, shutdown-abandon — is one op, and
+// journal.apply is the one path that applies an op and writes it, so journal
+// order is state order by construction. state.apply is deterministic, so
+// replaying the op stream through a fresh state rebuilds byte-identical
+// state: the same decisions (seq for seq), the same queue order, the same
+// token-bucket levels, the same running set. A periodic snapshot captures the
+// whole state (queue + token buckets + live jobs + terminal ring + dedup
+// table + tenant counts, or the decision log for an owner that keeps one) so
+// replay cost is bounded by snapshot cadence, and wal compaction bounds disk.
 //
-// Journaling an op is two steps. The owner writes the record under its own
-// serialization, right after the core applied the op, so journal order is
-// core order (logOp: frame + write(2), no fsync). Whoever acknowledges an
-// effect of that op — the submit's returned ID, a job's terminal state —
-// first waits, outside the owner's lock, for the record's seq to be durable
-// per the fsync policy (commit). Ops that acknowledge nothing (dispatch,
-// preempt, capacity, advance, a rejected submit) are never waited on; they
-// ride the next commit. That is safe because the log is prefix-durable:
+// Writing a record does not sync it. Whoever acknowledges an effect of an op
+// — the submit's returned ID, a job's terminal state — first waits, outside
+// the owner's lock, for the record's seq to be durable per the fsync policy
+// (commit). Ops that acknowledge nothing (dispatch, preempt, capacity,
+// advance, a rejected submit) are never waited on; they ride the next
+// commit. That is safe because the log is prefix-durable:
 //
 //	acked ⇒ durable ≥ its seq; recovered state = a prefix of the journal;
 //	therefore acked effects ⊆ recovered state.
@@ -42,12 +41,12 @@ import (
 // redoes it identically — the property the crash-injection harness locks in
 // byte for byte.
 //
-// Empty ticks are coalesced: the tick loop only counts advances, and the
-// next journaled op flushes them as a single opAdvance{N}. Ticks that
-// produced no op before a crash are unobservable in the decision log, so
-// losing them keeps recovery self-consistent.
+// Empty ticks are coalesced: an advance is only counted, and the next written
+// op flushes the backlog as a single opAdvance{N}. Ticks that produced no op
+// before a crash are unobservable in the decisions, so losing them keeps
+// recovery self-consistent.
 
-// opKind enumerates journaled core operations.
+// opKind enumerates journaled state operations.
 type opKind uint8
 
 const (
@@ -67,7 +66,8 @@ var opNames = map[opKind]string{
 	opCapacity: "capacity", opAbandon: "abandon",
 }
 
-// op is one journal record (JSON-encoded into a wal record).
+// op is one state operation and its journal record (JSON-encoded into a wal
+// record).
 type op struct {
 	K    opKind    `json:"k"`
 	Job  JobID     `json:"j,omitempty"`
@@ -77,7 +77,11 @@ type op struct {
 	N    int64     `json:"n,omitempty"` // advance: coalesced tick count
 	Cap  float64   `json:"c,omitempty"` // capacity: new factor
 	Key  string    `json:"y,omitempty"` // submit: idempotency key
-	Arr  int       `json:"a,omitempty"` // submit: trace arrival index
+
+	// job is a submit's job as its owner built it (the live scheduler's
+	// carries its body); Spec is derived from it when the op is written, and
+	// replay builds the job from Spec.
+	job *Job
 }
 
 // WireSpec is a job's durable form: everything needed to re-create its
@@ -125,7 +129,6 @@ func jobFromWire(id JobID, ws *WireSpec, rebuild func(*SubmitRequest) RunFunc) *
 			Request:  ws.Request,
 		},
 		service: ws.Service,
-		done:    make(chan struct{}),
 	}
 	if ws.Request != nil && rebuild != nil {
 		j.Spec.Run = rebuild(ws.Request)
@@ -144,48 +147,50 @@ type TerminalJob struct {
 	Error    string `json:"error,omitempty"`
 }
 
+// retiredJob is a terminal ring entry: the durable terminal state, plus the
+// *Job it came from when the job retired in this process (nil when restored
+// from a snapshot).
+type retiredJob struct {
+	TerminalJob
+	job *Job
+}
+
 // terminalRing is the bounded retention of terminal job states, oldest
-// evicted first. Evicted IDs still answer "gone" (410) rather than
-// "unknown" (404) because IDs are dense: anything at or below the highest
-// assigned ID existed.
+// evicted first; a zero cap retains nothing. Evicted IDs still answer "gone"
+// (410) rather than "unknown" (404) because IDs are dense: anything at or
+// below the highest assigned ID existed.
 type terminalRing struct {
 	cap   int
-	m     map[JobID]TerminalJob
+	m     map[JobID]retiredJob
 	order []JobID
 }
 
 func newTerminalRing(capacity int) *terminalRing {
-	if capacity < 1 {
-		capacity = doneRetention
-	}
-	return &terminalRing{cap: capacity, m: map[JobID]TerminalJob{}}
+	return &terminalRing{cap: capacity, m: map[JobID]retiredJob{}}
 }
 
-// add retains tj, returning the IDs evicted to stay within the cap.
-func (r *terminalRing) add(tj TerminalJob) (evicted []JobID) {
-	if _, ok := r.m[tj.ID]; ok {
-		return nil
+// add retains tj (and j, nil allowed), evicting the oldest past the cap.
+func (r *terminalRing) add(tj TerminalJob, j *Job) {
+	if _, ok := r.m[tj.ID]; ok || r.cap == 0 {
+		return
 	}
-	r.m[tj.ID] = tj
+	r.m[tj.ID] = retiredJob{tj, j}
 	r.order = append(r.order, tj.ID)
 	for len(r.order) > r.cap {
-		old := r.order[0]
-		delete(r.m, old)
+		delete(r.m, r.order[0])
 		r.order = r.order[1:]
-		evicted = append(evicted, old)
 	}
-	return evicted
 }
 
-func (r *terminalRing) get(id JobID) (TerminalJob, bool) {
-	tj, ok := r.m[id]
-	return tj, ok
+func (r *terminalRing) get(id JobID) (retiredJob, bool) {
+	rj, ok := r.m[id]
+	return rj, ok
 }
 
 func (r *terminalRing) list() []TerminalJob {
 	out := make([]TerminalJob, 0, len(r.order))
 	for _, id := range r.order {
-		out = append(out, r.m[id])
+		out = append(out, r.m[id].TerminalJob)
 	}
 	return out
 }
@@ -262,18 +267,182 @@ type snapshotState struct {
 	Queue     json.RawMessage `json:"queue_state"`
 	Jobs      []snapJob       `json:"jobs,omitempty"`
 
-	Log      []Decision    `json:"log,omitempty"`
-	Terminal []TerminalJob `json:"terminal,omitempty"`
-	Dedup    []dedupEntry  `json:"dedup,omitempty"`
+	Counts   map[string]*tenantCounts `json:"counts,omitempty"`
+	Terminal []TerminalJob            `json:"terminal,omitempty"`
+	Dedup    []dedupEntry             `json:"dedup,omitempty"`
 
-	// Aux is owner-private state: the trace driver parks its arrival cursor
-	// here; the live scheduler leaves it empty.
-	Aux json.RawMessage `json:"aux,omitempty"`
+	// Log is the decision log, present only for an owner that keeps one
+	// (the trace driver): the live scheduler's snapshot stays bounded. A
+	// live snapshot from before Counts existed has the log instead.
+	Log []Decision `json:"log,omitempty"`
+}
+
+// encode serializes the whole state as a snapshot payload.
+func (s *state) encode() ([]byte, error) {
+	sq, ok := s.q.(StatefulQueue)
+	if !ok {
+		return nil, fmt.Errorf("sched: queue %q does not implement StatefulQueue; durability needs a stateful discipline", s.q.Name())
+	}
+	qstate, err := sq.SaveState()
+	if err != nil {
+		return nil, fmt.Errorf("sched: save queue state: %w", err)
+	}
+	snap := &snapshotState{
+		Tick:      s.tick,
+		Seq:       s.seq,
+		Draining:  s.draining,
+		Capacity:  s.adm.capacity,
+		NextID:    s.nextID,
+		Buckets:   s.adm.bucketLevels(),
+		QueueName: s.q.Name(),
+		Queue:     qstate,
+		Counts:    s.counts,
+		Terminal:  s.terminal.list(),
+		Dedup:     s.dedup.list(),
+		Log:       s.log,
+	}
+	ids := make([]JobID, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		j := s.jobs[id]
+		_, running := s.running[id]
+		snap.Jobs = append(snap.Jobs, snapJob{
+			ID:          id,
+			Spec:        *wireFromJob(j),
+			EnqueueTick: j.enqueueTick,
+			AdmitTick:   j.admitTick,
+			Attempts:    j.attempts,
+			Running:     running,
+		})
+	}
+	return json.Marshal(snap)
+}
+
+// load restores a snapshot payload into a fresh state.
+func (s *state) load(payload []byte) error {
+	var snap snapshotState
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return fmt.Errorf("sched: decode snapshot: %w", err)
+	}
+	if snap.QueueName != s.q.Name() {
+		return fmt.Errorf("sched: journal was written with queue %q, configured queue is %q", snap.QueueName, s.q.Name())
+	}
+	s.tick, s.seq, s.draining, s.nextID = snap.Tick, snap.Seq, snap.Draining, snap.NextID
+	s.adm.setCapacity(snap.Capacity)
+	s.adm.restoreBuckets(snap.Buckets)
+	switch {
+	case s.keepLog:
+		s.log = snap.Log
+	case snap.Counts != nil:
+		s.counts = snap.Counts
+	default:
+		// A snapshot from before counts were kept carries the log instead.
+		for _, d := range snap.Log {
+			if d.Job > 0 {
+				s.count(d.Kind, d.Tenant, d.Detail == "err")
+			}
+		}
+	}
+	for _, sj := range snap.Jobs {
+		ws := sj.Spec
+		j := jobFromWire(sj.ID, &ws, s.rebuild)
+		j.enqueueTick, j.admitTick, j.attempts = sj.EnqueueTick, sj.AdmitTick, sj.Attempts
+		s.jobs[sj.ID] = j
+		if sj.Running {
+			j.state = JobRunning
+			s.running[sj.ID] = j
+			s.free--
+		} else {
+			j.state = JobQueued
+			s.queued[ws.Tenant]++
+		}
+	}
+	// Fewer executors than running jobs in the snapshot (the pool shrank
+	// across the restart): the surplus jobs still resume, and slots simply
+	// stay saturated until they finish.
+	s.free = max(s.free, 0)
+	sq, ok := s.q.(StatefulQueue)
+	if !ok {
+		return fmt.Errorf("sched: queue %q does not implement StatefulQueue", s.q.Name())
+	}
+	if err := sq.LoadState(s.jobs, snap.Queue); err != nil {
+		return err
+	}
+	for _, tj := range snap.Terminal {
+		s.terminal.add(tj, nil)
+	}
+	for _, de := range snap.Dedup {
+		s.dedup.put(de.Key, de.Job)
+	}
+	return nil
+}
+
+// RecoveryReport summarizes what startup recovery found and rebuilt — the
+// /statusz durability panel's recovery section.
+type RecoveryReport struct {
+	// Recovered reports that durable state existed (snapshot or records).
+	Recovered bool `json:"recovered"`
+	// SnapshotLoaded / SnapshotSeq describe the snapshot used, if any.
+	SnapshotLoaded bool   `json:"snapshot_loaded,omitempty"`
+	SnapshotSeq    uint64 `json:"snapshot_seq,omitempty"`
+	// ReplayedOps counts journal records replayed after the snapshot.
+	ReplayedOps int `json:"replayed_ops,omitempty"`
+	// TruncatedBytes / DroppedSegments describe torn-tail cleanup.
+	TruncatedBytes  int64 `json:"truncated_bytes,omitempty"`
+	DroppedSegments int   `json:"dropped_segments,omitempty"`
+	// RequeuedJobs / ResumedJobs count queued jobs restored into the queue
+	// and running jobs handed back to executors.
+	RequeuedJobs int `json:"requeued_jobs,omitempty"`
+	ResumedJobs  int `json:"resumed_jobs,omitempty"`
+	// Decisions is the decision count after recovery.
+	Decisions int64 `json:"decisions,omitempty"`
+}
+
+// recover rebuilds a fresh state from a wal recovery: snapshot load, then
+// every later record replayed through apply. The state must be configured
+// with the queue discipline the journal was written with. A replayed dispatch
+// choosing a different job than the journal recorded means the journal and
+// the configuration have diverged, and is an error.
+func (s *state) recover(rec *wal.Recovered) (RecoveryReport, error) {
+	rep := RecoveryReport{
+		Recovered:       !rec.Empty(),
+		TruncatedBytes:  rec.TruncatedBytes,
+		DroppedSegments: rec.DroppedSegments,
+	}
+	if rec.Snapshot != nil {
+		if err := s.load(rec.Snapshot); err != nil {
+			return rep, err
+		}
+		rep.SnapshotLoaded, rep.SnapshotSeq = true, rec.SnapshotSeq
+	}
+	for i, payload := range rec.Records {
+		var o op
+		if err := json.Unmarshal(payload, &o); err != nil {
+			return rep, fmt.Errorf("sched: decode journal record %d: %w", i, err)
+		}
+		fx, err := s.apply(o)
+		var got JobID
+		if fx.dispatched != nil {
+			got = fx.dispatched.ID
+		}
+		if err == nil && o.K == opDispatch && got != o.Job {
+			err = fmt.Errorf("replayed dispatch chose job %d, journal says %d", got, o.Job)
+		}
+		if err != nil {
+			return rep, fmt.Errorf("sched: replay record %d (%s): %w", i, opNames[o.K], err)
+		}
+		rep.ReplayedOps++
+	}
+	rep.RequeuedJobs, rep.ResumedJobs, rep.Decisions = s.q.Len(), len(s.running), s.seq
+	return rep, nil
 }
 
 // journal owns the wal.Log plus the scheduler-side bookkeeping around it:
 // op encoding, coalesced tick advances, snapshot cadence, and the metrics /
-// obs instrumentation. The owner serializes logOp, tick and snapshot (the
+// obs instrumentation. The owner serializes apply and snapshot (the
 // scheduler under its mutex, the trace driver single-threaded); commit and
 // syncStats run concurrently with them, outside the owner's lock.
 type journal struct {
@@ -308,10 +477,6 @@ func newJournal(log *wal.Log, o DurableOptions, timed bool, nowNS func() int64) 
 	return &journal{log: log, fsync: o.Fsync, snapEvery: snapEvery, mx: o.Metrics, timed: timed, prof: o.Prof, nowNS: nowNS}
 }
 
-// tick counts one empty-tick advance; the next logOp flushes the backlog as
-// a single coalesced advance record.
-func (jn *journal) tick() { jn.pendingTicks++ }
-
 // ack is what an acknowledgement holds between its op's write and the commit
 // it waits for: the record's seq and, when the journal's delay of this op is
 // still to be observed (acked), the clock at the start of the write.
@@ -321,19 +486,50 @@ type ack struct {
 	timed bool
 }
 
-// logOp writes one op, after any coalesced advance, without syncing: the
-// advance and the op are one write burst that a single fsync covers. wait
-// says an acknowledgement will commit the returned ack; its wal_append_ns
-// sample is then taken by acked once durable, and at once otherwise.
-func (jn *journal) logOp(o op, wait bool) (ack, error) {
+// apply applies o to st and writes its record without syncing it — the one
+// path through which any owner changes its state. Advances are only counted
+// (the next record flushes them), and a dispatch that found nothing to do is
+// not written. wait says the owner acknowledges effects itself (the live
+// scheduler rather than the trace driver's per-tick commit); the record is
+// then waited on when it hands out an acknowledgement — an accepted job ID or
+// a terminal state — and its wal_append_ns sample is taken by acked once
+// durable instead of at once. The snapshot is taken here when its cadence is
+// due. A nil journal only applies.
+func (jn *journal) apply(st *state, o op, wait bool) (effects, ack, error) {
+	fx, err := st.apply(o)
+	if err != nil || jn == nil {
+		return fx, ack{}, err
+	}
+	switch o.K {
+	case opAdvance:
+		jn.pendingTicks += max(o.N, 1)
+		return fx, ack{}, nil
+	case opDispatch:
+		if fx.dispatched == nil && len(fx.dropped) == 0 {
+			return fx, ack{}, nil
+		}
+		if fx.dispatched != nil {
+			o.Job = fx.dispatched.ID
+		}
+	case opSubmit:
+		if o.Spec == nil {
+			o.Spec = wireFromJob(o.job)
+		}
+	}
+	wait = wait && (o.K == opComplete || len(fx.dropped) > 0 || o.K == opSubmit && fx.reject == nil)
 	if jn.pendingTicks > 0 {
+		// The advance and the op are one write burst a single fsync covers.
 		n := jn.pendingTicks
 		jn.pendingTicks = 0
 		if _, err := jn.write(op{K: opAdvance, N: n}, false); err != nil {
-			return ack{}, err
+			return fx, ack{}, err
 		}
 	}
-	return jn.write(o, wait)
+	a, err := jn.write(o, wait)
+	if err == nil && jn.sinceSnap >= jn.snapEvery {
+		err = jn.snapshot(st)
+	}
+	return fx, a, err
 }
 
 func (jn *journal) write(o op, wait bool) (ack, error) {
@@ -414,17 +610,14 @@ func (jn *journal) syncIdle() error {
 	return nil
 }
 
-// wantSnapshot reports the cadence is due.
-func (jn *journal) wantSnapshot() bool { return jn.sinceSnap >= jn.snapEvery }
-
-// snapshot writes st as the journal's snapshot and resets the cadence. Any
-// coalesced advances are simply discarded: the snapshot's tick already
-// includes them.
-func (jn *journal) snapshot(st *snapshotState) error {
+// snapshot writes st as the journal's snapshot, covering every record
+// written so far, and resets the cadence. Any coalesced advances are simply
+// discarded: the snapshot's tick already includes them.
+func (jn *journal) snapshot(st *state) error {
 	jn.pendingTicks = 0
-	payload, err := json.Marshal(st)
+	payload, err := st.encode()
 	if err != nil {
-		return fmt.Errorf("sched: snapshot encode: %w", err)
+		return err
 	}
 	var start int64
 	if jn.prof != nil || jn.timed {
@@ -473,276 +666,4 @@ func (jn *journal) syncStats() {
 		}
 	}
 	jn.last = st
-}
-
-// captureSnapshot serializes the owner's full state. Caller holds whatever
-// serializes core access.
-func captureSnapshot(c *policy, jobs map[JobID]*Job, nextID JobID, capacity float64,
-	term *terminalRing, ded *dedupRing, aux json.RawMessage) (*snapshotState, error) {
-	sq, ok := c.q.(StatefulQueue)
-	if !ok {
-		return nil, fmt.Errorf("sched: queue %q does not implement StatefulQueue; durability needs a stateful discipline", c.q.Name())
-	}
-	qstate, err := sq.SaveState()
-	if err != nil {
-		return nil, fmt.Errorf("sched: save queue state: %w", err)
-	}
-	st := &snapshotState{
-		Tick:      c.tick,
-		Seq:       c.seq,
-		Draining:  c.draining,
-		Capacity:  capacity,
-		NextID:    nextID,
-		Buckets:   c.adm.bucketLevels(),
-		QueueName: c.q.Name(),
-		Queue:     qstate,
-		Log:       c.log,
-		Aux:       aux,
-	}
-	if term != nil {
-		st.Terminal = term.list()
-	}
-	if ded != nil {
-		st.Dedup = ded.list()
-	}
-	ids := make([]JobID, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		j := jobs[id]
-		_, running := c.running[id]
-		st.Jobs = append(st.Jobs, snapJob{
-			ID:          id,
-			Spec:        *wireFromJob(j),
-			EnqueueTick: j.enqueueTick,
-			AdmitTick:   j.admitTick,
-			Attempts:    j.attempts,
-			Running:     running,
-		})
-	}
-	return st, nil
-}
-
-// RecoveryReport summarizes what startup recovery found and rebuilt — the
-// /statusz durability panel's recovery section.
-type RecoveryReport struct {
-	// Recovered reports that durable state existed (snapshot or records).
-	Recovered bool `json:"recovered"`
-	// SnapshotLoaded / SnapshotSeq describe the snapshot used, if any.
-	SnapshotLoaded bool   `json:"snapshot_loaded,omitempty"`
-	SnapshotSeq    uint64 `json:"snapshot_seq,omitempty"`
-	// ReplayedOps counts journal records replayed after the snapshot.
-	ReplayedOps int `json:"replayed_ops,omitempty"`
-	// TruncatedBytes / DroppedSegments describe torn-tail cleanup.
-	TruncatedBytes  int64 `json:"truncated_bytes,omitempty"`
-	DroppedSegments int   `json:"dropped_segments,omitempty"`
-	// RequeuedJobs / ResumedJobs count queued jobs restored into the queue
-	// and running jobs handed back to executors.
-	RequeuedJobs int `json:"requeued_jobs,omitempty"`
-	ResumedJobs  int `json:"resumed_jobs,omitempty"`
-	// Decisions is the decision-log length after recovery.
-	Decisions int64 `json:"decisions,omitempty"`
-}
-
-// recoveredCore is a policy core (plus owner bookkeeping) rebuilt from a
-// wal recovery: snapshot load, then op replay.
-type recoveredCore struct {
-	core     *policy
-	jobs     map[JobID]*Job
-	nextID   JobID
-	capacity float64
-	terminal *terminalRing
-	dedup    *dedupRing
-	aux      json.RawMessage
-	// maxArrival is the highest trace arrival index seen in replayed submit
-	// ops (-1 when none) — the trace driver resumes after max(aux, this).
-	maxArrival int
-	report     RecoveryReport
-}
-
-// rebuildCore reconstructs scheduler state from a wal recovery. q must be a
-// fresh instance of the same discipline the journal was written with;
-// rebuild (nil allowed) maps wire requests back to runnable bodies.
-func rebuildCore(rec *wal.Recovered, q Queue, adm *admission, slots int,
-	rebuild func(*SubmitRequest) RunFunc, termCap int) (*recoveredCore, error) {
-	if q == nil {
-		q = NewFIFO()
-	}
-	rc := &recoveredCore{
-		jobs:       map[JobID]*Job{},
-		capacity:   1,
-		terminal:   newTerminalRing(termCap),
-		dedup:      newDedupRing(),
-		maxArrival: -1,
-		report: RecoveryReport{
-			Recovered:       !rec.Empty(),
-			TruncatedBytes:  rec.TruncatedBytes,
-			DroppedSegments: rec.DroppedSegments,
-		},
-	}
-	c := newPolicy(q, adm, slots)
-
-	if rec.Snapshot != nil {
-		var st snapshotState
-		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
-			return nil, fmt.Errorf("sched: decode snapshot: %w", err)
-		}
-		if st.QueueName != q.Name() {
-			return nil, fmt.Errorf("sched: journal was written with queue %q, configured queue is %q", st.QueueName, q.Name())
-		}
-		c.tick, c.seq, c.draining, c.log = st.Tick, st.Seq, st.Draining, st.Log
-		rc.capacity = st.Capacity
-		c.adm.setCapacity(st.Capacity)
-		c.adm.restoreBuckets(st.Buckets)
-		rc.nextID = st.NextID
-		for _, sj := range st.Jobs {
-			ws := sj.Spec
-			j := jobFromWire(sj.ID, &ws, rebuild)
-			j.enqueueTick, j.admitTick, j.attempts = sj.EnqueueTick, sj.AdmitTick, sj.Attempts
-			rc.jobs[sj.ID] = j
-			if sj.Running {
-				j.state = JobRunning
-				c.running[sj.ID] = j
-				c.free--
-			} else {
-				j.state = JobQueued
-				c.queued[ws.Tenant]++
-			}
-		}
-		if c.free < 0 {
-			// Fewer executors than running jobs in the snapshot (the pool
-			// shrank across the restart): the surplus jobs still resume, and
-			// slots simply stay saturated until they finish.
-			c.free = 0
-		}
-		sq, ok := q.(StatefulQueue)
-		if !ok {
-			return nil, fmt.Errorf("sched: queue %q does not implement StatefulQueue", q.Name())
-		}
-		if err := sq.LoadState(rc.jobs, st.Queue); err != nil {
-			return nil, err
-		}
-		for _, tj := range st.Terminal {
-			rc.terminal.add(tj)
-		}
-		for _, de := range st.Dedup {
-			rc.dedup.put(de.Key, de.Job)
-		}
-		rc.aux = st.Aux
-		rc.report.SnapshotLoaded = true
-		rc.report.SnapshotSeq = rec.SnapshotSeq
-	}
-
-	for i, payload := range rec.Records {
-		var o op
-		if err := json.Unmarshal(payload, &o); err != nil {
-			return nil, fmt.Errorf("sched: decode journal record %d: %w", i, err)
-		}
-		if err := rc.apply(c, o, rebuild); err != nil {
-			return nil, fmt.Errorf("sched: replay record %d (%s): %w", i, opNames[o.K], err)
-		}
-		rc.report.ReplayedOps++
-	}
-
-	rc.core = c
-	rc.report.RequeuedJobs = c.q.Len()
-	rc.report.ResumedJobs = len(c.running)
-	rc.report.Decisions = c.seq
-	return rc, nil
-}
-
-// apply replays one journaled op against the core. The core is
-// deterministic, so every derived outcome (the dispatched job, the reject
-// reason, the decision details) reproduces exactly; mismatches mean the
-// journal and configuration have diverged and are reported as errors.
-func (rc *recoveredCore) apply(c *policy, o op, rebuild func(*SubmitRequest) RunFunc) error {
-	switch o.K {
-	case opSubmit:
-		if o.Spec == nil {
-			return fmt.Errorf("submit op for job %d carries no spec", o.Job)
-		}
-		j := jobFromWire(o.Job, o.Spec, rebuild)
-		if o.Job > rc.nextID {
-			rc.nextID = o.Job
-		}
-		if o.Arr >= 0 && o.Arr > rc.maxArrival {
-			rc.maxArrival = o.Arr
-		}
-		if _, rej := c.submit(j); rej == nil {
-			j.state = JobQueued
-			rc.jobs[j.ID] = j
-			rc.dedup.put(o.Key, j.ID)
-		}
-	case opDispatch:
-		j, expired := c.dispatch()
-		for _, e := range expired {
-			rc.finishReplayed(e, true, ErrDeadlineExpired.Error())
-		}
-		var got JobID
-		if j != nil {
-			got = j.ID
-			j.state = JobRunning
-		}
-		if got != o.Job {
-			return fmt.Errorf("replayed dispatch chose job %d, journal says %d", got, o.Job)
-		}
-	case opComplete:
-		j := rc.jobs[o.Job]
-		if j == nil {
-			return fmt.Errorf("complete op for unknown job %d", o.Job)
-		}
-		var jerr error
-		if o.Fail {
-			msg := o.Msg
-			if msg == "" {
-				msg = "job failed"
-			}
-			jerr = errors.New(msg)
-		}
-		c.complete(j, jerr)
-		rc.finishReplayed(j, o.Fail, o.Msg)
-	case opPreempt:
-		j := rc.jobs[o.Job]
-		if j == nil {
-			return fmt.Errorf("preempt op for unknown job %d", o.Job)
-		}
-		c.preempt(j)
-		j.state = JobQueued
-	case opAdvance:
-		n := o.N
-		if n < 1 {
-			n = 1
-		}
-		for i := int64(0); i < n; i++ {
-			c.advance()
-		}
-	case opDrain:
-		c.drainNow()
-	case opCapacity:
-		c.adm.setCapacity(o.Cap)
-		rc.capacity = o.Cap
-	case opAbandon:
-		for _, j := range c.abandon() {
-			rc.finishReplayed(j, true, ErrSchedulerClosed.Error())
-		}
-	default:
-		return fmt.Errorf("unknown op kind %d", o.K)
-	}
-	return nil
-}
-
-// finishReplayed retires a job that reached a terminal state during replay.
-func (rc *recoveredCore) finishReplayed(j *Job, failed bool, msg string) {
-	delete(rc.jobs, j.ID)
-	if failed {
-		j.state = JobFailed
-	} else {
-		j.state = JobDone
-	}
-	rc.terminal.add(TerminalJob{
-		ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
-		Failed: failed, Attempts: j.attempts, Error: msg,
-	})
 }

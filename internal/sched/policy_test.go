@@ -162,15 +162,15 @@ func TestFairQueueRequeueFront(t *testing.T) {
 // TestAdmissionRetryHints: rejections carry usable retry-after hints and
 // match the sentinel.
 func TestAdmissionRetryHints(t *testing.T) {
-	p := newPolicy(NewFIFO(), newAdmission(Admission{
+	p := newState(NewFIFO(), Admission{
 		MaxQueued: 4,
 		Tenants:   map[string]Quota{"rl": {Rate: 0.5, Burst: 1}},
-	}), 1)
+	}, 1, 0)
 	// Token bucket: first submit spends the burst, second is rate-limited.
-	if _, rej := p.submit(&Job{ID: 1, Spec: JobSpec{Tenant: "rl"}}); rej != nil {
+	if rej := p.submit(&Job{ID: 1, Spec: JobSpec{Tenant: "rl"}}); rej != nil {
 		t.Fatalf("first submit rejected: %v", rej)
 	}
-	_, rej := p.submit(&Job{ID: 2, Spec: JobSpec{Tenant: "rl"}})
+	rej := p.submit(&Job{ID: 2, Spec: JobSpec{Tenant: "rl"}})
 	if rej == nil || rej.Reason != ReasonRateLimited {
 		t.Fatalf("second submit: got %+v, want rate-limited", rej)
 	}
@@ -178,20 +178,19 @@ func TestAdmissionRetryHints(t *testing.T) {
 		t.Fatalf("rate-limited rejection has no retry hint: %+v", rej)
 	}
 	// Refills at 0.5/tick: two ticks restore a token.
-	p.advance()
-	p.advance()
-	if _, rej := p.submit(&Job{ID: 3, Spec: JobSpec{Tenant: "rl"}}); rej != nil {
+	p.apply(op{K: opAdvance, N: 2})
+	if rej := p.submit(&Job{ID: 3, Spec: JobSpec{Tenant: "rl"}}); rej != nil {
 		t.Fatalf("submit after refill rejected: %v", rej)
 	}
 	// Zero capacity: no refill can ever admit.
 	p.adm.setCapacity(0)
-	_, rej = p.submit(&Job{ID: 4, Spec: JobSpec{Tenant: "rl"}})
+	rej = p.submit(&Job{ID: 4, Spec: JobSpec{Tenant: "rl"}})
 	if rej == nil || rej.Reason != ReasonNoCapacity {
 		t.Fatalf("zero-capacity submit: got %+v, want no-capacity", rej)
 	}
 	// Queue bound.
 	for i := JobID(5); ; i++ {
-		_, rej = p.submit(&Job{ID: i, Spec: JobSpec{Tenant: "free"}})
+		rej = p.submit(&Job{ID: i, Spec: JobSpec{Tenant: "free"}})
 		if rej != nil {
 			break
 		}

@@ -87,12 +87,8 @@ type Config struct {
 	TerminalRetention int
 }
 
-// tenantState caches one tenant's resolved metric instruments and the
-// mutex-guarded counters Status reads back.
-type tenantState struct {
-	enq, adm, rej, comp, fail int64
-	running                   int
-
+// tenantMetrics caches one tenant's resolved metric instruments.
+type tenantMetrics struct {
 	mEnq, mAdm, mComp, mFail *metrics.Counter
 	mDepth                   *metrics.Gauge
 	mRej                     map[string]*metrics.Counter
@@ -120,29 +116,21 @@ func attemptTC(root obs.TraceRef, n int, k uint64) obs.TraceRef {
 	return root.Child(uint64(n)<<8 | k)
 }
 
-// Scheduler is the concurrent front end over the policy core: Submit runs
-// admission and wakes the executor pool; executors dispatch from the queue,
-// run job bodies on their runtimes, fence, recycle and report back. All
-// core access is serialized under mu.
+// Scheduler is the concurrent front end over the scheduler state: Submit
+// runs admission and wakes the executor pool; executors dispatch from the
+// queue, run job bodies on their runtimes, fence, recycle and report back.
+// Every state change is one op through do, under mu; what the Scheduler
+// itself keeps is what only a live scheduler has — executors,
+// acknowledgements, cond-var waits, metrics, spans and the tracer.
 type Scheduler struct {
-	cfg       Config
-	tickEvery time.Duration
+	cfg Config
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	core *policy
-	// jobs holds live (queued or running) jobs only; finished jobs move to
-	// the terminal ring, with their live *Job kept in finished (same
-	// eviction) so Wait and errors.Is see the original error values.
-	jobs     map[JobID]*Job
-	finished map[JobID]*Job
-	terminal *terminalRing
-	dedup    *dedupRing
-	nextID   JobID
+	st   *state
 
-	stopped  bool
-	drainNS  int64 // drain-span start, 0 until draining
-	capacity float64
+	stopped bool
+	drainNS int64 // drain-span start, 0 until draining
 
 	// Durability state: jn is nil when Config.Durable.Dir is empty.
 	jn           *journal
@@ -159,21 +147,20 @@ type Scheduler struct {
 
 	execs []*executor
 
-	reg       *metrics.Registry
-	mx        *metrics.Scheduler
-	mxOn      bool
-	prof      *obs.Recorder
-	tracer    *trace.Tracer
-	traceSeed uint64
-	epoch     time.Time
+	reg    *metrics.Registry
+	mx     *metrics.Scheduler
+	mxOn   bool
+	prof   *obs.Recorder
+	tracer *trace.Tracer
+	epoch  time.Time
 
-	tenants map[string]*tenantState
+	tenants map[string]*tenantMetrics
 
 	tickStop chan struct{}
 	wg       sync.WaitGroup
 }
 
-// doneRetention bounds how many completed jobs stay queryable via Job().
+// doneRetention is the default Config.TerminalRetention.
 const doneRetention = 4096
 
 // New builds and starts a scheduler: the executor pool spins up
@@ -184,6 +171,12 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 5 * time.Millisecond
+	}
+	if cfg.TraceSeed == 0 {
+		cfg.TraceSeed = 1
+	}
+	if cfg.TerminalRetention <= 0 {
+		cfg.TerminalRetention = doneRetention
 	}
 	rtc := cfg.Runtime
 	if rtc.Nodes == 0 {
@@ -200,23 +193,18 @@ func New(cfg Config) (*Scheduler, error) {
 	rtc.Metrics = reg
 	rtc.Profile = cfg.Profile
 	s := &Scheduler{
-		cfg:       cfg,
-		tickEvery: cfg.TickEvery,
-		capacity:  1,
-		reg:       reg,
-		mx:        metrics.NewScheduler(reg),
-		mxOn:      cfg.Metrics != nil,
-		prof:      cfg.Profile,
-		tracer:    cfg.Trace,
-		traceSeed: cfg.TraceSeed,
-		epoch:     time.Now(),
-		tenants:   map[string]*tenantState{},
-		tickStop:  make(chan struct{}),
+		cfg:      cfg,
+		st:       newState(cfg.Queue, cfg.Admission, cfg.Executors, cfg.TerminalRetention),
+		reg:      reg,
+		mx:       metrics.NewScheduler(reg),
+		mxOn:     cfg.Metrics != nil,
+		prof:     cfg.Profile,
+		tracer:   cfg.Trace,
+		epoch:    time.Now(),
+		tenants:  map[string]*tenantMetrics{},
+		tickStop: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if s.traceSeed == 0 {
-		s.traceSeed = 1
-	}
 	if s.tracer != nil {
 		// Span-stamped events reach the tracer through the recorder's sink
 		// tee; untraced events never touch it.
@@ -244,7 +232,7 @@ func New(cfg Config) (*Scheduler, error) {
 		if kinds == nil {
 			kinds = DefaultKinds()
 		}
-		rebuild := func(req *SubmitRequest) RunFunc {
+		s.st.rebuild = func(req *SubmitRequest) RunFunc {
 			kind := req.Kind
 			if kind == "" {
 				kind = "synthetic"
@@ -263,31 +251,29 @@ func New(cfg Config) (*Scheduler, error) {
 		s.jmx = metrics.NewDurability(reg)
 		do.Metrics = s.jmx
 		do.Prof = cfg.Profile
-		jn, rc, err := openDurable(do, s.timed(), cfg.Queue, newAdmission(cfg.Admission),
-			cfg.Executors, rebuild, cfg.TerminalRetention)
+		jn, rep, err := openDurable(do, s.timed(), s.st)
 		if err != nil {
 			return nil, fmt.Errorf("sched: open journal: %w", err)
 		}
-		s.jn = jn
-		s.core = rc.core
-		s.jobs = rc.jobs
-		s.finished = map[JobID]*Job{}
-		s.terminal = rc.terminal
-		s.dedup = rc.dedup
-		s.nextID = rc.nextID
-		s.report = rc.report
-		s.restoreAfterRecovery()
+		s.jn, s.report = jn, rep
 		// A restart opens a new serving epoch: a drain in progress at the
 		// crash (its decision stays in the log) does not gate the recovered
 		// scheduler's admission.
-		s.core.draining = false
-	} else {
-		s.core = newPolicy(cfg.Queue, newAdmission(cfg.Admission), cfg.Executors)
-		s.jobs = map[JobID]*Job{}
-		s.finished = map[JobID]*Job{}
-		s.terminal = newTerminalRing(cfg.TerminalRetention)
-		s.dedup = newDedupRing()
+		s.st.draining = false
+		// Recovered jobs are waited on like new ones. Those running at the
+		// crash go straight back to executors, in ID order, without a second
+		// admit decision — the decisions stay identical to an uninterrupted
+		// run's.
+		for _, j := range s.st.jobs {
+			j.done = make(chan struct{})
+		}
+		for _, j := range s.st.running {
+			s.recoveredRun = append(s.recoveredRun, j)
+		}
+		sort.Slice(s.recoveredRun, func(a, b int) bool { return s.recoveredRun[a].ID < s.recoveredRun[b].ID })
+		s.syncDepthGauges("")
 	}
+	s.mx.CapacityPermille.Set(int64(s.st.adm.capacity * 1000))
 	for i := 0; i < cfg.Executors; i++ {
 		r, err := rt.New(rtc)
 		if err != nil {
@@ -314,67 +300,22 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// restoreAfterRecovery rebuilds the live bookkeeping the journal does not
-// carry: per-tenant counters recomputed from the recovered decision log
-// (process-lifetime metric counters intentionally restart at zero), tenant
-// running gauges, and the jobs that were running at the crash queued for
-// direct executor pickup — they re-execute without new admit decisions, so
-// the decision log stays byte-identical to an uninterrupted run's. Called
-// from New before the pool starts.
-func (s *Scheduler) restoreAfterRecovery() {
-	for _, d := range s.core.log {
-		if d.Tenant == "" {
-			continue
-		}
-		ts := s.tenant(d.Tenant)
-		switch d.Kind {
-		case KindEnqueue:
-			ts.enq++
-		case KindAdmit:
-			ts.adm++
-		case KindReject:
-			ts.rej++
-		case KindComplete:
-			if d.Detail == "err" {
-				ts.fail++
-			} else {
-				ts.comp++
-			}
-		case KindExpire:
-			ts.fail++
-		}
-	}
-	ids := make([]JobID, 0, len(s.core.running))
-	for id := range s.core.running {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		j := s.core.running[id]
-		s.tenant(j.Spec.Tenant).running++
-		s.recoveredRun = append(s.recoveredRun, j)
-	}
-	s.syncDepthGauges("")
-}
-
 // Recovery reports what startup recovery found (the zero report when the
 // scheduler is not durable or the directory was fresh).
 func (s *Scheduler) Recovery() RecoveryReport { return s.report }
 
-// journalOp writes one op to the journal (no-op when not durable) without
-// syncing it: no fsync runs under mu. wait says an acknowledgement will hold
-// the returned ack until awaitDurable or ackLoop has committed it. Journal
-// failure is fail-stop: the scheduler cannot keep acknowledging work it can
-// no longer make durable. Caller holds mu.
-func (s *Scheduler) journalOp(o op, wait bool) ack {
-	if s.jn == nil {
-		return ack{}
-	}
-	a, err := s.jn.logOp(o, wait)
+// do applies o to the scheduler state and writes its journal record (when
+// durable), so journal order is state order by construction. No fsync runs
+// here: an acknowledgement of the op's effects holds the returned ack until
+// awaitDurable or ackLoop has committed it. Journal failure is fail-stop:
+// the scheduler cannot keep acknowledging work it can no longer make
+// durable. Caller holds mu.
+func (s *Scheduler) do(o op) (effects, ack) {
+	fx, a, err := s.jn.apply(s.st, o, true)
 	if err != nil {
-		panic(fmt.Sprintf("sched: journal append failed (fail-stop): %v", err))
+		panic(fmt.Sprintf("sched: journal failed (fail-stop): %v", err))
 	}
-	return a
+	return fx, a
 }
 
 // awaitDurable blocks until a's record is durable per the fsync policy,
@@ -389,59 +330,20 @@ func (s *Scheduler) awaitDurable(a ack) {
 	s.jn.acked(a)
 }
 
-// snapshotIfDueLocked takes the cadence snapshot. It runs at the end of a
-// critical section, never inside an op: between the core applying an op and
-// its bookkeeping (jobs table, terminal ring) the state is not one a
-// snapshot may capture. Caller holds mu.
-func (s *Scheduler) snapshotIfDueLocked() {
-	if s.jn != nil && s.jn.wantSnapshot() {
-		s.snapshotLocked()
-	}
-}
-
-// snapshotLocked captures and writes a journal snapshot. Finishes still
-// awaiting their commit are committed and published first, so the captured
-// state has no job between "slot freed" and "terminal". The snapshot cadence
-// (and a size-driven segment rotation inside a write) is where fsyncs still
-// run under mu. Caller holds mu.
-func (s *Scheduler) snapshotLocked() {
-	if n := len(s.unacked); n > 0 {
-		tail := s.unacked[n-1].ack.seq
-		if err := s.jn.commit(tail); err != nil {
-			panic(fmt.Sprintf("sched: journal commit failed (fail-stop): %v", err))
-		}
-		s.publishThroughLocked(tail)
-	}
-	st, err := captureSnapshot(s.core, s.jobs, s.nextID, s.capacity, s.terminal, s.dedup, nil)
-	if err == nil {
-		err = s.jn.snapshot(st)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("sched: journal snapshot failed (fail-stop): %v", err))
-	}
-}
-
-// finish is one job reaching a terminal state: the job, its error, which
-// path ended it, and the ack of the journal record that says so.
+// finish is one job reaching a terminal state: the job, its error, the op
+// that ended it (opComplete: it ran; opDispatch: it expired in queue;
+// opAbandon: still queued at Shutdown), and the ack of that op's record.
 type finish struct {
-	j    *Job
-	err  error
-	kind finishKind
-	ack  ack
+	j   *Job
+	err error
+	k   opKind
+	ack ack
 }
-
-type finishKind uint8
-
-const (
-	finishRan       finishKind = iota // ran to completion or failure (opComplete)
-	finishExpired                     // dropped at dispatch past its deadline (opDispatch)
-	finishAbandoned                   // still queued at Shutdown (opAbandon)
-)
 
 // finishAfterCommit makes f's terminal state observable once its record is
 // durable. Without a journal that is now, in the caller's critical section.
 // With one, the finish queues for ackLoop and the caller — an executor, which
-// has already freed its core slot — moves on to its next dispatch instead of
+// has already freed its slot — moves on to its next dispatch instead of
 // parking on the fsync. Caller holds mu.
 func (s *Scheduler) finishAfterCommit(f finish) {
 	if s.jn == nil {
@@ -497,21 +399,7 @@ func (s *Scheduler) publishThroughLocked(seq uint64) {
 
 // quiescentLocked reports no job queued, running, or finished but not yet
 // acknowledged — what Drain waits for. Caller holds mu.
-func (s *Scheduler) quiescentLocked() bool { return s.core.idle() && len(s.unacked) == 0 }
-
-// moveToTerminal retires a finished job into the bounded terminal ring,
-// keeping its live *Job queryable (same eviction) so Wait returns original
-// error values. Caller holds mu.
-func (s *Scheduler) moveToTerminal(j *Job, failed bool, msg string) {
-	delete(s.jobs, j.ID)
-	for _, old := range s.terminal.add(TerminalJob{
-		ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
-		Failed: failed, Attempts: j.attempts, Error: msg,
-	}) {
-		delete(s.finished, old)
-	}
-	s.finished[j.ID] = j
-}
+func (s *Scheduler) quiescentLocked() bool { return s.st.idle() && len(s.unacked) == 0 }
 
 // MustNew is New that panics on config errors.
 func MustNew(cfg Config) *Scheduler {
@@ -544,12 +432,12 @@ func (s *Scheduler) nowNS() int64 {
 
 func (s *Scheduler) timed() bool { return s.prof != nil || s.mxOn }
 
-// tenant returns (creating on first use) the tenant's cached state and
-// resolved instruments. Caller holds mu.
-func (s *Scheduler) tenant(name string) *tenantState {
+// tenant returns (creating on first use) the tenant's resolved instruments.
+// Caller holds mu.
+func (s *Scheduler) tenant(name string) *tenantMetrics {
 	ts := s.tenants[name]
 	if ts == nil {
-		ts = &tenantState{
+		ts = &tenantMetrics{
 			mEnq:   s.mx.Enqueued.With(name),
 			mAdm:   s.mx.Admitted.With(name),
 			mComp:  s.mx.Completed.With(name),
@@ -562,7 +450,7 @@ func (s *Scheduler) tenant(name string) *tenantState {
 	return ts
 }
 
-func (ts *tenantState) rejCounter(s *Scheduler, tenant, reason string) *metrics.Counter {
+func (ts *tenantMetrics) rejCounter(s *Scheduler, tenant, reason string) *metrics.Counter {
 	c := ts.mRej[reason]
 	if c == nil {
 		c = s.mx.Rejected.With(tenant, reason)
@@ -573,10 +461,10 @@ func (ts *tenantState) rejCounter(s *Scheduler, tenant, reason string) *metrics.
 
 // syncDepthGauges refreshes the queue-depth gauges. Caller holds mu.
 func (s *Scheduler) syncDepthGauges(tenant string) {
-	s.mx.QueueDepth.Set(int64(s.core.q.Len()))
-	s.mx.RunningJobs.Set(int64(len(s.core.running)))
+	s.mx.QueueDepth.Set(int64(s.st.q.Len()))
+	s.mx.RunningJobs.Set(int64(len(s.st.running)))
 	if tenant != "" {
-		s.tenant(tenant).mDepth.Set(int64(s.core.queued[tenant]))
+		s.tenant(tenant).mDepth.Set(int64(s.st.queued[tenant]))
 	}
 }
 
@@ -609,11 +497,14 @@ func (s *Scheduler) submitKeyed(spec JobSpec, key string) (JobID, error) {
 		return 0, ErrSchedulerClosed
 	}
 	if key != "" {
-		if id, ok := s.dedup.get(key); ok {
+		if id, ok := s.st.dedup.get(key); ok {
 			// Re-acknowledging the ID is an acknowledgement too: if the
 			// original submit is still waiting for its commit, so does this.
+			// Until its finish is published a job is live, even retired; once
+			// published, its finish record — written after the submit's — is
+			// durable, and so is the submit.
 			var a ack
-			if j := s.jobs[id]; j != nil {
+			if j := s.liveJob(id); j != nil {
 				a.seq = j.submitSeq
 			}
 			s.mu.Unlock()
@@ -621,34 +512,26 @@ func (s *Scheduler) submitKeyed(spec JobSpec, key string) (JobID, error) {
 			return id, nil
 		}
 	}
-	s.nextID++
-	j := &Job{ID: s.nextID, Spec: spec, done: make(chan struct{})}
+	// Journaled even if rejected: replay reproduces the reject decision and
+	// keeps ID assignment dense. A reject is not waited on: it hands out
+	// nothing a crash could take back.
+	j := &Job{Spec: spec, done: make(chan struct{})}
+	fx, a := s.do(op{K: opSubmit, Job: s.st.nextID + 1, Key: key, job: j})
 	ts := s.tenant(spec.Tenant)
-	_, rej := s.core.submit(j)
-	if rej != nil {
-		rej.RetryAfter = time.Duration(rej.RetryAfterTicks) * s.tickEvery
-		ts.rej++
+	if rej := fx.reject; rej != nil {
+		rej.RetryAfter = time.Duration(rej.RetryAfterTicks) * s.cfg.TickEvery
 		ts.rejCounter(s, spec.Tenant, rej.Reason).Inc()
-		// Journaled even though rejected: replay reproduces the reject
-		// decision and keeps ID assignment dense. Not waited on: a reject
-		// hands out nothing a crash could take back.
-		s.journalOp(op{K: opSubmit, Job: j.ID, Spec: wireFromJob(j), Key: key}, false)
 		s.mu.Unlock()
 		return 0, rej
 	}
-	j.state = JobQueued
-	s.jobs[j.ID] = j
-	s.dedup.put(key, j.ID)
-	ts.enq++
 	ts.mEnq.Inc()
-	a := s.journalOp(op{K: opSubmit, Job: j.ID, Spec: wireFromJob(j), Key: key}, true)
 	j.submitSeq = a.seq
 	if s.timed() {
 		j.enqueueNS = s.nowNS()
 		if s.tracer != nil {
 			// Root derivation is a pure function of (seed, ID): a seeded
 			// workload reproduces its trace IDs run over run.
-			j.tc = obs.NewTraceRef(s.traceSeed ^ uint64(j.ID)*0x9e3779b97f4a7c15)
+			j.tc = obs.NewTraceRef(s.cfg.TraceSeed ^ uint64(j.ID)*0x9e3779b97f4a7c15)
 			s.tracer.Begin(j.tc, uint64(j.ID), spec.Tenant, j.enqueueNS)
 		}
 		if s.prof != nil {
@@ -657,10 +540,9 @@ func (s *Scheduler) submitKeyed(spec JobSpec, key string) (JobID, error) {
 		}
 	}
 	s.syncDepthGauges(spec.Tenant)
-	if s.cfg.Preemption && s.core.free == 0 {
+	if s.cfg.Preemption && s.st.free == 0 {
 		s.maybePreempt(spec.Priority)
 	}
-	s.snapshotIfDueLocked()
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	// The job is already dispatchable; only the acknowledgement waits.
@@ -672,7 +554,7 @@ func (s *Scheduler) submitKeyed(spec JobSpec, key string) (JobID, error) {
 // deterministic tie-break on job ID) to yield. Caller holds mu.
 func (s *Scheduler) maybePreempt(prio int) {
 	var victim *Job
-	for _, j := range s.core.running {
+	for _, j := range s.st.running {
 		if j.preemptRequested || j.Spec.Priority >= prio {
 			continue
 		}
@@ -708,35 +590,21 @@ func (s *Scheduler) executorLoop(ex *executor) {
 				resumed = true
 				break
 			}
-			var expired []*Job
-			j, expired = s.core.dispatch()
-			if j != nil || len(expired) > 0 {
-				var jid JobID
-				if j != nil {
-					jid = j.ID
-				}
-				// Expired jobs reach their terminal state through this
-				// record, so their acknowledgement waits on it.
-				a := s.journalOp(op{K: opDispatch, Job: jid}, len(expired) > 0)
-				s.finishExpiredLocked(expired, a)
-				s.snapshotIfDueLocked()
-			}
-			if j != nil {
+			fx, a := s.do(op{K: opDispatch})
+			// Expired jobs reach their terminal state through this record,
+			// so their acknowledgement waits on it.
+			s.finishDroppedLocked(fx.dropped, ErrDeadlineExpired, opDispatch, a)
+			if j = fx.dispatched; j != nil {
 				break
 			}
 			s.cond.Wait()
 		}
-		j.state = JobRunning
 		j.pctx = &JobContext{Job: j.ID, Tenant: j.Spec.Tenant, Attempt: j.attempts,
 			Trace: j.tc, preempt: make(chan struct{})}
-		ts := s.tenant(j.Spec.Tenant)
 		if !resumed {
-			ts.adm++
-			ts.running++
-			ts.mAdm.Inc()
-			var admitNS int64
+			s.tenant(j.Spec.Tenant).mAdm.Inc()
 			if s.timed() {
-				admitNS = s.nowNS()
+				admitNS := s.nowNS()
 				s.mx.QueueWait.ObserveExemplar(admitNS-j.enqueueNS, j.tc.Trace)
 				if s.prof != nil {
 					// The admit span carries the executor that dispatched the
@@ -754,11 +622,8 @@ func (s *Scheduler) executorLoop(ex *executor) {
 		err := s.runJob(ex, j, jc)
 
 		s.mu.Lock()
-		ts.running--
-		if err == ErrPreempted && !s.stopped && !s.core.draining {
-			s.core.preempt(j)
-			s.journalOp(op{K: opPreempt, Job: j.ID}, false)
-			j.state = JobQueued
+		if err == ErrPreempted && !s.stopped && !s.st.draining {
+			s.do(op{K: opPreempt, Job: j.ID})
 			j.preemptRequested = false
 			j.pctx = nil
 			j.preempted = true
@@ -772,7 +637,6 @@ func (s *Scheduler) executorLoop(ex *executor) {
 		} else {
 			s.finishLocked(j, err)
 		}
-		s.snapshotIfDueLocked()
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
@@ -819,32 +683,32 @@ func (s *Scheduler) runJob(ex *executor, j *Job, jc *JobContext) (err error) {
 	return err
 }
 
-// finishLocked completes j: the core op frees the slot and the record is
-// written at once, so the executor can take its next job; the terminal state
-// becomes observable (publishLocked) only once the record is durable, so a
-// completion is never seen before it would survive a crash. Caller holds mu.
+// finishLocked completes j: the op frees the slot and retires the job, and
+// its record is written at once, so the executor can take its next job; the
+// terminal state becomes observable (publishLocked) only once the record is
+// durable, so a completion is never seen before it would survive a crash.
+// Caller holds mu.
 func (s *Scheduler) finishLocked(j *Job, err error) {
-	s.core.complete(j, err)
 	o := op{K: opComplete, Job: j.ID, Fail: err != nil}
 	if err != nil {
 		o.Msg = err.Error()
 	}
-	s.finishAfterCommit(finish{j: j, err: err, kind: finishRan, ack: s.journalOp(o, true)})
+	_, a := s.do(o)
+	s.finishAfterCommit(finish{j: j, err: err, k: opComplete, ack: a})
 }
 
-// finishExpiredLocked fails jobs dropped past their deadline. The expire
-// decisions are part of the dispatch op the caller journaled as a. Caller
-// holds mu.
-func (s *Scheduler) finishExpiredLocked(expired []*Job, a ack) {
-	for _, j := range expired {
-		s.finishAfterCommit(finish{j: j, err: ErrDeadlineExpired, kind: finishExpired, ack: a})
+// finishDroppedLocked fails the jobs one op dropped without running them:
+// k's record, acked as a, is what makes them terminal. Caller holds mu.
+func (s *Scheduler) finishDroppedLocked(jobs []*Job, err error, k opKind, a ack) {
+	for _, j := range jobs {
+		s.finishAfterCommit(finish{j: j, err: err, k: k, ack: a})
 		a.timed = false // one record, one wal_append_ns sample
 	}
 }
 
 // publishLocked makes a finished job's terminal state observable: tenant
-// counters, j.state, the terminal ring, close(j.done), the trace's outcome.
-// Caller holds mu.
+// metrics, j.state and j.err, close(j.done), the trace's outcome. Caller
+// holds mu.
 func (s *Scheduler) publishLocked(f finish) {
 	j, err := f.j, f.err
 	ts := s.tenant(j.Spec.Tenant)
@@ -856,28 +720,23 @@ func (s *Scheduler) publishLocked(f finish) {
 		j.state = JobDone
 	}
 	j.err = err
-	switch f.kind {
-	case finishAbandoned:
-		ts.rej++
+	switch f.k {
+	case opAbandon:
 		ts.rejCounter(s, j.Spec.Tenant, ReasonShutdown).Inc()
-	case finishExpired:
+	case opDispatch:
 		// Expiry happened at dispatch, before the job took a slot, so only
 		// the job's own lifecycle needs closing.
-		ts.fail++
 		ts.mFail.Inc()
 		s.mx.Expired.Inc()
 	default:
 		if err != nil {
-			ts.fail++
 			ts.mFail.Inc()
 		} else {
-			ts.comp++
 			ts.mComp.Inc()
 		}
 	}
-	s.moveToTerminal(j, err != nil, msg)
 	close(j.done)
-	if f.kind == finishAbandoned {
+	if f.k == opAbandon {
 		// Abandoned-at-shutdown traces are noise, not signal: discard the
 		// buffers instead of retaining one failed trace per queued job.
 		s.tracer.Abort(j.tc)
@@ -886,19 +745,19 @@ func (s *Scheduler) publishLocked(f finish) {
 	var latNS int64
 	if s.timed() && j.enqueueNS > 0 {
 		latNS = s.nowNS() - j.enqueueNS
-		if f.kind == finishRan {
+		if f.k == opComplete {
 			s.mx.JobLatency.ObserveExemplar(latNS, j.tc.Trace)
 		}
 	}
 	if s.tracer != nil && j.tc.Valid() {
 		out := trace.Outcome{Failed: err != nil, LatencyNS: latNS, Err: msg}
-		if f.kind == finishRan {
+		if f.k == opComplete {
 			out.Preempted, out.Retried = j.preempted, j.attempts > 1
 		}
 		s.tracer.Finish(j.tc, s.nowNS(), out)
 	}
 	s.syncDepthGauges(j.Spec.Tenant)
-	if f.kind == finishRan && s.drainNS != 0 && s.quiescentLocked() && s.prof != nil {
+	if f.k == opComplete && s.drainNS != 0 && s.quiescentLocked() && s.prof != nil {
 		s.prof.Span(0, obs.StageDrain, "", "drain", domain.Point{}, s.drainNS, s.nowNS())
 		s.drainNS = 0
 	}
@@ -908,7 +767,7 @@ func (s *Scheduler) publishLocked(f finish) {
 // runtimes' health state, then a bucket refill.
 func (s *Scheduler) tickLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.tickEvery)
+	t := time.NewTicker(s.cfg.TickEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -920,23 +779,11 @@ func (s *Scheduler) tickLoop() {
 		// issuance lock, which a running job may hold.
 		cap := 1.0
 		for _, ex := range s.execs {
-			if f := ex.rt.CapacityFactor(); f < cap {
-				cap = f
-			}
+			cap = min(cap, ex.rt.CapacityFactor())
 		}
 		s.mu.Lock()
-		if cap != s.capacity {
-			s.journalOp(op{K: opCapacity, Cap: cap}, false)
-		}
-		s.capacity = cap
-		s.core.adm.setCapacity(cap)
-		s.mx.CapacityPermille.Set(int64(cap * 1000))
-		s.core.advance()
-		if s.jn != nil {
-			// Empty ticks coalesce: the journal folds the backlog into one
-			// advance record ahead of the next real op.
-			s.jn.tick()
-		}
+		s.setCapacityLocked(cap)
+		s.do(op{K: opAdvance, N: 1})
 		s.mu.Unlock()
 		if s.jn != nil {
 			if err := s.jn.syncIdle(); err != nil {
@@ -947,16 +794,41 @@ func (s *Scheduler) tickLoop() {
 }
 
 // SetCapacityFactor overrides the health-fed capacity factor until the next
-// tick re-reads it — a test hook and an operator brake.
+// tick re-reads it — a test hook and an operator brake. Factors outside
+// [0, 1] are clamped.
 func (s *Scheduler) SetCapacityFactor(f float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f != s.capacity {
-		s.journalOp(op{K: opCapacity, Cap: f}, false)
+	s.setCapacityLocked(f)
+}
+
+// setCapacityLocked feeds f to admission — an op only when it changes what
+// admission sees — and to the capacity gauge. Caller holds mu.
+func (s *Scheduler) setCapacityLocked(f float64) {
+	if f = clampCapacity(f); f != s.st.adm.capacity {
+		s.do(op{K: opCapacity, Cap: f})
 	}
-	s.capacity = f
-	s.core.adm.setCapacity(f)
-	s.mx.CapacityPermille.Set(int64(s.core.adm.capacity * 1000))
+	s.mx.CapacityPermille.Set(int64(f * 1000))
+}
+
+// liveJob returns id's *Job while this process holds it: queued, running,
+// finished but not yet published (its state turns terminal only then, and
+// the terminal ring may already have evicted it), or finished here and still
+// retained. Jobs retired during recovery have no done channel and answer
+// from the terminal ring alone. Caller holds mu.
+func (s *Scheduler) liveJob(id JobID) *Job {
+	if j := s.st.jobs[id]; j != nil {
+		return j
+	}
+	if rj, ok := s.st.terminal.get(id); ok && rj.job != nil && rj.job.done != nil {
+		return rj.job
+	}
+	for _, f := range s.unacked {
+		if f.j.ID == id {
+			return f.j
+		}
+	}
+	return nil
 }
 
 // Wait blocks until job id finishes and returns its error. Jobs finished
@@ -964,27 +836,21 @@ func (s *Scheduler) SetCapacityFactor(f float64) {
 // report a reconstructed error; unknown or retired IDs return an error.
 func (s *Scheduler) Wait(id JobID) error {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		j, ok = s.finished[id]
-	}
-	if !ok {
-		tj, found := s.terminal.get(id)
-		s.mu.Unlock()
-		if !found {
-			return fmt.Errorf("sched: unknown job %d", id)
-		}
-		if tj.Failed {
-			if tj.Error != "" {
-				return errors.New(tj.Error)
-			}
-			return fmt.Errorf("sched: job %d failed", id)
-		}
-		return nil
-	}
+	j := s.liveJob(id)
+	rj, retired := s.st.terminal.get(id)
 	s.mu.Unlock()
-	<-j.done
-	return j.err
+	switch {
+	case j != nil:
+		<-j.done
+		return j.err
+	case !retired:
+		return fmt.Errorf("sched: unknown job %d", id)
+	case rj.Failed && rj.Error != "":
+		return errors.New(rj.Error)
+	case rj.Failed:
+		return fmt.Errorf("sched: job %d failed", id)
+	}
+	return nil
 }
 
 // JobInfo is one job's queryable snapshot (the GET /jobs payload).
@@ -1015,16 +881,12 @@ const (
 	LookupUnknown
 )
 
-// Lookup returns a job's snapshot, checking live jobs, retained finished
-// jobs, and the recovered terminal ring in that order.
+// Lookup returns a job's snapshot, checking live jobs, then the terminal
+// ring.
 func (s *Scheduler) Lookup(id JobID) (JobInfo, LookupResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		j, ok = s.finished[id]
-	}
-	if ok {
+	if j := s.liveJob(id); j != nil {
 		info := JobInfo{ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
 			State: j.state.String(), Attempts: j.attempts}
 		if j.err != nil {
@@ -1032,27 +894,18 @@ func (s *Scheduler) Lookup(id JobID) (JobInfo, LookupResult) {
 		}
 		return info, LookupFound
 	}
-	if tj, found := s.terminal.get(id); found {
+	if rj, found := s.st.terminal.get(id); found {
 		state := JobDone
-		if tj.Failed {
+		if rj.Failed {
 			state = JobFailed
 		}
-		return JobInfo{ID: tj.ID, Tenant: tj.Tenant, Priority: tj.Priority,
-			State: state.String(), Attempts: tj.Attempts, Error: tj.Error}, LookupFound
+		return JobInfo{ID: rj.ID, Tenant: rj.Tenant, Priority: rj.Priority,
+			State: state.String(), Attempts: rj.Attempts, Error: rj.Error}, LookupFound
 	}
-	if id >= 1 && id <= s.nextID {
+	if id >= 1 && id <= s.st.nextID {
 		return JobInfo{}, LookupGone
 	}
 	return JobInfo{}, LookupUnknown
-}
-
-// Log returns a copy of the decision log so far.
-func (s *Scheduler) Log() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Decision, len(s.core.log))
-	copy(out, s.core.log)
-	return out
 }
 
 // Drain stops admission (submissions fail with reason "draining") and
@@ -1065,9 +918,8 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		return ErrSchedulerClosed
 	}
-	if !s.core.draining {
-		s.core.drainNow()
-		s.journalOp(op{K: opDrain}, false)
+	if !s.st.draining {
+		s.do(op{K: opDrain})
 		s.mx.Drains.Inc()
 		if s.prof != nil {
 			s.drainNS = s.nowNS()
@@ -1111,14 +963,9 @@ func (s *Scheduler) Shutdown() {
 	s.stopped = true
 	close(s.tickStop)
 	// Fail everything still queued; executors drain their running jobs. The
-	// abandon is one journaled core op, so replay reproduces the shutdown
-	// rejects exactly.
-	abandoned := s.core.abandon()
-	a := s.journalOp(op{K: opAbandon}, len(abandoned) > 0)
-	for _, j := range abandoned {
-		s.finishAfterCommit(finish{j: j, err: ErrSchedulerClosed, kind: finishAbandoned, ack: a})
-		a.timed = false // one record, one wal_append_ns sample
-	}
+	// abandon is one op, so replay reproduces the shutdown rejects exactly.
+	fx, a := s.do(op{K: opAbandon})
+	s.finishDroppedLocked(fx.dropped, ErrSchedulerClosed, opAbandon, a)
 	s.syncDepthGauges("")
 	s.mu.Unlock()
 	s.cond.Broadcast()
@@ -1134,8 +981,11 @@ func (s *Scheduler) Shutdown() {
 		close(s.ackWake)
 		<-s.ackDone
 		s.mu.Lock()
-		s.snapshotLocked()
+		err := s.jn.snapshot(s.st)
 		s.mu.Unlock()
+		if err != nil {
+			panic(fmt.Sprintf("sched: journal snapshot failed (fail-stop): %v", err))
+		}
 		_ = s.jn.log.Close() // the snapshot just made everything durable; nothing is left to lose
 	}
 }
@@ -1211,13 +1061,13 @@ func (s *Scheduler) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Queue:            s.core.q.Name(),
+		Queue:            s.st.q.Name(),
 		Executors:        s.cfg.Executors,
-		Draining:         s.core.draining,
-		QueueDepth:       s.core.q.Len(),
-		Running:          len(s.core.running),
-		CapacityPermille: int64(s.capacity * 1000),
-		Decisions:        s.core.seq,
+		Draining:         s.st.draining,
+		QueueDepth:       s.st.q.Len(),
+		Running:          len(s.st.running),
+		CapacityPermille: int64(s.st.adm.capacity * 1000),
+		Decisions:        s.st.seq,
 	}
 	if s.tracer != nil {
 		ts := s.tracer.StatusInfo()
@@ -1242,24 +1092,28 @@ func (s *Scheduler) Status() Status {
 			CommitRecords:    uint64(ws.CommitRecords),
 			CommitWaitP50NS:  s.jmx.CommitWaitNS.Quantile(0.5),
 			CommitWaitP99NS:  s.jmx.CommitWaitNS.Quantile(0.99),
-			TerminalRetained: len(s.terminal.order),
-			DedupKeys:        len(s.dedup.order),
+			TerminalRetained: len(s.st.terminal.order),
+			DedupKeys:        len(s.st.dedup.order),
 			Recovery:         s.report,
 		}
 	}
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
+	running := map[string]int{}
+	for _, j := range s.st.running {
+		running[j.Spec.Tenant]++
+	}
+	names := make([]string, 0, len(s.st.counts))
+	for name := range s.st.counts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ts := s.tenants[name]
+		c := s.st.counts[name]
 		st.Tenants = append(st.Tenants, TenantStatus{
 			Tenant: name, Weight: s.cfg.Admission.Weight(name),
-			Queued: s.core.queued[name], Running: ts.running,
-			Enqueued: ts.enq, Admitted: ts.adm, Rejected: ts.rej,
-			Completed: ts.comp, Failed: ts.fail,
-			Tokens: s.core.adm.tokens(name),
+			Queued: s.st.queued[name], Running: running[name],
+			Enqueued: c.Enqueued, Admitted: c.Admitted, Rejected: c.Rejected,
+			Completed: c.Completed, Failed: c.Failed,
+			Tokens: s.st.adm.tokens(name),
 		})
 	}
 	return st

@@ -26,13 +26,16 @@ func durableCfg(dir string) Config {
 
 func noopRun(*JobContext, *rt.Runtime) error { return nil }
 
-// TestLiveDurableRestart is the live-mode restart cycle: run jobs, shut
-// down, reopen the same directory — terminal states answer queries, the
-// idempotency table survives, the decision log continues where it left
-// off, and new work flows.
+// TestLiveDurableRestart is the live-mode restart cycle: run jobs (one
+// rejected, one failed among them), shut down, reopen the same directory —
+// terminal states answer queries, the idempotency table survives, the
+// decision count and every tenant counter continue where they left off, and
+// new work flows.
 func TestLiveDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	s := MustNew(durableCfg(dir))
+	cfg := durableCfg(dir)
+	cfg.Admission = Admission{Tenants: map[string]Quota{"r": {Rate: 1, Burst: 1}}}
+	s := MustNew(cfg)
 	var ids []JobID
 	for i := 0; i < 8; i++ {
 		id, err := s.SubmitIdempotent(JobSpec{Tenant: "a", Run: noopRun}, fmt.Sprintf("key-%d", i))
@@ -46,17 +49,52 @@ func TestLiveDurableRestart(t *testing.T) {
 			t.Fatalf("job %d: %v", id, err)
 		}
 	}
-	decisions := s.Status().Decisions
+	// The rate-limited tenant's bucket holds one token: the second
+	// submission is rejected (and still takes an ID).
+	rid, err := s.Submit(JobSpec{Tenant: "r", Run: noopRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(JobSpec{Tenant: "r", Run: noopRun}); !errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("second rate-limited submit = %v, want a rejection", err)
+	}
+	fid, err := s.Submit(JobSpec{Tenant: "f", Run: func(*JobContext, *rt.Runtime) error { return errors.New("boom") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(rid); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(fid); err == nil {
+		t.Fatal("failing job succeeded")
+	}
+	st := s.Status()
 	s.Shutdown()
 
-	s2 := MustNew(durableCfg(dir))
+	s2 := MustNew(cfg)
 	defer s2.Shutdown()
 	rep := s2.Recovery()
 	if !rep.Recovered {
 		t.Fatal("second open should report recovered state")
 	}
-	if got := s2.Status().Decisions; got != decisions {
-		t.Fatalf("recovered decision count = %d, want %d", got, decisions)
+	st2 := s2.Status()
+	if st2.Decisions != st.Decisions {
+		t.Fatalf("recovered decision count = %d, want %d", st2.Decisions, st.Decisions)
+	}
+	counters := func(st Status) string {
+		var b strings.Builder
+		for _, ts := range st.Tenants {
+			fmt.Fprintf(&b, "%s enq=%d adm=%d rej=%d comp=%d fail=%d\n",
+				ts.Tenant, ts.Enqueued, ts.Admitted, ts.Rejected, ts.Completed, ts.Failed)
+		}
+		return b.String()
+	}
+	want := "a enq=8 adm=8 rej=0 comp=8 fail=0\nf enq=1 adm=1 rej=0 comp=0 fail=1\nr enq=1 adm=1 rej=1 comp=1 fail=0\n"
+	if got := counters(st); got != want {
+		t.Fatalf("tenant counters before restart:\n%swant:\n%s", got, want)
+	}
+	if got := counters(st2); got != want {
+		t.Fatalf("tenant counters after restart:\n%swant:\n%s", got, want)
 	}
 	// Terminal states answer post-restart queries.
 	for _, id := range ids {
@@ -80,8 +118,8 @@ func TestLiveDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != ids[len(ids)-1]+1 {
-		t.Fatalf("post-restart ID = %d, want %d", id, ids[len(ids)-1]+1)
+	if id != fid+1 {
+		t.Fatalf("post-restart ID = %d, want %d", id, fid+1)
 	}
 	if err := s2.Wait(id); err != nil {
 		t.Fatal(err)
@@ -182,7 +220,7 @@ func TestSubmitIdempotentDedup(t *testing.T) {
 	}
 	// After a refill the same key must submit fresh, not replay the reject.
 	s.mu.Lock()
-	s.core.adm.refill()
+	s.st.adm.refill()
 	s.mu.Unlock()
 	d, err := s.SubmitIdempotent(JobSpec{Tenant: "limited", Run: noopRun}, "kr2")
 	if err != nil || d == 0 {
@@ -354,5 +392,103 @@ func TestJitterRetryAfterBounds(t *testing.T) {
 	}
 	if got := jitterRetryAfter(0, 7); got != 0 {
 		t.Fatalf("jitter(0) = %v, want 0", got)
+	}
+}
+
+// TestLiveSnapshotBounded: a live scheduler's snapshot holds its state, not
+// its history — after 16k jobs it is no larger than after 2k (within the
+// digits the counters and IDs gain).
+func TestLiveSnapshotBounded(t *testing.T) {
+	cfg := durableCfg(t.TempDir())
+	cfg.TerminalRetention = 64
+	s := MustNew(cfg)
+	defer s.Shutdown()
+	serve := func(n int) {
+		for n > 0 {
+			// Batches fit the retention, so no job is evicted before its Wait.
+			ids := make([]JobID, 0, 32)
+			for ; n > 0 && len(ids) < cap(ids); n-- {
+				id, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			for _, id := range ids {
+				if err := s.Wait(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	size := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		payload, err := s.st.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(payload)
+	}
+	serve(2000)
+	small := size()
+	serve(14000)
+	if large := size(); large > small*11/10 {
+		t.Fatalf("snapshot grew from %d bytes after 2k jobs to %d after 16k", small, large)
+	}
+}
+
+// TestSnapshotLogFoldsIntoCounts: a snapshot from before tenant counts were
+// kept carries the decision log instead, and loading it into a live state
+// folds the log into the counts that state would have kept itself.
+func TestSnapshotLogFoldsIntoCounts(t *testing.T) {
+	adm := Admission{Tenants: map[string]Quota{"r": {Rate: 1, Burst: 1}}}
+	run := func(keepLog bool) *state {
+		st := newState(NewFIFO(), adm, 1, 8)
+		st.keepLog = keepLog
+		must := func(o op) {
+			if _, err := st.apply(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, ws := range []WireSpec{{Tenant: "a"}, {Tenant: "r"}, {Tenant: "r"}, {Tenant: "f"}, {Tenant: "e", Deadline: 1}} {
+			must(op{K: opSubmit, Job: JobID(id + 1), Spec: &ws}) // the second "r" is rate-limited
+		}
+		for _, done := range []op{{Job: 1}, {Job: 2}, {Job: 4, Fail: true}} {
+			must(op{K: opDispatch})
+			must(op{K: opComplete, Job: done.Job, Fail: done.Fail})
+		}
+		must(op{K: opAdvance, N: 2})
+		must(op{K: opDispatch}) // job 5 waited past its deadline: expired
+		return st
+	}
+	render := func(st *state) string {
+		var b strings.Builder
+		for _, name := range []string{"a", "e", "f", "r"} {
+			c := st.counts[name]
+			if c == nil {
+				c = &tenantCounts{}
+			}
+			fmt.Fprintf(&b, "%s %+v\n", name, *c)
+		}
+		return b.String()
+	}
+	const want = "a {Enqueued:1 Admitted:1 Rejected:0 Completed:1 Failed:0}\n" +
+		"e {Enqueued:1 Admitted:0 Rejected:0 Completed:0 Failed:1}\n" +
+		"f {Enqueued:1 Admitted:1 Rejected:0 Completed:0 Failed:1}\n" +
+		"r {Enqueued:1 Admitted:1 Rejected:1 Completed:1 Failed:0}\n"
+	if got := render(run(false)); got != want {
+		t.Fatalf("live counts:\n%swant:\n%s", got, want)
+	}
+	payload, err := run(true).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := newState(NewFIFO(), adm, 1, 8)
+	if err := loaded.load(payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(loaded); got != want {
+		t.Fatalf("counts folded from a snapshot's log:\n%swant:\n%s", got, want)
 	}
 }

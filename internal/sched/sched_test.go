@@ -17,7 +17,7 @@ import (
 	"indexlaunch/internal/rt"
 )
 
-// Live-scheduler tests: the concurrent front end over the policy core —
+// Live-scheduler tests: the concurrent front end over the scheduler state —
 // executor pool, backpressure, drain/shutdown, preemption, capacity
 // feedback, and the HTTP API end to end.
 
@@ -294,6 +294,26 @@ func TestSchedCapacityFeedback(t *testing.T) {
 	if st := s.Status(); st.CapacityPermille != 1000 {
 		t.Fatalf("capacity permille = %d, want 1000", st.CapacityPermille)
 	}
+
+	// A factor outside [0, 1] is clamped: /statusz and the
+	// sched_capacity_permille gauge read the one value admission uses, and
+	// so does a durable scheduler after a restart.
+	capacity := func(s *Scheduler, when string) {
+		t.Helper()
+		if st, g := s.Status().CapacityPermille, s.mx.CapacityPermille.Value(); st != 1000 || g != 1000 {
+			t.Fatalf("%s: capacity_permille %d, gauge %d; want 1000 on both", when, st, g)
+		}
+	}
+	s.SetCapacityFactor(1.5)
+	capacity(s, "in-memory")
+	dir := t.TempDir()
+	d := MustNew(durableCfg(dir))
+	d.SetCapacityFactor(1.5)
+	capacity(d, "durable")
+	d.Shutdown()
+	d = MustNew(durableCfg(dir))
+	defer d.Shutdown()
+	capacity(d, "after restart")
 }
 
 // TestSchedMetricsAndObs wires a registry and recorder through a live run

@@ -3,13 +3,14 @@ package sched
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // Seeded arrival traces and the virtual-time driver: the scheduling
 // equivalent of the chaos property suite. GenTrace derives a multi-tenant
 // arrival sequence from a seed with the same splitmix64 construction the
 // chaos plan uses — every value a pure function of (seed, draw index) — and
-// RunTrace plays it through the policy core on a virtual clock, so the
+// RunTrace plays it through the scheduler state on a virtual clock, so the
 // decision log, the fair-share split and the queue-wait distribution are
 // pure functions of (trace, config). The CI seed matrix holds RenderLog
 // byte-identical across runs, which extends the chaos/soak determinism
@@ -175,84 +176,149 @@ func (r TraceResult) waitQuantile(q float64) int64 {
 	return sorted[idx]
 }
 
-// RunTrace plays tr through the policy core on a virtual clock. Within each
-// tick the order is fixed: completions due this tick (ascending job ID),
+// RunTrace plays tr through the scheduler state on a virtual clock. Within
+// each tick the order is fixed: completions due this tick (ascending job ID),
 // then arrivals, then dispatch until slots or queue run dry; then the clock
 // advances (refilling admission buckets). Every step is deterministic, so
-// two runs of the same (trace, config) produce byte-identical rendered
-// logs.
+// two runs of the same (trace, config) produce byte-identical rendered logs.
 func RunTrace(tr Trace, cfg TraceConfig) TraceResult {
+	out, err := runTrace(tr, cfg, newTraceState(cfg), nil, DurableOptions{})
+	if err != nil {
+		panic(err) // without a journal no op can fail
+	}
+	return out.TraceResult
+}
+
+// newTraceState is the trace driver's fresh state: it keeps the decision log
+// its result is derived from, and retains no finished job, since nothing
+// queries one.
+func newTraceState(cfg TraceConfig) *state {
 	slots := cfg.Executors
 	if slots < 1 {
 		slots = 2
 	}
-	c := newPolicy(cfg.Queue, newAdmission(cfg.Admission), slots)
+	st := newState(cfg.Queue, cfg.Admission, slots, 0)
+	st.keepLog = true
+	return st
+}
+
+// runTrace is the tick loop behind RunTrace and RunTraceDurable. st is fresh
+// or recovered; jn journals every op and commits once per tick, and is nil
+// for an in-memory run. Arrival i is job i+1 (IDs are dense and every
+// arrival, rejected or not, takes one), so the next arrival is st.nextID.
+func runTrace(tr Trace, cfg TraceConfig, st *state, jn *journal, opts DurableOptions) (*DurableTraceResult, error) {
+	out := &DurableTraceResult{}
+	// finishing maps completion tick -> jobs: a trace job admitted at tick T
+	// with service S completes at T+S — including jobs running at a crash.
+	finishing := map[int64][]*Job{}
+	due := func(j *Job) {
+		at := j.admitTick + max(j.service, 1)
+		finishing[at] = append(finishing[at], j)
+	}
+	for _, j := range st.running {
+		due(j)
+	}
+	var err error
+	var tail uint64 // the newest record written this tick; committed once per tick
+	stopped := func() bool { return err != nil || opts.MaxOps > 0 && out.Ops >= opts.MaxOps }
+	// step applies (and journals) one op; after an error it does nothing,
+	// and stopped ends the loop.
+	step := func(o op) (fx effects) {
+		if err != nil {
+			return fx
+		}
+		var a ack
+		fx, a, err = jn.apply(st, o, false)
+		if a.seq != 0 {
+			tail = a.seq
+			out.Ops++
+			if opts.OpDelay > 0 {
+				time.Sleep(opts.OpDelay)
+			}
+		}
+		return fx
+	}
+
+	for !stopped() {
+		if cfg.CapacityAt != nil {
+			if f := clampCapacity(cfg.CapacityAt(st.tick)); f != st.adm.capacity {
+				step(op{K: opCapacity, Cap: f})
+			}
+		}
+		// 1. Completions due now.
+		if done := finishing[st.tick]; len(done) > 0 {
+			sort.Slice(done, func(i, j int) bool { return done[i].ID < done[j].ID })
+			for _, j := range done {
+				step(op{K: opComplete, Job: j.ID})
+			}
+			delete(finishing, st.tick)
+		}
+		// 2. Arrivals due now. Rejected submissions are journaled too:
+		// replay reproduces the reject (and its decision) deterministically.
+		for int(st.nextID) < len(tr.Jobs) && tr.Jobs[st.nextID].At <= st.tick && !stopped() {
+			a := tr.Jobs[st.nextID]
+			step(op{K: opSubmit, Job: st.nextID + 1, job: &Job{Spec: JobSpec{
+				Tenant: a.Tenant, Priority: a.Priority, Cost: a.Cost, Deadline: a.Deadline,
+			}, service: a.Service}})
+		}
+		// 3. Dispatch onto free slots.
+		for !stopped() {
+			fx := step(op{K: opDispatch})
+			if fx.dispatched == nil {
+				break
+			}
+			due(fx.dispatched)
+		}
+		if tail != 0 && err == nil {
+			err = jn.commit(tail)
+			tail = 0
+		}
+		if err == nil && int(st.nextID) >= len(tr.Jobs) && st.idle() {
+			out.Done = true
+			break
+		}
+		step(op{K: opAdvance, N: 1})
+	}
+	if err == nil && jn != nil {
+		err = jn.log.Sync()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out.TraceResult = deriveResult(st.log, tr)
+	return out, nil
+}
+
+// deriveResult reconstructs a TraceResult purely from the decision log and
+// the trace, so a run resumed across any number of crashes reports exactly
+// what one uninterrupted run reports. Costs come from the trace (job i+1 is
+// arrival i), waits from the ticks between a job's enqueue (or re-queue) and
+// its admission.
+func deriveResult(log []Decision, tr Trace) TraceResult {
 	res := TraceResult{
 		Completed:  map[string]int{},
 		Rejected:   map[string]int{},
 		Expired:    map[string]int{},
 		ServedCost: map[string]int64{},
+		Log:        log,
 	}
-
-	// finishing maps completion tick -> jobs, served in ascending-ID order.
-	finishing := map[int64][]*Job{}
-	service := map[JobID]int64{}
-	inFlight := 0
-	next := 0
-	var id JobID
-
-	for {
-		if cfg.CapacityAt != nil {
-			c.adm.setCapacity(cfg.CapacityAt(c.tick))
+	queuedAt := make([]int64, len(tr.Jobs)+1) // by job ID
+	for _, d := range log {
+		switch d.Kind {
+		case KindEnqueue, KindPreempt:
+			queuedAt[d.Job] = d.Tick
+		case KindAdmit:
+			res.ServedCost[d.Tenant] += max(tr.Jobs[d.Job-1].Cost, 1)
+			res.Waits = append(res.Waits, d.Tick-queuedAt[d.Job])
+		case KindComplete:
+			res.Completed[d.Tenant]++
+		case KindReject:
+			res.Rejected[d.Tenant]++
+		case KindExpire:
+			res.Expired[d.Tenant]++
 		}
-		// 1. Completions due now.
-		if done := finishing[c.tick]; len(done) > 0 {
-			sort.Slice(done, func(i, j int) bool { return done[i].ID < done[j].ID })
-			for _, j := range done {
-				c.complete(j, nil)
-				res.Completed[j.Spec.Tenant]++
-				inFlight--
-			}
-			delete(finishing, c.tick)
-		}
-		// 2. Arrivals due now.
-		for next < len(tr.Jobs) && tr.Jobs[next].At <= c.tick {
-			a := tr.Jobs[next]
-			next++
-			id++
-			j := &Job{ID: id, Spec: JobSpec{
-				Tenant: a.Tenant, Priority: a.Priority, Cost: a.Cost, Deadline: a.Deadline,
-			}}
-			service[id] = a.Service
-			if _, rej := c.submit(j); rej != nil {
-				res.Rejected[a.Tenant]++
-			}
-		}
-		// 3. Dispatch onto free slots.
-		for {
-			j, expired := c.dispatch()
-			for _, e := range expired {
-				res.Expired[e.Spec.Tenant]++
-			}
-			if j == nil {
-				break
-			}
-			res.ServedCost[j.Spec.Tenant] += j.Spec.cost()
-			res.Waits = append(res.Waits, c.tick-j.enqueueTick)
-			svc := service[j.ID]
-			if svc < 1 {
-				svc = 1
-			}
-			finishing[c.tick+svc] = append(finishing[c.tick+svc], j)
-			inFlight++
-		}
-		if next >= len(tr.Jobs) && inFlight == 0 && c.q.Len() == 0 {
-			break
-		}
-		c.advance()
+		res.Makespan = max(res.Makespan, d.Tick)
 	}
-	res.Log = c.log
-	res.Makespan = c.tick
 	var completed int
 	for _, n := range res.Completed {
 		completed += n
