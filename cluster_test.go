@@ -93,12 +93,12 @@ func bannerAddr(t *testing.T, seen, marker string) string {
 	return strings.TrimSpace(rest)
 }
 
-// runTracedJob submits one synthetic job against base, waits for it to
-// finish, and returns its launch shape from the trace API.
-func runTracedJob(t *testing.T, base string) string {
+// submitJob submits one synthetic job of rounds launches of tasks points
+// against base and returns its ID.
+func submitJob(t *testing.T, base string, tasks, rounds int) int64 {
 	t.Helper()
 	resp, err := http.Post(base+"/jobs", "application/json",
-		strings.NewReader(`{"tenant":"a","tasks":24,"rounds":2}`))
+		strings.NewReader(fmt.Sprintf(`{"tenant":"a","tasks":%d,"rounds":%d}`, tasks, rounds)))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
 	}
@@ -110,11 +110,18 @@ func runTracedJob(t *testing.T, base string) string {
 	if err != nil || resp.StatusCode != http.StatusAccepted || sub.ID == 0 {
 		t.Fatalf("submit: id %d code %d err %v", sub.ID, resp.StatusCode, err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
+	return sub.ID
+}
+
+// waitJob polls job id until it is done, failing the test if it fails or
+// is still unfinished after limit.
+func waitJob(t *testing.T, base string, id int64, limit time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(limit)
 	for {
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", base, sub.ID))
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", base, id))
 		if err != nil {
-			t.Fatalf("GET /jobs/%d: %v", sub.ID, err)
+			t.Fatalf("GET /jobs/%d: %v", id, err)
 		}
 		var info struct {
 			State string `json:"state"`
@@ -122,24 +129,32 @@ func runTracedJob(t *testing.T, base string) string {
 		err = json.NewDecoder(resp.Body).Decode(&info)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("decode job %d: %v", sub.ID, err)
+			t.Fatalf("decode job %d: %v", id, err)
 		}
 		if resp.StatusCode == http.StatusOK && info.State == "done" {
-			break
+			return
 		}
 		if info.State == "failed" || time.Now().After(deadline) {
-			t.Fatalf("job %d state %s", sub.ID, info.State)
+			t.Fatalf("job %d state %s", id, info.State)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// runTracedJob submits one synthetic job against base, waits for it to
+// finish, and returns its launch shape from the trace API.
+func runTracedJob(t *testing.T, base string) string {
+	t.Helper()
+	id := submitJob(t, base, 24, 2)
+	waitJob(t, base, id, 60*time.Second)
 	// -trace-sample 1 head-samples everything, so the finished job's trace
 	// is retained and queryable by decimal job ID.
 	var tr trace.Trace
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(fmt.Sprintf("%s/trace/%d", base, sub.ID))
+		resp, err := http.Get(fmt.Sprintf("%s/trace/%d", base, id))
 		if err != nil {
-			t.Fatalf("GET /trace/%d: %v", sub.ID, err)
+			t.Fatalf("GET /trace/%d: %v", id, err)
 		}
 		err = json.NewDecoder(resp.Body).Decode(&tr)
 		code := resp.StatusCode
@@ -148,7 +163,7 @@ func runTracedJob(t *testing.T, base string) string {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace for job %d never retained (last: %d %v)", sub.ID, code, err)
+			t.Fatalf("trace for job %d never retained (last: %d %v)", id, code, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -180,32 +195,63 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 	return 0
 }
 
+// workerStatus is the part of an idxnode /statusz payload the tests read.
+type workerStatus struct {
+	Node     int   `json:"node"`
+	Executed int64 `json:"executed"`
+	Slices   int   `json:"slices"`
+}
+
+// readWorkerStatus fetches the /statusz of the worker serving metrics on
+// addr.
+func readWorkerStatus(t *testing.T, addr string) workerStatus {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/statusz")
+	if err != nil {
+		t.Fatalf("worker statusz: %v", err)
+	}
+	defer resp.Body.Close()
+	// metrics.Handler wraps the StatusFunc payload under "status".
+	var wrapped struct {
+		Status workerStatus `json:"status"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wrapped); err != nil {
+		t.Fatalf("worker statusz decode: %v", err)
+	}
+	return wrapped.Status
+}
+
+// startCluster starts one idxnode per worker node 1..nodes-1, each with a
+// metrics endpoint, then idxserve -cluster over them. It returns the
+// workers' processes and metrics addresses and idxserve's base URL.
+func startCluster(t *testing.T, idxnode, idxserve string, nodes int, serveArgs ...string) (workers []*exec.Cmd, statusAddrs []string, base string) {
+	t.Helper()
+	wireAddrs := make([]string, 0, nodes-1)
+	for n := 1; n < nodes; n++ {
+		cmd, seen := startProc(t, idxnode, []string{
+			"-node", fmt.Sprint(n), "-nodes", fmt.Sprint(nodes),
+			"-listen", "127.0.0.1:0", "-addr", "127.0.0.1:0",
+		}, "listening on ", "metrics on http://")
+		workers = append(workers, cmd)
+		wireAddrs = append(wireAddrs, bannerAddr(t, seen, "listening on "))
+		statusAddrs = append(statusAddrs, bannerAddr(t, seen, "metrics on http://"))
+	}
+	_, seen := startProc(t, idxserve, append([]string{
+		"-addr", "127.0.0.1:0", "-cluster", strings.Join(wireAddrs, ","),
+		"-procs", "2", "-tick", "2ms",
+	}, serveArgs...), "http://", "cluster mode")
+	return workers, statusAddrs, "http://" + bannerAddr(t, seen, "http://")
+}
+
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	idxnode := buildBinary(t, "idxnode")
 	idxserve := buildBinary(t, "idxserve")
-
 	// Three workers, mesh nodes 1..3 of 4, each with a metrics endpoint so
 	// the test can interrogate its execution counters.
 	const nodes = 4
-	wireAddrs := make([]string, 0, nodes-1)
-	statusAddrs := make([]string, 0, nodes-1)
-	for n := 1; n < nodes; n++ {
-		_, seen := startProc(t, idxnode, []string{
-			"-node", fmt.Sprint(n), "-nodes", fmt.Sprint(nodes),
-			"-listen", "127.0.0.1:0", "-addr", "127.0.0.1:0",
-		}, "listening on ", "metrics on http://")
-		wireAddrs = append(wireAddrs, bannerAddr(t, seen, "listening on "))
-		statusAddrs = append(statusAddrs, bannerAddr(t, seen, "metrics on http://"))
-	}
-
-	_, seen := startProc(t, idxserve, []string{
-		"-addr", "127.0.0.1:0", "-cluster", strings.Join(wireAddrs, ","),
-		"-procs", "2", "-tick", "2ms", "-trace-sample", "1",
-	}, "http://", "cluster mode")
-	base := "http://" + bannerAddr(t, seen, "http://")
+	_, statusAddrs, base := startCluster(t, buildBinary(t, "idxnode"), idxserve, nodes, "-trace-sample", "1")
 
 	clusterShape := runTracedJob(t, base)
 	if !strings.Contains(clusterShape, "issue:"+syntheticTag+" execute=24") {
@@ -226,24 +272,7 @@ func TestClusterSmoke(t *testing.T) {
 	// domain block-maps 24 points over 4 nodes, so nodes 1..3 each own a
 	// slice of every round.
 	for i, sa := range statusAddrs {
-		resp, err := http.Get("http://" + sa + "/statusz")
-		if err != nil {
-			t.Fatalf("worker %d statusz: %v", i+1, err)
-		}
-		// metrics.Handler wraps the StatusFunc payload under "status".
-		var wrapped struct {
-			Status struct {
-				Node     int   `json:"node"`
-				Executed int64 `json:"executed"`
-				Slices   int   `json:"slices"`
-			} `json:"status"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&wrapped)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("worker %d statusz decode: %v", i+1, err)
-		}
-		st := wrapped.Status
+		st := readWorkerStatus(t, sa)
 		if st.Node != i+1 || st.Executed == 0 {
 			t.Fatalf("worker %d executed %d points (statusz: %+v)", i+1, st.Executed, st)
 		}
@@ -254,7 +283,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// The same job on the in-process loopback path (same machine shape, no
 	// cluster) must produce the identical launch structure.
-	_, seen = startProc(t, idxserve, []string{
+	_, seen := startProc(t, idxserve, []string{
 		"-addr", "127.0.0.1:0", "-nodes", fmt.Sprint(nodes), "-executors", "1",
 		"-procs", "2", "-tick", "2ms", "-trace-sample", "1",
 	}, "http://")
@@ -263,6 +292,50 @@ func TestClusterSmoke(t *testing.T) {
 
 	if clusterShape != loopShape {
 		t.Fatalf("launch shape diverged:\ncluster:\n%s\nloopback:\n%s", clusterShape, loopShape)
+	}
+}
+
+// TestClusterWorkerKilledMidJob is the served failure model on real
+// processes: worker 2 of three is SIGKILLed while a multi-launch job runs
+// on it. Nothing detects the death; each slice shipped to the dead worker
+// fails with ErrUnreachable once the mesh's ExecTimeout runs out and its
+// points run on the launcher instead. The job and the next one must still
+// finish, and every point must be committed exactly once.
+func TestClusterWorkerKilledMidJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses and waits out exec timeouts")
+	}
+	const nodes, tasks, rounds = 4, 1024, 64
+	workers, statusAddrs, base := startCluster(t, buildBinary(t, "idxnode"), buildBinary(t, "idxserve"), nodes)
+
+	first := submitJob(t, base, tasks, rounds)
+	for deadline := time.Now().Add(30 * time.Second); readWorkerStatus(t, statusAddrs[1]).Executed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 2 never executed a point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := workers[1].Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = workers[1].Process.Wait()
+	killed := time.Now()
+	waitJob(t, base, first, 5*time.Minute)
+	t.Logf("job 1 (%d launches of %d points): done %v after the kill", rounds, tasks, time.Since(killed).Round(time.Millisecond))
+
+	// Every launch of job 2 ships a slice to the dead worker and waits out
+	// the mesh's ExecTimeout for it; the launches are issued back to back,
+	// so they wait concurrently and the job takes about one timeout.
+	start := time.Now()
+	waitJob(t, base, submitJob(t, base, tasks, rounds), 5*time.Minute)
+	t.Logf("job 2 (%d launches of %d points, all after the kill): done in %v",
+		rounds, tasks, time.Since(start).Round(time.Millisecond))
+
+	if got, want := scrapeCounter(t, base, "idx_tasks_executed_total"), float64(2*tasks*rounds); got != want {
+		t.Errorf("idx_tasks_executed_total = %v, want %v: a point was committed twice or not at all", got, want)
+	}
+	if got := scrapeCounter(t, base, "wire_exec_errors_total"); got < 1 {
+		t.Errorf("wire_exec_errors_total = %v, want >= 1: no slice to the dead worker failed", got)
 	}
 }
 

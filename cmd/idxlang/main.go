@@ -53,8 +53,6 @@ func main() {
 	elems := flag.Int64("elems", 1024, "elements per synthetic collection in -run mode")
 	profile := flag.String("profile", "", "with -run: write a pipeline profile as Chrome trace JSON (view with idxprof)")
 	metricsAddr := flag.String("metrics", "", "with -run: serve the runtime's live /metrics, /metrics.json and /statusz on this address during execution")
-	heartbeat := flag.Int64("heartbeat", 0, "with -run: run a failure-detector round every N issued points (0 = off)")
-	speculate := flag.Float64("speculate", 0, "with -run: straggler-speculation latency quantile (0 = off)")
 	flag.Parse()
 
 	src := demo
@@ -86,10 +84,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "idxlang: -metrics requires -run")
 			os.Exit(2)
 		}
-		if *heartbeat != 0 || *speculate != 0 {
-			fmt.Fprintln(os.Stderr, "idxlang: -heartbeat/-speculate require -run")
-			os.Exit(2)
-		}
 		return
 	}
 	var rec *obs.Recorder
@@ -100,8 +94,7 @@ func main() {
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
 	}
-	b, err := syntheticBinding(plan, *blocks, *elems, rec, reg,
-		rt.HeartbeatPolicy{Every: *heartbeat}, rt.SpeculationPolicy{Quantile: *speculate})
+	b, err := syntheticBinding(plan, *blocks, *elems, rec, reg)
 	if err != nil {
 		fail(err)
 	}
@@ -133,21 +126,13 @@ func main() {
 	rtStats := b.RT.Stats()
 	fmt.Printf("runtime:   %d tasks executed, %d version-map queries, %d dependence edges\n",
 		rtStats.TasksExecuted, rtStats.VersionQueries, rtStats.DepEdges)
-	if *heartbeat > 0 {
-		fmt.Printf("health:    %d probes (%d failed), %s\n",
-			rtStats.HealthProbes, rtStats.HealthProbeFails, b.RT.HealthCounts())
-	}
-	if *speculate > 0 {
-		fmt.Printf("speculation: %d backups launched, %d won, %d wasted\n",
-			rtStats.SpecLaunched, rtStats.SpecWon, rtStats.SpecWasted)
-	}
 }
 
 // syntheticBinding builds a no-op task for every declared task and a fresh
 // partitioned collection for every partition name the plan references.
-func syntheticBinding(plan *lang.Plan, blocks int, elems int64, rec *obs.Recorder, reg *metrics.Registry, hb rt.HeartbeatPolicy, spec rt.SpeculationPolicy) (*lang.Binding, error) {
+func syntheticBinding(plan *lang.Plan, blocks int, elems int64, rec *obs.Recorder, reg *metrics.Registry) (*lang.Binding, error) {
 	r, err := rt.New(rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
-		Profile: rec, Metrics: reg, Heartbeat: hb, Speculate: spec})
+		Profile: rec, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,6 @@ type worker struct {
 
 	mu     sync.Mutex
 	slices []rt.ClusterMsg
-	epoch  int64
 }
 
 // exec serves one remote point execution. The kind registry is static: the
@@ -118,8 +117,7 @@ func (w *worker) exec(task string, point domain.Point, args []byte) ([]byte, err
 
 // deliver receives slice descriptors telling this worker what it owns —
 // the one inside each Exec request it serves, or broadcast ahead of a
-// launch whose bodies stay on the launcher — and resync epochs after a
-// rejoin.
+// launch whose bodies stay on the launcher.
 func (w *worker) deliver(node int, tag string, payload []byte) {
 	msg, err := rt.DecodeClusterPayload(payload)
 	if err != nil {
@@ -128,14 +126,9 @@ func (w *worker) deliver(node int, tag string, payload []byte) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	switch msg.Kind {
-	case "slice":
-		w.slices = append(w.slices, msg)
-		if len(w.slices) > 1024 {
-			w.slices = w.slices[len(w.slices)-1024:]
-		}
-	case "resync":
-		w.epoch = msg.Epoch
+	w.slices = append(w.slices, msg)
+	if len(w.slices) > 1024 {
+		w.slices = w.slices[len(w.slices)-1024:]
 	}
 }
 
@@ -148,15 +141,11 @@ func (w *worker) sliceCount() int {
 // status is the /statusz payload: identity, counters and the live peer
 // table with its socket byte counts.
 func (w *worker) status() any {
-	w.mu.Lock()
-	slices, epoch := len(w.slices), w.epoch
-	w.mu.Unlock()
 	return struct {
 		Node     int               `json:"node"`
 		Nodes    int               `json:"nodes"`
 		Executed int64             `json:"executed"`
 		Slices   int               `json:"slices"`
-		Epoch    int64             `json:"epoch,omitempty"`
 		Peers    []wire.PeerStatus `json:"peers,omitempty"`
-	}{w.self, w.mesh.Nodes(), w.executed.Load(), slices, epoch, w.mesh.Peers()}
+	}{w.self, w.mesh.Nodes(), w.executed.Load(), w.sliceCount(), w.mesh.Peers()}
 }

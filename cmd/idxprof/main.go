@@ -25,7 +25,6 @@
 //
 //	idxprof watch 127.0.0.1:8080
 //	idxprof watch -interval 1s -count 10 http://127.0.0.1:8080
-//	idxprof watch -heartbeat -speculate 127.0.0.1:8080   # only health_*/spec_* families
 //
 // Trace mode renders a retained end-to-end job trace (the GET /trace/{id}
 // payload of idxserve's tracing layer) as an indented cross-layer timeline:
@@ -183,11 +182,9 @@ func runWatch(args []string) {
 	fs := flag.NewFlagSet("idxprof watch", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "poll interval")
 	count := fs.Int("count", 0, "number of polls (0 = until interrupted)")
-	heartbeat := fs.Bool("heartbeat", false, "show only the failure-detector families (health_*)")
-	speculate := fs.Bool("speculate", false, "show only the straggler-speculation families (spec_*)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: idxprof watch [-interval d] [-count n] [-heartbeat] [-speculate] host:port")
+		fmt.Fprintln(os.Stderr, "usage: idxprof watch [-interval d] [-count n] host:port")
 		os.Exit(2)
 	}
 	url := fs.Arg(0)
@@ -208,27 +205,9 @@ func runWatch(args []string) {
 			os.Exit(1)
 		}
 		fmt.Printf("-- %s\n", time.Now().Format(time.TimeOnly))
-		out := metrics.RenderDelta(prev, snap)
-		if *heartbeat || *speculate {
-			out = filterFamilies(out, *heartbeat, *speculate)
-		}
-		fmt.Print(out)
+		fmt.Print(metrics.RenderDelta(prev, snap))
 		prev = snap
 	}
-}
-
-// filterFamilies keeps only the RenderDelta lines of the self-healing
-// families: health_* when heartbeat is set, spec_* when speculate is set.
-func filterFamilies(table string, heartbeat, speculate bool) string {
-	var b strings.Builder
-	for _, line := range strings.Split(table, "\n") {
-		if heartbeat && strings.HasPrefix(line, "health_") ||
-			speculate && strings.HasPrefix(line, "spec_") {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }
 
 func fetchSnapshot(url string) (metrics.Snapshot, error) {

@@ -73,7 +73,7 @@ func main() {
 	burst := flag.Float64("burst", 0, "default admission burst (0 = max(rate, 1))")
 	maxQueued := flag.Int("max-queued", 1024, "global queue bound")
 	preempt := flag.Bool("preempt", false, "cooperative preemption of lower-priority running jobs")
-	tick := flag.Duration("tick", 5*time.Millisecond, "scheduler tick period (bucket refill + health capacity feedback)")
+	tick := flag.Duration("tick", 5*time.Millisecond, "scheduler tick period (bucket refill + live-node capacity feedback)")
 
 	dataDir := flag.String("data", "", "durable mode: journal scheduler state into this directory (empty = in-memory)")
 	fsync := flag.String("fsync", "interval", "with -data: journal sync policy: always | interval | never")

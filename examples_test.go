@@ -21,7 +21,6 @@ var exampleCases = []struct {
 	{"./examples/compilerdemo", "index launch (static)"},
 	{"./examples/faulttol", "degraded-mode completion: sum=300000 (want 300000)"},
 	{"./examples/chaos", "chaos-mode completion: sum=640 (want 640)"},
-	{"./examples/selfheal", "self-heal completion: sum=960 (want 960)"},
 	{"./examples/cluster", "cluster completion: sum=8555 (want 8555) over 3 TCP nodes"},
 	{"./examples/profiling", "critical path:"},
 	{"./examples/metrics", "stage-latency histogram"},

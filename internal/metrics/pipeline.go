@@ -30,21 +30,6 @@ type Pipeline struct {
 	NodeFailures *Counter
 	Remapped     *Counter
 
-	// Self-healing counters (internal/health): heartbeat probe outcomes and
-	// detector transitions.
-	HealthProbes     *Counter
-	HealthProbeFails *Counter
-	HealthSuspects   *Counter
-	HealthDeaths     *Counter
-	HealthRejoins    *Counter
-
-	// Straggler-speculation counters: backup launches, backups that
-	// committed first, and attempts whose result was discarded because the
-	// other attempt won.
-	SpecLaunched *Counter
-	SpecWon      *Counter
-	SpecWasted   *Counter
-
 	// Analysis counters.
 	VersionQueries    *Counter
 	DepEdges          *Counter
@@ -86,18 +71,17 @@ type Pipeline struct {
 // order — the same first five stages as the obs span taxonomy.
 var PipelineStages = []string{"issue", "logical", "distribute", "physical", "execute"}
 
-// Shared transport family names: internal/xport registers these same
-// families, so a transport given the runtime's registry shares the
-// runtime's counters (registration is idempotent) and rt.Stats reads
-// transport counts with no second bookkeeping path.
-// Shared health-probe family names: internal/xport counts probe round
-// trips on the same registry the runtime reads, like the transport
-// aggregates below.
+// Probe family names: internal/xport counts Endpoint.Probe round trips
+// under them.
 const (
 	NameHealthProbes     = "health_probes_total"
 	NameHealthProbeFails = "health_probe_failures_total"
 )
 
+// Shared transport family names: internal/xport registers these same
+// families, so a transport given the runtime's registry shares the
+// runtime's counters (registration is idempotent) and rt.Stats reads
+// transport counts with no second bookkeeping path.
 const (
 	NameXportSends            = "xport_sends_total"
 	NameXportRetransmits      = "xport_retransmits_total"
@@ -129,16 +113,6 @@ func NewPipeline(r *Registry) *Pipeline {
 
 		NodeFailures: r.Counter("idx_node_failures_total", "simulated node kills"),
 		Remapped:     r.Counter("idx_remapped_total", "point tasks re-mapped off a dead node at issuance"),
-
-		HealthProbes:     r.Counter(NameHealthProbes, "heartbeat probe round trips attempted"),
-		HealthProbeFails: r.Counter(NameHealthProbeFails, "heartbeat probes that exhausted their attempt budget"),
-		HealthSuspects:   r.Counter("health_suspects_total", "detector transitions into the suspect state"),
-		HealthDeaths:     r.Counter("health_deaths_total", "detector transitions into the dead state"),
-		HealthRejoins:    r.Counter("health_rejoins_total", "quarantined nodes readmitted to the node set"),
-
-		SpecLaunched: r.Counter("spec_launched_total", "speculative backup launches of straggling tasks"),
-		SpecWon:      r.Counter("spec_won_total", "backup launches that committed before the original attempt"),
-		SpecWasted:   r.Counter("spec_wasted_total", "speculation attempts discarded because the other attempt won"),
 
 		VersionQueries:    r.Counter("idx_version_queries_total", "version-map dependence queries"),
 		DepEdges:          r.Counter("idx_dep_edges_total", "dependence edges returned by the version map"),

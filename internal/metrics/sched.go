@@ -37,7 +37,7 @@ type Scheduler struct {
 	Drains      *Counter
 
 	// CapacityPermille is the admission capacity factor fed back from the
-	// health layer, in thousandths (1000 = all nodes live).
+	// runtimes' node liveness, in thousandths (1000 = all nodes live).
 	CapacityPermille *Gauge
 
 	// Latency distributions: time from enqueue to dispatch, and from
@@ -68,7 +68,7 @@ func NewScheduler(r *Registry) *Scheduler {
 		Expired:     r.Counter("sched_expired_total", "queued jobs dropped at dispatch because their deadline passed"),
 		Drains:      r.Counter("sched_drains_total", "graceful drain requests"),
 
-		CapacityPermille: r.Gauge("sched_capacity_permille", "admission capacity factor from node health, in thousandths"),
+		CapacityPermille: r.Gauge("sched_capacity_permille", "admission capacity factor from node liveness, in thousandths"),
 
 		QueueWait:  r.Histogram("sched_queue_wait_ns", "enqueue-to-dispatch wait in nanoseconds"),
 		JobLatency: r.Histogram("sched_job_latency_ns", "enqueue-to-completion latency in nanoseconds"),

@@ -65,11 +65,11 @@ const (
 	StageRecv
 	// StageRetransmit marks one ack-timeout-driven re-send of a hop.
 	StageRetransmit
-	// StageHealth marks a failure-detector transition: a node turning
-	// suspect, dead, quarantined, or rejoining the node set.
+	// StageHealth and StageSpeculate marked failure-detector transitions
+	// and straggler-speculation incidents, which the runtime no longer
+	// has. Nothing records them now; they keep their numbers because
+	// retained traces persist stages as numbers.
 	StageHealth
-	// StageSpeculate marks a straggler-speculation incident: a backup
-	// launch, a backup that won, or a losing attempt being discarded.
 	StageSpeculate
 	// StageEnqueue marks a job accepted into a scheduler queue
 	// (internal/sched).

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -11,7 +10,7 @@ import (
 // Cluster mode: the same runtime pipeline, with the transport's far side in
 // other OS processes. Config.Cluster hands the runtime a wire.Mesh whose
 // node 0 is this process (the launching side — idxserve) and whose other
-// nodes are idxnode worker daemons. Three things change, none of them
+// nodes are idxnode worker daemons. Two things change, neither of them
 // semantics:
 //
 //   - A region-free index launch ships as slices, not points (paper §5,
@@ -24,46 +23,41 @@ import (
 //     node 0 holds no per-point state for the slice beyond its future-map
 //     slots: the answer settles them in one pass. Per-point semantics are
 //     untouched: every point keeps its future (built when At asks), its
-//     counters, its execute span, its retry ladder and its speculation
-//     watchdog; a point whose body fails on the worker retries alone —
-//     through its node's run queue and the single-point Mesh.Exec the
-//     ladder, speculation backups and ExecuteSingle use.
+//     counters, its execute span and its retry ladder; a point whose body
+//     fails on the worker retries alone — through its node's run queue and
+//     the single-point Mesh.Exec the ladder and ExecuteSingle use.
 //   - Tasks touching physical regions keep executing locally (region state
 //     lives in this process), and their launches put nothing on the wire:
 //     a worker sees a slice descriptor only inside an Exec request it
-//     serves. A worker the transport cannot reach costs placement, not
-//     progress: its points run locally, and the health detector handles
-//     the node's liveness separately.
-//   - heartbeat probes, MarkDead/MarkAlive and resync broadcasts flow over
-//     the mesh's sockets instead of the in-memory hub.
+//     serves.
 //
-// Everything else — dependence analysis, retries, speculation, tracing —
-// is unchanged, which is the point: the paper's index-launch pipeline is
+// A worker the transport cannot reach costs placement and time, not
+// progress: its slice's request fails with wire.ErrUnreachable once the
+// mesh's ExecTimeout runs out, and the slice's points run here instead.
+// Nothing remembers the failure — the next launch ships to the worker
+// again and pays the timeout again.
+//
+// Everything else — dependence analysis, retries, tracing — is unchanged,
+// which is the point: the paper's index-launch pipeline is
 // transport-agnostic. The runtime holds node 0's xport.Endpoint either way
 // (the mesh's, or the in-process assembly's when Config.Cluster is nil);
 // the in-process assembly carries the same encoded slice payloads a worker
 // would decode.
 
-// Cluster payload type discriminators (first byte of a broadcast body).
-// The slice descriptor's layout lives in internal/wire, which embeds it in
-// Exec requests.
-const (
-	clusterPayloadSlice  = wire.PayloadSlice
-	clusterPayloadResync = 2
-)
+// clusterPayloadSlice is the type discriminator (first byte) of a slice
+// payload, the one cluster payload type. The slice descriptor's layout
+// lives in internal/wire, which embeds it in Exec requests.
+const clusterPayloadSlice = wire.PayloadSlice
 
 // ClusterMsg is the decoded form of one cluster broadcast payload — what an
 // idxnode worker receives through its mesh Deliver callback.
 type ClusterMsg struct {
-	// Kind is "slice" or "resync".
+	// Kind is "slice".
 	Kind string
-	// Index is the slice's position in the launch's slice order (Kind
-	// "slice").
+	// Index is the slice's position in the launch's slice order.
 	Index int
-	// Slice is the shipped slice (Kind "slice").
+	// Slice is the shipped slice.
 	Slice Slice
-	// Epoch is the announced resync epoch (Kind "resync").
-	Epoch int64
 }
 
 // encodeSlicePayload serializes one slice shipment: the slice plus its
@@ -73,33 +67,20 @@ func encodeSlicePayload(idx int, s Slice) []byte {
 	return wire.AppendSlicePayload(nil, idx, s.Node, s.Domain)
 }
 
-// encodeResyncPayload serializes a rejoining node's new resync epoch.
-func encodeResyncPayload(epoch int64) []byte {
-	return binary.AppendVarint([]byte{clusterPayloadResync}, epoch)
-}
-
 // DecodeClusterPayload parses a mesh broadcast body back into its message.
 // idxnode workers call this from their Deliver callback.
 func DecodeClusterPayload(b []byte) (ClusterMsg, error) {
 	if len(b) == 0 {
 		return ClusterMsg{}, fmt.Errorf("rt: empty cluster payload")
 	}
-	switch b[0] {
-	case clusterPayloadSlice:
-		idx, node, dom, err := wire.DecodeSlicePayload(b)
-		if err != nil {
-			return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", err)
-		}
-		return ClusterMsg{Kind: "slice", Index: idx, Slice: Slice{Domain: dom, Node: node}}, nil
-	case clusterPayloadResync:
-		v, n := binary.Varint(b[1:])
-		if n <= 0 {
-			return ClusterMsg{}, fmt.Errorf("rt: truncated resync payload")
-		}
-		return ClusterMsg{Kind: "resync", Epoch: v}, nil
-	default:
+	if b[0] != clusterPayloadSlice {
 		return ClusterMsg{}, fmt.Errorf("rt: unknown cluster payload type %d", b[0])
 	}
+	idx, node, dom, err := wire.DecodeSlicePayload(b)
+	if err != nil {
+		return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", err)
+	}
+	return ClusterMsg{Kind: "slice", Index: idx, Slice: Slice{Domain: dom, Node: node}}, nil
 }
 
 // execBody runs one attempt of tr's body: locally by default, or — in

@@ -607,73 +607,6 @@ func randomShape(rng *rand.Rand) domain.Domain {
 	return domain.FromPoints(pts)
 }
 
-// Speculation and slices compose: a stalled worker's points get backups on
-// other nodes, and every point commits exactly once — also after the
-// stalled slice finally answers.
-func TestClusterSpeculationBacksUpStalledSlice(t *testing.T) {
-	stall := make(chan struct{})
-	var stalling atomic.Bool
-	// Node 1 is the straggler: once stalling is set its bodies park.
-	tc := newTestCluster(t, 3, nil, nil, func(node int, cfg *wire.MeshConfig) {
-		cfg.Exec = func(task string, point domain.Point, args []byte) ([]byte, error) {
-			if node == 1 && stalling.Load() {
-				<-stall
-			}
-			return squareBody(task, point, args)
-		}
-	})
-	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: tc.meshes[0], Speculate: testSpeculation})
-	defer r.Shutdown()
-	id := registerSquare(r)
-
-	// Warm the latency baseline past MinSamples.
-	warm := domain.Range1(0, 47)
-	fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "warm", Domain: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSquares(t, fm, warm)
-	r.Fence()
-
-	stalling.Store(true)
-	d := domain.Range1(0, 11) // node 1 owns points 4..7
-	fm, err = r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "stalled", Domain: d})
-	if err != nil {
-		close(stall)
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		wantSquares(t, fm, d)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		close(stall)
-		t.Fatal("stalled slice's points were never rescued by backups")
-	}
-	st := r.Stats()
-	if st.SpecLaunched < 4 || st.SpecWon < 4 {
-		t.Errorf("SpecLaunched %d SpecWon %d, want >= 4 each (node 1's four points)", st.SpecLaunched, st.SpecWon)
-	}
-	// Let the stalled slice answer: its four results lose the commit race.
-	close(stall)
-	r.Fence()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().SpecWasted < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	st = r.Stats()
-	if st.SpecWasted < 4 {
-		t.Errorf("SpecWasted = %d, want >= 4: the stalled slice's late results were not discarded", st.SpecWasted)
-	}
-	if want := int64(48 + 12); st.TasksExecuted != want || st.TasksFailed != 0 {
-		t.Errorf("TasksExecuted %d TasksFailed %d, want %d/0: a point committed twice or not at all", st.TasksExecuted, st.TasksFailed, want)
-	}
-}
-
 func TestClusterConfigValidation(t *testing.T) {
 	tc := newTestCluster(t, 3, func(string, domain.Point, []byte) ([]byte, error) { return nil, nil }, nil)
 	cases := []struct {
@@ -710,12 +643,6 @@ func TestClusterPayloadRoundTrip(t *testing.T) {
 	}
 	if msg.Kind != "slice" || !msg.Slice.Domain.Eq(sparse.Domain) || !msg.Slice.Domain.Sparse() {
 		t.Fatalf("sparse round trip: %+v", msg)
-	}
-
-	b = encodeResyncPayload(-9)
-	msg, err = DecodeClusterPayload(b)
-	if err != nil || msg.Kind != "resync" || msg.Epoch != -9 {
-		t.Fatalf("resync round trip: %v %+v", err, msg)
 	}
 
 	for _, bad := range [][]byte{nil, {99}, {1, 0x80}, {2}} {

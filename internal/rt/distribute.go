@@ -111,16 +111,13 @@ func (r *Runtime) shipSlices(l *launch) {
 }
 
 // transportDeliver is the in-process transport's Deliver callback: decode
-// the cluster payload — the bytes an idxnode worker would get — and, for a
-// slice, slot it into the launch whose broadcast is in flight (the
-// transport is built once in New, every broadcast has its own launch).
+// the slice payload — the bytes an idxnode worker would get — and slot it
+// into the launch whose broadcast is in flight (the transport is built once
+// in New, every broadcast has its own launch).
 func (r *Runtime) transportDeliver(node int, payload any) {
 	msg, err := DecodeClusterPayload(payload.([]byte))
 	if err != nil {
 		panic(fmt.Sprintf("rt: node %d received an undecodable payload from this process: %v", node, err))
-	}
-	if msg.Kind != "slice" {
-		return
 	}
 	r.deliverMu.Lock()
 	r.shipping.slices[msg.Index] = msg.Slice
@@ -149,8 +146,7 @@ type sliceRun struct {
 	args  [][]byte
 	// proto is the launch's share of every point's run state. A point gets
 	// a run state of its own (run) only if it must: trs holds them when
-	// issuance built them (profiling, a point-granularity trace episode) or
-	// speculation needs them.
+	// issuance built them (profiling, a point-granularity trace episode).
 	proto taskRun
 	trs   []*taskRun
 	// deps are the launch-wide preconditions some modes give region-free
@@ -220,13 +216,13 @@ func (r *Runtime) shipRemote(l *launch) {
 	}
 }
 
-// runSlice drives one slice: wait for the launch-wide preconditions, arm
-// each point's straggler watchdog, send the slice as one Exec request and
-// settle every point from the answer. A point that ran commits; a point
-// whose body failed on the worker enters its own retry ladder at attempt 2,
-// and a slice the transport could not deliver (ErrUnreachable) runs its
-// points here instead — both through the node's run queue. All points share
-// the execute clock's start: the moment the slice is handed to the mesh.
+// runSlice drives one slice: wait for the launch-wide preconditions, send
+// the slice as one Exec request and settle every point from the answer. A
+// point that ran commits; a point whose body failed on the worker enters
+// its own retry ladder at attempt 2, and a slice the transport could not
+// deliver (ErrUnreachable) runs its points here instead — both through the
+// node's run queue. All points share the execute clock's start: the moment
+// the slice is handed to the mesh.
 func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
 		for i := range s.slots {
@@ -234,15 +230,7 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 		}
 		return
 	}
-	if r.specOn {
-		trs := make([]*taskRun, len(s.slots))
-		for i := range trs {
-			trs[i] = s.run(i)
-			r.armSpeculation(trs[i], s.node)
-		}
-		s.trs = trs
-	}
-	tExec := r.execNow()
+	tExec := r.clk.now()
 	results, err := r.cluster.ExecSlice(s.node, req)
 	var ok int64
 	for i := range s.slots {
@@ -252,7 +240,7 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 		}
 		switch {
 		case perr == nil && s.trs != nil:
-			r.commitAttempt(s.trs[i], s.node, false, outcome{val: results[i].Val, attempts: 1, tExec: tExec})
+			r.commitAttempt(s.trs[i], s.node, outcome{val: results[i].Val, attempts: 1, tExec: tExec})
 		case perr == nil:
 			ok++
 		case errors.Is(perr, wire.ErrUnreachable):
@@ -268,9 +256,9 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 
 // settleSlice commits the ok points of a slice without run states in one
 // pass, the way commitAttempt commits one point: counters and gauges once,
-// one execute observation per point against one clock read (no profiler and
-// no speculation here — either would have built run states), each value
-// into its slot, one release of the launch's group.
+// one execute observation per point against one clock read (no profiler
+// here — it would have built run states), each value into its slot, one
+// release of the launch's group.
 func (r *Runtime) settleSlice(s *sliceRun, results []wire.PointResult, ok int64, tExec int64) {
 	r.mx.TasksExecuted.Add(ok)
 	if r.clk.hist {

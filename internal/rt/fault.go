@@ -142,10 +142,9 @@ func (e *TaskError) Unwrap() error { return e.Err }
 // identically. An injector belongs to one Runtime; build a fresh one per
 // run.
 type FaultInjector struct {
-	seed    int64
-	rng     *rand.Rand
-	kills   []nodeKill
-	revives []nodeKill
+	seed  int64
+	rng   *rand.Rand
+	kills []nodeKill
 }
 
 type nodeKill struct {
@@ -176,15 +175,6 @@ func (fi *FaultInjector) KillRandomNode(nodes int, afterIssued int64) *FaultInje
 	return fi.KillNode(fi.rng.Intn(nodes), afterIssued)
 }
 
-// ReviveNode schedules a previously killed node to come back once
-// afterIssued point tasks have been issued — with a HeartbeatPolicy the
-// node resumes heartbeating and the detector quarantines and readmits it;
-// without one it rejoins immediately. Returns the injector for chaining.
-func (fi *FaultInjector) ReviveNode(node int, afterIssued int64) *FaultInjector {
-	fi.revives = append(fi.revives, nodeKill{node: node, afterIssued: afterIssued})
-	return fi
-}
-
 // faultCheck is the per-point issuance hook: it re-maps the point off a dead
 // node, counts the issue, and applies any injector kills whose threshold
 // this issue reached. Caller holds issueMu; d is the launch domain (used by
@@ -206,18 +196,6 @@ func (r *Runtime) faultCheck(d domain.Domain, p domain.Point, node int) int {
 				r.killNodeLocked(k.node)
 			}
 		}
-		for i := range fi.revives {
-			k := &fi.revives[i]
-			if !k.applied && r.issuedTotal >= k.afterIssued {
-				k.applied = true
-				r.reviveNodeLocked(k.node)
-			}
-		}
-	}
-	if r.hm != nil && r.issuedTotal%r.cfg.Heartbeat.Every == 0 {
-		// One heartbeat round per Every issued points: detection, like
-		// fault injection, happens at deterministic issuance boundaries.
-		r.healthTick()
 	}
 	return node
 }
@@ -227,12 +205,7 @@ func (r *Runtime) faultCheck(d domain.Domain, p domain.Point, node int) int {
 // count and the result indexes the sorted list of live nodes. Caller holds
 // issueMu.
 func (r *Runtime) remapPoint(d domain.Domain, p domain.Point, orig int) int {
-	alive := make([]int, 0, r.cfg.Nodes)
-	for n, dead := range r.dead {
-		if !dead {
-			alive = append(alive, n)
-		}
-	}
+	alive := r.aliveLocked()
 	if len(alive) == 0 {
 		return orig // unreachable: the last live node cannot be killed
 	}
@@ -241,24 +214,9 @@ func (r *Runtime) remapPoint(d domain.Domain, p domain.Point, orig int) int {
 }
 
 // killNodeLocked marks node dead, refusing out-of-range nodes, repeat
-// kills, and killing the last surviving node. With a failure detector the
-// kill is indirect: the node merely stops heartbeating (kill-as-silence)
-// and keeps relaying messages until the detector suspects it. Caller holds
-// issueMu.
+// kills, and killing the last surviving node. Caller holds issueMu.
 func (r *Runtime) killNodeLocked(node int) bool {
-	if r.hm != nil {
-		return r.silenceNodeLocked(node)
-	}
-	if node < 0 || node >= len(r.dead) || r.dead[node] {
-		return false
-	}
-	live := 0
-	for _, dead := range r.dead {
-		if !dead {
-			live++
-		}
-	}
-	if live <= 1 {
+	if node < 0 || node >= len(r.dead) || r.dead[node] || len(r.aliveLocked()) <= 1 {
 		return false
 	}
 	r.dead[node] = true
@@ -277,9 +235,7 @@ func (r *Runtime) killNodeLocked(node int) bool {
 // KillNode marks a simulated node dead at the next issuance boundary:
 // tasks the node already accepted drain, but every point task issued
 // afterwards is re-mapped to a surviving node. Returns false if the node is
-// out of range, already dead, or the last one alive. With a
-// HeartbeatPolicy configured the kill only silences the node's heartbeats;
-// re-mapping starts once the detector suspects it.
+// out of range, already dead, or the last one alive.
 func (r *Runtime) KillNode(node int) bool {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
@@ -290,7 +246,12 @@ func (r *Runtime) KillNode(node int) bool {
 func (r *Runtime) AliveNodes() []int {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
-	alive := make([]int, 0, r.cfg.Nodes)
+	return r.aliveLocked()
+}
+
+// aliveLocked lists the nodes not killed, in order. Caller holds issueMu.
+func (r *Runtime) aliveLocked() []int {
+	alive := make([]int, 0, len(r.dead))
 	for n, dead := range r.dead {
 		if !dead {
 			alive = append(alive, n)

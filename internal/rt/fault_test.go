@@ -415,3 +415,59 @@ func TestFutureMapWaitTimeout(t *testing.T) {
 	}
 	r.Fence()
 }
+
+// A fence abandoned by Shutdown fails with ErrShutdown (not a generic
+// deadline error) and names the unfinished task plus the liveness snapshot.
+func TestShutdownDuringFenceReturnsErrShutdown(t *testing.T) {
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, DCR: true, IndexLaunches: true})
+	release := make(chan struct{})
+	hang := r.MustRegisterTask("hang", func(ctx *Context) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	defer close(release)
+	if _, err := r.ExecuteSingle("hang-launch", hang, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		r.Shutdown()
+	}()
+	start := time.Now()
+	err := r.FenceTimeout(30 * time.Second)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("fence returned only after %v; Shutdown did not cancel the wait", elapsed)
+	}
+	if !errors.Is(err, ErrShutdown) {
+		t.Fatalf("fence error = %v, want ErrShutdown", err)
+	}
+	for _, want := range []string{"unfinished", `task "hang"`, `launch "hang-launch"`, "liveness:"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("fence error %q missing %q", err, want)
+		}
+	}
+	r.Shutdown() // double Shutdown is a no-op
+}
+
+// Fence timeout errors embed the node-liveness snapshot.
+func TestFenceTimeoutIncludesLiveness(t *testing.T) {
+	r := MustNew(Config{Nodes: 4, ProcsPerNode: 1, DCR: true, IndexLaunches: true})
+	defer r.Shutdown()
+	release := make(chan struct{})
+	hang := r.MustRegisterTask("hang", func(ctx *Context) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	defer close(release)
+	if _, err := r.ExecuteSingle("hang-launch", hang, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.KillNode(3)
+	err := r.FenceTimeout(30 * time.Millisecond)
+	if err == nil {
+		t.Fatal("fence with a hung task returned nil")
+	}
+	if !strings.Contains(err.Error(), "liveness: 3 alive, 1 dead") {
+		t.Errorf("fence error %q missing liveness snapshot", err)
+	}
+}

@@ -120,17 +120,26 @@ func (r *Runtime) FenceErr() error {
 }
 
 // wrapLiveness annotates a non-nil fence error with the node-liveness
-// snapshot when some node is degraded, so a failure report says at a
-// glance whether the cluster was healthy. Wrapping preserves errors.Is/As.
+// snapshot when some node is dead, so a failure report says at a glance
+// whether the cluster was whole. Wrapping preserves errors.Is/As.
 func (r *Runtime) wrapLiveness(err error) error {
 	if err == nil {
 		return nil
 	}
-	c := r.HealthCounts()
-	if c.Suspect == 0 && c.Dead == 0 && c.Quarantined == 0 {
-		return err
+	if summary, dead := r.liveness(); dead > 0 {
+		return fmt.Errorf("%w (%s)", err, summary)
 	}
-	return fmt.Errorf("%w (%s)", err, r.livenessSummary())
+	return err
+}
+
+// liveness renders the node-liveness snapshot fence errors embed and
+// counts the dead nodes.
+func (r *Runtime) liveness() (summary string, dead int) {
+	r.issueMu.Lock()
+	alive := len(r.aliveLocked())
+	r.issueMu.Unlock()
+	dead = r.cfg.Nodes - alive
+	return fmt.Sprintf("liveness: %d alive, %d dead", alive, dead), dead
 }
 
 // FenceTimeout is FenceErr with a deadline: if some task has not completed
@@ -165,6 +174,7 @@ func (r *Runtime) FenceContext(ctx context.Context) error {
 		n += unfinished[i].left()
 	}
 	first := &unfinished[0]
+	summary, _ := r.liveness()
 	return fmt.Errorf("rt: fence: %w; %d task(s) unfinished, first: task %q launch %q point %v; %s",
-		cause, n, first.name, first.tag, first.first(), r.livenessSummary())
+		cause, n, first.name, first.tag, first.first(), summary)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The executor-pool support surface: TaskNamed lookup, CapacityFactor
-// health read-through, and Recycle's reuse contract (quiescent-only reset
+// liveness read-through, and Recycle's reuse contract (quiescent-only reset
 // of per-job bookkeeping while registered tasks and config survive).
 
 func TestRecycleBetweenJobs(t *testing.T) {

@@ -6,9 +6,9 @@ import "sync"
 // queue, drained by at most ProcsPerNode goroutines — the bound the config
 // field promises. Whatever runs a task body goes through its node's queue:
 // fresh points once their preconditions fire, retries and ErrUnreachable
-// fallbacks of a slice's points, and speculation backups. A point still
-// waiting on preconditions is a callback on the last of them (afterAll),
-// not a parked goroutine, so no goroutine exists for one point.
+// fallbacks of a slice's points. A point still waiting on preconditions is
+// a callback on the last of them (afterAll), not a parked goroutine, so no
+// goroutine exists for one point.
 //
 // A drainer is spawned on enqueue while fewer than ProcsPerNode run, and
 // exits when it finds its queue empty: that exit is the queue's quiescence
@@ -16,12 +16,11 @@ import "sync"
 
 // runItem is one attempt chain waiting for a processor.
 type runItem struct {
-	tr     *taskRun
-	node   int
-	backup bool
-	from   resume
+	tr   *taskRun
+	node int
+	from resume
 	// fresh marks a point's first chain: the drainer checks its fired
-	// preconditions deps for poison and arms its straggler watchdog.
+	// preconditions deps for poison.
 	fresh bool
 	deps  []*Event
 }
@@ -95,16 +94,9 @@ func (r *Runtime) run(it runItem) {
 			r.skipPoint(tr, it.node, cause)
 			return
 		}
-		if r.specOn {
-			r.armSpeculation(tr, it.node)
-		}
 	}
 	r.mx.BusyProcs.Add(1)
-	o, ok := r.runAttempt(tr, it.node, it.from)
+	o := r.runAttempt(tr, it.node, it.from)
 	r.mx.BusyProcs.Add(-1)
-	if !ok {
-		r.specLost(tr, it.node)
-		return
-	}
-	r.commitAttempt(tr, it.node, it.backup, o)
+	r.commitAttempt(tr, it.node, o)
 }

@@ -19,15 +19,15 @@ import (
 )
 
 // Run queues bound what runs and what exists: no node ever runs more than
-// ProcsPerNode bodies at once — fresh points, retries and speculation
-// backups alike — the goroutine count stays within the drainers' bound
+// ProcsPerNode bodies at once — fresh points and retries alike — the
+// goroutine count stays within the drainers' bound
 // while thousands of points are in flight, and it returns to the baseline
 // once a fence has seen everything finish. CI runs this -race -count 20.
 func TestRunQueuesBoundConcurrencyAndQuiesce(t *testing.T) {
 	const nodes, procs, points, blocks = 4, 2, 4096, 64
 	base := runtime.NumGoroutine()
 	r := MustNew(Config{Nodes: nodes, ProcsPerNode: procs, DCR: true, IndexLaunches: true,
-		Retry: RetryPolicy{Max: 2}, Speculate: testSpeculation})
+		Retry: RetryPolicy{Max: 2}})
 	defer r.Shutdown()
 
 	// Bodies count themselves in and out per node and keep each node's peak.
@@ -72,17 +72,9 @@ func TestRunQueuesBoundConcurrencyAndQuiesce(t *testing.T) {
 		})
 		return nil, nil
 	})
-	// Reads depend on the folds. Two of node 3's points straggle until their
-	// speculation backup (which runs elsewhere) commits and cancels them.
+	// Reads depend on the folds.
 	read := r.MustRegisterTask("read", func(ctx *Context) ([]byte, error) {
 		defer enter(ctx.Node)()
-		if ctx.Node == 3 && ctx.Point.X()%8 == 3 {
-			select {
-			case <-ctx.Cancelled():
-				return nil, errors.New("cancelled straggler")
-			case <-time.After(10 * time.Second):
-			}
-		}
 		acc, err := ctx.ReadF64(0, fieldVal)
 		if err != nil {
 			return nil, err
@@ -149,14 +141,13 @@ func TestRunQueuesBoundConcurrencyAndQuiesce(t *testing.T) {
 		t.Errorf("%d goroutines during the run, bound %d (baseline %d + %d drainers + 8)", most, bound, base, nodes*procs)
 	}
 	st := r.Stats()
-	t.Logf("peak bodies per node %d %d %d %d; at most %d goroutines (baseline %d); retries %d, backups %d",
-		peak[0].Load(), peak[1].Load(), peak[2].Load(), peak[3].Load(), most, base, st.Retries, st.SpecLaunched)
-	if st.Retries == 0 || st.SpecLaunched == 0 || st.TasksFailed != 0 {
-		t.Errorf("Retries %d SpecLaunched %d TasksFailed %d: want retries and backups, no failures",
-			st.Retries, st.SpecLaunched, st.TasksFailed)
+	t.Logf("peak bodies per node %d %d %d %d; at most %d goroutines (baseline %d); retries %d",
+		peak[0].Load(), peak[1].Load(), peak[2].Load(), peak[3].Load(), most, base, st.Retries)
+	if st.Retries == 0 || st.TasksFailed != 0 {
+		t.Errorf("Retries %d TasksFailed %d: want retries, no failures", st.Retries, st.TasksFailed)
 	}
-	// Cancelled stragglers and their drainers drain away: the quiescence
-	// point is every queue found empty.
+	// The drainers drain away: the quiescence point is every queue found
+	// empty.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -58,18 +58,6 @@ type Config struct {
 	// Fault optionally injects deterministic simulated node failures at
 	// issuance boundaries; nil injects none.
 	Fault *FaultInjector
-	// Heartbeat enables the self-healing failure detector: heartbeat probes
-	// over the transport's broadcast tree, accrual-based suspect/dead
-	// transitions, quarantine and rejoin. The zero value disables it, which
-	// keeps the explicit kill path's semantics. Enabling it gives the DCR
-	// path a transport too (probe traffic only).
-	Heartbeat HeartbeatPolicy
-	// Speculate enables straggler re-launch: point tasks running past an
-	// adaptive latency threshold get a backup attempt on another healthy
-	// node, first completion wins. The zero value disables it. Speculated
-	// task bodies must be pure or reduction-only (direct RW region writes
-	// would race between attempts) and should watch Context.Cancelled.
-	Speculate SpeculationPolicy
 	// Chaos injects deterministic message-level faults (drop, delay,
 	// duplication, reordering, partitions) into the in-process transport
 	// the runtime builds for the centralized path (every hub port is
@@ -82,8 +70,8 @@ type Config struct {
 	// zero value uses the transport defaults.
 	Retransmit xport.RetransmitPolicy
 	// Cluster replaces the in-process transport with a socket mesh
-	// (internal/wire): slice shipments, probes and resync broadcasts
-	// travel over it, and region-free point tasks execute in the worker
+	// (internal/wire): region-free launches ship over it as one Exec
+	// request per worker slice, and their point tasks execute in the worker
 	// process owning their node. The mesh's node 0 must be this process
 	// and its size must equal Nodes. Requires the centralized path
 	// (DCR == false). Chaos stays nil beside it — that plan is for the
@@ -162,23 +150,6 @@ type Stats struct {
 	// tree for direct node-0 sends.
 	Reparents        int64
 	DirectBroadcasts int64
-	// Self-healing counters, all zero without a HeartbeatPolicy.
-	// HealthProbes counts heartbeat probe round trips, HealthProbeFails
-	// probes that exhausted their attempt budget, HealthSuspects detector
-	// transitions into suspicion, HealthDeaths suspects declared dead,
-	// HealthRejoins quarantined nodes readmitted to the node set.
-	HealthProbes     int64
-	HealthProbeFails int64
-	HealthSuspects   int64
-	HealthDeaths     int64
-	HealthRejoins    int64
-	// Straggler-speculation counters, all zero without a SpeculationPolicy.
-	// SpecLaunched counts backup launches, SpecWon backups that committed
-	// before the original attempt, SpecWasted attempts discarded because
-	// the other attempt won.
-	SpecLaunched int64
-	SpecWon      int64
-	SpecWasted   int64
 }
 
 // Runtime is a single-process implementation of the paper's runtime
@@ -217,12 +188,6 @@ type Runtime struct {
 	// counter that drives deterministic fault injection.
 	dead        []bool
 	issuedTotal int64
-
-	// Self-healing state, guarded by issueMu; nil without a
-	// HeartbeatPolicy. specOn caches whether straggler speculation is
-	// active (policy enabled and more than one node to speculate onto).
-	hm     *healthManager
-	specOn bool
 
 	// Message transport for the centralized path; nil in DCR mode. Node 0's
 	// endpoint of the reliable broadcast tree: of the in-process assembly
@@ -335,12 +300,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Chaos != nil && cfg.DCR {
 		return nil, fmt.Errorf("rt: Chaos requires the centralized path (DCR == false): the DCR path sends no slice messages")
 	}
-	if cfg.Heartbeat.Every < 0 {
-		return nil, fmt.Errorf("rt: config requires Heartbeat.Every >= 0, got %d", cfg.Heartbeat.Every)
-	}
-	if q := cfg.Speculate.Quantile; q < 0 || q >= 1 {
-		return nil, fmt.Errorf("rt: config requires Speculate.Quantile in [0, 1), got %v", q)
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -358,11 +317,7 @@ func New(cfg Config) (*Runtime, error) {
 		mx:     mx,
 		clk:    stageClock{prof: cfg.Profile, hist: cfg.Metrics != nil, epoch: time.Now()},
 	}
-	r.hm = newHealthManager(cfg)
-	r.specOn = cfg.Speculate.Enabled() && cfg.Nodes > 1
-	// The centralized path always gets a transport (it ships slices); with
-	// a HeartbeatPolicy the DCR path gets one too, carrying probe traffic
-	// only — the detector needs real routes for chaos to starve. Cluster
+	// The centralized path gets a transport (it ships slices); cluster
 	// mode swaps the in-process transport for the socket mesh.
 	switch {
 	case cfg.Cluster != nil:
@@ -380,7 +335,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		r.cluster = cfg.Cluster
 		r.xp = cfg.Cluster.Endpoint
-	case !cfg.DCR || cfg.Heartbeat.Enabled():
+	case !cfg.DCR:
 		xp, err := xport.New(cfg.Nodes, xport.Options{
 			Chaos:      cfg.Chaos,
 			Retransmit: cfg.Retransmit,
@@ -479,14 +434,6 @@ func (r *Runtime) Stats() Stats {
 		MsgDedups:         xs.Dedups,
 		Reparents:         xs.Reparents,
 		DirectBroadcasts:  xs.DirectBroadcasts,
-		HealthProbes:      mx.HealthProbes.Value(),
-		HealthProbeFails:  mx.HealthProbeFails.Value(),
-		HealthSuspects:    mx.HealthSuspects.Value(),
-		HealthDeaths:      mx.HealthDeaths.Value(),
-		HealthRejoins:     mx.HealthRejoins.Value(),
-		SpecLaunched:      mx.SpecLaunched.Value(),
-		SpecWon:           mx.SpecWon.Value(),
-		SpecWasted:        mx.SpecWasted.Value(),
 	}
 }
 
@@ -495,17 +442,14 @@ func (r *Runtime) Stats() Stats {
 // attached. Serve it with metrics.Serve to expose /metrics and /statusz.
 func (r *Runtime) Metrics() *metrics.Registry { return r.reg }
 
-// CapacityFactor returns the live fraction of the runtime's nodes in
-// [0, 1]: with a HeartbeatPolicy it counts nodes the failure detector holds
-// Alive (suspect, dead and quarantined nodes contribute nothing), without
-// one it counts nodes not explicitly killed. The scheduling layer
-// (internal/sched) feeds this back into admission control, so quarantine
-// lowers the admit rate before queues overflow.
+// CapacityFactor returns the fraction of the runtime's nodes not killed,
+// in [0, 1]. The scheduling layer (internal/sched) feeds this back into
+// admission control, so a dead node lowers the admit rate before queues
+// overflow.
 func (r *Runtime) CapacityFactor() float64 {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
-	c := r.healthCountsLocked()
-	return float64(c.Alive) / float64(r.cfg.Nodes)
+	return float64(len(r.aliveLocked())) / float64(r.cfg.Nodes)
 }
 
 // ErrBusy marks a Recycle attempt while tasks were still outstanding.
@@ -571,15 +515,11 @@ const (
 )
 
 // Reserved child indices under a per-point context: the physical span
-// carries the point context; execute/fault/retry/speculate children use
-// these.
+// carries the point context; execute/fault/retry children use these.
 const (
-	tcExecute    = obs.ChildExecute
-	tcFaultSkip  = 2
-	tcRetryBase  = 0x10 // + attempt number
-	tcSpecBackup = 0x41
-	tcSpecLost   = 0x42
-	tcSpecWon    = 0x43
+	tcExecute   = obs.ChildExecute
+	tcFaultSkip = 2
+	tcRetryBase = 0x10 // + attempt number
 )
 
 // ErrShutdown marks a fence wait abandoned because the runtime was shut
@@ -591,10 +531,8 @@ var ErrShutdown = errors.New("rt: runtime shut down")
 // waits: a task sleeping in its backoff ladder wakes immediately and fails
 // with its last error, and a goroutine blocked in FenceTimeout or
 // FenceContext returns ErrShutdown, instead of holding the caller hostage
-// for the rest of the ladder. Tasks already executing run to completion;
-// heartbeat rounds (and thus quarantine/rejoin transitions) stop at the
-// next issuance boundary. Idempotent and safe to race with an in-flight
-// rejoin.
+// for the rest of the ladder. Tasks already executing run to completion.
+// Idempotent.
 func (r *Runtime) Shutdown() {
 	r.stopOnce.Do(func() { close(r.stop) })
 }

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"indexlaunch/internal/health"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
 )
@@ -33,16 +32,8 @@ type Status struct {
 	OutstandingFence int `json:"outstanding_fence"`
 
 	// Tree is the broadcast tree's current shape; nil in DCR mode, which
-	// has no slice transport (unless a HeartbeatPolicy attached a
-	// probe-only transport).
+	// has no slice transport.
 	Tree *xport.TreeShape `json:"tree,omitempty"`
-
-	// Health is the live per-node health table (state, phi, last-OK
-	// round); nil without a HeartbeatPolicy. HealthSummary aggregates it,
-	// and ResyncEpoch counts completed rejoins.
-	Health        []health.NodeHealth `json:"health,omitempty"`
-	HealthSummary string              `json:"health_summary,omitempty"`
-	ResyncEpoch   int64               `json:"resync_epoch,omitempty"`
 
 	// Peers is the cluster mesh's per-peer connection table (address,
 	// connectivity, byte/message counters); nil outside cluster mode.
@@ -71,11 +62,6 @@ func (r *Runtime) Status() Status {
 	}
 	for i := range r.outstanding {
 		st.OutstandingFence += int(r.outstanding[i].left())
-	}
-	if r.hm != nil {
-		st.Health = r.hm.det.Snapshot()
-		st.HealthSummary = r.hm.det.Counts().String()
-		st.ResyncEpoch = r.hm.epoch
 	}
 	r.issueMu.Unlock()
 	st.LiveNodes = st.Nodes - len(st.DeadNodes)

@@ -50,16 +50,8 @@ type Context struct {
 	regions     []PhysicalRegion
 	reducers    []*ReducerF64
 	reducersI64 []*ReducerI64
-	cancel      <-chan struct{}
 	rt          *Runtime // lends reduction-instance buffers
 }
-
-// Cancelled returns a channel that closes when a competing speculative
-// attempt of the same point task committed first — the body should stop
-// and return, its result will be discarded either way. For tasks that are
-// not speculated the channel is nil and blocks forever, so it is always
-// safe to select on.
-func (c *Context) Cancelled() <-chan struct{} { return c.cancel }
 
 // NumRegions returns the number of region arguments.
 func (c *Context) NumRegions() int { return len(c.regions) }
@@ -266,7 +258,7 @@ func (c *Context) flushReductions() {
 
 // foldPool holds the idle buffers of reduction instances. A buffer is taken
 // when a task opens a reduction view and comes back after its folds are
-// flushed; a failed or losing attempt's buffer is never flushed and goes to
+// flushed; a failed attempt's buffer is never flushed and goes to
 // the garbage collector instead. At most one buffer per running reduction
 // view is out at a time, so the pool never holds more than the runtime's
 // peak number of concurrent views. mu is held only to push or pop a buffer.

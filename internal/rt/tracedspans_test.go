@@ -70,15 +70,14 @@ type tracedLaunch struct {
 	replayed  bool          // points skip physical analysis
 	retried   map[int64]int // point → retry marks
 	skipped   map[int64]bool
-	straggler int64 // the speculated point, or -1
 }
 
 // TestTracedLaunchSpansMatchPerPointIdentities: a traced index launch's
 // per-point spans travel as one record, and the identities derived when the
 // retained trace is read must be exactly the per-point formula's — for
 // region-free and region launches (whose dependence edges must join the
-// execute-span IDs the record derives), replayed, retried, skipped and
-// speculated points.
+// execute-span IDs the record derives), replayed, retried and skipped
+// points.
 func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	const nodes, n = 2, 8
 	tracer, err := trace.New(trace.Config{})
@@ -91,7 +90,6 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	r := MustNew(Config{
 		Nodes: nodes, ProcsPerNode: 2, DCR: true, IndexLaunches: true, Tracing: true,
 		Profile: rec, Retry: RetryPolicy{Max: 1},
-		Speculate: SpeculationPolicy{Quantile: 0.5, Multiplier: 1, MinSamples: 4, MinDelay: 200 * time.Millisecond},
 	})
 	defer r.Shutdown()
 	assigned := func(points int, p domain.Point) int32 {
@@ -117,8 +115,8 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 		return nil, nil
 	})
 	slow := r.MustRegisterTask("slow", func(ctx *Context) ([]byte, error) {
-		if ctx.Point.X() == 3 && int32(ctx.Node) == assigned(4, ctx.Point) {
-			<-ctx.Cancelled()
+		if ctx.Point.X() == 3 {
+			time.Sleep(20 * time.Millisecond)
 		}
 		return nil, nil
 	})
@@ -164,15 +162,7 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	if err := r.FenceErr(); err != nil {
 		t.Fatal(err)
 	}
-	// The straggling original is discarded after the backup committed; its
-	// mark lands once it returns.
-	for deadline := time.Now().Add(5 * time.Second); r.Stats().SpecWasted == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the straggler's original attempt never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := r.Stats(); st.SpecWon != 1 || st.TraceReplays != 1 || st.TasksSkipped != 1 {
+	if st := r.Stats(); st.TraceReplays != 1 || st.TasksSkipped != 1 {
 		t.Fatalf("program did not take the intended paths: %+v", st)
 	}
 	if retained, _ := tracer.Finish(root, rec.Now(), trace.Outcome{Failed: true}); !retained {
@@ -187,14 +177,14 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	}
 
 	launches := []tracedLaunch{
-		{tag: "loop", task: "noop", points: n, straggler: -1},
-		{tag: "loop", task: "noop", points: n, replayed: true, straggler: -1},
-		{tag: "rf", task: "flaky", points: n, retried: map[int64]int{0: 1, 3: 1, 6: 1}, straggler: -1},
-		{tag: "w", task: "noop", points: n, straggler: -1},
-		{tag: "rd", task: "noop", points: n, straggler: -1},
-		{tag: "wb", task: "bad", points: n, retried: map[int64]int{5: 1}, straggler: -1},
-		{tag: "rd2", task: "noop", points: n, skipped: map[int64]bool{5: true}, straggler: -1},
-		{tag: "sp", task: "slow", points: 4, straggler: 3},
+		{tag: "loop", task: "noop", points: n},
+		{tag: "loop", task: "noop", points: n, replayed: true},
+		{tag: "rf", task: "flaky", points: n, retried: map[int64]int{0: 1, 3: 1, 6: 1}},
+		{tag: "w", task: "noop", points: n},
+		{tag: "rd", task: "noop", points: n},
+		{tag: "wb", task: "bad", points: n, retried: map[int64]int{5: 1}},
+		{tag: "rd2", task: "noop", points: n, skipped: map[int64]bool{5: true}},
+		{tag: "sp", task: "slow", points: 4},
 	}
 	if c := sink.launches.Load(); c != int64(len(launches)) {
 		t.Fatalf("sink saw %d launch records, want %d", c, len(launches))
@@ -230,16 +220,9 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 			for k := 1; k <= l.retried[x]; k++ {
 				span(ptc.Child(uint64(tcRetryBase+k)), obs.StageRetry, node)
 			}
-			switch {
-			case l.skipped[x]:
+			if l.skipped[x] {
 				span(ptc.Child(tcFaultSkip), obs.StageFault, node)
-			case x == l.straggler:
-				backup := (node + 1) % nodes
-				span(ptc.Child(tcSpecBackup), obs.StageSpeculate, backup)
-				span(ptc.Child(tcSpecWon), obs.StageSpeculate, backup)
-				span(ptc.Child(tcSpecLost), obs.StageSpeculate, node)
-				span(ptc.Child(1), obs.StageExecute, backup)
-			default:
+			} else {
 				span(ptc.Child(1), obs.StageExecute, node)
 			}
 		}

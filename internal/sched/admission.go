@@ -27,8 +27,8 @@ type Quota struct {
 	MaxQueued int
 	// Rate is the tenant's sustained admission rate in jobs per scheduler
 	// tick, refilled each tick scaled by the current capacity factor — the
-	// health layer's live-node fraction — so quarantined nodes throttle
-	// admission before queues overflow. 0 means unlimited.
+	// runtimes' live-node fraction — so killed nodes throttle admission
+	// before queues overflow. 0 means unlimited.
 	Rate float64
 	// Burst caps the tenant's token bucket; 0 defaults to max(Rate, 1).
 	Burst float64

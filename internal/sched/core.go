@@ -38,8 +38,7 @@ func (k Kind) String() string {
 
 // Decision is one scheduler decision, stamped with the logical tick it was
 // taken in. The rendered form is intentionally canonical — the determinism
-// suite compares rendered decision logs byte for byte, exactly like
-// health.RenderLog.
+// suite compares rendered decision logs byte for byte.
 type Decision struct {
 	Seq    int64  `json:"seq"`
 	Tick   int64  `json:"tick"`

@@ -51,7 +51,7 @@ func traceConfigs() map[string]func() TraceConfig {
 	}
 	capDip := func(tick int64) float64 {
 		if tick > 40 && tick < 80 {
-			return 0.5 // half the nodes quarantined for a window
+			return 0.5 // half the nodes dead for a window
 		}
 		return 1
 	}

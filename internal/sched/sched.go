@@ -41,7 +41,7 @@ type Config struct {
 	// its body returns ErrPreempted it is re-queued and re-run later.
 	Preemption bool
 	// TickEvery is the logical tick period: admission buckets refill and
-	// node-health capacity feeds back once per tick. 0 defaults to 5ms.
+	// live-node capacity feeds back once per tick. 0 defaults to 5ms.
 	TickEvery time.Duration
 	// Metrics attaches a live metrics registry; nil keeps the scheduler's
 	// counters in a private registry (Status still works) and skips the
@@ -764,7 +764,7 @@ func (s *Scheduler) publishLocked(f finish) {
 }
 
 // tickLoop advances logical time: capacity feedback from the executor
-// runtimes' health state, then a bucket refill.
+// runtimes' live-node fractions, then a bucket refill.
 func (s *Scheduler) tickLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.TickEvery)
@@ -775,7 +775,7 @@ func (s *Scheduler) tickLoop() {
 			return
 		case <-t.C:
 		}
-		// Read health outside mu: CapacityFactor takes each runtime's
+		// Read capacity outside mu: CapacityFactor takes each runtime's
 		// issuance lock, which a running job may hold.
 		cap := 1.0
 		for _, ex := range s.execs {
@@ -793,7 +793,7 @@ func (s *Scheduler) tickLoop() {
 	}
 }
 
-// SetCapacityFactor overrides the health-fed capacity factor until the next
+// SetCapacityFactor overrides the runtime-fed capacity factor until the next
 // tick re-reads it — a test hook and an operator brake. Factors outside
 // [0, 1] are clamped.
 func (s *Scheduler) SetCapacityFactor(f float64) {

@@ -277,7 +277,7 @@ func TestSchedCapacityFeedback(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Tenant: "rl", Run: ok}); err != nil {
 		t.Fatal(err)
 	}
-	// Bucket empty. With capacity zeroed (all nodes quarantined), the
+	// Bucket empty. With capacity zeroed (all nodes dead), the
 	// rejection is no-capacity: no retry hint can help.
 	s.SetCapacityFactor(0)
 	_, err := s.Submit(JobSpec{Tenant: "rl", Run: ok})

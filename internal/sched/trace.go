@@ -130,8 +130,8 @@ type TraceConfig struct {
 	// to the default bound).
 	Admission Admission
 	// CapacityAt, when non-nil, supplies the capacity factor fed to
-	// admission at each tick — a deterministic stand-in for the health
-	// layer's live-node fraction.
+	// admission at each tick — a deterministic stand-in for the runtimes'
+	// live-node fraction.
 	CapacityAt func(tick int64) float64
 }
 

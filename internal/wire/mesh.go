@@ -123,8 +123,8 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 
 // Exec runs a registered task body for one point on peer dst and returns
 // its result: the single-point case of ExecSlice, for the callers that own
-// one point (retries, speculation backups, single launches). A body error
-// comes back as an error, like any other failed call.
+// one point (retries, single launches). A body error comes back as an
+// error, like any other failed call.
 func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]byte, error) {
 	res, err := m.ExecSlice(dst, ExecRequest{
 		Task: task, Domain: domain.FromRect(domain.Rect{Lo: point, Hi: point}), Args: args})

@@ -143,8 +143,12 @@ func (t *TCPFabric) closed() bool {
 }
 
 // Send enqueues f for peer dst, starting its connection manager on first
-// use. The queue is bounded; when it is full Send blocks (backpressure to
-// the retransmission layer, which is already pacing on ack timeouts).
+// use. The queue is bounded; when it is full Send blocks while the peer is
+// connected (backpressure to the retransmission layer, which is already
+// pacing on ack timeouts) and drops f once it is not: nothing drains a dead
+// peer's queue, and a sender blocked on it would hold a Quiesce waiting for
+// that sender forever. A dropped frame is a lost frame to the layer above,
+// which retransmits it or gives up on its own clock.
 func (t *TCPFabric) Send(dst int, f *Frame) error {
 	if t.closed() {
 		return fmt.Errorf("wire: tcp fabric %d closed", t.self)
@@ -156,8 +160,21 @@ func (t *TCPFabric) Send(dst int, f *Frame) error {
 	select {
 	case p.out <- f:
 		return nil
-	case <-t.done:
-		return fmt.Errorf("wire: tcp fabric %d closed", t.self)
+	default:
+	}
+	tick := time.NewTicker(t.backoff)
+	defer tick.Stop()
+	for {
+		select {
+		case p.out <- f:
+			return nil
+		case <-t.done:
+			return fmt.Errorf("wire: tcp fabric %d closed", t.self)
+		case <-tick.C:
+			if !p.connected() {
+				return fmt.Errorf("wire: peer %d down and its send queue full: frame dropped", dst)
+			}
+		}
 	}
 }
 
@@ -184,6 +201,13 @@ func (t *TCPFabric) peer(dst int, start bool) (*tcpPeer, error) {
 		go t.managePeer(p)
 	}
 	return p, nil
+}
+
+// connected reports whether p has a live connection.
+func (p *tcpPeer) connected() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn != nil
 }
 
 // managePeer owns one peer's connection: (re)establish, then pump the send
@@ -478,9 +502,7 @@ func (t *TCPFabric) Peers() []PeerStatus {
 	for _, id := range ids {
 		ps := PeerStatus{Node: id, Addr: addrs[id]}
 		if p := peers[id]; p != nil {
-			p.mu.Lock()
-			ps.Connected = p.conn != nil
-			p.mu.Unlock()
+			ps.Connected = p.connected()
 		}
 		if mx != nil {
 			pc := mx.peer(id)

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,6 +126,50 @@ func TestTCPReconnectAfterConnDrop(t *testing.T) {
 	}
 	if !recon {
 		t.Log("note: reconnect landed on a fresh accept; counters:", fabs[0].Peers(), fabs[1].Peers())
+	}
+}
+
+// A peer that is down never drains its send queue: once the queue is full,
+// Send drops frames instead of blocking, so senders retransmitting to a
+// dead worker — and a Quiesce waiting on them — cannot hang.
+func TestTCPSendToDeadPeerDropsWhenQueueFull(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	_ = ln.Close()
+	f, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: map[int]string{1: dead}, Epoch: 1, DialBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const senders, extra = 4, 8
+	var dropped atomic.Int64
+	var wg sync.WaitGroup
+	for range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range peerQueue/senders + extra/senders {
+				if f.Send(1, &Frame{Kind: KindData, Dst: 1}) != nil {
+					dropped.Add(1)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send blocked on a dead peer's full queue")
+	}
+	if got := dropped.Load(); got != extra {
+		t.Errorf("%d frames dropped, want %d (the ones past the %d-frame queue)", got, extra, peerQueue)
 	}
 }
 

@@ -139,7 +139,7 @@ type Fate struct {
 // share one clock per directed link; probe traffic runs on its own, ticked
 // by pings only — a partition window is symmetric, so a pong shares the
 // verdict of the ping it answers and is never cut separately. Probe frames
-// are dropped or delivered, never duplicated or delayed: a heartbeat's fate
+// are dropped or delivered, never duplicated or delayed: a probe's fate
 // must not depend on timing.
 func (c *ChaosPlan) Decide(src, dst int, class FrameClass, seq uint64, attempt int, n int64) Fate {
 	if c == nil {

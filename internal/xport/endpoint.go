@@ -46,7 +46,7 @@ type EndpointConfig struct {
 
 // Endpoint is one node of the reliable broadcast tree: the single
 // implementation of per-link sequencing, dedup, ack-wait/retransmission,
-// tree routing with re-parenting, delivery generations and heartbeat
+// tree routing with re-parenting, delivery generations and liveness
 // probes, over whatever Fabric it is given. Broadcasts from node 0 route
 // through the binary tree (tree.go); every hop is acked and retransmitted
 // on the RetransmitPolicy ladder; receivers deduplicate per link; and acks
@@ -206,7 +206,7 @@ func (e *Endpoint) Quiesce() { e.track.Wait() }
 // round trip — a receiver resets a link's dedup set when it sees a newer
 // generation, and a frame of an older one is a stale duplicate. Counters,
 // liveness and the probe sequence persist: liveness is a property of the
-// machine, not of one job, and heartbeat determinism depends on the probe
+// machine, not of one job, and a probe's chaos fate depends on the probe
 // clock running uninterrupted.
 func (e *Endpoint) Recycle() {
 	e.Quiesce()
@@ -530,15 +530,14 @@ func (e *Endpoint) handleReliable(f *Frame) {
 	e.track.Go(relay)
 }
 
-// Probe sends one heartbeat from node 0 to dst and reports whether a pong
+// Probe sends one liveness ping from node 0 to dst and reports whether a pong
 // came back within maxAttempts round trips (minimum 1). The ping travels
 // the route a broadcast to dst would take — direct when the tree is too
 // degraded, the nearest-surviving-ancestor chain otherwise — with dst
 // itself treated as reachable even while marked dead: probing a dead node
 // is how a comeback is detected. Relays forward pings and pongs without
 // keeping state, so everything a lossy fabric does to the route starves
-// the probe, and the failure detector (internal/health) turns the failures
-// into suspicion. Probe traffic has its own sequence space: the fate of the
+// the probe. Probe traffic has its own sequence space: the fate of the
 // k-th probe never depends on how data traffic interleaved. Each success
 // lands in the <family>_ping_rtt_ns histogram.
 func (e *Endpoint) Probe(dst int, maxAttempts int) bool {

@@ -16,7 +16,7 @@ const (
 	// KindAck acknowledges one Data/Exec/Result sequence on the reverse
 	// link.
 	KindAck
-	// KindPing is a heartbeat probe travelling out along Route; KindPong
+	// KindPing is a liveness probe travelling out along Route; KindPong
 	// retraces the route back to the origin.
 	KindPing
 	KindPong

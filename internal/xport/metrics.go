@@ -47,10 +47,10 @@ func newEndpointMetrics(reg *metrics.Registry, family string) *endpointMetrics {
 		dedups:      reg.Counter(family+"_dedups_total", "received duplicates suppressed by sequence numbers"),
 		reparents:   reg.Counter(family+"_reparents_total", "broadcast-tree orphan adoptions"),
 		directs:     reg.Counter(family+"_direct_broadcasts_total", "broadcasts that abandoned a degraded tree for direct sends"),
-		probes:      reg.Counter(metrics.NameHealthProbes, "heartbeat probe round trips attempted"),
-		probeFails:  reg.Counter(metrics.NameHealthProbeFails, "heartbeat probes that exhausted their attempt budget"),
+		probes:      reg.Counter(metrics.NameHealthProbes, "liveness probe round trips attempted"),
+		probeFails:  reg.Counter(metrics.NameHealthProbeFails, "liveness probes that exhausted their attempt budget"),
 		treeDepth:   reg.Gauge(family+"_tree_depth", "fan-out depth (max hops) of the last planned broadcast"),
-		pingRTT:     reg.Histogram(family+"_ping_rtt_ns", "heartbeat probe round-trip time over the fabric"),
+		pingRTT:     reg.Histogram(family+"_ping_rtt_ns", "liveness probe round-trip time over the fabric"),
 
 		linkSends:       reg.CounterVec(family+"_link_sends_total", "first transmissions per directed link", "link"),
 		linkAcks:        reg.CounterVec(family+"_link_acks_total", "effective acks received per directed data link", "link"),

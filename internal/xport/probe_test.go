@@ -88,7 +88,7 @@ func TestProbeRoutesThroughTree(t *testing.T) {
 }
 
 // TestProbeDeadDestinationReachable: a destination marked dead must stay
-// probeable — that is how rejoin is detected.
+// probeable — that is how a comeback is detected.
 func TestProbeDeadDestinationReachable(t *testing.T) {
 	tr := probeTransport(t, 4, nil)
 	tr.MarkDead(2)

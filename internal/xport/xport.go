@@ -7,7 +7,7 @@
 // and delivery generations, tri-state dedup, ack/timeout retransmission on
 // a capped-backoff ladder, tree routing that re-parents around dead relays
 // and degrades to direct sends (tree.go), acks chained leaf-to-root, and
-// tree-routed heartbeat probes. It runs over any Fabric. Two assemblies use
+// tree-routed liveness probes. It runs over any Fabric. Two assemblies use
 // it:
 //
 //   - New, here: N endpoints in one process over the in-memory Hub. It is
