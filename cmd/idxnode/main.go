@@ -20,13 +20,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"sync/atomic"
 	"syscall"
 
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
-	"indexlaunch/internal/rt"
 	"indexlaunch/internal/sched"
 	"indexlaunch/internal/wire"
 )
@@ -78,7 +76,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Printf("idxnode: node %d stopping: %d points executed, %d slices received\n",
-		*node, w.executed.Load(), w.sliceCount())
+		*node, w.executed.Load(), w.slices.Load())
 	_ = m.Close()
 }
 
@@ -87,18 +85,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// worker is the daemon's execution state: the task-kind registry plus the
-// slice descriptors the launcher has shipped it.
+// worker is the daemon's execution state: the task-kind registry plus
+// counters of what the launcher has shipped it.
 type worker struct {
 	self int
 	mesh *wire.Mesh
 
 	// executed counts points, not frames: the mesh calls exec once per
-	// point of every slice it expands, from several goroutines.
+	// point of every slice it expands, from several goroutines. slices
+	// counts the well-formed slice descriptors delivered.
 	executed atomic.Int64
-
-	mu     sync.Mutex
-	slices []rt.ClusterMsg
+	slices   atomic.Int64
 }
 
 // exec serves one remote point execution. The kind registry is static: the
@@ -119,23 +116,11 @@ func (w *worker) exec(task string, point domain.Point, args []byte) ([]byte, err
 // the one inside each Exec request it serves, or broadcast ahead of a
 // launch whose bodies stay on the launcher.
 func (w *worker) deliver(node int, tag string, payload []byte) {
-	msg, err := rt.DecodeClusterPayload(payload)
-	if err != nil {
+	if _, _, _, err := wire.DecodeSlicePayload(payload); err != nil {
 		fmt.Fprintf(os.Stderr, "idxnode: node %d: bad payload on %q: %v\n", w.self, tag, err)
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.slices = append(w.slices, msg)
-	if len(w.slices) > 1024 {
-		w.slices = w.slices[len(w.slices)-1024:]
-	}
-}
-
-func (w *worker) sliceCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.slices)
+	w.slices.Add(1)
 }
 
 // status is the /statusz payload: identity, counters and the live peer
@@ -145,7 +130,7 @@ func (w *worker) status() any {
 		Node     int               `json:"node"`
 		Nodes    int               `json:"nodes"`
 		Executed int64             `json:"executed"`
-		Slices   int               `json:"slices"`
+		Slices   int64             `json:"slices"`
 		Peers    []wire.PeerStatus `json:"peers,omitempty"`
-	}{w.self, w.mesh.Nodes(), w.executed.Load(), w.sliceCount(), w.mesh.Peers()}
+	}{w.self, w.mesh.Nodes(), w.executed.Load(), w.slices.Load(), w.mesh.Peers()}
 }

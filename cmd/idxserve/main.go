@@ -215,9 +215,10 @@ func parseWeights(s string) (map[string]int, error) {
 // joinCluster turns the service into mesh node 0 of a real multi-process
 // cluster: it opens a TCP wire fabric, lists the idxnode workers as peers
 // 1..N (the handshake Hello carries this table, so workers learn their
-// sibling addresses from it), and attaches the resulting mesh to the
-// executor runtime template. The executor pool is forced to one — a mesh
-// is a single node-0 resource and cannot be shared across runtimes.
+// sibling addresses from it), and makes the resulting mesh the executor
+// runtime template's transport. The executor pool is forced to one — a
+// mesh is a single node-0 resource and cannot be shared across runtimes
+// (sched.New refuses to).
 func joinCluster(workers string, cfg *sched.Config) (*wire.Mesh, error) {
 	if cfg.Runtime.DCR {
 		return nil, fmt.Errorf("-cluster excludes -dcr: only the centralized path ships slices")
@@ -249,7 +250,7 @@ func joinCluster(workers string, cfg *sched.Config) (*wire.Mesh, error) {
 	}
 	cfg.Executors = 1
 	cfg.Runtime.Nodes = len(peers) + 1
-	cfg.Runtime.Cluster = mesh
+	cfg.Runtime.Transport = mesh
 	return mesh, nil
 }
 

@@ -45,8 +45,9 @@ func main() {
 	// — mid-way through the second launch — re-parents both onto node 0.
 	injector := rt.NewFaultInjector(42).KillNode(1, 20)
 
-	runtime := rt.MustNew(rt.Config{
-		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
+	// The runtime ships through the transport it is handed: an in-process
+	// broadcast tree over 8 nodes, every link under the plan.
+	transport, err := xport.New(8, xport.Options{
 		Chaos: plan,
 		// Short ack timeouts keep the demo snappy; dropped hops re-send
 		// after 200µs instead of the default 1ms.
@@ -54,7 +55,15 @@ func main() {
 			Timeout:    200 * time.Microsecond,
 			MaxBackoff: 2 * time.Millisecond,
 		},
-		Fault: injector,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer transport.Close()
+	runtime := rt.MustNew(rt.Config{
+		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
+		Transport: transport,
+		Fault:     injector,
 	})
 
 	const fieldVal region.FieldID = 0

@@ -75,7 +75,7 @@ func main() {
 	// registered body in-process, remote points travel the sockets.
 	runtime := rt.MustNew(rt.Config{
 		Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: meshes[0],
+		Transport: meshes[0],
 	})
 	defer runtime.Shutdown()
 

@@ -66,21 +66,34 @@ func Table2Functors(size int64) []struct {
 	}
 }
 
+// measureWindows is how many timing windows measure takes; it reports the
+// fastest, so a window slowed by GC or a busy machine does not skew a row.
+const measureWindows = 3
+
 // measure times fn with enough repetitions for a stable reading and returns
-// the per-call elapsed time.
+// the per-call elapsed time of the fastest of measureWindows windows.
 func measure(fn func()) time.Duration {
 	reps := 1
+	var elapsed time.Duration
 	for {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			fn()
 		}
-		elapsed := time.Since(start)
+		elapsed = time.Since(start)
 		if elapsed > 10*time.Millisecond || reps >= 1<<20 {
-			return elapsed / time.Duration(reps)
+			break
 		}
 		reps *= 4
 	}
+	for w := 1; w < measureWindows; w++ {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			fn()
+		}
+		elapsed = min(elapsed, time.Since(start))
+	}
+	return elapsed / time.Duration(reps)
 }
 
 // Table2SelfChecks measures the dynamic self-check (Listing 3) for the four

@@ -55,9 +55,14 @@ var fastRetransmit = xport.RetransmitPolicy{
 // the runtime stats.
 func chaosRun(t *testing.T, plan *xport.ChaosPlan, fi *FaultInjector, prof *obs.Recorder) (float64, Stats) {
 	t.Helper()
+	xp, err := xport.New(8, xport.Options{Chaos: plan, Retransmit: fastRetransmit, Prof: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = xp.Close() })
 	r := MustNew(Config{
 		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
-		Chaos: plan, Retransmit: fastRetransmit, Fault: fi, Profile: prof,
+		Transport: xp, Fault: fi, Profile: prof,
 	})
 	tree, part := lineSetup(t, 160, 16)
 	inc := r.MustRegisterTask("inc", incrementTask)
@@ -164,23 +169,22 @@ func TestChaosWithInteriorKillAcceptance(t *testing.T) {
 	}
 }
 
-// A chaos plan on the DCR path is a configuration error: control
-// replication sends no slice messages for the plan to act on.
+// Chaos rides on a Transport, which only the centralized path uses: a
+// chaos-wrapped transport is refused with DCR on, and a plan that can never
+// deliver is refused when the transport is built, not at first broadcast.
 func TestChaosRequiresCentralizedPath(t *testing.T) {
-	_, err := New(Config{
-		Nodes: 2, ProcsPerNode: 1, DCR: true,
-		Chaos: &xport.ChaosPlan{Seed: 1, Drop: 0.5},
-	})
-	if err == nil || !strings.Contains(err.Error(), "DCR") {
-		t.Errorf("New accepted Chaos with DCR: err = %v", err)
+	xp, err := xport.New(2, xport.Options{Chaos: &xport.ChaosPlan{Seed: 1, Drop: 0.5}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Invalid plans are rejected at construction, not at first broadcast.
-	_, err = New(Config{
-		Nodes: 2, ProcsPerNode: 1,
-		Chaos: &xport.ChaosPlan{Drop: 1.0},
-	})
-	if err == nil {
-		t.Error("New accepted a Drop=1 plan that can never deliver")
+	t.Cleanup(func() { _ = xp.Close() })
+	_, err = New(Config{Nodes: 2, ProcsPerNode: 1, DCR: true, Transport: xp})
+	if err == nil || !strings.Contains(err.Error(), "DCR") {
+		t.Errorf("New accepted a chaos transport with DCR: err = %v", err)
+	}
+	if bad, err := xport.New(2, xport.Options{Chaos: &xport.ChaosPlan{Drop: 1.0}}); err == nil {
+		_ = bad.Close()
+		t.Error("xport.New accepted a Drop=1 plan that can never deliver")
 	}
 }
 

@@ -2,13 +2,14 @@ package rt
 
 import (
 	"errors"
-	"fmt"
 
+	"indexlaunch/internal/obs"
 	"indexlaunch/internal/wire"
+	"indexlaunch/internal/xport"
 )
 
 // Cluster mode: the same runtime pipeline, with the transport's far side in
-// other OS processes. Config.Cluster hands the runtime a wire.Mesh whose
+// other OS processes. Config.Transport hands the runtime a wire.Mesh whose
 // node 0 is this process (the launching side — idxserve) and whose other
 // nodes are idxnode worker daemons. Two things change, neither of them
 // semantics:
@@ -39,48 +40,21 @@ import (
 //
 // Everything else — dependence analysis, retries, tracing — is unchanged,
 // which is the point: the paper's index-launch pipeline is
-// transport-agnostic. The runtime holds node 0's xport.Endpoint either way
-// (the mesh's, or the in-process assembly's when Config.Cluster is nil);
-// the in-process assembly carries the same encoded slice payloads a worker
-// would decode.
+// transport-agnostic. The runtime holds node 0's end of whichever transport
+// Config.Transport names (or of the in-process one New builds), and derives
+// remote execution from its being a mesh.
 
-// clusterPayloadSlice is the type discriminator (first byte) of a slice
-// payload, the one cluster payload type. The slice descriptor's layout
-// lives in internal/wire, which embeds it in Exec requests.
-const clusterPayloadSlice = wire.PayloadSlice
-
-// ClusterMsg is the decoded form of one cluster broadcast payload — what an
-// idxnode worker receives through its mesh Deliver callback.
-type ClusterMsg struct {
-	// Kind is "slice".
-	Kind string
-	// Index is the slice's position in the launch's slice order.
-	Index int
-	// Slice is the shipped slice.
-	Slice Slice
-}
-
-// encodeSlicePayload serializes one slice shipment: the slice plus its
-// index in the slicing functor's output, so deliveries reassemble into the
-// original deterministic slice order.
-func encodeSlicePayload(idx int, s Slice) []byte {
-	return wire.AppendSlicePayload(nil, idx, s.Node, s.Domain)
-}
-
-// DecodeClusterPayload parses a mesh broadcast body back into its message.
-// idxnode workers call this from their Deliver callback.
-func DecodeClusterPayload(b []byte) (ClusterMsg, error) {
-	if len(b) == 0 {
-		return ClusterMsg{}, fmt.Errorf("rt: empty cluster payload")
-	}
-	if b[0] != clusterPayloadSlice {
-		return ClusterMsg{}, fmt.Errorf("rt: unknown cluster payload type %d", b[0])
-	}
-	idx, node, dom, err := wire.DecodeSlicePayload(b)
-	if err != nil {
-		return ClusterMsg{}, fmt.Errorf("rt: slice payload: %w", err)
-	}
-	return ClusterMsg{Kind: "slice", Index: idx, Slice: Slice{Domain: dom, Node: node}}, nil
+// Transport is node 0's end of a slice transport: the xport.Endpoint methods
+// the runtime calls. *xport.Transport and *wire.Mesh both embed an
+// xport.Endpoint, so either satisfies it.
+type Transport interface {
+	Nodes() int
+	Self() int
+	BroadcastTraced(tc obs.TraceRef, tag string, items []xport.Item)
+	MarkDead(node int)
+	Recycle()
+	Shape() xport.TreeShape
+	Stats() xport.Stats
 }
 
 // execBody runs one attempt of tr's body: locally by default, or — in

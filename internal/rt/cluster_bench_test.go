@@ -29,7 +29,7 @@ func BenchmarkClusterJob(b *testing.B) {
 		return spinEval(p.X()), nil
 	}, nil)
 	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: tc.meshes[0], Metrics: metrics.NewRegistry()})
+		Transport: tc.meshes[0], Metrics: metrics.NewRegistry()})
 	defer r.Shutdown()
 	id := r.MustRegisterTask("spin", func(ctx *Context) ([]byte, error) { return spinEval(ctx.Point.X()), nil })
 	il := core.MustForall("spin", id, domain.Range1(0, 255))

@@ -31,7 +31,13 @@ type testCluster struct {
 	executed []atomic.Int64 // per-node remote executions
 
 	mu     sync.Mutex
-	slices map[int][]ClusterMsg // node -> received slice messages
+	slices map[int][]delivered // node -> received slice descriptors
+}
+
+// delivered is one slice descriptor a worker's Deliver callback decoded.
+type delivered struct {
+	Index int
+	Slice Slice
 }
 
 func newTestCluster(t testing.TB, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error), plan *xport.ChaosPlan, tweak ...func(node int, cfg *wire.MeshConfig)) *testCluster {
@@ -40,20 +46,20 @@ func newTestCluster(t testing.TB, n int, fn func(task string, point domain.Point
 	tc := &testCluster{
 		meshes:   make([]*wire.Mesh, n),
 		executed: make([]atomic.Int64, n),
-		slices:   map[int][]ClusterMsg{},
+		slices:   map[int][]delivered{},
 	}
 	for i := 0; i < n; i++ {
 		cfg := wire.MeshConfig{
 			Self: i, Nodes: n, Fabric: xport.WithChaos(hub.Fabric(i), plan),
 			Retransmit: fastRetransmit,
 			Deliver: func(node int, tag string, payload []byte) {
-				msg, err := DecodeClusterPayload(payload)
+				idx, owner, dom, err := wire.DecodeSlicePayload(payload)
 				if err != nil {
-					t.Errorf("node %d: bad cluster payload: %v", node, err)
+					t.Errorf("node %d: bad slice payload: %v", node, err)
 					return
 				}
 				tc.mu.Lock()
-				tc.slices[node] = append(tc.slices[node], msg)
+				tc.slices[node] = append(tc.slices[node], delivered{Index: idx, Slice: Slice{Domain: dom, Node: owner}})
 				tc.mu.Unlock()
 			},
 			Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
@@ -83,7 +89,7 @@ func TestClusterLoopbackRemoteExecution(t *testing.T) {
 	// the result sum, the runtime stats and the per-node remote executions.
 	run := func(t *testing.T, plan *xport.ChaosPlan) (float64, Stats, []int64) {
 		tc := newTestCluster(t, nodes, body, plan)
-		r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+		r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
 		defer r.Shutdown()
 
 		// The registered body is what node-0-local points run; workers run
@@ -115,7 +121,7 @@ func TestClusterLoopbackRemoteExecution(t *testing.T) {
 		for n := 1; n < nodes; n++ {
 			found := false
 			for _, m := range tc.slices[n] {
-				if m.Kind == "slice" && m.Slice.Node == n && !m.Slice.Domain.Empty() {
+				if m.Slice.Node == n && !m.Slice.Domain.Empty() {
 					found = true
 				}
 			}
@@ -184,7 +190,7 @@ func TestClusterRemoteTaskErrorFeedsRetryLadder(t *testing.T) {
 	}
 	tc := newTestCluster(t, 2, body, nil)
 	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, IndexLaunches: true,
-		Cluster: tc.meshes[0], Retry: RetryPolicy{Max: 3}})
+		Transport: tc.meshes[0], Retry: RetryPolicy{Max: 3}})
 	defer r.Shutdown()
 	id := r.MustRegisterTask("flaky", func(ctx *Context) ([]byte, error) {
 		return EncodeF64(1), nil
@@ -241,7 +247,7 @@ func TestClusterSliceIsOneFramePerLaunchAndWorker(t *testing.T) {
 			cfg.Metrics = reg
 		}
 	})
-	r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
 	defer r.Shutdown()
 	id := registerSquare(r)
 	d := domain.Range1(0, points-1)
@@ -281,7 +287,7 @@ func TestClusterSliceIsOneFramePerLaunchAndWorker(t *testing.T) {
 		}
 		want := domain.Range1(int64(n*points/nodes), int64((n+1)*points/nodes-1))
 		for _, m := range tc.slices[n] {
-			if m.Kind != "slice" || m.Index != n || m.Slice.Node != n || m.Slice.Domain.Sparse() || !m.Slice.Domain.Eq(want) {
+			if m.Index != n || m.Slice.Node != n || m.Slice.Domain.Sparse() || !m.Slice.Domain.Eq(want) {
 				t.Errorf("worker %d descriptor %+v, want slice %d = %v", n, m, n, want)
 			}
 		}
@@ -309,7 +315,7 @@ func TestClusterSliceFailingPointRetriesAlone(t *testing.T) {
 		}
 	})
 	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: tc.meshes[0], Retry: RetryPolicy{Max: 2}})
+		Transport: tc.meshes[0], Retry: RetryPolicy{Max: 2}})
 	defer r.Shutdown()
 	id := registerSquare(r)
 	d := domain.Range1(0, 31) // points 16..31 are node 1's slice
@@ -361,7 +367,7 @@ func TestClusterSliceUnreachableWorkerFallsBackLocally(t *testing.T) {
 			cfg.Metrics = reg
 		}
 	})
-	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
 	defer r.Shutdown()
 	id := registerSquare(r)
 	d := domain.Range1(0, 29)
@@ -394,7 +400,7 @@ func TestClusterIssuanceDoesNotBlockOnTheNetwork(t *testing.T) {
 		return squareBody(task, point, args)
 	}
 	tc := newTestCluster(t, 3, body, nil)
-	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
 	defer r.Shutdown()
 	id := registerSquare(r)
 	d := domain.Range1(0, 29)
@@ -445,7 +451,7 @@ func TestClusterSlicePointArgsAndSparseSlices(t *testing.T) {
 	}
 	tc := newTestCluster(t, 3, body, nil)
 	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: tc.meshes[0], Mapper: CyclicMapper{}})
+		Transport: tc.meshes[0], Mapper: CyclicMapper{}})
 	defer r.Shutdown()
 	id := r.MustRegisterTask("add", func(ctx *Context) ([]byte, error) {
 		return body("add", ctx.Point, ctx.Args)
@@ -492,7 +498,7 @@ func TestClusterSliceOverFrameSizeSplits(t *testing.T) {
 		return fat(point.X()), nil
 	}, nil)
 	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, IndexLaunches: true,
-		Cluster: tc.meshes[0], Mapper: PinnedMapper{Node: 1}})
+		Transport: tc.meshes[0], Mapper: PinnedMapper{Node: 1}})
 	defer r.Shutdown()
 	id := r.MustRegisterTask("fat", func(ctx *Context) ([]byte, error) { return fat(ctx.Point.X()), nil })
 	d := domain.Range1(0, points-1)
@@ -550,7 +556,7 @@ func TestClusterSliceOrderMatchesIssuanceOrder(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("seed=%d/%d", seed, c), func(t *testing.T) {
 				tc := newTestCluster(t, cfg.Nodes, body, nil)
-				cfg.Cluster = tc.meshes[0]
+				cfg.Transport = tc.meshes[0]
 				r := MustNew(cfg)
 				defer r.Shutdown()
 				id := r.MustRegisterTask("echo", func(ctx *Context) ([]byte, error) { return echo(ctx.Point, ctx.Args), nil })
@@ -607,46 +613,72 @@ func randomShape(rng *rand.Rand) domain.Domain {
 	return domain.FromPoints(pts)
 }
 
+// Config.Transport is checked the same way whichever kind it holds: a
+// mesh, or the in-process engine (xport.New's assembly, or one endpoint of
+// it for a node other than 0).
 func TestClusterConfigValidation(t *testing.T) {
 	tc := newTestCluster(t, 3, func(string, domain.Point, []byte) ([]byte, error) { return nil, nil }, nil)
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"dcr", Config{Nodes: 3, ProcsPerNode: 1, DCR: true, Cluster: tc.meshes[0]}},
-		{"node-count", Config{Nodes: 5, ProcsPerNode: 1, Cluster: tc.meshes[0]}},
-		{"not-node-zero", Config{Nodes: 3, ProcsPerNode: 1, Cluster: tc.meshes[1]}},
+	xp, err := xport.New(3, xport.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if _, err := New(c.cfg); err == nil {
-			t.Fatalf("%s: config accepted", c.name)
+	t.Cleanup(func() { _ = xp.Close() })
+	ep1, err := xport.NewEndpoint(xport.EndpointConfig{Self: 1, Nodes: 3, Fabric: xport.NewHub().Fabric(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep1.Close() })
+	for _, k := range []struct {
+		kind               string
+		node0, notNodeZero Transport
+	}{
+		{"mesh", tc.meshes[0], tc.meshes[1]},
+		{"xport", xp, ep1},
+	} {
+		cases := []struct {
+			name string
+			cfg  Config
+		}{
+			{"dcr", Config{Nodes: 3, ProcsPerNode: 1, DCR: true, Transport: k.node0}},
+			{"node-count", Config{Nodes: 5, ProcsPerNode: 1, Transport: k.node0}},
+			{"not-node-zero", Config{Nodes: 3, ProcsPerNode: 1, Transport: k.notNodeZero}},
 		}
+		for _, c := range cases {
+			if _, err := New(c.cfg); err == nil {
+				t.Fatalf("%s/%s: config accepted", k.kind, c.name)
+			}
+		}
+		r, err := New(Config{Nodes: 3, ProcsPerNode: 1, Transport: k.node0})
+		if err != nil {
+			t.Fatalf("%s: valid config rejected: %v", k.kind, err)
+		}
+		r.Shutdown()
 	}
 }
 
 func TestClusterPayloadRoundTrip(t *testing.T) {
 	dense := Slice{Domain: domain.Range1(5, 25), Node: 2}
-	b := encodeSlicePayload(7, dense)
-	msg, err := DecodeClusterPayload(b)
+	b := wire.AppendSlicePayload(nil, 7, dense.Node, dense.Domain)
+	idx, node, dom, err := wire.DecodeSlicePayload(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Kind != "slice" || msg.Index != 7 || msg.Slice.Node != 2 || !msg.Slice.Domain.Eq(dense.Domain) {
-		t.Fatalf("dense round trip: %+v", msg)
+	if idx != 7 || node != 2 || !dom.Eq(dense.Domain) {
+		t.Fatalf("dense round trip: %d %d %v", idx, node, dom)
 	}
 
 	sparse := Slice{Domain: domain.DiagonalSlice3(domain.Rect{Lo: domain.Pt3(0, 0, 0), Hi: domain.Pt3(3, 3, 3)}, 4), Node: 1}
-	b = encodeSlicePayload(0, sparse)
-	msg, err = DecodeClusterPayload(b)
+	b = wire.AppendSlicePayload(nil, 0, sparse.Node, sparse.Domain)
+	_, _, dom, err = wire.DecodeSlicePayload(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Kind != "slice" || !msg.Slice.Domain.Eq(sparse.Domain) || !msg.Slice.Domain.Sparse() {
-		t.Fatalf("sparse round trip: %+v", msg)
+	if !dom.Eq(sparse.Domain) || !dom.Sparse() {
+		t.Fatalf("sparse round trip: %v", dom)
 	}
 
 	for _, bad := range [][]byte{nil, {99}, {1, 0x80}, {2}} {
-		if _, err := DecodeClusterPayload(bad); err == nil {
+		if _, _, _, err := wire.DecodeSlicePayload(bad); err == nil {
 			t.Fatalf("payload %v accepted", bad)
 		}
 	}

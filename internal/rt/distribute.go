@@ -2,7 +2,6 @@ package rt
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 
 	"indexlaunch/internal/domain"
@@ -18,12 +17,14 @@ import (
 //
 //   - In-process, every slice bound for another node travels hop-by-hop
 //     through the reliable broadcast tree (an xport.Endpoint), subject to
-//     the configured ChaosPlan, and the launch proceeds only once every
-//     slice has been delivered exactly once. Slices for node 0 itself, and
-//     slices whose destination is already dead at broadcast time, never
-//     enter the transport: they stay local and the per-point faultCheck
-//     re-maps them exactly as it did before the transport existed, which is
-//     what keeps chaos runs byte-identical to fault-free runs.
+//     any ChaosPlan its transport was built with, and the launch proceeds
+//     only once every slice has been delivered exactly once. Deliveries are
+//     not read back: each is a slice node 0 already holds. Slices for node
+//     0 itself, and slices whose destination is already dead at broadcast
+//     time, never enter the transport: they stay local and the per-point
+//     faultCheck re-maps them exactly as it did before the transport
+//     existed, which is what keeps chaos runs byte-identical to fault-free
+//     runs.
 //   - In cluster mode nothing is broadcast ahead of issuance. A region-free
 //     launch's points are filed under the worker that owns them (shipment)
 //     and leave after issuance as one Exec request per worker, descriptor
@@ -76,52 +77,23 @@ func clampNode(n, nodes int) int {
 }
 
 // shipSlices broadcasts the launch's slices through the in-process
-// transport and leaves them in l.slices reassembled in the slicing
-// functor's order (deliveries complete in arbitrary order under chaos).
+// transport and returns once every destination has delivered (and acked).
+// Deliveries carry nothing back: each is the slice l.slices already holds.
 // Caller holds issueMu, which serializes broadcasts and makes the r.dead
 // read safe. The launch's distribute span context rides the message headers
 // so each hop records a child send span.
 func (r *Runtime) shipSlices(l *launch) {
-	if r.xp == nil {
-		return
-	}
-	sent := l.slices
-	out := make([]Slice, len(sent))
-	items := make([]xport.Item, 0, len(sent))
-	for i, s := range sent {
-		if node := clampNode(s.Node, r.cfg.Nodes); node == 0 || r.dead[node] {
-			// Node-0-local slices have nowhere to go; dead-destination
-			// slices stay local so faultCheck re-maps their points.
-			out[i] = s
-		} else {
-			items = append(items, xport.Item{Dst: node, Payload: encodeSlicePayload(i, s)})
+	items := make([]xport.Item, 0, len(l.slices))
+	for i, s := range l.slices {
+		// Node-0-local slices have nowhere to go; dead-destination slices
+		// stay local so faultCheck re-maps their points.
+		if node := clampNode(s.Node, r.cfg.Nodes); node != 0 && !r.dead[node] {
+			items = append(items, xport.Item{Dst: node, Payload: wire.AppendSlicePayload(nil, i, s.Node, s.Domain)})
 		}
 	}
-	if len(items) == 0 {
-		return
+	if len(items) > 0 {
+		r.xp.BroadcastTraced(l.tc.Child(tcDistribute), l.tag, items)
 	}
-	r.deliverMu.Lock()
-	l.slices, r.shipping = out, l
-	r.deliverMu.Unlock()
-	// Blocks until every destination delivered (and acked).
-	r.xp.BroadcastTraced(l.tc.Child(tcDistribute), l.tag, items)
-	r.deliverMu.Lock()
-	r.shipping = nil
-	r.deliverMu.Unlock()
-}
-
-// transportDeliver is the in-process transport's Deliver callback: decode
-// the slice payload — the bytes an idxnode worker would get — and slot it
-// into the launch whose broadcast is in flight (the transport is built once
-// in New, every broadcast has its own launch).
-func (r *Runtime) transportDeliver(node int, payload any) {
-	msg, err := DecodeClusterPayload(payload.([]byte))
-	if err != nil {
-		panic(fmt.Sprintf("rt: node %d received an undecodable payload from this process: %v", node, err))
-	}
-	r.deliverMu.Lock()
-	r.shipping.slices[msg.Index] = msg.Slice
-	r.deliverMu.Unlock()
 }
 
 // shipment collects, during issuance, the points of one region-free launch

@@ -35,7 +35,7 @@ func TestClusterRegionLaunchSendsNoDataFrames(t *testing.T) {
 			cfg.Fabric = countData{cfg.Fabric, &data}
 		}
 	})
-	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Cluster: tc.meshes[0]})
+	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
 	defer r.Shutdown()
 	tree, p := lineSetup(t, 40, 4)
 	inc := r.MustRegisterTask("inc", incrementTask)

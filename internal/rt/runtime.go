@@ -28,9 +28,11 @@ type Config struct {
 	// nodes by the mapper's sharding functor. When false, the centralized
 	// path assigns whole slices via the slicing functor.
 	DCR bool
-	// IndexLaunches keeps launches compact through analysis. When false,
-	// every index launch is expanded into individual single-task launches
-	// at issuance, as in the paper's "No IDX" configurations.
+	// IndexLaunches labels the paper's IDX and "No IDX" configurations: a
+	// launch counts under Stats.IndexLaunched when set and Stats.Expanded
+	// when not, and VerifyLaunches checks only launches issued with it set.
+	// Nothing else changes: either way the launch runs the same compact
+	// pipeline, since this runtime has no per-point issuance path.
 	IndexLaunches bool
 	// Tracing enables capture/replay of dependence analysis between
 	// BeginTrace/EndTrace markers.
@@ -41,8 +43,8 @@ type Config struct {
 	// Tracing.
 	BulkTracing bool
 	// VerifyLaunches runs the hybrid safety analysis on every index launch
-	// at issuance; launches that fail are demoted to sequentially-issued
-	// task loops (the generated branch of Listing 3).
+	// at issuance; a launch that fails counts as a Fallback and is Expanded
+	// (Listing 3's task-loop branch), and runs the same pipeline.
 	VerifyLaunches bool
 	// Checks configures the hybrid analysis when VerifyLaunches is set.
 	Checks safety.Options
@@ -58,28 +60,17 @@ type Config struct {
 	// Fault optionally injects deterministic simulated node failures at
 	// issuance boundaries; nil injects none.
 	Fault *FaultInjector
-	// Chaos injects deterministic message-level faults (drop, delay,
-	// duplication, reordering, partitions) into the in-process transport
-	// the runtime builds for the centralized path (every hub port is
-	// wrapped in xport.WithChaos). Requires DCR == false: the DCR path
-	// replicates control and sends no slice messages. Nil injects none; the
-	// transport still carries slices fault-free when the path is
-	// centralized.
-	Chaos *xport.ChaosPlan
-	// Retransmit tunes the transport's per-hop ack-timeout ladder; the
-	// zero value uses the transport defaults.
-	Retransmit xport.RetransmitPolicy
-	// Cluster replaces the in-process transport with a socket mesh
-	// (internal/wire): region-free launches ship over it as one Exec
-	// request per worker slice, and their point tasks execute in the worker
-	// process owning their node. The mesh's node 0 must be this process
-	// and its size must equal Nodes. Requires the centralized path
-	// (DCR == false). Chaos stays nil beside it — that plan is for the
-	// transport the runtime builds itself; a mesh goes under a ChaosPlan
-	// where it is built, by wrapping its fabric in xport.WithChaos (or, on
-	// real sockets, behind a wire.Proxy). Nil (the default) keeps the
-	// deterministic in-process transport.
-	Cluster *wire.Mesh
+	// Transport is node 0's end of the transport the centralized path
+	// ships slices through, built by the caller: an *xport.Transport from
+	// xport.New (where a ChaosPlan and the ack ladder are set) or a
+	// *wire.Mesh. With a mesh, region-free launches ship as one Exec
+	// request per worker slice and their point tasks run in the worker
+	// process owning their node. Its node must be 0 and its size Nodes;
+	// requires DCR == false, since the DCR path sends no slice messages.
+	// Nil builds a fault-free in-process transport on the centralized path.
+	// One runtime per transport: Recycle resets the transport's sequences
+	// under any other runtime's frames in flight. The caller closes it.
+	Transport Transport
 	// Profile attaches an observability recorder (internal/obs): pipeline
 	// stage spans (issuance, logical, distribution, physical, execute),
 	// retry/fault/fence incidents and trace capture/replay events are
@@ -103,11 +94,12 @@ type Stats struct {
 	// ExecuteSingle invocations.
 	LaunchCalls int64
 	SingleCalls int64
-	// IndexLaunched counts launches processed compactly; Expanded counts
-	// launches expanded at issuance (No-IDX mode or safety fallback).
+	// IndexLaunched counts launches issued as index launches; Expanded
+	// counts the rest (IndexLaunches off, or demoted by a failed safety
+	// check). Both kinds run the same compact pipeline.
 	IndexLaunched int64
 	Expanded      int64
-	// Fallbacks counts launches demoted to task loops by a failed check.
+	// Fallbacks counts launches a failed safety check counted as Expanded.
 	Fallbacks int64
 	// TasksExecuted counts completed point tasks.
 	TasksExecuted int64
@@ -189,17 +181,10 @@ type Runtime struct {
 	dead        []bool
 	issuedTotal int64
 
-	// Message transport for the centralized path; nil in DCR mode. Node 0's
-	// endpoint of the reliable broadcast tree: of the in-process assembly
-	// the runtime built, or of Config.Cluster's mesh (cluster is then set
-	// too, for remote execution). shipping is the launch whose slice
-	// broadcast the in-process transport is delivering, guarded by
-	// deliverMu (transport goroutines deliver concurrently); in cluster mode
-	// deliveries land in the worker processes instead.
-	xp        *xport.Endpoint
-	cluster   *wire.Mesh
-	deliverMu sync.Mutex
-	shipping  *launch
+	// Message transport for the centralized path; nil in DCR mode. cluster
+	// is the same value when it is a mesh: remote execution.
+	xp      Transport
+	cluster *wire.Mesh
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
@@ -297,8 +282,16 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Retry.Max < 0 {
 		return nil, fmt.Errorf("rt: config requires Retry.Max >= 0, got %d", cfg.Retry.Max)
 	}
-	if cfg.Chaos != nil && cfg.DCR {
-		return nil, fmt.Errorf("rt: Chaos requires the centralized path (DCR == false): the DCR path sends no slice messages")
+	if xp := cfg.Transport; xp != nil {
+		if cfg.DCR {
+			return nil, fmt.Errorf("rt: Transport requires the centralized path (DCR == false): the DCR path sends no slice messages")
+		}
+		if got := xp.Nodes(); got != cfg.Nodes {
+			return nil, fmt.Errorf("rt: Transport spans %d nodes, config says %d", got, cfg.Nodes)
+		}
+		if self := xp.Self(); self != 0 {
+			return nil, fmt.Errorf("rt: Transport node %d cannot host the runtime: only node 0 issues launches", self)
+		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -317,36 +310,17 @@ func New(cfg Config) (*Runtime, error) {
 		mx:     mx,
 		clk:    stageClock{prof: cfg.Profile, hist: cfg.Metrics != nil, epoch: time.Now()},
 	}
-	// The centralized path gets a transport (it ships slices); cluster
-	// mode swaps the in-process transport for the socket mesh.
+	// The centralized path ships slices, so it always has a transport.
 	switch {
-	case cfg.Cluster != nil:
-		if cfg.DCR {
-			return nil, fmt.Errorf("rt: Cluster requires the centralized path (DCR == false)")
-		}
-		if cfg.Chaos != nil {
-			return nil, fmt.Errorf("rt: Cluster excludes Chaos: the runtime cannot apply a plan to a mesh it did not build; wrap the mesh's fabric in xport.WithChaos instead")
-		}
-		if got := cfg.Cluster.Nodes(); got != cfg.Nodes {
-			return nil, fmt.Errorf("rt: Cluster spans %d nodes, config says %d", got, cfg.Nodes)
-		}
-		if self := cfg.Cluster.Self(); self != 0 {
-			return nil, fmt.Errorf("rt: Cluster node %d cannot host the runtime: only node 0 issues launches", self)
-		}
-		r.cluster = cfg.Cluster
-		r.xp = cfg.Cluster.Endpoint
+	case cfg.Transport != nil:
+		r.xp = cfg.Transport
+		r.cluster, _ = cfg.Transport.(*wire.Mesh)
 	case !cfg.DCR:
-		xp, err := xport.New(cfg.Nodes, xport.Options{
-			Chaos:      cfg.Chaos,
-			Retransmit: cfg.Retransmit,
-			Prof:       cfg.Profile,
-			Metrics:    reg,
-			Deliver:    r.transportDeliver,
-		})
+		xp, err := xport.New(cfg.Nodes, xport.Options{Prof: cfg.Profile, Metrics: reg})
 		if err != nil {
 			return nil, err
 		}
-		r.xp = xp.Endpoint
+		r.xp = xp
 	}
 	if cfg.Profile != nil {
 		r.profIDs = map[*Event]int64{}

@@ -36,7 +36,8 @@ type Status struct {
 	Tree *xport.TreeShape `json:"tree,omitempty"`
 
 	// Peers is the cluster mesh's per-peer connection table (address,
-	// connectivity, byte/message counters); nil outside cluster mode.
+	// connectivity, byte/message counters); nil unless Config.Transport is
+	// a mesh.
 	Peers []wire.PeerStatus `json:"peers,omitempty"`
 }
 

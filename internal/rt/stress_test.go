@@ -126,7 +126,7 @@ func runStressDifferential(t *testing.T, seed int64, path, trace, launches strin
 		tc := newTestCluster(t, cfg.Nodes, func(task string, point domain.Point, args []byte) ([]byte, error) {
 			return pure(point, args), nil
 		}, nil)
-		cfg.Cluster = tc.meshes[0]
+		cfg.Transport = tc.meshes[0]
 	}
 	r := MustNew(cfg)
 	defer r.Shutdown()

@@ -24,7 +24,8 @@ type Config struct {
 	// Runtime is the executor runtime template — the shared simulated
 	// machine every job runs over. The zero value defaults to 4 nodes x 2
 	// procs on the centralized path (which gives every executor a reusable
-	// message transport).
+	// message transport). A template with a Transport requires Executors
+	// = 1: runtimes cannot share one.
 	Runtime rt.Config
 	// Setup, when non-nil, runs once per executor runtime before it serves
 	// jobs — the place to register the task variants job bodies launch.
@@ -177,6 +178,11 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.TerminalRetention <= 0 {
 		cfg.TerminalRetention = doneRetention
+	}
+	if cfg.Runtime.Transport != nil && cfg.Executors > 1 {
+		// Every executor is built from the one template: they would share the
+		// transport, and one's Recycle would strand the others' frames.
+		return nil, fmt.Errorf("sched: a Runtime.Transport serves one executor, got Executors = %d", cfg.Executors)
 	}
 	rtc := cfg.Runtime
 	if rtc.Nodes == 0 {

@@ -15,6 +15,7 @@ import (
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/rt"
+	"indexlaunch/internal/xport"
 )
 
 // Live-scheduler tests: the concurrent front end over the scheduler state —
@@ -25,6 +26,32 @@ import (
 // control capacity and bucket refill deterministically.
 func quietCfg() Config {
 	return Config{Executors: 2, TickEvery: time.Hour}
+}
+
+// A caller-built transport is one node 0: executors built from the same
+// template would share it, and one's Recycle would strand another's frames.
+// New takes it for one executor only.
+func TestSchedTransportServesOneExecutor(t *testing.T) {
+	xp, err := xport.New(4, xport.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xp.Close()
+	cfg := quietCfg()
+	cfg.Runtime = rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true, Transport: xp}
+	for _, n := range []int{0, 2} { // 0 defaults to 2
+		cfg.Executors = n
+		if s, err := New(cfg); err == nil {
+			s.Shutdown()
+			t.Fatalf("Executors = %d sharing one Transport accepted", n)
+		}
+	}
+	cfg.Executors = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("one executor over a Transport rejected: %v", err)
+	}
+	s.Shutdown()
 }
 
 func TestSchedRunsJobs(t *testing.T) {

@@ -36,10 +36,9 @@ import (
 // span several consecutive Result frames (first = points answered so far);
 // a single-point Exec is the |D| = 1 case of the same two bodies.
 
-// PayloadSlice is the first byte of a slice-descriptor payload. The byte
-// discriminates broadcast payload types; the descriptor's layout is defined
-// here because Exec requests embed it, the other types belong to the layer
-// above (internal/rt).
+// PayloadSlice is the first byte of a slice-descriptor payload, the one
+// broadcast payload type: DecodeSlicePayload rejects any other first byte.
+// Exec requests embed the descriptor.
 const PayloadSlice = 1
 
 // maxSlicePoints bounds the points of one Exec request: a point's result

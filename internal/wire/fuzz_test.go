@@ -3,6 +3,8 @@ package wire
 import (
 	"reflect"
 	"testing"
+
+	"indexlaunch/internal/domain"
 )
 
 // FuzzDecodeFrame locks in the codec's safety contract: DecodeFrame never
@@ -106,6 +108,44 @@ func FuzzDecodeExecSlice(f *testing.F) {
 		}
 		if !reflect.DeepEqual(body, body2) {
 			t.Fatalf("result re-encode not canonical:\n got %+v\nwant %+v", body2, body)
+		}
+	})
+}
+
+// FuzzDecodeSlicePayload locks in the same contract for the slice
+// descriptor every worker's Deliver callback decodes: DecodeSlicePayload
+// never panics or over-allocates, a decode error yields nothing, and an
+// accepted descriptor re-encodes to bytes that decode equal. The committed
+// corpus under testdata/fuzz/FuzzDecodeSlicePayload seeds dense and sparse
+// slices, torn and mistyped payloads — among them the retired resync kind,
+// 2, which must be rejected.
+func FuzzDecodeSlicePayload(f *testing.F) {
+	dense := AppendSlicePayload(nil, 7, 2, domain.Range1(5, 25))
+	sparse := AppendSlicePayload(nil, 0, 1,
+		domain.DiagonalSlice3(domain.Rect{Lo: domain.Pt3(0, 0, 0), Hi: domain.Pt3(3, 3, 3)}, 4))
+	f.Add(dense)
+	f.Add(sparse)
+	f.Add([]byte{2, 0x11}) // the retired resync kind
+	f.Add(dense[:len(dense)/2])
+	f.Add(sparse[:len(sparse)-1])
+	f.Add([]byte{})
+	f.Add([]byte{99})
+	f.Add([]byte{PayloadSlice, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx, node, dom, err := DecodeSlicePayload(data)
+		if err != nil {
+			if idx != 0 || node != 0 || !dom.Empty() {
+				t.Fatalf("error %v returned slice %d on node %d: %v", err, idx, node, dom)
+			}
+			return
+		}
+		idx2, node2, dom2, err := DecodeSlicePayload(AppendSlicePayload(nil, idx, node, dom))
+		if err != nil {
+			t.Fatalf("re-decode of accepted payload failed: %v", err)
+		}
+		if idx2 != idx || node2 != node || !dom2.Eq(dom) {
+			t.Fatalf("re-encode not canonical:\n got %d %d %v\nwant %d %d %v", idx2, node2, dom2, idx, node, dom)
 		}
 	})
 }

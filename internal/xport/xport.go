@@ -121,9 +121,11 @@ type Options struct {
 	// gauge. Nil keeps the counters in a private registry, so Stats always
 	// works.
 	Metrics *metrics.Registry
-	// Deliver receives each payload exactly once at its destination node.
-	// It may be called from transport goroutines and must be safe for
-	// concurrent use.
+	// Deliver, when set, receives each payload exactly once at its
+	// destination node. It may be called from transport goroutines and must
+	// be safe for concurrent use. Nil discards payloads on arrival: the
+	// sender already holds them, and Broadcast still returns only after
+	// every destination has received its own.
 	Deliver func(node int, payload any)
 }
 
@@ -159,8 +161,9 @@ func assemble(nodes int, opts Options, family string) (*Transport, error) {
 	if err := opts.Chaos.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Deliver == nil {
-		return nil, fmt.Errorf("xport: Options.Deliver is required")
+	var deliver func(*Endpoint, *Frame)
+	if opts.Deliver != nil {
+		deliver = func(_ *Endpoint, f *Frame) { opts.Deliver(f.Dst, f.Payload()) }
 	}
 	hub := NewHub()
 	t := &Transport{eps: make([]*Endpoint, nodes)}
@@ -168,8 +171,7 @@ func assemble(nodes int, opts Options, family string) (*Transport, error) {
 		ep, err := NewEndpoint(EndpointConfig{
 			Self: i, Nodes: nodes, Fabric: WithChaos(hub.Fabric(i), opts.Chaos),
 			Retransmit: opts.Retransmit, Prof: opts.Prof, Metrics: opts.Metrics, Family: family,
-			Deliver: func(_ *Endpoint, f *Frame) { opts.Deliver(f.Dst, f.Payload()) },
-			share:   t.Endpoint,
+			Deliver: deliver, share: t.Endpoint,
 		})
 		if err != nil {
 			return nil, err

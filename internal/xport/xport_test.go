@@ -201,6 +201,26 @@ func TestChaosPlanValidate(t *testing.T) {
 	}
 }
 
+// New validates its plan up front: a Drop = 1 plan can never deliver, so
+// the transport is refused instead of hanging its first broadcast.
+func TestNewRejectsUndeliverablePlan(t *testing.T) {
+	if tr, err := New(2, Options{Chaos: &ChaosPlan{Drop: 1.0}}); err == nil {
+		_ = tr.Close()
+		t.Fatal("New accepted a Drop = 1 plan")
+	}
+}
+
+// Deliver is optional: without it a broadcast still completes hop by hop,
+// and the sender's counters see every send.
+func TestBroadcastWithoutDeliver(t *testing.T) {
+	const nodes = 8
+	tr := mustNew(t, nodes, Options{})
+	tr.Broadcast("nodeliver", allItems(nodes))
+	if st := tr.Stats(); st.Sends < nodes-1 {
+		t.Errorf("sends = %d, want >= %d", st.Sends, nodes-1)
+	}
+}
+
 func TestRetransmitPolicyWaitForCaps(t *testing.T) {
 	rp := RetransmitPolicy{Timeout: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
