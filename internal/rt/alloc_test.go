@@ -61,7 +61,7 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 	}
 	j := 0
 	physical := testing.AllocsPerRun(10*points, func() {
-		r.physical(l, pts[j%points], 0, prs[j%points], nil, true)
+		r.physical(l, pts[j%points], 0, prs[j%points], nil)
 		j++
 	})
 	r.issueMu.Unlock()
@@ -100,6 +100,32 @@ func TestTracedLaunchAllocsFlat(t *testing.T) {
 	}
 	if extra[64] != extra[1024] {
 		t.Errorf("tracing adds %v allocs per launch at |D| = 64 but %v at |D| = 1024", extra[64], extra[1024])
+	}
+}
+
+// TestRegionFreeLaunchAllocsFlat gates the region-free launch: a DCR
+// ExecuteIndex + FenceErr allocates per slice and per chunk, not per point,
+// so |D| = 4096 stays within twice |D| = 64.
+func TestRegionFreeLaunchAllocsFlat(t *testing.T) {
+	r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
+	defer r.Shutdown()
+	task := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
+	allocs := map[int]float64{}
+	for _, points := range []int{64, 4096} {
+		il := core.MustForall("allocs", task, domain.Range1(0, int64(points-1)))
+		allocs[points] = testing.AllocsPerRun(50, func() {
+			if _, err := r.ExecuteIndex(il); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("|D| = %d: %v allocs", points, allocs[points])
+	}
+	if allocs[4096] > 2*allocs[64] {
+		t.Errorf("a region-free launch allocates %v objects at |D| = 4096, more than twice the %v at |D| = 64",
+			allocs[4096], allocs[64])
 	}
 }
 

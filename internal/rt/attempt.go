@@ -11,9 +11,9 @@ import (
 // and RetryPolicy allows. A chain ends in exactly one commit, which makes
 // its outcome the task's.
 
-// taskRun bundles everything an attempt chain needs. A region-free point of
-// an index launch that leaves node 0 in a slice has none unless it needs
-// one (sliceRun.run): its outcome goes straight into its future-map slot.
+// taskRun bundles everything an attempt chain needs. A region-free index
+// launch's points have none: their slice settles their slots in one pass,
+// and sliceRun.run builds one only for a point that must run alone.
 type taskRun struct {
 	fn    TaskFn
 	task  core.TaskID
@@ -41,15 +41,17 @@ type taskRun struct {
 func (tr *taskRun) pointTC() obs.TraceRef { return tr.tc.Point(tr.point) }
 
 // resume says where an attempt chain picks up when it does not start
-// fresh: what a slice's remote run (cluster mode) already established for
-// one of its points. The zero value starts a fresh chain.
+// fresh: what a slice's run — a local chunk, or a worker's answer —
+// already established for one of its points. The zero value starts a fresh
+// chain.
 type resume struct {
-	// attempts counts the attempts already made — remotely, as part of the
-	// slice — and err is the last one's failure.
+	// attempts counts the attempts already made as part of the slice, and
+	// err is the last one's failure.
 	attempts int
 	err      error
-	// tExec is when the chain started executing (the slice was handed to the
-	// mesh); zero starts the clock once a drainer runs the chain.
+	// tExec is when the chain started executing (its turn in the chunk, or
+	// the slice handed to the mesh); zero starts the clock once a drainer
+	// runs the chain.
 	tExec int64
 	// local runs the bodies in this process: the point's node did not
 	// answer.

@@ -11,26 +11,23 @@ import (
 // Cluster mode: the same runtime pipeline, with the transport's far side in
 // other OS processes. Config.Transport hands the runtime a wire.Mesh whose
 // node 0 is this process (the launching side — idxserve) and whose other
-// nodes are idxnode worker daemons. Two things change, neither of them
-// semantics:
+// nodes are idxnode worker daemons. One thing moves, semantics do not:
 //
-//   - A region-free index launch ships as slices, not points (paper §5,
-//     distribution stage): issuance groups the launch's points by the node
-//     they were assigned and sends each worker one Exec request — the slice
-//     descriptor plus the arguments — so the shipment is the execution
-//     trigger. The worker expands its slice into point tasks, runs the
-//     bodies and answers with one result per point (shipRemote and runSlice
-//     in distribute.go). ExecuteIndex does not wait for the network, and
-//     node 0 holds no per-point state for the slice beyond its future-map
-//     slots: the answer settles them in one pass. Per-point semantics are
-//     untouched: every point keeps its future (built when At asks), its
-//     counters, its execute span and its retry ladder; a point whose body
-//     fails on the worker retries alone — through its node's run queue and
+//   - A region-free index launch runs by slice on every path (paper §5,
+//     distribution stage): issuance files its points under the node that
+//     owns them, one slice per node. In cluster mode each worker's slice
+//     leaves as one Exec request — the slice descriptor plus the arguments —
+//     so the shipment is the execution trigger; the worker expands it, runs
+//     the bodies and answers with one result per point (runShipment and
+//     runSlice in distribute.go). Node 0's own slice runs as chunks of its
+//     run queue, the way every slice does in process. ExecuteIndex does not
+//     wait for the network, and the answer settles the slice's future-map
+//     slots in one pass, execute spans included. Every point keeps its
+//     future, counters, execute span and retry ladder: a point whose body
+//     fails on the worker retries alone, through its node's run queue and
 //     the single-point Mesh.Exec the ladder and ExecuteSingle use.
-//   - Tasks touching physical regions keep executing locally (region state
-//     lives in this process), and their launches put nothing on the wire:
-//     a worker sees a slice descriptor only inside an Exec request it
-//     serves.
+//   - Tasks touching physical regions execute locally (region state lives
+//     in this process); a worker sees a slice only in an Exec it serves.
 //
 // A worker the transport cannot reach costs placement and time, not
 // progress: its slice's request fails with wire.ErrUnreachable once the

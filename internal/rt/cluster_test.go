@@ -17,6 +17,8 @@ import (
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
+	"indexlaunch/internal/obs"
+	"indexlaunch/internal/trace"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
 )
@@ -230,6 +232,88 @@ func wantSquares(t *testing.T, fm *FutureMap, d domain.Domain) {
 		if v, err := f.GetF64(); err != nil || v != float64(p.X()*p.X()) {
 			t.Fatalf("point %v = %v, %v; want %d", p, v, err, p.X()*p.X())
 		}
+	}
+}
+
+// A profiled launch keeps one execute span per point when its points run by
+// slice: the workers' points on the worker's node, node 0's on node 0 —
+// as rows of the launch record when the launch is traced, as event spans
+// when it is only profiled. Each span's ID is the launch's first plus the
+// point's slot.
+func TestClusterSliceExecuteSpansPerPoint(t *testing.T) {
+	const nodes = 3
+	d := domain.Range1(0, 29)
+	owner := map[int64]int32{}
+	for _, s := range (BlockMapper{}).Slice(d, nodes) {
+		for _, p := range s.Domain.Points() {
+			owner[p.X()] = int32(s.Node)
+		}
+	}
+	for _, traced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			tc := newTestCluster(t, nodes, squareBody, nil)
+			rec := obs.NewRecorder("rt", nodes, 1<<12)
+			tracer, err := trace.New(trace.Config{HeadRate: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &countingSink{Tracer: tracer}
+			rec.SetSink(sink)
+			r := MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true,
+				Transport: tc.meshes[0], Profile: rec})
+			defer r.Shutdown()
+			id := registerSquare(r)
+			root := obs.NewTraceRef(7)
+			if traced {
+				tracer.Begin(root, 1, "t", 0)
+				r.SetTraceRef(root.Child(1))
+			}
+			fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "sq", Domain: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSquares(t, fm, d)
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.executed[1].Load() + tc.executed[2].Load(); got != 20 {
+				t.Fatalf("workers executed %d points, want 20", got)
+			}
+			spans := rec.Snapshot().Events
+			if traced {
+				if retained, _ := tracer.Finish(root, rec.Now(), trace.Outcome{}); !retained {
+					t.Fatal("trace not retained")
+				}
+				got, ok := tracer.Get("1")
+				if !ok {
+					t.Fatal("trace not queryable")
+				}
+				spans = got.Spans
+			}
+			if want := map[bool]int64{true: 1, false: 0}[traced]; sink.launches.Load() != want {
+				t.Fatalf("sink saw %d launch records, want %d", sink.launches.Load(), want)
+			}
+			nodesOf, ids := map[int64][]int32{}, map[int64]int64{}
+			for _, ev := range spans {
+				if ev.Stage == obs.StageExecute && ev.Tag == "sq" {
+					nodesOf[ev.Point.X()] = append(nodesOf[ev.Point.X()], ev.Node)
+					ids[ev.Point.X()] = ev.ID
+				}
+			}
+			base := ids[0] // slot i is point i
+			if base == 0 {
+				t.Fatal("point 0's execute span has no ID")
+			}
+			for _, p := range d.Points() {
+				x := p.X()
+				if got := nodesOf[x]; len(got) != 1 || got[0] != owner[x] {
+					t.Errorf("point %d: execute spans on nodes %v, want one on node %d", x, got, owner[x])
+				}
+				if ids[x] != base+x {
+					t.Errorf("point %d: execute span ID %d, want %d", x, ids[x], base+x)
+				}
+			}
+		})
 	}
 }
 

@@ -2,9 +2,10 @@ package rt
 
 import (
 	"errors"
-	"slices"
 
+	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
+	"indexlaunch/internal/obs"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
 )
@@ -26,17 +27,19 @@ import (
 //     existed, which is what keeps chaos runs byte-identical to fault-free
 //     runs.
 //   - In cluster mode nothing is broadcast ahead of issuance. A region-free
-//     launch's points are filed under the worker that owns them (shipment)
-//     and leave after issuance as one Exec request per worker, descriptor
-//     included; a launch with region requirements runs on node 0, where the
-//     region data lives, so its slices have nowhere to go.
+//     launch's points are filed under the node that owns them (shipment) on
+//     every path, and in cluster mode a worker's slice leaves after issuance
+//     as one Exec request, descriptor included; a launch with region
+//     requirements runs on node 0, where the region data lives, so its
+//     slices have nowhere to go.
 //
 // The cost difference between the two paths is modeled in internal/sim.
 
 // distribute is the third stage: it fixes how the launch's points map to
 // nodes — by the slicing functor's slices when slice is set (shipped through
 // the in-process transport first), by the sharding functor otherwise — and,
-// with ship set, opens the shipment its remote points are filed into.
+// with ship set, opens the shipment a region-free launch's points are filed
+// into.
 // Caller holds issueMu.
 func (r *Runtime) distribute(l *launch, slice, ship bool) {
 	l.tDist = r.clk.now()
@@ -96,12 +99,41 @@ func (r *Runtime) shipSlices(l *launch) {
 	}
 }
 
-// shipment collects, during issuance, the points of one region-free launch
-// that belong to worker nodes: one sliceRun per node, indexed by node.
+// file places every point of a region-free index launch and files it
+// under its node's slice. Placement is the distribute stage, timed once for
+// the launch; a filed point has no run state and nothing to analyze, so its
+// physical span and sample are recorded with zero length — span shapes and
+// histogram counts stay those of the per-point path. Caller holds issueMu.
+func (r *Runtime) file(l *launch, il *core.IndexLaunch) error {
+	t := r.clk.now()
+	err := il.Each(func(pt core.PointTask) bool {
+		p := pt.Point
+		owner, si := r.nodeOf(l, p)
+		node := r.faultCheck(l.dom, p, owner)
+		l.fm.add(p)
+		l.ship.add(l, node, si, node == owner, il.ArgsAt(p))
+		switch row := l.fm.spanRow(l.issued); {
+		case r.replaying():
+			r.mx.AnalysisSkipped.Inc()
+		case row != nil:
+			row.PhysNode, row.PhysStart = int32(node), t
+			r.clk.observe(r.mx.LatPhysical, 0)
+		default:
+			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, l.entry.name, l.tag, p, t, t)
+		}
+		l.issued++
+		return true
+	})
+	l.distNS += r.clk.now() - t
+	return err
+}
+
+// shipment holds a region-free launch's points filed by node during
+// issuance: one sliceRun per node, indexed by node.
 type shipment []*sliceRun
 
-// sliceRun is the part of one launch that one worker runs: the unit that
-// crosses the network.
+// sliceRun is the part of one launch that one node runs: in cluster mode a
+// worker's is the unit that crosses the network.
 type sliceRun struct {
 	node int
 	// index is the slicing functor's slice the first point came from; whole
@@ -116,24 +148,24 @@ type sliceRun struct {
 	// the launch has per-point payloads.
 	slots []int
 	args  [][]byte
-	// proto is the launch's share of every point's run state. A point gets
-	// a run state of its own (run) only if it must: trs holds them when
-	// issuance built them (profiling, a point-granularity trace episode).
+	// proto is the launch's share of every point's run state, its spanID
+	// the launch's first; run builds a point's own only when it must.
 	proto taskRun
-	trs   []*taskRun
-	// deps are the launch-wide preconditions some modes give region-free
-	// points (trace and bulk-trace replay); the slice waits for them once.
+	// deps are the launch-wide preconditions bulk-trace replay gives
+	// region-free points; the slice waits for them once.
 	deps []*Event
 }
 
 // add files l's next point under the node issuance assigned it. si is the
 // slice the point came from and unmoved whether faultCheck left it on that
-// slice's node; tr is its run state if issuance built one.
-func (sh shipment) add(l *launch, node, si int, unmoved bool, args []byte, tr *taskRun, deps []*Event) {
+// slice's node.
+func (sh shipment) add(l *launch, node, si int, unmoved bool, args []byte) {
 	s := sh[node]
 	if s == nil {
-		s = &sliceRun{node: node, index: max(si, 0), whole: true, proto: taskRun{
-			fn: l.entry.fn, task: l.task, name: l.entry.name, tag: l.tag, args: args, fm: l.fm, tc: l.tc}}
+		s = &sliceRun{node: node, index: max(si, 0), whole: true, deps: l.deps,
+			slots: make([]int, 0, l.points/len(sh)+1),
+			proto: taskRun{fn: l.entry.fn, task: l.task, name: l.entry.name, tag: l.tag, args: args,
+				fm: l.fm, spanID: l.firstID, tc: l.tc}}
 		sh[node] = s
 	}
 	s.whole = s.whole && unmoved && si == s.index
@@ -141,65 +173,101 @@ func (sh shipment) add(l *launch, node, si int, unmoved bool, args []byte, tr *t
 	if l.pointArgs {
 		s.args = append(s.args, args)
 	}
-	if tr != nil {
-		s.trs = append(s.trs, tr)
-	}
-	for _, d := range deps {
-		if !slices.Contains(s.deps, d) {
-			s.deps = append(s.deps, d)
-		}
-	}
 }
 
-// run returns the run state of the slice's i-th point, building it from the
-// prototype unless it exists.
+// run builds the run state of the slice's i-th point from the prototype:
+// for a point that fails, is skipped or falls back from its worker.
 func (s *sliceRun) run(i int) *taskRun {
-	if s.trs != nil {
-		return s.trs[i]
-	}
 	tr := s.proto
 	tr.slot = s.slots[i]
 	tr.point = tr.fm.points[tr.slot]
 	if s.args != nil {
 		tr.args = s.args[i]
 	}
+	tr.spanID += int64(tr.slot) // read only with a profiler attached
 	return &tr
 }
 
-// shipRemote starts every slice the launch collected, in node order. It only
-// spawns: issuance never waits for the network.
-func (r *Runtime) shipRemote(l *launch) {
+// runShipment starts every slice the launch filed, in node order: a
+// worker's (cluster mode) on a goroutine of its own as one Exec request,
+// any other as at most ProcsPerNode chunks on its node's run queue. It only
+// enqueues and spawns: issuance never waits for execution or the network.
+func (r *Runtime) runShipment(l *launch) {
 	for _, s := range l.ship {
 		if s == nil {
 			continue
 		}
+		n := len(s.slots)
+		r.mx.InflightTasks.Add(int64(n))
+		if r.cluster == nil || s.node == 0 {
+			size := (n + r.cfg.ProcsPerNode - 1) / r.cfg.ProcsPerNode
+			for lo := 0; lo < n; lo += size {
+				r.ready(runItem{node: s.node, deps: s.deps, chunk: s, lo: lo, hi: min(lo+size, n)})
+			}
+			continue
+		}
 		req := wire.ExecRequest{Task: l.entry.name, Index: s.index, Args: s.proto.args, PointArgs: s.args}
-		if s.whole && l.slices[s.index].Domain.Volume() == int64(len(s.slots)) {
+		if s.whole && l.slices[s.index].Domain.Volume() == int64(n) {
 			req.Domain = l.slices[s.index].Domain
 		} else {
-			pts := make([]domain.Point, len(s.slots))
+			pts := make([]domain.Point, n)
 			for i, slot := range s.slots {
 				pts[i] = l.fm.points[slot]
 			}
 			req.Domain = domain.FromPoints(pts)
 		}
-		r.mx.InflightTasks.Add(int64(len(s.slots)))
 		go r.runSlice(s, req)
 	}
 }
 
-// runSlice drives one slice: wait for the launch-wide preconditions, send
-// the slice as one Exec request and settle every point from the answer. A
-// point that ran commits; a point whose body failed on the worker enters
-// its own retry ladder at attempt 2, and a slice the transport could not
-// deliver (ErrUnreachable) runs its points here instead — both through the
-// node's run queue. All points share the execute clock's start: the moment
-// the slice is handed to the mesh.
+// skipSlice skips points lo..hi-1 of s, one by one: a launch-wide
+// precondition is poisoned.
+func (r *Runtime) skipSlice(s *sliceRun, lo, hi int, cause error) {
+	for i := lo; i < hi; i++ {
+		r.skipPoint(s.run(i), s.node, cause)
+	}
+}
+
+// runChunk runs points lo..hi-1 of local slice s back to back on the
+// calling drainer, with one Context and one clock read per point boundary,
+// then commits the successes in one pass. A point whose body fails or
+// panics enters its own retry ladder at attempt 2, like a point that failed
+// on a worker.
+func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
+	results, ends := make([]wire.PointResult, hi-lo), make([]int64, hi-lo)
+	ctx := &Context{Node: s.node, Task: s.proto.task, Args: s.proto.args, rt: r}
+	t0 := r.clk.now()
+	start, ok := t0, int64(0)
+	for i := lo; i < hi; i++ {
+		ctx.Point = s.proto.fm.points[s.slots[i]]
+		if s.args != nil {
+			ctx.Args = s.args[i]
+		}
+		res := &results[i-lo]
+		if res.Val, res.Err = r.runBody(s.proto.fn, ctx); res.Err != nil {
+			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{attempts: 1, err: res.Err, tExec: start}})
+		} else {
+			ok++
+		}
+		start = r.clk.now()
+		ends[i-lo] = start
+	}
+	r.mx.BusyProcs.Add(-1)
+	if ok > 0 {
+		r.settleSlice(s, lo, results, ok, t0, ends)
+	}
+}
+
+// runSlice drives one worker slice: wait for the launch-wide preconditions,
+// send the slice as one Exec request and settle every point from the
+// answer. A point that ran commits; a point whose body failed on the worker
+// enters its own retry ladder at attempt 2, and a slice the transport could
+// not deliver (ErrUnreachable) runs its points here instead — both through
+// the node's run queue. All points share the execute clock's start: the
+// moment the slice is handed to the mesh.
 func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-		for i := range s.slots {
-			r.skipPoint(s.run(i), s.node, cause)
-		}
+		r.skipSlice(s, 0, len(s.slots), cause)
 		return
 	}
 	tExec := r.clk.now()
@@ -211,8 +279,6 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 			perr = results[i].Err
 		}
 		switch {
-		case perr == nil && s.trs != nil:
-			r.commitAttempt(s.trs[i], s.node, outcome{val: results[i].Val, attempts: 1, tExec: tExec})
 		case perr == nil:
 			ok++
 		case errors.Is(perr, wire.ErrUnreachable):
@@ -222,29 +288,45 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 		}
 	}
 	if ok > 0 {
-		r.settleSlice(s, results, ok, tExec)
+		r.settleSlice(s, 0, results, ok, tExec, nil)
 	}
 }
 
-// settleSlice commits the ok points of a slice without run states in one
-// pass, the way commitAttempt commits one point: counters and gauges once,
-// one execute observation per point against one clock read (no profiler
-// here — it would have built run states), each value into its slot, one
-// release of the launch's group.
-func (r *Runtime) settleSlice(s *sliceRun, results []wire.PointResult, ok int64, tExec int64) {
+// settleSlice commits the ok points among results — the outcomes of
+// s.slots[lo:lo+len(results)] — in one pass, the way commitAttempt commits
+// one point: counters and gauges once; per point its execute span (a row of
+// the launch's record when it is traced, an event span when it is only
+// profiled), its latency sample and its value; one release of the launch's
+// group. Point i ran from the previous point's end (t0 for the first) to
+// ends[i]; with ends nil — a worker slice — every point spans t0 to one
+// clock read here: the slice's round trip.
+func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, ok, t0 int64, ends []int64) {
 	r.mx.TasksExecuted.Add(ok)
-	if r.clk.hist {
-		lat := r.clk.read() - tExec
-		for range ok {
-			r.mx.LatExecute.ObserveExemplar(lat, s.proto.tc.Trace)
-		}
-	}
 	r.mx.InflightTasks.Add(-ok)
-	fm := s.proto.fm
-	for i, slot := range s.slots {
-		if results[i].Err == nil {
-			fm.settle(slot, results[i].Val, nil)
+	tr, fm := &s.proto, s.proto.fm
+	start, end := t0, t0
+	if ends == nil {
+		end = r.clk.now()
+	}
+	for i, res := range results {
+		if ends != nil {
+			start, end = end, ends[i]
 		}
+		if res.Err != nil {
+			continue
+		}
+		slot := s.slots[lo+i]
+		if row := fm.spanRow(slot); row != nil {
+			row.ExecNode, row.ExecStart, row.ExecDur = int32(s.node), start, end-start
+		} else if r.clk.prof != nil {
+			p := fm.points[slot]
+			r.clk.done(obs.StageExecute, nil, tr.tc.Point(p).Child(tcExecute), tr.spanID+int64(slot),
+				s.node, tr.name, tr.tag, p, start, end)
+		}
+		if r.clk.hist {
+			r.mx.LatExecute.ObserveExemplar(end-start, tr.tc.Trace)
+		}
+		fm.settle(slot, res.Val, nil)
 	}
 	fm.release(ok)
 }

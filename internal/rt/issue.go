@@ -33,8 +33,8 @@ type launch struct {
 	done *Event
 
 	// Distribution: whether the slicing functor (else the sharding functor)
-	// places the points, its slices, and, in cluster mode, the region-free
-	// points leaving for worker nodes.
+	// places the points, its slices, and, for a region-free launch, the
+	// points filed by node.
 	sliced    bool
 	slices    []Slice
 	ship      shipment
@@ -71,13 +71,18 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.entry.name, l.tag, l.points)
 	}
 	r.logical(l, il)
-	// In cluster mode a region-free launch's points leave for the workers
-	// that own them, one slice per worker.
-	r.distribute(l, !r.cfg.DCR, r.cluster != nil && len(il.Requirements) == 0)
-	err = il.Each(func(pt core.PointTask) bool {
-		r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
-		return true
-	})
+	// A region-free launch runs by slice, one per node, unless a
+	// point-granularity trace episode makes each point a unit of its own.
+	file := len(il.Requirements) == 0 && (r.ep == nil || r.ep.byLaunch)
+	r.distribute(l, !r.cfg.DCR, file)
+	if file {
+		err = r.file(l, il)
+	} else {
+		err = il.Each(func(pt core.PointTask) bool {
+			r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
+			return true
+		})
+	}
 	// The points issued before a failed expansion are in flight: close the
 	// launch either way, so they ship and a fence can wait for them.
 	r.launchDone(l)
@@ -150,25 +155,19 @@ func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points in
 
 // issuePoint takes one point through the per-point half of the pipeline:
 // placement (distribute), dependence analysis (physical), and the hand-off
-// to its node's run queue once its preconditions fire — or, for a point
-// leaving in a slice, to the shipment. Caller holds issueMu.
+// to its node's run queue once its preconditions fire. Caller holds issueMu.
 func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, args []byte) {
 	t := r.clk.now()
-	owner, si := r.nodeOf(l, p)
+	owner, _ := r.nodeOf(l, p)
 	node := r.faultCheck(l.dom, p, owner)
 	l.distNS += r.clk.now() - t
 
-	remote := l.ship != nil && node != 0
-	tr, deps := r.physical(l, p, node, prs, args, !remote)
+	tr, deps := r.physical(l, p, node, prs, args)
 	if l.fm != nil {
 		l.fm.add(p)
 	}
-	if remote {
-		l.ship.add(l, node, si, node == owner, args, tr, deps)
-	} else {
-		r.mx.InflightTasks.Add(1)
-		r.ready(runItem{tr: tr, node: node, fresh: true, deps: deps})
-	}
+	r.mx.InflightTasks.Add(1)
+	r.ready(runItem{tr: tr, node: node, deps: deps})
 	l.issued++
 }
 
@@ -185,16 +184,16 @@ func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
 	})
 }
 
-// launchDone closes the launch: the slices leaving for workers start, the
-// episode seals the launch's unit, issuance releases its count on the
-// launch's group and the launch becomes one fence entry, and the clock
+// launchDone closes the launch: its slices start, the episode seals the
+// launch's unit, issuance releases its count on the launch's group and the
+// launch becomes one fence entry, and the clock
 // records the two launch-level spans the per-point work accumulated into —
 // distribute (sharding/slicing time over the whole launch) and issue (the
 // residual launch bookkeeping, so the four issuance-side stages partition
 // the time spent under issueMu). Caller holds issueMu.
 func (r *Runtime) launchDone(l *launch) {
 	if l.ship != nil {
-		r.shipRemote(l)
+		r.runShipment(l)
 	}
 	if r.ep != nil {
 		r.ep.launchDone(l)

@@ -12,19 +12,13 @@ import (
 // owning node as in DCR, where each node analyzes its local points. Caller
 // holds issueMu.
 //
-// A point gets a completion event of its own only when something can name
-// it as a dependence: the version map (the point touches regions), a
-// point-granularity trace episode, or a single launch's future. A
-// region-free point of an index launch finishes into its future-map slot
-// instead, and one leaving node 0 in a slice (local false) gets no run state
-// either unless profiling needs its span identity: physical returns nil, and
-// the slice builds the run state only if the point ends up running here.
-func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte, local bool) (*taskRun, []*Event) {
-	var ev *Event
-	switch {
-	case l.fut != nil:
-		ev = l.fut.ev
-	case len(prs) > 0 || (r.ep != nil && !r.ep.byLaunch):
+// Only a point something can name as a dependence comes here — one that
+// touches regions, is a unit of a point-granularity trace episode, or is a
+// single launch's — so each gets a completion event. A region-free index
+// launch's points are filed by slice instead (file), with nothing to analyze.
+func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte) (*taskRun, []*Event) {
+	ev := l.done // a single launch's one point completes the launch
+	if l.fm != nil {
 		ev = NewEvent()
 	}
 	name := l.entry.name
@@ -59,12 +53,7 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 				prof.Edge(from, spanID)
 			}
 		}
-		if ev != nil {
-			r.profNote(ev, spanID)
-		}
-	}
-	if !local && ev == nil && prof == nil {
-		return nil, deps
+		r.profNote(ev, spanID)
 	}
 	return &taskRun{
 		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p, args: args, prs: prs,

@@ -191,14 +191,11 @@ func (ep *episode) launchBegin(l *launch) {
 }
 
 // capture records one analyzed point into the open unit: its completion
-// event (nil for a region-free point, which nothing can name), its edges to
-// earlier units and the data it touches. At point granularity the point
-// seals its own unit.
+// event, its edges to earlier units and the data it touches. At point
+// granularity the point seals its own unit.
 func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, prs []PhysicalRegion) {
 	t := ep.tmpl
-	if ev != nil {
-		ep.unitOf[ev] = len(t.units)
-	}
+	ep.unitOf[ev] = len(t.units)
 	// Edges to events from outside the episode are dropped: pre-episode
 	// ordering is reconstructed at replay time from the version map
 	// (boundary), never from the capture run, whose timing-dependent view

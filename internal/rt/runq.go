@@ -2,27 +2,30 @@ package rt
 
 import "sync"
 
-// Local execution runs points, not goroutines: every node has one FIFO run
+// Local execution runs slices, not goroutines: every node has one FIFO run
 // queue, drained by at most ProcsPerNode goroutines — the bound the config
 // field promises. Whatever runs a task body goes through its node's queue:
-// fresh points once their preconditions fire, retries and ErrUnreachable
-// fallbacks of a slice's points. A point still waiting on preconditions is
-// a callback on the last of them (afterAll), not a parked goroutine, so no
-// goroutine exists for one point.
+// a region-free launch's local slice as at most ProcsPerNode chunks whose
+// points run back to back, every other point once its preconditions fire,
+// and retries and ErrUnreachable fallbacks. Work still waiting on
+// preconditions is a callback on the last of them (afterAll), not a parked
+// goroutine.
 //
 // A drainer is spawned on enqueue while fewer than ProcsPerNode run, and
 // exits when it finds its queue empty: that exit is the queue's quiescence
 // point, and an idle runtime holds no goroutines for execution.
 
-// runItem is one attempt chain waiting for a processor.
+// runItem is one attempt chain, or one chunk of a slice, awaiting a drainer.
 type runItem struct {
 	tr   *taskRun
 	node int
 	from resume
-	// fresh marks a point's first chain: the drainer checks its fired
-	// preconditions deps for poison.
-	fresh bool
-	deps  []*Event
+	// deps are a first run's preconditions, fired by the time it runs; the
+	// drainer checks them for poison.
+	deps []*Event
+	// chunk, instead of tr, is a local slice whose points lo..hi-1 run.
+	chunk  *sliceRun
+	lo, hi int
 }
 
 // runQueue is one node's FIFO of attempt chains and its drainer count.
@@ -33,7 +36,7 @@ type runQueue struct {
 	drainers int
 }
 
-// ready enqueues a fresh point once its preconditions have fired.
+// ready enqueues a fresh item once its preconditions have fired.
 func (r *Runtime) ready(it runItem) {
 	for _, d := range it.deps {
 		if !d.Done() {
@@ -84,19 +87,25 @@ func (r *Runtime) drain(q *runQueue) {
 	}
 }
 
-// run executes one attempt chain on the calling drainer. The busy gauge
-// drops before the commit completes the task, so a fence that observes the
-// completion observes quiescent gauges.
+// run executes one item on the calling drainer. The busy gauge drops
+// before the commit completes the task — runChunk drops it before its
+// commit pass — so a fence that observes the completion observes quiescent
+// gauges.
 func (r *Runtime) run(it runItem) {
-	tr := it.tr
-	if it.fresh {
-		if cause := WaitAllErr(it.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-			r.skipPoint(tr, it.node, cause)
-			return
+	if cause := WaitAllErr(it.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+		if it.chunk != nil {
+			r.skipSlice(it.chunk, it.lo, it.hi, cause)
+		} else {
+			r.skipPoint(it.tr, it.node, cause)
 		}
+		return
 	}
 	r.mx.BusyProcs.Add(1)
-	o := r.runAttempt(tr, it.node, it.from)
+	if it.chunk != nil {
+		r.runChunk(it.chunk, it.lo, it.hi)
+		return
+	}
+	o := r.runAttempt(it.tr, it.node, it.from)
 	r.mx.BusyProcs.Add(-1)
-	r.commitAttempt(tr, it.node, o)
+	r.commitAttempt(it.tr, it.node, o)
 }

@@ -327,3 +327,138 @@ func TestUnfinishedPointIsNamed(t *testing.T) {
 		t.Errorf("OutstandingFence = %d after the fence, want 0", got)
 	}
 }
+
+// A region-free launch runs each node's slice as run-queue chunks, on the
+// DCR path and the in-process centralized path alike. A point that fails
+// or panics inside a chunk retries alone; the chunk's other points commit
+// from the one pass, and every slot settles exactly once.
+func TestChunkFailingPointsRetryAlone(t *testing.T) {
+	const points = 32
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true,
+				Retry: RetryPolicy{Max: 1}})
+			defer r.Shutdown()
+			var runs [points]atomic.Int32
+			id := r.MustRegisterTask("flaky", func(ctx *Context) ([]byte, error) {
+				x := ctx.Point.X()
+				switch first := runs[x].Add(1) == 1; {
+				case x == 5 && first:
+					return nil, errors.New("transient")
+				case x == 22 && first:
+					panic("transient panic")
+				}
+				return EncodeF64(float64(x)), nil
+			})
+			d := domain.Range1(0, points-1)
+			fm, err := r.ExecuteIndex(core.MustForall("flaky", id, d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range d.Points() {
+				f, err := fm.At(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, err := f.GetF64(); err != nil || v != float64(p.X()) {
+					t.Errorf("point %v = %v, %v", p, v, err)
+				}
+				want := int32(1)
+				if x := p.X(); x == 5 || x == 22 {
+					want = 2
+				}
+				if got := runs[p.X()].Load(); got != want {
+					t.Errorf("point %v ran %d times, want %d", p, got, want)
+				}
+			}
+			// One release per slot and one for issuance: any slot settled
+			// twice would leave the countdown below zero.
+			if left := fm.left.Load(); left != 0 {
+				t.Errorf("completion countdown ends at %d, want 0", left)
+			}
+			st := r.Stats()
+			if st.TasksExecuted != points || st.Retries != 2 || st.Panics != 1 || st.TasksFailed != 0 {
+				t.Errorf("TasksExecuted %d Retries %d Panics %d TasksFailed %d, want %d/2/1/0",
+					st.TasksExecuted, st.Retries, st.Panics, st.TasksFailed, points)
+			}
+			if g := r.mx.InflightTasks.Value(); g != 0 {
+				t.Errorf("in-flight gauge %d after the fence", g)
+			}
+		})
+	}
+}
+
+// Under SkipDependents a bulk-trace replay whose launch-wide precondition
+// is poisoned skips every point of its region-free launch, chunk by chunk,
+// without running a body.
+func TestChunkSkipsPoisonedBulkReplay(t *testing.T) {
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true,
+				Tracing: true, BulkTracing: true})
+			defer r.Shutdown()
+			_, part := lineSetup(t, 16, 4)
+			write := func(tag string, fail bool) *core.IndexLaunch {
+				id := r.MustRegisterTask(tag, func(*Context) ([]byte, error) {
+					if fail {
+						return nil, errors.New("writer fails")
+					}
+					return nil, nil
+				})
+				return core.MustForall(tag, id, domain.Range1(0, 3), core.Requirement{
+					Partition: part, Functor: projection.Identity(1),
+					Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal}})
+			}
+			var ran atomic.Int64
+			free := r.MustRegisterTask("free", func(*Context) ([]byte, error) {
+				ran.Add(1)
+				return nil, nil
+			})
+			const points = 16
+			w, bad := write("w", false), write("bad", true)
+			episode := func() *FutureMap {
+				t.Helper()
+				if err := r.BeginTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.ExecuteIndex(w); err != nil {
+					t.Fatal(err)
+				}
+				fm, err := r.ExecuteIndex(core.MustForall("free", free, domain.Range1(0, points-1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.EndTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				return fm
+			}
+			episode() // capture
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ExecuteIndex(bad); err != nil {
+				t.Fatal(err)
+			}
+			fm := episode() // replay: its boundary is the failed writer's
+			if err := r.FenceErr(); !errors.Is(err, ErrUpstreamFailed) {
+				t.Fatalf("fence error %v, want ErrUpstreamFailed", err)
+			}
+			for _, p := range fm.points {
+				f, _ := fm.At(p)
+				if _, err := f.Get(); !errors.Is(err, ErrUpstreamFailed) {
+					t.Errorf("free point %v: %v, want ErrUpstreamFailed", p, err)
+				}
+			}
+			if got := ran.Load(); got != points {
+				t.Errorf("free bodies ran %d times, want %d (the capture only)", got, points)
+			}
+			if st := r.Stats(); st.TraceReplays != 1 || st.TasksSkipped != 4+points {
+				t.Errorf("TraceReplays %d TasksSkipped %d, want 1/%d", st.TraceReplays, st.TasksSkipped, 4+points)
+			}
+		})
+	}
+}

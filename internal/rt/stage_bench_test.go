@@ -116,7 +116,7 @@ func BenchmarkStagePhysical(b *testing.B) {
 		pts, l := il.Domain.Points(), r.benchIssue(b, il)
 		for i := 0; i < b.N; i++ {
 			for j, p := range pts {
-				r.physical(l, p, 0, prs[j], nil, true)
+				r.physical(l, p, 0, prs[j], nil)
 			}
 		}
 	})
