@@ -158,9 +158,9 @@ func main() {
 			Durable:    durable,
 		}
 		if *traceSample > 0 || *traceDir != "" {
-			// Tracing needs a recorder (spans reach the tracer through its
-			// sink) and a shared registry (the trace_* families must land in
-			// the registry /metrics serves).
+			// Tracing needs a recorder, only as the way to the tracer's sink:
+			// nothing here snapshots, so it keeps no rings. It also needs a
+			// shared registry (trace_* must land in the one /metrics serves).
 			reg := metrics.NewRegistry()
 			tr, err := trace.New(trace.Config{
 				HeadRate: *traceSample,
@@ -171,7 +171,7 @@ func main() {
 				fatal(err)
 			}
 			cfg.Metrics = reg
-			cfg.Profile = obs.NewRecorder("idxserve", *nodes, 4096)
+			cfg.Profile = obs.NewSinkRecorder("idxserve")
 			cfg.Trace = tr
 			cfg.TraceSeed = *traceSeed
 		}

@@ -198,38 +198,45 @@ func (d Domain) Intersect(e Domain) Domain {
 }
 
 // Split partitions the domain into n contiguous chunks of near-equal volume,
-// in canonical order. Chunks may be empty when n exceeds the volume. Split is
-// the building block for slicing functors in non-DCR distribution.
+// in canonical order: chunk i holds ranks Block(Volume(), i, n), none when n
+// exceeds the volume. It is the building block for slicing functors.
 func (d Domain) Split(n int) []Domain {
 	if n <= 0 {
 		panic("domain: Split with non-positive chunk count")
 	}
-	vol := d.Volume()
-	out := make([]Domain, 0, n)
-	if !d.sparse && d.Dim() == 1 {
-		// Keep dense 1-d chunks dense.
-		lo := d.rect.Lo.C[0]
-		for i := 0; i < n; i++ {
-			chunk := vol / int64(n)
-			if int64(i) < vol%int64(n) {
-				chunk++
-			}
-			out = append(out, Range1(lo, lo+chunk-1))
-			lo += chunk
-		}
-		return out
+	vol, out, pts := d.Volume(), make([]Domain, n), d.points
+	if !d.sparse && d.Dim() != 1 {
+		pts = d.Points() // dense 1-d chunks stay dense
 	}
-	pts := d.Points()
-	start := int64(0)
-	for i := 0; i < n; i++ {
-		chunk := vol / int64(n)
-		if int64(i) < vol%int64(n) {
-			chunk++
+	for i := range out {
+		if lo, hi := Block(vol, i, n); pts == nil {
+			out[i] = Range1(d.rect.Lo.C[0]+lo, d.rect.Lo.C[0]+hi-1)
+		} else {
+			out[i] = FromPoints(pts[lo:hi])
 		}
-		out = append(out, FromPoints(pts[start:start+chunk]))
-		start += chunk
 	}
 	return out
+}
+
+// Block is the one block rule: of vol ranks cut into n contiguous chunks of
+// near-equal size, chunk i holds ranks [lo, hi), the first vol%n chunks one
+// rank more than the rest. BlockOf inverts it.
+func Block(vol int64, i, n int) (lo, hi int64) {
+	q, rem, k := vol/int64(n), vol%int64(n), int64(i)
+	lo = k*q + min(k, rem)
+	if hi = lo + q; k < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// BlockOf returns the chunk of Block(vol, ·, n) that holds rank.
+func BlockOf(vol, rank int64, n int) int {
+	q, rem := vol/int64(n), vol%int64(n)
+	if rank < rem*(q+1) {
+		return int(rank / (q + 1))
+	}
+	return int(rem + (rank-rem*(q+1))/q)
 }
 
 // String renders dense domains as their rect and sparse domains as a point

@@ -71,15 +71,18 @@ func bucketUpper(i int) int64 {
 
 // Observe records one value. Negative values clamp to zero. No-op on a nil
 // histogram.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value at the cost of one.
+func (h *Histogram) ObserveN(v, n int64) {
 	if h == nil {
 		return
 	}
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.sum.Add(v)
+	h.buckets[bucketIndex(v)].Add(n)
+	h.sum.Add(v * n)
 }
 
 // ObserveExemplar is Observe plus an exemplar: the bucket the value lands

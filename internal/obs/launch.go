@@ -38,16 +38,16 @@ func (t TraceRef) Point(p domain.Point) TraceRef {
 	return t.Child(PointChildKey(p))
 }
 
-// LaunchSpans is one traced index launch's per-point spans: slot i (the
-// point's issuance index) holds point Points[i]'s physical-analysis span and
-// its execute span, whose dependence-graph ID is FirstID + i. A record is
+// LaunchSpans is one traced index launch's per-point spans: slot i, point
+// Dom.PointAt(i) in issuance order, holds its physical-analysis span and its
+// execute span, whose dependence-graph ID is FirstID + i. A record is
 // immutable once handed to Recorder.RecordLaunch.
 type LaunchSpans struct {
 	TC      TraceRef // the launch's span context
 	Task    string
 	Tag     string
 	FirstID int64
-	Points  []domain.Point
+	Dom     domain.Domain
 	Rows    []PointSpans
 }
 
@@ -60,19 +60,19 @@ type PointSpans struct {
 	PhysNode, ExecNode int32
 }
 
-// NewLaunchSpans returns an empty record for a launch of n points.
-func NewLaunchSpans(tc TraceRef, firstID int64, task, tag string, n int) *LaunchSpans {
-	rows := make([]PointSpans, n)
+// NewLaunchSpans returns an empty record for a launch over d.
+func NewLaunchSpans(tc TraceRef, firstID int64, task, tag string, d domain.Domain) *LaunchSpans {
+	rows := make([]PointSpans, d.Volume())
 	for i := range rows {
 		rows[i].PhysNode, rows[i].ExecNode = -1, -1
 	}
-	return &LaunchSpans{TC: tc, Task: task, Tag: tag, FirstID: firstID, Rows: rows}
+	return &LaunchSpans{TC: tc, Task: task, Tag: tag, FirstID: firstID, Dom: d, Rows: rows}
 }
 
 // Len counts the spans the record holds.
 func (ls *LaunchSpans) Len() int {
 	n := 0
-	for i := range ls.Points {
+	for i := range ls.Rows {
 		row := &ls.Rows[i]
 		if row.PhysNode >= 0 {
 			n++
@@ -87,7 +87,7 @@ func (ls *LaunchSpans) Len() int {
 // AppendEvents appends the record's first limit spans to dst, in slot
 // order with a point's physical span before its execute span.
 func (ls *LaunchSpans) AppendEvents(dst []Event, limit int) []Event {
-	for i := range ls.Points {
+	for i := range ls.Rows {
 		if limit <= 0 {
 			break
 		}
@@ -106,7 +106,7 @@ func (ls *LaunchSpans) AppendEvents(dst []Event, limit int) []Event {
 
 // events expands slot i into its physical and execute spans.
 func (ls *LaunchSpans) events(i int) (phys, exec Event) {
-	row, p := &ls.Rows[i], ls.Points[i]
+	row, p := &ls.Rows[i], ls.Dom.PointAt(int64(i))
 	ptc := ls.TC.Point(p)
 	etc := ptc.Child(ChildExecute)
 	phys = Event{Node: row.PhysNode, Stage: StagePhysical, Task: ls.Task, Tag: ls.Tag, Point: p,

@@ -229,8 +229,9 @@ type Sink interface {
 }
 
 // Recorder collects spans from concurrent producers. The zero value is not
-// usable; create recorders with NewRecorder. A nil *Recorder is the
-// disabled profiler: all methods are no-ops that allocate nothing.
+// usable; create recorders with NewRecorder or NewSinkRecorder. A nil
+// *Recorder is the disabled profiler: all methods are no-ops that allocate
+// nothing.
 type Recorder struct {
 	source string
 	epoch  time.Time
@@ -266,6 +267,13 @@ func NewRecorder(source string, nodes, perNode int) *Recorder {
 		r.rings[i] = &ring{buf: make([]Event, perNode)}
 	}
 	return r
+}
+
+// NewSinkRecorder returns a recorder that only tees to its sink, for a
+// process that traces but never snapshots: no rings, so Snapshot is empty,
+// Edge a no-op and nothing is dropped.
+func NewSinkRecorder(source string) *Recorder {
+	return &Recorder{source: source, epoch: time.Now()}
 }
 
 // Now returns nanoseconds since the recorder's epoch — the Start clock for
@@ -373,7 +381,7 @@ func (r *Recorder) RecordLaunch(ls *LaunchSpans) {
 	for n, rg := range r.rings {
 		var lost int64
 		rg.mu.Lock()
-		for i := range ls.Points {
+		for i := range ls.Rows {
 			row := &ls.Rows[i]
 			phys := row.PhysNode >= 0 && r.ringOf(row.PhysNode) == n
 			exec := row.ExecNode >= 0 && r.ringOf(row.ExecNode) == n
@@ -413,7 +421,7 @@ func (r *Recorder) Dropped() int64 {
 // together: past it, the oldest edge is overwritten and counted as dropped.
 // No-op on a nil recorder.
 func (r *Recorder) Edge(from, to int64) {
-	if r == nil || from == 0 || to == 0 {
+	if r == nil || r.edgeCap == 0 || from == 0 || to == 0 {
 		return
 	}
 	r.edgeMu.Lock()
@@ -445,7 +453,7 @@ func (r *Recorder) ringOf(node int32) int {
 }
 
 func (r *Recorder) record(ev Event) {
-	if r.rings[r.ringOf(ev.Node)].add(ev) {
+	if len(r.rings) > 0 && r.rings[r.ringOf(ev.Node)].add(ev) {
 		r.dropped.Add(1)
 	}
 	if s := r.sink.Load(); s != nil && ev.Trace != 0 {

@@ -10,30 +10,18 @@ import (
 	"indexlaunch/internal/xport"
 )
 
-// Distribution (paper §5) ends with a point → node assignment. With DCR the
-// sharding functor is the assignment — evaluated per point, memoizable, no
-// communication. On the centralized path the slicing functor cuts the
-// launch into per-node slices and node 0 ships them, which this file makes
-// explicit in two ways:
-//
-//   - In-process, every slice bound for another node travels hop-by-hop
-//     through the reliable broadcast tree (an xport.Endpoint), subject to
-//     any ChaosPlan its transport was built with, and the launch proceeds
-//     only once every slice has been delivered exactly once. Deliveries are
-//     not read back: each is a slice node 0 already holds. Slices for node
-//     0 itself, and slices whose destination is already dead at broadcast
-//     time, never enter the transport: they stay local and the per-point
-//     faultCheck re-maps them exactly as it did before the transport
-//     existed, which is what keeps chaos runs byte-identical to fault-free
-//     runs.
-//   - In cluster mode nothing is broadcast ahead of issuance. A region-free
-//     launch's points are filed under the node that owns them (shipment) on
-//     every path, and in cluster mode a worker's slice leaves after issuance
-//     as one Exec request, descriptor included; a launch with region
-//     requirements runs on node 0, where the region data lives, so its
-//     slices have nowhere to go.
-//
-// The cost difference between the two paths is modeled in internal/sim.
+// Distribution (paper §5) ends with a point → node assignment: the sharding
+// functor's under DCR, else the slicing functor's slices, which node 0
+// ships. In-process, each slice bound for another live node travels
+// hop-by-hop through the reliable broadcast tree (an xport.Endpoint, under
+// any ChaosPlan its transport was built with), and the launch proceeds once
+// every slice is delivered exactly once; deliveries are not read back.
+// Slices for node 0 or a dead node stay local and faultCheck re-maps their
+// points, which keeps chaos runs byte-identical to fault-free ones. In
+// cluster mode nothing is broadcast ahead of issuance: a region-free launch
+// is filed by node (shipment) and a worker's run leaves as one Exec
+// request; a launch with region requirements runs on node 0, where the
+// region data lives. internal/sim models the cost difference.
 
 // distribute is the third stage: it fixes how the launch's points map to
 // nodes — by the slicing functor's slices when slice is set (shipped through
@@ -99,53 +87,112 @@ func (r *Runtime) shipSlices(l *launch) {
 	}
 }
 
-// file places every point of a region-free index launch and files it
-// under its node's slice. Placement is the distribute stage, timed once for
-// the launch; a filed point has no run state and nothing to analyze, so its
-// physical span and sample are recorded with zero length — span shapes and
-// histogram counts stay those of the per-point path. Caller holds issueMu.
-func (r *Runtime) file(l *launch, il *core.IndexLaunch) error {
+// file files a region-free launch's points by node, each node's as one
+// block of ranks — a slice, or under DCR an invertible sharding functor's
+// range — so node 0 pays per slice, not per point; a Fault plan, a dead
+// node or a mapper that cannot name a node's points files point by point.
+// It is the distribute stage, timed once. Caller holds issueMu.
+func (r *Runtime) file(l *launch, il *core.IndexLaunch) {
 	t := r.clk.now()
-	err := il.Each(func(pt core.PointTask) bool {
-		p := pt.Point
-		owner, si := r.nodeOf(l, p)
-		node := r.faultCheck(l.dom, p, owner)
-		l.fm.add(p)
-		l.ship.add(l, node, si, node == owner, il.ArgsAt(p))
-		switch row := l.fm.spanRow(l.issued); {
-		case r.replaying():
-			r.mx.AnalysisSkipped.Inc()
-		case row != nil:
-			row.PhysNode, row.PhysStart = int32(node), t
-			r.clk.observe(r.mx.LatPhysical, 0)
-		default:
-			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, l.entry.name, l.tag, p, t, t)
+	if r.fileBySlice(l, il) {
+		for _, s := range l.ship {
+			if s == nil {
+				continue
+			}
+			r.filed(l, s.node, s.lo, s.lo+s.n, t)
+			for slot := s.lo; l.pointArgs && slot < s.lo+s.n; slot++ {
+				s.args = append(s.args, il.PointArgs(l.fm.point(slot)))
+			}
 		}
-		l.issued++
-		return true
-	})
+		l.issued = l.points
+		r.issuedTotal += int64(l.points)
+	} else {
+		l.dom.Each(func(p domain.Point) bool {
+			owner, si := r.nodeOf(l, p)
+			node := r.faultCheck(l.dom, p, owner)
+			l.ship.add(l, node, si, il.ArgsAt(p))
+			r.filed(l, node, l.issued, l.issued+1, t)
+			l.issued++
+			return true
+		})
+	}
 	l.distNS += r.clk.now() - t
-	return err
 }
 
-// shipment holds a region-free launch's points filed by node during
-// issuance: one sliceRun per node, indexed by node.
+// fileBySlice opens one run per node holding its block, or reports false
+// with no run open. A slice must be the ranks from its first point to its
+// last; under DCR the mapper must name each range. The blocks must tile the
+// domain in order, on distinct live nodes. Caller holds issueMu.
+func (r *Runtime) fileBySlice(l *launch, il *core.IndexLaunch) bool {
+	inv, ok := r.mapper.(InvertibleMapper)
+	ok = r.cfg.Fault == nil && (ok || l.sliced)
+	var next int64
+	take := func(node, index int, lo, hi int64) bool {
+		if lo != next || hi < lo || (hi > lo && (r.dead[node] || l.ship[node] != nil)) {
+			return false
+		}
+		if next = hi; hi > lo {
+			s := l.ship.open(l, node, index, il.Args)
+			s.lo, s.n = int(lo), int(hi-lo)
+		}
+		return true
+	}
+	for i := 0; ok && l.sliced && i < len(l.slices); i++ {
+		if d := l.slices[i].Domain; !d.Empty() {
+			lo, n := rankOf(l.dom, d.PointAt(0)), d.Volume()
+			ok = rankOf(l.dom, d.PointAt(n-1)) == lo+n-1 && take(clampNode(l.slices[i].Node, r.cfg.Nodes), i, lo, lo+n)
+		}
+	}
+	for node := 0; ok && !l.sliced && node < r.cfg.Nodes; node++ {
+		lo, hi, named := inv.ShardRange(l.dom, node, r.cfg.Nodes)
+		ok = named && take(node, 0, lo, hi)
+	}
+	if !ok || next != l.dom.Volume() {
+		clear(l.ship)
+		return false
+	}
+	return true
+}
+
+// filed records slots lo..hi-1 of l, filed on node at t, as analyzed: by
+// replay, or — with nothing to analyze — by zero-length physical spans and
+// samples, so span shapes and histogram counts are the per-point path's.
+// Caller holds issueMu.
+func (r *Runtime) filed(l *launch, node, lo, hi int, t int64) {
+	switch {
+	case r.replaying():
+		r.mx.AnalysisSkipped.Add(int64(hi - lo))
+		return
+	case l.fm.spans != nil:
+		rows := l.fm.spans.Rows[lo:hi]
+		for i := range rows {
+			rows[i].PhysNode, rows[i].PhysStart = int32(node), t
+		}
+	case r.clk.prof != nil:
+		for slot := lo; slot < hi; slot++ {
+			p := l.fm.point(slot)
+			r.clk.prof.SpanIDTC(l.tc.Point(p), 0, node, obs.StagePhysical, l.entry.name, l.tag, p, t, t)
+		}
+	}
+	r.clk.observe(r.mx.LatPhysical, 0, int64(hi-lo))
+}
+
+// shipment holds a region-free launch's points filed by node: one sliceRun
+// per node that owns any, indexed by node.
 type shipment []*sliceRun
 
 // sliceRun is the part of one launch that one node runs: in cluster mode a
 // worker's is the unit that crosses the network.
 type sliceRun struct {
 	node int
-	// index is the slicing functor's slice the first point came from; whole
-	// stays true while every point came from that slice unmoved, so a run
-	// that ends up with all of the slice's points ships the slice's own
-	// domain (a dense rect stays a rect) instead of a point list.
+	// index is the slice the first point came from: a run filed as one
+	// block ships that slice's own domain (a rect stays a rect), else a list.
 	index int
-	whole bool
-	// slots are the points' future-map slots in launch order — which is the
-	// iteration order of any domain over them (all are lexicographic), so
-	// the worker's i-th result is slots[i]'s. args are their payloads when
-	// the launch has per-point payloads.
+	// The run's n points are future-map slots in launch order, the order of
+	// any domain over them (all are lexicographic), so the worker's i-th
+	// result is the i-th point's: lo..lo+n-1 for a run filed as one block,
+	// else slots. args are their payloads if the launch has per-point ones.
+	lo, n int
 	slots []int
 	args  [][]byte
 	// proto is the launch's share of every point's run state, its spanID
@@ -156,31 +203,44 @@ type sliceRun struct {
 	deps []*Event
 }
 
-// add files l's next point under the node issuance assigned it. si is the
-// slice the point came from and unmoved whether faultCheck left it on that
-// slice's node.
-func (sh shipment) add(l *launch, node, si int, unmoved bool, args []byte) {
+// open returns node's run, opening it from slice si with l's share of
+// every point's run state.
+func (sh shipment) open(l *launch, node, si int, args []byte) *sliceRun {
 	s := sh[node]
 	if s == nil {
-		s = &sliceRun{node: node, index: max(si, 0), whole: true, deps: l.deps,
-			slots: make([]int, 0, l.points/len(sh)+1),
+		s = &sliceRun{node: node, index: max(si, 0), deps: l.deps,
 			proto: taskRun{fn: l.entry.fn, task: l.task, name: l.entry.name, tag: l.tag, args: args,
 				fm: l.fm, spanID: l.firstID, tc: l.tc}}
 		sh[node] = s
 	}
-	s.whole = s.whole && unmoved && si == s.index
+	return s
+}
+
+// add files l's next point alone under the node issuance assigned it. si
+// is the slice the point came from.
+func (sh shipment) add(l *launch, node, si int, args []byte) {
+	s := sh.open(l, node, si, args)
 	s.slots = append(s.slots, l.issued)
+	s.n++
 	if l.pointArgs {
 		s.args = append(s.args, args)
 	}
+}
+
+// slot returns the slice's i-th point's future-map slot.
+func (s *sliceRun) slot(i int) int {
+	if s.slots != nil {
+		return s.slots[i]
+	}
+	return s.lo + i
 }
 
 // run builds the run state of the slice's i-th point from the prototype:
 // for a point that fails, is skipped or falls back from its worker.
 func (s *sliceRun) run(i int) *taskRun {
 	tr := s.proto
-	tr.slot = s.slots[i]
-	tr.point = tr.fm.points[tr.slot]
+	tr.slot = s.slot(i)
+	tr.point = tr.fm.point(tr.slot)
 	if s.args != nil {
 		tr.args = s.args[i]
 	}
@@ -197,7 +257,7 @@ func (r *Runtime) runShipment(l *launch) {
 		if s == nil {
 			continue
 		}
-		n := len(s.slots)
+		n := s.n
 		r.mx.InflightTasks.Add(int64(n))
 		if r.cluster == nil || s.node == 0 {
 			size := (n + r.cfg.ProcsPerNode - 1) / r.cfg.ProcsPerNode
@@ -207,12 +267,12 @@ func (r *Runtime) runShipment(l *launch) {
 			continue
 		}
 		req := wire.ExecRequest{Task: l.entry.name, Index: s.index, Args: s.proto.args, PointArgs: s.args}
-		if s.whole && l.slices[s.index].Domain.Volume() == int64(n) {
+		if s.slots == nil {
 			req.Domain = l.slices[s.index].Domain
 		} else {
 			pts := make([]domain.Point, n)
-			for i, slot := range s.slots {
-				pts[i] = l.fm.points[slot]
+			for i := range pts {
+				pts[i] = l.fm.point(s.slot(i))
 			}
 			req.Domain = domain.FromPoints(pts)
 		}
@@ -239,7 +299,7 @@ func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
 	t0 := r.clk.now()
 	start, ok := t0, int64(0)
 	for i := lo; i < hi; i++ {
-		ctx.Point = s.proto.fm.points[s.slots[i]]
+		ctx.Point = s.proto.fm.point(s.slot(i))
 		if s.args != nil {
 			ctx.Args = s.args[i]
 		}
@@ -267,13 +327,13 @@ func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
 // moment the slice is handed to the mesh.
 func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-		r.skipSlice(s, 0, len(s.slots), cause)
+		r.skipSlice(s, 0, s.n, cause)
 		return
 	}
 	tExec := r.clk.now()
 	results, err := r.cluster.ExecSlice(s.node, req)
 	var ok int64
-	for i := range s.slots {
+	for i := range s.n {
 		perr := err
 		if err == nil {
 			perr = results[i].Err
@@ -293,7 +353,7 @@ func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
 }
 
 // settleSlice commits the ok points among results — the outcomes of
-// s.slots[lo:lo+len(results)] — in one pass, the way commitAttempt commits
+// the slice's points lo..lo+len(results)-1 — in one pass, the way commitAttempt commits
 // one point: counters and gauges once; per point its execute span (a row of
 // the launch's record when it is traced, an event span when it is only
 // profiled), its latency sample and its value; one release of the launch's
@@ -315,11 +375,11 @@ func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, o
 		if res.Err != nil {
 			continue
 		}
-		slot := s.slots[lo+i]
+		slot := s.slot(lo + i)
 		if row := fm.spanRow(slot); row != nil {
 			row.ExecNode, row.ExecStart, row.ExecDur = int32(s.node), start, end-start
 		} else if r.clk.prof != nil {
-			p := fm.points[slot]
+			p := fm.point(slot)
 			r.clk.done(obs.StageExecute, nil, tr.tc.Point(p).Child(tcExecute), tr.spanID+int64(slot),
 				s.node, tr.name, tr.tag, p, start, end)
 		}

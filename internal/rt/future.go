@@ -82,23 +82,21 @@ func EncodeF64(v float64) []byte {
 	return b
 }
 
-// FutureMap is the result of an index launch: one future per launch point,
-// in canonical (issuance) point order. It is also the launch's completion
-// group — the one thing a fence, a bulk replay and the caller wait on: the
-// points' outcomes land in dense slots, a countdown of unfinished points
-// fires one event, and a point's Future exists only once At asks for it.
+// FutureMap is the result of an index launch and its completion group —
+// the one thing a fence, a bulk replay and the caller wait on. Points issue
+// in domain order, so slot i holds point dom.PointAt(i)'s outcome and the
+// map keeps no point list; a countdown of unfinished points fires one
+// event, and a point's Future exists only once At asks for it.
 type FutureMap struct {
-	points []domain.Point // issuance order
-	res    []pointResult  // res[i] is points[i]'s outcome
+	dom domain.Domain
+	res []pointResult // res[i] is dom.PointAt(i)'s outcome
 	// left counts the launch's unfinished points plus one for issuance, which
 	// launchDone releases; done fires when it reaches zero.
 	left atomic.Int64
 	done *Event
 
-	// At's state, built by its first call: the point → slot lookup and the
-	// futures handed out, by slot. watched tells settle to look there.
+	// The futures At handed out, by slot; watched tells settle to look there.
 	mu      sync.Mutex
-	index   map[domain.Point]int
 	futs    map[int]*Future
 	watched atomic.Bool
 
@@ -115,17 +113,16 @@ type pointResult struct {
 	fin atomic.Bool
 }
 
-// newFutureMap sizes the map for a launch of n points, every one of them
-// counted unfinished until issuance releases the ones it did not issue.
-func newFutureMap(n int) *FutureMap {
-	m := &FutureMap{points: make([]domain.Point, 0, n), res: make([]pointResult, n), done: NewEvent()}
-	m.left.Store(int64(n) + 1)
+// newFutureMap sizes the map for a launch over d, every point counted
+// unfinished until issuance releases the ones it did not issue.
+func newFutureMap(d domain.Domain) *FutureMap {
+	m := &FutureMap{dom: d, res: make([]pointResult, d.Volume()), done: NewEvent()}
+	m.left.Store(d.Volume() + 1)
 	return m
 }
 
-// add files the launch's next point; its slot is its issuance index. Called
-// by the issuer only, before the point can finish.
-func (m *FutureMap) add(p domain.Point) { m.points = append(m.points, p) }
+// point returns slot i's point.
+func (m *FutureMap) point(i int) domain.Point { return m.dom.PointAt(int64(i)) }
 
 // settle records slot i's outcome, completing a future At handed out for
 // it. The slot stays counted in left until release.
@@ -163,24 +160,28 @@ func (m *FutureMap) release(n int64) {
 		return
 	}
 	if m.spans != nil {
-		m.spans.Points = m.points
 		m.prof.RecordLaunch(m.spans)
 	}
+	m.done.Poison(m.errs())
+}
+
+// errs joins the points' errors in canonical order.
+func (m *FutureMap) errs() error {
 	var errs []error
-	for i := range m.points {
+	for i := range m.res {
 		if err := m.res[i].err; err != nil {
 			errs = append(errs, err)
 		}
 	}
-	m.done.Poison(errors.Join(errs...))
+	return errors.Join(errs...)
 }
 
 // unfinished counts the points not yet settled and names the first of them.
 func (m *FutureMap) unfinished() (n int, first domain.Point) {
-	for i, p := range m.points {
+	for i := range m.res {
 		if !m.res[i].fin.Load() {
 			if n == 0 {
-				first = p
+				first = m.point(i)
 			}
 			n++
 		}
@@ -191,19 +192,15 @@ func (m *FutureMap) unfinished() (n int, first domain.Point) {
 // At returns the future for launch point p. It completes when p does,
 // independently of p's siblings.
 func (m *FutureMap) At(p domain.Point) (*Future, error) {
+	i := int(rankOf(m.dom, p))
+	if i < 0 {
+		return nil, fmt.Errorf("rt: future map has no point %v", p)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.index == nil {
-		m.index = make(map[domain.Point]int, len(m.points))
-		for i, q := range m.points {
-			m.index[q] = i
-		}
+	if m.futs == nil {
 		m.futs = map[int]*Future{}
 		m.watched.Store(true)
-	}
-	i, ok := m.index[p]
-	if !ok {
-		return nil, fmt.Errorf("rt: future map has no point %v", p)
 	}
 	f := m.futs[i]
 	if f == nil {
@@ -217,7 +214,7 @@ func (m *FutureMap) At(p domain.Point) (*Future, error) {
 }
 
 // Len returns the number of point tasks in the map.
-func (m *FutureMap) Len() int { return len(m.points) }
+func (m *FutureMap) Len() int { return len(m.res) }
 
 // Event returns an event that triggers when every point task completes; it
 // is poisoned if any task failed.
@@ -227,7 +224,7 @@ func (m *FutureMap) Event() *Event { return m.done }
 // encountered (in canonical point order), if any.
 func (m *FutureMap) Wait() error {
 	m.done.Wait()
-	for i := range m.points {
+	for i := range m.res {
 		if err := m.res[i].err; err != nil {
 			return err
 		}
@@ -239,13 +236,7 @@ func (m *FutureMap) Wait() error {
 // errors of every failed point, in canonical point order.
 func (m *FutureMap) WaitErr() error {
 	m.done.Wait()
-	var errs []error
-	for i := range m.points {
-		if err := m.res[i].err; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return m.errs()
 }
 
 // WaitTimeout is Wait with a deadline: if some point task has not completed
@@ -270,7 +261,7 @@ func (m *FutureMap) SumF64() (float64, error) {
 		return 0, err
 	}
 	var s float64
-	for i := range m.points {
+	for i := range m.res {
 		v, err := decodeF64(m.res[i].val)
 		if err != nil {
 			return 0, err

@@ -63,12 +63,12 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.fm, l.pointArgs = newFutureMap(l.points), il.PointArgs != nil
+	l.fm, l.pointArgs = newFutureMap(l.dom), il.PointArgs != nil
 	l.done = l.fm.done
 	if prof := r.clk.prof; prof != nil && l.tc.Valid() {
 		// A traced launch's per-point spans go into one record.
 		l.fm.prof = prof
-		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.entry.name, l.tag, l.points)
+		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.entry.name, l.tag, l.dom)
 	}
 	r.logical(l, il)
 	// A region-free launch runs by slice, one per node, unless a
@@ -76,7 +76,7 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	file := len(il.Requirements) == 0 && (r.ep == nil || r.ep.byLaunch)
 	r.distribute(l, !r.cfg.DCR, file)
 	if file {
-		err = r.file(l, il)
+		r.file(l, il)
 	} else {
 		err = il.Each(func(pt core.PointTask) bool {
 			r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
@@ -163,9 +163,6 @@ func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, ar
 	l.distNS += r.clk.now() - t
 
 	tr, deps := r.physical(l, p, node, prs, args)
-	if l.fm != nil {
-		l.fm.add(p)
-	}
 	r.mx.InflightTasks.Add(1)
 	r.ready(runItem{tr: tr, node: node, deps: deps})
 	l.issued++

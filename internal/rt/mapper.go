@@ -32,23 +32,30 @@ type Slice struct {
 	Node   int
 }
 
+// InvertibleMapper is a Mapper whose sharding functor can name a node's
+// points, like Legion's invertible sharding functors: ShardRange returns the
+// ranks [lo, hi) of d that ShardPoint gives node (ok false if it cannot
+// say), nodes 0..nodes-1's ranges tiling d in order. DCR files by them.
+type InvertibleMapper interface {
+	ShardRange(d domain.Domain, node, nodes int) (lo, hi int64, ok bool)
+}
+
 // BlockMapper is the default mapper: contiguous blocks of the launch domain
 // are assigned to consecutive nodes, and point tasks round-robin across a
-// node's processors. Its sharding and slicing functors agree with each
-// other, so DCR and non-DCR runs place tasks identically.
+// node's processors. Both its functors and its inverse are one rule,
+// domain.Block, so DCR and non-DCR runs place tasks identically.
 type BlockMapper struct{}
 
-// ShardPoint implements Mapper with a block distribution: point i of |D|
-// goes to node floor(i·nodes/|D|).
+// ShardPoint implements Mapper: p goes to the block holding its rank.
+// Dense domains rank row-major in O(1), sparse ones in O(log |D|).
 func (BlockMapper) ShardPoint(d domain.Domain, p domain.Point, nodes int) int {
-	vol := d.Volume()
-	if vol == 0 {
-		return 0
-	}
-	// Rank of p within the domain. Dense domains use row-major rank; sparse
-	// domains use sorted rank. Cost is O(log |D|) for sparse, O(1) dense.
-	rank := rankOf(d, p)
-	return int(rank * int64(nodes) / vol)
+	return domain.BlockOf(d.Volume(), rankOf(d, p), nodes)
+}
+
+// ShardRange implements InvertibleMapper: node's block.
+func (BlockMapper) ShardRange(d domain.Domain, node, nodes int) (lo, hi int64, ok bool) {
+	lo, hi = domain.Block(d.Volume(), node, nodes)
+	return lo, hi, true
 }
 
 // Slice implements Mapper by splitting the domain into one near-equal block
@@ -73,8 +80,9 @@ func (BlockMapper) SelectProcessor(node int, task core.TaskID, p domain.Point, p
 	return int(h % uint64(procs))
 }
 
+// rankOf returns p's rank in d, -1 when d does not hold p.
 func rankOf(d domain.Domain, p domain.Point) int64 {
-	if !d.Sparse() {
+	if !d.Sparse() && d.Bounds().Contains(p) {
 		return d.Bounds().Index(p)
 	}
 	lo, hi := int64(0), d.Volume()-1
@@ -90,5 +98,5 @@ func rankOf(d domain.Domain, p domain.Point) int64 {
 			hi = mid - 1
 		}
 	}
-	return 0 // point not in domain; callers validate beforehand
+	return -1
 }

@@ -47,20 +47,49 @@ func TestBlockMapperShardSparseDomain(t *testing.T) {
 }
 
 func TestBlockMapperSliceAgreesWithShard(t *testing.T) {
-	// The default mapper's slicing and sharding functors must agree, so
-	// DCR and non-DCR runs place tasks identically.
-	d := domain.Range1(0, 63)
+	// The default mapper's slicing and sharding functors and its inverse
+	// are one block rule, so DCR and non-DCR runs place tasks identically
+	// and a node's block is exactly the points sharded to it: over dense
+	// 1-d domains of every size from 1 to 200, a sparse and a 2-d domain,
+	// on 1 to 8 nodes.
+	var doms []domain.Domain
+	for n := int64(1); n <= 200; n++ {
+		doms = append(doms, domain.Range1(0, n-1))
+	}
+	doms = append(doms, domain.DiagonalSlice3(domain.Rect3(0, 0, 0, 5, 5, 5), 7),
+		domain.FromRect(domain.Rect2(-2, 1, 4, 7)))
 	m := BlockMapper{}
-	for _, nodes := range []int{1, 3, 8} {
-		slices := m.Slice(d, nodes)
-		for _, s := range slices {
-			s.Domain.Each(func(p domain.Point) bool {
-				if got := m.ShardPoint(d, p, nodes); got != s.Node {
-					t.Errorf("nodes=%d point %v: slice says %d, shard says %d",
-						nodes, p, s.Node, got)
+	for _, d := range doms {
+		for nodes := 1; nodes <= 8; nodes++ {
+			var next int64
+			slices := m.Slice(d, nodes)
+			for node := 0; node < nodes; node++ {
+				lo, hi, ok := m.ShardRange(d, node, nodes)
+				if !ok || lo != next || hi < lo {
+					t.Fatalf("%v on %d nodes: node %d range [%d, %d) %v after %d", d, nodes, node, lo, hi, ok, next)
 				}
-				return true
-			})
+				next = hi
+				for rank := lo; rank < hi; rank++ {
+					if got := m.ShardPoint(d, d.PointAt(rank), nodes); got != node {
+						t.Errorf("%v on %d nodes: rank %d in node %d's range, shard says %d", d, nodes, rank, node, got)
+					}
+				}
+			}
+			if next != d.Volume() {
+				t.Errorf("%v on %d nodes: ranges cover %d of %d points", d, nodes, next, d.Volume())
+			}
+			for _, s := range slices {
+				lo, hi, _ := m.ShardRange(d, s.Node, nodes)
+				if s.Domain.Volume() != hi-lo || !s.Domain.PointAt(0).Eq(d.PointAt(lo)) {
+					t.Errorf("%v on %d nodes: node %d's slice %v is not its range [%d, %d)", d, nodes, s.Node, s.Domain, lo, hi)
+				}
+				s.Domain.Each(func(p domain.Point) bool {
+					if got := m.ShardPoint(d, p, nodes); got != s.Node {
+						t.Errorf("%v on %d nodes: point %v: slice says %d, shard says %d", d, nodes, p, s.Node, got)
+					}
+					return true
+				})
+			}
 		}
 	}
 }

@@ -87,6 +87,14 @@ func (m *MemoizingMapper) ShardPoint(d domain.Domain, p domain.Point, nodes int)
 	return n
 }
 
+// ShardRange implements InvertibleMapper when the inner mapper does.
+func (m *MemoizingMapper) ShardRange(d domain.Domain, node, nodes int) (lo, hi int64, ok bool) {
+	if inv, is := m.Inner.(InvertibleMapper); is {
+		return inv.ShardRange(d, node, nodes)
+	}
+	return 0, 0, false
+}
+
 // Slice implements Mapper by delegation (slicing is already per-launch).
 func (m *MemoizingMapper) Slice(d domain.Domain, nodes int) []Slice {
 	return m.Inner.Slice(d, nodes)

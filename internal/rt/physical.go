@@ -37,7 +37,7 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		l.physNS += t1 - t0
 		if row := l.fm.spanRow(l.issued); row != nil {
 			row.PhysNode, row.PhysStart, row.PhysDur = int32(node), t0, t1-t0
-			r.clk.observe(r.mx.LatPhysical, t1-t0)
+			r.clk.observe(r.mx.LatPhysical, t1-t0, 1)
 		} else {
 			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, name, l.tag, p, t0, t1)
 		}

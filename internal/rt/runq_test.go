@@ -177,10 +177,10 @@ func TestLaunchIsOneFenceEntryAndFuturesAreLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm.mu.Lock()
-	lazy := fm.index == nil && fm.futs == nil
+	lazy := fm.futs == nil
 	fm.mu.Unlock()
 	if !lazy {
-		t.Error("future map built its point lookup before At was called")
+		t.Error("future map built its futures before At was called")
 	}
 	f, err := fm.At(domain.Pt1(200))
 	if err != nil {
@@ -447,7 +447,7 @@ func TestChunkSkipsPoisonedBulkReplay(t *testing.T) {
 			if err := r.FenceErr(); !errors.Is(err, ErrUpstreamFailed) {
 				t.Fatalf("fence error %v, want ErrUpstreamFailed", err)
 			}
-			for _, p := range fm.points {
+			for _, p := range fm.dom.Points() {
 				f, _ := fm.At(p)
 				if _, err := f.Get(); !errors.Is(err, ErrUpstreamFailed) {
 					t.Errorf("free point %v: %v, want ErrUpstreamFailed", p, err)

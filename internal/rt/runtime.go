@@ -251,14 +251,14 @@ func (c *stageClock) done(st obs.Stage, h *metrics.Histogram, tc obs.TraceRef, i
 	if c.prof != nil {
 		c.prof.SpanIDTC(tc, id, node, st, name, tag, p, t0, t1)
 	}
-	c.observe(h, t1-t0)
+	c.observe(h, t1-t0, 1)
 }
 
-// observe is done without the span: for a stage interval a launch's span
-// record holds instead.
-func (c *stageClock) observe(h *metrics.Histogram, d int64) {
+// observe is done without the span, n times over: for stage intervals a
+// launch's span record holds instead.
+func (c *stageClock) observe(h *metrics.Histogram, d, n int64) {
 	if c.hist {
-		h.Observe(d)
+		h.ObserveN(d, n)
 	}
 }
 

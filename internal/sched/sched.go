@@ -230,7 +230,7 @@ func New(cfg Config) (*Scheduler, error) {
 		// them. Pull-style so the recorder's record path stays branch-free.
 		prof := s.prof
 		reg.GaugeFunc("obs_dropped_events",
-			"Profile events overwritten in the recorder rings before being snapshot.",
+			"Events and edges lost to recorder ring overflow; 0 if sink-only.",
 			prof.Dropped)
 	}
 	if cfg.Durable.Dir != "" {

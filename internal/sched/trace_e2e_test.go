@@ -229,3 +229,69 @@ func TestTraceSurvivesRestart(t *testing.T) {
 		t.Fatalf("failed trace lost or mangled across restart: %+v, %v", failed, ok)
 	}
 }
+
+// A sink-only recorder keeps no rings, yet loses no span a trace needs:
+// the same traced jobs run once through a ringed recorder and once through
+// a sink-only one give identical span trees per job, each with one
+// physical and one execute span per point, on the DCR and the centralized
+// path. The sink-only recorder drops nothing, snapshots empty and keeps no
+// dependence edges.
+func TestSinkOnlyRecorderLosesNothing(t *testing.T) {
+	const tasks, rounds, jobs = 16, 3, 3
+	for _, dcr := range []bool{true, false} {
+		run := func(sinkOnly bool) ([]string, *obs.Recorder, *Scheduler) {
+			cfg, tr := tracedCfg(t, trace.Config{HeadRate: 1})
+			cfg.TraceSeed = 9
+			cfg.Runtime = rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true}
+			if sinkOnly {
+				cfg.Profile = obs.NewSinkRecorder("sched")
+			}
+			s := MustNew(cfg)
+			t.Cleanup(s.Shutdown)
+			var shapes []string
+			for i := 0; i < jobs; i++ {
+				id, err := s.Submit(JobSpec{Tenant: "a", Run: SyntheticRun(tasks, rounds)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Wait(id); err != nil {
+					t.Fatal(err)
+				}
+				spans := stableSpans(waitTrace(t, tr, id).Spans)
+				per := map[obs.Stage]int{}
+				for _, ev := range spans {
+					if ev.Task == SyntheticTaskName && ev.Point.Dim > 0 {
+						per[ev.Stage]++
+					}
+				}
+				if per[obs.StagePhysical] != tasks*rounds || per[obs.StageExecute] != tasks*rounds {
+					t.Errorf("dcr=%v sinkOnly=%v job %d: %d physical and %d execute point spans, want %d each",
+						dcr, sinkOnly, i+1, per[obs.StagePhysical], per[obs.StageExecute], tasks*rounds)
+				}
+				shapes = append(shapes, trace.Shape(spans))
+			}
+			return shapes, cfg.Profile, s
+		}
+		ringed, _, _ := run(false)
+		sinkOnly, rec, s := run(true)
+		for i := range ringed {
+			if ringed[i] != sinkOnly[i] {
+				t.Errorf("dcr=%v job %d: span trees differ:\n  ringed:    %s\n  sink-only: %s", dcr, i+1, ringed[i], sinkOnly[i])
+			}
+		}
+		dropped := -1.0
+		for _, sc := range s.cfg.Metrics.Gather().Scalars() {
+			if sc.Name == "obs_dropped_events" {
+				dropped = sc.Value
+			}
+		}
+		if dropped != 0 || s.Status().ObsDroppedEvents != 0 {
+			t.Errorf("dcr=%v: obs_dropped_events = %v, status %d; want 0", dcr, dropped, s.Status().ObsDroppedEvents)
+		}
+		rec.Edge(1, 2)
+		if p := rec.Snapshot(); len(p.Events) != 0 || len(p.Edges) != 0 || p.Dropped != 0 {
+			t.Errorf("dcr=%v: sink-only snapshot holds %d events, %d edges, %d dropped; want none",
+				dcr, len(p.Events), len(p.Edges), p.Dropped)
+		}
+	}
+}

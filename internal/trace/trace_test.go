@@ -171,9 +171,8 @@ func TestOrphanAndTruncation(t *testing.T) {
 // launchRecord builds a finished record of points points under ltc, whose
 // point 1 was replayed (no physical span): 2*points-1 spans.
 func launchRecord(ltc obs.TraceRef, points int) *obs.LaunchSpans {
-	ls := obs.NewLaunchSpans(ltc, 100, "t", "l", points)
+	ls := obs.NewLaunchSpans(ltc, 100, "t", "l", domain.Range1(0, int64(points-1)))
 	for i := range points {
-		ls.Points = append(ls.Points, domain.Pt1(int64(i)))
 		row := &ls.Rows[i]
 		if i != 1 {
 			row.PhysNode, row.PhysStart, row.PhysDur = 0, int64(10*i+10), 1
