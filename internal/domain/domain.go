@@ -123,6 +123,24 @@ func (d Domain) Each(fn func(Point) bool) {
 	d.rect.Each(fn)
 }
 
+// EachFrom is Each starting at the i-th point (PointAt(i)), walking on from
+// there without a per-point PointAt. An index outside [0, Volume) yields
+// nothing.
+func (d Domain) EachFrom(i int64, fn func(Point) bool) {
+	if d.sparse {
+		if i < 0 {
+			return
+		}
+		for _, p := range d.points[min(i, int64(len(d.points))):] {
+			if !fn(p) {
+				return
+			}
+		}
+		return
+	}
+	d.rect.EachFrom(i, fn)
+}
+
 // Points returns a freshly allocated slice of all points in canonical order.
 func (d Domain) Points() []Point {
 	out := make([]Point, 0, d.Volume())

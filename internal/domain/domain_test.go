@@ -227,3 +227,35 @@ func TestDomainSparseDenseAgreementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// EachFrom(i) walks exactly PointAt(i), PointAt(i+1), ... to the end, on
+// dense rects of 1–3 dims and on their sparse twins, and yields nothing
+// from an index outside the domain.
+func TestDomainEachFromMatchesPointAt(t *testing.T) {
+	for _, r := range []Rect{Rect1(-3, 9), Rect2(-1, 2, 2, 5), Rect3(0, -2, 1, 2, 0, 3)} {
+		for _, d := range []Domain{FromRect(r), FromPoints(FromRect(r).Points())} {
+			n := d.Volume()
+			for i := int64(-1); i <= n; i++ {
+				var got []Point
+				d.EachFrom(i, func(p Point) bool {
+					got = append(got, p)
+					return true
+				})
+				if i < 0 {
+					if len(got) != 0 {
+						t.Fatalf("%v from %d yielded %d points", d, i, len(got))
+					}
+					continue
+				}
+				if int64(len(got)) != n-i {
+					t.Fatalf("%v from %d yielded %d points, want %d", d, i, len(got), n-i)
+				}
+				for k, p := range got {
+					if want := d.PointAt(i + int64(k)); !p.Eq(want) {
+						t.Fatalf("%v from %d: point %d is %v, want %v", d, i, k, p, want)
+					}
+				}
+			}
+		}
+	}
+}

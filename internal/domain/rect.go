@@ -147,11 +147,16 @@ func (r Rect) Union(s Rect) Rect {
 
 // Each calls fn for every point of r in row-major order. Iteration stops if
 // fn returns false.
-func (r Rect) Each(fn func(Point) bool) {
-	if r.Empty() {
+func (r Rect) Each(fn func(Point) bool) { r.EachFrom(0, fn) }
+
+// EachFrom is Each starting at row-major offset i: it walks PointAt(i),
+// PointAt(i+1), ... by incrementing coordinates instead of dividing per
+// point. An offset outside [0, Volume) yields nothing.
+func (r Rect) EachFrom(i int64, fn func(Point) bool) {
+	if i < 0 || i >= r.Volume() {
 		return
 	}
-	p := r.Lo
+	p := r.PointAt(i)
 	for {
 		if !fn(p) {
 			return

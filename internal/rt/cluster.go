@@ -16,24 +16,24 @@ import (
 //   - A region-free index launch runs by slice on every path (paper §5,
 //     distribution stage): issuance files its points under the node that
 //     owns them, one slice per node. In cluster mode each worker's slice
-//     leaves as one Exec request — the slice descriptor plus the arguments —
-//     so the shipment is the execution trigger; the worker expands it, runs
-//     the bodies and answers with one result per point (runShipment and
-//     runSlice in distribute.go). Node 0's own slice runs as chunks of its
-//     run queue, the way every slice does in process. ExecuteIndex does not
-//     wait for the network, and the answer settles the slice's future-map
-//     slots in one pass, execute spans included. Every point keeps its
-//     future, counters, execute span and retry ladder: a point whose body
-//     fails on the worker retries alone, through its node's run queue and
-//     the single-point Mesh.Exec the ladder and ExecuteSingle use.
+//     rides an Exec request — descriptor plus arguments, so the shipment is
+//     the execution trigger — which the worker expands, runs and answers
+//     point by point. A worker has one request out at a time; slices issued
+//     meanwhile queue in its outbox and leave together as the next one
+//     (pump in distribute.go). Node 0's own slice runs as run-queue chunks.
+//     ExecuteIndex does not wait for the network, and the answer settles
+//     each slice's slots in one pass, execute spans included. Every point
+//     keeps its future, counters, execute span and retry ladder: a point
+//     whose body fails on the worker retries alone, through its node's run
+//     queue and the single-point Mesh.Exec the ladder and ExecuteSingle use.
 //   - Tasks touching physical regions execute locally (region state lives
 //     in this process); a worker sees a slice only in an Exec it serves.
 //
 // A worker the transport cannot reach costs placement and time, not
-// progress: its slice's request fails with wire.ErrUnreachable once the
-// mesh's ExecTimeout runs out, and the slice's points run here instead.
-// Nothing remembers the failure — the next launch ships to the worker
-// again and pays the timeout again.
+// progress: its request fails with wire.ErrUnreachable once the mesh's
+// ExecTimeout runs out, and its slices and those queued behind it run
+// here. Nothing remembers the failure — the next launch ships to the
+// worker again and pays the timeout again.
 //
 // Everything else — dependence analysis, retries, tracing — is unchanged,
 // which is the point: the paper's index-launch pipeline is

@@ -6,6 +6,7 @@ import (
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
+	"indexlaunch/internal/wire"
 )
 
 // spinEval is the synthetic job task's body (sched.SyntheticEval, which rt
@@ -23,11 +24,17 @@ func spinEval(x int64) []byte {
 // hub mesh (node 0 plus two workers), Metrics attached, four 256-point
 // region-free ExecuteIndex calls, then FenceErr and Recycle — what one
 // idxserve executor does per job. ns/op and allocs/op are per job, and
-// include the in-process workers' side of the mesh.
+// include the in-process workers' side of the mesh; execs/job counts the
+// Exec requests node 0 sent.
 func BenchmarkClusterJob(b *testing.B) {
+	reg := metrics.NewRegistry()
 	tc := newTestCluster(b, 3, func(task string, p domain.Point, args []byte) ([]byte, error) {
 		return spinEval(p.X()), nil
-	}, nil)
+	}, nil, func(node int, cfg *wire.MeshConfig) {
+		if node == 0 {
+			cfg.Metrics = reg
+		}
+	})
 	r := MustNew(Config{Nodes: 3, ProcsPerNode: 2, IndexLaunches: true,
 		Transport: tc.meshes[0], Metrics: metrics.NewRegistry()})
 	defer r.Shutdown()
@@ -48,4 +55,5 @@ func BenchmarkClusterJob(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(reg.Counter("wire_execs_total", "").Value())/float64(b.N), "execs/job")
 }

@@ -767,3 +767,191 @@ func TestClusterPayloadRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// dropLaterExecs is a fabric that loses every Exec frame but the first
+// `keep` requests': a worker that answers its first request and never
+// another.
+type dropLaterExecs struct {
+	wire.Fabric
+	keep uint64
+}
+
+func (f dropLaterExecs) Send(dst int, fr *wire.Frame) error {
+	if fr.Kind == wire.KindExec && fr.Key >= f.keep {
+		return nil
+	}
+	return f.Fabric.Send(dst, fr)
+}
+
+// While a worker's Exec request is in flight, the slices issued for it
+// wait in its outbox and leave together as its next request (Nagle's
+// rule). L launches issued behind a held first request cost each worker
+// two requests, not L, with the values and span tree of launches that ran
+// one request each. A request the transport cannot deliver falls back
+// every slice it carries and every slice queued behind it, for one failed
+// call per worker.
+func TestClusterLoopbackCoalescesWhileInFlight(t *testing.T) {
+	const nodes, launches = 3, 6
+	const workers = nodes - 1
+	d := domain.Range1(0, 29)
+	// cluster builds a traced runtime over a cluster whose workers park
+	// every body until gate closes and close started[node] on their first.
+	type cluster struct {
+		r       *Runtime
+		tc      *testCluster
+		reg     *metrics.Registry
+		started []chan struct{}
+		shape   func() string
+	}
+	build := func(t *testing.T, gate <-chan struct{}, fabric func(wire.Fabric) wire.Fabric, timeout time.Duration) *cluster {
+		c := &cluster{reg: metrics.NewRegistry(), started: make([]chan struct{}, nodes)}
+		once := make([]sync.Once, nodes)
+		c.tc = newTestCluster(t, nodes, squareBody, nil, func(node int, cfg *wire.MeshConfig) {
+			if node == 0 {
+				cfg.Metrics, cfg.ExecTimeout = c.reg, timeout
+				cfg.Fabric = fabric(cfg.Fabric)
+				return
+			}
+			c.started[node] = make(chan struct{})
+			exec := cfg.Exec
+			cfg.Exec = func(task string, p domain.Point, args []byte) ([]byte, error) {
+				once[node].Do(func() { close(c.started[node]) })
+				<-gate
+				return exec(task, p, args)
+			}
+		})
+		rec := obs.NewRecorder("rt", nodes, 1<<14)
+		tracer, err := trace.New(trace.Config{HeadRate: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.SetSink(tracer.Sink())
+		c.r = MustNew(Config{Nodes: nodes, ProcsPerNode: 2, IndexLaunches: true,
+			Transport: c.tc.meshes[0], Profile: rec})
+		t.Cleanup(c.r.Shutdown)
+		root := obs.NewTraceRef(11)
+		tracer.Begin(root, 1, "t", 0)
+		c.r.SetTraceRef(root.Child(1))
+		c.shape = func() string {
+			if retained, _ := tracer.Finish(root, rec.Now(), trace.Outcome{}); !retained {
+				t.Fatal("trace not retained")
+			}
+			got, ok := tracer.Get("1")
+			if !ok {
+				t.Fatal("trace not queryable")
+			}
+			return trace.Shape(got.Spans)
+		}
+		return c
+	}
+	launch := func(c *cluster) *core.IndexLaunch {
+		return &core.IndexLaunch{Task: registerSquare(c.r), Tag: "sq", Domain: d}
+	}
+	issue := func(t *testing.T, c *cluster, il *core.IndexLaunch) *FutureMap {
+		fm, err := c.r.ExecuteIndex(il)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
+	counter := func(c *cluster, name string) int64 { return c.reg.Counter(name, "").Value() }
+	asIs := func(f wire.Fabric) wire.Fabric { return f }
+	open := make(chan struct{})
+	close(open)
+
+	// The per-launch path: each launch waited before the next is issued.
+	ref := build(t, open, asIs, 10*time.Second)
+	il := launch(ref)
+	for l := 0; l < launches; l++ {
+		wantSquares(t, issue(t, ref, il), d)
+	}
+	if err := ref.r.FenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(ref, "wire_execs_total"); got != launches*workers {
+		t.Fatalf("per-launch path sent %d Exec requests, want %d", got, launches*workers)
+	}
+	refShape := ref.shape()
+
+	t.Run("coalesced", func(t *testing.T) {
+		gate := make(chan struct{})
+		c := build(t, gate, asIs, 10*time.Second)
+		il := launch(c)
+		fms := []*FutureMap{issue(t, c, il)}
+		for n := 1; n < nodes; n++ {
+			<-c.started[n]
+		}
+		for l := 1; l < launches; l++ {
+			fms = append(fms, issue(t, c, il))
+		}
+		if got := counter(c, "wire_execs_total"); got != workers {
+			close(gate)
+			t.Fatalf("%d Exec requests in flight behind held first ones, want %d", got, workers)
+		}
+		close(gate)
+		for _, fm := range fms {
+			wantSquares(t, fm, d)
+		}
+		if err := c.r.FenceErr(); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(c, "wire_execs_total"); got != 2*workers {
+			t.Errorf("wire_execs_total = %d, want %d: the held request, then one for everything queued behind it", got, 2*workers)
+		}
+		if got := counter(c, "wire_exec_errors_total"); got != 0 {
+			t.Errorf("wire_exec_errors_total = %d, want 0", got)
+		}
+		if got := c.tc.executed[1].Load() + c.tc.executed[2].Load(); got != launches*20 {
+			t.Errorf("workers executed %d points, want %d", got, launches*20)
+		}
+		if st := c.r.Stats(); st.TasksExecuted != launches*30 || st.TasksFailed != 0 || st.Retries != 0 {
+			t.Errorf("stats %+v", st)
+		}
+		if shape := c.shape(); shape != refShape {
+			t.Errorf("span tree differs from the per-launch path's:\ncoalesced:  %s\nper-launch: %s", shape, refShape)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		// Every worker answers its first request, held until the next
+		// launches queue; the request carrying them is lost, and launches
+		// issued while it is in flight queue behind it.
+		gate := make(chan struct{})
+		c := build(t, gate, func(f wire.Fabric) wire.Fabric { return dropLaterExecs{f, workers} }, 300*time.Millisecond)
+		il := launch(c)
+		fms := []*FutureMap{issue(t, c, il)}
+		for n := 1; n < nodes; n++ {
+			<-c.started[n]
+		}
+		for l := 1; l < 3; l++ {
+			fms = append(fms, issue(t, c, il))
+		}
+		close(gate)
+		for deadline := time.Now().Add(10 * time.Second); counter(c, "wire_execs_total") < 2*workers; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the queued slices never left as a second request")
+			}
+		}
+		for l := 3; l < launches; l++ {
+			fms = append(fms, issue(t, c, il))
+		}
+		for _, fm := range fms {
+			wantSquares(t, fm, d)
+		}
+		if err := c.r.FenceTimeout(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(c, "wire_execs_total"); got != 2*workers {
+			t.Errorf("wire_execs_total = %d, want %d: the slices queued behind a lost request are not sent", got, 2*workers)
+		}
+		if got := counter(c, "wire_exec_errors_total"); got != workers {
+			t.Errorf("wire_exec_errors_total = %d, want %d: one failed call per worker", got, workers)
+		}
+		if got := c.tc.executed[1].Load() + c.tc.executed[2].Load(); got != 20 {
+			t.Errorf("workers executed %d points, want the first launch's 20", got)
+		}
+		if st := c.r.Stats(); st.TasksExecuted != launches*30 || st.TasksFailed != 0 || st.Retries != 0 {
+			t.Errorf("stats %+v", st)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"sync"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
@@ -19,9 +20,10 @@ import (
 // Slices for node 0 or a dead node stay local and faultCheck re-maps their
 // points, which keeps chaos runs byte-identical to fault-free ones. In
 // cluster mode nothing is broadcast ahead of issuance: a region-free launch
-// is filed by node (shipment) and a worker's run leaves as one Exec
-// request; a launch with region requirements runs on node 0, where the
-// region data lives. internal/sim models the cost difference.
+// is filed by node (shipment) and a worker's run queues behind the one
+// Exec request it may have in flight (pump); a launch with region
+// requirements runs on node 0, where the region data lives. internal/sim
+// models the cost difference.
 
 // distribute is the third stage: it fixes how the launch's points map to
 // nodes — by the slicing functor's slices when slice is set (shipped through
@@ -100,8 +102,8 @@ func (r *Runtime) file(l *launch, il *core.IndexLaunch) {
 				continue
 			}
 			r.filed(l, s.node, s.lo, s.lo+s.n, t)
-			for slot := s.lo; l.pointArgs && slot < s.lo+s.n; slot++ {
-				s.args = append(s.args, il.PointArgs(l.fm.point(slot)))
+			if l.pointArgs {
+				s.each(0, s.n, func(_ int, p domain.Point) { s.args = append(s.args, il.PointArgs(p)) })
 			}
 		}
 		l.issued = l.points
@@ -201,6 +203,7 @@ type sliceRun struct {
 	// deps are the launch-wide preconditions bulk-trace replay gives
 	// region-free points; the slice waits for them once.
 	deps []*Event
+	dom  domain.Domain // what a worker's run ships: its slice's domain, or a list
 }
 
 // open returns node's run, opening it from slice si with l's share of
@@ -235,6 +238,23 @@ func (s *sliceRun) slot(i int) int {
 	return s.lo + i
 }
 
+// each calls fn with the slice's points lo..hi-1 and their indices, in
+// order: a block walks the launch domain from its first point, a list
+// looks each slot up.
+func (s *sliceRun) each(lo, hi int, fn func(i int, p domain.Point)) {
+	i := lo
+	if s.slots == nil && lo < hi {
+		s.proto.fm.dom.EachFrom(int64(s.lo+lo), func(p domain.Point) bool {
+			fn(i, p)
+			i++
+			return i < hi
+		})
+	}
+	for ; i < hi; i++ {
+		fn(i, s.proto.fm.point(s.slots[i]))
+	}
+}
+
 // run builds the run state of the slice's i-th point from the prototype:
 // for a point that fails, is skipped or falls back from its worker.
 func (s *sliceRun) run(i int) *taskRun {
@@ -249,9 +269,10 @@ func (s *sliceRun) run(i int) *taskRun {
 }
 
 // runShipment starts every slice the launch filed, in node order: a
-// worker's (cluster mode) on a goroutine of its own as one Exec request,
-// any other as at most ProcsPerNode chunks on its node's run queue. It only
-// enqueues and spawns: issuance never waits for execution or the network.
+// worker's (cluster mode) into the worker's outbox once its launch-wide
+// preconditions have fired, any other as at most ProcsPerNode chunks on its
+// node's run queue. It only enqueues: issuance never waits for execution or
+// the network.
 func (r *Runtime) runShipment(l *launch) {
 	for _, s := range l.ship {
 		if s == nil {
@@ -266,18 +287,112 @@ func (r *Runtime) runShipment(l *launch) {
 			}
 			continue
 		}
-		req := wire.ExecRequest{Task: l.entry.name, Index: s.index, Args: s.proto.args, PointArgs: s.args}
 		if s.slots == nil {
-			req.Domain = l.slices[s.index].Domain
+			s.dom = l.slices[s.index].Domain
 		} else {
-			pts := make([]domain.Point, n)
-			for i := range pts {
-				pts[i] = l.fm.point(s.slot(i))
-			}
-			req.Domain = domain.FromPoints(pts)
+			pts := make([]domain.Point, 0, n)
+			s.each(0, n, func(_ int, p domain.Point) { pts = append(pts, p) })
+			s.dom = domain.FromPoints(pts)
 		}
-		go r.runSlice(s, req)
+		afterAll(s.deps, func() { r.post(s) })
 	}
+}
+
+// outbox holds a worker's slices while its Exec request is out.
+type outbox struct {
+	mu    sync.Mutex
+	queue []*sliceRun
+	busy  bool // a pump goroutine serves the outbox
+}
+
+// take empties the outbox, marking it idle when there was nothing to take.
+func (ob *outbox) take() []*sliceRun {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	batch := ob.queue
+	ob.queue, ob.busy = nil, len(batch) > 0
+	return batch
+}
+
+// post queues worker slice s, starting its worker's pump if none runs.
+func (r *Runtime) post(s *sliceRun) {
+	ob := &r.outboxes[s.node]
+	ob.mu.Lock()
+	ob.queue = append(ob.queue, s)
+	start := !ob.busy
+	ob.busy = true
+	ob.mu.Unlock()
+	if start {
+		go r.pump(ob, s.node)
+	}
+}
+
+// pump drains node's outbox, one request at a time, until it finds it
+// empty: what queued while a request was out leaves the moment its answer
+// lands, which then settles on a goroutine of its own (here, if nothing
+// queued). What queued behind a request the transport could not deliver
+// (ErrUnreachable) falls back unsent: a dead worker costs one ExecTimeout
+// per burst of launches, not one per request.
+func (r *Runtime) pump(ob *outbox, node int) {
+	down := false
+	for batch := ob.take(); len(batch) > 0; {
+		var settle func()
+		settle, down = r.sendBatch(node, batch, down)
+		if batch = ob.take(); len(batch) == 0 {
+			settle()
+			return
+		}
+		go settle()
+	}
+}
+
+// sendBatch sends a worker's queued slices, less any whose launch-wide
+// precondition is poisoned (skipped), as one ExecSlice call — down, it
+// fails them unsent. It reports whether the call failed with ErrUnreachable
+// and returns what settles the answer: a point that ran commits, one that
+// failed on the worker retries from attempt 2, an undelivered slice runs
+// here — both through the node's run queue. All points share the execute
+// clock's start: the request's hand-off to the mesh.
+func (r *Runtime) sendBatch(node int, batch []*sliceRun, down bool) (settle func(), unreachable bool) {
+	live, reqs := batch[:0], make([]wire.ExecRequest, 0, len(batch))
+	for _, s := range batch {
+		if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+			r.skipSlice(s, 0, s.n, cause)
+			continue
+		}
+		live = append(live, s)
+		reqs = append(reqs, wire.ExecRequest{Task: s.proto.name, Index: s.index, Domain: s.dom,
+			Args: s.proto.args, PointArgs: s.args})
+	}
+	tExec, results, err := r.clk.now(), []wire.PointResult(nil), error(wire.ErrUnreachable)
+	if !down {
+		results, err = r.cluster.ExecSlice(node, reqs...)
+	}
+	return func() {
+		for _, s := range live {
+			var ok int64
+			for i := range s.n {
+				perr := err
+				if err == nil {
+					perr = results[i].Err
+				}
+				switch {
+				case perr == nil:
+					ok++
+				case errors.Is(perr, wire.ErrUnreachable):
+					r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{tExec: tExec, local: true}})
+				default:
+					r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{attempts: 1, err: perr, tExec: tExec}})
+				}
+			}
+			if ok > 0 {
+				r.settleSlice(s, 0, results[:s.n], ok, tExec, nil)
+			}
+			if err == nil {
+				results = results[s.n:]
+			}
+		}
+	}, !down && errors.Is(err, wire.ErrUnreachable)
 }
 
 // skipSlice skips points lo..hi-1 of s, one by one: a launch-wide
@@ -298,8 +413,8 @@ func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
 	ctx := &Context{Node: s.node, Task: s.proto.task, Args: s.proto.args, rt: r}
 	t0 := r.clk.now()
 	start, ok := t0, int64(0)
-	for i := lo; i < hi; i++ {
-		ctx.Point = s.proto.fm.point(s.slot(i))
+	s.each(lo, hi, func(i int, p domain.Point) {
+		ctx.Point = p
 		if s.args != nil {
 			ctx.Args = s.args[i]
 		}
@@ -311,44 +426,10 @@ func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
 		}
 		start = r.clk.now()
 		ends[i-lo] = start
-	}
+	})
 	r.mx.BusyProcs.Add(-1)
 	if ok > 0 {
 		r.settleSlice(s, lo, results, ok, t0, ends)
-	}
-}
-
-// runSlice drives one worker slice: wait for the launch-wide preconditions,
-// send the slice as one Exec request and settle every point from the
-// answer. A point that ran commits; a point whose body failed on the worker
-// enters its own retry ladder at attempt 2, and a slice the transport could
-// not deliver (ErrUnreachable) runs its points here instead — both through
-// the node's run queue. All points share the execute clock's start: the
-// moment the slice is handed to the mesh.
-func (r *Runtime) runSlice(s *sliceRun, req wire.ExecRequest) {
-	if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
-		r.skipSlice(s, 0, s.n, cause)
-		return
-	}
-	tExec := r.clk.now()
-	results, err := r.cluster.ExecSlice(s.node, req)
-	var ok int64
-	for i := range s.n {
-		perr := err
-		if err == nil {
-			perr = results[i].Err
-		}
-		switch {
-		case perr == nil:
-			ok++
-		case errors.Is(perr, wire.ErrUnreachable):
-			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{tExec: tExec, local: true}})
-		default:
-			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{attempts: 1, err: perr, tExec: tExec}})
-		}
-	}
-	if ok > 0 {
-		r.settleSlice(s, 0, results, ok, tExec, nil)
 	}
 }
 
@@ -368,18 +449,18 @@ func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, o
 	if ends == nil {
 		end = r.clk.now()
 	}
-	for i, res := range results {
+	s.each(lo, lo+len(results), func(i int, p domain.Point) {
+		res := &results[i-lo]
 		if ends != nil {
-			start, end = end, ends[i]
+			start, end = end, ends[i-lo]
 		}
 		if res.Err != nil {
-			continue
+			return
 		}
-		slot := s.slot(lo + i)
+		slot := s.slot(i)
 		if row := fm.spanRow(slot); row != nil {
 			row.ExecNode, row.ExecStart, row.ExecDur = int32(s.node), start, end-start
 		} else if r.clk.prof != nil {
-			p := fm.point(slot)
 			r.clk.done(obs.StageExecute, nil, tr.tc.Point(p).Child(tcExecute), tr.spanID+int64(slot),
 				s.node, tr.name, tr.tag, p, start, end)
 		}
@@ -387,6 +468,6 @@ func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, o
 			r.mx.LatExecute.ObserveExemplar(end-start, tr.tc.Trace)
 		}
 		fm.settle(slot, res.Val, nil)
-	}
+	})
 	fm.release(ok)
 }

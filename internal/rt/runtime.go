@@ -183,8 +183,9 @@ type Runtime struct {
 
 	// Message transport for the centralized path; nil in DCR mode. cluster
 	// is the same value when it is a mesh: remote execution.
-	xp      Transport
-	cluster *wire.Mesh
+	xp       Transport
+	cluster  *wire.Mesh
+	outboxes []outbox // cluster mode: per worker node (distribute.go)
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
@@ -314,7 +315,9 @@ func New(cfg Config) (*Runtime, error) {
 	switch {
 	case cfg.Transport != nil:
 		r.xp = cfg.Transport
-		r.cluster, _ = cfg.Transport.(*wire.Mesh)
+		if r.cluster, _ = cfg.Transport.(*wire.Mesh); r.cluster != nil {
+			r.outboxes = make([]outbox, cfg.Nodes)
+		}
 	case !cfg.DCR:
 		xp, err := xport.New(cfg.Nodes, xport.Options{Prof: cfg.Profile, Metrics: reg})
 		if err != nil {

@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -212,6 +216,71 @@ func TestKeyHitWaitsForOriginalCommit(t *testing.T) {
 	release()
 	if a, b := <-orig, <-dup; a != 1 || b != 1 {
 		t.Fatalf("original and duplicate submits returned %d and %d, want 1 and 1", a, b)
+	}
+}
+
+// TestGetJobWaitsForFinishCommit holds the fsync that a finished job's
+// publication waits on: GET /jobs/{id} waits it out and answers done rather
+// than running, while Lookup, which never blocks, still answers not done.
+// A Shutdown that begins during the wait ends it.
+func TestGetJobWaitsForFinishCommit(t *testing.T) {
+	for _, shutdown := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shutdown=%v", shutdown), func(t *testing.T) {
+			s := MustNew(alwaysCfg(t.TempDir()))
+			defer s.Shutdown()
+			inFlight, release := holdFirstFsync(s)
+			defer release()
+			srv := httptest.NewServer(Handler(s, nil))
+			defer srv.Close()
+
+			go func() {
+				if _, err := s.Submit(JobSpec{Tenant: "a", Run: noopRun}); err != nil {
+					t.Error(err)
+				}
+			}()
+			<-inFlight
+			await(t, s, "job 1 finishes unpublished", func() bool { return len(s.unacked) == 1 })
+			got := make(chan JobInfo, 1)
+			go func() {
+				var info JobInfo
+				resp, err := http.Get(srv.URL + "/jobs/1")
+				if err == nil {
+					err = json.NewDecoder(resp.Body).Decode(&info)
+					resp.Body.Close()
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				got <- info
+			}()
+			select {
+			case info := <-got:
+				t.Fatalf("GET answered %+v while the finish's commit was held", info)
+			case <-time.After(100 * time.Millisecond):
+			}
+			if info, res := s.Lookup(1); res != LookupFound || info.State == "done" {
+				t.Fatalf("Lookup(1) while the commit is held = %+v, %v; want found, not done", info, res)
+			}
+			if !shutdown {
+				release()
+				if info := <-got; info.State != "done" {
+					t.Fatalf("GET after the commit = %+v, want done", info)
+				}
+				return
+			}
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				s.Shutdown()
+			}()
+			select {
+			case <-got:
+			case <-time.After(10 * time.Second):
+				t.Fatal("GET still waiting after Shutdown began")
+			}
+			release()
+			<-stopped
+		})
 	}
 }
 

@@ -34,7 +34,8 @@ import (
 // journal. Job IDs are dense, so GET /jobs/{id} distinguishes IDs that were
 // never assigned (404) from assigned IDs whose state is gone — evicted from
 // the bounded terminal retention, or consumed by a rejected submission
-// (410).
+// (410). A job whose finish is written but not yet durable answers once the
+// commit already carrying it lands: done or failed, not running.
 
 // SubmitRequest is the POST /jobs body.
 type SubmitRequest struct {
@@ -198,7 +199,7 @@ func Handler(s *Scheduler, kinds map[string]KindFunc) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job id: %w", err))
 			return
 		}
-		info, res := s.Lookup(JobID(id))
+		info, res := s.lookupCommitted(JobID(id))
 		switch res {
 		case LookupGone:
 			httpError(w, http.StatusGone, fmt.Errorf("job %d retired from retention", id))

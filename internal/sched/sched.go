@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -157,8 +158,8 @@ type Scheduler struct {
 
 	tenants map[string]*tenantMetrics
 
-	tickStop chan struct{}
-	wg       sync.WaitGroup
+	closing chan struct{} // closed when Shutdown begins
+	wg      sync.WaitGroup
 }
 
 // doneRetention is the default Config.TerminalRetention.
@@ -199,16 +200,16 @@ func New(cfg Config) (*Scheduler, error) {
 	rtc.Metrics = reg
 	rtc.Profile = cfg.Profile
 	s := &Scheduler{
-		cfg:      cfg,
-		st:       newState(cfg.Queue, cfg.Admission, cfg.Executors, cfg.TerminalRetention),
-		reg:      reg,
-		mx:       metrics.NewScheduler(reg),
-		mxOn:     cfg.Metrics != nil,
-		prof:     cfg.Profile,
-		tracer:   cfg.Trace,
-		epoch:    time.Now(),
-		tenants:  map[string]*tenantMetrics{},
-		tickStop: make(chan struct{}),
+		cfg:     cfg,
+		st:      newState(cfg.Queue, cfg.Admission, cfg.Executors, cfg.TerminalRetention),
+		reg:     reg,
+		mx:      metrics.NewScheduler(reg),
+		mxOn:    cfg.Metrics != nil,
+		prof:    cfg.Profile,
+		tracer:  cfg.Trace,
+		epoch:   time.Now(),
+		tenants: map[string]*tenantMetrics{},
+		closing: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.tracer != nil {
@@ -777,7 +778,7 @@ func (s *Scheduler) tickLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.tickStop:
+		case <-s.closing:
 			return
 		case <-t.C:
 		}
@@ -914,6 +915,25 @@ func (s *Scheduler) Lookup(id JobID) (JobInfo, LookupResult) {
 	return JobInfo{}, LookupUnknown
 }
 
+// lookupCommitted is Lookup that first waits out the pending commit of
+// id's written finish record — until the job publishes or Shutdown begins
+// — so a finished job does not read as running.
+func (s *Scheduler) lookupCommitted(id JobID) (JobInfo, LookupResult) {
+	var done chan struct{}
+	s.mu.Lock()
+	if i := slices.IndexFunc(s.unacked, func(f finish) bool { return f.j.ID == id }); i >= 0 {
+		done = s.unacked[i].j.done
+	}
+	s.mu.Unlock()
+	if done != nil {
+		select {
+		case <-done:
+		case <-s.closing:
+		}
+	}
+	return s.Lookup(id)
+}
+
 // Drain stops admission (submissions fail with reason "draining") and
 // blocks until every queued and running job has finished and been
 // acknowledged, or ctx expires. On success the whole journal is durable per
@@ -967,7 +987,7 @@ func (s *Scheduler) Shutdown() {
 		return
 	}
 	s.stopped = true
-	close(s.tickStop)
+	close(s.closing)
 	// Fail everything still queued; executors drain their running jobs. The
 	// abandon is one op, so replay reproduces the shutdown rejects exactly.
 	fx, a := s.do(op{K: opAbandon})

@@ -3,38 +3,44 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"indexlaunch/internal/domain"
 )
 
 // Exec wire format. A slice — the sub-domain of one index launch that one
-// node owns — crosses the network as a single Exec request: the slice
+// node owns — crosses the network inside an Exec request: the slice
 // descriptor (what a KindData slice broadcast carries, byte for byte)
-// followed by the arguments, so the shipment is the execution trigger. The
-// destination expands the domain into point tasks and answers with the
-// per-point outcomes in the domain's iteration order. The request id rides
-// the frame header (Frame.Key) on both frames, so even an undecodable
-// request can be rejected by id.
+// followed by the arguments, so the shipment is the execution trigger. A
+// request carries one or more slices, of one launch or several; the
+// destination expands each into point tasks and answers with the per-point
+// outcomes in request order, each slice's in its domain's iteration order.
+// The request id rides the frame header (Frame.Key) on both frames, so even
+// an undecodable request can be rejected by id.
 //
 // Request body:
 //
-//	bytes    task name
-//	bytes    slice descriptor (AppendSlicePayload)
-//	u8       argument mode: 0 shared, 1 per point
-//	mode 0:  bytes args
-//	mode 1:  one bytes field per point, in the domain's iteration order
+//	uvarint  slice count (>= 1)
+//	count × {
+//	  bytes    task name
+//	  bytes    slice descriptor (AppendSlicePayload)
+//	  u8       argument mode: 0 shared, 1 per point
+//	  mode 0:  bytes args
+//	  mode 1:  one bytes field per point, in the domain's iteration order
+//	}
 //
 // Result body:
 //
 //	u8       status: 0 point results, 1 request rejected
 //	status 1: bytes reason
-//	status 0: uvarint first   slice-order index of this frame's first point
+//	status 0: uvarint first   request-order index of this frame's first point
 //	          uvarint count
 //	          count × { u8 ok; bytes value (ok = 1) or error text (ok = 0) }
 //
-// ("bytes" is a uvarint length and that many bytes.) A slice's results may
-// span several consecutive Result frames (first = points answered so far);
-// a single-point Exec is the |D| = 1 case of the same two bodies.
+// ("bytes" is a uvarint length and that many bytes.) A request's results
+// may span several consecutive Result frames (first = points answered so
+// far); a single-point Exec is the one-slice, |D| = 1 case of the same two
+// bodies. A request holds at most maxSlicePoints points and fits a frame.
 
 // PayloadSlice is the first byte of a slice-descriptor payload, the one
 // broadcast payload type: DecodeSlicePayload rejects any other first byte.
@@ -187,63 +193,73 @@ func appendField[T ~string | ~[]byte](buf []byte, v T) []byte {
 	return append(buf, v...)
 }
 
-// encodeExecReq serializes one execution request body for peer dst.
-func encodeExecReq(dst int, r *ExecRequest) []byte {
-	desc := AppendSlicePayload(nil, r.Index, dst, r.Domain)
-	size := 32 + len(r.Task) + len(desc) + len(r.Args)
-	for _, a := range r.PointArgs {
-		size += binary.MaxVarintLen32 + len(a)
-	}
-	buf := appendField(make([]byte, 0, size), r.Task)
-	buf = appendField(buf, desc)
-	if r.PointArgs == nil {
-		return appendField(append(buf, 0), r.Args)
-	}
-	buf = append(buf, 1)
-	for _, a := range r.PointArgs {
-		buf = appendField(buf, a)
+// encodeExecReq serializes one execution request body for peer dst
+// carrying rs, unchecked: Mesh.ExecSlice keeps within the bounds.
+func encodeExecReq(dst int, rs ...ExecRequest) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(rs)))
+	for i := range rs {
+		r := &rs[i]
+		desc := AppendSlicePayload(nil, r.Index, dst, r.Domain)
+		size := 32 + len(r.Task) + len(desc) + len(r.Args)
+		for _, a := range r.PointArgs {
+			size += binary.MaxVarintLen32 + len(a)
+		}
+		buf = appendField(appendField(slices.Grow(buf, size), r.Task), desc)
+		if r.PointArgs == nil {
+			buf = appendField(append(buf, 0), r.Args)
+			continue
+		}
+		buf = append(buf, 1)
+		for _, a := range r.PointArgs {
+			buf = appendField(buf, a)
+		}
 	}
 	return buf
 }
 
-// decodeExecReq parses one execution request body into the request and the
-// slice descriptor it embeds; both alias b, a delivered frame's body. Every
-// count is checked against the bytes that remain before anything is sized
-// by it.
-func decodeExecReq(b []byte) (r ExecRequest, desc []byte, err error) {
+// decodeExecReq parses one execution request body into its slices and the
+// slice descriptors they embed; both alias b, a delivered frame's body.
+// Every count — slices, points, payloads — is checked against the bytes
+// that remain, and the points of all slices together against
+// maxSlicePoints, before anything is sized by it.
+func decodeExecReq(b []byte) (rs []ExecRequest, descs [][]byte, err error) {
 	d := NewCursor(b)
-	r.Task = string(d.View())
-	desc = d.View()
-	if d.Err() != nil {
-		return ExecRequest{}, nil, d.Err()
+	// A slice takes at least 10 bytes: two length prefixes, six descriptor
+	// bytes, the mode byte and one argument byte.
+	if k := d.Uvarint(); d.Err() == nil && k >= 1 && k <= uint64(d.Rest()/10) {
+		rs, descs = make([]ExecRequest, k), make([][]byte, k)
 	}
-	var derr error
-	if r.Index, _, r.Domain, derr = DecodeSlicePayload(desc); derr != nil {
-		return ExecRequest{}, nil, derr
-	}
-	n, ok := boundedVolume(r.Domain)
-	if !ok {
-		return ExecRequest{}, nil, fmt.Errorf("%w: slice of no or more than %d points", ErrCorrupt, maxSlicePoints)
-	}
-	switch mode := d.U8(); {
-	case d.Err() != nil:
-	case mode == 0:
-		r.Args = d.View()
-	case mode == 1 && n <= int64(d.Rest()): // >=1 byte per payload
-		r.PointArgs = make([][]byte, n)
-		for i := range r.PointArgs {
-			r.PointArgs[i] = d.View()
+	left := int64(maxSlicePoints)
+	for i := 0; i < len(rs) && d.Err() == nil; i++ {
+		r := &rs[i]
+		r.Task, descs[i] = string(d.View()), d.View()
+		if r.Index, _, r.Domain, err = DecodeSlicePayload(descs[i]); err != nil {
+			return nil, nil, err
 		}
-	default:
-		d.Fail()
+		n, ok := boundedVolume(r.Domain)
+		if left -= n; !ok || left < 0 {
+			return nil, nil, fmt.Errorf("%w: request of no or more than %d points", ErrCorrupt, maxSlicePoints)
+		}
+		switch mode := d.U8(); {
+		case d.Err() != nil:
+		case mode == 0:
+			r.Args = d.View()
+		case mode == 1 && n <= int64(d.Rest()): // >=1 byte per payload
+			r.PointArgs = make([][]byte, n)
+			for j := range r.PointArgs {
+				r.PointArgs[j] = d.View()
+			}
+		default:
+			d.Fail()
+		}
 	}
-	if d.Err() == nil && d.Rest() != 0 {
+	if rs == nil || d.Rest() != 0 {
 		d.Fail()
 	}
 	if d.Err() != nil {
-		return ExecRequest{}, nil, d.Err()
+		return nil, nil, d.Err()
 	}
-	return r, desc, nil
+	return rs, descs, nil
 }
 
 // boundedVolume returns d's point count when it lies in [1, maxSlicePoints].
@@ -277,8 +293,9 @@ func boundedVolume(d domain.Domain) (int64, bool) {
 // point's payload cannot fit a frame by itself.
 func (r *ExecRequest) split(budget int) ([]ExecRequest, error) {
 	pts := r.Domain.Points()
-	// Task, descriptor header (type, index, node, domain header, count),
-	// mode byte and the length prefixes: 64 bytes cover them.
+	// Slice count, task, descriptor header (type, index, node, domain
+	// header, count), mode byte and the length prefixes: 64 bytes cover
+	// them.
 	fixed := 64 + len(r.Task)
 	if r.PointArgs == nil {
 		fixed += len(r.Args)

@@ -47,21 +47,31 @@ func sameRequest(a, b ExecRequest) bool {
 }
 
 func TestExecBodiesRoundTrip(t *testing.T) {
-	for _, want := range sampleExecRequests() {
-		got, desc, err := decodeExecReq(encodeExecReq(3, &want))
+	// Each sample alone, then all of them in one request.
+	bodies := [][]ExecRequest{sampleExecRequests()}
+	for _, r := range sampleExecRequests() {
+		bodies = append(bodies, []ExecRequest{r})
+	}
+	for _, rs := range bodies {
+		got, descs, err := decodeExecReq(encodeExecReq(3, rs...))
 		if err != nil {
-			t.Fatalf("%s: %v", want.Task, err)
+			t.Fatalf("%d slices from %s: %v", len(rs), rs[0].Task, err)
 		}
-		if !sameRequest(got, want) {
-			t.Fatalf("%s: got %+v want %+v", want.Task, got, want)
+		if len(got) != len(rs) || len(descs) != len(rs) {
+			t.Fatalf("%d slices decoded to %d with %d descriptors", len(rs), len(got), len(descs))
 		}
-		// The embedded descriptor is the broadcast slice payload, verbatim.
-		idx, node, dom, err := DecodeSlicePayload(desc)
-		if err != nil || idx != want.Index || node != 3 || !dom.Eq(want.Domain) {
-			t.Fatalf("%s: descriptor (%d, %d, %v, %v)", want.Task, idx, node, dom, err)
-		}
-		if !bytes.Equal(desc, AppendSlicePayload(nil, want.Index, 3, want.Domain)) {
-			t.Fatalf("%s: descriptor is not the slice payload", want.Task)
+		for i, want := range rs {
+			if !sameRequest(got[i], want) {
+				t.Fatalf("%s: got %+v want %+v", want.Task, got[i], want)
+			}
+			// The embedded descriptor is the broadcast slice payload, verbatim.
+			idx, node, dom, err := DecodeSlicePayload(descs[i])
+			if err != nil || idx != want.Index || node != 3 || !dom.Eq(want.Domain) {
+				t.Fatalf("%s: descriptor (%d, %d, %v, %v)", want.Task, idx, node, dom, err)
+			}
+			if !bytes.Equal(descs[i], AppendSlicePayload(nil, want.Index, 3, want.Domain)) {
+				t.Fatalf("%s: descriptor is not the slice payload", want.Task)
+			}
 		}
 	}
 	for i, want := range sampleExecResults() {
@@ -78,15 +88,24 @@ func TestExecBodiesRoundTrip(t *testing.T) {
 func TestExecDecodersRejectForgedCounts(t *testing.T) {
 	// A dense rect whose extents multiply past int64 back into range, a rect
 	// of 2^40 points, a per-point request with no payload bytes behind its
-	// count, and a result count with nothing behind it.
+	// count, a slice count with nothing (or too little) behind it, slices
+	// whose points are each in bounds but not together, and a result count
+	// with nothing behind it.
 	wrap := domain.FromRect(domain.Rect{Lo: domain.Pt3(0, 0, 0), Hi: domain.Pt3(1<<32-1, 1<<32-1, 2)})
 	huge := domain.Range1(0, 1<<40)
+	half := ExecRequest{Task: "t", Domain: domain.Range1(0, maxSlicePoints/2)}
+	one := encodeExecReq(1, ExecRequest{Task: "t", Domain: domain.Range1(0, 3)})
 	for name, body := range map[string][]byte{
-		"wrapped volume": encodeExecReq(1, &ExecRequest{Task: "t", Domain: wrap}),
-		"huge volume":    encodeExecReq(1, &ExecRequest{Task: "t", Domain: huge}),
-		"empty domain":   encodeExecReq(1, &ExecRequest{Task: "t", Domain: domain.Range1(0, -1)}),
+		"wrapped volume": encodeExecReq(1, ExecRequest{Task: "t", Domain: wrap}),
+		"huge volume":    encodeExecReq(1, ExecRequest{Task: "t", Domain: huge}),
+		"empty domain":   encodeExecReq(1, ExecRequest{Task: "t", Domain: domain.Range1(0, -1)}),
 		// Per-point mode promising 2^19 payloads and carrying two.
-		"point args": encodeExecReq(1, &ExecRequest{Task: "t", Domain: domain.Range1(0, 1<<19-1), PointArgs: make([][]byte, 2)}),
+		"point args": encodeExecReq(1, ExecRequest{Task: "t", Domain: domain.Range1(0, 1<<19-1), PointArgs: make([][]byte, 2)}),
+		"no slices":  encodeExecReq(1),
+		// One slice's bytes behind a count of 2^35, then of 2.
+		"huge slice count": append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, one[1:]...),
+		"torn slice count": append([]byte{2}, one[1:]...),
+		"points together":  encodeExecReq(1, half, half),
 	} {
 		if _, _, err := decodeExecReq(body); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
@@ -117,7 +136,7 @@ func TestExecRequestSplitIsDeterministicAndConsecutive(t *testing.T) {
 		if !p.Domain.Eq(again[i].Domain) {
 			t.Fatalf("part %d differs between two splits of one request", i)
 		}
-		if got := len(encodeExecReq(1, &p)); got > budget {
+		if got := len(encodeExecReq(1, p)); got > budget {
 			t.Fatalf("part %d encodes to %d bytes, budget %d", i, got, budget)
 		}
 		if p.Task != r.Task || p.Index != r.Index {
@@ -315,5 +334,86 @@ func TestMeshExecSliceSplitsOversizedAnswer(t *testing.T) {
 	}
 	if got := reg.Counter("wire_execs_total", "").Value(); got != 2 {
 		t.Fatalf("wire_execs_total = %d, want 2", got)
+	}
+}
+
+// TestMeshExecSlicePacksSlicesIntoFrames: slices handed to one ExecSlice
+// call — of different tasks, dense and sparse, shared and per-point
+// payloads — share one Exec frame when they fit one, each descriptor
+// reaches Deliver, and the answers come back concatenated in the order
+// given. Slices that overflow a frame together go one by one, a slice too
+// large alone split into consecutive sub-slices; an empty one sends
+// nothing.
+func TestMeshExecSlicePacksSlicesIntoFrames(t *testing.T) {
+	body := func(task string, p domain.Point, args []byte) ([]byte, error) {
+		return []byte(fmt.Sprintf("%s(%v)%.3s", task, p, args)), nil
+	}
+	meshes, reg, descs := sliceMesh(t, 2, body)
+	rs := []ExecRequest{
+		{Task: "sq", Index: 0, Domain: domain.Range1(0, 9), Args: []byte("!")},
+		{Task: "pp", Index: 3, Domain: domain.FromPoints([]domain.Point{domain.Pt1(4), domain.Pt1(40)}),
+			PointArgs: [][]byte{[]byte("a"), []byte("b")}},
+		{Task: "sq", Index: 2, Domain: domain.FromRect(domain.Rect2(0, 0, 1, 2))},
+	}
+	check := func(rs []ExecRequest, res []PointResult) {
+		t.Helper()
+		i := 0
+		for _, r := range rs {
+			for j, p := range r.Domain.Points() {
+				a := r.Args
+				if r.PointArgs != nil {
+					a = r.PointArgs[j]
+				}
+				if want := fmt.Sprintf("%s(%v)%.3s", r.Task, p, a); res[i].Err != nil || string(res[i].Val) != want {
+					t.Fatalf("result %d: %q %v, want %q", i, res[i].Val, res[i].Err, want)
+				}
+				i++
+			}
+		}
+		if i != len(res) {
+			t.Fatalf("%d results for %d points", len(res), i)
+		}
+	}
+	res, err := meshes[0].ExecSlice(1, rs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(rs, res)
+	if got := reg.Counter("wire_execs_total", "").Value(); got != 1 {
+		t.Fatalf("wire_execs_total = %d, want 1", got)
+	}
+	got := descs(1)
+	if len(got) != 3 {
+		t.Fatalf("worker got %d descriptors, want 3", len(got))
+	}
+	for i, r := range rs {
+		if !bytes.Equal(got[i], AppendSlicePayload(nil, r.Index, 1, r.Domain)) {
+			t.Fatalf("descriptor %d: %v", i, got[i])
+		}
+	}
+
+	// 3 × 400 KiB of shared payload overflow one frame; a 40-point slice of
+	// 32 KiB payloads fits none and splits.
+	fat := bytes.Repeat([]byte("x"), 400<<10)
+	pa := make([][]byte, 40)
+	for i := range pa {
+		pa[i] = bytes.Repeat([]byte{'a' + byte(i%26)}, 32<<10)
+	}
+	big := []ExecRequest{
+		{Task: "f", Domain: domain.Range1(0, 1), Args: fat},
+		{Task: "f", Domain: domain.Range1(2, 3), Args: fat},
+		{Task: "f", Domain: domain.Range1(4, 4), Args: fat},
+		{Task: "g", Domain: domain.Range1(0, 39), PointArgs: pa},
+		{Task: "none", Domain: domain.Range1(0, -1)},
+		{Task: "h", Domain: domain.Range1(7, 8)},
+	}
+	res, err = meshes[0].ExecSlice(1, big...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(big, res)
+	// Frames: f, f, f, g's two parts, h.
+	if got := reg.Counter("wire_execs_total", "").Value() - 1; got != 6 {
+		t.Fatalf("wire_execs_total grew by %d, want 6", got)
 	}
 }

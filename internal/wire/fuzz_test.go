@@ -52,22 +52,26 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzDecodeExecSlice locks in the same contract for the two Exec bodies —
-// the slice request a worker expands into point tasks and the result it
-// answers with: neither decoder panics or sizes an allocation by a count
-// the remaining bytes cannot back, a decode error yields nothing, and an
-// accepted body re-encodes to bytes that decode equal. Every input is fed
-// to both decoders. The committed corpus under
-// testdata/fuzz/FuzzDecodeExecSlice seeds dense 1-D/2-D and sparse 3-D
-// slices, per-point payloads, mixed ok/error results, torn tails and forged
-// counts.
+// the request of one or more slices a worker expands into point tasks and
+// the result it answers with: neither decoder panics or sizes an
+// allocation by a count — slices, points, payloads, results — the
+// remaining bytes cannot back, a decode error yields nothing, an accepted
+// request holds at most maxSlicePoints points in all, and an accepted body
+// re-encodes to bytes that decode equal. Every input is fed to both
+// decoders. The committed corpus under testdata/fuzz/FuzzDecodeExecSlice
+// seeds dense 1-D/2-D and sparse 3-D slices, per-point payloads, requests
+// of several slices, mixed ok/error results, torn tails and forged counts.
 func FuzzDecodeExecSlice(f *testing.F) {
 	for _, r := range sampleExecRequests() {
-		f.Add(encodeExecReq(2, &r))
+		f.Add(encodeExecReq(2, r))
 	}
+	multi := encodeExecReq(2, sampleExecRequests()...)
+	f.Add(multi)
+	f.Add(multi[:len(multi)-4])
 	for _, body := range sampleExecResults() {
 		f.Add(encodeExecRes(&body))
 	}
-	req := encodeExecReq(2, &sampleExecRequests()[3])
+	req := encodeExecReq(2, sampleExecRequests()[3])
 	f.Add(req[:len(req)-2])
 	res := encodeExecRes(&sampleExecResults()[1])
 	f.Add(res[:len(res)-3])
@@ -75,24 +79,28 @@ func FuzzDecodeExecSlice(f *testing.F) {
 	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, desc, err := decodeExecReq(data); err != nil {
-			if desc != nil || r.Task != "" || !r.Domain.Empty() || r.Args != nil || r.PointArgs != nil {
-				t.Fatalf("error %v returned request %+v", err, r)
+		if rs, descs, err := decodeExecReq(data); err != nil {
+			if rs != nil || descs != nil {
+				t.Fatalf("error %v returned requests %+v", err, rs)
 			}
 		} else {
-			if n := r.Domain.Volume(); n < 1 || n > maxSlicePoints || (r.PointArgs != nil && int64(len(r.PointArgs)) != n) {
-				t.Fatalf("accepted a slice of %d points with %d payloads", n, len(r.PointArgs))
-			}
-			_, node, _, derr := DecodeSlicePayload(desc)
-			if derr != nil {
-				t.Fatalf("accepted request carries an undecodable descriptor: %v", derr)
-			}
-			r2, _, err := decodeExecReq(encodeExecReq(node, &r))
-			if err != nil {
-				t.Fatalf("re-decode of accepted request failed: %v", err)
-			}
-			if !sameRequest(r, r2) {
-				t.Fatalf("request re-encode not canonical:\n got %+v\nwant %+v", r2, r)
+			var total int64
+			for i, r := range rs {
+				n := r.Domain.Volume()
+				if total += n; n < 1 || total > maxSlicePoints || (r.PointArgs != nil && int64(len(r.PointArgs)) != n) {
+					t.Fatalf("accepted slice %d of %d points with %d payloads, %d points so far", i, n, len(r.PointArgs), total)
+				}
+				_, node, _, derr := DecodeSlicePayload(descs[i])
+				if derr != nil {
+					t.Fatalf("accepted request carries an undecodable descriptor: %v", derr)
+				}
+				rs2, _, err := decodeExecReq(encodeExecReq(node, r))
+				if err != nil {
+					t.Fatalf("re-decode of accepted slice failed: %v", err)
+				}
+				if !sameRequest(r, rs2[0]) {
+					t.Fatalf("slice re-encode not canonical:\n got %+v\nwant %+v", rs2[0], r)
+				}
 			}
 		}
 		body, err := decodeExecRes(data)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +44,9 @@ type MeshConfig struct {
 	// registry so Stats always works.
 	Metrics *metrics.Registry
 	// Deliver receives each broadcast payload exactly once at its
-	// destination node, and the slice descriptor of each Exec request the
-	// node serves, before the slice's first point runs. May be called from
-	// fabric goroutines.
+	// destination node, and the descriptor of each slice an Exec request
+	// the node serves carries, tagged with the slice's task, before the
+	// request's first point runs. May be called from fabric goroutines.
 	Deliver func(node int, tag string, payload []byte)
 	// Exec serves inbound remote-execution requests (idxnode's task
 	// registry), once per point of each slice received and from up to
@@ -138,46 +139,55 @@ func (m *Mesh) Exec(dst int, task string, point domain.Point, args []byte) ([]by
 	return res[0].Val, nil
 }
 
-// ExecSlice ships one slice to peer dst — descriptor and arguments in a
-// single reliable frame (acked, deduped, retransmitted) — and returns the
-// outcome of every point in the domain's iteration order. The peer hands
-// the descriptor to its Deliver callback, expands the domain and runs the
-// task body per point; a body that fails there fails only its own point
-// (PointResult.Err). The returned error is the request's: ErrUnreachable
-// when the peer did not answer within ExecTimeout per frame, the mesh
-// closed, or a point's payload cannot fit a frame — the caller may run the
-// slice locally — and the peer's reason when it rejected the request. A
-// request, or an answer, too large for one frame travels as consecutive
-// sub-slices cut by byte budget.
-func (m *Mesh) ExecSlice(dst int, r ExecRequest) ([]PointResult, error) {
+// ExecSlice ships slices to peer dst — descriptors and arguments in one
+// reliable frame (acked, deduped, retransmitted) when they fit — and
+// returns every point's outcome, slice after slice in the order given, each
+// in its domain's iteration order. The peer hands each descriptor to its
+// Deliver callback and runs the task body per point; a body that fails
+// there fails only its own point (PointResult.Err). The returned error is
+// the call's: ErrUnreachable when the peer did not answer within
+// ExecTimeout per frame, the mesh closed, or a point's payload cannot fit a
+// frame — the caller may run the slices locally — and the peer's reason
+// when it rejected a request. What is too large for one frame travels as
+// consecutive requests and answers cut by byte budget.
+func (m *Mesh) ExecSlice(dst int, rs ...ExecRequest) ([]PointResult, error) {
 	if dst == m.Self() || dst < 0 || dst >= m.Nodes() {
 		return nil, fmt.Errorf("%w: exec dst %d out of range", ErrUnreachable, dst)
 	}
-	res, err := m.execSlice(dst, &r)
+	res, err := m.execSlices(dst, rs)
 	if err != nil {
 		m.mx.execErrs.Inc()
 	}
 	return res, err
 }
 
-func (m *Mesh) execSlice(dst int, r *ExecRequest) ([]PointResult, error) {
-	n := r.Domain.Volume()
+// execSlices sends rs as one request when they fit a frame together, and
+// otherwise each slice on its own, split into consecutive sub-slices as its
+// bytes need; answers are concatenated in order.
+func (m *Mesh) execSlices(dst int, rs []ExecRequest) ([]PointResult, error) {
+	var n int64
+	for i := range rs {
+		n += rs[i].Domain.Volume()
+	}
 	if n == 0 {
 		return nil, nil
 	}
-	budget := execBodyBudget(r.Task)
-	if n <= maxSlicePoints {
-		if body := encodeExecReq(dst, r); len(body) <= budget {
-			return m.roundTrip(dst, r.Task, int(n), body)
+	budget := execBodyBudget(rs[0].Task)
+	if n <= maxSlicePoints && !slices.ContainsFunc(rs, func(r ExecRequest) bool { return r.Domain.Empty() }) {
+		if body := encodeExecReq(dst, rs...); len(body) <= budget {
+			return m.roundTrip(dst, rs[0].Task, int(n), body)
 		}
 	}
-	parts, err := r.split(budget)
-	if err != nil {
-		return nil, err
+	if len(rs) == 1 {
+		parts, err := rs[0].split(budget)
+		if err != nil {
+			return nil, err
+		}
+		rs = parts
 	}
 	out := make([]PointResult, 0, n)
-	for i := range parts {
-		res, err := m.roundTrip(dst, r.Task, int(parts[i].Domain.Volume()), encodeExecReq(dst, &parts[i]))
+	for i := range rs {
+		res, err := m.execSlices(dst, rs[i:i+1])
 		if err != nil {
 			return nil, err
 		}
@@ -296,15 +306,15 @@ func (m *Mesh) collect(f *Frame) {
 	close(w.done)
 }
 
-// serveExec answers one Exec request: hand the slice descriptor to Deliver,
-// run the registered body over the slice's points, send the outcomes back
-// on the reliable link in as many Result frames as their bytes need.
+// serveExec answers one Exec request: hand each slice descriptor to
+// Deliver, run the registered bodies over the points, send the outcomes
+// back in as many reliable Result frames as their bytes need.
 func (m *Mesh) serveExec(ep *xport.Endpoint, f *Frame) {
 	reply := func(body execResBody) bool {
 		return ep.SendReliable(f.Src, &Frame{Kind: KindResult, Gen: f.Gen, Key: f.Key,
 			Route: []int{f.Src}, Tag: f.Tag, Body: encodeExecRes(&body)}, nil)
 	}
-	r, desc, err := decodeExecReq(f.Body)
+	rs, descs, err := decodeExecReq(f.Body)
 	switch {
 	case err != nil:
 		reply(execResBody{rejected: true, reason: "malformed exec request: " + err.Error()})
@@ -314,9 +324,19 @@ func (m *Mesh) serveExec(ep *xport.Endpoint, f *Frame) {
 		return
 	}
 	if m.deliver != nil {
-		m.deliver(f.Dst, f.Tag, desc)
+		for i, desc := range descs {
+			m.deliver(f.Dst, rs[i].Task, desc)
+		}
 	}
-	for _, part := range splitResults(m.runSlice(ep, &r), execBodyBudget(f.Tag)) {
+	var n int64
+	for i := range rs {
+		n += rs[i].Domain.Volume()
+	}
+	results := make([]execResult, 0, n)
+	for i := range rs {
+		results = m.runSlice(ep, &rs[i], results)
+	}
+	for _, part := range splitResults(results, execBodyBudget(f.Tag)) {
 		if !reply(part) {
 			return // the endpoint closed
 		}
@@ -326,11 +346,14 @@ func (m *Mesh) serveExec(ep *xport.Endpoint, f *Frame) {
 // runSlice expands r's domain into point tasks and runs the registered body
 // for each, in any order, on at most GOMAXPROCS goroutines mesh-wide (this
 // one included): however many slices arrive, the bodies in flight never
-// outnumber the processors. Outcomes come back in the domain's iteration
-// order.
-func (m *Mesh) runSlice(ep *xport.Endpoint, r *ExecRequest) []execResult {
+// outnumber the processors. Each goroutine claims runs of consecutive
+// points and walks a run from its first. The outcomes, in the domain's
+// iteration order, are appended to out.
+func (m *Mesh) runSlice(ep *xport.Endpoint, r *ExecRequest, out []execResult) []execResult {
 	n := int(r.Domain.Volume())
-	out := make([]execResult, n)
+	out = slices.Grow(out, n)[:len(out)+n]
+	res := out[len(out)-n:]
+	grain := max(1, n/(4*cap(m.execSlots)))
 	var next atomic.Int64
 	work := func() {
 		select {
@@ -339,16 +362,21 @@ func (m *Mesh) runSlice(ep *xport.Endpoint, r *ExecRequest) []execResult {
 			return
 		}
 		defer func() { <-m.execSlots }()
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if val, err := m.execFn(r.Task, r.Domain.PointAt(int64(i)), r.argsAt(i)); err != nil {
-				out[i] = execResult{err: err.Error()}
-			} else {
-				out[i] = execResult{val: val, ok: true}
-			}
+		for lo := int(next.Add(int64(grain))) - grain; lo < n; lo = int(next.Add(int64(grain))) - grain {
+			i := lo
+			r.Domain.EachFrom(int64(lo), func(p domain.Point) bool {
+				if val, err := m.execFn(r.Task, p, r.argsAt(i)); err != nil {
+					res[i] = execResult{err: err.Error()}
+				} else {
+					res[i] = execResult{val: val, ok: true}
+				}
+				i++
+				return i < lo+grain
+			})
 		}
 	}
 	var wg sync.WaitGroup
-	for k := min(cap(m.execSlots), n); k > 1; k-- {
+	for k := min(cap(m.execSlots), (n+grain-1)/grain); k > 1; k-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -35,7 +35,7 @@ type peerCounters struct {
 
 func newWireMetrics(reg *metrics.Registry) *wireMetrics {
 	return &wireMetrics{
-		execs:     reg.Counter("wire_execs_total", "Exec requests sent: one per slice frame, one per single-point call"),
+		execs:     reg.Counter("wire_execs_total", "Exec requests sent: one per request frame, whatever slices it carries; one per single-point call"),
 		execErrs:  reg.Counter("wire_exec_errors_total", "Exec calls that returned an error: transport failure, rejected request, or a single-point call's task error"),
 		badFrames: reg.Counter("wire_bad_frames_total", "inbound frames rejected by the codec (corrupt, torn, wrong version)"),
 
