@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"indexlaunch/internal/rt"
@@ -14,48 +15,77 @@ func blockParams(seed int64) Params {
 	return Params{Pieces: 256, NodesPerPiece: 16, WiresPerPiece: 32, CrossFraction: 0.1, Seed: seed}
 }
 
-func blockRuntime(dcr bool) *rt.Runtime {
-	return rt.MustNew(rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true, VerifyLaunches: true})
+func blockConfig(dcr bool) rt.Config {
+	return rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true, VerifyLaunches: true}
 }
+
+func blockRuntime(dcr bool) *rt.Runtime { return rt.MustNew(blockConfig(dcr)) }
 
 // blockSteps is one block of the workloads: this many timesteps back to back,
 // then a FenceErr.
 const blockSteps = 20
 
+// runBlock runs one block; with tracing on, each timestep is one episode
+// of trace 1: the first captures, the rest replay.
 func runBlock(app *App) error {
+	tracing := app.RT.Config().Tracing
 	for s := 0; s < blockSteps; s++ {
+		if tracing {
+			if err := app.RT.BeginTrace(1); err != nil {
+				return err
+			}
+		}
 		if err := app.Step(); err != nil {
 			return err
+		}
+		if tracing {
+			if err := app.RT.EndTrace(1); err != nil {
+				return err
+			}
 		}
 	}
 	return app.RT.FenceErr()
 }
 
 // BenchmarkCircuitBlock measures one block of the rt.dcr (DCR) and rt.central
-// (centralized) workloads in process: ns, allocations and bytes per block of
-// 20 timesteps — 15360 point tasks with real region requirements.
+// (centralized) workloads in process — 20 timesteps, 15360 point tasks with
+// real region requirements — untraced and under capture/replay at point
+// and at launch (bulk) granularity: ns, bytes and allocations per block
+// and per point, and the garbage collections one block sets off.
 func BenchmarkCircuitBlock(b *testing.B) {
 	for _, dcr := range []bool{true, false} {
 		name := "centralized"
 		if dcr {
 			name = "DCR"
 		}
-		b.Run(name, func(b *testing.B) {
-			c, err := Build(blockParams(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := blockRuntime(dcr)
-			defer r.Shutdown()
-			app := NewApp(c, r)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := runBlock(app); err != nil {
+		for _, tracing := range []string{"off", "point", "bulk"} {
+			b.Run(name+"/"+tracing, func(b *testing.B) {
+				c, err := Build(blockParams(1))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				cfg := blockConfig(dcr)
+				cfg.Tracing, cfg.BulkTracing = tracing != "off", tracing == "bulk"
+				r := rt.MustNew(cfg)
+				defer r.Shutdown()
+				app := NewApp(c, r)
+				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := runBlock(app); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				points := float64(b.N * blockSteps * 3 * int(c.LaunchDomain.Volume()))
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/points, "B/point")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/points, "allocs/point")
+				b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/block")
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package rt
 
 import (
+	"runtime"
 	"testing"
 
 	"indexlaunch/internal/core"
@@ -30,8 +31,9 @@ func TestNewEventAllocatesOneObject(t *testing.T) {
 
 // TestRegionPointAllocsBounded gates the region point path: the physical
 // stage of a point with one read-write requirement allocates at most its
-// completion event, its dependence slice and its run state, and a warmed
-// reduction instance folds and flushes without allocating.
+// completion event and its run state — its dependences are a view of the
+// issuer's scratch — and a warmed reduction instance folds and flushes
+// without allocating.
 func TestRegionPointAllocsBounded(t *testing.T) {
 	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, DCR: true, IndexLaunches: true})
 	defer r.Shutdown()
@@ -48,9 +50,9 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 		Priv: privilege.ReadWrite, Fields: []region.FieldID{0},
 	})
 	var pts []domain.Point
-	var prs [][]PhysicalRegion
+	var regs [][]*region.Region
 	_ = il.Each(func(pt core.PointTask) bool {
-		pts, prs = append(pts, pt.Point), append(prs, pointRegions(il, pt))
+		pts, regs = append(pts, pt.Point), append(regs, pt.Regions)
 		return true
 	})
 
@@ -59,14 +61,15 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.fm, l.reqs = newFutureMap(l.dom), launchReqs(il)
 	j := 0
 	physical := testing.AllocsPerRun(10*points, func() {
-		r.physical(l, pts[j%points], 0, prs[j%points], nil)
+		r.physical(l, &taskRun{runHeader: l.runHeader, regions: regs[j%points]}, pts[j%points])
 		j++
 	})
 	r.issueMu.Unlock()
-	if physical > 3 {
-		t.Errorf("physical allocates %v objects per one-requirement point, want <= 3", physical)
+	if physical > 2 {
+		t.Errorf("physical allocates %v objects per one-requirement point, want <= 2", physical)
 	}
 
 	acc := region.MustFieldF64(tree.Root(), 0)
@@ -84,6 +87,83 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 	})
 	if fold != 0 {
 		t.Errorf("a warmed fold + flush cycle allocates %v objects, want 0", fold)
+	}
+}
+
+// TestRegionLaunchBytesPerPoint gates what a region point costs the garbage
+// collector end to end — issue, analysis, parking, run queue, attempt and
+// commit — on a warmed DCR launch of |D| = 256 points, each with a read, a
+// read-write and a reduce requirement, through ExecuteIndex and FenceErr.
+// Bytes set how often the collector runs; objects follow them.
+func TestRegionLaunchBytesPerPoint(t *testing.T) {
+	const (
+		points     = 256
+		rounds     = 40
+		maxBytes   = 275 // measured: 252
+		maxObjects = 3.5 // measured: 3.20
+	)
+	r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
+	defer r.Shutdown()
+	task := r.MustRegisterTask("rwr", func(ctx *Context) ([]byte, error) {
+		in, err := ctx.ReadF64(0, 0)
+		if err != nil {
+			return nil, err
+		}
+		out, err := ctx.WriteF64(1, 1)
+		if err != nil {
+			return nil, err
+		}
+		sum, err := ctx.ReduceF64(2, 2)
+		if err != nil {
+			return nil, err
+		}
+		pr, _ := ctx.Region(0)
+		pr.Region.Domain.Each(func(p domain.Point) bool {
+			out.Set(p, in.Get(p))
+			sum.Fold(p, 1)
+			return true
+		})
+		return nil, nil
+	})
+	fs := region.MustFieldSpace(region.Field{ID: 0, Name: "in", Kind: region.F64},
+		region.Field{ID: 1, Name: "out", Kind: region.F64}, region.Field{ID: 2, Name: "sum", Kind: region.F64})
+	tree := region.MustNewTree("bytes", domain.Range1(0, 4*points-1), fs)
+	part, err := tree.PartitionEqual(tree.Root(), "blocks", points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := func(priv privilege.Privilege, field region.FieldID) core.Requirement {
+		rq := core.Requirement{Partition: part, Functor: projection.Identity(1), Priv: priv, Fields: []region.FieldID{field}}
+		if priv == privilege.Reduce {
+			rq.RedOp = privilege.OpSumF64
+		}
+		return rq
+	}
+	il := core.MustForall("bytes", task, domain.Range1(0, points-1),
+		req(privilege.Read, 0), req(privilege.ReadWrite, 1), req(privilege.Reduce, 2))
+	launch := func() {
+		if _, err := r.ExecuteIndex(il); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.FenceErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 10 {
+		launch()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(rounds * points)
+	bytes, objects := float64(after.TotalAlloc-before.TotalAlloc)/n, float64(after.Mallocs-before.Mallocs)/n
+	t.Logf("%.0f B and %.2f objects per point", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("a region point allocates %.0f B in %.2f objects, want <= %d B in <= %v", bytes, objects, maxBytes, maxObjects)
 	}
 }
 

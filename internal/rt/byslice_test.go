@@ -39,7 +39,7 @@ func filesBySlice(r *Runtime, il *core.IndexLaunch) bool {
 	if l.sliced {
 		l.slices = r.mapper.Slice(l.dom, r.cfg.Nodes)
 	}
-	return r.fileBySlice(l, il)
+	return r.fileBySlice(l)
 }
 
 // Node 0 never enumerates a region-free launch to place it. Under DCR the
@@ -80,7 +80,7 @@ func TestRegionFreeIssueNeverEnumerates(t *testing.T) {
 		l.fm = newFutureMap(l.dom)
 		l.done = l.fm.done
 		r.distribute(l, true, true)
-		r.file(l, il)
+		r.file(l)
 		for node, s := range l.ship {
 			lo, hi := domain.Block(d.Volume(), node, nodes)
 			switch {

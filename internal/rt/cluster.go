@@ -62,10 +62,10 @@ type Transport interface {
 // point, falls back to local execution so an unreachable worker degrades
 // placement, not progress.
 func (r *Runtime) execBody(tr *taskRun, ctx *Context, node int, local bool) ([]byte, error) {
-	if local || r.cluster == nil || node == r.cluster.Self() || len(tr.prs) > 0 {
+	if local || r.cluster == nil || node == r.cluster.Self() || len(tr.regions) > 0 {
 		return r.runBody(tr.fn, ctx)
 	}
-	val, err := r.cluster.Exec(node, tr.name, tr.point, tr.args)
+	val, err := r.cluster.Exec(node, tr.name, tr.point(), tr.argsAt(tr.slot))
 	if err != nil && errors.Is(err, wire.ErrUnreachable) {
 		return r.runBody(tr.fn, ctx)
 	}

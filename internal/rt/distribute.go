@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/wire"
@@ -94,17 +93,14 @@ func (r *Runtime) shipSlices(l *launch) {
 // range — so node 0 pays per slice, not per point; a Fault plan, a dead
 // node or a mapper that cannot name a node's points files point by point.
 // It is the distribute stage, timed once. Caller holds issueMu.
-func (r *Runtime) file(l *launch, il *core.IndexLaunch) {
+func (r *Runtime) file(l *launch) {
 	t := r.clk.now()
-	if r.fileBySlice(l, il) {
+	if r.fileBySlice(l) {
 		for _, s := range l.ship {
 			if s == nil {
 				continue
 			}
 			r.filed(l, s.node, s.lo, s.lo+s.n, t)
-			if l.pointArgs {
-				s.each(0, s.n, func(_ int, p domain.Point) { s.args = append(s.args, il.PointArgs(p)) })
-			}
 		}
 		l.issued = l.points
 		r.issuedTotal += int64(l.points)
@@ -112,7 +108,7 @@ func (r *Runtime) file(l *launch, il *core.IndexLaunch) {
 		l.dom.Each(func(p domain.Point) bool {
 			owner, si := r.nodeOf(l, p)
 			node := r.faultCheck(l.dom, p, owner)
-			l.ship.add(l, node, si, il.ArgsAt(p))
+			l.ship.add(l, node, si)
 			r.filed(l, node, l.issued, l.issued+1, t)
 			l.issued++
 			return true
@@ -125,7 +121,7 @@ func (r *Runtime) file(l *launch, il *core.IndexLaunch) {
 // with no run open. A slice must be the ranks from its first point to its
 // last; under DCR the mapper must name each range. The blocks must tile the
 // domain in order, on distinct live nodes. Caller holds issueMu.
-func (r *Runtime) fileBySlice(l *launch, il *core.IndexLaunch) bool {
+func (r *Runtime) fileBySlice(l *launch) bool {
 	inv, ok := r.mapper.(InvertibleMapper)
 	ok = r.cfg.Fault == nil && (ok || l.sliced)
 	var next int64
@@ -134,7 +130,7 @@ func (r *Runtime) fileBySlice(l *launch, il *core.IndexLaunch) bool {
 			return false
 		}
 		if next = hi; hi > lo {
-			s := l.ship.open(l, node, index, il.Args)
+			s := l.ship.open(l, node, index)
 			s.lo, s.n = int(lo), int(hi-lo)
 		}
 		return true
@@ -173,7 +169,7 @@ func (r *Runtime) filed(l *launch, node, lo, hi int, t int64) {
 	case r.clk.prof != nil:
 		for slot := lo; slot < hi; slot++ {
 			p := l.fm.point(slot)
-			r.clk.prof.SpanIDTC(l.tc.Point(p), 0, node, obs.StagePhysical, l.entry.name, l.tag, p, t, t)
+			r.clk.prof.SpanIDTC(l.tc.Point(p), 0, node, obs.StagePhysical, l.name, l.tag, p, t, t)
 		}
 	}
 	r.clk.observe(r.mx.LatPhysical, 0, int64(hi-lo))
@@ -193,13 +189,12 @@ type sliceRun struct {
 	// The run's n points are future-map slots in launch order, the order of
 	// any domain over them (all are lexicographic), so the worker's i-th
 	// result is the i-th point's: lo..lo+n-1 for a run filed as one block,
-	// else slots. args are their payloads if the launch has per-point ones.
+	// else slots.
 	lo, n int
 	slots []int
-	args  [][]byte
-	// proto is the launch's share of every point's run state, its spanID
-	// the launch's first; run builds a point's own only when it must.
-	proto taskRun
+	// h is the launch's share of its points' run state; run builds a
+	// point's own only when it must.
+	h *runHeader
 	// deps are the launch-wide preconditions bulk-trace replay gives
 	// region-free points; the slice waits for them once.
 	deps []*Event
@@ -208,12 +203,10 @@ type sliceRun struct {
 
 // open returns node's run, opening it from slice si with l's share of
 // every point's run state.
-func (sh shipment) open(l *launch, node, si int, args []byte) *sliceRun {
+func (sh shipment) open(l *launch, node, si int) *sliceRun {
 	s := sh[node]
 	if s == nil {
-		s = &sliceRun{node: node, index: max(si, 0), deps: l.deps,
-			proto: taskRun{fn: l.entry.fn, task: l.task, name: l.entry.name, tag: l.tag, args: args,
-				fm: l.fm, spanID: l.firstID, tc: l.tc}}
+		s = &sliceRun{node: node, index: max(si, 0), deps: l.deps, h: l.runHeader}
 		sh[node] = s
 	}
 	return s
@@ -221,13 +214,10 @@ func (sh shipment) open(l *launch, node, si int, args []byte) *sliceRun {
 
 // add files l's next point alone under the node issuance assigned it. si
 // is the slice the point came from.
-func (sh shipment) add(l *launch, node, si int, args []byte) {
-	s := sh.open(l, node, si, args)
+func (sh shipment) add(l *launch, node, si int) {
+	s := sh.open(l, node, si)
 	s.slots = append(s.slots, l.issued)
 	s.n++
-	if l.pointArgs {
-		s.args = append(s.args, args)
-	}
 }
 
 // slot returns the slice's i-th point's future-map slot.
@@ -244,28 +234,33 @@ func (s *sliceRun) slot(i int) int {
 func (s *sliceRun) each(lo, hi int, fn func(i int, p domain.Point)) {
 	i := lo
 	if s.slots == nil && lo < hi {
-		s.proto.fm.dom.EachFrom(int64(s.lo+lo), func(p domain.Point) bool {
+		s.h.fm.dom.EachFrom(int64(s.lo+lo), func(p domain.Point) bool {
 			fn(i, p)
 			i++
 			return i < hi
 		})
 	}
 	for ; i < hi; i++ {
-		fn(i, s.proto.fm.point(s.slots[i]))
+		fn(i, s.h.fm.point(s.slots[i]))
 	}
 }
 
-// run builds the run state of the slice's i-th point from the prototype:
-// for a point that fails, is skipped or falls back from its worker.
+// run builds the run state of point i when it fails, is skipped or falls back.
 func (s *sliceRun) run(i int) *taskRun {
-	tr := s.proto
-	tr.slot = s.slot(i)
-	tr.point = tr.fm.point(tr.slot)
-	if s.args != nil {
-		tr.args = s.args[i]
+	return &taskRun{runHeader: s.h, slot: s.slot(i), node: int32(s.node)}
+}
+
+// pointArgs returns the slice's points' own payloads in slice order, nil
+// when they share the launch's.
+func (s *sliceRun) pointArgs() [][]byte {
+	if s.h.pointArgs == nil {
+		return nil
 	}
-	tr.spanID += int64(tr.slot) // read only with a profiler attached
-	return &tr
+	args := make([][]byte, s.n)
+	for i := range args {
+		args[i] = s.h.pointArgs[s.slot(i)]
+	}
+	return args
 }
 
 // runShipment starts every slice the launch filed, in node order: a
@@ -278,23 +273,31 @@ func (r *Runtime) runShipment(l *launch) {
 		if s == nil {
 			continue
 		}
-		n := s.n
-		r.mx.InflightTasks.Add(int64(n))
+		r.mx.InflightTasks.Add(int64(s.n))
 		if r.cluster == nil || s.node == 0 {
-			size := (n + r.cfg.ProcsPerNode - 1) / r.cfg.ProcsPerNode
-			for lo := 0; lo < n; lo += size {
-				r.ready(runItem{node: s.node, deps: s.deps, chunk: s, lo: lo, hi: min(lo+size, n)})
+			if len(s.deps) == 0 { // no closure to allocate
+				r.runLocal(s)
+			} else {
+				afterAll(s.deps, func() { r.runLocal(s) })
 			}
 			continue
 		}
 		if s.slots == nil {
 			s.dom = l.slices[s.index].Domain
 		} else {
-			pts := make([]domain.Point, 0, n)
-			s.each(0, n, func(_ int, p domain.Point) { pts = append(pts, p) })
+			pts := make([]domain.Point, 0, s.n)
+			s.each(0, s.n, func(_ int, p domain.Point) { pts = append(pts, p) })
 			s.dom = domain.FromPoints(pts)
 		}
 		afterAll(s.deps, func() { r.post(s) })
+	}
+}
+
+// runLocal enqueues local slice s as at most ProcsPerNode chunks.
+func (r *Runtime) runLocal(s *sliceRun) {
+	size := (s.n + r.cfg.ProcsPerNode - 1) / r.cfg.ProcsPerNode
+	for lo := 0; lo < s.n; lo += size {
+		r.enqueue(runItem{node: s.node, chunk: s, lo: lo, hi: min(lo+size, s.n)})
 	}
 }
 
@@ -361,8 +364,8 @@ func (r *Runtime) sendBatch(node int, batch []*sliceRun, down bool) (settle func
 			continue
 		}
 		live = append(live, s)
-		reqs = append(reqs, wire.ExecRequest{Task: s.proto.name, Index: s.index, Domain: s.dom,
-			Args: s.proto.args, PointArgs: s.args})
+		reqs = append(reqs, wire.ExecRequest{Task: s.h.name, Index: s.index, Domain: s.dom,
+			Args: s.h.args, PointArgs: s.pointArgs()})
 	}
 	tExec, results, err := r.clk.now(), []wire.PointResult(nil), error(wire.ErrUnreachable)
 	if !down {
@@ -404,22 +407,19 @@ func (r *Runtime) skipSlice(s *sliceRun, lo, hi int, cause error) {
 }
 
 // runChunk runs points lo..hi-1 of local slice s back to back on the
-// calling drainer, with one Context and one clock read per point boundary,
-// then commits the successes in one pass. A point whose body fails or
-// panics enters its own retry ladder at attempt 2, like a point that failed
-// on a worker.
-func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
+// calling drainer's Context, with one clock read per point boundary, then
+// commits the successes in one pass. A point whose body fails or panics
+// enters its own retry ladder at attempt 2, like a point that failed on a
+// worker.
+func (r *Runtime) runChunk(s *sliceRun, lo, hi int, ctx *Context) {
 	results, ends := make([]wire.PointResult, hi-lo), make([]int64, hi-lo)
-	ctx := &Context{Node: s.node, Task: s.proto.task, Args: s.proto.args, rt: r}
 	t0 := r.clk.now()
 	start, ok := t0, int64(0)
+	ctx.reset(domain.Point{}, s.node, s.h, nil, s.h.args)
 	s.each(lo, hi, func(i int, p domain.Point) {
-		ctx.Point = p
-		if s.args != nil {
-			ctx.Args = s.args[i]
-		}
+		ctx.Point, ctx.Args = p, s.h.argsAt(s.slot(i))
 		res := &results[i-lo]
-		if res.Val, res.Err = r.runBody(s.proto.fn, ctx); res.Err != nil {
+		if res.Val, res.Err = r.runBody(s.h.fn, ctx); res.Err != nil {
 			r.enqueue(runItem{tr: s.run(i), node: s.node, from: resume{attempts: 1, err: res.Err, tExec: start}})
 		} else {
 			ok++
@@ -444,7 +444,7 @@ func (r *Runtime) runChunk(s *sliceRun, lo, hi int) {
 func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, ok, t0 int64, ends []int64) {
 	r.mx.TasksExecuted.Add(ok)
 	r.mx.InflightTasks.Add(-ok)
-	tr, fm := &s.proto, s.proto.fm
+	h, fm := s.h, s.h.fm
 	start, end := t0, t0
 	if ends == nil {
 		end = r.clk.now()
@@ -461,11 +461,11 @@ func (r *Runtime) settleSlice(s *sliceRun, lo int, results []wire.PointResult, o
 		if row := fm.spanRow(slot); row != nil {
 			row.ExecNode, row.ExecStart, row.ExecDur = int32(s.node), start, end-start
 		} else if r.clk.prof != nil {
-			r.clk.done(obs.StageExecute, nil, tr.tc.Point(p).Child(tcExecute), tr.spanID+int64(slot),
-				s.node, tr.name, tr.tag, p, start, end)
+			r.clk.done(obs.StageExecute, nil, h.tc.Point(p).Child(tcExecute), h.firstID+int64(slot),
+				s.node, h.name, h.tag, p, start, end)
 		}
 		if r.clk.hist {
-			r.mx.LatExecute.ObserveExemplar(end-start, tr.tc.Trace)
+			r.mx.LatExecute.ObserveExemplar(end-start, h.tc.Trace)
 		}
 		fm.settle(slot, res.Val, nil)
 	})

@@ -26,7 +26,7 @@ import (
 // same dependence edges as completions. The zero value is not usable;
 // create events with NewEvent or use Completed.
 //
-// Most events are never blocked on: dependents park as onFire callbacks and
+// Most events are never blocked on: dependents park on them (park) and
 // Done/Err are atomic loads. So an event holds no channel until a goroutine
 // blocks in Wait, WaitErr, WaitContext or a fence; the first such waiter
 // makes it under mu, and Poison closes it only if it exists.
@@ -39,8 +39,8 @@ type Event struct {
 	// ch is made by the first blocking waiter and closed by Poison; nil
 	// while nobody has blocked.
 	ch chan struct{}
-	// then holds the callbacks onFire registered before the event fired.
-	then []func()
+	// then holds the runs parked on the event before it fired.
+	then []*taskRun
 }
 
 // NewEvent returns an untriggered event. It is one allocation.
@@ -60,7 +60,7 @@ func (e *Event) Trigger() { e.Poison(nil) }
 // Poison fires the event carrying err, marking the work it represents as
 // failed. Dependents observe the error through Err, WaitErr or WaitAllErr.
 // Poisoning an already-triggered event is a no-op; Poison(nil) is Trigger.
-// Callbacks registered with onFire run on the calling goroutine.
+// The runs parked on it count it down on the calling goroutine.
 func (e *Event) Poison(err error) {
 	e.mu.Lock()
 	if e.fired.Load() {
@@ -75,8 +75,8 @@ func (e *Event) Poison(err error) {
 	then := e.then
 	e.then = nil
 	e.mu.Unlock()
-	for _, fn := range then {
-		fn()
+	for _, tr := range then {
+		tr.fired(e)
 	}
 }
 
@@ -101,35 +101,34 @@ func (e *Event) waitCh() <-chan struct{} {
 	return e.ch
 }
 
-// onFire calls fn once e has fired: at once if it already has, otherwise on
-// the goroutine that fires it. fn must not block — it is how a waiter
-// parks without a goroutine of its own.
-func (e *Event) onFire(fn func()) {
-	e.mu.Lock()
-	if e.fired.Load() {
+// park counts e down on tr once e has fired: at once if it already has,
+// otherwise on the goroutine that fires it. It is how a run waits without
+// a goroutine of its own.
+func (e *Event) park(tr *taskRun) {
+	if !e.fired.Load() {
+		e.mu.Lock()
+		if !e.fired.Load() {
+			e.then = append(e.then, tr)
+			e.mu.Unlock()
+			return
+		}
 		e.mu.Unlock()
-		fn()
-		return
 	}
-	e.then = append(e.then, fn)
-	e.mu.Unlock()
+	tr.fired(e)
 }
 
 // afterAll calls fn once every event in evs has fired, without a goroutine:
 // immediately when they all have, otherwise on the goroutine that fires the
-// last one.
+// last one. fn must not block. The waiter is a gate: a run with no task,
+// parked like a point's.
 func afterAll(evs []*Event, fn func()) {
-	var left atomic.Int64
-	left.Store(int64(len(evs)) + 1)
-	one := func() {
-		if left.Add(-1) == 0 {
-			fn()
+	for _, e := range evs {
+		if !e.Done() {
+			(&taskRun{runHeader: &runHeader{gate: fn}}).await(evs)
+			return
 		}
 	}
-	for _, e := range evs {
-		e.onFire(one)
-	}
-	one()
+	fn()
 }
 
 // Err returns the poison error if the event has triggered poisoned, and nil

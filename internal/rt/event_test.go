@@ -106,7 +106,7 @@ func TestEventObserversRacePoison(t *testing.T) {
 				}
 				errs <- e.Err()
 			},
-			func() { e.onFire(func() { fired.Add(1); errs <- e.Err() }) },
+			func() { afterAll([]*Event{e}, func() { fired.Add(1); errs <- e.Err() }) },
 		}
 		for range 3 {
 			for _, fn := range observe {
@@ -159,7 +159,7 @@ func TestEventChannelOnlyForBlockingWaiters(t *testing.T) {
 	e := NewEvent()
 	_ = e.Done()
 	_ = e.Err()
-	e.onFire(func() {})
+	afterAll([]*Event{e}, func() {})
 	e.Trigger()
 	e.Wait()
 	if err := e.WaitContext(context.Background()); err != nil || e.ch != nil {

@@ -471,3 +471,112 @@ func TestFenceTimeoutIncludesLiveness(t *testing.T) {
 		t.Errorf("fence error %q missing liveness snapshot", err)
 	}
 }
+
+// A drainer runs every attempt on one reused Context, so a failed attempt's
+// buffered folds must be dropped when the Context is reset, never flushed:
+// a reduce task that folds and fails on its first attempt and succeeds on
+// its second lands its folds exactly once, and one that folds and fails on
+// every attempt lands none. One node with one processor runs every point,
+// failing or not, on the same Context.
+func TestReusedContextDropsFailedAttemptFolds(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		failFor int     // attempts an even point fails
+		want    float64 // what an even point's elements end at
+	}{{"retried", 1, 1}, {"exhausted", 2, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := MustNew(Config{Nodes: 1, ProcsPerNode: 1, DCR: true, IndexLaunches: true, Retry: RetryPolicy{Max: 1}})
+			defer r.Shutdown()
+			tree, part := lineSetup(t, 40, 8)
+			var mu sync.Mutex
+			attempts := map[int64]int{}
+			fold := r.MustRegisterTask("fold", func(ctx *Context) ([]byte, error) {
+				red, err := ctx.ReduceF64(0, fieldVal)
+				if err != nil {
+					return nil, err
+				}
+				pr, _ := ctx.Region(0)
+				pr.Region.Domain.Each(func(p domain.Point) bool {
+					red.Fold(p, 1)
+					return true
+				})
+				x := ctx.Point.X()
+				mu.Lock()
+				attempts[x]++
+				n := attempts[x]
+				mu.Unlock()
+				if x%2 == 0 && n <= tc.failFor {
+					return nil, fmt.Errorf("fault at attempt %d", n)
+				}
+				return nil, nil
+			})
+			fm, err := r.ExecuteIndex(core.MustForall("fold", fold, domain.Range1(0, 7), core.Requirement{
+				Partition: part, Functor: projection.Identity(1), Priv: privilege.Reduce,
+				RedOp: privilege.OpSumF64, Fields: []region.FieldID{fieldVal},
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fm.WaitErr(); (err != nil) != (tc.want == 0) {
+				t.Fatalf("launch error %v, want one only when retries run out", err)
+			}
+			acc := region.MustFieldF64(tree.Root(), fieldVal)
+			for e := int64(0); e < 40; e++ {
+				want := 1.0
+				if (e/5)%2 == 0 {
+					want = tc.want
+				}
+				if got := acc.Get(domain.Pt1(e)); got != want {
+					t.Fatalf("element %d = %v, want %v", e, got, want)
+				}
+			}
+		})
+	}
+}
+
+// Under SkipDependents a point skips with ErrUpstreamFailed naming the
+// cause whether its precondition had already fired poisoned when the point
+// registered on it, or fires poisoned afterwards.
+func TestSkipNamesCausePoisonedBeforeOrAfterRegistration(t *testing.T) {
+	for _, before := range []bool{true, false} {
+		t.Run(fmt.Sprintf("before=%v", before), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
+			defer r.Shutdown()
+			_, part := lineSetup(t, 40, 4)
+			boom := errors.New("boom")
+			release := make(chan struct{})
+			fail := r.MustRegisterTask("fail", func(*Context) ([]byte, error) {
+				<-release
+				return nil, boom
+			})
+			inc := r.MustRegisterTask("inc", incrementTask)
+			fm1, err := r.ExecuteIndex(core.MustForall("fail", fail, domain.Range1(0, 3), identityRW(part)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if before {
+				close(release)
+				_ = fm1.WaitErr()
+			}
+			fm2, err := r.ExecuteIndex(core.MustForall("inc", inc, domain.Range1(0, 3), identityRW(part)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !before {
+				close(release)
+			}
+			for x := int64(0); x < 4; x++ {
+				f, _ := fm2.At(domain.Pt1(x))
+				_, err := f.Get()
+				var te *TaskError
+				if !errors.Is(err, ErrUpstreamFailed) || !errors.Is(err, boom) || !errors.As(err, &te) ||
+					te.Task != "inc" || te.Attempts != 0 || !strings.Contains(err.Error(), `task "fail" point <`+fmt.Sprint(x)+`>`) {
+					t.Errorf("point %d: %v, want a skip of inc naming fail's boom at the same point", x, err)
+				}
+			}
+			if st := r.Stats(); st.TasksFailed != 4 || st.TasksSkipped != 4 {
+				t.Errorf("failed %d, skipped %d; want 4 and 4", st.TasksFailed, st.TasksSkipped)
+			}
+		})
+	}
+}

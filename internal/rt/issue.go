@@ -13,32 +13,26 @@ import (
 // launch is one Execute call in flight — the O(1) object the paper's §5
 // hands from stage to stage (issue → logical → distribute → physical, one
 // file each). It lives while issueMu is held; the task runs it starts
-// outlive it.
+// outlive it, sharing only its run header.
 type launch struct {
-	task   core.TaskID
-	entry  taskEntry
-	tag    string
+	// The header's firstID is the first of the launch's block of
+	// execute-span IDs, one per declared point. An index launch's points
+	// finish into fm, its completion group; a single launch's one point
+	// into fut.
+	*runHeader
 	dom    domain.Domain
-	points int          // declared point count
-	tc     obs.TraceRef // launch span context; zero when the job is untraced
-	// firstID is the first of the launch's block of execute-span IDs (one
-	// per declared point, slot i's is firstID + i); 0 without a profiler.
-	firstID int64
+	points int // declared point count
 
-	// Completion: an index launch's points finish into fm, its completion
-	// group; a single launch's one point into fut. done fires once the whole
-	// launch has finished — the one thing fences and bulk replays wait on.
-	fm   *FutureMap
-	fut  *Future
+	// done fires once the whole launch has finished — the one thing fences
+	// and bulk replays wait on.
 	done *Event
 
 	// Distribution: whether the slicing functor (else the sharding functor)
 	// places the points, its slices, and, for a region-free launch, the
 	// points filed by node.
-	sliced    bool
-	slices    []Slice
-	ship      shipment
-	pointArgs bool
+	sliced bool
+	slices []Slice
+	ship   shipment
 
 	// Replay at launch granularity: the preconditions every point shares.
 	// issued counts analyzed points; it is the next point's future-map slot.
@@ -63,23 +57,28 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.fm, l.pointArgs = newFutureMap(l.dom), il.PointArgs != nil
+	l.fm, l.args = newFutureMap(l.dom), il.Args
 	l.done = l.fm.done
+	if il.PointArgs != nil {
+		l.pointArgs = make([][]byte, 0, len(l.fm.res))
+		l.dom.Each(func(p domain.Point) bool { l.pointArgs = append(l.pointArgs, il.PointArgs(p)); return true })
+	}
 	if prof := r.clk.prof; prof != nil && l.tc.Valid() {
 		// A traced launch's per-point spans go into one record.
 		l.fm.prof = prof
-		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.entry.name, l.tag, l.dom)
+		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.name, l.tag, l.dom)
 	}
+	l.reqs = launchReqs(il)
 	r.logical(l, il)
 	// A region-free launch runs by slice, one per node, unless a
 	// point-granularity trace episode makes each point a unit of its own.
 	file := len(il.Requirements) == 0 && (r.ep == nil || r.ep.byLaunch)
 	r.distribute(l, !r.cfg.DCR, file)
 	if file {
-		r.file(l, il)
+		r.file(l)
 	} else {
 		err = il.Each(func(pt core.PointTask) bool {
-			r.issuePoint(l, pt.Point, pointRegions(il, pt), il.ArgsAt(pt.Point))
+			r.issuePoint(l, pt.Point, pt.Regions)
 			return true
 		})
 	}
@@ -92,15 +91,14 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	return l.fm, nil
 }
 
-// pointRegions pairs one point's projected regions with the privileges the
-// launch requested them under.
-func pointRegions(il *core.IndexLaunch, pt core.PointTask) []PhysicalRegion {
-	prs := make([]PhysicalRegion, len(pt.Regions))
-	for i, reg := range pt.Regions {
-		req := il.Requirements[i]
-		prs[i] = PhysicalRegion{Region: reg, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+// launchReqs returns il's requirements as its points see them, each point
+// bringing its own regions.
+func launchReqs(il *core.IndexLaunch) []PhysicalRegion {
+	reqs := make([]PhysicalRegion, len(il.Requirements))
+	for i, req := range il.Requirements {
+		reqs[i] = PhysicalRegion{Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
 	}
-	return prs
+	return reqs
 }
 
 // SingleReq is a region requirement of a single-task launch: a concrete
@@ -123,17 +121,19 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 	if err != nil {
 		return nil, err
 	}
-	prs := make([]PhysicalRegion, len(reqs))
+	l.reqs = make([]PhysicalRegion, len(reqs))
+	regions := make([]*region.Region, len(reqs))
 	for i, req := range reqs {
 		if req.Region == nil {
 			return nil, fmt.Errorf("rt: single launch %q requirement %d has nil region", tag, i)
 		}
-		prs[i] = PhysicalRegion{Region: req.Region, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+		l.reqs[i] = PhysicalRegion{Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+		regions[i] = req.Region
 	}
-	l.fut = newFuture()
+	l.fut, l.args = newFuture(), args
 	l.done = l.fut.ev
 	r.distribute(l, false, false)
-	r.issuePoint(l, domain.Pt1(0), prs, args)
+	r.issuePoint(l, domain.Pt1(0), regions)
 	r.launchDone(l)
 	return l.fut, nil
 }
@@ -145,8 +145,9 @@ func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points in
 	if int(task) >= len(r.tasks) {
 		return nil, fmt.Errorf("rt: launch %q names unregistered task %d", tag, task)
 	}
-	l := &launch{task: task, entry: r.tasks[task], tag: tag, dom: d, points: points,
-		tc: r.nextLaunchTC(), firstID: r.clk.prof.NextIDs(points), t0: r.clk.now()}
+	e := r.tasks[task]
+	l := &launch{runHeader: &runHeader{rt: r, fn: e.fn, task: task, name: e.name, tag: tag,
+		tc: r.nextLaunchTC(), firstID: r.clk.prof.NextIDs(points)}, dom: d, points: points, t0: r.clk.now()}
 	if r.ep != nil {
 		r.ep.launchBegin(l)
 	}
@@ -155,16 +156,18 @@ func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points in
 
 // issuePoint takes one point through the per-point half of the pipeline:
 // placement (distribute), dependence analysis (physical), and the hand-off
-// to its node's run queue once its preconditions fire. Caller holds issueMu.
-func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, args []byte) {
+// to its node's run queue once its preconditions fire, which the point
+// consumes here. Caller holds issueMu.
+func (r *Runtime) issuePoint(l *launch, p domain.Point, regions []*region.Region) {
 	t := r.clk.now()
 	owner, _ := r.nodeOf(l, p)
 	node := r.faultCheck(l.dom, p, owner)
 	l.distNS += r.clk.now() - t
 
-	tr, deps := r.physical(l, p, node, prs, args)
+	tr := &taskRun{runHeader: l.runHeader, regions: regions, slot: l.issued, node: int32(node)}
+	deps := r.physical(l, tr, p)
 	r.mx.InflightTasks.Add(1)
-	r.ready(runItem{tr: tr, node: node, deps: deps})
+	tr.await(deps)
 	l.issued++
 }
 
@@ -172,11 +175,12 @@ func (r *Runtime) issuePoint(l *launch, p domain.Point, prs []PhysicalRegion, ar
 // poisoned, cascading the failure downstream through the task's own event.
 func (r *Runtime) skipPoint(tr *taskRun, node int, cause error) {
 	r.mx.TasksSkipped.Inc()
+	p := tr.point()
 	if prof := r.cfg.Profile; prof != nil {
-		prof.MarkTC(tr.pointTC().Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, tr.point, prof.Now())
+		prof.MarkTC(tr.tc.Point(p).Child(tcFaultSkip), node, obs.StageFault, tr.name, tr.tag, p, prof.Now())
 	}
 	r.finish(tr, nil, &TaskError{
-		Task: tr.name, Tag: tr.tag, Point: tr.point, Node: node,
+		Task: tr.name, Tag: tr.tag, Point: p, Node: node,
 		Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
 	})
 }
@@ -201,11 +205,11 @@ func (r *Runtime) launchDone(l *launch) {
 		l.fm.release(int64(l.points-l.issued) + 1)
 	}
 	r.outstanding = append(r.outstanding, pendingTask{ev: l.done, fm: l.fm,
-		name: l.entry.name, tag: l.tag, point: l.dom.Bounds().Lo})
+		name: l.name, tag: l.tag, point: l.dom.Bounds().Lo})
 	r.pruneOutstanding()
 	resid := max(r.clk.now()-l.t0-l.logicalNS-l.distNS-l.physNS, 0)
 	r.clk.done(obs.StageDistribute, r.mx.LatDistribute, l.tc.Child(tcDistribute), 0, 0,
-		l.entry.name, l.tag, domain.Point{}, l.tDist, l.tDist+l.distNS)
+		l.name, l.tag, domain.Point{}, l.tDist, l.tDist+l.distNS)
 	r.clk.done(obs.StageIssue, r.mx.LatIssue, l.tc, 0, 0,
-		l.entry.name, l.tag, domain.Point{}, l.t0, l.t0+resid)
+		l.name, l.tag, domain.Point{}, l.t0, l.t0+resid)
 }

@@ -33,5 +33,5 @@ func (r *Runtime) logical(l *launch, il *core.IndexLaunch) {
 	}
 	l.logicalNS = r.clk.now() - l.t0
 	r.clk.done(obs.StageLogical, r.mx.LatLogical, l.tc.Child(tcLogical), 0, 0,
-		l.entry.name, l.tag, domain.Point{}, l.t0, l.t0+l.logicalNS)
+		l.name, l.tag, domain.Point{}, l.t0, l.t0+l.logicalNS)
 }

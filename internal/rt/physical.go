@@ -7,21 +7,21 @@ import (
 
 // physical is the per-point stage: dependence analysis against the version
 // map — or, in a replay, against the captured template — plus the point's
-// span identity. It returns the point's run state and the events it must
-// wait for; the caller starts it. The stage's span is attributed to the
-// owning node as in DCR, where each node analyzes its local points. Caller
-// holds issueMu.
+// completion event and span identity. It returns the events tr must wait
+// for, valid until the next point's analysis; the caller parks tr on them.
+// The stage's span is attributed to the owning node as in DCR, where each
+// node analyzes its local points. Caller holds issueMu.
 //
 // Only a point something can name as a dependence comes here — one that
 // touches regions, is a unit of a point-granularity trace episode, or is a
 // single launch's — so each gets a completion event. A region-free index
 // launch's points are filed by slice instead (file), with nothing to analyze.
-func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRegion, args []byte) (*taskRun, []*Event) {
-	ev := l.done // a single launch's one point completes the launch
+func (r *Runtime) physical(l *launch, tr *taskRun, p domain.Point) []*Event {
+	tr.ev = l.done // a single launch's one point completes the launch
 	if l.fm != nil {
-		ev = NewEvent()
+		tr.ev = NewEvent()
 	}
-	name := l.entry.name
+	ev, node := tr.ev, int(tr.node)
 
 	var deps []*Event
 	if r.replaying() {
@@ -29,9 +29,9 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		r.mx.AnalysisSkipped.Inc()
 	} else {
 		t0 := r.clk.now()
-		deps = r.vm.accessPoint(prs, ev, &r.depScratch)
+		deps = r.vm.accessPoint(l.reqs, tr.regions, ev, &r.depScratch)
 		if r.ep != nil {
-			r.ep.capture(l, p, ev, deps, prs)
+			r.ep.capture(l, p, ev, deps, l.reqs, tr.regions)
 		}
 		t1 := r.clk.now()
 		l.physNS += t1 - t0
@@ -39,15 +39,13 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 			row.PhysNode, row.PhysStart, row.PhysDur = int32(node), t0, t1-t0
 			r.clk.observe(r.mx.LatPhysical, t1-t0, 1)
 		} else {
-			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, name, l.tag, p, t0, t1)
+			r.clk.done(obs.StagePhysical, r.mx.LatPhysical, l.tc.Point(p), 0, node, l.name, l.tag, p, t0, t1)
 		}
 	}
 
 	// Span identity and dependence edges for the critical-path graph.
-	var spanID int64
-	prof := r.clk.prof
-	if prof != nil {
-		spanID = l.firstID + int64(l.issued)
+	if prof := r.clk.prof; prof != nil {
+		spanID := tr.spanID()
 		for _, d := range deps {
 			if from, ok := r.profIDs[d]; ok {
 				prof.Edge(from, spanID)
@@ -55,10 +53,7 @@ func (r *Runtime) physical(l *launch, p domain.Point, node int, prs []PhysicalRe
 		}
 		r.profNote(ev, spanID)
 	}
-	return &taskRun{
-		fn: l.entry.fn, task: l.task, name: name, tag: l.tag, point: p, args: args, prs: prs,
-		fut: l.fut, fm: l.fm, slot: l.issued, ev: ev, spanID: spanID, tc: l.tc,
-	}, deps
+	return deps
 }
 
 // profIDCap bounds the event → span-ID map; beyond it, entries for

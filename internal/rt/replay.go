@@ -193,7 +193,7 @@ func (ep *episode) launchBegin(l *launch) {
 // capture records one analyzed point into the open unit: its completion
 // event, its edges to earlier units and the data it touches. At point
 // granularity the point seals its own unit.
-func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, prs []PhysicalRegion) {
+func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, reqs []PhysicalRegion, regions []*region.Region) {
 	t := ep.tmpl
 	ep.unitOf[ev] = len(t.units)
 	// Edges to events from outside the episode are dropped: pre-episode
@@ -206,11 +206,11 @@ func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, 
 			ep.open = append(ep.open, j)
 		}
 	}
-	for _, pr := range prs {
-		ivs := pr.Region.Intervals()
-		for _, f := range pr.Fields {
-			key := fieldKey{tree: pr.Region.Tree.ID, field: f}
-			if pr.Priv.IsWrite() {
+	for i, req := range reqs {
+		ivs := regions[i].Intervals()
+		for _, f := range req.Fields {
+			key := fieldKey{tree: regions[i].Tree.ID, field: f}
+			if req.Priv.IsWrite() {
 				t.writes[key] = append(t.writes[key], ivs...)
 			} else {
 				t.reads[key] = append(t.reads[key], ivs...)

@@ -7,22 +7,20 @@ import "sync"
 // field promises. Whatever runs a task body goes through its node's queue:
 // a region-free launch's local slice as at most ProcsPerNode chunks whose
 // points run back to back, every other point once its preconditions fire,
-// and retries and ErrUnreachable fallbacks. Work still waiting on
-// preconditions is a callback on the last of them (afterAll), not a parked
-// goroutine.
+// and retries and ErrUnreachable fallbacks. A point still waiting on
+// preconditions is parked on them, counting them down itself (taskRun.await),
+// not a parked goroutine.
 //
 // A drainer is spawned on enqueue while fewer than ProcsPerNode run, and
 // exits when it finds its queue empty: that exit is the queue's quiescence
-// point, and an idle runtime holds no goroutines for execution.
+// point, and an idle runtime holds no goroutines for execution. Each
+// drainer runs every body on one Context of its own.
 
 // runItem is one attempt chain, or one chunk of a slice, awaiting a drainer.
 type runItem struct {
 	tr   *taskRun
 	node int
 	from resume
-	// deps are a first run's preconditions, fired by the time it runs; the
-	// drainer checks them for poison.
-	deps []*Event
 	// chunk, instead of tr, is a local slice whose points lo..hi-1 run.
 	chunk  *sliceRun
 	lo, hi int
@@ -34,17 +32,6 @@ type runQueue struct {
 	items    []runItem
 	head     int
 	drainers int
-}
-
-// ready enqueues a fresh item once its preconditions have fired.
-func (r *Runtime) ready(it runItem) {
-	for _, d := range it.deps {
-		if !d.Done() {
-			afterAll(it.deps, func() { r.enqueue(it) })
-			return
-		}
-	}
-	r.enqueue(it)
 }
 
 // enqueue appends it to its node's queue, spawning a drainer when fewer
@@ -69,8 +56,9 @@ func (r *Runtime) enqueue(it runItem) {
 	}
 }
 
-// drain runs q's items in order until q is empty.
+// drain runs q's items in order, on one Context, until q is empty.
 func (r *Runtime) drain(q *runQueue) {
+	ctx := &Context{rt: r}
 	for {
 		q.mu.Lock()
 		if q.head == len(q.items) {
@@ -83,7 +71,7 @@ func (r *Runtime) drain(q *runQueue) {
 		q.items[q.head] = runItem{}
 		q.head++
 		q.mu.Unlock()
-		r.run(it)
+		r.run(it, ctx)
 	}
 }
 
@@ -91,21 +79,24 @@ func (r *Runtime) drain(q *runQueue) {
 // before the commit completes the task — runChunk drops it before its
 // commit pass — so a fence that observes the completion observes quiescent
 // gauges.
-func (r *Runtime) run(it runItem) {
-	if cause := WaitAllErr(it.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+func (r *Runtime) run(it runItem, ctx *Context) {
+	if r.cfg.OnUpstreamFailure == SkipDependents {
 		if it.chunk != nil {
-			r.skipSlice(it.chunk, it.lo, it.hi, cause)
-		} else {
-			r.skipPoint(it.tr, it.node, cause)
+			if cause := WaitAllErr(it.chunk.deps); cause != nil {
+				r.skipSlice(it.chunk, it.lo, it.hi, cause)
+				return
+			}
+		} else if e := it.tr.cause.Load(); e != nil {
+			r.skipPoint(it.tr, it.node, e.err)
+			return
 		}
-		return
 	}
 	r.mx.BusyProcs.Add(1)
 	if it.chunk != nil {
-		r.runChunk(it.chunk, it.lo, it.hi)
+		r.runChunk(it.chunk, it.lo, it.hi, ctx)
 		return
 	}
-	o := r.runAttempt(it.tr, it.node, it.from)
+	o := r.runAttempt(it.tr, it.node, it.from, ctx)
 	r.mx.BusyProcs.Add(-1)
 	r.commitAttempt(it.tr, it.node, o)
 }

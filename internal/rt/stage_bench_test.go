@@ -28,7 +28,7 @@ import (
 //
 // A stage whose cost is flat from 64 to 4096 points is O(1) in the launch;
 // the others are what ROADMAP item 1 must flatten.
-func benchStages(b *testing.B, stage func(b *testing.B, r *Runtime, il *core.IndexLaunch, prs [][]PhysicalRegion)) {
+func benchStages(b *testing.B, stage func(b *testing.B, r *Runtime, il *core.IndexLaunch, regs [][]*region.Region)) {
 	for _, points := range []int64{64, 1024, 4096} {
 		for _, reqs := range []int{0, 1} {
 			b.Run(fmt.Sprintf("D=%d/reqs=%d", points, reqs), func(b *testing.B) {
@@ -48,16 +48,16 @@ func benchStages(b *testing.B, stage func(b *testing.B, r *Runtime, il *core.Ind
 						Priv: privilege.ReadWrite, Fields: []region.FieldID{0},
 					})
 				}
-				var prs [][]PhysicalRegion
+				var regs [][]*region.Region
 				_ = il.Each(func(pt core.PointTask) bool {
-					prs = append(prs, pointRegions(il, pt))
+					regs = append(regs, pt.Regions)
 					return true
 				})
 				r.issueMu.Lock()
 				defer r.issueMu.Unlock()
 				b.ReportAllocs()
 				b.ResetTimer()
-				stage(b, r, il, prs)
+				stage(b, r, il, regs)
 			})
 		}
 	}
@@ -72,15 +72,12 @@ func (r *Runtime) benchIssue(b *testing.B, il *core.IndexLaunch) *launch {
 }
 
 func BenchmarkStageIssue(b *testing.B) {
-	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
 		for i := 0; i < b.N; i++ {
 			l := r.benchIssue(b, il)
 			l.fm = newFutureMap(l.dom)
 			l.done = l.fm.done
-			_ = il.Each(func(pt core.PointTask) bool {
-				_ = pointRegions(il, pt)
-				return true
-			})
+			_ = il.Each(func(core.PointTask) bool { return true })
 			// Nothing runs these points: launchDone releases them unissued.
 			r.launchDone(l)
 		}
@@ -88,7 +85,7 @@ func BenchmarkStageIssue(b *testing.B) {
 }
 
 func BenchmarkStageLogical(b *testing.B) {
-	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
 		l := r.benchIssue(b, il)
 		for i := 0; i < b.N; i++ {
 			r.logical(l, il)
@@ -97,7 +94,7 @@ func BenchmarkStageLogical(b *testing.B) {
 }
 
 func BenchmarkStageDistribute(b *testing.B) {
-	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]PhysicalRegion) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
 		pts, l := il.Domain.Points(), r.benchIssue(b, il)
 		for i := 0; i < b.N; i++ {
 			r.distribute(l, true, false)
@@ -110,11 +107,12 @@ func BenchmarkStageDistribute(b *testing.B) {
 }
 
 func BenchmarkStagePhysical(b *testing.B) {
-	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, prs [][]PhysicalRegion) {
+	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, regs [][]*region.Region) {
 		pts, l := il.Domain.Points(), r.benchIssue(b, il)
+		l.reqs = launchReqs(il)
 		for i := 0; i < b.N; i++ {
 			for j, p := range pts {
-				r.physical(l, p, 0, prs[j], nil)
+				r.physical(l, &taskRun{runHeader: l.runHeader, regions: regs[j]}, p)
 			}
 		}
 	})
@@ -142,7 +140,7 @@ func BenchmarkStageIssueCluster(b *testing.B) {
 				l := r.benchIssue(b, il)
 				l.fm = newFutureMap(l.dom)
 				r.distribute(l, true, true)
-				r.file(l, il)
+				r.file(l)
 			}
 		})
 	}

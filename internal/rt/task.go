@@ -35,7 +35,10 @@ func (pr PhysicalRegion) hasField(id region.FieldID) bool {
 	return false
 }
 
-// Context is passed to every executing task.
+// Context is passed to every executing task. It is valid only during the
+// body call: each drainer reuses one Context for every attempt it runs, so a
+// body must not retain it — or an accessor or reducer it handed out — nor
+// hand it to a goroutine that outlives the call.
 type Context struct {
 	// Point is the task's index within its launch domain (the zero Point
 	// for single launches).
@@ -47,10 +50,24 @@ type Context struct {
 	// Args is the launch's by-value payload.
 	Args []byte
 
-	regions     []PhysicalRegion
+	reqs        []PhysicalRegion // the launch's; Region unset
+	regions     []*region.Region // the point's, one per requirement
 	reducers    []*ReducerF64
 	reducersI64 []*ReducerI64
 	rt          *Runtime // lends reduction-instance buffers
+}
+
+// reset readies a drainer's Context for the next attempt. What the last
+// one left is dropped: a failed attempt's buffered folds are never flushed.
+func (c *Context) reset(p domain.Point, node int, h *runHeader, regions []*region.Region, args []byte) {
+	for _, r := range c.reducers {
+		r.buf = nil
+	}
+	for _, r := range c.reducersI64 {
+		r.buf = nil
+	}
+	*c = Context{Point: p, Node: node, Task: h.task, Args: args, reqs: h.reqs, regions: regions,
+		reducers: c.reducers[:0], reducersI64: c.reducersI64[:0], rt: c.rt}
 }
 
 // NumRegions returns the number of region arguments.
@@ -61,7 +78,9 @@ func (c *Context) Region(i int) (PhysicalRegion, error) {
 	if i < 0 || i >= len(c.regions) {
 		return PhysicalRegion{}, fmt.Errorf("rt: task has %d region args, requested %d", len(c.regions), i)
 	}
-	return c.regions[i], nil
+	pr := c.reqs[i]
+	pr.Region = c.regions[i]
+	return pr, nil
 }
 
 // ReadF64 returns a read accessor for field on region argument i. The
@@ -112,8 +131,8 @@ func (c *Context) ReduceF64(i int, field region.FieldID) (*ReducerF64, error) {
 	c.rt.folds.mu.Lock()
 	buf := takeFolds(&c.rt.folds.f64)
 	c.rt.folds.mu.Unlock()
-	r := &ReducerF64{acc: acc, op: op, buf: buf}
-	c.reducers = append(c.reducers, r)
+	r := nextView(&c.reducers)
+	*r = ReducerF64{acc: acc, op: op, buf: buf}
 	return r, nil
 }
 
@@ -171,9 +190,22 @@ func (c *Context) ReduceI64(i int, field region.FieldID) (*ReducerI64, error) {
 	c.rt.folds.mu.Lock()
 	buf := takeFolds(&c.rt.folds.i64)
 	c.rt.folds.mu.Unlock()
-	r := &ReducerI64{acc: acc, op: op, buf: buf}
-	c.reducersI64 = append(c.reducersI64, r)
+	r := nextView(&c.reducersI64)
+	*r = ReducerI64{acc: acc, op: op, buf: buf}
 	return r, nil
+}
+
+// nextView appends a reduction view to views, reusing the one an earlier
+// attempt on the same Context left past the end: like the Context, a view
+// is valid only during the body call.
+func nextView[T any](views *[]*T) *T {
+	if n := len(*views); n < cap(*views) && (*views)[:n+1][n] != nil {
+		*views = (*views)[:n+1]
+		return (*views)[n]
+	}
+	v := new(T)
+	*views = append(*views, v)
+	return v
 }
 
 // ReducerI64 is the int64 analog of ReducerF64.
@@ -252,8 +284,6 @@ func (c *Context) flushReductions() {
 		r.buf = nil
 	}
 	pool.mu.Unlock()
-	c.reducers = nil
-	c.reducersI64 = nil
 }
 
 // foldPool holds the idle buffers of reduction instances. A buffer is taken

@@ -61,27 +61,30 @@ func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
 	vm.mu.Lock()
 	vm.query(fieldKey{tree: tree, field: field}, ivs, priv, redOp, ev, &s)
 	vm.mu.Unlock()
-	return s.take()
+	return s.point.list
 }
 
 // accessPoint registers every (requirement, field) access of one point task
-// with completion event ev under a single acquisition of vm.mu, and returns
-// the point's distinct preconditions: nil when there are none, otherwise one
-// slice of exactly that length. Each pair counts as one query with its own
-// distinct edges, exactly as if issued alone. s is the caller's scratch.
-func (vm *versionMap) accessPoint(prs []PhysicalRegion, ev *Event, s *depScratch) []*Event {
-	if len(prs) == 0 {
+// — requirement i on regions[i] — with completion event ev under a single
+// acquisition of vm.mu, and returns the point's distinct preconditions: a
+// view of the caller's scratch s, valid until s is next used. Each pair
+// counts as one query with its own distinct edges, exactly as if issued
+// alone.
+func (vm *versionMap) accessPoint(reqs []PhysicalRegion, regions []*region.Region, ev *Event, s *depScratch) []*Event {
+	s.point.reset()
+	if len(reqs) == 0 {
 		return nil
 	}
 	vm.mu.Lock()
-	for _, pr := range prs {
-		ivs := pr.Region.Intervals()
-		for _, f := range pr.Fields {
-			vm.query(fieldKey{tree: pr.Region.Tree.ID, field: f}, ivs, pr.Priv, pr.RedOp, ev, s)
+	for i, req := range reqs {
+		reg := regions[i]
+		ivs := reg.Intervals()
+		for _, f := range req.Fields {
+			vm.query(fieldKey{tree: reg.Tree.ID, field: f}, ivs, req.Priv, req.RedOp, ev, s)
 		}
 	}
 	vm.mu.Unlock()
-	return s.take()
+	return s.point.list
 }
 
 // query applies one access to one field and merges its distinct
@@ -119,18 +122,6 @@ func (vm *versionMap) query(key fieldKey, ivs []region.Interval, priv privilege.
 // progress and of the point in progress.
 type depScratch struct {
 	query, point depSet
-}
-
-// take returns a copy of the point's edges, nil when there are none, and
-// resets the scratch for the next point.
-func (s *depScratch) take() []*Event {
-	var deps []*Event
-	if len(s.point.list) > 0 {
-		deps = make([]*Event, len(s.point.list))
-		copy(deps, s.point.list)
-	}
-	s.point.reset()
-	return deps
 }
 
 // depSetLinear bounds the linear-scan dedup of a depSet; past it, a map

@@ -218,6 +218,7 @@ func TestVersionMapConflictOrderingProperty(t *testing.T) {
 		const n = 40
 		ops := make([][]req, n)
 		prss := make([][]PhysicalRegion, n)
+		regs := make([][]*region.Region, n)
 		for i := range ops {
 			for range 1 + rng.Intn(3) {
 				rq := req{tree: rng.Intn(len(trees)), priv: privs[rng.Intn(len(privs))]}
@@ -246,6 +247,7 @@ func TestVersionMapConflictOrderingProperty(t *testing.T) {
 				rq.ivs = reg.Intervals()
 				ops[i] = append(ops[i], rq)
 				prss[i] = append(prss[i], PhysicalRegion{Region: reg, Priv: rq.priv, RedOp: rq.redOp, Fields: rq.fields})
+				regs[i] = append(regs[i], reg)
 			}
 		}
 
@@ -258,7 +260,7 @@ func TestVersionMapConflictOrderingProperty(t *testing.T) {
 		for i := range ops {
 			ev := NewEvent()
 			idx[ev] = i
-			deps[i] = vm.accessPoint(prss[i], ev, &scratch)
+			deps[i] = slices.Clone(vm.accessPoint(prss[i], regs[i], ev, &scratch))
 			maxDeps = max(maxDeps, len(deps[i]))
 			seen := map[*Event]bool{}
 			for _, d := range deps[i] {
