@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/privilege"
@@ -48,6 +49,22 @@ func newLin(t *Tree) lin {
 		l.lo, l.extent = b.Lo.C[0], uint64(b.Hi.C[0]-b.Lo.C[0])+1
 	}
 	return l
+}
+
+// Offset returns the storage offset of the element at p. It panics, as Get
+// and Set do, if p lies outside the tree.
+func (l lin) Offset(p domain.Point) int {
+	if i := uint64(p.C[0] - l.lo); p.Dim == 1 && i < l.extent {
+		return int(i)
+	}
+	return int(l.root.Index(p))
+}
+
+// Fold is one entry of a list-style reduction instance: the storage offset
+// of an element, as Offset resolves it, and a value to fold into it.
+type Fold[T float64 | int64] struct {
+	Off int
+	V   T
 }
 
 // FieldF64 returns a float64 accessor for the field on the given region.
@@ -109,13 +126,37 @@ func (a AccF64) Set(p domain.Point, v float64) {
 	a.data[a.root.Index(p)] = v
 }
 
-// Reduce folds v into the element at p using the given reduction operator.
-func (a AccF64) Reduce(op privilege.ReductionOp, p domain.Point, v float64) {
-	i := uint64(p.C[0] - a.lo)
-	if p.Dim != 1 || i >= a.extent {
-		i = uint64(a.root.Index(p))
+// ReduceAll folds each pair into the element at its offset, in order, with
+// op, the operator registered as id. A built-in operator runs as one loop
+// with no call per fold, bit-identical to its FoldF64; any other operator
+// is called once per fold.
+func (a AccF64) ReduceAll(id privilege.OpID, op privilege.ReductionOp, folds []Fold[float64]) {
+	d := a.data
+	switch id {
+	// Indexing folds, rather than copying each pair out, keeps the element
+	// the instruction's first operand, as in the operator's a+b and a*b:
+	// when both are NaN, the result is the element's NaN, not the fold's.
+	case privilege.OpSumF64, privilege.OpSumI64:
+		for k := range folds {
+			d[folds[k].Off] += folds[k].V
+		}
+	case privilege.OpProdF64, privilege.OpProdI64:
+		for k := range folds {
+			d[folds[k].Off] *= folds[k].V
+		}
+	case privilege.OpMinF64, privilege.OpMinI64:
+		for _, f := range folds {
+			d[f.Off] = math.Min(d[f.Off], f.V)
+		}
+	case privilege.OpMaxF64, privilege.OpMaxI64:
+		for _, f := range folds {
+			d[f.Off] = math.Max(d[f.Off], f.V)
+		}
+	default:
+		for _, f := range folds {
+			d[f.Off] = op.FoldF64(d[f.Off], f.V)
+		}
 	}
-	a.data[i] = op.FoldF64(a.data[i], v)
 }
 
 // Get returns the element at point p.
@@ -135,13 +176,34 @@ func (a AccI64) Set(p domain.Point, v int64) {
 	a.data[a.root.Index(p)] = v
 }
 
-// Reduce folds v into the element at p using the given reduction operator.
-func (a AccI64) Reduce(op privilege.ReductionOp, p domain.Point, v int64) {
-	i := uint64(p.C[0] - a.lo)
-	if p.Dim != 1 || i >= a.extent {
-		i = uint64(a.root.Index(p))
+// ReduceAll folds each pair into the element at its offset, in order, with
+// op, the operator registered as id. A built-in operator runs as one loop
+// with no call per fold, bit-identical to its FoldI64; any other operator
+// is called once per fold.
+func (a AccI64) ReduceAll(id privilege.OpID, op privilege.ReductionOp, folds []Fold[int64]) {
+	d := a.data
+	switch id {
+	case privilege.OpSumF64, privilege.OpSumI64:
+		for _, f := range folds {
+			d[f.Off] += f.V
+		}
+	case privilege.OpProdF64, privilege.OpProdI64:
+		for _, f := range folds {
+			d[f.Off] *= f.V
+		}
+	case privilege.OpMinF64, privilege.OpMinI64:
+		for _, f := range folds {
+			d[f.Off] = min(d[f.Off], f.V)
+		}
+	case privilege.OpMaxF64, privilege.OpMaxI64:
+		for _, f := range folds {
+			d[f.Off] = max(d[f.Off], f.V)
+		}
+	default:
+		for _, f := range folds {
+			d[f.Off] = op.FoldI64(d[f.Off], f.V)
+		}
 	}
-	a.data[i] = op.FoldI64(a.data[i], v)
 }
 
 // FillF64 sets every element of the region's field to v.

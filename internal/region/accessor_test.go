@@ -25,16 +25,14 @@ func checkAccessorAt(t *testing.T, tree *Tree, p domain.Point) {
 	root := tree.Domain.Bounds()
 	f := MustFieldF64(tree.Root(), 0)
 	g := MustFieldI64(tree.Root(), 1)
-	sum := privilege.MustOp(privilege.OpSumF64)
-	isum := privilege.MustOp(privilege.OpSumI64)
 	if !root.Contains(p) {
 		want := panicOf(func() { root.Index(p) })
 		if want == nil {
 			t.Fatalf("Rect.Index(%v) on %v did not panic", p, root)
 		}
 		for name, op := range map[string]func(){
-			"F64.Get": func() { f.Get(p) }, "F64.Set": func() { f.Set(p, 1) }, "F64.Reduce": func() { f.Reduce(sum, p, 1) },
-			"I64.Get": func() { g.Get(p) }, "I64.Set": func() { g.Set(p, 1) }, "I64.Reduce": func() { g.Reduce(isum, p, 1) },
+			"F64.Get": func() { f.Get(p) }, "F64.Set": func() { f.Set(p, 1) }, "F64.Offset": func() { f.Offset(p) },
+			"I64.Get": func() { g.Get(p) }, "I64.Set": func() { g.Set(p, 1) }, "I64.Offset": func() { g.Offset(p) },
 		} {
 			if got := panicOf(op); got != want {
 				t.Fatalf("%s(%v) on root %v panicked with %v, want %v", name, p, root, got, want)
@@ -47,8 +45,8 @@ func checkAccessorAt(t *testing.T, tree *Tree, p domain.Point) {
 	fdata[i], gdata[i] = 7, 7
 	f.Set(p, float64(i)+0.5)
 	g.Set(p, i+1)
-	f.Reduce(sum, p, 1)
-	g.Reduce(isum, p, 1)
+	f.ReduceAll(privilege.OpSumF64, nil, []Fold[float64]{{Off: f.Offset(p), V: 1}})
+	g.ReduceAll(privilege.OpSumI64, nil, []Fold[int64]{{Off: g.Offset(p), V: 1}})
 	if fdata[i] != float64(i)+1.5 || gdata[i] != i+2 || f.Get(p) != fdata[i] || g.Get(p) != gdata[i] {
 		t.Fatalf("point %v of root %v: accessors missed element %d", p, root, i)
 	}

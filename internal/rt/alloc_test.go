@@ -73,12 +73,10 @@ func TestRegionPointAllocsBounded(t *testing.T) {
 	}
 
 	acc := region.MustFieldF64(tree.Root(), 0)
-	red := &ReducerF64{acc: acc, op: privilege.MustOp(privilege.OpSumF64)}
+	red := &ReducerF64{acc: acc, id: privilege.OpSumF64, op: privilege.MustOp(privilege.OpSumF64)}
 	ctx, views := &Context{rt: r}, []*ReducerF64{red}
 	fold := testing.AllocsPerRun(100, func() {
-		r.folds.mu.Lock()
-		red.buf = takeFolds(&r.folds.f64)
-		r.folds.mu.Unlock()
+		red.buf = truncFolds(red.buf)
 		for i := range int64(points) {
 			red.Fold(domain.Pt1(i), 1)
 		}

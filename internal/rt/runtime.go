@@ -163,10 +163,8 @@ type Runtime struct {
 	depScratch depScratch
 
 	issueMu sync.Mutex
-	// reduceMu serializes reduction flushes; folds holds the idle
-	// reduction-instance buffers under a lock of its own.
+	// reduceMu serializes reduction flushes.
 	reduceMu sync.Mutex
-	folds    foldPool
 	// outstanding holds one entry per issued launch a fence has not yet
 	// waited for, guarded by issueMu.
 	outstanding []pendingTask

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"sync"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
@@ -54,17 +53,17 @@ type Context struct {
 	regions     []*region.Region // the point's, one per requirement
 	reducers    []*ReducerF64
 	reducersI64 []*ReducerI64
-	rt          *Runtime // lends reduction-instance buffers
+	rt          *Runtime // its reduceMu serializes flushes
 }
 
 // reset readies a drainer's Context for the next attempt. What the last
 // one left is dropped: a failed attempt's buffered folds are never flushed.
 func (c *Context) reset(p domain.Point, node int, h *runHeader, regions []*region.Region, args []byte) {
 	for _, r := range c.reducers {
-		r.buf = nil
+		r.buf = truncFolds(r.buf)
 	}
 	for _, r := range c.reducersI64 {
-		r.buf = nil
+		r.buf = truncFolds(r.buf)
 	}
 	*c = Context{Point: p, Node: node, Task: h.task, Args: args, reqs: h.reqs, regions: regions,
 		reducers: c.reducers[:0], reducersI64: c.reducersI64[:0], rt: c.rt}
@@ -109,12 +108,16 @@ func (c *Context) WriteF64(i int, field region.FieldID) (region.AccF64, error) {
 // ReduceF64 returns a fold-only reduction view for field on region argument
 // i, which must have been requested with Reduce privilege.
 //
-// The view is a private reduction instance: folds accumulate in a per-task
-// buffer and are applied to the shared collection only after the task body
-// returns, under a runtime-wide fold lock. This is what lets same-operator
-// reductions from parallel tasks commute without racing — the analog of
-// Legion's reduction instances, and like them the buffers are reused: the
-// runtime lends one per view and takes it back after the flush.
+// The view is a private, list-style reduction instance: each Fold resolves
+// its point to a storage offset at fold time and buffers the (offset, value)
+// pair, and the pairs are applied to the shared collection in fold order
+// only after the task body returns, under a runtime-wide fold lock. This is
+// what lets same-operator reductions from parallel tasks commute without
+// racing — the analog of Legion's reduction instances, and like them the
+// buffers are reused: the view, and its buffer, belong to the drainer's
+// Context. A fold at a point outside the region tree panics in Fold and
+// fails the task; a fold outside the requested subregion but inside the
+// tree is not checked, as for Get and Set.
 func (c *Context) ReduceF64(i int, field region.FieldID) (*ReducerF64, error) {
 	pr, err := c.checked(i, field, func(p privilege.Privilege) bool { return p == privilege.Reduce }, "reduce")
 	if err != nil {
@@ -128,11 +131,8 @@ func (c *Context) ReduceF64(i int, field region.FieldID) (*ReducerF64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rt.folds.mu.Lock()
-	buf := takeFolds(&c.rt.folds.f64)
-	c.rt.folds.mu.Unlock()
 	r := nextView(&c.reducers)
-	*r = ReducerF64{acc: acc, op: op, buf: buf}
+	*r = ReducerF64{acc: acc, id: pr.RedOp, op: op, buf: r.buf}
 	return r, nil
 }
 
@@ -172,8 +172,9 @@ func (c *Context) checked(i int, field region.FieldID, ok func(privilege.Privile
 
 // ReduceI64 returns a fold-only reduction view for an int64 field on region
 // argument i, which must have been requested with Reduce privilege. Like
-// ReduceF64, folds buffer in a private reduction instance until the task
-// completes.
+// ReduceF64, folds resolve their offset at fold time — an out-of-tree point
+// fails the task — and buffer in a private reduction instance until the
+// task completes.
 func (c *Context) ReduceI64(i int, field region.FieldID) (*ReducerI64, error) {
 	pr, err := c.checked(i, field, func(p privilege.Privilege) bool { return p == privilege.Reduce }, "reduce")
 	if err != nil {
@@ -187,11 +188,8 @@ func (c *Context) ReduceI64(i int, field region.FieldID) (*ReducerI64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rt.folds.mu.Lock()
-	buf := takeFolds(&c.rt.folds.i64)
-	c.rt.folds.mu.Unlock()
 	r := nextView(&c.reducersI64)
-	*r = ReducerI64{acc: acc, op: op, buf: buf}
+	*r = ReducerI64{acc: acc, id: pr.RedOp, op: op, buf: r.buf}
 	return r, nil
 }
 
@@ -211,24 +209,15 @@ func nextView[T any](views *[]*T) *T {
 // ReducerI64 is the int64 analog of ReducerF64.
 type ReducerI64 struct {
 	acc region.AccI64
+	id  privilege.OpID
 	op  privilege.ReductionOp
-	buf []foldItemI64
+	buf []region.Fold[int64]
 }
 
-type foldItemI64 struct {
-	p domain.Point
-	v int64
-}
-
-// Fold combines v into the element at p with the declared operator.
+// Fold combines v into the element at p with the declared operator; see
+// ReducerF64.Fold.
 func (r *ReducerI64) Fold(p domain.Point, v int64) {
-	r.buf = append(r.buf, foldItemI64{p: p, v: v})
-}
-
-func (r *ReducerI64) flush() {
-	for _, it := range r.buf {
-		r.acc.Reduce(r.op, it.p, it.v)
-	}
+	r.buf = append(r.buf, region.Fold[int64]{Off: r.acc.Offset(p), V: v})
 }
 
 // ReducerF64 is a fold-only view of a float64 field: tasks holding Reduce
@@ -236,86 +225,43 @@ func (r *ReducerI64) flush() {
 // or overwrite them. Folds are buffered until task completion.
 type ReducerF64 struct {
 	acc region.AccF64
+	id  privilege.OpID
 	op  privilege.ReductionOp
-	buf []foldItem
+	buf []region.Fold[float64]
 }
 
-type foldItem struct {
-	p domain.Point
-	v float64
-}
-
-// Fold combines v into the element at p with the declared operator.
+// Fold combines v into the element at p with the declared operator. The
+// point is resolved to its storage offset now, so a point outside the
+// region tree panics here and fails the task, as Get and Set do; a point
+// inside the tree but outside the requested subregion is not checked.
 func (r *ReducerF64) Fold(p domain.Point, v float64) {
-	r.buf = append(r.buf, foldItem{p: p, v: v})
-}
-
-// flush applies the buffered folds to the shared collection. The caller
-// holds the runtime's reduceMu.
-func (r *ReducerF64) flush() {
-	for _, it := range r.buf {
-		r.acc.Reduce(r.op, it.p, it.v)
-	}
+	r.buf = append(r.buf, region.Fold[float64]{Off: r.acc.Offset(p), V: v})
 }
 
 // flushReductions applies every reducer's pending folds under the runtime's
-// reduceMu, then returns their buffers to the pool under the pool's own
-// lock: a task opening a view never waits behind another task's flush.
+// reduceMu.
 func (c *Context) flushReductions() {
 	if len(c.reducers) == 0 && len(c.reducersI64) == 0 {
 		return
 	}
 	c.rt.reduceMu.Lock()
 	for _, r := range c.reducers {
-		r.flush()
+		r.acc.ReduceAll(r.id, r.op, r.buf)
 	}
 	for _, r := range c.reducersI64 {
-		r.flush()
+		r.acc.ReduceAll(r.id, r.op, r.buf)
 	}
 	c.rt.reduceMu.Unlock()
-	pool := &c.rt.folds
-	pool.mu.Lock()
-	for _, r := range c.reducers {
-		putFolds(&pool.f64, r.buf)
-		r.buf = nil
-	}
-	for _, r := range c.reducersI64 {
-		putFolds(&pool.i64, r.buf)
-		r.buf = nil
-	}
-	pool.mu.Unlock()
 }
 
-// foldPool holds the idle buffers of reduction instances. A buffer is taken
-// when a task opens a reduction view and comes back after its folds are
-// flushed; a failed attempt's buffer is never flushed and goes to
-// the garbage collector instead. At most one buffer per running reduction
-// view is out at a time, so the pool never holds more than the runtime's
-// peak number of concurrent views. mu is held only to push or pop a buffer.
-type foldPool struct {
-	mu  sync.Mutex
-	f64 [][]foldItem
-	i64 [][]foldItemI64
-}
+// maxFolds caps the fold buffer a view keeps across attempts: one that grew
+// past it (a task folding unusually many elements) is dropped rather than
+// pinned by the drainer.
+const maxFolds = 1 << 12
 
-// maxPooledFolds caps the buffers the pool keeps: one that grew past it
-// (a task folding unusually many elements) is dropped rather than pinned.
-const maxPooledFolds = 1 << 12
-
-func takeFolds[T any](free *[][]T) []T {
-	n := len(*free)
-	if n == 0 {
+func truncFolds[T any](buf []T) []T {
+	if cap(buf) > maxFolds {
 		return nil
 	}
-	buf := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return buf
-}
-
-func putFolds[T any](free *[][]T, buf []T) {
-	if cap(buf) == 0 || cap(buf) > maxPooledFolds {
-		return
-	}
-	*free = append(*free, buf[:0])
+	return buf[:0]
 }

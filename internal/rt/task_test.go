@@ -12,28 +12,48 @@ import (
 	"indexlaunch/internal/region"
 )
 
-// The fold pool hands buffers back last in, first out, and refuses the
-// empty and the oversized.
-func TestFoldPoolKeepsOnlyReusableBuffers(t *testing.T) {
-	var pool foldPool
-	if takeFolds(&pool.f64) != nil {
-		t.Fatal("an empty pool lent a buffer")
+// A drainer's Context keeps each reduction view's fold buffer across
+// attempts: reset drops one that grew past maxFolds and empties a small one,
+// which the next attempt's view then fills again in place.
+func TestReductionViewKeepsOnlyReusableBuffers(t *testing.T) {
+	r := MustNew(Config{Nodes: 1, ProcsPerNode: 1, DCR: true, IndexLaunches: true})
+	defer r.Shutdown()
+	tree, _ := lineSetup(t, 8, 1)
+	h := &runHeader{reqs: []PhysicalRegion{{Priv: privilege.Reduce, RedOp: privilege.OpSumF64, Fields: []region.FieldID{fieldVal}}}}
+	regions := []*region.Region{tree.Root()}
+	ctx := &Context{rt: r}
+	open := func(folds int) *ReducerF64 {
+		ctx.reset(domain.Pt1(0), 0, h, regions, nil)
+		red, err := ctx.ReduceF64(0, fieldVal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(red.buf) != 0 {
+			t.Fatalf("a reset view holds %d folds", len(red.buf))
+		}
+		for i := range folds {
+			red.Fold(domain.Pt1(int64(i%8)), 1)
+		}
+		return red
 	}
-	small, big := make([]foldItem, 3, 8), make([]foldItem, 0, maxPooledFolds+1)
-	putFolds(&pool.f64, nil)
-	putFolds(&pool.f64, big)
-	putFolds(&pool.f64, small)
-	if len(pool.f64) != 1 {
-		t.Fatalf("pool holds %d buffers, want only the small one", len(pool.f64))
+	big := open(maxFolds + 1)
+	small := open(3)
+	if small != big {
+		t.Fatal("reset did not reuse the Context's view")
 	}
-	if b := takeFolds(&pool.f64); len(b) != 0 || cap(b) != 8 {
-		t.Fatalf("took len %d cap %d, want the small buffer emptied", len(b), cap(b))
+	if cap(small.buf) > maxFolds {
+		t.Fatalf("the view kept a buffer of cap %d past reset, want one of at most %d", cap(small.buf), maxFolds)
+	}
+	kept := &ctx.reducers[0].buf[0]
+	if again := open(3); &again.buf[0] != kept {
+		t.Fatal("a small buffer was not reused in place")
 	}
 }
 
-// Reduction instances borrow their buffers from the runtime: a committed
-// task returns them after its flush, a failed attempt's buffer is dropped
-// with its folds, and the folds that land are exactly the committed ones.
+// A reduction view keeps its buffer on the drainer's Context: the next
+// attempt on that Context opens its view on the emptied buffer, a failed
+// attempt's folds are dropped with the reset, and the folds that land are
+// exactly the committed ones.
 func TestReductionBuffersReturnAfterFlush(t *testing.T) {
 	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
 		Retry: RetryPolicy{Max: 1}})
@@ -46,11 +66,20 @@ func TestReductionBuffersReturnAfterFlush(t *testing.T) {
 	}
 	var mu sync.Mutex
 	failed := map[int64]bool{}
+	reused, dirty := 0, 0
 	task := r.MustRegisterTask("fold", func(ctx *Context) ([]byte, error) {
 		red, err := ctx.ReduceF64(0, 0)
 		if err != nil {
 			return nil, err
 		}
+		mu.Lock()
+		if cap(red.buf) > 0 {
+			reused++
+		}
+		if len(red.buf) > 0 {
+			dirty++
+		}
+		mu.Unlock()
 		for range 10 {
 			red.Fold(domain.Pt1(0), 1)
 		}
@@ -78,7 +107,7 @@ func TestReductionBuffersReturnAfterFlush(t *testing.T) {
 	if got := region.MustFieldF64(tree.Root(), 0).Get(domain.Pt1(0)); got != 80 {
 		t.Errorf("folded total %v, want 80 (8 committed tasks × 10)", got)
 	}
-	if n := len(r.folds.f64); n == 0 {
-		t.Error("no reduction buffer came back to the pool")
+	if reused == 0 || dirty > 0 {
+		t.Errorf("%d views opened on a kept buffer and %d on one still holding folds, want > 0 and 0", reused, dirty)
 	}
 }
