@@ -35,7 +35,7 @@ func main() {
 	reg := metrics.NewRegistry()
 	runtime := rt.MustNew(rt.Config{
 		Nodes: 4, ProcsPerNode: 2,
-		DCR: true, IndexLaunches: true, VerifyLaunches: true, Tracing: true,
+		DCR: true, IndexLaunches: true, VerifyLaunches: true,
 		Metrics: reg,
 	})
 	srv, err := metrics.Serve("127.0.0.1:0", reg, func() any { return runtime.Status() })

@@ -24,7 +24,7 @@ func main() {
 	}
 	runtime := rt.MustNew(rt.Config{
 		Nodes: 4, ProcsPerNode: 2,
-		DCR: true, IndexLaunches: true, VerifyLaunches: true, Tracing: true,
+		DCR: true, IndexLaunches: true, VerifyLaunches: true,
 	})
 	app := stencil.NewApp(s, runtime)
 

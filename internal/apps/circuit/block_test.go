@@ -15,22 +15,19 @@ func blockParams(seed int64) Params {
 	return Params{Pieces: 256, NodesPerPiece: 16, WiresPerPiece: 32, CrossFraction: 0.1, Seed: seed}
 }
 
-func blockConfig(dcr bool) rt.Config {
-	return rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true, VerifyLaunches: true}
+func blockRuntime(dcr bool) *rt.Runtime {
+	return rt.MustNew(rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true, VerifyLaunches: true})
 }
-
-func blockRuntime(dcr bool) *rt.Runtime { return rt.MustNew(blockConfig(dcr)) }
 
 // blockSteps is one block of the workloads: this many timesteps back to back,
 // then a FenceErr.
 const blockSteps = 20
 
-// runBlock runs one block; with tracing on, each timestep is one episode
-// of trace 1: the first captures, the rest replay.
-func runBlock(app *App) error {
-	tracing := app.RT.Config().Tracing
+// runBlock runs one block; traced, each timestep is one episode of trace 1:
+// the first captures, the rest replay.
+func runBlock(app *App, traced bool) error {
 	for s := 0; s < blockSteps; s++ {
-		if tracing {
+		if traced {
 			if err := app.RT.BeginTrace(1); err != nil {
 				return err
 			}
@@ -38,7 +35,7 @@ func runBlock(app *App) error {
 		if err := app.Step(); err != nil {
 			return err
 		}
-		if tracing {
+		if traced {
 			if err := app.RT.EndTrace(1); err != nil {
 				return err
 			}
@@ -49,24 +46,22 @@ func runBlock(app *App) error {
 
 // BenchmarkCircuitBlock measures one block of the rt.dcr (DCR) and rt.central
 // (centralized) workloads in process — 20 timesteps, 15360 point tasks with
-// real region requirements — untraced and under capture/replay at point
-// and at launch (bulk) granularity: ns, bytes and allocations per block
-// and per point, and the garbage collections one block sets off.
+// real region requirements — untraced and under capture/replay: ns, bytes
+// and allocations per block and per point, and the garbage collections one
+// block sets off.
 func BenchmarkCircuitBlock(b *testing.B) {
 	for _, dcr := range []bool{true, false} {
 		name := "centralized"
 		if dcr {
 			name = "DCR"
 		}
-		for _, tracing := range []string{"off", "point", "bulk"} {
+		for _, tracing := range []string{"off", "traced"} {
 			b.Run(name+"/"+tracing, func(b *testing.B) {
 				c, err := Build(blockParams(1))
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := blockConfig(dcr)
-				cfg.Tracing, cfg.BulkTracing = tracing != "off", tracing == "bulk"
-				r := rt.MustNew(cfg)
+				r := blockRuntime(dcr)
 				defer r.Shutdown()
 				app := NewApp(c, r)
 				b.ReportAllocs()
@@ -74,7 +69,7 @@ func BenchmarkCircuitBlock(b *testing.B) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := runBlock(app); err != nil {
+					if err := runBlock(app, tracing == "traced"); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -108,7 +103,7 @@ func TestCircuitBlockExactCounters(t *testing.T) {
 		r := blockRuntime(dcr)
 		app := NewApp(c, r)
 		for range 2 {
-			if err := runBlock(app); err != nil {
+			if err := runBlock(app, false); err != nil {
 				t.Fatal(err)
 			}
 		}

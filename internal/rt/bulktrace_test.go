@@ -14,7 +14,6 @@ func bulkRuntime(t *testing.T) (*Runtime, *region.Tree, *core.IndexLaunch) {
 	t.Helper()
 	r := MustNew(Config{
 		Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
-		Tracing: true, BulkTracing: true,
 	})
 	tree, p := lineSetup(t, 40, 4)
 	inc := r.MustRegisterTask("inc", incrementTask)
@@ -59,7 +58,6 @@ func TestBulkTraceMultiLaunchBody(t *testing.T) {
 	// completion of the producer launch.
 	r := MustNew(Config{
 		Nodes: 2, ProcsPerNode: 4, DCR: true, IndexLaunches: true,
-		Tracing: true, BulkTracing: true,
 	})
 	src, srcPart := lineSetup(t, 40, 4)
 	dst, dstPart := lineSetup(t, 40, 4)
@@ -208,7 +206,6 @@ func TestBulkTraceIncompleteReplayErrors(t *testing.T) {
 func TestBulkTraceWithSingles(t *testing.T) {
 	r := MustNew(Config{
 		Nodes: 1, ProcsPerNode: 1, DCR: true, IndexLaunches: true,
-		Tracing: true, BulkTracing: true,
 	})
 	tree, _ := lineSetup(t, 10, 1)
 	inc := r.MustRegisterTask("inc1", incrementTask)

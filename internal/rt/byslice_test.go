@@ -42,26 +42,51 @@ func filesBySlice(r *Runtime, il *core.IndexLaunch) bool {
 	return r.fileBySlice(l)
 }
 
-// Node 0 never enumerates a region-free launch to place it. Under DCR the
-// sharding functor is not called once — its inverse names each node's
-// points, once per node. In cluster mode every node's run is one block of
-// the launch, matching its slice, with no per-point slot list.
+// inEpisodes issues a launch over d inside a capture, then inside a replay
+// of the same trace, and checks both launches' squares.
+func inEpisodes(t *testing.T, r *Runtime, d domain.Domain, issue func() *FutureMap) {
+	t.Helper()
+	for range 2 {
+		if err := r.BeginTrace(1); err != nil {
+			t.Fatal(err)
+		}
+		fm := issue()
+		if err := r.EndTrace(1); err != nil {
+			t.Fatal(err)
+		}
+		wantSquares(t, fm, d)
+	}
+	if st := r.Stats(); st.TraceCaptures != 1 || st.TraceReplays != 1 {
+		t.Errorf("captures=%d replays=%d, want 1 and 1", st.TraceCaptures, st.TraceReplays)
+	}
+}
+
+// Node 0 never enumerates a region-free launch to place it, inside a trace
+// episode or not. Under DCR the sharding functor is not called once — its
+// inverse names each node's points, once per node. In cluster mode every
+// node's run is one block of the launch, matching its slice, with no
+// per-point slot list.
 func TestRegionFreeIssueNeverEnumerates(t *testing.T) {
 	d := domain.Range1(0, 49)
 	t.Run("dcr", func(t *testing.T) {
 		m := &countingMapper{}
 		r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true, Mapper: m})
 		defer r.Shutdown()
-		fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: registerSquare(r), Tag: "sq", Domain: d})
-		if err != nil {
-			t.Fatal(err)
+		il := &core.IndexLaunch{Task: registerSquare(r), Tag: "sq", Domain: d}
+		issue := func() *FutureMap {
+			fm, err := r.ExecuteIndex(il)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fm
 		}
-		wantSquares(t, fm, d)
+		wantSquares(t, issue(), d)
+		inEpisodes(t, r, d, issue)
 		if got := m.shards.Load(); got != 0 {
 			t.Errorf("the sharding functor ran %d times, want 0", got)
 		}
-		if got := m.ranges.Load(); got != 4 {
-			t.Errorf("the inverse ran %d times, want once per node (4)", got)
+		if got := m.ranges.Load(); got != 3*4 {
+			t.Errorf("the inverse ran %d times, want once per node and launch (12)", got)
 		}
 	})
 	t.Run("cluster", func(t *testing.T) {
@@ -72,35 +97,39 @@ func TestRegionFreeIssueNeverEnumerates(t *testing.T) {
 		defer r.Shutdown()
 		il := &core.IndexLaunch{Task: registerSquare(r), Tag: "sq", Domain: d}
 		// ExecuteIndex's stages by hand, to look at the runs before they start.
-		r.issueMu.Lock()
-		l, err := r.issue(il.Task, il.Tag, il.Domain, int(il.Parallelism()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.fm = newFutureMap(l.dom)
-		l.done = l.fm.done
-		r.distribute(l, true, true)
-		r.file(l)
-		for node, s := range l.ship {
-			lo, hi := domain.Block(d.Volume(), node, nodes)
-			switch {
-			case s == nil:
-				t.Errorf("node %d got no run", node)
-			case s.slots != nil:
-				t.Errorf("node %d's run was filed point by point", node)
-			case int64(s.lo) != lo || int64(s.n) != hi-lo || s.index != node:
-				t.Errorf("node %d's run holds slots %d+%d of slice %d, want the block [%d, %d) of slice %d",
-					node, s.lo, s.n, s.index, lo, hi, node)
+		issue := func() *FutureMap {
+			r.issueMu.Lock()
+			defer r.issueMu.Unlock()
+			l, err := r.issue(il.Task, il.Tag, il.Domain, int(il.Parallelism()))
+			if err != nil {
+				t.Fatal(err)
 			}
+			l.fm = newFutureMap(l.dom)
+			l.done = l.fm.done
+			r.distribute(l, true, true)
+			r.file(l)
+			for node, s := range l.ship {
+				lo, hi := domain.Block(d.Volume(), node, nodes)
+				switch {
+				case s == nil:
+					t.Errorf("node %d got no run", node)
+				case s.slots != nil:
+					t.Errorf("node %d's run was filed point by point", node)
+				case int64(s.lo) != lo || int64(s.n) != hi-lo || s.index != node:
+					t.Errorf("node %d's run holds slots %d+%d of slice %d, want the block [%d, %d) of slice %d",
+						node, s.lo, s.n, s.index, lo, hi, node)
+				}
+			}
+			r.launchDone(l)
+			return l.fm
 		}
-		r.launchDone(l)
-		r.issueMu.Unlock()
-		wantSquares(t, l.fm, d)
+		wantSquares(t, issue(), d)
+		inEpisodes(t, r, d, issue)
 		if err := r.FenceErr(); err != nil {
 			t.Fatal(err)
 		}
-		if got := tc.executed[1].Load() + tc.executed[2].Load(); got != 33 {
-			t.Errorf("workers executed %d points, want 33", got)
+		if got := tc.executed[1].Load() + tc.executed[2].Load(); got != 3*33 {
+			t.Errorf("workers executed %d points, want 33 per launch (99)", got)
 		}
 		if got := m.shards.Load(); got != 0 {
 			t.Errorf("the sharding functor ran %d times, want 0", got)

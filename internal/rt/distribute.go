@@ -195,7 +195,7 @@ type sliceRun struct {
 	// h is the launch's share of its points' run state; run builds a
 	// point's own only when it must.
 	h *runHeader
-	// deps are the launch-wide preconditions bulk-trace replay gives
+	// deps are the launch-wide preconditions a replay gives
 	// region-free points; the slice waits for them once.
 	deps []*Event
 	dom  domain.Domain // what a worker's run ships: its slice's domain, or a list

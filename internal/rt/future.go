@@ -83,7 +83,7 @@ func EncodeF64(v float64) []byte {
 }
 
 // FutureMap is the result of an index launch and its completion group —
-// the one thing a fence, a bulk replay and the caller wait on. Points issue
+// the one thing a fence, a replay and the caller wait on. Points issue
 // in domain order, so slot i holds point dom.PointAt(i)'s outcome and the
 // map keeps no point list; a countdown of unfinished points fires one
 // event, and a point's Future exists only once At asks for it.

@@ -24,7 +24,7 @@ type launch struct {
 	points int // declared point count
 
 	// done fires once the whole launch has finished — the one thing fences
-	// and bulk replays wait on.
+	// and replays wait on.
 	done *Event
 
 	// Distribution: whether the slicing functor (else the sharding functor)
@@ -34,7 +34,7 @@ type launch struct {
 	slices []Slice
 	ship   shipment
 
-	// Replay at launch granularity: the preconditions every point shares.
+	// Replay: the preconditions every point shares.
 	// issued counts analyzed points; it is the next point's future-map slot.
 	deps   []*Event
 	issued int
@@ -70,9 +70,8 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	}
 	l.reqs = launchReqs(il)
 	r.logical(l, il)
-	// A region-free launch runs by slice, one per node, unless a
-	// point-granularity trace episode makes each point a unit of its own.
-	file := len(il.Requirements) == 0 && (r.ep == nil || r.ep.byLaunch)
+	// A region-free launch runs by slice, one per node.
+	file := len(il.Requirements) == 0
 	r.distribute(l, !r.cfg.DCR, file)
 	if file {
 		r.file(l)

@@ -13,9 +13,9 @@ import (
 // node analyzes its local points. Caller holds issueMu.
 //
 // Only a point something can name as a dependence comes here — one that
-// touches regions, is a unit of a point-granularity trace episode, or is a
-// single launch's — so each gets a completion event. A region-free index
-// launch's points are filed by slice instead (file), with nothing to analyze.
+// touches regions, or a single launch's — so each gets a completion event.
+// A region-free index launch's points are filed by slice instead (file),
+// with nothing to analyze.
 func (r *Runtime) physical(l *launch, tr *taskRun, p domain.Point) []*Event {
 	tr.ev = l.done // a single launch's one point completes the launch
 	if l.fm != nil {
@@ -25,13 +25,13 @@ func (r *Runtime) physical(l *launch, tr *taskRun, p domain.Point) []*Event {
 
 	var deps []*Event
 	if r.replaying() {
-		deps = r.ep.replayPoint(l, p, ev)
+		deps = l.deps
 		r.mx.AnalysisSkipped.Inc()
 	} else {
 		t0 := r.clk.now()
 		deps = r.vm.accessPoint(l.reqs, tr.regions, ev, &r.depScratch)
 		if r.ep != nil {
-			r.ep.capture(l, p, ev, deps, l.reqs, tr.regions)
+			r.ep.capture(ev, deps, l.reqs, tr.regions)
 		}
 		t1 := r.clk.now()
 		l.physNS += t1 - t0

@@ -13,39 +13,38 @@ import (
 
 // Capture/replay (paper §6.2.1, citing Lee et al. [20]) memoizes the
 // dependence analysis of a repeated sequence of launches. The first episode
-// with a given id captures, per unit, the dependence edges the version map
-// produced; later episodes replay the captured template, skipping
+// with a given id captures, per launch, the dependence edges the version
+// map produced; later episodes replay the captured template, skipping
 // version-map queries entirely.
 //
-// The unit of memoization is the one knob. At point granularity
-// (Config.Tracing) every point task seals its own unit, which forces an
-// index launch to expand before distribution. At launch granularity
-// (Config.BulkTracing — the paper's stated future work: "tracing to work
-// with bulk task launches, such that the benefits of index launches can be
-// enjoyed, even without DCR") a whole launch is one unit: the capture
-// merges its points' edges into "which earlier launches does this launch
-// depend on", and a replay wires every point of the launch to the merged
-// completion events of those launches — one dependence decision per launch,
-// so the compact representation survives replay. The price is precision:
-// points that were independent at point granularity (halo exchanges, say)
-// become launch barriers during replay. Correctness is unaffected.
+// The unit of memoization is the launch, which is the paper's stated
+// future work: "tracing to work with bulk task launches, such that the
+// benefits of index launches can be enjoyed, even without DCR". A capture
+// merges a launch's points' edges into "which earlier launches does this
+// launch depend on", and a replay wires every point of the launch to the
+// merged completion events of those launches: one dependence decision per
+// launch, so the compact representation survives replay. The price is
+// precision: points that would be independent task by task (halo
+// exchanges, say) become launch barriers during replay. Correctness is
+// unaffected.
 //
 // A replayed episode is stitched to the surrounding program with two
-// conservative joints: every replayed unit waits on the merged last-events
-// of all data the template touches (boundary, computed live at replay
-// time), and at the end of a replay the version map is bulk-updated so
-// later un-traced work orders correctly after the episode.
+// conservative joints: every replayed launch waits on the merged
+// last-events of all data the template touches (boundary, computed live at
+// replay time), and at the end of a replay the version map is bulk-updated
+// so later un-traced work orders correctly after the episode.
 //
-// Replays must issue exactly the units that were captured (same tasks, same
-// points or point counts, same launch boundaries); a divergent replay is a
+// Replays must issue exactly the launches that were captured (same tasks
+// over the same domains, in the same order); a divergent replay is a
 // programming error and panics with a diagnostic.
 
-// unitSig identifies one captured unit for replay validation.
+// unitSig identifies one captured launch for replay validation. The domain,
+// not just its size, is part of it: a replay over other points would take
+// the captured launch's dependences and stay out of the bulk update, so
+// neither earlier nor later work on its own data would order against it.
 type unitSig struct {
-	task   core.TaskID
-	point  domain.Point // point granularity: the unit's point
-	points int          // launch granularity: the launch's point count
-	first  bool         // the unit opens a launch: boundaries are part of the signature
+	task core.TaskID
+	dom  domain.Domain
 }
 
 // template is a captured episode: what a replay needs instead of the
@@ -61,16 +60,15 @@ type template struct {
 // episode is the capture or replay between one BeginTrace/EndTrace pair.
 // Guarded by issueMu.
 type episode struct {
-	tmpl     *template
-	replay   bool
-	byLaunch bool // unit = launch (Config.BulkTracing), else unit = point
+	tmpl   *template
+	replay bool
 
 	// Capture: the unit that issued each completion event, and the
 	// dependence indices of the unit still open.
 	unitOf map[*Event]int
 	open   []int
 
-	// Replay: the next unit, every sealed unit's completion event, and the
+	// Replay: the next unit, every issued unit's completion event, and the
 	// boundary event the chain roots wait on.
 	cursor int
 	done   []*Event
@@ -80,19 +78,15 @@ type episode struct {
 func (r *Runtime) replaying() bool { return r.ep != nil && r.ep.replay }
 
 // BeginTrace starts an episode. The first episode with a given id captures;
-// later episodes replay. Episodes do not nest. Tracing must be enabled in
-// the runtime config.
+// later episodes replay. Episodes do not nest.
 func (r *Runtime) BeginTrace(id uint64) error {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
-	if !r.cfg.Tracing {
-		return fmt.Errorf("rt: tracing disabled in config")
-	}
 	if r.ep != nil {
 		return fmt.Errorf("rt: trace %d begun inside another trace", id)
 	}
 	if tmpl, ok := r.templates[id]; ok {
-		r.ep = &episode{tmpl: tmpl, replay: true, byLaunch: r.cfg.BulkTracing,
+		r.ep = &episode{tmpl: tmpl, replay: true,
 			done: make([]*Event, len(tmpl.units)), start: r.boundary(tmpl)}
 		return nil
 	}
@@ -100,8 +94,7 @@ func (r *Runtime) BeginTrace(id uint64) error {
 		tmpl: &template{id: id,
 			writes: map[fieldKey][]region.Interval{},
 			reads:  map[fieldKey][]region.Interval{}},
-		byLaunch: r.cfg.BulkTracing,
-		unitOf:   map[*Event]int{},
+		unitOf: map[*Event]int{},
 	}
 	return nil
 }
@@ -120,7 +113,7 @@ func (r *Runtime) boundary(t *template) *Event {
 }
 
 // EndTrace finishes the current episode. An EndTrace that does not match
-// its BeginTrace, or that ends a replay short of the captured units,
+// its BeginTrace, or that ends a replay short of the captured launches,
 // returns an error and discards the episode: no template is stored, nothing
 // is counted.
 func (r *Runtime) EndTrace(id uint64) error {
@@ -132,16 +125,13 @@ func (r *Runtime) EndTrace(id uint64) error {
 	}
 	r.ep = nil
 	t := ep.tmpl
-	label, stage := "trace", obs.StageCapture
-	if ep.byLaunch {
-		label = "bulk-trace"
-	}
+	stage := obs.StageCapture
 	var err error
 	switch {
 	case t.id != id:
 		err = fmt.Errorf("rt: EndTrace(%d) does not match BeginTrace(%d)", id, t.id)
 	case ep.replay && ep.cursor != len(t.units):
-		err = fmt.Errorf("rt: %s %d replay issued %d of %d units", label, id, ep.cursor, len(t.units))
+		err = fmt.Errorf("rt: trace %d replay issued %d of %d launches", id, ep.cursor, len(t.units))
 	}
 	if ep.replay {
 		// Restore version state in bulk: the merged terminal event of the
@@ -161,7 +151,7 @@ func (r *Runtime) EndTrace(id uint64) error {
 		for key, ivs := range t.reads {
 			r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal)
 		}
-		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: label + "-replay", tag: "trace"})
+		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: "trace-replay", tag: "trace"})
 		stage = obs.StageReplay
 	}
 	if err != nil {
@@ -177,23 +167,22 @@ func (r *Runtime) EndTrace(id uint64) error {
 		r.mx.TraceCaptures.Inc()
 	}
 	if prof := r.cfg.Profile; prof != nil {
-		prof.Mark(0, stage, label, "trace", domain.Point{}, prof.Now())
+		prof.Mark(0, stage, "trace", "trace", domain.Point{}, prof.Now())
 	}
 	return nil
 }
 
-// launchBegin opens l inside the episode. At launch granularity a replayed
-// launch is one unit, so its points' shared preconditions are fixed here.
+// launchBegin opens l inside the episode. A replayed launch is one unit,
+// so its points' shared preconditions are fixed here.
 func (ep *episode) launchBegin(l *launch) {
-	if ep.byLaunch && ep.replay {
-		l.deps = ep.unitDeps(ep.sig(l, domain.Point{}))
+	if ep.replay {
+		l.deps = ep.unitDeps(unitSig{l.task, l.dom})
 	}
 }
 
-// capture records one analyzed point into the open unit: its completion
-// event, its edges to earlier units and the data it touches. At point
-// granularity the point seals its own unit.
-func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, reqs []PhysicalRegion, regions []*region.Region) {
+// capture records one analyzed point into the open unit, its launch: its
+// completion event, its edges to earlier units and the data it touches.
+func (ep *episode) capture(ev *Event, deps []*Event, reqs []PhysicalRegion, regions []*region.Region) {
 	t := ep.tmpl
 	ep.unitOf[ev] = len(t.units)
 	// Edges to events from outside the episode are dropped: pre-episode
@@ -217,42 +206,6 @@ func (ep *episode) capture(l *launch, p domain.Point, ev *Event, deps []*Event, 
 			}
 		}
 	}
-	if !ep.byLaunch {
-		ep.seal(ep.sig(l, p), nil)
-	}
-}
-
-// replayPoint returns the preconditions of the next replayed point; at point
-// granularity it registers ev as the point's unit's completion event.
-func (ep *episode) replayPoint(l *launch, p domain.Point, ev *Event) []*Event {
-	if ep.byLaunch {
-		return l.deps
-	}
-	deps := ep.unitDeps(ep.sig(l, p))
-	ep.seal(unitSig{}, ev)
-	return deps
-}
-
-// launchDone closes l inside the episode: at launch granularity it seals
-// the launch's unit — in a replay, under the launch's completion event.
-func (ep *episode) launchDone(l *launch) {
-	if !ep.byLaunch {
-		return
-	}
-	var done *Event
-	if ep.replay {
-		done = l.done
-	}
-	ep.seal(ep.sig(l, domain.Point{}), done)
-}
-
-// sig is the signature of the unit l's point p belongs to: the launch
-// itself at launch granularity, the point otherwise.
-func (ep *episode) sig(l *launch, p domain.Point) unitSig {
-	if ep.byLaunch {
-		return unitSig{task: l.task, points: l.points, first: true}
-	}
-	return unitSig{task: l.task, point: p, first: l.issued == 0}
 }
 
 // unitDeps validates the next replayed unit against its captured signature
@@ -260,11 +213,11 @@ func (ep *episode) sig(l *launch, p domain.Point) unitSig {
 func (ep *episode) unitDeps(got unitSig) []*Event {
 	t := ep.tmpl
 	if ep.cursor >= len(t.units) {
-		panic(fmt.Sprintf("rt: trace %d replay issued more units than captured (%d)", t.id, len(t.units)))
+		panic(fmt.Sprintf("rt: trace %d replay issued more launches than captured (%d)", t.id, len(t.units)))
 	}
-	if want := t.units[ep.cursor]; want != got {
-		panic(fmt.Sprintf("rt: trace %d replay diverged at unit %d: captured %+v, replayed %+v",
-			t.id, ep.cursor, want, got))
+	if want := t.units[ep.cursor]; want.task != got.task || !want.dom.Eq(got.dom) {
+		panic(fmt.Sprintf("rt: trace %d replay diverged at launch %d: captured task %d over %v, replayed task %d over %v",
+			t.id, ep.cursor, want.task, want.dom, got.task, got.dom))
 	}
 	// Every replayed unit waits on the episode boundary in addition to its
 	// intra-episode deps. A capture-time "had external deps" flag cannot
@@ -281,15 +234,15 @@ func (ep *episode) unitDeps(got unitSig) []*Event {
 	return deps
 }
 
-// seal closes the open unit: a capture appends its signature and edges to
+// launchDone closes l's unit: a capture appends its signature and edges to
 // the template, a replay records its completion event and moves on.
-func (ep *episode) seal(sig unitSig, done *Event) {
+func (ep *episode) launchDone(l *launch) {
 	if ep.replay {
-		ep.done[ep.cursor] = done
+		ep.done[ep.cursor] = l.done
 		ep.cursor++
 		return
 	}
-	ep.tmpl.units = append(ep.tmpl.units, sig)
+	ep.tmpl.units = append(ep.tmpl.units, unitSig{l.task, l.dom})
 	ep.tmpl.deps = append(ep.tmpl.deps, ep.open)
 	ep.open = nil
 }

@@ -11,23 +11,36 @@ import (
 	"indexlaunch/internal/region"
 )
 
-// replayRuntime is a tracing runtime at the given granularity with an
-// increment launch over the first n of 4 blocks of a fresh 40-element line.
-func replayRuntime(t *testing.T, bulk bool) (*Runtime, func(n int64) (*region.Tree, *core.IndexLaunch)) {
+// replayRuntime is a runtime with an increment over the first n of 4 blocks
+// of a fresh 40-element line, issued as one index launch (bulk) or as one
+// single-task launch per block (per-task): one replay unit, or n of them.
+func replayRuntime(t *testing.T, bulk bool) (*Runtime, func(n int64) (*region.Tree, func() error)) {
 	t.Helper()
-	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
-		Tracing: true, BulkTracing: bulk})
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
 	inc := r.MustRegisterTask("inc", incrementTask)
-	return r, func(n int64) (*region.Tree, *core.IndexLaunch) {
+	return r, func(n int64) (*region.Tree, func() error) {
 		tree, p := lineSetup(t, 40, 4)
-		return tree, core.MustForall("inc", inc, domain.Range1(0, n-1), core.Requirement{
+		if !bulk {
+			return tree, func() error {
+				for i := range n {
+					req := []SingleReq{{Region: p.MustSubregion(domain.Pt1(i)),
+						Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal}}}
+					if _, err := r.ExecuteSingle("inc", inc, req, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		l := core.MustForall("inc", inc, domain.Range1(0, n-1), core.Requirement{
 			Partition: p, Functor: projection.Identity(1),
 			Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
 		})
+		return tree, func() error { _, err := r.ExecuteIndex(l); return err }
 	}
 }
 
-func granularity(bulk bool) string {
+func launchKind(bulk bool) string {
 	if bulk {
 		return "bulk"
 	}
@@ -39,15 +52,15 @@ func granularity(bulk bool) string {
 // a failed job left open must not outlive the job.
 func TestRecycleDropsReplayState(t *testing.T) {
 	for _, bulk := range []bool{false, true} {
-		t.Run(granularity(bulk), func(t *testing.T) {
+		t.Run(launchKind(bulk), func(t *testing.T) {
 			r, shape := replayRuntime(t, bulk)
 			defer r.Shutdown()
-			episode := func(id uint64, l *core.IndexLaunch) {
+			episode := func(id uint64, issue func() error) {
 				t.Helper()
 				if err := r.BeginTrace(id); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := r.ExecuteIndex(l); err != nil {
+				if err := issue(); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.EndTrace(id); err != nil {
@@ -62,7 +75,7 @@ func TestRecycleDropsReplayState(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Job B's id 1 has another shape: replaying A's template would
-			// panic on the divergence (or wire B to A's dependences).
+			// panic on the divergence, or end short of A's launches.
 			treeB, b := shape(2)
 			episode(1, b)
 			episode(1, b)
@@ -77,7 +90,7 @@ func TestRecycleDropsReplayState(t *testing.T) {
 			if err := r.BeginTrace(7); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.ExecuteIndex(b); err != nil {
+			if err := b(); err != nil {
 				t.Fatal(err)
 			}
 			r.Fence()
@@ -99,16 +112,16 @@ func TestRecycleDropsReplayState(t *testing.T) {
 func TestEndTraceMismatchDiscardsEpisode(t *testing.T) {
 	for _, bulk := range []bool{false, true} {
 		for _, replay := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/replay=%v", granularity(bulk), replay), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/replay=%v", launchKind(bulk), replay), func(t *testing.T) {
 				r, shape := replayRuntime(t, bulk)
 				defer r.Shutdown()
-				tree, l := shape(4)
+				tree, issue := shape(4)
 				run := func(begin, end uint64) error {
 					t.Helper()
 					if err := r.BeginTrace(begin); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := r.ExecuteIndex(l); err != nil {
+					if err := issue(); err != nil {
 						t.Fatal(err)
 					}
 					return r.EndTrace(end)

@@ -391,14 +391,13 @@ func TestChunkFailingPointsRetryAlone(t *testing.T) {
 	}
 }
 
-// Under SkipDependents a bulk-trace replay whose launch-wide precondition
+// Under SkipDependents a replay whose launch-wide precondition
 // is poisoned skips every point of its region-free launch, chunk by chunk,
 // without running a body.
 func TestChunkSkipsPoisonedBulkReplay(t *testing.T) {
 	for _, dcr := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
-			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true,
-				Tracing: true, BulkTracing: true})
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true})
 			defer r.Shutdown()
 			_, part := lineSetup(t, 16, 4)
 			write := func(tag string, fail bool) *core.IndexLaunch {

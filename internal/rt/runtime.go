@@ -34,14 +34,6 @@ type Config struct {
 	// Nothing else changes: either way the launch runs the same compact
 	// pipeline, since this runtime has no per-point issuance path.
 	IndexLaunches bool
-	// Tracing enables capture/replay of dependence analysis between
-	// BeginTrace/EndTrace markers.
-	Tracing bool
-	// BulkTracing switches tracing to launch granularity (the paper's
-	// stated future work): replays keep index launches compact by wiring
-	// launch-level dependencies instead of per-task templates. Requires
-	// Tracing.
-	BulkTracing bool
 	// VerifyLaunches runs the hybrid safety analysis on every index launch
 	// at issuance; a launch that fails counts as a Fallback and is Expanded
 	// (Listing 3's task-loop branch), and runs the same pipeline.

@@ -15,7 +15,6 @@ type Status struct {
 	ProcsPerNode  int  `json:"procs_per_node"`
 	DCR           bool `json:"dcr"`
 	IndexLaunches bool `json:"index_launches"`
-	Tracing       bool `json:"tracing,omitempty"`
 
 	// Node liveness under fault injection.
 	LiveNodes int   `json:"live_nodes"`
@@ -49,7 +48,6 @@ func (r *Runtime) Status() Status {
 		ProcsPerNode:  r.cfg.ProcsPerNode,
 		DCR:           r.cfg.DCR,
 		IndexLaunches: r.cfg.IndexLaunches,
-		Tracing:       r.cfg.Tracing,
 		LaunchCalls:   r.mx.LaunchCalls.Value(),
 		TasksExecuted: r.mx.TasksExecuted.Value(),
 		InflightTasks: r.mx.InflightTasks.Value(),

@@ -19,10 +19,12 @@ import (
 // them on the concurrent runtime, and compares the final data (and every
 // region-free result) against a deterministic sequential model. Any missed
 // dependence edge shows up as a divergence. The same program runs on every
-// distribution path (DCR, centralized, a cluster hub mesh) × every
-// capture/replay granularity (none, per task, per launch): part of it is a
-// loop body issued three times between BeginTrace/EndTrace, so a traced run
-// is one capture plus two replays with un-traced work in between.
+// distribution path (DCR, centralized, a cluster hub mesh), untraced and
+// traced: part of it is a loop body issued three times between
+// BeginTrace/EndTrace, so a traced run is one capture plus two replays.
+// Each episode is followed by one un-traced op ("trace"), or the episodes
+// run back to back and their un-traced ops follow in bulk after the last
+// ("bulk"), so each replay starts from the previous episode's bulk update.
 
 type stressOp struct {
 	priv  privilege.Privilege
@@ -117,8 +119,8 @@ func runStressDifferential(t *testing.T, seed int64, path, trace, launches strin
 	}
 
 	cfg := Config{Nodes: 3, ProcsPerNode: 2, DCR: path == "dcr",
-		IndexLaunches: launches != "noidx", VerifyLaunches: launches == "verify",
-		Tracing: trace != "untraced", BulkTracing: trace == "bulk"}
+		IndexLaunches: launches != "noidx", VerifyLaunches: launches == "verify"}
+	traced := trace != "untraced"
 	pure := func(point domain.Point, args []byte) []byte {
 		return EncodeF64(float64(args[0]) * float64(point.X()))
 	}
@@ -243,7 +245,7 @@ func runStressDifferential(t *testing.T, seed int64, path, trace, launches strin
 		issue(next)
 	}
 	for ep := 0; ep < stressEpisodes; ep++ {
-		if cfg.Tracing {
+		if traced {
 			if err := r.BeginTrace(1); err != nil {
 				t.Fatal(err)
 			}
@@ -251,14 +253,20 @@ func runStressDifferential(t *testing.T, seed int64, path, trace, launches strin
 		for i := 0; i < stressBody; i++ {
 			issue(stressPrefix + i)
 		}
-		if cfg.Tracing {
+		if traced {
 			if err := r.EndTrace(1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		issue(stressPrefix + stressBody + ep)
+		if trace != "bulk" {
+			issue(stressPrefix + stressBody + ep)
+		}
 	}
-	for next = stressPrefix + stressBody + stressEpisodes; next < len(ops); next++ {
+	next = stressPrefix + stressBody + stressEpisodes
+	if trace == "bulk" {
+		next = stressPrefix + stressBody
+	}
+	for ; next < len(ops); next++ {
 		issue(next)
 	}
 	if err := r.FenceErr(); err != nil {
@@ -274,7 +282,7 @@ func runStressDifferential(t *testing.T, seed int64, path, trace, launches strin
 			t.Fatalf("region-free launch %d sums to %v, %v; want %v", i, got, err, pureWant[i])
 		}
 	}
-	if cfg.Tracing {
+	if traced {
 		if st := r.Stats(); st.TraceCaptures != 1 || st.TraceReplays != stressEpisodes-1 {
 			t.Fatalf("captures=%d replays=%d, want 1 and %d", st.TraceCaptures, st.TraceReplays, stressEpisodes-1)
 		}

@@ -12,7 +12,7 @@ import (
 
 func traceRuntime(t *testing.T) (*Runtime, *region.Tree, *core.IndexLaunch) {
 	t.Helper()
-	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true, Tracing: true})
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
 	tree, p := lineSetup(t, 40, 4)
 	inc := r.MustRegisterTask("inc", incrementTask)
 	launch := core.MustForall("inc", inc, domain.Range1(0, 3), core.Requirement{
@@ -100,10 +100,6 @@ func TestTraceReplayOrdersAgainstOutsideWork(t *testing.T) {
 
 func TestTraceErrors(t *testing.T) {
 	r, _, launch := traceRuntime(t)
-	noTrace := MustNew(Config{Nodes: 1, ProcsPerNode: 1})
-	if err := noTrace.BeginTrace(1); err == nil {
-		t.Error("BeginTrace with tracing disabled should error")
-	}
 	if err := r.EndTrace(1); err == nil {
 		t.Error("EndTrace without BeginTrace should error")
 	}
@@ -129,36 +125,56 @@ func TestTraceErrors(t *testing.T) {
 	r.Fence()
 }
 
+// A replay must issue the launches the capture saw: another task diverges,
+// and so does the same task over other points, however many.
 func TestTraceReplayDivergencePanics(t *testing.T) {
-	r, _, launch := traceRuntime(t)
-	other := r.MustRegisterTask("other", func(*Context) ([]byte, error) { return nil, nil })
-	if err := r.BeginTrace(3); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		other bool          // replay another task
+		dom   domain.Domain // over these points
+	}{
+		{"other task", true, domain.Range1(0, 3)},
+		{"other points", false, domain.Range1(4, 7)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
+			_, p := lineSetup(t, 80, 8)
+			inc := r.MustRegisterTask("inc", incrementTask)
+			other := r.MustRegisterTask("other", func(*Context) ([]byte, error) { return nil, nil })
+			launch := func(task core.TaskID, d domain.Domain) *core.IndexLaunch {
+				return core.MustForall("l", task, d, core.Requirement{
+					Partition: p, Functor: projection.Identity(1),
+					Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
+				})
+			}
+			if err := r.BeginTrace(3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ExecuteIndex(launch(inc, domain.Range1(0, 3))); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.EndTrace(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.BeginTrace(3); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("divergent replay should panic")
+				}
+			}()
+			task := inc
+			if c.other {
+				task = other
+			}
+			_, _ = r.ExecuteIndex(launch(task, c.dom))
+		})
 	}
-	if _, err := r.ExecuteIndex(launch); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EndTrace(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.BeginTrace(3); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("divergent replay should panic")
-		}
-	}()
-	_, p := lineSetup(t, 40, 4)
-	diverged := core.MustForall("other", other, domain.Range1(0, 3), core.Requirement{
-		Partition: p, Functor: projection.Identity(1),
-		Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
-	})
-	_, _ = r.ExecuteIndex(diverged)
 }
 
 func TestTraceWithSingleTasks(t *testing.T) {
-	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true, Tracing: true})
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
 	tree, _ := lineSetup(t, 10, 1)
 	inc := r.MustRegisterTask("inc1", func(ctx *Context) ([]byte, error) {
 		acc, err := ctx.WriteF64(0, fieldVal)

@@ -88,7 +88,7 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	rec := obs.NewRecorder("rt", nodes, 1<<12)
 	rec.SetSink(sink)
 	r := MustNew(Config{
-		Nodes: nodes, ProcsPerNode: 2, DCR: true, IndexLaunches: true, Tracing: true,
+		Nodes: nodes, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
 		Profile: rec, Retry: RetryPolicy{Max: 1},
 	})
 	defer r.Shutdown()
