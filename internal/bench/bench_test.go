@@ -148,8 +148,10 @@ func TestTable2LinearScaling(t *testing.T) {
 		}
 		// The paper's headline: even at 1e6 the check stays in the
 		// low-millisecond range (we allow extra headroom for the opaque
-		// interface-dispatch path; the paper's compiler inlines it).
-		if last := row.MicrosPerSize[len(row.MicrosPerSize)-1]; last > 40_000 {
+		// interface-dispatch path; the paper's compiler inlines it). An
+		// absolute time says nothing under the race detector, which only
+		// the ratios above survive.
+		if last := row.MicrosPerSize[len(row.MicrosPerSize)-1]; !raceBuild && last > 40_000 {
 			t.Errorf("%s at 1e6 took %.0f µs; want low milliseconds", row.Label, last)
 		}
 	}

@@ -157,6 +157,10 @@ func (in *interp) launchPlan(o *OpCandidateLoop, lp *LaunchPlan, d domain.Domain
 		}
 	}
 
+	launch, err := core.Forall(lp.Stmt.Task, task, d, reqs...)
+	if err != nil {
+		return err
+	}
 	runAsIndex := false
 	switch lp.Decision {
 	case DecideTaskLoop:
@@ -168,57 +172,25 @@ func (in *interp) launchPlan(o *OpCandidateLoop, lp *LaunchPlan, d domain.Domain
 	case DecideDynamicBranch:
 		// Listing 3: evaluate the dynamic check, then branch.
 		in.stats.DynamicBranches++
-		launch, err := core.Forall(lp.Stmt.Task, task, d, reqs...)
-		if err != nil {
-			return err
-		}
 		res := launch.Verify(in.b.Checks)
 		in.stats.CheckEvals += res.DynamicEvaluations
 		runAsIndex = res.Safe
 	}
 
+	run := in.b.RT.ExecuteLoop // Listing 3's else-branch: the original loop
 	if runAsIndex {
-		launch, err := core.Forall(lp.Stmt.Task, task, d, reqs...)
-		if err != nil {
-			return err
-		}
-		fm, err := in.b.RT.ExecuteIndex(launch)
-		if err != nil {
-			return err
-		}
-		in.waits = append(in.waits, fm.Wait)
+		run = in.b.RT.ExecuteIndex
 		in.stats.IndexLaunches++
-		return nil
+	} else {
+		in.stats.TaskLoops++
+		in.stats.SingleTasks += d.Volume()
 	}
-
-	// The original task loop: issue point tasks individually in loop
-	// order; the runtime's dependence analysis serializes any conflicts.
-	in.stats.TaskLoops++
-	var iterErr error
-	d.Each(func(p domain.Point) bool {
-		singles := make([]rt.SingleReq, len(reqs))
-		for i, r := range reqs {
-			color := r.Functor.Project(p)
-			sub, err := r.Partition.Subregion(color)
-			if err != nil {
-				iterErr = fmt.Errorf("lang: %s at %v: %w", lp.Stmt.Task, p, err)
-				return false
-			}
-			singles[i] = rt.SingleReq{Region: sub, Priv: r.Priv, RedOp: r.RedOp, Fields: r.Fields}
-		}
-		fut, err := in.b.RT.ExecuteSingle(lp.Stmt.Task, task, singles, nil)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		in.waits = append(in.waits, func() error {
-			_, err := fut.Get()
-			return err
-		})
-		in.stats.SingleTasks++
-		return true
-	})
-	return iterErr
+	fm, err := run(launch)
+	if err != nil {
+		return err
+	}
+	in.waits = append(in.waits, fm.Wait)
+	return nil
 }
 
 // disjointnessHolds applies the bind-time part of the static verdict: every

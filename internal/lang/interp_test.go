@@ -318,3 +318,32 @@ func TestExecMissingBindings(t *testing.T) {
 		t.Error("unbound partition should error")
 	}
 }
+
+func TestExecTaskLoopIssuesThroughRuntimeLoop(t *testing.T) {
+	// A statically rejected loop is one task loop in the runtime: counted
+	// Expanded once, with no ExecuteSingle call of its own.
+	b, _, _ := interpSetup(t)
+	src := `
+task foo(c1, c2) where reads(c1), writes(c2) do end
+for i = 0, 5 do
+  foo(p[i], q[i % 3])
+end`
+	plan, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := b.RT.Stats()
+	if _, err := Exec(plan, b); err != nil {
+		t.Fatal(err)
+	}
+	after := b.RT.Stats()
+	if got := after.Expanded - before.Expanded; got != 1 {
+		t.Errorf("expanded += %d, want 1", got)
+	}
+	if got := after.SingleCalls - before.SingleCalls; got != 0 {
+		t.Errorf("single calls += %d, want 0", got)
+	}
+	if got := after.TasksExecuted - before.TasksExecuted; got != 5 {
+		t.Errorf("tasks executed += %d, want 5", got)
+	}
+}

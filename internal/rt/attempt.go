@@ -31,8 +31,8 @@ type runHeader struct {
 	// point has its own, holds them by slot.
 	args      []byte
 	pointArgs [][]byte
-	// Where outcomes land: a single launch's future, or its point's slot in
-	// the index launch's future map.
+	// Where outcomes land: a single launch's future, an index launch's
+	// point's slot in its future map, or both for a task loop's point.
 	fut *Future
 	fm  *FutureMap
 	// tc is the launch's span context, zero when the job is untraced; a
@@ -212,17 +212,17 @@ func (r *Runtime) commitAttempt(tr *taskRun, node int, o outcome) {
 
 // finish makes tr's outcome final. The in-flight gauge drops first, so a
 // fence that observes the completion observes it too; then the point's own
-// event fires (its dependents become runnable) and its future, or its slot
-// in the launch's future map, settles.
+// event fires (its dependents become runnable) and its future and its slot
+// in a future map, whichever it has, settle.
 func (r *Runtime) finish(tr *taskRun, val []byte, err error) {
 	r.mx.InflightTasks.Add(-1)
 	if tr.fut != nil {
 		tr.fut.complete(val, err)
-		return
-	}
-	if tr.ev != nil {
+	} else if tr.ev != nil {
 		tr.ev.Poison(err)
 	}
-	tr.fm.settle(tr.slot, val, err)
-	tr.fm.release(1)
+	if tr.fm != nil {
+		tr.fm.settle(tr.slot, val, err)
+		tr.fm.release(1)
+	}
 }

@@ -15,7 +15,7 @@ import (
 // identity to name its first unfinished task in timeout errors.
 type pendingTask struct {
 	ev    *Event
-	fm    *FutureMap // an index launch's points; nil otherwise
+	fm    *FutureMap // an index launch's group, or a loop point's loop's
 	name  string     // registered task name (or a synthetic label)
 	tag   string
 	point domain.Point // the task's point when fm is nil
@@ -26,7 +26,7 @@ func (pt *pendingTask) left() int64 {
 	switch {
 	case pt.ev.Done():
 		return 0
-	case pt.fm != nil:
+	case pt.fm != nil && pt.fm.done == pt.ev: // the whole group, not one loop point
 		return pt.fm.left.Load()
 	}
 	return 1

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
 
 	"indexlaunch/internal/core"
@@ -18,7 +19,7 @@ type launch struct {
 	// The header's firstID is the first of the launch's block of
 	// execute-span IDs, one per declared point. An index launch's points
 	// finish into fm, its completion group; a single launch's one point
-	// into fut.
+	// into fut, and a task loop's point into its slot of the loop's fm too.
 	*runHeader
 	dom    domain.Domain
 	points int // declared point count
@@ -48,15 +49,23 @@ type launch struct {
 
 // ExecuteIndex issues an index launch and returns its future map. The
 // launch is analyzed, distributed and executed asynchronously; Wait on the
-// future map (or a fence) to observe completion.
+// future map (or a fence) to observe completion. A launch the logical stage
+// does not keep compact runs as ExecuteLoop's task loop.
 func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
 	r.mx.LaunchCalls.Inc()
+	t0 := r.clk.now()
+	if !r.logical(il) {
+		return r.loop(il)
+	}
 	l, err := r.issue(il.Task, il.Tag, il.Domain, int(il.Parallelism()))
 	if err != nil {
 		return nil, err
 	}
+	l.t0, l.logicalNS = t0, r.clk.now()-t0 // its clock started with logical
+	r.clk.done(obs.StageLogical, r.mx.LatLogical, l.tc.Child(tcLogical), 0, 0,
+		l.name, l.tag, domain.Point{}, t0, t0+l.logicalNS)
 	l.fm, l.args = newFutureMap(l.dom), il.Args
 	l.done = l.fm.done
 	if il.PointArgs != nil {
@@ -69,7 +78,7 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 		l.fm.spans = obs.NewLaunchSpans(l.tc, l.firstID, l.name, l.tag, l.dom)
 	}
 	l.reqs = launchReqs(il)
-	r.logical(l, il)
+	r.ep.launchBegin(l, il, nil)
 	// A region-free launch runs by slice, one per node.
 	file := len(il.Requirements) == 0
 	r.distribute(l, !r.cfg.DCR, file)
@@ -88,6 +97,38 @@ func (r *Runtime) ExecuteIndex(il *core.IndexLaunch) (*FutureMap, error) {
 		return nil, err
 	}
 	return l.fm, nil
+}
+
+// ExecuteLoop issues il as Listing 3's task loop, the "No IDX" code: one
+// single launch per point in domain order, placed where the sharding functor
+// puts p in il.Domain and given il.ArgsAt(p), gathered into one future map.
+func (r *Runtime) ExecuteLoop(il *core.IndexLaunch) (*FutureMap, error) {
+	r.issueMu.Lock()
+	defer r.issueMu.Unlock()
+	return r.loop(il)
+}
+
+// loop is ExecuteLoop's body, counted Expanded. Its points' launches settle
+// their slots of its future map under its span IDs. Caller holds issueMu.
+func (r *Runtime) loop(il *core.IndexLaunch) (fm *FutureMap, err error) {
+	r.mx.Expanded.Inc()
+	fm, reqs := newFutureMap(il.Domain), launchReqs(il)
+	firstID, slot := r.clk.prof.NextIDs(len(fm.res)), 0
+	xerr := il.Each(func(pt core.PointTask) bool {
+		var l *launch
+		if l, err = r.issue(il.Task, il.Tag, il.Domain, 0); err != nil {
+			return false
+		}
+		l.fm, l.issued, l.firstID, l.reqs = fm, slot, firstID, reqs
+		r.single(l, pt.Point, pt.Regions, il.ArgsAt(pt.Point))
+		slot++
+		return true
+	})
+	fm.release(int64(len(fm.res)-slot) + 1) // issuance's count and the slots never issued
+	if err = errors.Join(err, xerr); err != nil {
+		return nil, err
+	}
+	return fm, nil
 }
 
 // launchReqs returns il's requirements as its points see them, each point
@@ -109,9 +150,7 @@ type SingleReq struct {
 	Fields []region.FieldID
 }
 
-// ExecuteSingle issues one task: a launch over a singleton domain, placed
-// by the sharding functor on both paths, with no logical stage (there is no
-// launch-wide analysis to do).
+// ExecuteSingle issues one task: a launch over a singleton domain.
 func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, args []byte) (*Future, error) {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
@@ -129,28 +168,32 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 		l.reqs[i] = PhysicalRegion{Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
 		regions[i] = req.Region
 	}
-	l.fut, l.args = newFuture(), args
-	l.done = l.fut.ev
-	r.distribute(l, false, false)
-	r.issuePoint(l, domain.Pt1(0), regions)
-	r.launchDone(l)
+	r.single(l, domain.Pt1(0), regions, args)
 	return l.fut, nil
 }
 
+// single takes an opened single launch — ExecuteSingle's, or a loop's point
+// p — through the rest of the pipeline: no logical stage, and p placed by
+// the sharding functor on both paths. Caller holds issueMu.
+func (r *Runtime) single(l *launch, p domain.Point, regions []*region.Region, args []byte) {
+	l.fut, l.args = newFuture(), args
+	l.done = l.fut.ev
+	r.ep.launchBegin(l, nil, regions)
+	r.distribute(l, false, false)
+	r.issuePoint(l, p, regions)
+	r.launchDone(l)
+}
+
 // issue is the first stage: it opens the launch — the value the other
-// stages are handed — under the next launch span context, starts its clock
-// and enters it into the open capture/replay episode. Caller holds issueMu.
+// stages are handed — under the next launch span context and starts its
+// clock. Caller holds issueMu.
 func (r *Runtime) issue(task core.TaskID, tag string, d domain.Domain, points int) (*launch, error) {
 	if int(task) >= len(r.tasks) {
 		return nil, fmt.Errorf("rt: launch %q names unregistered task %d", tag, task)
 	}
 	e := r.tasks[task]
-	l := &launch{runHeader: &runHeader{rt: r, fn: e.fn, task: task, name: e.name, tag: tag,
-		tc: r.nextLaunchTC(), firstID: r.clk.prof.NextIDs(points)}, dom: d, points: points, t0: r.clk.now()}
-	if r.ep != nil {
-		r.ep.launchBegin(l)
-	}
-	return l, nil
+	return &launch{runHeader: &runHeader{rt: r, fn: e.fn, task: task, name: e.name, tag: tag,
+		tc: r.nextLaunchTC(), firstID: r.clk.prof.NextIDs(points)}, dom: d, points: points, t0: r.clk.now()}, nil
 }
 
 // issuePoint takes one point through the per-point half of the pipeline:
@@ -198,7 +241,7 @@ func (r *Runtime) launchDone(l *launch) {
 	if r.ep != nil {
 		r.ep.launchDone(l)
 	}
-	if l.fm != nil {
+	if l.fut == nil {
 		// Issuance's count, plus the slots of declared points never issued
 		// (an expansion that failed part-way).
 		l.fm.release(int64(l.points-l.issued) + 1)

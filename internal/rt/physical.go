@@ -18,7 +18,7 @@ import (
 // with nothing to analyze.
 func (r *Runtime) physical(l *launch, tr *taskRun, p domain.Point) []*Event {
 	tr.ev = l.done // a single launch's one point completes the launch
-	if l.fm != nil {
+	if l.fut == nil {
 		tr.ev = NewEvent()
 	}
 	ev, node := tr.ev, int(tr.node)

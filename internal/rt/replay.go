@@ -35,16 +35,31 @@ import (
 // so later un-traced work orders correctly after the episode.
 //
 // Replays must issue exactly the launches that were captured (same tasks
-// over the same domains, in the same order); a divergent replay is a
-// programming error and panics with a diagnostic.
+// over the same domains through the same requirements, in the same order);
+// a divergent replay is a programming error and panics with a diagnostic.
 
-// unitSig identifies one captured launch for replay validation. The domain,
-// not just its size, is part of it: a replay over other points would take
-// the captured launch's dependences and stay out of the bulk update, so
-// neither earlier nor later work on its own data would order against it.
+// unitSig identifies one captured launch for replay validation. A replay
+// over other points or data would take the captured launch's dependences
+// and stay out of the bulk update, so neither earlier nor later work on its
+// own data would order against it.
 type unitSig struct {
-	task core.TaskID
-	dom  domain.Domain
+	task    core.TaskID
+	dom     domain.Domain
+	reqs    []PhysicalRegion   // privilege, operator and fields
+	parts   []core.Requirement // an index launch's partitions and functors
+	regions []*region.Region   // a single launch's regions
+}
+
+// eq compares functors by name and description: == panics on a closure.
+func (a unitSig) eq(b unitSig) bool {
+	sameReq := func(x, y PhysicalRegion) bool {
+		return x.Priv == y.Priv && x.RedOp == y.RedOp && slices.Equal(x.Fields, y.Fields)
+	}
+	samePart := func(x, y core.Requirement) bool {
+		return x.Partition == y.Partition && x.Functor.Name() == y.Functor.Name() && x.Functor.Describe() == y.Functor.Describe()
+	}
+	return a.task == b.task && a.dom.Eq(b.dom) && slices.Equal(a.regions, b.regions) &&
+		slices.EqualFunc(a.reqs, b.reqs, sameReq) && slices.EqualFunc(a.parts, b.parts, samePart)
 }
 
 // template is a captured episode: what a replay needs instead of the
@@ -64,8 +79,9 @@ type episode struct {
 	replay bool
 
 	// Capture: the unit that issued each completion event, and the
-	// dependence indices of the unit still open.
+	// signature and dependence indices of the unit still open.
 	unitOf map[*Event]int
+	sig    unitSig
 	open   []int
 
 	// Replay: the next unit, every issued unit's completion event, and the
@@ -172,11 +188,20 @@ func (r *Runtime) EndTrace(id uint64) error {
 	return nil
 }
 
-// launchBegin opens l inside the episode. A replayed launch is one unit,
-// so its points' shared preconditions are fixed here.
-func (ep *episode) launchBegin(l *launch) {
+// launchBegin opens l's unit in the open episode, if any. A replayed launch
+// is one unit, so its points' shared preconditions are fixed here.
+func (ep *episode) launchBegin(l *launch, il *core.IndexLaunch, regions []*region.Region) {
+	if ep == nil {
+		return
+	}
+	sig := unitSig{task: l.task, dom: l.dom, reqs: l.reqs, regions: regions}
+	if il != nil {
+		sig.parts = slices.Clone(il.Requirements)
+	}
 	if ep.replay {
-		l.deps = ep.unitDeps(unitSig{l.task, l.dom})
+		l.deps = ep.unitDeps(sig)
+	} else {
+		ep.sig = sig
 	}
 }
 
@@ -215,8 +240,8 @@ func (ep *episode) unitDeps(got unitSig) []*Event {
 	if ep.cursor >= len(t.units) {
 		panic(fmt.Sprintf("rt: trace %d replay issued more launches than captured (%d)", t.id, len(t.units)))
 	}
-	if want := t.units[ep.cursor]; want.task != got.task || !want.dom.Eq(got.dom) {
-		panic(fmt.Sprintf("rt: trace %d replay diverged at launch %d: captured task %d over %v, replayed task %d over %v",
+	if want := t.units[ep.cursor]; !want.eq(got) {
+		panic(fmt.Sprintf("rt: trace %d replay diverged at launch %d: captured task %d over %v, replayed task %d over %v (requirements compared too)",
 			t.id, ep.cursor, want.task, want.dom, got.task, got.dom))
 	}
 	// Every replayed unit waits on the episode boundary in addition to its
@@ -242,7 +267,7 @@ func (ep *episode) launchDone(l *launch) {
 		ep.cursor++
 		return
 	}
-	ep.tmpl.units = append(ep.tmpl.units, unitSig{l.task, l.dom})
+	ep.tmpl.units = append(ep.tmpl.units, ep.sig)
 	ep.tmpl.deps = append(ep.tmpl.deps, ep.open)
 	ep.open = nil
 }

@@ -28,15 +28,13 @@ type Config struct {
 	// nodes by the mapper's sharding functor. When false, the centralized
 	// path assigns whole slices via the slicing functor.
 	DCR bool
-	// IndexLaunches labels the paper's IDX and "No IDX" configurations: a
-	// launch counts under Stats.IndexLaunched when set and Stats.Expanded
-	// when not, and VerifyLaunches checks only launches issued with it set.
-	// Nothing else changes: either way the launch runs the same compact
-	// pipeline, since this runtime has no per-point issuance path.
+	// IndexLaunches selects the paper's IDX configuration, where an index
+	// launch stays compact. Without it ExecuteIndex issues every launch as
+	// ExecuteLoop's task loop, one single launch per point: "No IDX".
 	IndexLaunches bool
 	// VerifyLaunches runs the hybrid safety analysis on every index launch
-	// at issuance; a launch that fails counts as a Fallback and is Expanded
-	// (Listing 3's task-loop branch), and runs the same pipeline.
+	// at issuance; a launch that fails counts as a Fallback and issues as a
+	// task loop (Listing 3's else-branch).
 	VerifyLaunches bool
 	// Checks configures the hybrid analysis when VerifyLaunches is set.
 	Checks safety.Options
@@ -86,9 +84,9 @@ type Stats struct {
 	// ExecuteSingle invocations.
 	LaunchCalls int64
 	SingleCalls int64
-	// IndexLaunched counts launches issued as index launches; Expanded
-	// counts the rest (IndexLaunches off, or demoted by a failed safety
-	// check). Both kinds run the same compact pipeline.
+	// IndexLaunched counts launches kept compact; Expanded counts task loops
+	// issued per point: ExecuteLoop's, and ExecuteIndex's with IndexLaunches
+	// off or demoted by a failed safety check.
 	IndexLaunched int64
 	Expanded      int64
 	// Fallbacks counts launches a failed safety check counted as Expanded.
@@ -137,10 +135,11 @@ type Stats struct {
 }
 
 // Runtime is a single-process implementation of the paper's runtime
-// pipeline. Methods that issue work (ExecuteIndex, ExecuteSingle, fences and
-// trace markers) must be called from one goroutine, preserving the implicit
-// program order of the sequential-semantics programming model; task bodies
-// themselves run concurrently, on per-node run queues (runq.go).
+// pipeline. Methods that issue work (ExecuteIndex, ExecuteLoop,
+// ExecuteSingle, fences and trace markers) must be called from one
+// goroutine, preserving the implicit program order of the
+// sequential-semantics programming model; task bodies themselves run
+// concurrently, on per-node run queues (runq.go).
 type Runtime struct {
 	cfg    Config
 	mapper Mapper

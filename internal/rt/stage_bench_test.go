@@ -71,24 +71,38 @@ func (r *Runtime) benchIssue(b *testing.B, il *core.IndexLaunch) *launch {
 	return l
 }
 
+// BenchmarkStageIssue's idx rows are the issue stage of one index launch;
+// its loop rows issue the same launch as a task loop (ExecuteLoop's body):
+// |D| single launches, each through every issuance-side stage and started
+// on its node's run queue, so their ns and allocs per op grow with |D|.
 func BenchmarkStageIssue(b *testing.B) {
-	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
-		for i := 0; i < b.N; i++ {
-			l := r.benchIssue(b, il)
-			l.fm = newFutureMap(l.dom)
-			l.done = l.fm.done
-			_ = il.Each(func(core.PointTask) bool { return true })
-			// Nothing runs these points: launchDone releases them unissued.
-			r.launchDone(l)
-		}
+	b.Run("idx", func(b *testing.B) {
+		benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
+			for i := 0; i < b.N; i++ {
+				l := r.benchIssue(b, il)
+				l.fm = newFutureMap(l.dom)
+				l.done = l.fm.done
+				_ = il.Each(func(core.PointTask) bool { return true })
+				// Nothing runs these points: launchDone releases them unissued.
+				r.launchDone(l)
+			}
+		})
+	})
+	b.Run("loop", func(b *testing.B) {
+		benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.loop(il); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	})
 }
 
 func BenchmarkStageLogical(b *testing.B) {
 	benchStages(b, func(b *testing.B, r *Runtime, il *core.IndexLaunch, _ [][]*region.Region) {
-		l := r.benchIssue(b, il)
 		for i := 0; i < b.N; i++ {
-			r.logical(l, il)
+			r.logical(il)
 		}
 	})
 }

@@ -39,8 +39,8 @@ func (pr PhysicalRegion) hasField(id region.FieldID) bool {
 // body must not retain it — or an accessor or reducer it handed out — nor
 // hand it to a goroutine that outlives the call.
 type Context struct {
-	// Point is the task's index within its launch domain (the zero Point
-	// for single launches).
+	// Point is the task's index within its launch domain, a task loop's
+	// too (Pt1(0) for ExecuteSingle's task).
 	Point domain.Point
 	// Node is the simulated node the task was assigned to.
 	Node int

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"testing"
 
 	"indexlaunch/internal/core"
@@ -137,38 +138,113 @@ func TestTraceReplayDivergencePanics(t *testing.T) {
 		{"other points", false, domain.Range1(4, 7)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
-			_, p := lineSetup(t, 80, 8)
-			inc := r.MustRegisterTask("inc", incrementTask)
-			other := r.MustRegisterTask("other", func(*Context) ([]byte, error) { return nil, nil })
-			launch := func(task core.TaskID, d domain.Domain) *core.IndexLaunch {
-				return core.MustForall("l", task, d, core.Requirement{
-					Partition: p, Functor: projection.Identity(1),
-					Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
-				})
-			}
-			if err := r.BeginTrace(3); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.ExecuteIndex(launch(inc, domain.Range1(0, 3))); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.EndTrace(3); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.BeginTrace(3); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if recover() == nil {
-					t.Error("divergent replay should panic")
+			replayDiverges(t, func(il *core.IndexLaunch, other core.TaskID, _ *region.Tree) {
+				if c.other {
+					il.Task = other
 				}
-			}()
-			task := inc
-			if c.other {
-				task = other
+				il.Domain = c.dom
+			})
+		})
+	}
+	// The same task over the same points, through other data: the replay
+	// would order neither against the blocks it really touches.
+	for _, c := range []struct {
+		name string
+		edit func(req *core.Requirement, tree *region.Tree) error
+	}{
+		{"other functor", func(req *core.Requirement, _ *region.Tree) error {
+			req.Functor = projection.Modular1D(1, 4, 8) // blocks 4–7
+			return nil
+		}},
+		{"other partition", func(req *core.Requirement, tree *region.Tree) (err error) {
+			req.Partition, err = tree.PartitionEqual(tree.Root(), "quarters", 4)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			replayDiverges(t, func(il *core.IndexLaunch, _ core.TaskID, tree *region.Tree) {
+				if err := c.edit(&il.Requirements[0], tree); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
+// replayDiverges captures inc over blocks 0–3 of an 8-block line in trace
+// 3, then replays the launch edit makes of it, which must panic.
+func replayDiverges(t *testing.T, edit func(il *core.IndexLaunch, other core.TaskID, tree *region.Tree)) {
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true})
+	tree, p := lineSetup(t, 80, 8)
+	inc := r.MustRegisterTask("inc", incrementTask)
+	other := r.MustRegisterTask("other", func(*Context) ([]byte, error) { return nil, nil })
+	launch := func() *core.IndexLaunch {
+		return core.MustForall("l", inc, domain.Range1(0, 3), core.Requirement{
+			Partition: p, Functor: projection.Identity(1),
+			Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
+		})
+	}
+	if err := r.BeginTrace(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ExecuteIndex(launch()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EndTrace(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.BeginTrace(3); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("divergent replay should panic")
+		}
+	}()
+	il := launch()
+	edit(il, other, tree)
+	_, _ = r.ExecuteIndex(il)
+}
+
+// A launch VerifyLaunches demotes is a task loop in every episode, captured
+// and replayed as one unit per point; the replays keep the sequential
+// model's order where its points conflict.
+func TestTraceDemotedLaunchReplays(t *testing.T) {
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 4, DCR: dcr, IndexLaunches: true, VerifyLaunches: true})
+			defer r.Shutdown()
+			tree, p := lineSetup(t, 30, 3)
+			// Listing 2: points i and i+3 both write block i.
+			il := core.MustForall("step", r.MustRegisterTask("step", stepTask), domain.Range1(0, 5), core.Requirement{
+				Partition: p, Functor: projection.Modular1D(1, 0, 3),
+				Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
+			})
+			want := make([]float64, 30)
+			for i := 0; i < 3; i++ {
+				if err := r.BeginTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.ExecuteIndex(il); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.EndTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				stepModel(want, il)
 			}
-			_, _ = r.ExecuteIndex(launch(task, c.dom))
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, tree, want)
+			st := r.Stats()
+			if st.TraceCaptures != 1 || st.TraceReplays != 2 || st.Fallbacks != 3 || st.Expanded != 3 {
+				t.Errorf("captures=%d replays=%d fallbacks=%d expanded=%d, want 1/2/3/3",
+					st.TraceCaptures, st.TraceReplays, st.Fallbacks, st.Expanded)
+			}
+			if st.AnalysisSkipped != 12 {
+				t.Errorf("analysis skipped = %d, want 12: both replays' points", st.AnalysisSkipped)
+			}
 		})
 	}
 }
