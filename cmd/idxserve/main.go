@@ -262,7 +262,7 @@ func serve(addr string, cfg sched.Config, mesh *wire.Mesh) error {
 	if err != nil {
 		return err
 	}
-	srv, err := sched.Serve(addr, s, nil)
+	srv, err := sched.Serve(addr, s)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := sched.Serve("127.0.0.1:0", s, nil)
+	srv, err := sched.Serve("127.0.0.1:0", s)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -156,8 +156,6 @@ var stageMarks = [numStages]byte{
 	StageSend:       '>',
 	StageRecv:       '<',
 	StageRetransmit: '~',
-	StageHealth:     'H',
-	StageSpeculate:  'S',
 	StageEnqueue:    'q',
 	StageAdmit:      'a',
 	StagePreempt:    'P',
@@ -171,8 +169,7 @@ var paintOrder = []Stage{
 	StageDrain, StageEnqueue, StageAdmit,
 	StageFence, StageCapture, StageIssue, StageLogical, StageDistribute,
 	StageSend, StageRecv, StageRetransmit,
-	StageReplay, StagePhysical, StageExecute, StageRetry, StageFault,
-	StageHealth, StageSpeculate, StagePreempt,
+	StageReplay, StagePhysical, StageExecute, StageRetry, StageFault, StagePreempt,
 }
 
 // RenderTimeline draws one row per node: the profile's wall clock scaled to

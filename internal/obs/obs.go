@@ -65,12 +65,11 @@ const (
 	StageRecv
 	// StageRetransmit marks one ack-timeout-driven re-send of a hop.
 	StageRetransmit
-	// StageHealth and StageSpeculate marked failure-detector transitions
-	// and straggler-speculation incidents, which the runtime no longer
-	// has. Nothing records them now; they keep their numbers because
+	// Two retired stages, failure-detector transitions and straggler
+	// speculation, hold their numbers so later stages keep theirs:
 	// retained traces persist stages as numbers.
-	StageHealth
-	StageSpeculate
+	_
+	_
 	// StageEnqueue marks a job accepted into a scheduler queue
 	// (internal/sched).
 	StageEnqueue

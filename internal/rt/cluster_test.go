@@ -18,6 +18,9 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
+	"indexlaunch/internal/privilege"
+	"indexlaunch/internal/projection"
+	"indexlaunch/internal/region"
 	"indexlaunch/internal/trace"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
@@ -426,6 +429,83 @@ func TestClusterSliceFailingPointRetriesAlone(t *testing.T) {
 	}
 	if got := reg.Counter("wire_exec_errors_total", "").Value(); got != 0 {
 		t.Errorf("wire_exec_errors_total = %d, want 0", got)
+	}
+}
+
+// A worker slice whose launch-wide precondition is poisoned — a replay's
+// start event, here a failed writer of the traced region — is skipped
+// before it ships: every point fails with ErrUpstreamFailed and no Exec
+// request leaves node 0 for it.
+func TestClusterSliceSkipsPoisonedReplay(t *testing.T) {
+	const points = 16
+	reg := metrics.NewRegistry()
+	tc := newTestCluster(t, 2, squareBody, nil, func(node int, cfg *wire.MeshConfig) {
+		if node == 0 {
+			cfg.Metrics = reg
+		}
+	})
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, IndexLaunches: true, Transport: tc.meshes[0]})
+	defer r.Shutdown()
+	_, part := lineSetup(t, 16, 4)
+	write := func(tag string, fail bool) *core.IndexLaunch {
+		id := r.MustRegisterTask(tag, func(*Context) ([]byte, error) {
+			if fail {
+				return nil, errors.New("writer fails")
+			}
+			return nil, nil
+		})
+		return core.MustForall(tag, id, domain.Range1(0, 3), core.Requirement{
+			Partition: part, Functor: projection.Identity(1),
+			Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal}})
+	}
+	w, bad, sq := write("w", false), write("bad", true), registerSquare(r)
+	d := domain.Range1(0, points-1)
+	episode := func() *FutureMap {
+		t.Helper()
+		if err := r.BeginTrace(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ExecuteIndex(w); err != nil {
+			t.Fatal(err)
+		}
+		fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: sq, Tag: "sq", Domain: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.EndTrace(1); err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
+	wantSquares(t, episode(), d) // capture: node 1's half runs remotely
+	if err := r.FenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	execs, remote := reg.Counter("wire_execs_total", "").Value(), tc.executed[1].Load()
+	if execs != 1 || remote != points/2 {
+		t.Fatalf("capture sent %d Exec requests running %d points remotely, want 1 and %d", execs, remote, points/2)
+	}
+	if _, err := r.ExecuteIndex(bad); err != nil {
+		t.Fatal(err)
+	}
+	fm := episode() // replay: its start event is the failed writer's
+	if err := r.FenceErr(); !errors.Is(err, ErrUpstreamFailed) {
+		t.Fatalf("fence error %v, want ErrUpstreamFailed", err)
+	}
+	for _, p := range d.Points() {
+		f, _ := fm.At(p)
+		if _, err := f.Get(); !errors.Is(err, ErrUpstreamFailed) {
+			t.Errorf("point %v: %v, want ErrUpstreamFailed", p, err)
+		}
+	}
+	if got := reg.Counter("wire_execs_total", "").Value(); got != execs {
+		t.Errorf("replay sent %d Exec requests, want none", got-execs)
+	}
+	if got := tc.executed[1].Load(); got != remote {
+		t.Errorf("worker ran %d replayed points, want none", got-remote)
+	}
+	if st := r.Stats(); st.TraceReplays != 1 || st.TasksSkipped != 4+points {
+		t.Errorf("TraceReplays %d TasksSkipped %d, want 1/%d", st.TraceReplays, st.TasksSkipped, 4+points)
 	}
 }
 

@@ -359,7 +359,7 @@ func (r *Runtime) pump(ob *outbox, node int) {
 func (r *Runtime) sendBatch(node int, batch []*sliceRun, down bool) (settle func(), unreachable bool) {
 	live, reqs := batch[:0], make([]wire.ExecRequest, 0, len(batch))
 	for _, s := range batch {
-		if cause := WaitAllErr(s.deps); cause != nil && r.cfg.OnUpstreamFailure == SkipDependents {
+		if cause := WaitAllErr(s.deps); cause != nil {
 			r.skipSlice(s, 0, s.n, cause)
 			continue
 		}

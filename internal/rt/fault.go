@@ -16,9 +16,10 @@ import (
 // treat worker failure and re-execution as scheduling concerns:
 //
 //   - task failure: a task body that returns an error or panics poisons its
-//     completion event instead of crashing the process; dependents observe
-//     ErrUpstreamFailed through the same dependence edges that order
-//     execution, and either skip or run per Config.OnUpstreamFailure.
+//     completion event instead of crashing the process; dependents see the
+//     poison through the same dependence edges that order execution and are
+//     skipped: their futures fail with ErrUpstreamFailed wrapping the
+//     upstream cause, and the skip cascades downstream.
 //   - transient failure: Config.Retry re-executes a failed attempt on the
 //     task's original node, with bounded exponential backoff. Reductions
 //     buffer in private instances and flush only on success, so a failed
@@ -38,28 +39,6 @@ import (
 // on failed. Errors returned by Future.Get, FutureMap.WaitErr and FenceErr
 // match it with errors.Is.
 var ErrUpstreamFailed = errors.New("rt: upstream task failed")
-
-// FailurePolicy selects what dependents of a failed task do.
-type FailurePolicy int
-
-const (
-	// SkipDependents (the default) skips tasks whose preconditions are
-	// poisoned: their futures fail with ErrUpstreamFailed wrapping the
-	// upstream cause, and the skip cascades downstream.
-	SkipDependents FailurePolicy = iota
-	// RunDependents executes dependents normally even when an upstream
-	// task failed — the caller takes responsibility for interpreting
-	// partial data.
-	RunDependents
-)
-
-// String renders the policy name.
-func (p FailurePolicy) String() string {
-	if p == RunDependents {
-		return "RunDependents"
-	}
-	return "SkipDependents"
-}
 
 // RetryPolicy bounds re-execution of failed point tasks.
 type RetryPolicy struct {

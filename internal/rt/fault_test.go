@@ -142,37 +142,6 @@ func TestSkipCascadesDownstream(t *testing.T) {
 	}
 }
 
-// RunDependents executes downstream tasks even when upstream failed.
-func TestRunDependentsPolicy(t *testing.T) {
-	r := MustNew(Config{
-		Nodes: 2, ProcsPerNode: 2, DCR: true, IndexLaunches: true,
-		OnUpstreamFailure: RunDependents,
-	})
-	tree, part := lineSetup(t, 40, 4)
-	fail := r.MustRegisterTask("fail", func(ctx *Context) ([]byte, error) {
-		return nil, errors.New("deliberate")
-	})
-	inc := r.MustRegisterTask("inc", incrementTask)
-
-	if _, err := r.ExecuteIndex(core.MustForall("fail", fail, domain.Range1(0, 3), identityRW(part))); err != nil {
-		t.Fatal(err)
-	}
-	fm, err := r.ExecuteIndex(core.MustForall("inc", inc, domain.Range1(0, 3), identityRW(part)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fm.WaitErr(); err != nil {
-		t.Fatalf("dependents should run under RunDependents: %v", err)
-	}
-	sum, _ := region.SumF64(tree.Root(), fieldVal)
-	if sum != 40 {
-		t.Errorf("sum = %v, want 40 (every element incremented once)", sum)
-	}
-	if st := r.Stats(); st.TasksSkipped != 0 || st.TasksFailed != 4 {
-		t.Errorf("skipped %d failed %d, want 0 skipped, 4 failed", st.TasksSkipped, st.TasksFailed)
-	}
-}
-
 // Transient failures recover under Config.Retry with no terminal failures,
 // and the retry counter is deterministic.
 func TestRetryRecoversTransientFailures(t *testing.T) {
@@ -534,9 +503,9 @@ func TestReusedContextDropsFailedAttemptFolds(t *testing.T) {
 	}
 }
 
-// Under SkipDependents a point skips with ErrUpstreamFailed naming the
-// cause whether its precondition had already fired poisoned when the point
-// registered on it, or fires poisoned afterwards.
+// A point skips with ErrUpstreamFailed naming the cause whether its
+// precondition had already fired poisoned when the point registered on it,
+// or fires poisoned afterwards.
 func TestSkipNamesCausePoisonedBeforeOrAfterRegistration(t *testing.T) {
 	for _, before := range []bool{true, false} {
 		t.Run(fmt.Sprintf("before=%v", before), func(t *testing.T) {

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"indexlaunch/internal/core"
+	"indexlaunch/internal/safety"
 )
 
 // logical is the whole-launch analysis stage, run before the launch opens:
@@ -15,7 +16,7 @@ func (r *Runtime) logical(il *core.IndexLaunch) bool {
 	}
 	if r.cfg.VerifyLaunches {
 		t := r.clk.now()
-		res := il.Verify(r.cfg.Checks)
+		res := il.Verify(safety.Options{})
 		r.clk.observe(r.mx.CheckEval, r.clk.now()-t, 1)
 		r.mx.DynamicCheckEvals.Add(res.DynamicEvaluations)
 		if !res.Safe {

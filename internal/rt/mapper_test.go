@@ -118,24 +118,6 @@ func TestCyclicMapper(t *testing.T) {
 	}
 }
 
-func TestMemoizingMapper(t *testing.T) {
-	m := NewMemoizingMapper(BlockMapper{})
-	d := domain.Range1(0, 9)
-	for rep := 0; rep < 3; rep++ {
-		for i := int64(0); i < 10; i++ {
-			got := m.ShardPoint(d, domain.Pt1(i), 2)
-			want := BlockMapper{}.ShardPoint(d, domain.Pt1(i), 2)
-			if got != want {
-				t.Fatalf("memoized answer differs: %d vs %d", got, want)
-			}
-		}
-	}
-	hits, misses := m.Stats()
-	if misses != 10 || hits != 20 {
-		t.Errorf("hits=%d misses=%d, want 20/10", hits, misses)
-	}
-}
-
 func TestPinnedMapperRoutesEverything(t *testing.T) {
 	var executedOn [4]atomic.Int64
 	r := MustNew(Config{

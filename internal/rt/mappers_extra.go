@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"sync"
-
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
 )
@@ -42,74 +40,6 @@ func (CyclicMapper) SelectProcessor(node int, task core.TaskID, p domain.Point, 
 		return 0
 	}
 	return int(uint64(p.X()+p.Y()+p.Z()) % uint64(procs))
-}
-
-// MemoizingMapper caches sharding-functor evaluations. Sharding functors
-// are pure (paper §5: "sharding functors are pure functions, which permit
-// this mapping to be memoized for efficiency"), so the cache is always
-// valid; Hits/Misses expose its effectiveness.
-type MemoizingMapper struct {
-	Inner Mapper
-
-	mu     sync.Mutex
-	cache  map[shardKey]int
-	hits   int64
-	misses int64
-}
-
-type shardKey struct {
-	bounds domain.Rect
-	volume int64
-	point  domain.Point
-	nodes  int
-}
-
-// NewMemoizingMapper wraps inner with a sharding cache.
-func NewMemoizingMapper(inner Mapper) *MemoizingMapper {
-	return &MemoizingMapper{Inner: inner, cache: map[shardKey]int{}}
-}
-
-// ShardPoint implements Mapper, consulting the cache first.
-func (m *MemoizingMapper) ShardPoint(d domain.Domain, p domain.Point, nodes int) int {
-	key := shardKey{bounds: d.Bounds(), volume: d.Volume(), point: p, nodes: nodes}
-	m.mu.Lock()
-	if n, ok := m.cache[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		return n
-	}
-	m.misses++
-	m.mu.Unlock()
-	n := m.Inner.ShardPoint(d, p, nodes)
-	m.mu.Lock()
-	m.cache[key] = n
-	m.mu.Unlock()
-	return n
-}
-
-// ShardRange implements InvertibleMapper when the inner mapper does.
-func (m *MemoizingMapper) ShardRange(d domain.Domain, node, nodes int) (lo, hi int64, ok bool) {
-	if inv, is := m.Inner.(InvertibleMapper); is {
-		return inv.ShardRange(d, node, nodes)
-	}
-	return 0, 0, false
-}
-
-// Slice implements Mapper by delegation (slicing is already per-launch).
-func (m *MemoizingMapper) Slice(d domain.Domain, nodes int) []Slice {
-	return m.Inner.Slice(d, nodes)
-}
-
-// SelectProcessor implements Mapper by delegation.
-func (m *MemoizingMapper) SelectProcessor(node int, task core.TaskID, p domain.Point, procs int) int {
-	return m.Inner.SelectProcessor(node, task, p, procs)
-}
-
-// Stats returns cache hits and misses.
-func (m *MemoizingMapper) Stats() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
 }
 
 // PinnedMapper places every task on one node; useful in tests and for

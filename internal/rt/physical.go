@@ -31,7 +31,7 @@ func (r *Runtime) physical(l *launch, tr *taskRun, p domain.Point) []*Event {
 		t0 := r.clk.now()
 		deps = r.vm.accessPoint(l.reqs, tr.regions, ev, &r.depScratch)
 		if r.ep != nil {
-			r.ep.capture(ev, deps, l.reqs, tr.regions)
+			r.ep.capture(l, ev, deps, tr.regions)
 		}
 		t1 := r.clk.now()
 		l.physNS += t1 - t0

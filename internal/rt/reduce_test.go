@@ -48,8 +48,7 @@ func TestOutOfTreeFoldFailsOnlyItsTask(t *testing.T) {
 	for _, dcr := range []bool{true, false} {
 		for _, field := range []region.FieldID{fieldRedF64, fieldRedI64} {
 			t.Run(fmt.Sprintf("DCR=%v/field=%d", dcr, field), func(t *testing.T) {
-				r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true,
-					OnUpstreamFailure: RunDependents})
+				r := MustNew(Config{Nodes: 2, ProcsPerNode: 2, DCR: dcr, IndexLaunches: true})
 				defer r.Shutdown()
 				tree, _ := reduceTree(t, domain.Range1(0, 7))
 				blocks, err := tree.PartitionEqual(tree.Root(), "blocks", 8)

@@ -79,10 +79,12 @@ type episode struct {
 	replay bool
 
 	// Capture: the unit that issued each completion event, and the
-	// signature and dependence indices of the unit still open.
-	unitOf map[*Event]int
-	sig    unitSig
-	open   []int
+	// signature and dependence indices of the unit still open. selfDep
+	// names the task of the first launch whose points depend on each other.
+	unitOf  map[*Event]int
+	sig     unitSig
+	open    []int
+	selfDep string
 
 	// Replay: the next unit, every issued unit's completion event, and the
 	// boundary event the chain roots wait on.
@@ -129,7 +131,8 @@ func (r *Runtime) boundary(t *template) *Event {
 }
 
 // EndTrace finishes the current episode. An EndTrace that does not match
-// its BeginTrace, or that ends a replay short of the captured launches,
+// its BeginTrace, that ends a replay short of the captured launches, or
+// that ends a capture holding a launch whose points depend on each other,
 // returns an error and discards the episode: no template is stored, nothing
 // is counted.
 func (r *Runtime) EndTrace(id uint64) error {
@@ -148,6 +151,8 @@ func (r *Runtime) EndTrace(id uint64) error {
 		err = fmt.Errorf("rt: EndTrace(%d) does not match BeginTrace(%d)", id, t.id)
 	case ep.replay && ep.cursor != len(t.units):
 		err = fmt.Errorf("rt: trace %d replay issued %d of %d launches", id, ep.cursor, len(t.units))
+	case ep.selfDep != "":
+		err = fmt.Errorf("rt: trace %d captured a launch of task %q whose points depend on each other, which a replay cannot order (an unsafe launch issued without VerifyLaunches)", id, ep.selfDep)
 	}
 	if ep.replay {
 		// Restore version state in bulk: the merged terminal event of the
@@ -205,22 +210,30 @@ func (ep *episode) launchBegin(l *launch, il *core.IndexLaunch, regions []*regio
 	}
 }
 
-// capture records one analyzed point into the open unit, its launch: its
+// capture records one analyzed point of l into the open unit: its
 // completion event, its edges to earlier units and the data it touches.
-func (ep *episode) capture(ev *Event, deps []*Event, reqs []PhysicalRegion, regions []*region.Region) {
+func (ep *episode) capture(l *launch, ev *Event, deps []*Event, regions []*region.Region) {
 	t := ep.tmpl
 	ep.unitOf[ev] = len(t.units)
 	// Edges to events from outside the episode are dropped: pre-episode
 	// ordering is reconstructed at replay time from the version map
 	// (boundary), never from the capture run, whose timing-dependent view
 	// of pre-episode state (e.g. fresh, never-written regions) says nothing
-	// about what a replay will find.
+	// about what a replay will find. An edge to an earlier point of the same
+	// launch would make the unit wait on itself, so it fails the capture.
 	for _, d := range deps {
-		if j, ok := ep.unitOf[d]; ok && !slices.Contains(ep.open, j) {
+		j, ok := ep.unitOf[d]
+		switch {
+		case !ok || slices.Contains(ep.open, j):
+		case j == len(t.units):
+			if ep.selfDep == "" {
+				ep.selfDep = l.name
+			}
+		default:
 			ep.open = append(ep.open, j)
 		}
 	}
-	for i, req := range reqs {
+	for i, req := range l.reqs {
 		ivs := regions[i].Intervals()
 		for _, f := range req.Fields {
 			key := fieldKey{tree: regions[i].Tree.ID, field: f}

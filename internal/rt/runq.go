@@ -80,16 +80,14 @@ func (r *Runtime) drain(q *runQueue) {
 // commit pass — so a fence that observes the completion observes quiescent
 // gauges.
 func (r *Runtime) run(it runItem, ctx *Context) {
-	if r.cfg.OnUpstreamFailure == SkipDependents {
-		if it.chunk != nil {
-			if cause := WaitAllErr(it.chunk.deps); cause != nil {
-				r.skipSlice(it.chunk, it.lo, it.hi, cause)
-				return
-			}
-		} else if e := it.tr.cause.Load(); e != nil {
-			r.skipPoint(it.tr, it.node, e.err)
+	if it.chunk != nil {
+		if cause := WaitAllErr(it.chunk.deps); cause != nil {
+			r.skipSlice(it.chunk, it.lo, it.hi, cause)
 			return
 		}
+	} else if e := it.tr.cause.Load(); e != nil {
+		r.skipPoint(it.tr, it.node, e.err)
+		return
 	}
 	r.mx.BusyProcs.Add(1)
 	if it.chunk != nil {

@@ -391,9 +391,8 @@ func TestChunkFailingPointsRetryAlone(t *testing.T) {
 	}
 }
 
-// Under SkipDependents a replay whose launch-wide precondition
-// is poisoned skips every point of its region-free launch, chunk by chunk,
-// without running a body.
+// A replay whose launch-wide precondition is poisoned skips every point
+// of its region-free launch, chunk by chunk, without running a body.
 func TestChunkSkipsPoisonedBulkReplay(t *testing.T) {
 	for _, dcr := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
-	"indexlaunch/internal/safety"
 	"indexlaunch/internal/wire"
 	"indexlaunch/internal/xport"
 )
@@ -34,19 +33,14 @@ type Config struct {
 	IndexLaunches bool
 	// VerifyLaunches runs the hybrid safety analysis on every index launch
 	// at issuance; a launch that fails counts as a Fallback and issues as a
-	// task loop (Listing 3's else-branch).
+	// task loop (Listing 3's else-branch). Off is Fig 10's "no check".
 	VerifyLaunches bool
-	// Checks configures the hybrid analysis when VerifyLaunches is set.
-	Checks safety.Options
 	// Mapper controls distribution; nil selects BlockMapper.
 	Mapper Mapper
 	// Retry re-executes failed point tasks (body errors and panics) on
 	// their original node with exponential backoff. The zero value
 	// disables retry.
 	Retry RetryPolicy
-	// OnUpstreamFailure selects what dependents of a failed task do; the
-	// zero value, SkipDependents, fails them with ErrUpstreamFailed.
-	OnUpstreamFailure FailurePolicy
 	// Fault optionally injects deterministic simulated node failures at
 	// issuance boundaries; nil injects none.
 	Fault *FaultInjector
@@ -349,9 +343,6 @@ func (r *Runtime) MustRegisterTask(name string, fn TaskFn) core.TaskID {
 	}
 	return id
 }
-
-// Config returns the runtime's configuration.
-func (r *Runtime) Config() Config { return r.cfg }
 
 // TaskNamed returns the ID of a registered task by name. It lets code that
 // did not register the task issue launches against it — the scheduler's

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"indexlaunch/internal/core"
@@ -244,6 +245,45 @@ func TestTraceDemotedLaunchReplays(t *testing.T) {
 			}
 			if st.AnalysisSkipped != 12 {
 				t.Errorf("analysis skipped = %d, want 12: both replays' points", st.AnalysisSkipped)
+			}
+		})
+	}
+}
+
+// An unsafe launch kept compact (VerifyLaunches off) has points that depend
+// on each other, which a launch-granular template cannot replay: every
+// EndTrace fails naming the task and the trace and stores nothing, so each
+// episode captures again and runs in the sequential model's order.
+func TestTraceUnsafeCompactLaunchFailsCapture(t *testing.T) {
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 4, DCR: dcr, IndexLaunches: true})
+			defer r.Shutdown()
+			tree, p := lineSetup(t, 30, 3)
+			il := core.MustForall("step", r.MustRegisterTask("step", stepTask), domain.Range1(0, 5), core.Requirement{
+				Partition: p, Functor: projection.Modular1D(1, 0, 3),
+				Priv: privilege.ReadWrite, Fields: []region.FieldID{fieldVal},
+			})
+			want := make([]float64, 30)
+			for i := 0; i < 3; i++ {
+				if err := r.BeginTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.ExecuteIndex(il); err != nil {
+					t.Fatal(err)
+				}
+				err := r.EndTrace(1)
+				if err == nil || !strings.Contains(err.Error(), `task "step"`) || !strings.Contains(err.Error(), "trace 1 ") {
+					t.Fatalf("episode %d: EndTrace = %v, want an error naming task \"step\" and trace 1", i, err)
+				}
+				stepModel(want, il)
+			}
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, tree, want)
+			if st := r.Stats(); st.TraceCaptures != 0 || st.TraceReplays != 0 || st.IndexLaunched != 3 {
+				t.Errorf("captures=%d replays=%d indexLaunched=%d, want 0/0/3", st.TraceCaptures, st.TraceReplays, st.IndexLaunched)
 			}
 		})
 	}

@@ -232,7 +232,7 @@ func TestTracedLaunchSpansMatchPerPointIdentities(t *testing.T) {
 	seen := map[int64]int{}
 	for _, ev := range got.Spans {
 		switch ev.Stage {
-		case obs.StagePhysical, obs.StageExecute, obs.StageRetry, obs.StageFault, obs.StageSpeculate:
+		case obs.StagePhysical, obs.StageExecute, obs.StageRetry, obs.StageFault:
 			have = append(have, keyOf(ev))
 		}
 		if ev.Stage == obs.StageExecute {

@@ -230,7 +230,7 @@ func TestGetJobWaitsForFinishCommit(t *testing.T) {
 			defer s.Shutdown()
 			inFlight, release := holdFirstFsync(s)
 			defer release()
-			srv := httptest.NewServer(Handler(s, nil))
+			srv := httptest.NewServer(Handler(s))
 			defer srv.Close()
 
 			go func() {

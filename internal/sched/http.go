@@ -44,14 +44,24 @@ type SubmitRequest struct {
 	Priority      int    `json:"priority"`
 	Cost          int64  `json:"cost"`
 	DeadlineTicks int64  `json:"deadline_ticks"`
-	// Kind selects the job body from the handler's kind registry; empty
-	// defaults to "synthetic".
+	// Kind selects the job body from DefaultKinds; empty defaults to
+	// "synthetic".
 	Kind string `json:"kind"`
 	// Tasks and Rounds parameterize the synthetic kind: Rounds index
-	// launches of Tasks parallel tasks each.
+	// launches of Tasks parallel tasks each, at most MaxSyntheticTasks and
+	// MaxSyntheticRounds.
 	Tasks  int `json:"tasks"`
 	Rounds int `json:"rounds"`
 }
+
+// MaxSyntheticTasks and MaxSyntheticRounds bound a synthetic submission. A
+// launch holds one result slot per task, so an unbounded request could
+// exhaust memory, and a journaled one would do so again at recovery; POST
+// /jobs answers a larger value with 400 before admission and the journal.
+const (
+	MaxSyntheticTasks  = 65536
+	MaxSyntheticRounds = 1024
+)
 
 // SubmitResponse is the POST /jobs success payload.
 type SubmitResponse struct {
@@ -122,23 +132,39 @@ func SyntheticRun(tasks, rounds int) RunFunc {
 	}
 }
 
-// DefaultKinds is the kind registry Handler falls back to: just the
-// synthetic workload.
+// DefaultKinds is the job-kind registry: just the synthetic workload. The
+// HTTP API builds a submission's body from it and recovery rebuilds a
+// journaled submission's from it, so every kind a POST accepts is one a
+// restart can run.
 func DefaultKinds() map[string]KindFunc {
 	return map[string]KindFunc{
 		"synthetic": func(req SubmitRequest) (RunFunc, error) {
+			if req.Tasks > MaxSyntheticTasks || req.Rounds > MaxSyntheticRounds {
+				return nil, fmt.Errorf("synthetic job of %d tasks x %d rounds exceeds the bound of %d x %d",
+					req.Tasks, req.Rounds, MaxSyntheticTasks, MaxSyntheticRounds)
+			}
 			return SyntheticRun(req.Tasks, req.Rounds), nil
 		},
 	}
 }
 
+// buildRun builds req's job body from kinds; an empty kind is "synthetic".
+func buildRun(kinds map[string]KindFunc, req SubmitRequest) (RunFunc, error) {
+	kind := req.Kind
+	if kind == "" {
+		kind = "synthetic"
+	}
+	kf := kinds[kind]
+	if kf == nil {
+		return nil, fmt.Errorf("unknown job kind %q", kind)
+	}
+	return kf(req)
+}
+
 // Handler serves the job API and, underneath it, the metrics endpoints
 // (/metrics, /metrics.json, /statusz with the scheduler's tenant table).
-// kinds nil defaults to DefaultKinds.
-func Handler(s *Scheduler, kinds map[string]KindFunc) http.Handler {
-	if kinds == nil {
-		kinds = DefaultKinds()
-	}
+func Handler(s *Scheduler) http.Handler {
+	kinds := DefaultKinds()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, req *http.Request) {
 		var sr SubmitRequest
@@ -146,16 +172,7 @@ func Handler(s *Scheduler, kinds map[string]KindFunc) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 			return
 		}
-		kind := sr.Kind
-		if kind == "" {
-			kind = "synthetic"
-		}
-		kf := kinds[kind]
-		if kf == nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown job kind %q", kind))
-			return
-		}
-		run, err := kf(sr)
+		run, err := buildRun(kinds, sr)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -252,12 +269,12 @@ type Server struct {
 
 // Serve starts the job API plus metrics endpoints on addr (":0" selects an
 // ephemeral port) until Close.
-func Serve(addr string, s *Scheduler, kinds map[string]KindFunc) (*Server, error) {
+func Serve(addr string, s *Scheduler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("sched: listen %s: %w", addr, err)
 	}
-	srv := &Server{ln: ln, srv: &http.Server{Handler: Handler(s, kinds)}}
+	srv := &Server{ln: ln, srv: &http.Server{Handler: Handler(s)}}
 	go func() { _ = srv.srv.Serve(ln) }()
 	return srv, nil
 }

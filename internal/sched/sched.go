@@ -79,10 +79,6 @@ type Config struct {
 	// (panic) — continuing would acknowledge work that could silently
 	// vanish.
 	Durable DurableOptions
-	// Kinds is the registry used to rebuild journaled job bodies at
-	// recovery (jobs that arrived through the HTTP API carry their wire
-	// request). Nil defaults to DefaultKinds.
-	Kinds map[string]KindFunc
 	// TerminalRetention bounds how many finished jobs stay queryable; 0
 	// defaults to 4096. Evicted (and never-assigned) IDs are still
 	// distinguished by Lookup: gone versus unknown.
@@ -235,20 +231,9 @@ func New(cfg Config) (*Scheduler, error) {
 			prof.Dropped)
 	}
 	if cfg.Durable.Dir != "" {
-		kinds := cfg.Kinds
-		if kinds == nil {
-			kinds = DefaultKinds()
-		}
+		kinds := DefaultKinds()
 		s.st.rebuild = func(req *SubmitRequest) RunFunc {
-			kind := req.Kind
-			if kind == "" {
-				kind = "synthetic"
-			}
-			kf := kinds[kind]
-			if kf == nil {
-				return nil
-			}
-			run, err := kf(*req)
+			run, err := buildRun(kinds, *req)
 			if err != nil {
 				return nil
 			}

@@ -299,7 +299,7 @@ func TestHTTPDurableEndpoints(t *testing.T) {
 	cfg.Setup = SyntheticSetup
 	s := MustNew(cfg)
 	defer s.Shutdown()
-	srv, err := Serve("127.0.0.1:0", s, nil)
+	srv, err := Serve("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +372,52 @@ func TestHTTPDurableEndpoints(t *testing.T) {
 	}
 	if d := wrapper.Status.Durability; d == nil || d.Appends == 0 || d.Fsync == "" {
 		t.Fatalf("statusz durability panel missing or empty: %+v", wrapper.Status.Durability)
+	}
+}
+
+// A synthetic submission at MaxSyntheticTasks or MaxSyntheticRounds is
+// accepted and runs; one past either bound is a 400 that appends no journal
+// op, so neither admission nor recovery ever sees it.
+func TestHTTPSyntheticJobBounded(t *testing.T) {
+	cfg := durableCfg(t.TempDir())
+	cfg.Setup = SyntheticSetup
+	s := MustNew(cfg)
+	defer s.Shutdown()
+	srv, err := Serve("127.0.0.1:0", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	post := func(tasks, rounds int) (int, SubmitResponse) {
+		t.Helper()
+		resp, err := http.Post(srv.URL()+"/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"tenant":"a","tasks":%d,"rounds":%d}`, tasks, rounds)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr SubmitResponse
+		_ = json.NewDecoder(resp.Body).Decode(&sr)
+		return resp.StatusCode, sr
+	}
+	appends := func() uint64 { return s.Status().Durability.Appends }
+	for _, c := range [][2]int{{MaxSyntheticTasks + 1, 1}, {1, MaxSyntheticRounds + 1}} {
+		before := appends()
+		if code, _ := post(c[0], c[1]); code != http.StatusBadRequest {
+			t.Errorf("%d tasks x %d rounds: POST = %d, want 400", c[0], c[1], code)
+		}
+		if got := appends(); got != before {
+			t.Errorf("%d tasks x %d rounds: %d journal appends, want none", c[0], c[1], got-before)
+		}
+	}
+	for _, c := range [][2]int{{MaxSyntheticTasks, 1}, {1, MaxSyntheticRounds}} {
+		code, r := post(c[0], c[1])
+		if code != http.StatusAccepted {
+			t.Fatalf("%d tasks x %d rounds: POST = %d, want 202", c[0], c[1], code)
+		}
+		if err := s.Wait(r.ID); err != nil {
+			t.Fatalf("%d tasks x %d rounds: %v", c[0], c[1], err)
+		}
 	}
 }
 

@@ -413,7 +413,7 @@ func TestSchedHTTPEndToEnd(t *testing.T) {
 	}
 	s := MustNew(cfg)
 	defer s.Shutdown()
-	srv, err := Serve("127.0.0.1:0", s, nil)
+	srv, err := Serve("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,14 +514,7 @@ func TestSchedHTTPEndToEnd(t *testing.T) {
 	cfg2.Admission = Admission{MaxQueued: 1}
 	s2 := MustNew(cfg2)
 	defer s2.Shutdown()
-	srv2, err := Serve("127.0.0.1:0", s2, map[string]KindFunc{
-		"block": func(SubmitRequest) (RunFunc, error) {
-			return func(jc *JobContext, _ *rt.Runtime) error {
-				<-jc.Preempted() // holds until shutdown closes nothing; rely on test end
-				return nil
-			}, nil
-		},
-	})
+	srv2, err := Serve("127.0.0.1:0", s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +524,7 @@ func TestSchedHTTPEndToEnd(t *testing.T) {
 	if _, err := s2.Submit(JobSpec{Tenant: "q", Run: func(*JobContext, *rt.Runtime) error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	r5, err := http.Post(srv2.URL()+"/jobs", "application/json", strings.NewReader(`{"tenant":"q","kind":"block"}`))
+	r5, err := http.Post(srv2.URL()+"/jobs", "application/json", strings.NewReader(`{"tenant":"q","tasks":8}`))
 	if err != nil {
 		t.Fatal(err)
 	}

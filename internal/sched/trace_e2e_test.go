@@ -112,7 +112,7 @@ func TestTraceEndToEndCrossesAllLayers(t *testing.T) {
 	}
 
 	// /trace/{id} serves the same payload over HTTP.
-	srv, err := Serve("127.0.0.1:0", s, nil)
+	srv, err := Serve("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
