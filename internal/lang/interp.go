@@ -20,10 +20,6 @@ type Binding struct {
 	// Fields optionally restricts the fields each named partition's
 	// launches access; defaults to every field of the partition's tree.
 	Fields map[string][]region.FieldID
-	// Checks configures the dynamic safety checks (the production-mode
-	// switch of §4: disabling them removes the O(|D|) cost without
-	// affecting a valid program's results).
-	Checks safety.Options
 }
 
 // ExecStats counts what the interpreter actually did — which path of the
@@ -172,7 +168,7 @@ func (in *interp) launchPlan(o *OpCandidateLoop, lp *LaunchPlan, d domain.Domain
 	case DecideDynamicBranch:
 		// Listing 3: evaluate the dynamic check, then branch.
 		in.stats.DynamicBranches++
-		res := launch.Verify(in.b.Checks)
+		res := launch.Verify(safety.Options{})
 		in.stats.CheckEvals += res.DynamicEvaluations
 		runAsIndex = res.Safe
 	}

@@ -7,7 +7,6 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/region"
 	"indexlaunch/internal/rt"
-	"indexlaunch/internal/safety"
 )
 
 // interpSetup builds a runtime, two 30-element collections partitioned into
@@ -158,33 +157,6 @@ end`
 		if got := acc.Get(domain.Pt1(i)); got != 2 {
 			t.Errorf("q[%d] = %v, want 2", i, got)
 		}
-	}
-}
-
-func TestExecChecksDisabledSkipsVerification(t *testing.T) {
-	b, ptree, _ := interpSetup(t)
-	b.Checks = safety.Options{DisableDynamic: true}
-	src := `
-task f(r) where reads(r), writes(r) do end
-for i = 0, 10 do
-  f(p[(3*i+2) % 10])
-end`
-	plan, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := Exec(plan, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With checks disabled the branch trusts the launch (it is in fact
-	// valid: stride 3 and modulus 10 are coprime).
-	if stats.IndexLaunches != 1 || stats.CheckEvals != 0 {
-		t.Errorf("indexLaunches=%d checkEvals=%d, want 1/0", stats.IndexLaunches, stats.CheckEvals)
-	}
-	sum, _ := region.SumF64(ptree.Root(), 0)
-	if sum != 30 {
-		t.Errorf("sum = %v, want 30", sum)
 	}
 }
 

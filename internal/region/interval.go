@@ -102,6 +102,13 @@ func mergeAdjacent(ivs []Interval) []Interval {
 	return out
 }
 
+// Union sorts ivs in place and merges touching or overlapping intervals,
+// returning the sorted, disjoint runs that cover the same indices.
+func Union(ivs []Interval) []Interval {
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	return mergeAdjacent(ivs)
+}
+
 // IntervalsOverlap reports whether two sorted interval lists share an index.
 func IntervalsOverlap(a, b []Interval) bool {
 	i, j := 0, 0

@@ -28,11 +28,16 @@ import (
 // exchanges, say) become launch barriers during replay. Correctness is
 // unaffected.
 //
-// A replayed episode is stitched to the surrounding program with two
-// conservative joints: every replayed launch waits on the merged
-// last-events of all data the template touches (boundary, computed live at
-// replay time), and at the end of a replay the version map is bulk-updated
-// so later un-traced work orders correctly after the episode.
+// A replayed episode is stitched to the surrounding program by one
+// version-map access: BeginTrace enters the replay's terminal event as the
+// writer of every run the template writes and a reader of every run it
+// reads, and the preconditions that access returns become the start event
+// the replay's chain roots wait on; EndTrace fires the terminal once the
+// replayed launches have. Nothing queries the version map inside a replay
+// (every launch there is a replayed unit), so entering it early answers
+// no query differently, and the episode orders as any access does: a
+// replayed write waits for earlier readers and writers, a replayed read
+// only for the last writer.
 //
 // Replays must issue exactly the launches that were captured (same tasks
 // over the same domains through the same requirements, in the same order);
@@ -40,8 +45,8 @@ import (
 
 // unitSig identifies one captured launch for replay validation. A replay
 // over other points or data would take the captured launch's dependences
-// and stay out of the bulk update, so neither earlier nor later work on its
-// own data would order against it.
+// and stay out of the replay's version-map access, so neither earlier nor
+// later work on its own data would order against it.
 type unitSig struct {
 	task    core.TaskID
 	dom     domain.Domain
@@ -67,8 +72,8 @@ func (a unitSig) eq(b unitSig) bool {
 type template struct {
 	id     uint64
 	units  []unitSig
-	deps   [][]int // per unit, the earlier units of the episode it depends on
-	writes map[fieldKey][]region.Interval
+	deps   [][]int                        // per unit, the earlier units of the episode it depends on
+	writes map[fieldKey][]region.Interval // per field; sorted, disjoint runs once stored
 	reads  map[fieldKey][]region.Interval
 }
 
@@ -86,11 +91,13 @@ type episode struct {
 	open    []int
 	selfDep string
 
-	// Replay: the next unit, every issued unit's completion event, and the
-	// boundary event the chain roots wait on.
+	// Replay: the next unit, every issued unit's completion event, the
+	// start event the chain roots wait on, and the terminal event the
+	// version map holds for the whole episode.
 	cursor int
 	done   []*Event
 	start  *Event
+	end    *Event
 }
 
 func (r *Runtime) replaying() bool { return r.ep != nil && r.ep.replay }
@@ -104,8 +111,16 @@ func (r *Runtime) BeginTrace(id uint64) error {
 		return fmt.Errorf("rt: trace %d begun inside another trace", id)
 	}
 	if tmpl, ok := r.templates[id]; ok {
-		r.ep = &episode{tmpl: tmpl, replay: true,
-			done: make([]*Event, len(tmpl.units)), start: r.boundary(tmpl)}
+		ep := &episode{tmpl: tmpl, replay: true, done: make([]*Event, len(tmpl.units)), end: NewEvent()}
+		var pre []*Event
+		for key, ivs := range tmpl.writes {
+			pre = append(pre, r.vm.access(key.tree, key.field, ivs, privilege.Write, privilege.OpNone, ep.end)...)
+		}
+		for key, ivs := range tmpl.reads {
+			pre = append(pre, r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, ep.end)...)
+		}
+		ep.start = Merge(pre...)
+		r.ep = ep
 		return nil
 	}
 	r.ep = &episode{
@@ -115,19 +130,6 @@ func (r *Runtime) BeginTrace(id uint64) error {
 		unitOf: map[*Event]int{},
 	}
 	return nil
-}
-
-// boundary orders a whole replay after the current last users of everything
-// the template touches. Caller holds issueMu.
-func (r *Runtime) boundary(t *template) *Event {
-	var evs []*Event
-	for key, ivs := range t.writes {
-		evs = append(evs, r.vm.lastEvents(key.tree, key.field, ivs)...)
-	}
-	for key, ivs := range t.reads {
-		evs = append(evs, r.vm.lastEvents(key.tree, key.field, ivs)...)
-	}
-	return Merge(evs...)
 }
 
 // EndTrace finishes the current episode. An EndTrace that does not match
@@ -155,24 +157,10 @@ func (r *Runtime) EndTrace(id uint64) error {
 		err = fmt.Errorf("rt: trace %d captured a launch of task %q whose points depend on each other, which a replay cannot order (an unsafe launch issued without VerifyLaunches)", id, ep.selfDep)
 	}
 	if ep.replay {
-		// Restore version state in bulk: the merged terminal event of the
-		// replay becomes the last writer of everything the template wrote
-		// and a reader of everything it read. A discarded replay restores
-		// too — what it issued is in flight, and later work must order
-		// after it — with the boundary merged in, which a complete replay
-		// reaches through its units.
-		evs := ep.done[:ep.cursor:ep.cursor]
-		if err != nil {
-			evs = append(evs, ep.start)
-		}
-		terminal := Merge(evs...)
-		for key, ivs := range t.writes {
-			r.vm.bulkWrite(key.tree, key.field, ivs, terminal)
-		}
-		for key, ivs := range t.reads {
-			r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal)
-		}
-		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: "trace-replay", tag: "trace"})
+		// A discarded replay fires its terminal too: what it issued is in
+		// flight, and later work must order after it.
+		ep.finish(err != nil)
+		r.outstanding = append(r.outstanding, pendingTask{ev: ep.end, name: "trace-replay", tag: "trace"})
 		stage = obs.StageReplay
 	}
 	if err != nil {
@@ -181,6 +169,11 @@ func (r *Runtime) EndTrace(id uint64) error {
 	if ep.replay {
 		r.mx.TraceReplays.Inc()
 	} else {
+		for _, m := range []map[fieldKey][]region.Interval{t.writes, t.reads} {
+			for key, ivs := range m {
+				m[key] = region.Union(ivs)
+			}
+		}
 		if r.templates == nil {
 			r.templates = map[uint64]*template{}
 		}
@@ -191,6 +184,17 @@ func (r *Runtime) EndTrace(id uint64) error {
 		prof.Mark(0, stage, "trace", "trace", domain.Point{}, prof.Now())
 	}
 	return nil
+}
+
+// finish fires the replay's terminal once the launches it issued have
+// fired, poisoned with their errors. A replay cut short also waits for its
+// start, which a complete replay reaches through its units.
+func (ep *episode) finish(short bool) {
+	evs := ep.done[:ep.cursor:ep.cursor]
+	if short {
+		evs = append(evs, ep.start)
+	}
+	afterAll(evs, func() { ep.end.Poison(WaitAllErr(evs)) })
 }
 
 // launchBegin opens l's unit in the open episode, if any. A replayed launch
@@ -216,8 +220,8 @@ func (ep *episode) capture(l *launch, ev *Event, deps []*Event, regions []*regio
 	t := ep.tmpl
 	ep.unitOf[ev] = len(t.units)
 	// Edges to events from outside the episode are dropped: pre-episode
-	// ordering is reconstructed at replay time from the version map
-	// (boundary), never from the capture run, whose timing-dependent view
+	// ordering is reconstructed at replay time from the version map (the
+	// replay's start), never from the capture run, whose timing-dependent view
 	// of pre-episode state (e.g. fresh, never-written regions) says nothing
 	// about what a replay will find. An edge to an earlier point of the same
 	// launch would make the unit wait on itself, so it fails the capture.
@@ -257,14 +261,14 @@ func (ep *episode) unitDeps(got unitSig) []*Event {
 		panic(fmt.Sprintf("rt: trace %d replay diverged at launch %d: captured task %d over %v, replayed task %d over %v (requirements compared too)",
 			t.id, ep.cursor, want.task, want.dom, got.task, got.dom))
 	}
-	// Every replayed unit waits on the episode boundary in addition to its
+	// Every replayed unit waits on the replay's start in addition to its
 	// intra-episode deps. A capture-time "had external deps" flag cannot
 	// stand in for this: a unit that read *fresh* data during capture (no
 	// prior tasks, so no edges) is indistinguishable from one that is
 	// genuinely independent, yet at replay time the same read races with
 	// whatever wrote the region since — typically the previous episode.
-	// Units with intra-episode deps reach the boundary transitively, so
-	// only the chain roots gain an edge.
+	// Units with intra-episode deps reach the start transitively, so only
+	// the chain roots gain an edge.
 	deps := []*Event{ep.start}
 	for _, j := range t.deps[ep.cursor] {
 		deps = append(deps, ep.done[j])

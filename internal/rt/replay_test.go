@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
@@ -49,7 +50,7 @@ func launchKind(bulk bool) string {
 
 // Trace ids are per program: a pooled executor's next job must capture its
 // own BeginTrace(1), not replay the previous job's template, and an episode
-// a failed job left open must not outlive the job.
+// a failed job left open, capture or replay, must not outlive the job.
 func TestRecycleDropsReplayState(t *testing.T) {
 	for _, bulk := range []bool{false, true} {
 		t.Run(launchKind(bulk), func(t *testing.T) {
@@ -102,6 +103,30 @@ func TestRecycleDropsReplayState(t *testing.T) {
 			}
 			if err := r.EndTrace(8); err != nil {
 				t.Fatal(err)
+			}
+			// Job E fails mid-replay. The version map holds the replay's
+			// terminal for everything it touches, so Recycle must fire it:
+			// job F's launch over the same data finishes.
+			treeE, e := shape(4)
+			episode(9, e)
+			if err := r.BeginTrace(9); err != nil {
+				t.Fatal(err)
+			}
+			if err := e(); err != nil {
+				t.Fatal(err)
+			}
+			r.Fence()
+			if err := r.Recycle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.FenceTimeout(2 * time.Second); err != nil {
+				t.Fatalf("job F waited on the replay Recycle abandoned: %v", err)
+			}
+			if sum, _ := region.SumF64(treeE.Root(), fieldVal); sum != 3*40 {
+				t.Errorf("job E/F sum = %v, want 120", sum)
 			}
 		})
 	}

@@ -414,8 +414,10 @@ var ErrBusy = errors.New("rt: tasks still outstanding")
 
 // Recycle prepares a long-lived runtime for its next program: it prunes the
 // completed-task bookkeeping a fence would otherwise walk, clears the
-// profiler's span-identity map, drops the open capture/replay episode and
-// every captured template (trace ids are per program: the next job's
+// profiler's span-identity map, drops the open capture/replay episode —
+// firing an open replay's terminal as a discarded EndTrace would, since the
+// version map holds it for everything the replay touches — and every
+// captured template (trace ids are per program: the next job's
 // BeginTrace(1) must capture, not replay this job's shape), and recycles
 // the message transport's per-session state (sequence numbers, dedup sets)
 // so a runtime reused across many scheduler jobs does not accumulate
@@ -432,6 +434,9 @@ func (r *Runtime) Recycle() error {
 	r.outstanding = r.outstanding[:0]
 	clear(r.profIDs)
 	r.profPruneAt = 0
+	if r.replaying() {
+		r.ep.finish(true)
+	}
 	r.ep = nil
 	clear(r.templates)
 	if r.xp != nil {

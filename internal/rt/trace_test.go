@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
@@ -97,6 +98,81 @@ func TestTraceReplayOrdersAgainstOutsideWork(t *testing.T) {
 	sum, _ := region.SumF64(tree.Root(), fieldVal)
 	if sum != 160 { // 4 increments of 40 elements
 		t.Errorf("sum = %v, want 160", sum)
+	}
+}
+
+// A replay enters the version map as one access by its terminal event, so
+// it orders as any access does: a replayed read waits for the last writer
+// of its data but not for readers issued before the episode, while a
+// replayed write waits for those readers.
+func TestTraceReplayBoundaryOrdersLikeAccess(t *testing.T) {
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			// Eight processors per node, so the held readers leave room
+			// for the replays' points.
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 8, DCR: dcr, IndexLaunches: true})
+			defer r.Shutdown()
+			tree, p := lineSetup(t, 40, 4)
+			read := r.MustRegisterTask("read", func(*Context) ([]byte, error) { return nil, nil })
+			inc := r.MustRegisterTask("inc", incrementTask)
+			hold := make(chan struct{})
+			held := r.MustRegisterTask("held", func(*Context) ([]byte, error) { <-hold; return nil, nil })
+			over := func(task core.TaskID, priv privilege.Privilege) *core.IndexLaunch {
+				return core.MustForall("l", task, domain.Range1(0, 3), core.Requirement{
+					Partition: p, Functor: projection.Identity(1),
+					Priv: priv, Fields: []region.FieldID{fieldVal},
+				})
+			}
+			episode := func(id uint64, il *core.IndexLaunch) *FutureMap {
+				t.Helper()
+				if err := r.BeginTrace(id); err != nil {
+					t.Fatal(err)
+				}
+				fm, err := r.ExecuteIndex(il)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.EndTrace(id); err != nil {
+					t.Fatal(err)
+				}
+				return fm
+			}
+			episode(1, over(read, privilege.Read))
+			episode(2, over(inc, privilege.ReadWrite))
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			reader, err := r.ExecuteIndex(over(held, privilege.Read))
+			if err != nil {
+				t.Fatal(err)
+			}
+			released := false
+			release := func() {
+				if !released {
+					released = true
+					close(hold)
+				}
+			}
+			defer release()
+			if err := episode(1, over(read, privilege.Read)).WaitTimeout(time.Second); err != nil {
+				t.Fatalf("replayed read waited for an earlier reader: %v", err)
+			}
+			writer := episode(2, over(inc, privilege.ReadWrite))
+			time.Sleep(20 * time.Millisecond)
+			if writer.Event().Done() {
+				t.Fatal("replayed write finished before an earlier reader of its data")
+			}
+			if reader.Event().Done() {
+				t.Fatal("the held reader finished before its release")
+			}
+			release()
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			if sum, _ := region.SumF64(tree.Root(), fieldVal); sum != 2*40 {
+				t.Errorf("sum = %v, want 80", sum)
+			}
+		})
 	}
 }
 

@@ -52,8 +52,9 @@ func newVersionMap(queries, deps *metrics.Counter) *versionMap {
 // access registers one access to the given intervals with privilege priv
 // and completion event ev, returning the precondition events the access
 // must wait for. Intervals must be sorted and disjoint (as produced by
-// region.IntervalsOf). Points go through accessPoint; this single-query form
-// serves trace replay's bulk restore.
+// region.IntervalsOf or region.Union). Points go through accessPoint; this
+// single-query form enters a trace replay, per field of its template, by
+// the replay's terminal event.
 func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
 	ivs []region.Interval, priv privilege.Privilege, redOp privilege.OpID, ev *Event) []*Event {
 
@@ -303,61 +304,6 @@ func (fs *fieldState) insertSegment(i int, s segment) {
 	fs.segs = append(fs.segs, segment{})
 	copy(fs.segs[i+1:], fs.segs[i:])
 	fs.segs[i] = s
-}
-
-// bulkWrite marks the given intervals as last written by ev without
-// computing dependencies; used by trace replay to restore version state in
-// one step after skipping per-task analysis.
-func (vm *versionMap) bulkWrite(tree region.TreeID, field region.FieldID, ivs []region.Interval, ev *Event) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	key := fieldKey{tree: tree, field: field}
-	fs := vm.fields[key]
-	if fs == nil {
-		fs = &fieldState{}
-		vm.fields[key] = fs
-	}
-	for _, iv := range ivs {
-		fs.accessInterval(iv.Lo, iv.Hi, privilege.Write, privilege.OpNone, ev, nil)
-	}
-}
-
-// lastEvents returns the merged set of all events currently recorded for the
-// given intervals (used by trace replay to order a replayed trace after
-// everything it reads or overwrites).
-func (vm *versionMap) lastEvents(tree region.TreeID, field region.FieldID, ivs []region.Interval) []*Event {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	fs := vm.fields[fieldKey{tree: tree, field: field}]
-	if fs == nil {
-		return nil
-	}
-	set := map[*Event]struct{}{}
-	for _, iv := range ivs {
-		i := sort.Search(len(fs.segs), func(i int) bool { return fs.segs[i].hi >= iv.Lo })
-		for ; i < len(fs.segs) && fs.segs[i].lo <= iv.Hi; i++ {
-			s := &fs.segs[i]
-			if s.writer != nil {
-				set[s.writer] = struct{}{}
-			}
-			for _, r := range s.readers {
-				set[r] = struct{}{}
-			}
-			for _, r := range s.reducers {
-				set[r] = struct{}{}
-			}
-		}
-	}
-	out := make([]*Event, 0, len(set))
-	for e := range set {
-		// Finished events are elided (observing Done establishes the
-		// ordering already) — unless poisoned, so that a replayed episode
-		// still observes upstream failure.
-		if !e.Done() || e.Err() != nil {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // segmentCount returns the number of tracked segments (diagnostics).

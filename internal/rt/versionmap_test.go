@@ -429,23 +429,6 @@ func TestVersionMapCompletedDepsRetained(t *testing.T) {
 	}
 }
 
-func TestVersionMapLastEventsAndBulkWrite(t *testing.T) {
-	vm := newVersionMap(nil, nil)
-	w := NewEvent()
-	vm.access(1, 0, ivs(0, 9), privilege.Write, privilege.OpNone, w)
-	evs := vm.lastEvents(1, 0, ivs(0, 9))
-	if len(evs) != 1 || evs[0] != w {
-		t.Errorf("lastEvents = %v", evs)
-	}
-	bulk := NewEvent()
-	vm.bulkWrite(1, 0, ivs(0, 9), bulk)
-	r := NewEvent()
-	deps := vm.access(1, 0, ivs(0, 9), privilege.Read, privilege.OpNone, r)
-	if !containsEvent(deps, bulk) || containsEvent(deps, w) {
-		t.Error("bulkWrite should replace the epoch")
-	}
-}
-
 func TestVersionMapNonePrivilegeNoop(t *testing.T) {
 	vm := newVersionMap(nil, nil)
 	e := NewEvent()

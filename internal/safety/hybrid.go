@@ -50,8 +50,6 @@ const (
 	MethodStatic
 	// MethodDynamic: resolved by the dynamic bitmask check.
 	MethodDynamic
-	// MethodSkipped: dynamic check was required but disabled by options.
-	MethodSkipped
 )
 
 // String returns the method name.
@@ -63,8 +61,6 @@ func (m Method) String() string {
 		return "static"
 	case MethodDynamic:
 		return "dynamic"
-	case MethodSkipped:
-		return "skipped"
 	default:
 		return fmt.Sprintf("method(%d)", uint8(m))
 	}
@@ -80,12 +76,6 @@ type ArgReport struct {
 
 // Options tune the hybrid analysis.
 type Options struct {
-	// DisableDynamic elides all dynamic checks (the paper's production
-	// mode: "this check can be disabled (if desired) for production runs").
-	// Arguments that would need a dynamic check are reported with
-	// MethodSkipped and assumed safe; correct execution of a valid program
-	// does not depend on the check.
-	DisableDynamic bool
 	// ForceDynamic skips the static classifier and runs every check
 	// dynamically; used by benchmarks to time the dynamic path.
 	ForceDynamic bool
@@ -93,8 +83,7 @@ type Options struct {
 
 // Result is the outcome of the hybrid safety analysis of one launch.
 type Result struct {
-	// Safe is true when every self-check and cross-check passed (or was
-	// explicitly skipped via DisableDynamic).
+	// Safe is true when every self-check and cross-check passed.
 	Safe bool
 	// Reason describes the first failure when Safe is false.
 	Reason string
@@ -166,7 +155,7 @@ func Analyze(d domain.Domain, args []Arg, opts Options) Result {
 			if len(cls) < 2 {
 				continue
 			}
-			if ok, reason := crossCheckGroup(d, part, cls, args, opts, &res); !ok {
+			if ok, reason := crossCheckGroup(d, part, cls, args, &res); !ok {
 				res.Safe = false
 				res.Reason = reason
 				return res
@@ -217,11 +206,6 @@ func selfCheck(i int, d domain.Domain, a Arg, opts Options, res *Result) ArgRepo
 			rep.Detail = fmt.Sprintf("functor %s statically non-injective over %v", a.Functor.Name(), d)
 			return rep
 		}
-	}
-	if opts.DisableDynamic {
-		rep.Method = MethodSkipped
-		rep.Detail = "dynamic check disabled"
-		return rep
 	}
 	r := DynamicSelfCheck(d, a.Partition.ColorSpace.Bounds(), a.Functor)
 	res.DynamicEvaluations += r.Evaluated
@@ -275,7 +259,7 @@ func fieldClasses(idxs []int, args []Arg) [][]int {
 	return out
 }
 
-func crossCheckGroup(d domain.Domain, part *region.Partition, idxs []int, args []Arg, opts Options, res *Result) (bool, string) {
+func crossCheckGroup(d domain.Domain, part *region.Partition, idxs []int, args []Arg, res *Result) (bool, string) {
 	hasWrite := false
 	var redOps []privilege.OpID
 	for _, i := range idxs {
@@ -303,9 +287,6 @@ func crossCheckGroup(d domain.Domain, part *region.Partition, idxs []int, args [
 	}
 	if !part.Disjoint() {
 		return false, fmt.Sprintf("cross-check on aliased partition %s with writes", part)
-	}
-	if opts.DisableDynamic {
-		return true, ""
 	}
 	cross := make([]CrossArg, 0, len(idxs))
 	for _, i := range idxs {

@@ -126,23 +126,6 @@ func TestAnalyzeDynamicFallback(t *testing.T) {
 	}
 }
 
-func TestAnalyzeDisableDynamic(t *testing.T) {
-	_, p := lineTree(t, 1000, 100)
-	d := domain.Range1(0, 8)
-	res := Analyze(d, []Arg{
-		{Partition: p, Functor: projection.Quadratic1D(1, 1, 0), Priv: privilege.Write},
-	}, Options{DisableDynamic: true})
-	if !res.Safe {
-		t.Fatalf("unsafe: %s", res.Reason)
-	}
-	if res.Args[0].Method != MethodSkipped {
-		t.Errorf("method = %v, want skipped", res.Args[0].Method)
-	}
-	if res.DynamicEvaluations != 0 {
-		t.Error("no dynamic evaluations when disabled")
-	}
-}
-
 func TestAnalyzeCrossCheckSamePartition(t *testing.T) {
 	// Two arguments on one disjoint partition, one write + one read, with
 	// shifted functors: requires the dynamic cross-check.
