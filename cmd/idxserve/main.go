@@ -150,7 +150,6 @@ func main() {
 		cfg := sched.Config{
 			Executors:  *executors,
 			Runtime:    rt.Config{Nodes: *nodes, ProcsPerNode: *procs, DCR: *dcr, IndexLaunches: true},
-			Setup:      sched.SyntheticSetup,
 			Queue:      q,
 			Admission:  adm,
 			Preemption: *preempt,

@@ -44,7 +44,6 @@ func main() {
 	s, err := sched.New(sched.Config{
 		Executors: 2,
 		Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true},
-		Setup:     sched.SyntheticSetup,
 		Queue:     sched.NewWeightedFair(1, adm.Weights(), 1),
 		Admission: adm,
 		TickEvery: time.Millisecond,
@@ -124,7 +123,6 @@ func durableDemo() {
 		return sched.Config{
 			Executors: 2,
 			Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true},
-			Setup:     sched.SyntheticSetup,
 			Queue:     sched.NewFIFO(),
 			Admission: sched.Admission{MaxQueued: 64},
 			TickEvery: time.Millisecond,

@@ -165,9 +165,6 @@ type Event struct {
 	Parent uint64
 }
 
-// Ref returns the event's span context.
-func (e Event) Ref() TraceRef { return TraceRef{Trace: e.Trace, Span: e.Span, Parent: e.Parent} }
-
 // End returns the span's completion time.
 func (e Event) End() int64 { return e.Start + e.Dur }
 

@@ -170,13 +170,6 @@ func (e *Event) WaitContext(ctx context.Context) error {
 	}
 }
 
-// WaitAll blocks until every event in evs has triggered.
-func WaitAll(evs []*Event) {
-	for _, e := range evs {
-		e.Wait()
-	}
-}
-
 // WaitAllErr blocks until every event in evs has triggered and returns the
 // joined poison errors, nil if all triggered cleanly.
 func WaitAllErr(evs []*Event) error {

@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"indexlaunch/internal/core"
-	"indexlaunch/internal/domain"
-)
+import "indexlaunch/internal/domain"
 
 // Mapper controls all distribution decisions the runtime makes (paper §5:
 // "distribution in Legion is entirely under the control of the end user").
@@ -21,9 +18,6 @@ type Mapper interface {
 	// single-level decomposition is produced and the broadcast tree over
 	// slices is handled by the distribution stage.
 	Slice(d domain.Domain, nodes int) []Slice
-
-	// SelectProcessor picks the processor index within a node for a task.
-	SelectProcessor(node int, task core.TaskID, p domain.Point, procs int) int
 }
 
 // Slice names a sub-domain of an index launch assigned to one node.
@@ -41,9 +35,8 @@ type InvertibleMapper interface {
 }
 
 // BlockMapper is the default mapper: contiguous blocks of the launch domain
-// are assigned to consecutive nodes, and point tasks round-robin across a
-// node's processors. Both its functors and its inverse are one rule,
-// domain.Block, so DCR and non-DCR runs place tasks identically.
+// are assigned to consecutive nodes. Both its functors and its inverse are
+// one rule, domain.Block, so DCR and non-DCR runs place tasks identically.
 type BlockMapper struct{}
 
 // ShardPoint implements Mapper: p goes to the block holding its rank.
@@ -69,15 +62,6 @@ func (BlockMapper) Slice(d domain.Domain, nodes int) []Slice {
 		}
 	}
 	return out
-}
-
-// SelectProcessor implements Mapper with a round-robin by point rank.
-func (BlockMapper) SelectProcessor(node int, task core.TaskID, p domain.Point, procs int) int {
-	if procs <= 1 {
-		return 0
-	}
-	h := uint64(p.X())*2654435761 + uint64(p.Y())*40503 + uint64(p.Z())*97
-	return int(h % uint64(procs))
 }
 
 // rankOf returns p's rank in d, -1 when d does not hold p.

@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"indexlaunch/internal/core"
-	"indexlaunch/internal/domain"
-)
+import "indexlaunch/internal/domain"
 
 // CyclicMapper distributes launch points round-robin across nodes — the
 // classic cyclic distribution, useful when consecutive points have
@@ -34,14 +31,6 @@ func (CyclicMapper) Slice(d domain.Domain, nodes int) []Slice {
 	return out
 }
 
-// SelectProcessor implements Mapper with round-robin by rank.
-func (CyclicMapper) SelectProcessor(node int, task core.TaskID, p domain.Point, procs int) int {
-	if procs <= 1 {
-		return 0
-	}
-	return int(uint64(p.X()+p.Y()+p.Z()) % uint64(procs))
-}
-
 // PinnedMapper places every task on one node; useful in tests and for
 // reproducing centralized bottlenecks.
 type PinnedMapper struct{ Node int }
@@ -53,6 +42,3 @@ func (m PinnedMapper) ShardPoint(domain.Domain, domain.Point, int) int { return 
 func (m PinnedMapper) Slice(d domain.Domain, nodes int) []Slice {
 	return []Slice{{Domain: d, Node: m.Node}}
 }
-
-// SelectProcessor implements Mapper.
-func (m PinnedMapper) SelectProcessor(int, core.TaskID, domain.Point, int) int { return 0 }

@@ -261,19 +261,23 @@ func (ep *episode) unitDeps(got unitSig) []*Event {
 		panic(fmt.Sprintf("rt: trace %d replay diverged at launch %d: captured task %d over %v, replayed task %d over %v (requirements compared too)",
 			t.id, ep.cursor, want.task, want.dom, got.task, got.dom))
 	}
-	// Every replayed unit waits on the replay's start in addition to its
-	// intra-episode deps. A capture-time "had external deps" flag cannot
-	// stand in for this: a unit that read *fresh* data during capture (no
-	// prior tasks, so no edges) is indistinguishable from one that is
-	// genuinely independent, yet at replay time the same read races with
-	// whatever wrote the region since — typically the previous episode.
-	// Units with intra-episode deps reach the start transitively, so only
-	// the chain roots gain an edge.
-	deps := []*Event{ep.start}
-	for _, j := range t.deps[ep.cursor] {
-		deps = append(deps, ep.done[j])
+	// Every replayed unit waits on the replay's start. A capture-time "had
+	// external deps" flag cannot stand in for this: a unit that read *fresh*
+	// data during capture (no prior tasks, so no edges) is indistinguishable
+	// from one that is genuinely independent, yet at replay time the same
+	// read races with whatever wrote the region since — typically the
+	// previous episode. Units with intra-episode deps reach the start
+	// transitively, so only the chain roots wait on it; any other unit
+	// waits on one merge of its deps, so each of its points parks once.
+	deps := t.deps[ep.cursor]
+	if len(deps) == 0 {
+		return []*Event{ep.start}
 	}
-	return deps
+	evs := make([]*Event, len(deps))
+	for i, j := range deps {
+		evs[i] = ep.done[j]
+	}
+	return []*Event{Merge(evs...)}
 }
 
 // launchDone closes l's unit: a capture appends its signature and edges to

@@ -176,6 +176,116 @@ func TestTraceReplayBoundaryOrdersLikeAccess(t *testing.T) {
 	}
 }
 
+// TestTraceReplayParksEachPointOnce holds a replay's start unfired behind
+// a pre-episode writer and looks where the replayed points wait: the two
+// chain roots' on the start, the launch that depends on both on one merge
+// of their completions, each point on one event.
+func TestTraceReplayParksEachPointOnce(t *testing.T) {
+	for _, dcr := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dcr=%v", dcr), func(t *testing.T) {
+			r := MustNew(Config{Nodes: 2, ProcsPerNode: 8, DCR: dcr, IndexLaunches: true})
+			defer r.Shutdown()
+			tree, p := lineSetup(t, 40, 4)
+			read := r.MustRegisterTask("read", func(*Context) ([]byte, error) { return nil, nil })
+			inc := r.MustRegisterTask("inc", incrementTask)
+			hold := make(chan struct{})
+			held := r.MustRegisterTask("held", func(*Context) ([]byte, error) { <-hold; return nil, nil })
+			over := func(task core.TaskID, priv privilege.Privilege) *core.IndexLaunch {
+				return core.MustForall("l", task, domain.Range1(0, 3), core.Requirement{
+					Partition: p, Functor: projection.Identity(1),
+					Priv: priv, Fields: []region.FieldID{fieldVal},
+				})
+			}
+			// Two reads, then a write that depends on both.
+			episode := func() (last *FutureMap) {
+				t.Helper()
+				if err := r.BeginTrace(1); err != nil {
+					t.Fatal(err)
+				}
+				for _, il := range []*core.IndexLaunch{over(read, privilege.Read), over(read, privilege.Read), over(inc, privilege.ReadWrite)} {
+					fm, err := r.ExecuteIndex(il)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last = fm
+				}
+				return last
+			}
+			episode()
+			if err := r.EndTrace(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ExecuteIndex(over(held, privilege.ReadWrite)); err != nil {
+				t.Fatal(err)
+			}
+			released := false
+			release := func() {
+				if !released {
+					released = true
+					close(hold)
+				}
+			}
+			defer release()
+			last := episode()
+
+			ep := r.ep
+			if ep.start.Done() {
+				t.Fatal("the replay's start fired before the held writer")
+			}
+			// parked returns the replayed points and the gates waiting on e.
+			parked := func(e *Event) (points, gates []*taskRun) {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				for _, tr := range e.then {
+					switch {
+					case tr.gate != nil:
+						gates = append(gates, tr)
+					case tr.name == "read" || tr.name == "inc":
+						points = append(points, tr)
+					}
+				}
+				return points, gates
+			}
+			roots, _ := parked(ep.start)
+			seen := map[*taskRun]bool{}
+			for _, tr := range roots {
+				if tr.name != "read" || seen[tr] || tr.left.Load() != 1 {
+					t.Errorf("start holds a %s point twice, or one with %d unfired preconditions", tr.name, tr.left.Load())
+				}
+				seen[tr] = true
+			}
+			if len(seen) != 8 {
+				t.Errorf("start holds %d distinct points, want the 8 of the two reads", len(seen))
+			}
+			var merge *taskRun
+			for j, d := range ep.done[:2] {
+				points, gates := parked(d)
+				if len(points) != 0 || len(gates) != 1 || merge != nil && gates[0] != merge {
+					t.Fatalf("read %d's completion holds %d points and %d gates, want only the write's merge", j, len(points), len(gates))
+				}
+				merge = gates[0]
+			}
+			if last.Event().Done() {
+				t.Fatal("the replayed write finished before its reads")
+			}
+
+			release()
+			if err := r.EndTrace(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.FenceErr(); err != nil {
+				t.Fatal(err)
+			}
+			if sum, _ := region.SumF64(tree.Root(), fieldVal); sum != 2*40 {
+				t.Errorf("sum = %v, want 80", sum)
+			}
+		})
+	}
+}
+
 func TestTraceErrors(t *testing.T) {
 	r, _, launch := traceRuntime(t)
 	if err := r.EndTrace(1); err == nil {

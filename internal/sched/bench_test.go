@@ -80,7 +80,6 @@ func BenchmarkTracedJob(b *testing.B) {
 	s := MustNew(Config{
 		Executors: 2,
 		Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: true},
-		Setup:     SyntheticSetup,
 		TickEvery: time.Hour,
 		Metrics:   reg,
 		Profile:   obs.NewRecorder("bench", 4, 4096),

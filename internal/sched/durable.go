@@ -21,8 +21,6 @@ type DurableOptions struct {
 	// FsyncInterval is the coalescing window for wal.SyncInterval; 0
 	// defaults to 100ms.
 	FsyncInterval time.Duration
-	// SegmentBytes caps one journal segment; 0 defaults to 64 MiB.
-	SegmentBytes int64
 	// SnapshotEvery is the snapshot cadence in journaled ops; 0 defaults to
 	// 4096.
 	SnapshotEvery int
@@ -32,29 +30,20 @@ type DurableOptions struct {
 	// MaxOps stops the run after this many journaled ops — the in-process
 	// crash for recovery tests. 0 runs to completion.
 	MaxOps int
-
-	// Metrics (optional) receives the wal_*/recover_* families; Prof
-	// (optional) receives journal/snapshot/recover spans.
-	Metrics *metrics.Durability
-	Prof    *obs.Recorder
 }
 
 // openDurable opens (or creates) the journal at o.Dir and recovers st, a
 // fresh state, from it: torn-tail cleanup, newest-snapshot load, op replay.
-// It reports recovery metrics and the recover span, and returns the ready
-// journal.
-func openDurable(o DurableOptions, timed bool, st *state) (*journal, RecoveryReport, error) {
+// mx (optional) receives the wal_*/recover_* families and prof (optional)
+// the journal, snapshot and recover spans. It returns the ready journal.
+func openDurable(o DurableOptions, mx *metrics.Durability, prof *obs.Recorder, timed bool, st *state) (*journal, RecoveryReport, error) {
 	var nowNS func() int64
 	var start int64
-	if o.Prof != nil {
-		nowNS = o.Prof.Now
+	if prof != nil {
+		nowNS = prof.Now
 		start = nowNS()
 	}
-	log, rec, err := wal.Open(o.Dir, wal.Options{
-		Fsync:        o.Fsync,
-		Interval:     o.FsyncInterval,
-		SegmentBytes: o.SegmentBytes,
-	})
+	log, rec, err := wal.Open(o.Dir, wal.Options{Fsync: o.Fsync, Interval: o.FsyncInterval})
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
@@ -63,7 +52,7 @@ func openDurable(o DurableOptions, timed bool, st *state) (*journal, RecoveryRep
 		log.Close()
 		return nil, rep, err
 	}
-	if mx := o.Metrics; mx != nil {
+	if mx != nil {
 		if rep.Recovered {
 			mx.Recoveries.Inc()
 		}
@@ -75,11 +64,11 @@ func openDurable(o DurableOptions, timed bool, st *state) (*journal, RecoveryRep
 		mx.RequeuedJobs.Add(int64(rep.RequeuedJobs))
 		mx.ResumedJobs.Add(int64(rep.ResumedJobs))
 	}
-	if o.Prof != nil {
-		o.Prof.Span(0, obs.StageRecover, "",
-			fmt.Sprintf("replayed:%d", rep.ReplayedOps), domain.Point{}, start, o.Prof.Now())
+	if prof != nil {
+		prof.Span(0, obs.StageRecover, "",
+			fmt.Sprintf("replayed:%d", rep.ReplayedOps), domain.Point{}, start, prof.Now())
 	}
-	return newJournal(log, o, timed, nowNS), rep, nil
+	return newJournal(log, o, mx, prof, timed, nowNS), rep, nil
 }
 
 // DurableTraceResult is RunTraceDurable's outcome: the trace result (every
@@ -106,7 +95,7 @@ type DurableTraceResult struct {
 // contract the crash-injection harness locks in.
 func RunTraceDurable(tr Trace, cfg TraceConfig, o DurableOptions) (*DurableTraceResult, error) {
 	st := newTraceState(cfg)
-	jn, rep, err := openDurable(o, o.Metrics != nil || o.Prof != nil, st)
+	jn, rep, err := openDurable(o, nil, nil, false, st)
 	if err != nil {
 		return nil, err
 	}

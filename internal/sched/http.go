@@ -72,8 +72,8 @@ type SubmitResponse struct {
 // wire requests onto Go run functions.
 type KindFunc func(req SubmitRequest) (RunFunc, error)
 
-// SyntheticTaskName is the task variant SyntheticSetup registers on each
-// executor runtime.
+// SyntheticTaskName is the task variant New registers, through
+// SyntheticSetup, on each executor runtime.
 const SyntheticTaskName = "sched_spin"
 
 // SyntheticEval is the synthetic spin body for one launch index: a small
@@ -89,9 +89,9 @@ func SyntheticEval(x int64) []byte {
 	return rt.EncodeF64(float64(v % 1000))
 }
 
-// SyntheticSetup registers the synthetic spin task — the Config.Setup for a
-// scheduler serving the synthetic kind. The task is pure compute over its
-// launch index, so it needs no region requirements.
+// SyntheticSetup registers the synthetic spin task on r, as New does on
+// every executor runtime. The task is pure compute over its launch index,
+// so it needs no region requirements.
 func SyntheticSetup(r *rt.Runtime) error {
 	_, err := r.RegisterTask(SyntheticTaskName, func(ctx *rt.Context) ([]byte, error) {
 		return SyntheticEval(ctx.Point.X()), nil

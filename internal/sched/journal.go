@@ -465,7 +465,7 @@ type journal struct {
 // defaultSnapshotEvery is the snapshot cadence in journaled ops.
 const defaultSnapshotEvery = 4096
 
-func newJournal(log *wal.Log, o DurableOptions, timed bool, nowNS func() int64) *journal {
+func newJournal(log *wal.Log, o DurableOptions, mx *metrics.Durability, prof *obs.Recorder, timed bool, nowNS func() int64) *journal {
 	snapEvery := o.SnapshotEvery
 	if snapEvery < 1 {
 		snapEvery = defaultSnapshotEvery
@@ -474,7 +474,7 @@ func newJournal(log *wal.Log, o DurableOptions, timed bool, nowNS func() int64) 
 		epoch := time.Now()
 		nowNS = func() int64 { return time.Since(epoch).Nanoseconds() }
 	}
-	return &journal{log: log, fsync: o.Fsync, snapEvery: snapEvery, mx: o.Metrics, timed: timed, prof: o.Prof, nowNS: nowNS}
+	return &journal{log: log, fsync: o.Fsync, snapEvery: snapEvery, mx: mx, timed: timed, prof: prof, nowNS: nowNS}
 }
 
 // ack is what an acknowledgement holds between its op's write and the commit

@@ -26,11 +26,10 @@ type Config struct {
 	// machine every job runs over. The zero value defaults to 4 nodes x 2
 	// procs on the centralized path (which gives every executor a reusable
 	// message transport). A template with a Transport requires Executors
-	// = 1: runtimes cannot share one.
+	// = 1: runtimes cannot share one. New registers the synthetic task
+	// (SyntheticSetup) on every executor: it is the one kind the HTTP API
+	// and recovery build job bodies for.
 	Runtime rt.Config
-	// Setup, when non-nil, runs once per executor runtime before it serves
-	// jobs — the place to register the task variants job bodies launch.
-	Setup func(*rt.Runtime) error
 	// Queue is the discipline; nil defaults to FIFO. The scheduler
 	// serializes access, so implementations need no locking.
 	Queue Queue
@@ -59,25 +58,22 @@ type Config struct {
 	// its enqueue/admit/preempt events with child spans, the executor
 	// runtime propagates the context through its launch pipeline (and the
 	// transport's message headers), and the tracer tail-samples the
-	// assembled trace at job finish. Requires Profile — spans reach the
-	// tracer through the recorder's sink. Nil disables tracing.
+	// assembled trace at job finish. A finished job whose latency reaches
+	// the live p99 of sched_job_latency_ns is retained as slow. Requires
+	// Profile — spans reach the tracer through the recorder's sink. Nil
+	// disables tracing.
 	Trace *trace.Tracer
 	// TraceSeed seeds root trace-ID derivation; 0 defaults to 1. Fixed
 	// seeds give reproducible trace IDs for seeded workloads.
 	TraceSeed uint64
-	// TraceSlowQuantile is the live sched_job_latency_ns quantile wired
-	// into the tracer as its slow-trace threshold: a finished job whose
-	// latency reaches that quantile's current value is retained. 0
-	// defaults to 0.99; negative leaves the tracer's own threshold alone.
-	TraceSlowQuantile float64
-	// Durable configures the write-ahead job journal (Metrics/Prof inside
-	// it are ignored — the scheduler supplies its own). An empty Dir runs
-	// in-memory only. With a Dir set, every admission decision is journaled,
-	// and durable per the fsync policy before anything acknowledges it (a
-	// returned job ID, a job's terminal state), and New recovers whatever
-	// state the directory holds; a journal failure after startup is fail-stop
-	// (panic) — continuing would acknowledge work that could silently
-	// vanish.
+	// Durable configures the write-ahead job journal, whose wal_*/recover_*
+	// families and spans go to the scheduler's registry and Profile. An
+	// empty Dir runs in-memory only. With a Dir set, every admission
+	// decision is journaled, and durable per the fsync policy before
+	// anything acknowledges it (a returned job ID, a job's terminal state),
+	// and New recovers whatever state the directory holds; a journal
+	// failure after startup is fail-stop (panic) — continuing would
+	// acknowledge work that could silently vanish.
 	Durable DurableOptions
 	// TerminalRetention bounds how many finished jobs stay queryable; 0
 	// defaults to 4096. Evicted (and never-assigned) IDs are still
@@ -161,6 +157,10 @@ type Scheduler struct {
 // doneRetention is the default Config.TerminalRetention.
 const doneRetention = 4096
 
+// slowQuantile is the sched_job_latency_ns quantile a traced job's latency
+// must reach to be retained as slow.
+const slowQuantile = 0.99
+
 // New builds and starts a scheduler: the executor pool spins up
 // immediately and jobs run as they are admitted.
 func New(cfg Config) (*Scheduler, error) {
@@ -214,13 +214,8 @@ func New(cfg Config) (*Scheduler, error) {
 		if s.prof != nil {
 			s.prof.SetSink(s.tracer.Sink())
 		}
-		if q := cfg.TraceSlowQuantile; q >= 0 {
-			if q == 0 {
-				q = 0.99
-			}
-			lat := s.mx.JobLatency
-			s.tracer.SetSlowThreshold(func() int64 { return lat.Quantile(q) })
-		}
+		lat := s.mx.JobLatency
+		s.tracer.SetSlowThreshold(func() int64 { return lat.Quantile(slowQuantile) })
 	}
 	if s.prof != nil {
 		// Ring-overflow drops: events overwritten before any snapshot read
@@ -239,11 +234,8 @@ func New(cfg Config) (*Scheduler, error) {
 			}
 			return run
 		}
-		do := cfg.Durable
 		s.jmx = metrics.NewDurability(reg)
-		do.Metrics = s.jmx
-		do.Prof = cfg.Profile
-		jn, rep, err := openDurable(do, s.timed(), s.st)
+		jn, rep, err := openDurable(cfg.Durable, s.jmx, cfg.Profile, s.timed(), s.st)
 		if err != nil {
 			return nil, fmt.Errorf("sched: open journal: %w", err)
 		}
@@ -271,10 +263,8 @@ func New(cfg Config) (*Scheduler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: executor %d: %w", i, err)
 		}
-		if cfg.Setup != nil {
-			if err := cfg.Setup(r); err != nil {
-				return nil, fmt.Errorf("sched: executor %d setup: %w", i, err)
-			}
+		if err := SyntheticSetup(r); err != nil {
+			return nil, fmt.Errorf("sched: executor %d setup: %w", i, err)
 		}
 		s.execs = append(s.execs, &executor{id: i, rt: r})
 	}

@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -296,7 +299,6 @@ func TestDrainRacesJournalAppend(t *testing.T) {
 func TestHTTPDurableEndpoints(t *testing.T) {
 	cfg := durableCfg(t.TempDir())
 	cfg.TerminalRetention = 2
-	cfg.Setup = SyntheticSetup
 	s := MustNew(cfg)
 	defer s.Shutdown()
 	srv, err := Serve("127.0.0.1:0", s)
@@ -380,7 +382,6 @@ func TestHTTPDurableEndpoints(t *testing.T) {
 // op, so neither admission nor recovery ever sees it.
 func TestHTTPSyntheticJobBounded(t *testing.T) {
 	cfg := durableCfg(t.TempDir())
-	cfg.Setup = SyntheticSetup
 	s := MustNew(cfg)
 	defer s.Shutdown()
 	srv, err := Serve("127.0.0.1:0", s)
@@ -419,6 +420,73 @@ func TestHTTPSyntheticJobBounded(t *testing.T) {
 			t.Fatalf("%d tasks x %d rounds: %v", c[0], c[1], err)
 		}
 	}
+}
+
+// TestSyntheticKindNeedsNoSetup: a scheduler built from a Config that
+// registers nothing runs the synthetic kind, whether the job arrives over
+// POST /jobs or is rebuilt from the journal by recovery.
+func TestSyntheticKindNeedsNoSetup(t *testing.T) {
+	req := SubmitRequest{Tenant: "a", Tasks: 8, Rounds: 2}
+	t.Run("http", func(t *testing.T) {
+		s := MustNew(quietCfg())
+		defer s.Shutdown()
+		srv, err := Serve("127.0.0.1:0", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(srv.URL()+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /jobs = %d: %v", resp.StatusCode, err)
+		}
+		if err := s.Wait(sr.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("recovered", func(t *testing.T) {
+		// The synthetic job queues behind a held one on the only executor;
+		// a copy of the journal taken then is the crash image.
+		dir, crash := t.TempDir(), t.TempDir()
+		cfg := durableCfg(dir)
+		cfg.Executors = 1
+		s := MustNew(cfg)
+		hold := make(chan struct{})
+		if _, err := s.Submit(JobSpec{Tenant: "a", Run: func(*JobContext, *rt.Runtime) error { <-hold; return nil }}); err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.Submit(JobSpec{Tenant: "a", Run: SyntheticRun(req.Tasks, req.Rounds), Request: &req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(crash, f.Name()), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(hold)
+		s.Shutdown()
+
+		s2 := MustNew(durableCfg(crash))
+		defer s2.Shutdown()
+		if err := s2.Wait(id); err != nil {
+			t.Fatalf("recovered synthetic job %d: %v", id, err)
+		}
+	})
 }
 
 // TestJitterRetryAfterBounds locks the jitter contract: the hinted delay is

@@ -408,7 +408,6 @@ func TestSchedHTTPEndToEnd(t *testing.T) {
 	cfg := Config{
 		Executors: 2,
 		TickEvery: time.Millisecond,
-		Setup:     SyntheticSetup,
 		Admission: Admission{MaxQueued: 64},
 	}
 	s := MustNew(cfg)
@@ -562,7 +561,6 @@ func TestCentralizedExecutorSurvivesSustainedLoad(t *testing.T) {
 	s := MustNew(Config{
 		Executors: 1,
 		Runtime:   rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true},
-		Setup:     SyntheticSetup,
 	})
 	defer s.Shutdown()
 	errs := make(chan error, submitters)

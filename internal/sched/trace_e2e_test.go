@@ -22,9 +22,7 @@ import (
 // durable store.
 
 // tracedCfg wires a tracer + recorder + registry into a single-executor
-// scheduler. A fixed 1ns slow threshold makes every finished job a "slow"
-// retain, deterministically (TraceSlowQuantile -1 keeps sched from
-// replacing the threshold with the live latency quantile).
+// scheduler.
 func tracedCfg(t *testing.T, tcfg trace.Config) (Config, *trace.Tracer) {
 	t.Helper()
 	tr, err := trace.New(tcfg)
@@ -33,11 +31,9 @@ func tracedCfg(t *testing.T, tcfg trace.Config) (Config, *trace.Tracer) {
 	}
 	cfg := quietCfg()
 	cfg.Executors = 1
-	cfg.Setup = SyntheticSetup
 	cfg.Metrics = metrics.NewRegistry()
 	cfg.Profile = obs.NewRecorder("sched", 4, 1<<14)
 	cfg.Trace = tr
-	cfg.TraceSlowQuantile = -1
 	return cfg, tr
 }
 
@@ -59,8 +55,10 @@ func waitTrace(t *testing.T, tr *trace.Tracer, id JobID) *trace.Trace {
 }
 
 func TestTraceEndToEndCrossesAllLayers(t *testing.T) {
-	cfg, tr := tracedCfg(t, trace.Config{SlowThreshold: func() int64 { return 1 }})
+	cfg, tr := tracedCfg(t, trace.Config{})
 	s := MustNew(cfg)
+	// A 1ns cutoff in place of the live p99 makes every job a "slow" retain.
+	tr.SetSlowThreshold(func() int64 { return 1 })
 	defer s.Shutdown()
 
 	id, err := s.Submit(JobSpec{Tenant: "acme", Run: SyntheticRun(16, 2)})
@@ -186,8 +184,10 @@ func stableSpans(spans []obs.Event) []obs.Event {
 
 func TestTraceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg, tr := tracedCfg(t, trace.Config{SlowThreshold: func() int64 { return 1 }, Dir: dir})
+	cfg, tr := tracedCfg(t, trace.Config{Dir: dir})
 	s := MustNew(cfg)
+	// A 1ns cutoff in place of the live p99 makes every job a "slow" retain.
+	tr.SetSlowThreshold(func() int64 { return 1 })
 	id, err := s.Submit(JobSpec{Tenant: "a", Run: SyntheticRun(8, 1)})
 	if err != nil {
 		t.Fatal(err)

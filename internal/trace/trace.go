@@ -38,14 +38,9 @@ import (
 )
 
 // Config parameterizes a Tracer. The zero value is usable: memory-only
-// store, no slow threshold, no head sampling (so only failed, preempted
-// and retried jobs are retained).
+// store, no head sampling, and no slow threshold until SetSlowThreshold
+// installs one (so only failed, preempted and retried jobs are retained).
 type Config struct {
-	// SlowThreshold returns the current slow-job cutoff in nanoseconds —
-	// typically a closure over the live sched_job_latency_ns quantile.
-	// A nil function or a non-positive return disables slow retention
-	// (an empty histogram yields 0, so warm-up traces are not all "slow").
-	SlowThreshold func() int64
 	// HeadRate head-samples this fraction of traces (0..1) regardless of
 	// outcome, deterministically by trace ID, so a quiet healthy system
 	// still retains exemplars.
@@ -176,6 +171,7 @@ type Tracer struct {
 	cfg Config
 
 	mu        sync.Mutex
+	slow      func() int64     // SetSlowThreshold's cutoff source; nil until set
 	inflight  map[uint64]*live // by trace ID
 	retained  []*Trace         // ring, oldest first
 	byTrace   map[uint64]*Trace
@@ -239,15 +235,18 @@ func New(cfg Config) (*Tracer, error) {
 	return t, nil
 }
 
-// SetSlowThreshold installs (or replaces) the slow-trace cutoff source —
-// the scheduler calls it with a closure over its live job-latency
-// quantile, which the tracer cannot know at construction time.
+// SetSlowThreshold installs (or replaces) the slow-trace cutoff source:
+// fn returns the current cutoff in nanoseconds. The scheduler calls it
+// with a closure over its live job-latency quantile, which the tracer
+// cannot know at construction time. A nil fn or a non-positive return
+// disables slow retention (an empty histogram yields 0, so warm-up traces
+// are not all "slow").
 func (t *Tracer) SetSlowThreshold(fn func() int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.cfg.SlowThreshold = fn
+	t.slow = fn
 	t.mu.Unlock()
 }
 
@@ -333,7 +332,7 @@ func (t *Tracer) Sink() obs.Sink {
 //	failed     → retain (job returned an error)
 //	preempted  → retain (job was preempted at least once)
 //	retried    → retain (job ran more than one attempt)
-//	slow       → retain (latency ≥ SlowThreshold(), threshold > 0)
+//	slow       → retain (latency ≥ the SetSlowThreshold cutoff, if > 0)
 //	head       → retain (deterministic HeadRate draw on the trace ID)
 //	(none)     → drop the buffered spans
 func (t *Tracer) Finish(tc obs.TraceRef, endNS int64, o Outcome) (retained bool, why string) {
@@ -349,7 +348,7 @@ func (t *Tracer) Finish(tc obs.TraceRef, endNS int64, o Outcome) (retained bool,
 	delete(t.inflight, tc.Trace)
 	// Copy the policy knobs under the lock: SetSlowThreshold may replace
 	// the threshold source concurrently.
-	slowFn, headRate := t.cfg.SlowThreshold, t.cfg.HeadRate
+	slowFn, headRate := t.slow, t.cfg.HeadRate
 	t.mu.Unlock()
 	t.mxFinished.Inc()
 
