@@ -28,11 +28,21 @@ func alwaysCfg(dir string) Config {
 // scheduler (snapshots landing mid-run), cuts the journal back to what fsync
 // had covered — once in mid-flight, once at the end — and recovers from each
 // cut: every job whose Submit had returned must exist, and every job whose
-// Wait had returned must be done.
+// Wait had returned must be done. Snapshots every few ops recycle a segment
+// file at almost every rotation, so most cuts land in a file whose previous
+// records lie past the fsynced offset.
 func TestPowerCutKeepsAcknowledged(t *testing.T) {
+	for _, every := range []int{24, 3} {
+		t.Run(fmt.Sprintf("snapshot-every-%d", every), func(t *testing.T) {
+			testPowerCutKeepsAcknowledged(t, every)
+		})
+	}
+}
+
+func testPowerCutKeepsAcknowledged(t *testing.T, snapshotEvery int) {
 	dir := t.TempDir()
 	cfg := alwaysCfg(dir)
-	cfg.Durable.SnapshotEvery = 24
+	cfg.Durable.SnapshotEvery = snapshotEvery
 	s := MustNew(cfg)
 	defer s.Shutdown()
 	var cut waltest.Offsets

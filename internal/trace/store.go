@@ -23,7 +23,7 @@ import (
 
 // openStore opens cfg.Dir and rebuilds the retained ring from it.
 func (t *Tracer) openStore() error {
-	log, rec, err := wal.Open(t.cfg.Dir, wal.Options{Fsync: t.cfg.Fsync})
+	log, rec, err := wal.Open(t.cfg.Dir, wal.Options{Fsync: wal.SyncInterval})
 	if err != nil {
 		return fmt.Errorf("trace: open store: %w", err)
 	}

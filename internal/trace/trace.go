@@ -52,10 +52,8 @@ type Config struct {
 	// counted in Trace.Truncated.
 	MaxSpans int
 	// Dir, when non-empty, persists retained traces in a wal segment
-	// store rooted there.
+	// store rooted there, synced under wal.SyncInterval.
 	Dir string
-	// Fsync is the store's durability policy (wal.SyncInterval default).
-	Fsync wal.SyncPolicy
 	// SnapshotEvery compacts the store with a ring snapshot every N
 	// retained traces (default 16).
 	SnapshotEvery int

@@ -5,17 +5,35 @@
 // live pointers — and keeps the format deliberately simple:
 //
 //   - Records are length+CRC framed: a 4-byte little-endian payload length,
-//     a 4-byte little-endian CRC32C (Castagnoli) of the payload, then the
-//     payload. Framing errors are therefore always detectable, and a torn
-//     tail (a crash mid-write) is truncated away on Open, never replayed.
+//     a 4-byte little-endian CRC32C (Castagnoli) of the payload with the
+//     record's 8-byte little-endian seq folded in after it, then the
+//     payload. The seq itself is not stored; folding it in means a record
+//     decodes only at the position it was written for. Framing errors are
+//     therefore always detectable, and a torn tail (a crash mid-write) is
+//     truncated away on Open, never replayed.
 //   - Records live in segment files named seg-<firstseq>.wal, rotated once a
 //     segment passes Options.SegmentBytes. Sequence numbers are dense from 1
 //     and implicit: a segment's name carries its first record's seq, and
 //     records within are consecutive.
-//   - A snapshot (snap-<seq>.snap, same framing, single record) captures the
-//     owner's full state as of record seq. Writing one compacts the log:
-//     every segment it covers is deleted and a fresh segment starts, so disk
-//     usage is bounded by snapshot cadence rather than history length.
+//   - A snapshot (snap-<seq>.snap: one record, its CRC covering seq, and any
+//     bytes after it ignored) captures the owner's full state as of record
+//     seq. Writing one compacts the log without freeing a block: every
+//     segment it covers becomes a spare (seg-<firstseq>.spare), the snapshot
+//     it supersedes becomes snap.spare, and later rotations and snapshots
+//     rename a spare into place and overwrite it from offset 0. Disk usage
+//     is bounded by snapshot cadence rather than history length, and the
+//     owner never waits on an unlink: on a filesystem that discards freed
+//     blocks one costs tens of milliseconds, and fsyncs queue behind it.
+//   - A recycled file keeps its previous bytes past what has been written
+//     to it. Their CRCs cover other seqs, so they never decode as records.
+//     Recovery truncates such a tail off the newest segment; on an older
+//     one, followed by a segment that starts at the next seq, it is no
+//     corruption and stays. A clean Close trims the active segment to its
+//     logical end.
+//   - Logs written before seqs were folded in (a CRC of the payload alone)
+//     still open: such records are read as long as no record of the current
+//     framing precedes them, such a snapshot must end at its frame, and a
+//     segment holding one is deleted rather than recycled once covered.
 //   - Fsync policy is configurable: under SyncAlways a record is durable
 //     once Commit (or Append) returns, so acknowledged writes survive power
 //     loss; SyncInterval syncs at most once per Interval, when a Commit or
@@ -107,6 +125,8 @@ const (
 	defaultSegmentBytes = 4 << 20
 	headerSize          = 8       // 4B length + 4B CRC32C
 	maxRecordBytes      = 1 << 28 // framing sanity bound: larger lengths are corruption
+	spareExt            = ".spare"
+	snapSpareName       = "snap" + spareExt
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -152,9 +172,12 @@ type Log struct {
 	// duration of its fsync, leaving syncing set.
 	mu sync.Mutex
 
-	f        *os.File // active segment
-	segBytes int64    // active segment size
-	segments []string // live segment paths, oldest first (incl. active)
+	f         *os.File        // active segment
+	segBytes  int64           // active segment's logical end: the next record goes here
+	segments  []string        // live segment paths, oldest first (incl. active)
+	legacy    map[string]bool // live segments holding a record of the old framing
+	spares    []string        // covered segment files, renamed aside for rotate to reuse
+	snapSpare string          // the superseded snapshot file, for the next Snapshot to reuse ("" = none)
 
 	next     uint64 // seq the next Write assigns
 	snapSeq  uint64
@@ -166,7 +189,7 @@ type Log struct {
 
 	// syncHook, when set, is called after each completed fsync of a segment
 	// with the byte offset the fsync covers, before the log counts those
-	// bytes durable.
+	// bytes durable, and with offset 0 once a segment file is (re)started.
 	syncHook func(segment string, offset int64)
 
 	stats Stats
@@ -185,7 +208,7 @@ func Open(dir string, opt Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt, lastSync: time.Now()}
+	l := &Log{dir: dir, opt: opt, lastSync: time.Now(), legacy: map[string]bool{}}
 	l.synced = sync.NewCond(&l.mu)
 	rec, err := l.recover()
 	if err != nil {
@@ -217,7 +240,7 @@ func parseSeq(name, prefix, ext string) (uint64, bool) {
 }
 
 // recover scans the directory: newest valid snapshot, then every decodable
-// record after it, truncating torn tails and compacting covered segments.
+// record after it, truncating torn tails and deleting covered segments.
 func (l *Log) recover() (*Recovered, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -225,11 +248,15 @@ func (l *Log) recover() (*Recovered, error) {
 	}
 	var segSeqs, snapSeqs []uint64
 	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "seg-", ".wal"); ok {
+		name := e.Name()
+		if seq, ok := parseSeq(name, "seg-", ".wal"); ok {
 			segSeqs = append(segSeqs, seq)
-		}
-		if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
+		} else if seq, ok := parseSeq(name, "snap-", ".snap"); ok {
 			snapSeqs = append(snapSeqs, seq)
+		} else if name == snapSpareName {
+			l.snapSpare = filepath.Join(l.dir, name)
+		} else if _, ok := parseSeq(name, "seg-", spareExt); ok {
+			l.spares = append(l.spares, filepath.Join(l.dir, name))
 		}
 	}
 	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
@@ -239,13 +266,23 @@ func (l *Log) recover() (*Recovered, error) {
 	// Newest decodable snapshot wins; corrupt ones (a crash mid-rename
 	// cannot produce these, but disk faults can) fall back to older.
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
-		payload, ok := readSnapshot(l.snapPath(snapSeqs[i]))
-		if ok {
+		if payload, ok := readSnapshot(l.snapPath(snapSeqs[i]), snapSeqs[i]); ok {
 			rec.Snapshot, rec.SnapshotSeq = payload, snapSeqs[i]
 			break
 		}
 	}
 	l.snapSeq = rec.SnapshotSeq
+
+	// A segment the snapshot covers holds nothing recovery needs: it is
+	// covered when the next segment starts at or below SnapshotSeq+1. It is
+	// left over from a crash between a snapshot and its compaction, and
+	// since nothing is served yet, it is simply deleted.
+	for len(segSeqs) > 1 && segSeqs[1] <= rec.SnapshotSeq+1 {
+		if err := os.Remove(l.segPath(segSeqs[0])); err != nil {
+			return nil, fmt.Errorf("wal: compact covered segment: %w", err)
+		}
+		segSeqs = segSeqs[1:]
+	}
 
 	// Scan segments in order, collecting records past the snapshot. A
 	// corrupt or torn record truncates its segment there and drops every
@@ -258,10 +295,11 @@ func (l *Log) recover() (*Recovered, error) {
 		}
 		seq = segSeqs[0] - 1
 	}
-	stop := false
-	for _, first := range segSeqs {
+	stop, legacyOK := false, true
+	for i, first := range segSeqs {
+		path := l.segPath(first)
 		if stop {
-			if err := os.Remove(l.segPath(first)); err != nil {
+			if err := os.Remove(path); err != nil {
 				return nil, fmt.Errorf("wal: drop segment past corruption: %w", err)
 			}
 			rec.DroppedSegments++
@@ -270,36 +308,51 @@ func (l *Log) recover() (*Recovered, error) {
 		if first != seq+1 {
 			return nil, fmt.Errorf("wal: segment gap: have records through %d, next segment starts at %d", seq, first)
 		}
-		path := l.segPath(first)
-		_, truncated, err := scanSegment(path, func(payload []byte) {
-			seq++
-			if seq > rec.SnapshotSeq {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		off := 0
+		for ; ; seq++ {
+			payload, legacy, ok := decode(data[off:], seq+1, legacyOK)
+			if !ok {
+				break
+			}
+			if legacy {
+				l.legacy[path] = true
+			}
+			legacyOK = legacy // the old framing is only ever a prefix of the history
+			if seq+1 > rec.SnapshotSeq {
 				rec.Records = append(rec.Records, payload)
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if truncated > 0 {
-			rec.TruncatedBytes += truncated
-			stop = true // everything after a torn record is unusable
+			off += headerSize + len(payload)
 		}
 		l.segments = append(l.segments, path)
+		// An undecodable tail followed by a segment that starts at the next
+		// seq is what a recycled file kept of its previous life, past where
+		// the rotation left it: nothing is lost, so nothing is repaired.
+		if off == len(data) || (i+1 < len(segSeqs) && segSeqs[i+1] == seq+1) {
+			continue
+		}
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+		}
+		rec.TruncatedBytes += int64(len(data) - off)
+		stop = true // everything after a torn record is unusable
 	}
-	l.next = seq + 1
+	l.next = max(seq, rec.SnapshotSeq) + 1
 
-	// Compact segments fully covered by the snapshot: a segment is covered
-	// when the next segment starts at or below snapSeq+1.
-	l.compactCovered()
-
-	// Ready the active segment: reuse the newest, or start fresh.
-	if len(l.segments) == 0 {
+	// Ready the active segment: reuse the newest, or start fresh — also when
+	// the newest ends short of the snapshot (a crash between a snapshot and
+	// its rotation, then damage to records the snapshot covers), since a
+	// record appended there would sit at the wrong seq.
+	if len(l.segments) == 0 || seq < rec.SnapshotSeq {
 		if err := l.rotate(); err != nil {
 			return nil, err
 		}
 	} else {
 		active := l.segments[len(l.segments)-1]
-		f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(active, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
@@ -325,68 +378,65 @@ func (l *Log) recover() (*Recovered, error) {
 	return rec, nil
 }
 
-// scanSegment decodes records, calling fn per payload. On a torn or corrupt
-// record it truncates the file at the last good offset and reports the
-// dropped byte count.
-func scanSegment(path string, fn func(payload []byte)) (records int, truncated int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+// decode reads the frame at the start of b as record seq. It is ok when the
+// frame is whole and its CRC covers the payload and seq, or — legacy — when
+// legacyOK and the CRC covers the payload alone, the framing this package
+// wrote before seqs were folded in.
+func decode(b []byte, seq uint64, legacyOK bool) (payload []byte, legacy, ok bool) {
+	if len(b) < headerSize {
+		return nil, false, false // torn header
 	}
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return records, 0, nil
-		}
-		if len(rest) < headerSize {
-			break // torn header
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecordBytes || int(n) > len(rest)-headerSize {
-			break // absurd length or torn payload
-		}
-		payload := rest[headerSize : headerSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break // corrupt payload
-		}
-		fn(payload)
-		records++
-		off += headerSize + int(n)
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if n > maxRecordBytes || int(n) > len(b)-headerSize {
+		return nil, false, false // absurd length or torn payload
 	}
-	truncated = int64(len(data) - off)
-	if terr := os.Truncate(path, int64(off)); terr != nil {
-		return records, truncated, fmt.Errorf("wal: truncate torn tail of %s: %w", path, terr)
+	payload = b[headerSize : headerSize+int(n)]
+	crc, stored := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:8])
+	switch {
+	case foldSeq(crc, seq) == stored:
+		return payload, false, true
+	case legacyOK && crc == stored:
+		return payload, true, true
 	}
-	return records, truncated, nil
+	return nil, false, false // corrupt, or a recycled file's stale bytes
 }
 
-// readSnapshot decodes a snapshot file (one framed record); ok=false on any
+// readSnapshot decodes snapshot file path as covering seq: its first frame,
+// whatever follows it (a recycled file's stale bytes). A snapshot of the old
+// framing was written alone, so it must end at its frame. ok=false on any
 // framing or checksum error.
-func readSnapshot(path string) (payload []byte, ok bool) {
+func readSnapshot(path string, seq uint64) (payload []byte, ok bool) {
 	data, err := os.ReadFile(path)
-	if err != nil || len(data) < headerSize {
+	if err != nil {
 		return nil, false
 	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	crc := binary.LittleEndian.Uint32(data[4:8])
-	if n > maxRecordBytes || int(n) != len(data)-headerSize {
-		return nil, false
-	}
-	payload = data[headerSize:]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	payload, legacy, ok := decode(data, seq, true)
+	if !ok || (legacy && len(data) != headerSize+len(payload)) {
 		return nil, false
 	}
 	return payload, true
 }
 
-// frame encodes one record: header then payload.
+// foldSeq folds a record's seq into its payload's CRC32C.
+func foldSeq(payloadCRC uint32, seq uint64) uint32 {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], seq)
+	return crc32.Update(payloadCRC, castagnoli, b[:])
+}
+
+// frame encodes one record, header then payload, with the payload's CRC in
+// the header: seal completes it once the record's seq is known.
 func frame(payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 	copy(buf[headerSize:], payload)
+	return buf
+}
+
+// seal folds seq into a framed record's CRC.
+func seal(buf []byte, seq uint64) []byte {
+	binary.LittleEndian.PutUint32(buf[4:8], foldSeq(binary.LittleEndian.Uint32(buf[4:8]), seq))
 	return buf
 }
 
@@ -411,11 +461,11 @@ func (l *Log) Write(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	seq := l.next
+	if _, err := l.f.WriteAt(seal(buf, seq), l.segBytes); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.segBytes += int64(len(buf))
-	seq := l.next
 	l.next++
 	l.stats.Appends++
 	l.stats.AppendedBytes += int64(len(payload))
@@ -525,10 +575,11 @@ func (l *Log) sync() error {
 }
 
 // SetSyncHook installs fn to be called after every completed fsync of a
-// segment file, with the segment's path and the byte offset the fsync covers.
-// It is a seam for tests: cutting each segment back to its last reported
-// offset is what a power cut leaves behind, and a hook that blocks holds an
-// fsync in flight.
+// segment file, with the segment's path and the byte offset the fsync covers,
+// and with offset 0 when a segment file is started — created, or a spare
+// renamed into place — before anything is written to it. It is a seam for
+// tests: cutting each segment back to its last reported offset is what a
+// power cut leaves behind, and a hook that blocks holds an fsync in flight.
 func (l *Log) SetSyncHook(fn func(segment string, offset int64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -553,7 +604,9 @@ func (l *Log) syncDir() error {
 }
 
 // rotate closes the active segment (syncing it unless SyncNever) and starts
-// a fresh one whose first record will be l.next. Caller holds mu.
+// a new one whose first record will be l.next: a spare renamed into place
+// when there is one, written from offset 0, else a fresh file. Caller holds
+// mu.
 func (l *Log) rotate() error {
 	if l.f != nil {
 		if l.opt.Fsync != SyncNever {
@@ -568,20 +621,33 @@ func (l *Log) rotate() error {
 		l.stats.Rotations++
 	}
 	path := l.segPath(l.next)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	flag := os.O_CREATE | os.O_WRONLY | os.O_EXCL
+	if n := len(l.spares); n > 0 {
+		if err := os.Rename(l.spares[n-1], path); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.spares, flag = l.spares[:n-1], os.O_WRONLY
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.f, l.segBytes = f, 0
 	l.segments = append(l.segments, path)
 	l.stats.Segments = len(l.segments)
-	return l.syncDir()
+	if err := l.syncDir(); err != nil {
+		return err
+	}
+	if l.syncHook != nil {
+		l.syncHook(path, 0)
+	}
+	return nil
 }
 
 // Snapshot atomically writes state as a snapshot covering every record
-// written so far, then compacts: covered segments are deleted, older
-// snapshots removed, and a fresh segment started. It holds the log's mutex
-// throughout, so no write or commit interleaves.
+// written so far, then compacts: a fresh segment is started and the covered
+// segments and the superseded snapshot are renamed aside as spares. It holds
+// the log's mutex throughout, so no write or commit interleaves.
 func (l *Log) Snapshot(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -591,7 +657,13 @@ func (l *Log) Snapshot(state []byte) error {
 	seq := l.next - 1
 	path := l.snapPath(seq)
 	tmp := path + ".tmp"
-	if err := l.writeSnapshotFile(tmp, frame(state)); err != nil {
+	if l.snapSpare != "" {
+		if err := os.Rename(l.snapSpare, tmp); err != nil {
+			return fmt.Errorf("wal: snapshot: %w", err)
+		}
+		l.snapSpare = ""
+	}
+	if err := l.writeSnapshotFile(tmp, seal(frame(state), seq)); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -606,27 +678,31 @@ func (l *Log) Snapshot(state []byte) error {
 	l.stats.SnapshotSeq = seq
 
 	// Compact: the snapshot covers everything appended, so every segment is
-	// disposable. Rotate to a fresh segment first (so the directory always
-	// has an active segment), then drop covered ones and stale snapshots.
+	// disposable. Rotate to a new segment first (so the directory always
+	// has an active segment), then set covered ones and the stale snapshot
+	// aside. A rename that fails leaves a file recovery ignores or deletes.
 	if err := l.rotate(); err != nil {
 		return err
 	}
 	l.compactCovered()
 	if oldSnap > 0 && oldSnap != seq {
-		_ = os.Remove(l.snapPath(oldSnap)) // a stale snapshot left behind is ignored by recovery
+		spare := filepath.Join(l.dir, snapSpareName)
+		if os.Rename(l.snapPath(oldSnap), spare) == nil {
+			l.snapSpare = spare
+		}
 	}
-	l.stats.Segments = len(l.segments)
 	return nil
 }
 
-// writeSnapshotFile writes buf to path and, unless SyncNever, fsyncs it
-// before closing: the rename that follows must never publish unsynced bytes.
+// writeSnapshotFile writes buf at the start of path, over whatever a
+// recycled file holds, and, unless SyncNever, fsyncs it before closing: the
+// rename that follows must never publish unsynced bytes.
 func (l *Log) writeSnapshotFile(path string, buf []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(buf)
+	_, err = f.WriteAt(buf, 0)
 	if err == nil && l.opt.Fsync != SyncNever {
 		if err = f.Sync(); err == nil {
 			l.stats.Fsyncs++
@@ -638,19 +714,24 @@ func (l *Log) writeSnapshotFile(path string, buf []byte) error {
 	return err
 }
 
-// compactCovered deletes segments every record of which is covered by the
-// current snapshot: segment i is covered when segment i+1 starts at or
-// below snapSeq+1. The active (last) segment is never deleted.
+// compactCovered sets aside segments every record of which is covered by
+// the current snapshot: segment i is covered when segment i+1 starts at or
+// below snapSeq+1. Each becomes a spare for rotate, except one holding a
+// record of the old framing, which is deleted so that no stale record of
+// that framing can sit in a recycled file. The active (last) segment is
+// never covered.
 func (l *Log) compactCovered() {
-	if l.snapSeq == 0 {
-		return
-	}
 	kept := l.segments[:0]
 	for i, path := range l.segments {
 		if i+1 < len(l.segments) {
 			nextFirst, ok := parseSeq(filepath.Base(l.segments[i+1]), "seg-", ".wal")
 			if ok && nextFirst <= l.snapSeq+1 {
-				_ = os.Remove(path)
+				if l.legacy[path] {
+					_ = os.Remove(path)
+					delete(l.legacy, path)
+				} else if spare := strings.TrimSuffix(path, ".wal") + spareExt; os.Rename(path, spare) == nil {
+					l.spares = append(l.spares, spare)
+				}
 				continue
 			}
 		}
@@ -684,16 +765,17 @@ func (l *Log) SnapshotSeq() uint64 {
 	return l.snapSeq
 }
 
-// Close syncs (unless SyncNever) and closes the active segment. The log is
-// unusable afterwards; a Commit still waiting returns an error.
+// Close trims the active segment to its logical end (freeing what a
+// recycled file held past it), syncs (unless SyncNever) and closes it. The
+// log is unusable afterwards; a Commit still waiting returns an error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	var err error
-	if l.opt.Fsync != SyncNever {
+	err := l.f.Truncate(l.segBytes)
+	if err == nil && l.opt.Fsync != SyncNever {
 		err = l.sync()
 	}
 	if cerr := l.f.Close(); err == nil {

@@ -79,10 +79,14 @@ type Endpoint struct {
 	closeOnce sync.Once
 }
 
-// seenSet is one inbound link's dedup history for one generation: every
-// sequence number received, true while the frame is still being processed.
+// seenSet is one inbound link's dedup history for one generation. Every
+// sequence number below low has been received and processed; seqs holds the
+// ones at or above it that have been received, true while the frame is still
+// being processed. A link's sequence numbers are dense from 0, so low follows
+// the processed frames and seqs stays as small as the reordering window.
 type seenSet struct {
 	gen  uint64
+	low  uint64
 	seqs map[uint64]bool
 }
 
@@ -454,7 +458,7 @@ func (e *Endpoint) dedup(f *Frame) dedupState {
 	case s == nil || f.Gen > s.gen:
 		s = &seenSet{gen: f.Gen, seqs: map[uint64]bool{}}
 		e.seen[f.Src] = s
-	case f.Gen < s.gen:
+	case f.Gen < s.gen || f.Seq < s.low:
 		return frameDupDone
 	}
 	if pending, dup := s.seqs[f.Seq]; dup {
@@ -467,11 +471,16 @@ func (e *Endpoint) dedup(f *Frame) dedupState {
 	return frameFresh
 }
 
-// dedupDone clears the frame's in-flight mark: later duplicates re-ack.
+// dedupDone clears the frame's in-flight mark, so later duplicates re-ack,
+// and moves the link's low-water mark past every processed frame.
 func (e *Endpoint) dedupDone(f *Frame) {
 	e.mu.Lock()
 	if s := e.seen[f.Src]; s != nil && s.gen == f.Gen {
 		s.seqs[f.Seq] = false
+		for pending, ok := s.seqs[s.low]; ok && !pending; pending, ok = s.seqs[s.low] {
+			delete(s.seqs, s.low)
+			s.low++
+		}
 	}
 	e.mu.Unlock()
 }

@@ -291,3 +291,35 @@ func TestStaleGenerationIsDuplicate(t *testing.T) {
 		t.Fatalf("stale frame not counted as a dedup: %+v", tr.Stats())
 	}
 }
+
+// A transport that is never recycled keeps a bounded dedup history: once
+// every broadcast has been delivered, no link remembers a single sequence
+// number, duplicates and reordering included.
+func TestDedupHistoryStaysBounded(t *testing.T) {
+	for name, chaos := range map[string]*ChaosPlan{
+		"fault-free":  nil,
+		"dup+reorder": {Seed: 7, Dup: 0.3, Reorder: 0.3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			const nodes, rounds = 6, 500
+			tr := mustNew(t, nodes, Options{Chaos: chaos,
+				Retransmit: RetransmitPolicy{Timeout: 300 * time.Microsecond, MaxBackoff: 3 * time.Millisecond}})
+			for round := 0; round < rounds; round++ {
+				tr.Broadcast("b", allItems(nodes))
+			}
+			tr.Quiesce()
+			for n, e := range tr.eps {
+				e.mu.Lock()
+				for src, s := range e.seen {
+					if len(s.seqs) != 0 || s.low == 0 {
+						t.Errorf("node %d, link from %d: low %d, %d seqs remembered after %d rounds", n, src, s.low, len(s.seqs), rounds)
+					}
+				}
+				e.mu.Unlock()
+			}
+			if st := tr.Stats(); chaos != nil && st.Dedups == 0 {
+				t.Errorf("30%% duplication produced no dedups: %+v", st)
+			}
+		})
+	}
+}
