@@ -64,11 +64,40 @@ func buildIdxserve(t *testing.T) string {
 	return bin
 }
 
-func traceArgs(seed int64, dir string) []string {
+// crashSnapshotEvery is the durable runs' snapshot cadence in journal
+// records. Each snapshot sets the covered segment aside and a later rotation
+// reuses it, so a snapshot at 3× the cadence means the journal has been
+// written over recycled files twice. At this cadence the seeded kills
+// usually land before the first snapshot.
+const crashSnapshotEvery = 64
+
+// recycleSnapshotEvery is the cadence of each seed's second arm, short
+// enough for a run to recycle files many times.
+const recycleSnapshotEvery = 16
+
+// newestSnapshotSeq reads the seq of the newest snapshot in a journal
+// directory from its file name (0 = none).
+func newestSnapshotSeq(t *testing.T, dir string) uint64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest uint64
+	for _, name := range names {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "snap-%x.snap", &seq); err == nil && seq > newest {
+			newest = seq
+		}
+	}
+	return newest
+}
+
+func traceArgs(seed int64, dir string, every int) []string {
 	args := []string{"-trace", "-seed", fmt.Sprint(seed), "-jobs", "120",
 		"-queue", "fair", "-weights", "a=1,b=2,c=4", "-rate", "4", "-burst", "8"}
 	if dir != "" {
-		args = append(args, "-data", dir, "-snapshot-every", "64")
+		args = append(args, "-data", dir, "-snapshot-every", fmt.Sprint(every))
 	}
 	return args
 }
@@ -105,17 +134,29 @@ func TestCrashRecoveryTraceDeterministic(t *testing.T) {
 		t.Skip("spawns and kills subprocesses")
 	}
 	bin := buildIdxserve(t)
+	// Each seed runs at the usual cadence, and at one small enough that a
+	// restart finds the journal written over recycled files twice.
+	type arm struct {
+		seed  int64
+		every int
+		name  string
+	}
+	var arms []arm
 	for _, seed := range crashSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+		arms = append(arms, arm{seed, crashSnapshotEvery, fmt.Sprintf("seed%d", seed)},
+			arm{seed, recycleSnapshotEvery, fmt.Sprintf("seed%d-every%d", seed, recycleSnapshotEvery)})
+	}
+	for _, a := range arms {
+		seed, every := a.seed, a.every
+		t.Run(a.name, func(t *testing.T) {
 			// Baseline 1: plain in-memory run.
-			plain, err := exec.Command(bin, traceArgs(seed, "")...).Output()
+			plain, err := exec.Command(bin, traceArgs(seed, "", every)...).Output()
 			if err != nil {
 				t.Fatalf("plain run: %v", err)
 			}
 			// Baseline 2: durable, uninterrupted.
 			cleanDir := t.TempDir()
-			clean, err := exec.Command(bin, traceArgs(seed, cleanDir)...).Output()
+			clean, err := exec.Command(bin, traceArgs(seed, cleanDir, every)...).Output()
 			if err != nil {
 				t.Fatalf("clean durable run: %v", err)
 			}
@@ -127,16 +168,25 @@ func TestCrashRecoveryTraceDeterministic(t *testing.T) {
 			// Crash runs: pace ops, kill at seeded random delays.
 			dir := t.TempDir()
 			rng := rand.New(rand.NewSource(seed))
-			kills := 0
+			kills, recycled := 0, 0
 			var out []byte
 			for attempt := 0; attempt < 20; attempt++ {
-				cmd := exec.Command(bin, append(traceArgs(seed, dir), "-op-delay", "300us")...)
+				if attempt > 0 && newestSnapshotSeq(t, dir) >= uint64(3*every) {
+					recycled++ // restarting on a journal two recycles deep
+				}
+				cmd := exec.Command(bin, append(traceArgs(seed, dir, every), "-op-delay", "300us")...)
 				var stdout bytes.Buffer
 				cmd.Stdout = &stdout
 				if err := cmd.Start(); err != nil {
 					t.Fatal(err)
 				}
 				if kills < 3 {
+					// The recycling arm lets the journal go two recycles
+					// deep first, so every restart recovers from them.
+					for deadline := time.Now().Add(10 * time.Second); every == recycleSnapshotEvery &&
+						newestSnapshotSeq(t, dir) < uint64(3*every) && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
 					// Kill mid-run: the trace takes roughly 120 jobs x ~3
 					// ops x 300us ≈ 100ms+; land inside it.
 					delay := time.Duration(5+rng.Intn(60)) * time.Millisecond
@@ -160,7 +210,10 @@ func TestCrashRecoveryTraceDeterministic(t *testing.T) {
 				t.Fatalf("decision log after %d kills diverged from crash-free run:\n%s",
 					kills, firstDiff(clean, out))
 			}
-			t.Logf("seed %d: byte-identical after %d SIGKILLs", seed, kills)
+			t.Logf("seed %d: byte-identical after %d SIGKILLs, %d restarts on recycled files", seed, kills, recycled)
+			if every == recycleSnapshotEvery && recycled == 0 {
+				t.Fatalf("no restart found a snapshot at seq %d or later: recovery never crossed two recycles", 3*every)
+			}
 		})
 	}
 }

@@ -30,9 +30,16 @@ import (
 	"time"
 )
 
+// cacheLine is the padded size of a Counter or Gauge: one instrument to a
+// line, so goroutines updating different instruments do not contend for it.
+const cacheLine = 64
+
 // Counter is a monotonically non-decreasing atomic counter. A nil *Counter
 // is the disabled instrument: Add and Inc are one-branch no-ops.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v atomic.Int64
+	_ [cacheLine - 8]byte
+}
 
 // Inc adds one.
 func (c *Counter) Inc() {
@@ -60,7 +67,10 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an atomic instantaneous value. A nil *Gauge is the disabled
 // instrument.
-type Gauge struct{ v atomic.Int64 }
+type Gauge struct {
+	v atomic.Int64
+	_ [cacheLine - 8]byte
+}
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -325,6 +326,32 @@ func TestPipelineRegistersCanonicalSchema(t *testing.T) {
 				t.Errorf("histogram %s does not end in _ns", f.Name)
 			}
 		}
+	}
+}
+
+// TestPipelineInstrumentsOwnCacheLines: the runtime's counters and gauges
+// each sit on a cache line of their own, so the issuer and the run queues'
+// drainers, updating different instruments for every point, do not contend
+// for one line.
+func TestPipelineInstrumentsOwnCacheLines(t *testing.T) {
+	p := reflect.ValueOf(NewPipeline(NewRegistry())).Elem()
+	lines := map[uintptr]string{}
+	for i := 0; i < p.NumField(); i++ {
+		f := p.Field(i)
+		if f.Type() != reflect.TypeOf((*Counter)(nil)) && f.Type() != reflect.TypeOf((*Gauge)(nil)) {
+			continue
+		}
+		name, addr := p.Type().Field(i).Name, f.Pointer()
+		if addr%cacheLine != 0 {
+			t.Errorf("%s starts %d bytes into a cache line", name, addr%cacheLine)
+		}
+		if other, shared := lines[addr/cacheLine]; shared {
+			t.Errorf("%s shares a cache line with %s", name, other)
+		}
+		lines[addr/cacheLine] = name
+	}
+	if len(lines) < 20 {
+		t.Fatalf("only %d counters and gauges checked", len(lines))
 	}
 }
 

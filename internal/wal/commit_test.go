@@ -69,6 +69,77 @@ func TestPowerCutKeepsCommitted(t *testing.T) {
 	}
 }
 
+// TestSnapshotOneCriticalSection: two writers Write and Commit with no lock
+// of their own, a third goroutine snapshots, and the sync hook holds every
+// fsync in flight a while. Neither a Snapshot nor a rotation Write starts
+// waits on a commit fsync, so none lets a record in half-way: after each
+// Snapshot only the fresh segment and those its later records filled are
+// live, and segments rotate exactly when full, each once.
+func TestSnapshotOneCriticalSection(t *testing.T) {
+	const writers, each, perSeg = 2, 150, 8
+	frameLen := headerSize + len("w0-000000")
+	l, _ := mustOpen(t, t.TempDir(), Options{Fsync: SyncAlways, SegmentBytes: int64(perSeg * frameLen)})
+	defer l.Close()
+	l.SetSyncHook(func(string, int64) { time.Sleep(100 * time.Microsecond) })
+	// segments is how many a chain of n records from a fresh segment spans.
+	segments := func(n uint64) int { return max(1, int(n+perSeg-1)/perSeg) }
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seq, err := l.Write([]byte(fmt.Sprintf("w%d-%06d", w, i)))
+				if err == nil {
+					err = l.Commit(seq)
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+
+	var snaps []uint64
+	for running := true; running && !t.Failed(); {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if l.LastSeq() == l.SnapshotSeq() { // as the journal does: only past new records
+			time.Sleep(50 * time.Microsecond)
+			continue
+		}
+		if err := l.Snapshot([]byte("state")); err != nil {
+			t.Error(err)
+		}
+		seq := l.SnapshotSeq()
+		if st := l.Stats(); st.Segments != segments(st.LastSeq-seq) {
+			t.Errorf("snapshot at seq %d left %d segments with %d records after it, want %d",
+				seq, st.Segments, st.LastSeq-seq, segments(st.LastSeq-seq))
+		}
+		snaps = append(snaps, seq)
+	}
+	<-done
+	if t.Failed() {
+		return
+	}
+	st := l.Stats()
+	want, prev := int64(len(snaps)), uint64(0)
+	for _, seq := range append(snaps, st.LastSeq) {
+		want += int64(segments(seq-prev) - 1)
+		prev = seq
+	}
+	if st.Rotations != want || st.LastSeq != writers*each {
+		t.Fatalf("%d rotations over %d records and %d snapshots, want %d", st.Rotations, st.LastSeq, len(snaps), want)
+	}
+}
+
 // TestCommitSharesFsyncs: committers that arrive while an fsync is in flight
 // share the next one; a lone committer pays exactly one fsync per commit.
 func TestCommitSharesFsyncs(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"indexlaunch/internal/wal/waltest"
@@ -147,14 +149,12 @@ func TestRecycledTailNeverDecodes(t *testing.T) {
 	check("clean close", dir, 61, false)
 }
 
-// TestOpenReadsOldFraming opens a directory written before seqs were folded
-// into the CRC: its snapshot and records are recovered whole, new records
-// follow them, and the old-framed segment is deleted rather than recycled
-// once a snapshot covers it. An old-framed record after a new one is not a
-// record.
-func TestOpenReadsOldFraming(t *testing.T) {
-	dir := t.TempDir()
-	oldFramed := func(name string, payloads ...string) {
+// TestOpenRefusesOldFraming: a directory written before the CRC covered
+// the seq is refused, by an error naming the file, whether the old framing
+// starts its snapshot or its oldest segment, and Open leaves every byte as
+// it was. An old-framed record after new ones is a torn tail.
+func TestOpenRefusesOldFraming(t *testing.T) {
+	oldFramed := func(dir, name string, payloads ...string) {
 		var buf []byte
 		for _, p := range payloads {
 			buf = append(buf, frame([]byte(p))...) // unsealed: a CRC of the payload alone
@@ -163,36 +163,50 @@ func TestOpenReadsOldFraming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldFramed("seg-0000000000000001.wal", "record-0000", "record-0001")
-	oldFramed("snap-0000000000000002.snap", "state@2")
-	oldFramed("seg-0000000000000003.wal", "record-0002", "record-0003", "record-0004")
+	files := map[string][]string{
+		"seg-0000000000000001.wal":   {"record-0000", "record-0001"},
+		"snap-0000000000000002.snap": {"state@2"},
+		"seg-0000000000000003.wal":   {"record-0002", "record-0003", "record-0004"},
+	}
+	refuse := func(dir string, names ...string) {
+		t.Helper()
+		before := dirBytes(t, dir)
+		_, _, err := Open(dir, Options{})
+		if err == nil {
+			t.Fatalf("Open read the old framing in %v", names)
+		}
+		named := false
+		for _, name := range names {
+			named = named || strings.Contains(err.Error(), name)
+		}
+		if !named {
+			t.Fatalf("the refusal %q names none of %v", err, names)
+		}
+		if !reflect.DeepEqual(before, dirBytes(t, dir)) {
+			t.Fatalf("Open changed the directory it refused: %v", err)
+		}
+	}
+	all := t.TempDir()
+	for name, payloads := range files {
+		oldFramed(all, name, payloads...)
+		alone := t.TempDir()
+		oldFramed(alone, name, payloads...)
+		refuse(alone, name)
+	}
+	refuse(all, "snap-0000000000000002.snap", "seg-0000000000000001.wal")
 
-	l, rec := mustOpen(t, dir, Options{})
-	if string(rec.Snapshot) != "state@2" || rec.TruncatedBytes != 0 {
-		t.Fatalf("old-framed directory opened as %q@%d, %d bytes truncated", rec.Snapshot, rec.SnapshotSeq, rec.TruncatedBytes)
-	}
-	wantRecords(t, rec, 2, 3)
-	appendN(t, l, 5, 5)
-	l.Close()
-	l, rec = mustOpen(t, dir, Options{})
-	wantRecords(t, rec, 2, 8)
-	if err := l.Snapshot([]byte("state@10")); err != nil {
-		t.Fatal(err)
-	}
-	if spares, _ := filepath.Glob(filepath.Join(dir, "seg-*"+spareExt)); len(spares) != 0 {
-		t.Fatalf("an old-framed segment was kept for recycling: %v", spares)
-	}
-	appendN(t, l, 10, 2)
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	appendN(t, l, 0, 2)
 	seg := l.segments[len(l.segments)-1]
 	l.Close()
-	appendBytes(t, seg, frame([]byte("record-0012")))
-	l, rec = mustOpen(t, dir, Options{})
+	appendBytes(t, seg, frame([]byte("record-0002")))
+	l, rec := mustOpen(t, dir, Options{})
 	defer l.Close()
-	if string(rec.Snapshot) != "state@10" || rec.TruncatedBytes != int64(headerSize+len("record-0012")) {
-		t.Fatalf("reopen = %q@%d, %d bytes truncated; want the old-framed record after new ones truncated",
-			rec.Snapshot, rec.SnapshotSeq, rec.TruncatedBytes)
+	if rec.TruncatedBytes != int64(headerSize+len("record-0002")) {
+		t.Fatalf("%d bytes truncated, want the old-framed record after new ones", rec.TruncatedBytes)
 	}
-	wantRecords(t, rec, 10, 2)
+	wantRecords(t, rec, 0, 2)
 }
 
 // TestTornBelowSnapshotKeepsNewRecords: a power cut between a snapshot and

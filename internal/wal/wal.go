@@ -5,12 +5,12 @@
 // live pointers — and keeps the format deliberately simple:
 //
 //   - Records are length+CRC framed: a 4-byte little-endian payload length,
-//     a 4-byte little-endian CRC32C (Castagnoli) of the payload with the
-//     record's 8-byte little-endian seq folded in after it, then the
-//     payload. The seq itself is not stored; folding it in means a record
-//     decodes only at the position it was written for. Framing errors are
-//     therefore always detectable, and a torn tail (a crash mid-write) is
-//     truncated away on Open, never replayed.
+//     a 4-byte little-endian CRC32C (Castagnoli) of the payload followed by
+//     the record's 8-byte little-endian seq, then the payload. The seq itself
+//     is not stored; covering it means a record decodes only at the position
+//     it was written for. Framing errors are therefore always detectable, and
+//     a torn tail (a crash mid-write) is truncated away on Open, never
+//     replayed.
 //   - Records live in segment files named seg-<firstseq>.wal, rotated once a
 //     segment passes Options.SegmentBytes. Sequence numbers are dense from 1
 //     and implicit: a segment's name carries its first record's seq, and
@@ -30,10 +30,10 @@
 //     one, followed by a segment that starts at the next seq, it is no
 //     corruption and stays. A clean Close trims the active segment to its
 //     logical end.
-//   - Logs written before seqs were folded in (a CRC of the payload alone)
-//     still open: such records are read as long as no record of the current
-//     framing precedes them, such a snapshot must end at its frame, and a
-//     segment holding one is deleted rather than recycled once covered.
+//   - Logs written before the CRC covered the seq (a CRC of the payload
+//     alone) are refused: Open returns an error naming the file when the
+//     snapshot or the oldest segment starts with such a record, before it
+//     touches anything. Such a frame after a current one is a torn tail.
 //   - Fsync policy is configurable: under SyncAlways a record is durable
 //     once Commit (or Append) returns, so acknowledged writes survive power
 //     loss; SyncInterval syncs at most once per Interval, when a Commit or
@@ -57,8 +57,9 @@
 // directory yield byte-identical state.
 //
 // The log is safe for concurrent use. Its mutex is held across write(2),
-// rotation and Snapshot, but never across a commit fsync: writers and readers
-// of Stats proceed while one is in flight.
+// rotation and the whole of Snapshot, but never across a commit fsync, and
+// nothing holding it waits for one: a rotation fsyncs the segment it retires
+// itself, and a commit fsync in flight on that file closes it once done.
 package wal
 
 import (
@@ -172,19 +173,18 @@ type Log struct {
 	// duration of its fsync, leaving syncing set.
 	mu sync.Mutex
 
-	f         *os.File        // active segment
-	segBytes  int64           // active segment's logical end: the next record goes here
-	segments  []string        // live segment paths, oldest first (incl. active)
-	legacy    map[string]bool // live segments holding a record of the old framing
-	spares    []string        // covered segment files, renamed aside for rotate to reuse
-	snapSpare string          // the superseded snapshot file, for the next Snapshot to reuse ("" = none)
+	f         *os.File // active segment
+	segBytes  int64    // active segment's logical end: the next record goes here
+	segments  []string // live segment paths, oldest first (incl. active)
+	spares    []string // covered segment files, renamed aside for rotate to reuse
+	snapSpare string   // the superseded snapshot file, for the next Snapshot to reuse ("" = none)
 
 	next     uint64 // seq the next Write assigns
 	snapSeq  uint64
 	lastSync time.Time
 
-	durable uint64     // every record with seq <= durable has been fsynced
-	syncing bool       // a commit fsync is in flight outside mu
+	durable uint64     // every record with seq <= durable has been fsynced; only grows
+	syncing *os.File   // the segment a commit fsync is in flight on, outside mu (nil = none)
 	synced  *sync.Cond // on mu; broadcast when syncing clears and on Close
 
 	// syncHook, when set, is called after each completed fsync of a segment
@@ -208,7 +208,7 @@ func Open(dir string, opt Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt, lastSync: time.Now(), legacy: map[string]bool{}}
+	l := &Log{dir: dir, opt: opt, lastSync: time.Now()}
 	l.synced = sync.NewCond(&l.mu)
 	rec, err := l.recover()
 	if err != nil {
@@ -264,11 +264,21 @@ func (l *Log) recover() (*Recovered, error) {
 
 	rec := &Recovered{}
 	// Newest decodable snapshot wins; corrupt ones (a crash mid-rename
-	// cannot produce these, but disk faults can) fall back to older.
+	// cannot produce these, but disk faults can) fall back to older. A
+	// directory of the old framing is refused before anything is changed.
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
-		if payload, ok := readSnapshot(l.snapPath(snapSeqs[i]), snapSeqs[i]); ok {
+		payload, ok, err := readFirst(l.snapPath(snapSeqs[i]), snapSeqs[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			rec.Snapshot, rec.SnapshotSeq = payload, snapSeqs[i]
 			break
+		}
+	}
+	if len(segSeqs) > 0 {
+		if _, _, err := readFirst(l.segPath(segSeqs[0]), segSeqs[0]); err != nil {
+			return nil, err
 		}
 	}
 	l.snapSeq = rec.SnapshotSeq
@@ -295,7 +305,7 @@ func (l *Log) recover() (*Recovered, error) {
 		}
 		seq = segSeqs[0] - 1
 	}
-	stop, legacyOK := false, true
+	stop, off := false, 0 // off ends as the newest kept segment's logical end
 	for i, first := range segSeqs {
 		path := l.segPath(first)
 		if stop {
@@ -312,16 +322,12 @@ func (l *Log) recover() (*Recovered, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		off := 0
+		off = 0
 		for ; ; seq++ {
-			payload, legacy, ok := decode(data[off:], seq+1, legacyOK)
+			payload, ok, _ := decode(data[off:], seq+1)
 			if !ok {
 				break
 			}
-			if legacy {
-				l.legacy[path] = true
-			}
-			legacyOK = legacy // the old framing is only ever a prefix of the history
 			if seq+1 > rec.SnapshotSeq {
 				rec.Records = append(rec.Records, payload)
 			}
@@ -356,12 +362,7 @@ func (l *Log) recover() (*Recovered, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f, l.segBytes = f, st.Size()
+		l.f, l.segBytes = f, int64(off)
 		// The recovered tail may be bytes a killed process wrote but never
 		// synced. The owner is about to act on them (and acknowledge what it
 		// derives), so make them durable before counting them so.
@@ -378,11 +379,11 @@ func (l *Log) recover() (*Recovered, error) {
 	return rec, nil
 }
 
-// decode reads the frame at the start of b as record seq. It is ok when the
-// frame is whole and its CRC covers the payload and seq, or — legacy — when
-// legacyOK and the CRC covers the payload alone, the framing this package
-// wrote before seqs were folded in.
-func decode(b []byte, seq uint64, legacyOK bool) (payload []byte, legacy, ok bool) {
+// decode reads the frame at the start of b as record seq: ok when the frame
+// is whole and its CRC covers the payload and then seq. old reports a whole
+// frame whose CRC covers the payload alone: the framing written before the
+// seq was covered, which Open refuses at the start of a file.
+func decode(b []byte, seq uint64) (payload []byte, ok, old bool) {
 	if len(b) < headerSize {
 		return nil, false, false // torn header
 	}
@@ -392,29 +393,23 @@ func decode(b []byte, seq uint64, legacyOK bool) (payload []byte, legacy, ok boo
 	}
 	payload = b[headerSize : headerSize+int(n)]
 	crc, stored := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:8])
-	switch {
-	case foldSeq(crc, seq) == stored:
-		return payload, false, true
-	case legacyOK && crc == stored:
-		return payload, true, true
+	if foldSeq(crc, seq) == stored {
+		return payload, true, false
 	}
-	return nil, false, false // corrupt, or a recycled file's stale bytes
+	return nil, false, crc == stored // corrupt, a recycled file's stale bytes, or the old framing
 }
 
-// readSnapshot decodes snapshot file path as covering seq: its first frame,
-// whatever follows it (a recycled file's stale bytes). A snapshot of the old
-// framing was written alone, so it must end at its frame. ok=false on any
-// framing or checksum error.
-func readSnapshot(path string, seq uint64) (payload []byte, ok bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+// readFirst decodes the first frame of the file at path as record seq — a
+// snapshot's payload, whatever follows it (a recycled file's stale bytes) —
+// with ok=false on any read, framing or checksum error. A first frame of the
+// old framing is an error: Open refuses the directory.
+func readFirst(path string, seq uint64) (payload []byte, ok bool, err error) {
+	data, _ := os.ReadFile(path) // an unreadable file decodes as nothing
+	payload, ok, old := decode(data, seq)
+	if old {
+		err = fmt.Errorf("wal: %s starts with a record whose CRC does not cover its seq, a framing this version does not read", path)
 	}
-	payload, legacy, ok := decode(data, seq, true)
-	if !ok || (legacy && len(data) != headerSize+len(payload)) {
-		return nil, false
-	}
-	return payload, true
+	return payload, ok, err
 }
 
 // foldSeq folds a record's seq into its payload's CRC32C.
@@ -492,10 +487,10 @@ func (l *Log) Commit(seq uint64) error {
 		if l.f == nil {
 			return errClosed
 		}
-		if l.opt.Fsync == SyncInterval && (l.syncing || time.Since(l.lastSync) < l.opt.Interval) {
+		if l.opt.Fsync == SyncInterval && (l.syncing != nil || time.Since(l.lastSync) < l.opt.Interval) {
 			return nil
 		}
-		if l.syncing {
+		if l.syncing != nil {
 			l.synced.Wait()
 			continue
 		}
@@ -507,26 +502,29 @@ func (l *Log) Commit(seq uint64) error {
 }
 
 // leadSync fsyncs the active segment with mu released, then counts every
-// record written before the fsync began as durable. Rotation, Snapshot and
-// Close wait for syncing to clear before they close the file.
+// record written before the fsync began as durable. A rotation or Close that
+// retires the segment meanwhile leaves the file for leadSync to close.
 func (l *Log) leadSync() error {
 	f, seg, off, covers, hook := l.f, l.segments[len(l.segments)-1], l.segBytes, l.next-1, l.syncHook
-	l.syncing = true
+	l.syncing = f
 	l.mu.Unlock()
 	err := f.Sync()
 	if err == nil && hook != nil {
 		hook(seg, off)
 	}
 	l.mu.Lock()
-	l.syncing = false
+	l.syncing = nil
 	l.synced.Broadcast()
+	if f != l.f {
+		_ = f.Close() // retired: the rotation or Close fsynced it and reports its own errors
+	}
 	if err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.stats.Fsyncs++
 	l.stats.CommitFsyncs++
-	l.stats.CommitRecords += int64(covers - l.durable)
-	l.durable = covers
+	l.stats.CommitRecords += int64(max(covers, l.durable) - l.durable) // a rotation may have synced them
+	l.durable = max(l.durable, covers)
 	l.lastSync = time.Now()
 	return nil
 }
@@ -555,13 +553,9 @@ func (l *Log) Sync() error {
 }
 
 // sync fsyncs the active segment with mu held (rotation, Close, Sync: the
-// rare paths), after any in-flight commit fsync has finished. Every path that
-// closes the segment file comes through here first, except under SyncNever,
-// where no commit fsync exists to wait for.
+// rare paths). It does not wait for a commit fsync in flight on the same
+// file: its own covers every record written so far.
 func (l *Log) sync() error {
-	for l.syncing {
-		l.synced.Wait()
-	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
@@ -614,10 +608,9 @@ func (l *Log) rotate() error {
 				return err
 			}
 		}
-		if err := l.f.Close(); err != nil {
+		if err := l.retire(); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		l.f = nil
 		l.stats.Rotations++
 	}
 	path := l.segPath(l.next)
@@ -644,10 +637,21 @@ func (l *Log) rotate() error {
 	return nil
 }
 
+// retire drops the active segment's file: it is closed now, or, when a
+// commit fsync is in flight on it, by that commit's leader once it returns.
+func (l *Log) retire() (err error) {
+	if l.f != l.syncing {
+		err = l.f.Close()
+	}
+	l.f = nil
+	return err
+}
+
 // Snapshot atomically writes state as a snapshot covering every record
 // written so far, then compacts: a fresh segment is started and the covered
 // segments and the superseded snapshot are renamed aside as spares. It holds
-// the log's mutex throughout, so no write or commit interleaves.
+// the log's mutex throughout and waits on no commit fsync, so no write or
+// commit interleaves and every segment before the fresh one is covered.
 func (l *Log) Snapshot(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -715,10 +719,8 @@ func (l *Log) writeSnapshotFile(path string, buf []byte) error {
 }
 
 // compactCovered sets aside segments every record of which is covered by
-// the current snapshot: segment i is covered when segment i+1 starts at or
-// below snapSeq+1. Each becomes a spare for rotate, except one holding a
-// record of the old framing, which is deleted so that no stale record of
-// that framing can sit in a recycled file. The active (last) segment is
+// the current snapshot, as spares for rotate: segment i is covered when
+// segment i+1 starts at or below snapSeq+1. The active (last) segment is
 // never covered.
 func (l *Log) compactCovered() {
 	kept := l.segments[:0]
@@ -726,10 +728,7 @@ func (l *Log) compactCovered() {
 		if i+1 < len(l.segments) {
 			nextFirst, ok := parseSeq(filepath.Base(l.segments[i+1]), "seg-", ".wal")
 			if ok && nextFirst <= l.snapSeq+1 {
-				if l.legacy[path] {
-					_ = os.Remove(path)
-					delete(l.legacy, path)
-				} else if spare := strings.TrimSuffix(path, ".wal") + spareExt; os.Rename(path, spare) == nil {
+				if spare := strings.TrimSuffix(path, ".wal") + spareExt; os.Rename(path, spare) == nil {
 					l.spares = append(l.spares, spare)
 				}
 				continue
@@ -747,9 +746,6 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	return l.stats
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // LastSeq returns the seq of the newest written record (0 when empty).
 func (l *Log) LastSeq() uint64 {
@@ -778,10 +774,9 @@ func (l *Log) Close() error {
 	if err == nil && l.opt.Fsync != SyncNever {
 		err = l.sync()
 	}
-	if cerr := l.f.Close(); err == nil {
+	if cerr := l.retire(); err == nil {
 		err = cerr
 	}
-	l.f = nil
 	l.synced.Broadcast()
 	return err
 }
