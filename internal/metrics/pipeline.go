@@ -71,13 +71,6 @@ type Pipeline struct {
 // order — the same first five stages as the obs span taxonomy.
 var PipelineStages = []string{"issue", "logical", "distribute", "physical", "execute"}
 
-// Probe family names: internal/xport counts Endpoint.Probe round trips
-// under them.
-const (
-	NameHealthProbes     = "health_probes_total"
-	NameHealthProbeFails = "health_probe_failures_total"
-)
-
 // Shared transport family names: internal/xport registers these same
 // families, so a transport given the runtime's registry shares the
 // runtime's counters (registration is idempotent) and rt.Stats reads

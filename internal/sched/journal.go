@@ -279,11 +279,7 @@ type snapshotState struct {
 
 // encode serializes the whole state as a snapshot payload.
 func (s *state) encode() ([]byte, error) {
-	sq, ok := s.q.(StatefulQueue)
-	if !ok {
-		return nil, fmt.Errorf("sched: queue %q does not implement StatefulQueue; durability needs a stateful discipline", s.q.Name())
-	}
-	qstate, err := sq.SaveState()
+	qstate, err := s.q.SaveState()
 	if err != nil {
 		return nil, fmt.Errorf("sched: save queue state: %w", err)
 	}
@@ -364,11 +360,7 @@ func (s *state) load(payload []byte) error {
 	// across the restart): the surplus jobs still resume, and slots simply
 	// stay saturated until they finish.
 	s.free = max(s.free, 0)
-	sq, ok := s.q.(StatefulQueue)
-	if !ok {
-		return fmt.Errorf("sched: queue %q does not implement StatefulQueue", s.q.Name())
-	}
-	if err := sq.LoadState(s.jobs, snap.Queue); err != nil {
+	if err := s.q.LoadState(s.jobs, snap.Queue); err != nil {
 		return err
 	}
 	for _, tj := range snap.Terminal {

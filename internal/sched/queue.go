@@ -11,7 +11,9 @@ import (
 // driver is single-threaded) — but they must be deterministic: the same
 // Push/Pop/Requeue sequence yields the same job order, with no dependence
 // on map iteration or clocks. That determinism is what makes the decision
-// log byte-identical per seed.
+// log byte-identical per seed. A durable scheduler (Config.Durable.Dir)
+// snapshots the discipline's order with SaveState and rebuilds it with
+// LoadState.
 type Queue interface {
 	// Name identifies the discipline in the decision log and /statusz.
 	Name() string
@@ -24,16 +26,6 @@ type Queue interface {
 	Pop() *Job
 	// Len returns the number of queued jobs.
 	Len() int
-}
-
-// StatefulQueue is the optional interface a discipline implements to be
-// usable under a durable scheduler (Config.DataDir): SaveState serializes
-// the discipline's internal order (job references by ID) into a snapshot,
-// and LoadState rebuilds it from the snapshot's job table. Every built-in
-// discipline implements it; custom disciplines that don't are rejected when
-// durability is enabled.
-type StatefulQueue interface {
-	Queue
 	// SaveState serializes the discipline's state. Jobs are referenced by
 	// ID only; their specs travel in the snapshot's job table.
 	SaveState() (json.RawMessage, error)
@@ -268,7 +260,7 @@ func (f *fairQueue) Pop() *Job {
 	panic(fmt.Sprintf("sched: fair queue made no progress over %d jobs", f.n))
 }
 
-// --- durable state (StatefulQueue) ---
+// --- durable state (SaveState/LoadState) ---
 
 // SaveState serializes the FIFO as its job IDs in order.
 func (f *fifoQueue) SaveState() (json.RawMessage, error) {

@@ -648,10 +648,11 @@ func (l *Log) retire() (err error) {
 }
 
 // Snapshot atomically writes state as a snapshot covering every record
-// written so far, then compacts: a fresh segment is started and the covered
-// segments and the superseded snapshot are renamed aside as spares. It holds
-// the log's mutex throughout and waits on no commit fsync, so no write or
-// commit interleaves and every segment before the fresh one is covered.
+// written so far, then compacts: a fresh segment is started (unless the
+// active one is still empty) and the covered segments and the superseded
+// snapshot are renamed aside as spares. It holds the log's mutex throughout
+// and waits on no commit fsync, so no write or commit interleaves and every
+// segment before the active one is covered.
 func (l *Log) Snapshot(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -684,9 +685,13 @@ func (l *Log) Snapshot(state []byte) error {
 	// Compact: the snapshot covers everything appended, so every segment is
 	// disposable. Rotate to a new segment first (so the directory always
 	// has an active segment), then set covered ones and the stale snapshot
-	// aside. A rename that fails leaves a file recovery ignores or deletes.
-	if err := l.rotate(); err != nil {
-		return err
+	// aside. An empty active segment already starts at the next seq, the
+	// name a new one would need, so it stays. A rename that fails leaves a
+	// file recovery ignores or deletes.
+	if l.segBytes > 0 {
+		if err := l.rotate(); err != nil {
+			return err
+		}
 	}
 	l.compactCovered()
 	if oldSnap > 0 && oldSnap != seq {

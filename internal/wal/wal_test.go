@@ -223,6 +223,52 @@ func TestSecondSnapshotReplacesFirst(t *testing.T) {
 	wantRecords(t, rec, 20, 5)
 }
 
+// A snapshot with nothing written since the last rotation — on a fresh log,
+// or a second snapshot at the same seq — leaves the empty active segment in
+// place, and the log keeps taking records after it.
+func TestSnapshotWithEmptyActiveSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before func(t *testing.T, l *Log)
+	}{
+		{"fresh log", func(*testing.T, *Log) {}},
+		{"repeated snapshot", func(t *testing.T, l *Log) {
+			appendN(t, l, 0, 1)
+			if err := l.Snapshot([]byte("first")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := mustOpen(t, dir, Options{Fsync: SyncAlways})
+			tc.before(t, l)
+			at := l.LastSeq()
+			if err := l.Snapshot([]byte("latest")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				seq, err := l.Write([]byte(fmt.Sprintf("record-%04d", i)))
+				if err != nil {
+					t.Fatalf("Write after snapshot: %v", err)
+				}
+				if err := l.Commit(seq); err != nil {
+					t.Fatalf("Commit after snapshot: %v", err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, rec := mustOpen(t, dir, Options{})
+			defer l2.Close()
+			if string(rec.Snapshot) != "latest" || rec.SnapshotSeq != at {
+				t.Fatalf("snapshot = %q @ %d, want \"latest\" @ %d", rec.Snapshot, rec.SnapshotSeq, at)
+			}
+			wantRecords(t, rec, 0, 2)
+		})
+	}
+}
+
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{})

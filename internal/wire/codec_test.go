@@ -22,8 +22,9 @@ func sampleFrames() []*Frame {
 			TC:    obs.TraceRef{Trace: 0xdead, Span: 0xbeef, Parent: 0xcafe},
 			Route: []int{1, 3, 7}, Tag: "resync", Body: []byte("payload bytes")},
 		{Kind: KindAck, Src: 1, Dst: 0, Seq: 42, Gen: 3},
-		{Kind: KindPing, Src: 0, Dst: 2, Seq: 9},
-		{Kind: KindPong, Src: 2, Dst: 0, Seq: 9},
+		// Multi-byte varints, and a data frame on its last relay hop.
+		{Kind: KindAck, Src: 2, Dst: 0, Seq: 1 << 40, Gen: 1 << 33},
+		{Kind: KindData, Src: 1, Dst: 3, Seq: 9, Gen: 3, Key: 5, Route: []int{3}, Tag: "resync"},
 		{Kind: KindExec, Src: 0, Dst: 2, Seq: 1, Gen: 1, Key: 4, Route: []int{2},
 			Tag: "sched_spin", Body: []byte{1, 2, 3, 4}},
 		{Kind: KindResult, Src: 2, Dst: 0, Seq: 0, Gen: 1, Key: 4, Route: []int{0},
@@ -118,7 +119,7 @@ func TestCodecRejectsOversizeAndAbsurdLengths(t *testing.T) {
 
 func TestCodecRejectsWrongVersionAndKind(t *testing.T) {
 	mangle := func(mutate func(framed []byte)) error {
-		f := &Frame{Kind: KindPing, Src: 1, Dst: 2, Seq: 3}
+		f := &Frame{Kind: KindAck, Src: 1, Dst: 2, Seq: 3}
 		enc := EncodeFrame(f)
 		// Layout: uvarint len || framed || crc. Re-frame with a mutated
 		// header and a recomputed CRC so only the semantic check can fire.
@@ -141,8 +142,10 @@ func TestCodecRejectsWrongVersionAndKind(t *testing.T) {
 	if err := mangle(func(b []byte) { b[0] = Version + 1 }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version: got %v, want ErrCorrupt", err)
 	}
-	if err := mangle(func(b []byte) { b[1] = 0 }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("kind 0: got %v, want ErrCorrupt", err)
+	for _, kind := range []byte{0, 5, 6} { // unassigned, and the two retired kinds
+		if err := mangle(func(b []byte) { b[1] = kind }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("kind %d: got %v, want ErrCorrupt", kind, err)
+		}
 	}
 	if err := mangle(func(b []byte) { b[1] = byte(KindResult) + 1 }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("kind beyond range: got %v, want ErrCorrupt", err)

@@ -16,7 +16,7 @@ import (
 )
 
 // Mesh is one process's node of a multi-process broadcast tree: an
-// xport.Endpoint over a Fabric — Broadcast, Probe, MarkDead/MarkAlive,
+// xport.Endpoint over a Fabric — Broadcast, MarkDead/MarkAlive,
 // Recycle, Quiesce, Shape, Stats and Close are the endpoint's, the same
 // engine the in-process transport runs — plus what only a real network
 // needs: Exec/Result remote task execution (what cmd/idxnode serves).

@@ -294,19 +294,6 @@ func TestDeliveryContract(t *testing.T) {
 	}
 }
 
-func TestMeshProbeAndRTT(t *testing.T) {
-	meshes, _ := loopbackMesh(t, 3)
-	if !meshes[0].Probe(2, 3) {
-		t.Fatal("probe to live peer failed")
-	}
-	if meshes[0].Probe(0, 1) {
-		t.Fatal("self-probe should fail")
-	}
-	if meshes[0].Probe(99, 1) {
-		t.Fatal("out-of-range probe should fail")
-	}
-}
-
 func TestMeshExec(t *testing.T) {
 	meshes, _ := loopbackMesh(t, 3)
 	val, err := meshes[0].Exec(2, "square", domain.Pt1(12), nil)

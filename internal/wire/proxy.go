@@ -23,9 +23,9 @@ import (
 //	delay     forwarding pauses, preserving order (TCP semantics) but
 //	          stretching the hop's latency into retransmission territory
 //	partition cut windows on the directed pair's lifetime frame count, so
-//	          a partition starves data AND probe traffic between the pair
-//	          for a bounded frame window, then heals — exactly the
-//	          in-process cut semantics
+//	          a partition starves data and acks between the pair for a
+//	          bounded frame window, then heals — exactly the in-process cut
+//	          semantics
 //
 // A duplicate verdict is ignored: the stream between two sockets has no
 // way to repeat a frame that the dedup layer would not see anyway.

@@ -358,7 +358,7 @@ func (t *TCPFabric) handleInbound(conn net.Conn) {
 	if mx != nil {
 		mx.peer(p.id).reconnects.Inc()
 	}
-	// The accept side needs a writer too (acks, pongs, results flow back
+	// The accept side needs a writer too (acks and results flow back
 	// on whatever conn exists) — start the manager now that a conn is up.
 	t.mu.Lock()
 	if !p.started {

@@ -1,7 +1,7 @@
 // Package wire takes the index-launch transport out of the process. The
 // delivery engine itself — tree routing, per-link sequencing and dedup,
-// ack/timeout retransmission, generations, probes — is xport.Endpoint; this
-// package supplies what only a real network needs:
+// ack/timeout retransmission, generations — is xport.Endpoint; this package
+// supplies what only a real network needs:
 //
 //   - codec.go: the frame format — varint length prefix, versioned header
 //     (kind, hop endpoints, sequence, delivery generation, span context,
@@ -51,8 +51,6 @@ const (
 	KindWelcome = xport.KindWelcome
 	KindData    = xport.KindData
 	KindAck     = xport.KindAck
-	KindPing    = xport.KindPing
-	KindPong    = xport.KindPong
 	KindExec    = xport.KindExec
 	KindResult  = xport.KindResult
 )

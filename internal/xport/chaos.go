@@ -74,8 +74,6 @@ const (
 	saltReorder
 	saltAck
 	_ // retired: retransmission jitter
-	saltProbe
-	saltProbeAck
 )
 
 // splitmix64 is the standard splitmix64 finalizer — a cheap, well-mixed
@@ -103,19 +101,12 @@ type FrameClass uint8
 const (
 	ClassData FrameClass = iota
 	ClassAck
-	ClassPing
-	ClassPong
 )
 
 // ClassOf maps a frame kind to its chaos class.
 func ClassOf(k Kind) FrameClass {
-	switch k {
-	case KindAck:
+	if k == KindAck {
 		return ClassAck
-	case KindPing:
-		return ClassPing
-	case KindPong:
-		return ClassPong
 	}
 	return ClassData
 }
@@ -134,28 +125,24 @@ type Fate struct {
 // in-process chaos fabric (WithChaos) and the socket-level proxy
 // (internal/wire.Proxy): a pure function of the seed, the directed link,
 // the frame class, the frame's sequence number, the caller's count of
-// transmissions of that frame (attempt, 1-based) and the link's lifetime
-// transmission count on the class's partition clock (n). Data and acks
-// share one clock per directed link; probe traffic runs on its own, ticked
-// by pings only — a partition window is symmetric, so a pong shares the
-// verdict of the ping it answers and is never cut separately. Probe frames
-// are dropped or delivered, never duplicated or delayed: a probe's fate
-// must not depend on timing.
+// transmissions of that frame (attempt, 1-based) and the directed link's
+// lifetime transmission count (n), one clock that data and acks share.
+// Acks are never duplicated.
 func (c *ChaosPlan) Decide(src, dst int, class FrameClass, seq uint64, attempt int, n int64) Fate {
 	if c == nil {
 		return Fate{}
 	}
 	lk := link{src: src, dst: dst}
-	// One drop salt per class, so the fates of a data frame, its ack and a
-	// probe that share a (link, seq, attempt) identity never correlate.
-	salt := [...]uint64{ClassData: saltDrop, ClassAck: saltAck, ClassPing: saltProbe, ClassPong: saltProbeAck}[class]
-	fate := Fate{Drop: class != ClassPong && c.cut(lk, n) ||
-		c.Drop > 0 && c.roll(salt, lk, seq, attempt) < c.Drop}
+	// One drop salt per class, so the fates of a data frame and an ack
+	// that share a (link, seq, attempt) identity never correlate.
+	salt := saltDrop
+	if class == ClassAck {
+		salt = saltAck
+	}
+	fate := Fate{Drop: c.cut(lk, n) || c.Drop > 0 && c.roll(salt, lk, seq, attempt) < c.Drop,
+		Delay: c.delay(lk, seq, attempt)}
 	if class == ClassData {
 		fate.Dup = c.Dup > 0 && c.roll(saltDup, lk, seq, attempt) < c.Dup
-	}
-	if class == ClassData || class == ClassAck {
-		fate.Delay = c.delay(lk, seq, attempt)
 	}
 	return fate
 }

@@ -16,13 +16,13 @@ import (
 // Decisions never depend on goroutine interleaving or the wall clock. The
 // attempt fed to Decide is the decorator's own count of transmissions of
 // that (link, class, generation, sequence); partition windows run on its
-// per-link transmission counts, probe traffic on a clock of its own.
+// per-link transmission counts.
 func WithChaos(fab Fabric, plan *ChaosPlan) Fabric {
 	if plan == nil {
 		return fab
 	}
 	return &chaosFabric{Fabric: fab, plan: plan, track: newTracker(),
-		clock: map[chaosLink]int64{}, sent: map[chaosLink]*chaosHistory{}}
+		clock: map[int]int64{}, sent: map[chaosLink]*chaosHistory{}}
 }
 
 type chaosFabric struct {
@@ -36,7 +36,7 @@ type chaosFabric struct {
 	mx    *endpointMetrics
 
 	mu    sync.Mutex
-	clock map[chaosLink]int64         // transmissions per (dst, data|probe clock)
+	clock map[int]int64               // transmissions per dst, data and acks together
 	sent  map[chaosLink]*chaosHistory // transmissions per frame, per (dst, class)
 }
 
@@ -47,8 +47,7 @@ type chaosLink struct {
 }
 
 // chaosHistory counts transmissions per (generation, sequence). A newer
-// generation (the sender recycled) or, for probe traffic, a new probe
-// starts it over, so it stays bounded.
+// generation (the sender recycled) starts it over, so it stays bounded.
 type chaosHistory struct {
 	gen    uint64
 	counts map[[2]uint64]int
@@ -62,21 +61,14 @@ func (c *chaosFabric) Unwrap() Fabric { return c.Fabric }
 // identify advances the decorator's counters for one transmission of f and
 // returns its attempt number and partition-clock reading.
 func (c *chaosFabric) identify(dst int, class FrameClass, f *Frame) (attempt int, n int64) {
-	probe := class == ClassPing || class == ClassPong
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if class != ClassPong {
-		ck := chaosLink{dst: dst, class: ClassData}
-		if probe {
-			ck.class = ClassPing
-		}
-		n = c.clock[ck]
-		c.clock[ck] = n + 1
-	}
+	n = c.clock[dst]
+	c.clock[dst] = n + 1
 	hk := chaosLink{dst: dst, class: class}
 	id := [2]uint64{f.Gen, f.Seq}
 	h := c.sent[hk]
-	if h == nil || f.Gen > h.gen || (probe && h.counts[id] == 0) {
+	if h == nil || f.Gen > h.gen {
 		h = &chaosHistory{gen: f.Gen, counts: map[[2]uint64]int{}}
 		c.sent[hk] = h
 	}

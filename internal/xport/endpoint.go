@@ -46,16 +46,16 @@ type EndpointConfig struct {
 
 // Endpoint is one node of the reliable broadcast tree: the single
 // implementation of per-link sequencing, dedup, ack-wait/retransmission,
-// tree routing with re-parenting, delivery generations and liveness
-// probes, over whatever Fabric it is given. Broadcasts from node 0 route
-// through the binary tree (tree.go); every hop is acked and retransmitted
-// on the RetransmitPolicy ladder; receivers deduplicate per link; and acks
-// chain leaf-to-root — a relay acks upstream only after its onward hop was
-// acked — so Broadcast returning means every destination has delivered.
+// tree routing with re-parenting and delivery generations, over whatever
+// Fabric it is given. Broadcasts from node 0 route through the binary tree
+// (tree.go); every hop is acked and retransmitted on the RetransmitPolicy
+// ladder; receivers deduplicate per link; and acks chain leaf-to-root — a
+// relay acks upstream only after its onward hop was acked — so Broadcast
+// returning means every destination has delivered.
 //
-// One Endpoint runs per node. The caller serializes Broadcast, Probe,
-// MarkDead/MarkAlive and Recycle against each other (internal/rt's issuance
-// lock does); everything underneath is concurrent.
+// One Endpoint runs per node. The caller serializes Broadcast, MarkDead,
+// MarkAlive and Recycle against each other (internal/rt's issuance lock
+// does); everything underneath is concurrent.
 type Endpoint struct {
 	self    int
 	nodes   int
@@ -73,7 +73,6 @@ type Endpoint struct {
 	nextSeq map[int]uint64   // next sequence number per outbound link (by peer)
 	seen    map[int]*seenSet // dedup history per inbound link (by peer)
 	ackWait map[waitKey]chan struct{}
-	pingSeq uint64
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -91,10 +90,9 @@ type seenSet struct {
 }
 
 // waitKey names what a sender is waiting for: the ack of (peer link, gen,
-// seq), or — ping set — the pong of probe seq from final destination peer.
+// seq).
 type waitKey struct {
 	peer int
-	ping bool
 	gen  uint64
 	seq  uint64
 }
@@ -208,10 +206,9 @@ func (e *Endpoint) Quiesce() { e.track.Wait() }
 // generation and restarts this endpoint's sequence numbers, so a transport
 // reused across many scheduler jobs keeps no per-job history. Peers need no
 // round trip — a receiver resets a link's dedup set when it sees a newer
-// generation, and a frame of an older one is a stale duplicate. Counters,
-// liveness and the probe sequence persist: liveness is a property of the
-// machine, not of one job, and a probe's chaos fate depends on the probe
-// clock running uninterrupted.
+// generation, and a frame of an older one is a stale duplicate. Counters
+// and liveness persist: liveness is a property of the machine, not of one
+// job.
 func (e *Endpoint) Recycle() {
 	e.Quiesce()
 	e.mu.Lock()
@@ -349,7 +346,7 @@ func (e *Endpoint) transmit(dst int, f *Frame) *hop {
 // complete is SendReliable's second half: wait for h's ack, retransmitting
 // on the ladder, then count the ack and record the send span.
 func (e *Endpoint) complete(h *hop, stop <-chan struct{}) bool {
-	if !e.await(h.key, h.ack, h.f, 0, stop) {
+	if !e.await(h, stop) {
 		return false
 	}
 	e.mx.acks.Inc()
@@ -363,26 +360,24 @@ func (e *Endpoint) complete(h *hop, stop <-chan struct{}) bool {
 // spanTag labels a hop's spans: the launch tag plus the payload byte count.
 func (e *Endpoint) spanTag(f *Frame) string { return fmt.Sprintf("%s#b=%d", f.Tag, len(f.Body)) }
 
-// await waits until key's ack channel closes, retransmitting f (already
-// sent once) on each timeout: without bound for reliable frames (budget 0),
-// at most budget transmissions in all for a probe. It is the one
-// ack-wait/retransmit loop in the tree and clears key's registration on
-// return. False means closed, stopped or out of budget.
-func (e *Endpoint) await(key waitKey, ack <-chan struct{}, f *Frame, budget int, stop <-chan struct{}) bool {
+// await waits until h's ack arrives, retransmitting its frame (already
+// sent once) on each timeout. It is the one ack-wait/retransmit loop in the
+// tree and clears h's registration on return. False means closed or
+// stopped.
+func (e *Endpoint) await(h *hop, stop <-chan struct{}) bool {
 	defer func() {
 		e.mu.Lock()
-		delete(e.ackWait, key)
+		delete(e.ackWait, h.key)
 		e.mu.Unlock()
 	}()
+	f := h.f
 	for attempt := 1; ; attempt++ {
-		select {
-		case <-ack:
+		if h.acked() {
 			return true
-		default:
 		}
 		timer := time.NewTimer(e.rp.WaitFor(attempt))
 		select {
-		case <-ack:
+		case <-h.ack:
 			timer.Stop()
 			return true
 		case <-e.closed:
@@ -393,15 +388,10 @@ func (e *Endpoint) await(key waitKey, ack <-chan struct{}, f *Frame, budget int,
 			return false
 		case <-timer.C:
 		}
-		if attempt == budget {
-			return false
-		}
-		if budget == 0 {
-			e.mx.retransmits.Inc()
-			e.mx.link(link{src: e.self, dst: f.Dst}).retransmits.Inc()
-			if e.prof != nil {
-				e.prof.MarkTC(f.hopTC().Child(uint64(1+attempt)), e.self, obs.StageRetransmit, e.family, f.Tag, domain.Point{}, e.prof.Now())
-			}
+		e.mx.retransmits.Inc()
+		h.lc.retransmits.Inc()
+		if e.prof != nil {
+			e.prof.MarkTC(f.hopTC().Child(uint64(1+attempt)), e.self, obs.StageRetransmit, e.family, f.Tag, domain.Point{}, e.prof.Now())
 		}
 		_ = e.fab.Send(f.Dst, f)
 	}
@@ -428,8 +418,6 @@ func (e *Endpoint) receive(f *Frame) {
 		e.handleReliable(f)
 	case KindAck:
 		e.signal(waitKey{peer: f.Src, gen: f.Gen, seq: f.Seq})
-	case KindPing, KindPong:
-		e.forwardProbe(f)
 	}
 }
 
@@ -537,70 +525,6 @@ func (e *Endpoint) handleReliable(f *Frame) {
 		return
 	}
 	e.track.Go(relay)
-}
-
-// Probe sends one liveness ping from node 0 to dst and reports whether a pong
-// came back within maxAttempts round trips (minimum 1). The ping travels
-// the route a broadcast to dst would take — direct when the tree is too
-// degraded, the nearest-surviving-ancestor chain otherwise — with dst
-// itself treated as reachable even while marked dead: probing a dead node
-// is how a comeback is detected. Relays forward pings and pongs without
-// keeping state, so everything a lossy fabric does to the route starves
-// the probe. Probe traffic has its own sequence space: the fate of the
-// k-th probe never depends on how data traffic interleaved. Each success
-// lands in the <family>_ping_rtt_ns histogram.
-func (e *Endpoint) Probe(dst int, maxAttempts int) bool {
-	if dst == e.self || dst < 0 || dst >= e.nodes {
-		return false
-	}
-	alive := e.liveness()
-	alive[dst] = true
-	route := append([]int{e.self}, PlanRoutes(alive, []int{dst}).Routes[dst]...)
-
-	e.mu.Lock()
-	seq := e.pingSeq
-	e.pingSeq++
-	e.mu.Unlock()
-
-	e.mx.probes.Inc()
-	start := time.Now()
-	ping := &Frame{Kind: KindPing, Src: e.self, Dst: route[1], Seq: seq, Key: 1, Route: route}
-	key, pong := waitKey{peer: dst, ping: true, seq: seq}, make(chan struct{})
-	e.mu.Lock()
-	e.ackWait[key] = pong
-	e.mu.Unlock()
-	_ = e.fab.Send(ping.Dst, ping)
-	if !e.await(key, pong, ping, max(maxAttempts, 1), nil) {
-		e.mx.probeFails.Inc()
-		return false
-	}
-	e.mx.pingRTT.Observe(time.Since(start).Nanoseconds())
-	return true
-}
-
-// forwardProbe moves a ping one hop out or a pong one hop back. Route is
-// the whole path (origin first) and Key the index of this hop's receiver;
-// the destination turns the ping around, the origin completes the wait.
-func (e *Endpoint) forwardProbe(f *Frame) {
-	i, last := int(f.Key), len(f.Route)-1
-	if last < 1 || i < 0 || i > last || f.Route[i] != e.self {
-		return // malformed
-	}
-	next := *f
-	switch {
-	case f.Kind == KindPing && i < last:
-		i++
-	case f.Kind == KindPing: // at the destination (i == last >= 1): turn around
-		next.Kind = KindPong
-		i--
-	case i > 0:
-		i--
-	default: // a pong back at the origin
-		e.signal(waitKey{peer: f.Route[last], ping: true, seq: f.Seq})
-		return
-	}
-	next.Key, next.Src, next.Dst = uint64(i), e.self, f.Route[i]
-	_ = e.fab.Send(next.Dst, &next) // unreliable by design: a lost probe is the signal
 }
 
 // tracker counts the goroutines a transport has in flight so Quiesce can

@@ -16,10 +16,10 @@ const (
 	// KindAck acknowledges one Data/Exec/Result sequence on the reverse
 	// link.
 	KindAck
-	// KindPing is a liveness probe travelling out along Route; KindPong
-	// retraces the route back to the origin.
-	KindPing
-	KindPong
+	// Kinds 5 and 6 are retired: never valid, and held so that Exec and
+	// Result keep their numbers in frame format version 1.
+	_
+	_
 	// KindExec asks the destination to run a registered task body;
 	// KindResult returns the body's value or error. The endpoint sequences,
 	// dedups and acks them like Data and hands them to the layer above
@@ -39,10 +39,6 @@ func (k Kind) String() string {
 		return "data"
 	case KindAck:
 		return "ack"
-	case KindPing:
-		return "ping"
-	case KindPong:
-		return "pong"
 	case KindExec:
 		return "exec"
 	case KindResult:
@@ -52,7 +48,7 @@ func (k Kind) String() string {
 }
 
 // Valid reports whether k is a defined frame kind.
-func (k Kind) Valid() bool { return k >= KindHello && k <= KindResult }
+func (k Kind) Valid() bool { return k >= KindHello && k <= KindAck || k == KindExec || k == KindResult }
 
 // Frame is one transport message. Src and Dst are the endpoints of the hop
 // the frame is traversing (not the broadcast origin/final destination —
@@ -70,14 +66,12 @@ type Frame struct {
 	Seq   uint64
 	Gen   uint64
 	// Key disambiguates the items of one broadcast so every hop of every
-	// item derives a distinct span. Probe frames carry the index of the
-	// hop's receiver in Route instead.
+	// item derives a distinct span.
 	Key uint64
 	// TC is the broadcast's span context; zero when untraced.
 	TC obs.TraceRef
 	// Route is the remaining relay chain for Data frames; the last entry
-	// is the final destination. Probe frames carry the whole path, origin
-	// first.
+	// is the final destination.
 	Route []int
 	// Tag labels the launch the payload belongs to.
 	Tag string

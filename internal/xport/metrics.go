@@ -19,9 +19,7 @@ import (
 
 type endpointMetrics struct {
 	sends, retransmits, acks, drops, dedups, reparents, directs *metrics.Counter
-	probes, probeFails                                          *metrics.Counter
 	treeDepth                                                   *metrics.Gauge
-	pingRTT                                                     *metrics.Histogram
 
 	linkSends, linkAcks, linkRetransmits, linkDrops *metrics.CounterVec
 
@@ -47,10 +45,7 @@ func newEndpointMetrics(reg *metrics.Registry, family string) *endpointMetrics {
 		dedups:      reg.Counter(family+"_dedups_total", "received duplicates suppressed by sequence numbers"),
 		reparents:   reg.Counter(family+"_reparents_total", "broadcast-tree orphan adoptions"),
 		directs:     reg.Counter(family+"_direct_broadcasts_total", "broadcasts that abandoned a degraded tree for direct sends"),
-		probes:      reg.Counter(metrics.NameHealthProbes, "liveness probe round trips attempted"),
-		probeFails:  reg.Counter(metrics.NameHealthProbeFails, "liveness probes that exhausted their attempt budget"),
 		treeDepth:   reg.Gauge(family+"_tree_depth", "fan-out depth (max hops) of the last planned broadcast"),
-		pingRTT:     reg.Histogram(family+"_ping_rtt_ns", "liveness probe round-trip time over the fabric"),
 
 		linkSends:       reg.CounterVec(family+"_link_sends_total", "first transmissions per directed link", "link"),
 		linkAcks:        reg.CounterVec(family+"_link_acks_total", "effective acks received per directed data link", "link"),

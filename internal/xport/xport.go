@@ -6,9 +6,8 @@
 // There is one engine, Endpoint (endpoint.go): per-link sequence numbers
 // and delivery generations, tri-state dedup, ack/timeout retransmission on
 // a capped-backoff ladder, tree routing that re-parents around dead relays
-// and degrades to direct sends (tree.go), acks chained leaf-to-root, and
-// tree-routed liveness probes. It runs over any Fabric. Two assemblies use
-// it:
+// and degrades to direct sends (tree.go), and acks chained leaf-to-root.
+// It runs over any Fabric. Two assemblies use it:
 //
 //   - New, here: N endpoints in one process over the in-memory Hub. It is
 //     deterministic, and with Options.Chaos every hub port is wrapped in
@@ -139,8 +138,8 @@ type Item struct {
 
 // Transport is the in-process assembly: one Endpoint per node over an
 // in-memory hub, all sharing one counter set and one quiescence barrier.
-// The embedded Endpoint is node 0's — the broadcast and probe origin — so
-// Broadcast, Probe, MarkDead/MarkAlive, Recycle, Shape, Stats and Quiesce
+// The embedded Endpoint is node 0's — the broadcast origin — so
+// Broadcast, MarkDead/MarkAlive, Recycle, Shape, Stats and Quiesce
 // are its methods; recycling node 0 is enough, the other endpoints follow
 // the generation stamped on its frames.
 type Transport struct {
