@@ -7,7 +7,10 @@
 //
 // Figure benchmarks print the regenerated series (the same rows the paper
 // plots) once, then time regeneration; table benchmarks measure the real
-// dynamic-check implementation directly.
+// dynamic-check implementation directly. The committed BENCH_*.json
+// trajectories other than fig5 come from benchmarks in the package each
+// measures (BenchmarkSched and BenchmarkTrace in internal/sched, BenchmarkWal
+// in internal/wal, internal/wire's), read by `idxprof diff`.
 package repro
 
 import (
@@ -18,7 +21,6 @@ import (
 	"indexlaunch/internal/bench"
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/safety"
-	"indexlaunch/internal/sched"
 )
 
 var printOnce sync.Map
@@ -151,34 +153,4 @@ func BenchmarkAblationCrossCheckLinearVsPairwise(b *testing.B) {
 			safety.PairwiseCrossCheck(d, bounds, args)
 		}
 	})
-}
-
-// BenchmarkSchedTrace times the multi-tenant scheduler's virtual-time
-// driver over a seeded 2000-job trace per discipline — the deterministic
-// workload BENCH_sched.json snapshots (idxserve -bench -json).
-func BenchmarkSchedTrace(b *testing.B) {
-	weights := map[string]int{"a": 1, "b": 2, "c": 4}
-	disciplines := []struct {
-		name string
-		mk   func() sched.Queue
-	}{
-		{"fifo", sched.NewFIFO},
-		{"priority", sched.NewStrictPriority},
-		{"fair", func() sched.Queue { return sched.NewWeightedFair(1, weights, 1) }},
-	}
-	tr := sched.GenTrace(42, sched.TraceOptions{
-		Jobs: 2000, MaxPriority: 3, MaxInterArrival: 1, MaxCost: 3,
-		MinService: 1, MaxService: 6,
-	})
-	for _, d := range disciplines {
-		b.Run(d.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := sched.RunTrace(tr, sched.TraceConfig{Executors: 4, Queue: d.mk()})
-				if res.Makespan == 0 {
-					b.Fatal("empty scheduler run")
-				}
-			}
-		})
-	}
 }

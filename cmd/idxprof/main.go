@@ -11,13 +11,17 @@
 //	idxprof p.json
 //	idxprof -width 120 -steps 20 p.json
 //
-// Diff mode compares two BENCH_<fig>.json snapshots written by `idxbench
-// -json` and flags values that moved in their worse direction beyond a
-// threshold — the CI bench-regression gate. The exit status is 1 when a
-// regression is found unless -warn is set.
+// Diff mode compares the newest entry of a committed BENCH_<name>.json with
+// a new run, either a snapshot written by `idxbench -json` or the text
+// output of `go test -bench`, and flags values that moved in their worse
+// direction beyond a threshold — the CI bench-regression gate. The exit
+// status is 1 when a regression is found unless -warn is set, and always
+// when a baseline value is missing from the run.
 //
-//	idxprof diff old/BENCH_fig5.json new/BENCH_fig5.json
-//	idxprof diff -threshold 0.10 -warn old.json new.json
+//	idxprof diff BENCH_fig5.json bench-out/BENCH_fig5.json
+//	go test -run - -bench '^BenchmarkSched$' -benchtime 1x ./internal/sched > sched.txt
+//	idxprof diff -threshold 0 BENCH_sched.json sched.txt
+//	idxprof diff -threshold 0.10 -warn BENCH_wal.json wal.txt
 //
 // Watch mode polls a live /metrics.json endpoint (served by a -metrics
 // flag) and prints what changed between polls — a terminal top(1) for the
@@ -70,7 +74,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: idxprof [-width n] [-steps n] profile.json")
-		fmt.Fprintln(os.Stderr, "       idxprof diff [-threshold f] [-warn] [-all] old.json new.json")
+		fmt.Fprintln(os.Stderr, "       idxprof diff [-threshold f] [-warn] [-all] BENCH_x.json new.json|bench.txt")
 		fmt.Fprintln(os.Stderr, "       idxprof watch [-interval d] [-count n] host:port")
 		fmt.Fprintln(os.Stderr, "       idxprof trace trace.json | <url> | host:port <id>")
 		os.Exit(2)
@@ -145,7 +149,8 @@ func fetchBytes(url string) ([]byte, error) {
 	return body, nil
 }
 
-// runDiff compares two bench snapshots and gates on regressions.
+// runDiff compares a run against a committed baseline and gates on
+// regressions and on baseline values the run lacks.
 func runDiff(args []string) {
 	fs := flag.NewFlagSet("idxprof diff", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.05, "relative change beyond which a value counts as moved")
@@ -153,7 +158,7 @@ func runDiff(args []string) {
 	all := fs.Bool("all", false, "also print values that did not move beyond the threshold")
 	_ = fs.Parse(args)
 	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: idxprof diff [-threshold f] [-warn] [-all] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: idxprof diff [-threshold f] [-warn] [-all] BENCH_x.json new.json|bench.txt")
 		os.Exit(2)
 	}
 	old, err := metrics.ReadBenchFile(fs.Arg(0))
@@ -166,13 +171,20 @@ func runDiff(args []string) {
 		fmt.Fprintf(os.Stderr, "idxprof: %v\n", err)
 		os.Exit(1)
 	}
-	deltas := metrics.BenchDiff(old, cur, *threshold)
-	fmt.Print(metrics.RenderBenchDiff(old, cur, deltas, !*all))
+	deltas, missing := metrics.BenchDiff(old, cur, *threshold)
+	fmt.Print(metrics.RenderBenchDiff(old, cur, deltas, missing, !*all))
+	failed := len(missing) > 0
+	if failed {
+		// -warn forgives regressions, not a gate that compares less than
+		// its baseline holds.
+		fmt.Printf("%d baseline value(s) missing from %s\n", len(missing), fs.Arg(1))
+	}
 	if n := metrics.Regressions(deltas); n > 0 {
 		fmt.Printf("%d regression(s) beyond %.1f%%\n", n, *threshold*100)
-		if !*warn {
-			os.Exit(1)
-		}
+		failed = failed || !*warn
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

@@ -100,32 +100,55 @@ func TestProfilePipeline(t *testing.T) {
 	}
 }
 
-// TestBenchDiffPipeline exercises the bench-regression gate end to end: two
-// idxbench runs of the same figure write BENCH_fig5.json snapshots, and
-// idxprof diff compares them. The simulator is deterministic, so the second
-// run must show no movement and the gate must pass.
+// TestBenchDiffPipeline exercises both blocking bench gates end to end, as
+// CI runs them: idxbench -json writes fig5's snapshot, go test -bench
+// prints the scheduler's, and idxprof diff compares each with its committed
+// baseline. Both are deterministic, so every baseline value must be
+// comparable and none may move even at threshold 0. A run that lacks the
+// baseline's values must fail the gate, -warn or not.
 func TestBenchDiffPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration tests; skipped with -short")
 	}
 	dir := t.TempDir()
-	for _, sub := range []string{"a", "b"} {
-		out, err := exec.Command("go", "run", "./cmd/idxbench",
-			"-fig", "5", "-max-nodes", "8", "-iters", "3", "-json", dir+"/"+sub).CombinedOutput()
-		if err != nil {
-			t.Fatalf("idxbench -json: %v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "BENCH_fig5.json") {
-			t.Fatalf("idxbench did not report the snapshot path:\n%s", out)
-		}
+	if out, err := exec.Command("go", "run", "./cmd/idxbench",
+		"-fig", "5", "-max-nodes", "16", "-iters", "3", "-json", dir).CombinedOutput(); err != nil {
+		t.Fatalf("idxbench -json: %v\n%s", err, out)
 	}
-	out, err := exec.Command("go", "run", "./cmd/idxprof", "diff",
-		dir+"/a/BENCH_fig5.json", dir+"/b/BENCH_fig5.json").CombinedOutput()
+	schedOut, err := exec.Command("go", "test", "-run", "-", "-bench", "^BenchmarkSched$",
+		"-benchtime", "1x", "./internal/sched").CombinedOutput()
 	if err != nil {
-		t.Fatalf("idxprof diff flagged identical runs: %v\n%s", err, out)
+		t.Fatalf("go test -bench BenchmarkSched: %v\n%s", err, schedOut)
 	}
-	if !strings.Contains(string(out), "no values moved beyond the threshold") {
-		t.Errorf("diff output missing clean verdict:\n%s", out)
+	if err := os.WriteFile(dir+"/sched.txt", schedOut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, gate := range []struct{ baseline, run, want string }{
+		{"BENCH_fig5.json", dir + "/BENCH_fig5.json", "(20 comparable values)"},
+		{"BENCH_sched.json", dir + "/sched.txt", "(27 comparable values)"},
+	} {
+		out, err := exec.Command("go", "run", "./cmd/idxprof", "diff", "-threshold", "0",
+			gate.baseline, gate.run).CombinedOutput()
+		if err != nil {
+			t.Fatalf("idxprof diff %s flagged a deterministic run: %v\n%s", gate.baseline, err, out)
+		}
+		for _, want := range []string{gate.want, "no values moved beyond the threshold"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("diff of %s missing %q:\n%s", gate.baseline, want, out)
+			}
+		}
+	}
+	for _, flags := range [][]string{nil, {"-warn"}} {
+		args := append(append([]string{"run", "./cmd/idxprof", "diff"}, flags...), "BENCH_sched.json", "BENCH_wal.json")
+		out, err := exec.Command("go", args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("go %v passed a run that lacks every baseline value:\n%s", args, out)
+		}
+		for _, want := range []string{"MISSING    sched/fifo/seed1/jobs_per_ktick", "27 baseline value(s) missing"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("go %v output missing %q:\n%s", args, want, out)
+			}
+		}
 	}
 }
 
@@ -145,7 +168,6 @@ func TestCLIsRun(t *testing.T) {
 		{"idxsim", []string{"run", "./cmd/idxsim", "-app", "stencil", "-nodes", "16", "-iters", "3"}, "throughput"},
 		{"idxserve-trace", []string{"run", "./cmd/idxserve", "-trace", "-seed", "42", "-jobs", "60",
 			"-queue", "fair", "-weights", "a=1,b=2,c=4"}, "# seed 42:"},
-		{"idxserve-bench", []string{"run", "./cmd/idxserve", "-bench"}, "sched/fair/seed42"},
 	}
 	for _, c := range cases {
 		c := c

@@ -380,3 +380,105 @@ func TestReadBenchFileTrajectory(t *testing.T) {
 		t.Fatal("an empty trajectory was accepted")
 	}
 }
+
+// ParseGoBench names each value by the four rules, reduces -count repeats
+// to their median, and ReadBenchFile takes any non-JSON file for go test
+// output.
+func TestParseGoBenchNaming(t *testing.T) {
+	out := `goos: linux
+pkg: indexlaunch/internal/sched
+BenchmarkSched/fifo/seed1-2   	       1	   2903007 ns/op	      1140 jobs/ktick	       742.0 p99_wait_ticks
+BenchmarkSched/fifo/seed1-2   	       1	   2000000 ns/op	      1140 jobs/ktick	       742.0 p99_wait_ticks
+BenchmarkSched/fifo/seed1-2   	       1	   9000000 ns/op	      1140 jobs/ktick	       742.0 p99_wait_ticks
+BenchmarkEncodeFrame          	  200	       213.6 ns/op	     353 B/op	       1 allocs/op
+BenchmarkWal/commit/2w-16     	  800	     23591 ns/op	         0.8000 fsyncs/op
+BenchmarkWal/commit/2w-16     	  800	     23001 ns/op	         0.8450 fsyncs/op
+BenchmarkSched/fifo/seed1-2   --- FAIL: not a result line
+PASS
+ok  	indexlaunch/internal/sched	0.034s
+`
+	path := filepath.Join(t.TempDir(), "sched.txt")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	var names []string
+	for _, v := range snap.Values {
+		got[v.Name] = v.Value
+		names = append(names, v.Name)
+		if v.Better != "" {
+			t.Errorf("%s carries orientation %q; go test output has none", v.Name, v.Better)
+		}
+	}
+	want := map[string]float64{
+		"sched/fifo/seed1/ns_per_op":      2903007, // median of three
+		"sched/fifo/seed1/jobs_per_ktick": 1140,
+		"sched/fifo/seed1/p99_wait_ticks": 742,
+		"encodeframe/ns_per_op":           213.6,
+		"encodeframe/B_per_op":            353,
+		"encodeframe/allocs_per_op":       1,
+		"wal/commit/2w/ns_per_op":         23296, // median of two: their mean
+		"wal/commit/2w/fsyncs_per_op":     0.8225,
+	}
+	if len(got) != len(want) {
+		t.Errorf("values %v, want %d", names, len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || math.Abs(g-w) > 1e-9 {
+			t.Errorf("%s = %v (present %v), want %v", name, g, ok, w)
+		}
+	}
+	if _, err := ParseGoBench("empty", []byte("PASS\nok\n")); err == nil {
+		t.Error("output without a benchmark line was accepted")
+	}
+}
+
+// A diff takes each value's orientation from the baseline, compares a
+// baseline value at the precision go test printed, and reports every
+// baseline value the run lacks.
+func TestBenchDiffBaselineOrientationAndMissing(t *testing.T) {
+	base := BenchSnapshot{Name: "base", Values: []BenchValue{
+		{Name: "x/jobs_per_ktick", Value: 1139.6, Better: "higher"},
+		{Name: "x/ns_per_op", Value: 100, Better: "lower"},
+		{Name: "x/info", Value: 5},
+		{Name: "x/renamed", Value: 1, Better: "lower"},
+		{Name: "x/gone", Value: 1, Better: "lower"},
+	}}
+	run, err := ParseGoBench("run", []byte(
+		"BenchmarkX-2  1  120.0 ns/op  1140 jobs/ktick  9.000 info  7.000 extra\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, missing := BenchDiff(base, run, 0)
+	if want := []string{"x/gone", "x/renamed"}; !reflect.DeepEqual(missing, want) {
+		t.Errorf("missing = %v, want %v", missing, want)
+	}
+	byName := map[string]BenchDelta{}
+	for _, d := range deltas {
+		byName[d.Name] = d
+	}
+	if len(deltas) != 3 {
+		t.Fatalf("deltas %+v: want the 3 values both sides hold", deltas)
+	}
+	if d := byName["x/jobs_per_ktick"]; d.Rel != 0 || d.Regression || d.Improvement {
+		t.Errorf("1139.6 printed as 1140 moved: %+v", d)
+	}
+	if d := byName["x/ns_per_op"]; !d.Regression {
+		t.Errorf("a lower-is-better value that rose 20%% is not a regression: %+v", d)
+	}
+	if d := byName["x/info"]; d.Regression || d.Improvement {
+		t.Errorf("a value without orientation was flagged: %+v", d)
+	}
+	if out := RenderBenchDiff(base, run, deltas, missing, true); !strings.Contains(out, "MISSING    x/gone") {
+		t.Errorf("render does not name the missing values:\n%s", out)
+	}
+	// Higher is better, from the baseline: a rise is an improvement.
+	deltas, _ = BenchDiff(BenchSnapshot{Values: []BenchValue{{Name: "x/ns_per_op", Value: 100, Better: "higher"}}}, run, 0)
+	if len(deltas) != 1 || !deltas[0].Improvement {
+		t.Errorf("orientation not taken from the baseline: %+v", deltas)
+	}
+}

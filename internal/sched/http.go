@@ -73,13 +73,13 @@ type SubmitResponse struct {
 type KindFunc func(req SubmitRequest) (RunFunc, error)
 
 // SyntheticTaskName is the task variant New registers, through
-// SyntheticSetup, on each executor runtime.
+// syntheticSetup, on each executor runtime.
 const SyntheticTaskName = "sched_spin"
 
 // SyntheticEval is the synthetic spin body for one launch index: a small
 // deterministic mix seeded by x. Exported so cluster worker daemons
 // (cmd/idxnode) can run the exact same computation for remote points that
-// SyntheticSetup registers locally.
+// syntheticSetup registers locally.
 func SyntheticEval(x int64) []byte {
 	v := uint64(x) + 0x9e3779b97f4a7c15
 	for i := 0; i < 64; i++ {
@@ -89,10 +89,10 @@ func SyntheticEval(x int64) []byte {
 	return rt.EncodeF64(float64(v % 1000))
 }
 
-// SyntheticSetup registers the synthetic spin task on r, as New does on
+// syntheticSetup registers the synthetic spin task on r, as New does on
 // every executor runtime. The task is pure compute over its launch index,
 // so it needs no region requirements.
-func SyntheticSetup(r *rt.Runtime) error {
+func syntheticSetup(r *rt.Runtime) error {
 	_, err := r.RegisterTask(SyntheticTaskName, func(ctx *rt.Context) ([]byte, error) {
 		return SyntheticEval(ctx.Point.X()), nil
 	})
@@ -112,7 +112,7 @@ func SyntheticRun(tasks, rounds int) RunFunc {
 	return func(jc *JobContext, r *rt.Runtime) error {
 		id, ok := r.TaskNamed(SyntheticTaskName)
 		if !ok {
-			return fmt.Errorf("sched: synthetic task %q not registered (use SyntheticSetup)", SyntheticTaskName)
+			return fmt.Errorf("sched: synthetic task %q not registered (sched.New registers it on every executor)", SyntheticTaskName)
 		}
 		for round := 0; round < rounds; round++ {
 			select {

@@ -27,7 +27,7 @@ type Config struct {
 	// procs on the centralized path (which gives every executor a reusable
 	// message transport). A template with a Transport requires Executors
 	// = 1: runtimes cannot share one. New registers the synthetic task
-	// (SyntheticSetup) on every executor: it is the one kind the HTTP API
+	// (syntheticSetup) on every executor: it is the one kind the HTTP API
 	// and recovery build job bodies for.
 	Runtime rt.Config
 	// Queue is the discipline; nil defaults to FIFO. The scheduler
@@ -263,7 +263,7 @@ func New(cfg Config) (*Scheduler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: executor %d: %w", i, err)
 		}
-		if err := SyntheticSetup(r); err != nil {
+		if err := syntheticSetup(r); err != nil {
 			return nil, fmt.Errorf("sched: executor %d setup: %w", i, err)
 		}
 		s.execs = append(s.execs, &executor{id: i, rt: r})

@@ -3,7 +3,9 @@ package wal
 import (
 	"fmt"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,6 +267,21 @@ func TestSnapshotFailureKeepsSegments(t *testing.T) {
 	wantRecords(t, rec, 0, 15)
 }
 
+// BenchmarkWal measures the durable journal under SyncAlways, as
+// BENCH_wal.json records it. commit/{1w,2w,8w} is a Write + Commit of a
+// 128-byte record by that many concurrent writers: ns/op is wall time per
+// record across all writers, and fsyncs/op is what group commit saves.
+// snapshot is Log.Snapshot at the scheduler journal's cadence while two
+// writers commit.
+func BenchmarkWal(b *testing.B) {
+	b.Run("commit", func(b *testing.B) {
+		for _, writers := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("%dw", writers), func(b *testing.B) { benchmarkCommit(b, writers) })
+		}
+	})
+	b.Run("snapshot", benchmarkSnapshot)
+}
+
 func benchmarkCommit(b *testing.B, writers int) {
 	l, _, err := Open(b.TempDir(), Options{Fsync: SyncAlways})
 	if err != nil {
@@ -300,9 +317,68 @@ func benchmarkCommit(b *testing.B, writers int) {
 	b.ReportMetric(float64(l.Stats().Fsyncs-before)/float64(b.N), "fsyncs/op")
 }
 
-// BenchmarkCommit{1,2,8}Writers: a durable append (Write + Commit under
-// SyncAlways) with that many concurrent writers. ns/op is wall time per
-// record across all writers; fsyncs/op is what group commit saves.
-func BenchmarkCommit1Writers(b *testing.B) { benchmarkCommit(b, 1) }
-func BenchmarkCommit2Writers(b *testing.B) { benchmarkCommit(b, 2) }
-func BenchmarkCommit8Writers(b *testing.B) { benchmarkCommit(b, 8) }
+// snapshotEvery and snapshotStateBytes shape benchmarkSnapshot like the
+// scheduler's journal: its default cadence, and a state of this size.
+const (
+	snapshotEvery      = 4096
+	snapshotStateBytes = 16 << 10
+)
+
+// benchmarkSnapshot runs two writers appending 128-byte records the way the
+// scheduler's journal does: each Write under an owner lock, and whoever
+// writes every snapshotEvery-th record snapshots before releasing it;
+// Commit waits outside. One op is one snapshot. It reports the snapshots'
+// median and slowest latency, and the slowest append from taking the owner
+// lock to Commit returning, which waits out any snapshot, all in
+// microseconds.
+func benchmarkSnapshot(b *testing.B) {
+	l, _, err := Open(b.TempDir(), Options{Fsync: SyncAlways})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	rec, state := make([]byte, 128), make([]byte, snapshotStateBytes)
+	var (
+		owner   sync.Mutex // the journal's lock: Write and Snapshot under it
+		snapUS  []float64
+		done    atomic.Bool
+		wg      sync.WaitGroup
+		slowest [2]float64
+	)
+	b.ResetTimer()
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				start := time.Now()
+				owner.Lock()
+				seq, err := l.Write(rec)
+				if err == nil && seq%snapshotEvery == 0 {
+					snapStart := time.Now()
+					err = l.Snapshot(state)
+					snapUS = append(snapUS, float64(time.Since(snapStart).Nanoseconds())/1e3)
+					done.Store(len(snapUS) == b.N)
+				}
+				owner.Unlock()
+				if err == nil {
+					err = l.Commit(seq)
+				}
+				slowest[w] = max(slowest[w], float64(time.Since(start).Nanoseconds())/1e3)
+				if err != nil {
+					b.Error(err)
+					done.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if b.Failed() {
+		return
+	}
+	sort.Float64s(snapUS)
+	b.ReportMetric(snapUS[len(snapUS)/2], "p50_us")
+	b.ReportMetric(snapUS[len(snapUS)-1], "max_us")
+	b.ReportMetric(max(slowest[0], slowest[1]), "commit_max_us")
+}

@@ -40,64 +40,30 @@ func BenchmarkDecodeFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkLoopbackExecRTT measures a full request/response round trip over
-// the deterministic in-memory fabric: codec both ways, reliable-link
-// bookkeeping, no sockets. The TCP variant below is the same round trip
-// over real localhost sockets; the delta is the socket tax.
-func BenchmarkLoopbackExecRTT(b *testing.B) {
+func echo(task string, point domain.Point, args []byte) ([]byte, error) {
+	return args, nil
+}
+
+// loopbackPair is a 2-node mesh over the deterministic in-memory fabric:
+// codec both ways, reliable-link bookkeeping, no sockets. Node 1 echoes.
+func loopbackPair(b *testing.B) *Mesh {
 	hub := NewHub()
 	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: hub.Fabric(0)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m0.Close()
-	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: hub.Fabric(1),
-		Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
-			return args, nil
-		}})
+	b.Cleanup(func() { m0.Close() })
+	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: hub.Fabric(1), Exec: echo})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m1.Close()
-	args := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m0.Exec(1, "echo", domain.Pt1(int64(i)), args); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Cleanup(func() { m1.Close() })
+	return m0
 }
 
-// BenchmarkLoopbackExecSlice256 is the same round trip carrying a 256-point
-// slice: one Exec frame, 256 bodies on the peer, one Result frame. ns/op
-// divided by 256 is the amortised per-point wire cost.
-func BenchmarkLoopbackExecSlice256(b *testing.B) {
-	hub := NewHub()
-	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: hub.Fabric(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m0.Close()
-	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: hub.Fabric(1),
-		Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
-			return args, nil
-		}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m1.Close()
-	slice := ExecRequest{Task: "echo", Domain: domain.Range1(0, 255), Args: make([]byte, 64)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m0.ExecSlice(1, slice); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTCPExecRTT(b *testing.B) {
+// tcpPair is the same 2-node mesh over real localhost sockets, its
+// connection warmed outside the timed region.
+func tcpPair(b *testing.B) *Mesh {
 	worker, err := NewTCP(TCPConfig{Self: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
@@ -112,20 +78,21 @@ func BenchmarkTCPExecRTT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m0.Close()
-	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: worker, Retransmit: rp,
-		Exec: func(task string, point domain.Point, args []byte) ([]byte, error) {
-			return args, nil
-		}})
+	b.Cleanup(func() { m0.Close() })
+	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: worker, Retransmit: rp, Exec: echo})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m1.Close()
-	args := make([]byte, 64)
-	// Warm the connection outside the timed region.
-	if _, err := m0.Exec(1, "echo", domain.Pt1(0), args); err != nil {
+	b.Cleanup(func() { m1.Close() })
+	if _, err := m0.Exec(1, "echo", domain.Pt1(0), nil); err != nil {
 		b.Fatal(err)
 	}
+	return m0
+}
+
+// benchExecRTT times one-point request/response round trips.
+func benchExecRTT(b *testing.B, m0 *Mesh) {
+	args := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -134,6 +101,27 @@ func BenchmarkTCPExecRTT(b *testing.B) {
 		}
 	}
 }
+
+// benchExecSlice256 times the round trip carrying a 256-point slice: one
+// Exec frame, 256 bodies on the peer, one Result frame. ns/op divided by
+// 256 is the amortised per-point wire cost.
+func benchExecSlice256(b *testing.B, m0 *Mesh) {
+	slice := ExecRequest{Task: "echo", Domain: domain.Range1(0, 255), Args: make([]byte, 64)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m0.ExecSlice(1, slice); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The loopback rows are the round trip without sockets; the TCP rows minus
+// them are the socket tax.
+func BenchmarkLoopbackExecRTT(b *testing.B)      { benchExecRTT(b, loopbackPair(b)) }
+func BenchmarkTCPExecRTT(b *testing.B)           { benchExecRTT(b, tcpPair(b)) }
+func BenchmarkLoopbackExecSlice256(b *testing.B) { benchExecSlice256(b, loopbackPair(b)) }
+func BenchmarkTCPExecSlice256(b *testing.B)      { benchExecSlice256(b, tcpPair(b)) }
 
 func BenchmarkLoopbackBroadcast8(b *testing.B) {
 	hub := NewHub()
